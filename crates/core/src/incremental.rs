@@ -17,6 +17,7 @@
 use netanom_linalg::decomposition::{self, SymmetricEigen, TruncatedEigen};
 use netanom_linalg::{vector, BlockPlacement, Matrix};
 
+use crate::codec::{self, Reader};
 use crate::separation::SeparationPolicy;
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
@@ -180,77 +181,24 @@ impl IncrementalCovariance {
     /// bitwise the refits of an uninterrupted run.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&STATS_MAGIC);
-        out.extend_from_slice(&STATS_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        out.extend_from_slice(&(self.count as u64).to_le_bytes());
-        for &v in &self.sum {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for i in 0..self.dim {
-            for &v in self.cross.row(i) {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        codec::header(&mut out, STATS_MAGIC, STATS_VERSION);
+        codec::put_u64(&mut out, self.dim as u64);
+        codec::put_u64(&mut out, self.count as u64);
+        codec::put_f64s(&mut out, &self.sum);
+        codec::put_f64s(&mut out, self.cross.as_slice());
         out
     }
 
     /// Decode a buffer produced by [`IncrementalCovariance::to_bytes`],
     /// rejecting bad magic/version, truncation, and trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let take = |at: &mut usize, n: usize| -> Result<&[u8]> {
-            let end = at.checked_add(n).filter(|&e| e <= bytes.len());
-            let Some(end) = end else {
-                return Err(CoreError::InvalidState {
-                    reason: "truncated statistics buffer",
-                });
-            };
-            let out = &bytes[*at..end];
-            *at = end;
-            Ok(out)
-        };
-        let mut at = 0usize;
-        if take(&mut at, 4)? != STATS_MAGIC {
-            return Err(CoreError::InvalidState {
-                reason: "bad statistics magic prefix",
-            });
-        }
-        if u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) != STATS_VERSION {
-            return Err(CoreError::InvalidState {
-                reason: "unsupported statistics version",
-            });
-        }
-        let u64_at = |at: &mut usize| -> Result<u64> {
-            let b = take(at, 8)?;
-            Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-        };
-        let dim = u64_at(&mut at)? as usize;
-        let count = u64_at(&mut at)? as usize;
-        let f64s_at = |at: &mut usize, n: usize| -> Result<Vec<f64>> {
-            let b = take(
-                at,
-                n.checked_mul(8).ok_or(CoreError::InvalidState {
-                    reason: "statistics length overflow",
-                })?,
-            )?;
-            Ok(b.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect())
-        };
-        let sum = f64s_at(&mut at, dim)?;
-        let cross_len = dim.checked_mul(dim).ok_or(CoreError::InvalidState {
-            reason: "statistics shape overflow",
-        })?;
-        let cross_data = f64s_at(&mut at, cross_len)?;
-        if at != bytes.len() {
-            return Err(CoreError::InvalidState {
-                reason: "trailing bytes after statistics",
-            });
-        }
-        let cross =
-            Matrix::from_vec(dim, dim, cross_data).map_err(|_| CoreError::InvalidState {
-                reason: "statistics data does not match its shape",
-            })?;
+        let mut r = Reader::new(bytes);
+        r.expect_header(STATS_MAGIC, STATS_VERSION)?;
+        let dim = r.u64()? as usize;
+        let count = r.u64()? as usize;
+        let sum = r.f64s(dim)?;
+        let cross = r.matrix_body(dim, dim)?;
+        r.finish()?;
         Ok(IncrementalCovariance {
             dim,
             count,
@@ -445,13 +393,13 @@ impl IncrementalCovariance {
     }
 }
 
-/// Magic prefix of [`CovarianceShard`]'s binary encoding.
 /// Magic prefix of the serialized global accumulator
 /// ([`IncrementalCovariance::to_bytes`]).
 const STATS_MAGIC: [u8; 4] = *b"NAIC";
 /// Version of the serialized global accumulator layout.
 const STATS_VERSION: u32 = 1;
 
+/// Magic prefix of [`CovarianceShard`]'s binary encoding.
 const SHARD_MAGIC: [u8; 4] = *b"NACS";
 /// Encoding version.
 const SHARD_VERSION: u32 = 1;
@@ -586,22 +534,15 @@ impl CovarianceShard {
     /// to the original.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&SHARD_MAGIC);
-        out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        out.extend_from_slice(&(self.count as u64).to_le_bytes());
-        out.extend_from_slice(&(self.links.len() as u64).to_le_bytes());
+        codec::header(&mut out, SHARD_MAGIC, SHARD_VERSION);
+        codec::put_u64(&mut out, self.dim as u64);
+        codec::put_u64(&mut out, self.count as u64);
+        codec::put_u64(&mut out, self.links.len() as u64);
         for &l in &self.links {
-            out.extend_from_slice(&(l as u64).to_le_bytes());
+            codec::put_u64(&mut out, l as u64);
         }
-        for &v in &self.sum {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for k in 0..self.cross.rows() {
-            for &v in self.cross.row(k) {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        codec::put_f64s(&mut out, &self.sum);
+        codec::put_f64s(&mut out, self.cross.as_slice());
         out
     }
 
@@ -609,69 +550,21 @@ impl CovarianceShard {
     /// re-validating every structural invariant (`links` strictly
     /// ascending and inside `0..dim`, exact buffer length).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let take = |at: &mut usize, n: usize| -> Result<&[u8]> {
-            let end = at.checked_add(n).filter(|&e| e <= bytes.len());
-            let Some(end) = end else {
-                return Err(CoreError::InvalidState {
-                    reason: "truncated statistics buffer",
-                });
-            };
-            let out = &bytes[*at..end];
-            *at = end;
-            Ok(out)
-        };
-        let u64_at = |at: &mut usize| -> Result<u64> {
-            let b = take(at, 8)?;
-            Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-        };
-        let mut at = 0usize;
-        if take(&mut at, 4)? != SHARD_MAGIC {
-            return Err(CoreError::InvalidState {
-                reason: "bad statistics magic prefix",
-            });
-        }
-        if u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) != SHARD_VERSION {
-            return Err(CoreError::InvalidState {
-                reason: "unsupported statistics version",
-            });
-        }
-        let dim = u64_at(&mut at)? as usize;
-        let count = u64_at(&mut at)? as usize;
-        let nlinks = u64_at(&mut at)? as usize;
-        let mut links = Vec::with_capacity(nlinks.min(1 << 20));
-        for _ in 0..nlinks {
-            links.push(u64_at(&mut at)? as usize);
-        }
-        let f64s_at = |at: &mut usize, n: usize| -> Result<Vec<f64>> {
-            let b = take(
-                at,
-                n.checked_mul(8).ok_or(CoreError::InvalidState {
-                    reason: "statistics length overflow",
-                })?,
-            )?;
-            Ok(b.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect())
-        };
-        let sum = f64s_at(&mut at, nlinks)?;
-        let cross_len = nlinks.checked_mul(dim).ok_or(CoreError::InvalidState {
-            reason: "statistics shape overflow",
-        })?;
-        let cross_data = f64s_at(&mut at, cross_len)?;
-        if at != bytes.len() {
-            return Err(CoreError::InvalidState {
-                reason: "trailing bytes after statistics",
-            });
-        }
+        let mut r = Reader::new(bytes);
+        r.expect_header(SHARD_MAGIC, SHARD_VERSION)?;
+        let dim = r.u64()? as usize;
+        let count = r.u64()? as usize;
+        let nlinks = r.count()?;
+        let links: Vec<usize> = r.u64s(nlinks)?.into_iter().map(|l| l as usize).collect();
+        let sum = r.f64s(nlinks)?;
+        let cross = r.matrix_body(nlinks, dim)?;
+        r.finish()?;
         // Reuse the constructor's link validation, then install the
         // decoded payload over the empty shell.
         let mut shard = CovarianceShard::new(dim, &links)?;
         shard.count = count;
         shard.sum = sum;
-        shard.cross =
-            Matrix::from_vec(nlinks, dim, cross_data).map_err(|_| CoreError::InvalidState {
-                reason: "statistics data does not match its shape",
-            })?;
+        shard.cross = cross;
         Ok(shard)
     }
 }
@@ -880,25 +773,14 @@ mod tests {
         assert!(merged_orig.covariance().unwrap() == merged_back.covariance().unwrap());
     }
 
+    /// Structural corruption the byte-level hostile suite
+    /// (`tests/codec_hostile.rs`) cannot see: a well-formed buffer whose
+    /// links are out of order.
     #[test]
-    fn covariance_shard_bytes_rejects_corruption() {
+    fn covariance_shard_bytes_revalidates_link_order() {
         let mut s = CovarianceShard::new(3, &[0, 2]).unwrap();
         s.add(&[1.0, 2.0, 3.0]).unwrap();
-        let bytes = s.to_bytes();
-        // Truncation at every prefix length fails cleanly.
-        for cut in 0..bytes.len() {
-            assert!(CovarianceShard::from_bytes(&bytes[..cut]).is_err());
-        }
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(CovarianceShard::from_bytes(&bad).is_err());
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(CovarianceShard::from_bytes(&long).is_err());
-        // Non-ascending links are re-validated on decode.
-        let mut swapped = bytes;
+        let mut swapped = s.to_bytes();
         // links live after magic(4)+version(4)+dim(8)+count(8)+len(8).
         let at = 4 + 4 + 8 + 8 + 8;
         let (a, b) = (at, at + 8);

@@ -25,8 +25,7 @@
 //! [`incremental`] sufficient statistics (`O(m²)` per arrival plus one
 //! Jacobi eigen-solve per refit, independent of the window length);
 //! [`MultiwayEngine`] runs several measurement kinds (bytes, packets,
-//! entropy) in lockstep, and [`OnlineDiagnoser`] remains as a thin
-//! compatibility wrapper. The detection method itself is a pluggable
+//! entropy) in lockstep. The detection method itself is a pluggable
 //! backend ([`method`]): every engine is generic over a
 //! [`DetectionBackend`] (default: the [`SubspaceBackend`] reference
 //! implementation, bitwise the historical behavior), so the temporal
@@ -65,6 +64,7 @@
 #![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod coordinate;
 pub mod detectability;
 mod diagnose;
@@ -73,7 +73,6 @@ mod identify;
 pub mod incremental;
 pub mod method;
 pub mod multiflow;
-mod online;
 mod pca;
 pub mod qstat;
 mod separation;
@@ -91,7 +90,6 @@ pub use method::{
     merge_coeff_partials, subspace_model_from_state, DetectionBackend, MethodState, ShardCtx,
     ShardScores, ShardableBackend, SubspaceBackend, SubspacePartial, SubspaceShard,
 };
-pub use online::OnlineDiagnoser;
 pub use pca::{Pca, PcaMethod};
 pub use separation::SeparationPolicy;
 pub use service::{EngineConfig, PartitionSpec};

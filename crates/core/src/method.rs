@@ -44,6 +44,7 @@ use std::fmt;
 use netanom_linalg::{BlockPlacement, Matrix};
 use netanom_topology::{LinkPartition, RoutingMatrix};
 
+use crate::codec::{self, CodecError, Reader};
 use crate::diagnose::{quantify, Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::incremental::{CovarianceShard, IncrementalCovariance};
 use crate::separation::SeparationPolicy;
@@ -129,129 +130,61 @@ const STATE_MAGIC: [u8; 4] = *b"NAMS";
 /// Encoding version.
 const STATE_VERSION: u32 = 1;
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// `NAMS` spells every length as a `u32`.
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    codec::put_u32(out, n as u32);
 }
 
-fn push_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    push_u32(out, vs.len() as u32);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Byte cursor for decoding; every read is bounds-checked.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(CoreError::InvalidState {
-                reason: "truncated state buffer",
-            });
-        };
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>> {
-        let n = self.u32()? as usize;
-        let b = self.take(n.checked_mul(8).ok_or(CoreError::InvalidState {
-            reason: "length overflow",
-        })?)?;
-        Ok(b.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
+fn len(r: &mut Reader<'_>) -> std::result::Result<usize, CodecError> {
+    Ok(r.u32()? as usize)
 }
 
 impl MethodState {
     /// Encode as a self-contained little-endian byte buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&STATE_MAGIC);
-        push_u32(&mut out, STATE_VERSION);
-        push_u32(&mut out, self.method.len() as u32);
+        codec::header(&mut out, STATE_MAGIC, STATE_VERSION);
+        put_len(&mut out, self.method.len());
         out.extend_from_slice(self.method.as_bytes());
-        push_f64s(&mut out, &self.scalars);
-        push_u32(&mut out, self.vectors.len() as u32);
+        put_len(&mut out, self.scalars.len());
+        codec::put_f64s(&mut out, &self.scalars);
+        put_len(&mut out, self.vectors.len());
         for v in &self.vectors {
-            push_f64s(&mut out, v);
+            put_len(&mut out, v.len());
+            codec::put_f64s(&mut out, v);
         }
-        push_u32(&mut out, self.matrices.len() as u32);
+        put_len(&mut out, self.matrices.len());
         for m in &self.matrices {
-            push_u32(&mut out, m.rows() as u32);
-            push_u32(&mut out, m.cols() as u32);
-            for r in 0..m.rows() {
-                for v in m.row(r) {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            put_len(&mut out, m.rows());
+            put_len(&mut out, m.cols());
+            codec::put_f64s(&mut out, m.as_slice());
         }
         out
     }
 
     /// Decode a buffer produced by [`MethodState::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut c = Cursor { bytes, at: 0 };
-        if c.take(4)? != STATE_MAGIC {
-            return Err(CoreError::InvalidState {
-                reason: "bad magic prefix",
-            });
-        }
-        if c.u32()? != STATE_VERSION {
-            return Err(CoreError::InvalidState {
-                reason: "unsupported state version",
-            });
-        }
-        let name_len = c.u32()? as usize;
-        let method = std::str::from_utf8(c.take(name_len)?)
-            .map_err(|_| CoreError::InvalidState {
-                reason: "method name is not utf-8",
-            })?
-            .to_string();
-        let scalars = c.f64s()?;
-        let nv = c.u32()? as usize;
-        let mut vectors = Vec::with_capacity(nv.min(1024));
-        for _ in 0..nv {
-            vectors.push(c.f64s()?);
-        }
-        let nm = c.u32()? as usize;
-        let mut matrices = Vec::with_capacity(nm.min(1024));
-        for _ in 0..nm {
-            let rows = c.u32()? as usize;
-            let cols = c.u32()? as usize;
-            let n = rows.checked_mul(cols).ok_or(CoreError::InvalidState {
-                reason: "matrix shape overflow",
-            })?;
-            let b = c.take(n.checked_mul(8).ok_or(CoreError::InvalidState {
-                reason: "matrix length overflow",
-            })?)?;
-            let data: Vec<f64> = b
-                .chunks_exact(8)
-                .map(|ch| f64::from_le_bytes(ch.try_into().expect("8 bytes")))
-                .collect();
-            matrices.push(Matrix::from_vec(rows, cols, data).map_err(|_| {
-                CoreError::InvalidState {
-                    reason: "matrix data does not match its shape",
-                }
-            })?);
-        }
-        if c.at != bytes.len() {
-            return Err(CoreError::InvalidState {
-                reason: "trailing bytes after state",
-            });
-        }
+        let mut r = Reader::new(bytes);
+        r.expect_header(STATE_MAGIC, STATE_VERSION)?;
+        let name_len = len(&mut r)?;
+        let method = r.utf8(name_len)?.to_string();
+        let n = len(&mut r)?;
+        let scalars = r.f64s(n)?;
+        // Each element consumes at least its own length field, so these
+        // loops end with the buffer however large the counts claim to be.
+        let vectors = (0..len(&mut r)?)
+            .map(|_| {
+                let n = len(&mut r)?;
+                r.f64s(n)
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        let matrices = (0..len(&mut r)?)
+            .map(|_| {
+                let (rows, cols) = (len(&mut r)?, len(&mut r)?);
+                r.matrix_body(rows, cols)
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        r.finish()?;
         Ok(MethodState {
             method,
             scalars,
@@ -999,32 +932,6 @@ mod tests {
         let bytes = state.to_bytes();
         let back = MethodState::from_bytes(&bytes).unwrap();
         assert_eq!(back, state);
-    }
-
-    #[test]
-    fn state_decoding_rejects_corruption() {
-        let state = MethodState {
-            method: "x".to_string(),
-            scalars: vec![1.0],
-            vectors: vec![],
-            matrices: vec![],
-        };
-        let bytes = state.to_bytes();
-        // Truncation at every prefix length fails cleanly.
-        for cut in 0..bytes.len() {
-            assert!(
-                MethodState::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut} accepted"
-            );
-        }
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(MethodState::from_bytes(&bad).is_err());
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(MethodState::from_bytes(&long).is_err());
     }
 
     #[test]

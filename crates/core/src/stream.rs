@@ -29,9 +29,9 @@
 //!
 //! Semantics are pinned by parity tests (`tests/stream_parity.rs`):
 //! under [`RefitStrategy::FullSvd`], [`StreamingEngine::process`] and
-//! [`StreamingEngine::process_batch`] reproduce the sequential
-//! fit/diagnose/refit behavior of the original `OnlineDiagnoser` report
-//! for report, including mid-block refit boundaries.
+//! [`StreamingEngine::process_batch`] reproduce the seed's sequential
+//! fit/diagnose/refit loop report for report, including mid-block refit
+//! boundaries.
 
 use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
@@ -56,7 +56,7 @@ pub const DEFAULT_TRUNCATED_TOL: f64 = 1e-10;
 pub enum RefitStrategy {
     /// Materialize the window and rerun the full fit (PCA via the
     /// configured [`crate::PcaMethod`], subspace separation, threshold).
-    /// Exactly the behavior of the original `OnlineDiagnoser`; cost grows
+    /// Exactly the behavior of the seed's sequential loop; cost grows
     /// with the window length.
     #[default]
     FullSvd,
@@ -279,9 +279,8 @@ impl RingWindow {
 /// [`DetectionBackend`] that does the scoring.
 ///
 /// The default backend is the paper's [`SubspaceBackend`], for which
-/// this engine reproduces the original `OnlineDiagnoser` bitwise (that
-/// type is now a thin compatibility wrapper around it); any other
-/// backend — the temporal comparators in `netanom-baselines::methods` —
+/// this engine reproduces the seed's sequential loop bitwise
+/// (`tests/stream_parity.rs`); any other backend — the temporal comparators in `netanom-baselines::methods` —
 /// rides the identical ingestion machinery, which is what makes the
 /// paper's method comparison honest.
 ///
@@ -765,6 +764,13 @@ mod tests {
         }
         assert_eq!(engine.arrivals(), 100);
         assert_eq!(engine.refits(), 0);
+
+        // A spike streamed into flow 6 alarms and names that flow.
+        let mut y = training(rm.num_links(), 1, 997).row(0).to_vec();
+        vector::axpy(8e6, &rm.column(6), &mut y);
+        let rep = engine.process(&y).unwrap();
+        assert!(rep.detected);
+        assert_eq!(rep.identification.unwrap().flow, 6);
     }
 
     #[test]
@@ -806,6 +812,13 @@ mod tests {
         assert_eq!(full.refits(), 3);
         // The staged spike is caught by both routes.
         assert_eq!(spike_reports, (true, true));
+        // The refitted model has absorbed the fresh data without turning
+        // clean traffic into an alarm storm.
+        let tail = training(rm.num_links(), 50, 777);
+        let alarms = (0..tail.rows())
+            .filter(|&t| full.process(tail.row(t)).unwrap().detected)
+            .count();
+        assert!(alarms <= 2, "{alarms} alarms after refit");
     }
 
     #[test]
@@ -918,6 +931,14 @@ mod tests {
                 assert_eq!(br.detected, sr.detected);
                 assert!((br.spe - sr.spe).abs() <= 1e-12 * sr.spe.max(1.0));
             }
+        }
+        // One batched call leaves the engine where row-by-row calls do:
+        // same refit phase, same retained window.
+        let (b, s) = (bat.way(0), seq.way(0));
+        assert_eq!(b.arrivals_since_refit(), s.arrivals_since_refit());
+        assert_eq!(b.window().len(), s.window().len());
+        for i in 0..b.window().len() {
+            assert_eq!(b.window().row(i), s.window().row(i), "window row {i}");
         }
     }
 

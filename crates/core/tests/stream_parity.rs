@@ -1,5 +1,5 @@
 //! Parity suite: [`StreamingEngine`] must reproduce the sequential
-//! behavior of the seed's `OnlineDiagnoser::process` — fit on a training
+//! behavior of the seed's sequential online loop — fit on a training
 //! window, diagnose each arrival with `Diagnoser::diagnose_vector`,
 //! maintain a sliding window, refit from the materialized window every
 //! `k` arrivals — *bitwise* for detections and identifications, across

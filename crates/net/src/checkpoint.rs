@@ -9,19 +9,22 @@
 //! what makes kill-and-rejoin runs bitwise identical to never-killed
 //! runs.
 //!
-//! Saves are atomic (write to `<path>.tmp`, then rename) so a crash
-//! mid-save leaves the previous checkpoint intact. The file format is
-//! the crate's little-endian field encoding with a `"NACK"` magic and a
-//! version byte; the model state and statistics ride in their own
+//! Saves go through [`codec::write_atomic`] so a crash mid-save leaves
+//! the previous checkpoint intact. The file format is a `core::codec`
+//! field sequence behind a `"NACK"` header (see DESIGN.md, "Binary
+//! encodings"); the model state and statistics ride in their own
 //! self-describing encodings, untouched.
 
 use std::fs;
 use std::path::Path;
 
+use netanom_core::codec::{
+    self, put_bytes, put_f64s, put_matrix, put_u32, put_u64, put_u8, CodecError, Reader,
+};
 use netanom_linalg::Matrix;
 
 use crate::error::{NetError, Result};
-use crate::wire::{put_bytes, put_f64s, put_matrix, put_u32, put_u64, put_u64s, put_u8, Dec};
+use crate::wire::{counted_f64s, counted_u64s, Decoded};
 
 const CHECKPOINT_MAGIC: [u8; 4] = *b"NACK";
 const CHECKPOINT_VERSION: u32 = 1;
@@ -79,13 +82,14 @@ impl Checkpoint {
     /// Encode to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut out, CHECKPOINT_VERSION);
+        codec::header(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
         put_u32(&mut out, self.shard);
         put_u32(&mut out, self.shards);
         put_u64(&mut out, self.dim);
-        let links: Vec<u64> = self.links.iter().map(|&l| l as u64).collect();
-        put_u64s(&mut out, &links);
+        put_u64(&mut out, self.links.len() as u64);
+        for &l in &self.links {
+            put_u64(&mut out, l as u64);
+        }
         put_u64(&mut out, self.train_bins);
         put_u64(&mut out, self.completed_round);
         put_u64(&mut out, self.arrivals);
@@ -106,6 +110,7 @@ impl Checkpoint {
                 put_u64(&mut out, cache.round);
                 put_u64(&mut out, cache.rows);
                 put_matrix(&mut out, &cache.coeffs);
+                put_u64(&mut out, cache.scores.len() as u64);
                 put_f64s(&mut out, &cache.scores);
                 put_matrix(&mut out, &cache.residual);
             }
@@ -116,84 +121,64 @@ impl Checkpoint {
     /// Decode from bytes; rejects bad magic/version, truncation, and
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 8 || bytes[..4] != CHECKPOINT_MAGIC {
-            return Err(NetError::Checkpoint {
-                reason: "not a checkpoint file (bad magic)".into(),
-            });
-        }
-        let mut d = Dec::new(&bytes[4..]);
-        let version = d.u32().map_err(trunc)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(NetError::Checkpoint {
-                reason: format!("unsupported checkpoint version {version}"),
-            });
-        }
-        let shard = d.u32().map_err(trunc)?;
-        let shards = d.u32().map_err(trunc)?;
-        let dim = d.u64().map_err(trunc)?;
-        let links = d
-            .u64s()
-            .map_err(trunc)?
-            .into_iter()
-            .map(|l| l as usize)
-            .collect();
-        let train_bins = d.u64().map_err(trunc)?;
-        let completed_round = d.u64().map_err(trunc)?;
-        let arrivals = d.u64().map_err(trunc)?;
-        let state = d.bytes().map_err(trunc)?;
-        let stats = match d.u8().map_err(trunc)? {
-            0 => None,
-            1 => Some(d.bytes().map_err(trunc)?),
-            tag => {
-                return Err(NetError::Checkpoint {
-                    reason: format!("bad statistics tag {tag}"),
-                })
-            }
-        };
-        let window_capacity = d.u64().map_err(trunc)?;
-        let window = d.matrix().map_err(trunc)?;
-        let cache = match d.u8().map_err(trunc)? {
-            0 => None,
-            1 => Some(RoundCache {
-                round: d.u64().map_err(trunc)?,
-                rows: d.u64().map_err(trunc)?,
-                coeffs: d.matrix().map_err(trunc)?,
-                scores: d.f64s().map_err(trunc)?,
-                residual: d.matrix().map_err(trunc)?,
-            }),
-            tag => {
-                return Err(NetError::Checkpoint {
-                    reason: format!("bad cache tag {tag}"),
-                })
-            }
-        };
-        d.finish().map_err(trunc)?;
-        Ok(Checkpoint {
-            shard,
-            shards,
-            dim,
-            links,
-            train_bins,
-            completed_round,
-            arrivals,
-            state,
-            stats,
-            window_capacity,
-            window,
-            cache,
+        Self::decode(bytes).map_err(|e| NetError::Checkpoint {
+            reason: e.to_string(),
         })
     }
 
-    /// Atomically persist to `path` (write `<path>.tmp`, then rename).
+    fn decode(bytes: &[u8]) -> Decoded<Self> {
+        let mut r = Reader::new(bytes);
+        r.expect_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+        let ckpt = Checkpoint {
+            shard: r.u32()?,
+            shards: r.u32()?,
+            dim: r.u64()?,
+            links: counted_u64s(&mut r)?
+                .into_iter()
+                .map(|l| l as usize)
+                .collect(),
+            train_bins: r.u64()?,
+            completed_round: r.u64()?,
+            arrivals: r.u64()?,
+            state: r.bytes()?,
+            stats: match r.u8()? {
+                0 => None,
+                1 => Some(r.bytes()?),
+                tag => {
+                    return Err(CodecError::BadTag {
+                        field: "statistics",
+                        tag,
+                    })
+                }
+            },
+            window_capacity: r.u64()?,
+            window: r.matrix()?,
+            cache: match r.u8()? {
+                0 => None,
+                1 => Some(RoundCache {
+                    round: r.u64()?,
+                    rows: r.u64()?,
+                    coeffs: r.matrix()?,
+                    scores: counted_f64s(&mut r)?,
+                    residual: r.matrix()?,
+                }),
+                tag => {
+                    return Err(CodecError::BadTag {
+                        field: "round-cache",
+                        tag,
+                    })
+                }
+            },
+        };
+        r.finish()?;
+        Ok(ckpt)
+    }
+
+    /// Atomically persist to `path` ([`codec::write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<()> {
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, self.to_bytes()).map_err(|e| NetError::Checkpoint {
-            reason: format!("writing {}: {e}", tmp.display()),
-        })?;
-        fs::rename(&tmp, path).map_err(|e| NetError::Checkpoint {
-            reason: format!("renaming into {}: {e}", path.display()),
-        })?;
-        Ok(())
+        codec::write_atomic(path, &self.to_bytes()).map_err(|e| NetError::Checkpoint {
+            reason: e.to_string(),
+        })
     }
 
     /// Load and validate from `path`.
@@ -202,14 +187,6 @@ impl Checkpoint {
             reason: format!("reading {}: {e}", path.display()),
         })?;
         Self::from_bytes(&bytes)
-    }
-}
-
-/// Re-label decoder protocol errors as checkpoint errors.
-fn trunc(e: NetError) -> NetError {
-    match e {
-        NetError::Protocol { reason } => NetError::Checkpoint { reason },
-        other => other,
     }
 }
 
@@ -254,31 +231,19 @@ mod tests {
         assert_eq!(Checkpoint::from_bytes(&bare.to_bytes()).unwrap(), bare);
     }
 
+    /// Truncation, trailing bytes and lying counts are the shared
+    /// hostile-input suite's (`tests/codec_hostile.rs`); this pins that
+    /// a foreign header is refused *as a checkpoint error*.
     #[test]
-    fn rejects_corruption() {
+    fn rejects_a_foreign_header_as_a_checkpoint_error() {
         let bytes = sample().to_bytes();
-        assert!(Checkpoint::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(Checkpoint::from_bytes(&[]).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(Checkpoint::from_bytes(&bad_magic).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(Checkpoint::from_bytes(&trailing).is_err());
-        let mut bad_version = bytes;
-        bad_version[4] = 99;
-        assert!(Checkpoint::from_bytes(&bad_version).is_err());
-    }
-
-    #[test]
-    fn save_is_atomic_rename() {
-        let dir = std::env::temp_dir().join(format!("netanom-ckpt-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("worker1.ck");
-        let ckpt = sample();
-        ckpt.save(&path).unwrap();
-        assert!(!path.with_extension("tmp").exists());
-        assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
-        fs::remove_dir_all(&dir).unwrap();
+        for (at, byte) in [(0, b'X'), (4, 99)] {
+            let mut bad = bytes.clone();
+            bad[at] = byte;
+            assert!(matches!(
+                Checkpoint::from_bytes(&bad),
+                Err(NetError::Checkpoint { .. })
+            ));
+        }
     }
 }

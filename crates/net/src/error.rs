@@ -10,6 +10,7 @@
 
 use std::io;
 
+use netanom_core::codec::CodecError;
 use netanom_core::CoreError;
 use netanom_traffic::io::CsvError;
 
@@ -179,6 +180,16 @@ impl From<io::Error> for NetError {
 impl From<CoreError> for NetError {
     fn from(e: CoreError) -> Self {
         NetError::Core(e)
+    }
+}
+
+impl From<CodecError> for NetError {
+    /// A frame payload that does not decode is a protocol error (the
+    /// checkpoint loader relabels its own as [`NetError::Checkpoint`]).
+    fn from(e: CodecError) -> Self {
+        NetError::Protocol {
+            reason: e.to_string(),
+        }
     }
 }
 

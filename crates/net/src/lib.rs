@@ -106,5 +106,5 @@ pub use error::{FailureKind, NetError, Result};
 pub use feed::{CsvRowFeed, MatrixFeed, RowFeed};
 pub use frame::{read_frame, write_frame, FramedConn, DEFAULT_MAX_FRAME};
 pub use tracker::{RejoinEvent, Tracker, TrackerConfig, TrackerSummary};
-pub use wire::{Message, WireStrategy};
+pub use wire::Message;
 pub use worker::{run_worker, InjectedFault, WorkerConfig, WorkerSummary};

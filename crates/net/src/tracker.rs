@@ -291,7 +291,7 @@ impl Tracker {
             Ok(shard) => {
                 conn.send(&Message::Welcome {
                     state: self.backend.export_state().to_bytes(),
-                    strategy: self.backend.strategy().into(),
+                    strategy: self.backend.strategy(),
                     window_capacity: self.window_capacity as u64,
                     round: self.completed,
                 })?;

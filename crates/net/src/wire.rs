@@ -9,47 +9,17 @@
 //! never re-interprets them — what a worker decodes is byte-identical
 //! to what the coordinator encoded.
 
+use netanom_core::codec::{
+    put_bytes, put_f64, put_f64s, put_matrix, put_str, put_u32, put_u64, put_u8, CodecError, Reader,
+};
 use netanom_core::RefitStrategy;
 use netanom_linalg::Matrix;
 
-use crate::error::{NetError, Result};
+use crate::error::Result;
 
-/// Round-trippable mirror of [`RefitStrategy`] (the core enum carries
-/// no serialization; mirroring it keeps the wire format explicit).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireStrategy {
-    /// [`RefitStrategy::FullSvd`].
-    Full,
-    /// [`RefitStrategy::Incremental`].
-    Incremental,
-    /// [`RefitStrategy::Truncated`].
-    Truncated {
-        /// Top eigenpair count.
-        k: u64,
-        /// Solver tolerance.
-        tol: f64,
-    },
-}
-
-impl From<RefitStrategy> for WireStrategy {
-    fn from(s: RefitStrategy) -> Self {
-        match s {
-            RefitStrategy::FullSvd => WireStrategy::Full,
-            RefitStrategy::Incremental => WireStrategy::Incremental,
-            RefitStrategy::Truncated { k, tol } => WireStrategy::Truncated { k: k as u64, tol },
-        }
-    }
-}
-
-impl From<WireStrategy> for RefitStrategy {
-    fn from(s: WireStrategy) -> Self {
-        match s {
-            WireStrategy::Full => RefitStrategy::FullSvd,
-            WireStrategy::Incremental => RefitStrategy::Incremental,
-            WireStrategy::Truncated { k, tol } => RefitStrategy::Truncated { k: k as usize, tol },
-        }
-    }
-}
+/// What the field-level decoders return; the public `from_bytes`
+/// functions convert it into the crate's error kinds.
+pub(crate) type Decoded<T> = std::result::Result<T, CodecError>;
 
 /// Everything the tracker and workers say to each other.
 ///
@@ -86,7 +56,7 @@ pub enum Message {
         /// Encoded [`netanom_core::MethodState`] of the current model.
         state: Vec<u8>,
         /// Refit strategy the worker must maintain statistics for.
-        strategy: WireStrategy,
+        strategy: RefitStrategy,
         /// Resolved sliding-window capacity (rows).
         window_capacity: u64,
         /// Rounds the tracker has finalized.
@@ -148,7 +118,7 @@ pub enum Message {
         /// Encoded [`netanom_core::incremental::CovarianceShard`].
         bytes: Vec<u8>,
     },
-    /// Worker's refit input under [`WireStrategy::Full`]: its window's
+    /// Worker's refit input under [`RefitStrategy::FullSvd`]: its window's
     /// column slice in arrival order.
     WindowSlice {
         /// Round number echoed.
@@ -175,186 +145,46 @@ pub enum Message {
     },
 }
 
-// ---------------------------------------------------------------------
-// Little-endian field helpers, shared with the checkpoint encoding.
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_u64(out, v);
-    }
-}
-
-pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_f64(out, v);
-    }
-}
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-pub(crate) fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    put_u64(out, m.rows() as u64);
-    put_u64(out, m.cols() as u64);
-    for v in m.as_slice() {
-        put_f64(out, *v);
-    }
-}
-
-/// A bounds-checked little-endian field reader over one payload.
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or(NetError::Protocol {
-            reason: "payload truncated".into(),
-        })?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A `u64` that must fit in `usize` and pass a sanity bound (all
-    /// wire counts are bounded by frame size / 8, so `len / 8` of the
-    /// remaining payload is a safe ceiling against allocation bombs).
-    pub(crate) fn count(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        let ceiling = (self.bytes.len() - self.at) as u64;
-        if v > ceiling {
-            return Err(NetError::Protocol {
-                reason: format!("count {v} exceeds the {ceiling} bytes remaining"),
-            });
-        }
-        Ok(v as usize)
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.count()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| NetError::Protocol {
-            reason: "string field is not utf-8".into(),
-        })
-    }
-
-    pub(crate) fn matrix(&mut self) -> Result<Matrix> {
-        let rows = self.count()?;
-        let cols = self.count()?;
-        let n = rows.checked_mul(cols).ok_or(NetError::Protocol {
-            reason: "matrix shape overflows".into(),
-        })?;
-        let fits = (n as u64)
-            .checked_mul(8)
-            .map(|b| b <= (self.bytes.len() - self.at) as u64);
-        if fits != Some(true) {
-            return Err(NetError::Protocol {
-                reason: "matrix data exceeds the payload".into(),
-            });
-        }
-        let data: Vec<f64> = (0..n).map(|_| self.f64()).collect::<Result<_>>()?;
-        Matrix::from_vec(rows, cols, data).map_err(|_| NetError::Protocol {
-            reason: "matrix shape does not match its data".into(),
-        })
-    }
-
-    pub(crate) fn finish(self) -> Result<()> {
-        if self.at != self.bytes.len() {
-            return Err(NetError::Protocol {
-                reason: format!(
-                    "{} trailing bytes after payload",
-                    self.bytes.len() - self.at
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-fn put_strategy(out: &mut Vec<u8>, s: WireStrategy) {
+/// The wire layout of a strategy: a tag byte, and `k`/`tol` only behind
+/// the truncated tag. (The `NASC` checkpoint pins a different, fixed-width
+/// layout of the same enum.)
+fn put_strategy(out: &mut Vec<u8>, s: RefitStrategy) {
     match s {
-        WireStrategy::Full => put_u8(out, 0),
-        WireStrategy::Incremental => put_u8(out, 1),
-        WireStrategy::Truncated { k, tol } => {
+        RefitStrategy::FullSvd => put_u8(out, 0),
+        RefitStrategy::Incremental => put_u8(out, 1),
+        RefitStrategy::Truncated { k, tol } => {
             put_u8(out, 2);
-            put_u64(out, k);
+            put_u64(out, k as u64);
             put_f64(out, tol);
         }
     }
 }
 
-fn strategy(d: &mut Dec<'_>) -> Result<WireStrategy> {
-    match d.u8()? {
-        0 => Ok(WireStrategy::Full),
-        1 => Ok(WireStrategy::Incremental),
-        2 => Ok(WireStrategy::Truncated {
-            k: d.u64()?,
-            tol: d.f64()?,
+fn strategy(r: &mut Reader<'_>) -> Decoded<RefitStrategy> {
+    match r.u8()? {
+        0 => Ok(RefitStrategy::FullSvd),
+        1 => Ok(RefitStrategy::Incremental),
+        2 => Ok(RefitStrategy::Truncated {
+            k: r.u64()? as usize,
+            tol: r.f64()?,
         }),
-        tag => Err(NetError::Protocol {
-            reason: format!("unknown strategy tag {tag}"),
+        tag => Err(CodecError::BadTag {
+            field: "strategy",
+            tag,
         }),
     }
+}
+
+/// A `u64` count and that many `f64`s.
+pub(crate) fn counted_f64s(r: &mut Reader<'_>) -> Decoded<Vec<f64>> {
+    let n = r.count()?;
+    r.f64s(n)
+}
+
+/// A `u64` count and that many `u64`s.
+pub(crate) fn counted_u64s(r: &mut Reader<'_>) -> Decoded<Vec<u64>> {
+    let n = r.count()?;
+    r.u64s(n)
 }
 
 impl Message {
@@ -395,7 +225,10 @@ impl Message {
                 put_u32(&mut out, *shard);
                 put_u32(&mut out, *shards);
                 put_u64(&mut out, *dim);
-                put_u64s(&mut out, links);
+                put_u64(&mut out, links.len() as u64);
+                for &l in links {
+                    put_u64(&mut out, l);
+                }
                 put_u64(&mut out, *train_bins);
                 put_u64(&mut out, *completed_round);
                 put_u64(&mut out, *arrivals);
@@ -447,6 +280,7 @@ impl Message {
             } => {
                 put_u8(&mut out, 7);
                 put_u64(&mut out, *round);
+                put_u64(&mut out, scores.len() as u64);
                 put_f64s(&mut out, scores);
                 put_matrix(&mut out, residual);
             }
@@ -484,65 +318,70 @@ impl Message {
     /// Decode one frame payload; rejects unknown tags, truncation, and
     /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut d = Dec::new(bytes);
-        let msg = match d.u8()? {
+        Ok(Self::decode(bytes)?)
+    }
+
+    fn decode(bytes: &[u8]) -> Decoded<Self> {
+        let mut r = Reader::new(bytes);
+        let msg = match r.u8()? {
             0 => Message::Join {
-                shard: d.u32()?,
-                shards: d.u32()?,
-                dim: d.u64()?,
-                links: d.u64s()?,
-                train_bins: d.u64()?,
-                completed_round: d.u64()?,
-                arrivals: d.u64()?,
+                shard: r.u32()?,
+                shards: r.u32()?,
+                dim: r.u64()?,
+                links: counted_u64s(&mut r)?,
+                train_bins: r.u64()?,
+                completed_round: r.u64()?,
+                arrivals: r.u64()?,
             },
             1 => Message::Welcome {
-                state: d.bytes()?,
-                strategy: strategy(&mut d)?,
-                window_capacity: d.u64()?,
-                round: d.u64()?,
+                state: r.bytes()?,
+                strategy: strategy(&mut r)?,
+                window_capacity: r.u64()?,
+                round: r.u64()?,
             },
-            2 => Message::Reject { reason: d.str()? },
+            2 => Message::Reject { reason: r.str()? },
             3 => Message::RunBlock {
-                round: d.u64()?,
-                take: d.u64()?,
+                round: r.u64()?,
+                take: r.u64()?,
             },
             4 => Message::PhaseA {
-                round: d.u64()?,
-                rows: d.u64()?,
-                coeffs: d.matrix()?,
+                round: r.u64()?,
+                rows: r.u64()?,
+                coeffs: r.matrix()?,
             },
-            5 => Message::Exhausted { round: d.u64()? },
+            5 => Message::Exhausted { round: r.u64()? },
             6 => Message::Merged {
-                round: d.u64()?,
-                coeffs: d.matrix()?,
+                round: r.u64()?,
+                coeffs: r.matrix()?,
             },
             7 => Message::PhaseB {
-                round: d.u64()?,
-                scores: d.f64s()?,
-                residual: d.matrix()?,
+                round: r.u64()?,
+                scores: counted_f64s(&mut r)?,
+                residual: r.matrix()?,
             },
-            8 => Message::StatsRequest { round: d.u64()? },
+            8 => Message::StatsRequest { round: r.u64()? },
             9 => Message::Stats {
-                round: d.u64()?,
-                bytes: d.bytes()?,
+                round: r.u64()?,
+                bytes: r.bytes()?,
             },
             10 => Message::WindowSlice {
-                round: d.u64()?,
-                slice: d.matrix()?,
+                round: r.u64()?,
+                slice: r.matrix()?,
             },
             11 => Message::Model {
-                round: d.u64()?,
-                state: d.bytes()?,
+                round: r.u64()?,
+                state: r.bytes()?,
             },
-            12 => Message::Done { arrivals: d.u64()? },
-            13 => Message::Fatal { reason: d.str()? },
+            12 => Message::Done { arrivals: r.u64()? },
+            13 => Message::Fatal { reason: r.str()? },
             tag => {
-                return Err(NetError::Protocol {
-                    reason: format!("unknown message tag {tag}"),
+                return Err(CodecError::BadTag {
+                    field: "message",
+                    tag,
                 })
             }
         };
-        d.finish()?;
+        r.finish()?;
         Ok(msg)
     }
 }

@@ -201,7 +201,7 @@ fn join(
         } => Ok(Joined {
             conn,
             state,
-            strategy: strategy.into(),
+            strategy,
             window_capacity,
         }),
         Message::Reject { reason } => Err(NetError::Rejected { reason }),

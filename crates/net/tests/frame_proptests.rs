@@ -5,8 +5,9 @@
 
 use std::io::{self, Read, Write};
 
+use netanom_core::RefitStrategy;
 use netanom_linalg::Matrix;
-use netanom_net::{read_frame, write_frame, FailureKind, Message, NetError, WireStrategy};
+use netanom_net::{read_frame, write_frame, FailureKind, Message, NetError};
 use proptest::prelude::*;
 
 /// A reader that serves a byte buffer in chunks of at most
@@ -216,13 +217,13 @@ fn message_vocabulary_roundtrips() {
         },
         Message::Welcome {
             state: vec![1, 2, 3],
-            strategy: WireStrategy::Truncated { k: 6, tol: 1e-10 },
+            strategy: RefitStrategy::Truncated { k: 6, tol: 1e-10 },
             window_capacity: 288,
             round: 7,
         },
         Message::Welcome {
             state: vec![],
-            strategy: WireStrategy::Full,
+            strategy: RefitStrategy::FullSvd,
             window_capacity: 1,
             round: 0,
         },

@@ -10,15 +10,18 @@
 //! serializes the opened configuration, the engine counters, the window
 //! rows in arrival order, the queued-but-unprocessed rows, the
 //! [`MethodState`](netanom_core::MethodState) bytes, and (when maintained) the exact
-//! `IncrementalCovariance` bit patterns — `"NASC"` magic, version 1,
-//! little-endian throughout, mirroring the worker checkpoint's
-//! encode/validate discipline.
+//! `IncrementalCovariance` bit patterns — a `core::codec` field sequence
+//! behind a `"NASC"` version-1 header (see DESIGN.md, "Binary
+//! encodings").
 //!
-//! [`SessionCheckpoint::save`] writes via a temp file and atomic
-//! rename, so a crash mid-write leaves the previous checkpoint intact.
+//! [`SessionCheckpoint::save`] writes through [`codec::write_atomic`],
+//! so a crash mid-write leaves the previous checkpoint intact.
 
 use std::path::Path;
 
+use netanom_core::codec::{
+    self, put_bytes, put_f64, put_f64s, put_u64, put_u8, CodecError, Reader,
+};
 use netanom_core::RefitStrategy;
 
 use crate::protocol::{ErrorCode, ServeError};
@@ -73,86 +76,33 @@ pub struct SessionCheckpoint {
     pub stats: Option<Vec<u8>>,
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl From<CodecError> for ServeError {
+    fn from(e: CodecError) -> Self {
+        ServeError::new(ErrorCode::Checkpoint, e.to_string())
+    }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
+/// A row table: a `u64` row count, then the rows back to back, each
+/// `dim` wide (the width is the checkpoint's `dim` field, not repeated).
 fn put_rows(out: &mut Vec<u8>, rows: &[Vec<f64>]) {
     put_u64(out, rows.len() as u64);
     for row in rows {
-        for &v in row {
-            put_f64(out, v);
-        }
+        put_f64s(out, row);
     }
 }
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
+fn rows(r: &mut Reader<'_>, dim: usize) -> Result<Vec<Vec<f64>>, CodecError> {
+    let n = r.count()?;
+    (0..n).map(|_| r.f64s(dim)).collect()
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(ServeError::new(
-                ErrorCode::Checkpoint,
-                "truncated checkpoint",
-            ));
-        };
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ServeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ServeError> {
-        let n = self.u64()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn rows(&mut self, dim: usize) -> Result<Vec<Vec<f64>>, ServeError> {
-        let n = self.u64()? as usize;
-        // Bound the allocation by what the buffer can actually hold.
-        let need = n
-            .checked_mul(dim)
-            .and_then(|c| c.checked_mul(8))
-            .filter(|&c| self.at + c <= self.bytes.len());
-        if need.is_none() {
-            return Err(ServeError::new(
-                ErrorCode::Checkpoint,
-                "checkpoint row count exceeds the buffer",
-            ));
+fn optional_bytes(out: &mut Vec<u8>, bytes: &Option<Vec<u8>>) {
+    match bytes {
+        None => put_u8(out, 0),
+        Some(b) => {
+            put_u8(out, 1);
+            put_bytes(out, b);
         }
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut row = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                row.push(self.f64()?);
-            }
-            rows.push(row);
-        }
-        Ok(rows)
     }
 }
 
@@ -161,34 +111,26 @@ impl SessionCheckpoint {
     /// pattern is preserved exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        codec::header(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
         put_bytes(&mut out, self.method.as_bytes());
         put_u64(&mut out, self.dim as u64);
         put_u64(&mut out, self.train_bins as u64);
         put_f64(&mut out, self.confidence);
-        match self.strategy {
-            RefitStrategy::FullSvd => {
-                out.push(0);
-                put_u64(&mut out, 0);
-                put_f64(&mut out, 0.0);
-            }
-            RefitStrategy::Incremental => {
-                out.push(1);
-                put_u64(&mut out, 0);
-                put_f64(&mut out, 0.0);
-            }
-            RefitStrategy::Truncated { k, tol } => {
-                out.push(2);
-                put_u64(&mut out, k as u64);
-                put_f64(&mut out, tol);
-            }
-        }
+        // Fixed-width strategy: tag, k, tol — zeros where unused. (The
+        // wire's `Welcome` pins a different, variable-width layout.)
+        let (tag, k, tol) = match self.strategy {
+            RefitStrategy::FullSvd => (0, 0, 0.0),
+            RefitStrategy::Incremental => (1, 0, 0.0),
+            RefitStrategy::Truncated { k, tol } => (2, k, tol),
+        };
+        put_u8(&mut out, tag);
+        put_u64(&mut out, k as u64);
+        put_f64(&mut out, tol);
         put_u64(&mut out, self.refit_every.unwrap_or(0) as u64);
         put_u64(&mut out, self.window_capacity as u64);
         put_u64(&mut out, self.queue_capacity as u64);
-        out.push(self.autodrain as u8);
-        out.push(self.streaming as u8);
+        put_u8(&mut out, self.autodrain as u8);
+        put_u8(&mut out, self.streaming as u8);
         put_u64(&mut out, self.arrivals_total as u64);
         put_u64(&mut out, self.arrivals_since_fit as u64);
         put_u64(&mut out, self.refits as u64);
@@ -197,132 +139,82 @@ impl SessionCheckpoint {
         put_rows(&mut out, &self.training_rows);
         put_rows(&mut out, &self.window_rows);
         put_rows(&mut out, &self.pending);
-        match &self.state {
-            None => out.push(0),
-            Some(b) => {
-                out.push(1);
-                put_bytes(&mut out, b);
-            }
-        }
-        match &self.stats {
-            None => out.push(0),
-            Some(b) => {
-                out.push(1);
-                put_bytes(&mut out, b);
-            }
-        }
+        optional_bytes(&mut out, &self.state);
+        optional_bytes(&mut out, &self.stats);
         out
     }
 
     /// Decode a buffer produced by [`SessionCheckpoint::to_bytes`],
     /// rejecting bad magic/version, truncation, and trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
-        let mut d = Dec { bytes, at: 0 };
-        if d.take(4)? != CHECKPOINT_MAGIC {
+        let mut r = Reader::new(bytes);
+        r.expect_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+        let method = r.str()?;
+        let dim = r.u64()? as usize;
+        if dim == 0 {
+            // No session opens with zero links, and against zero-width
+            // rows a row count means nothing: refuse before the tables.
             return Err(ServeError::new(
                 ErrorCode::Checkpoint,
-                "not a session checkpoint (bad magic)",
+                "checkpoint has zero links",
             ));
         }
-        let version = u32::from_le_bytes(d.take(4)?.try_into().expect("4"));
-        if version != CHECKPOINT_VERSION {
-            return Err(ServeError::new(
-                ErrorCode::Checkpoint,
-                format!("unsupported checkpoint version {version}"),
-            ));
-        }
-        let method = String::from_utf8(d.bytes()?).map_err(|_| {
-            ServeError::new(ErrorCode::Checkpoint, "checkpoint method name is not utf-8")
-        })?;
-        let dim = d.u64()? as usize;
-        let train_bins = d.u64()? as usize;
-        let confidence = d.f64()?;
-        let tag = d.u8()?;
-        let k = d.u64()? as usize;
-        let tol = d.f64()?;
+        let train_bins = r.u64()? as usize;
+        let confidence = r.f64()?;
+        let (tag, k, tol) = (r.u8()?, r.u64()? as usize, r.f64()?);
         let strategy = match tag {
             0 => RefitStrategy::FullSvd,
             1 => RefitStrategy::Incremental,
             2 => RefitStrategy::Truncated { k, tol },
-            other => {
-                return Err(ServeError::new(
-                    ErrorCode::Checkpoint,
-                    format!("unknown refit-strategy tag {other}"),
-                ))
+            tag => {
+                return Err(CodecError::BadTag {
+                    field: "refit-strategy",
+                    tag,
+                }
+                .into())
             }
         };
-        let refit_every = match d.u64()? as usize {
-            0 => None,
-            n => Some(n),
-        };
-        let window_capacity = d.u64()? as usize;
-        let queue_capacity = d.u64()? as usize;
-        let autodrain = d.u8()? != 0;
-        let streaming = d.u8()? != 0;
-        let arrivals_total = d.u64()? as usize;
-        let arrivals_since_fit = d.u64()? as usize;
-        let refits = d.u64()? as usize;
-        let alarms = d.u64()?;
-        let drops = d.u64()?;
-        let training_rows = d.rows(dim)?;
-        let window_rows = d.rows(dim)?;
-        let pending = d.rows(dim)?;
-        let state = match d.u8()? {
-            0 => None,
-            _ => Some(d.bytes()?),
-        };
-        let stats = match d.u8()? {
-            0 => None,
-            _ => Some(d.bytes()?),
-        };
-        if d.at != bytes.len() {
-            return Err(ServeError::new(
-                ErrorCode::Checkpoint,
-                "trailing bytes after checkpoint",
-            ));
-        }
-        Ok(SessionCheckpoint {
+        let cp = SessionCheckpoint {
             method,
             dim,
             train_bins,
             confidence,
             strategy,
-            refit_every,
-            window_capacity,
-            queue_capacity,
-            autodrain,
-            streaming,
-            arrivals_total,
-            arrivals_since_fit,
-            refits,
-            alarms,
-            drops,
-            training_rows,
-            window_rows,
-            pending,
-            state,
-            stats,
-        })
+            refit_every: match r.u64()? as usize {
+                0 => None,
+                n => Some(n),
+            },
+            window_capacity: r.u64()? as usize,
+            queue_capacity: r.u64()? as usize,
+            autodrain: r.u8()? != 0,
+            streaming: r.u8()? != 0,
+            arrivals_total: r.u64()? as usize,
+            arrivals_since_fit: r.u64()? as usize,
+            refits: r.u64()? as usize,
+            alarms: r.u64()?,
+            drops: r.u64()?,
+            training_rows: rows(&mut r, dim)?,
+            window_rows: rows(&mut r, dim)?,
+            pending: rows(&mut r, dim)?,
+            state: match r.u8()? {
+                0 => None,
+                _ => Some(r.bytes()?),
+            },
+            stats: match r.u8()? {
+                0 => None,
+                _ => Some(r.bytes()?),
+            },
+        };
+        r.finish()?;
+        Ok(cp)
     }
 
-    /// Write atomically: temp file in the destination directory, then
-    /// rename — a crash mid-write leaves any previous checkpoint
-    /// intact.
+    /// Write atomically ([`codec::write_atomic`]); returns the encoded
+    /// size.
     pub fn save(&self, path: &Path) -> Result<usize, ServeError> {
         let bytes = self.to_bytes();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| {
-            ServeError::new(
-                ErrorCode::Checkpoint,
-                format!("writing {}: {e}", tmp.display()),
-            )
-        })?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            ServeError::new(
-                ErrorCode::Checkpoint,
-                format!("renaming into {}: {e}", path.display()),
-            )
-        })?;
+        codec::write_atomic(path, &bytes)
+            .map_err(|e| ServeError::new(ErrorCode::Checkpoint, e.to_string()))?;
         Ok(bytes.len())
     }
 
@@ -374,28 +266,17 @@ mod tests {
         assert_eq!(cp, decoded);
     }
 
+    /// Truncation, trailing bytes and lying counts are the shared
+    /// hostile-input suite's (`tests/codec_hostile.rs`); this pins that
+    /// a foreign header is refused *as a checkpoint error*.
     #[test]
-    fn rejects_corruption() {
+    fn rejects_a_foreign_header_as_a_checkpoint_error() {
         let bytes = sample().to_bytes();
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(SessionCheckpoint::from_bytes(&bad_magic).is_err());
-        assert!(SessionCheckpoint::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(SessionCheckpoint::from_bytes(&trailing).is_err());
-    }
-
-    #[test]
-    fn save_is_atomic_rename() {
-        let dir = std::env::temp_dir().join("netanom-serve-cp-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s1.nasc");
-        let cp = sample();
-        let n = cp.save(&path).unwrap();
-        assert_eq!(n, cp.to_bytes().len());
-        assert!(!path.with_extension("tmp").exists());
-        assert_eq!(SessionCheckpoint::load(&path).unwrap(), cp);
-        std::fs::remove_dir_all(&dir).ok();
+        for (at, byte) in [(0, b'X'), (4, 99)] {
+            let mut bad = bytes.clone();
+            bad[at] = byte;
+            let err = SessionCheckpoint::from_bytes(&bad).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Checkpoint);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Protocol state-machine suite: out-of-order commands answer typed
 //! errors without killing the daemon, and the reply grammar is stable.
 
-use netanom_serve::Service;
+use netanom_serve::{ErrorCode, Service, SessionCheckpoint};
 
 /// Drive one line and return the response lines.
 fn ask(service: &mut Service, line: &str) -> Vec<String> {
@@ -132,6 +132,30 @@ fn restore_with_mismatched_dims_or_method_is_typed() {
     reply(&mut service, "open third dim=3 train-bins=4");
     let r = reply(&mut service, &format!("restore third {cp_arg}"));
     assert!(r.starts_with("err checkpoint "), "{r}");
+
+    // A hostile file — zero links and a training-row count of 2^61 —
+    // is a checkpoint error too, not a `capacity overflow` panic that
+    // takes every session down with the daemon.
+    reply(&mut service, "open tiny dim=1 train-bins=4");
+    let r = reply(&mut service, &format!("checkpoint tiny {cp_arg}"));
+    assert_eq!(r, "ok checkpoint tiny bytes=157");
+    let mut hostile = std::fs::read(&cp).unwrap();
+    // magic(4) version(4) method(8+8) | dim(8) … | three row counts, two tags.
+    hostile[24..32].copy_from_slice(&0u64.to_le_bytes());
+    hostile[131..139].copy_from_slice(&(1u64 << 61).to_le_bytes());
+    assert_eq!(
+        SessionCheckpoint::from_bytes(&hostile).unwrap_err().code,
+        ErrorCode::Checkpoint
+    );
+    std::fs::write(&cp, &hostile).unwrap();
+    let r = reply(&mut service, &format!("restore third {cp_arg}"));
+    assert!(r.starts_with("err checkpoint "), "{r}");
+    // So are a width the count overflows against, and a count the
+    // buffer cannot hold.
+    hostile[24..32].copy_from_slice(&8u64.to_le_bytes());
+    assert!(SessionCheckpoint::from_bytes(&hostile).is_err());
+    hostile[131..139].copy_from_slice(&3u64.to_le_bytes());
+    assert!(SessionCheckpoint::from_bytes(&hostile).is_err());
 
     // The original session is untouched by the failed restores.
     let r = reply(&mut service, "stats a");

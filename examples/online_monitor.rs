@@ -10,7 +10,7 @@
 //! live incident (a 4·10⁷-byte spike in one OD flow) and watch the alarm
 //! fire with the correct flow and size.
 
-use netanom::core::{DiagnoserConfig, OnlineDiagnoser};
+use netanom::core::{DiagnoserConfig, StreamConfig, StreamingEngine};
 use netanom::linalg::vector;
 use netanom::traffic::datasets;
 
@@ -27,12 +27,12 @@ fn main() {
         .row_block(0, week)
         .expect("extended dataset covers the training week");
 
-    let mut monitor = OnlineDiagnoser::new(
+    let mut monitor = StreamingEngine::new(
         &training,
         rm,
         DiagnoserConfig::default(),
-        week,       // retain one week for refits
-        Some(week), // refit weekly, as the paper suggests
+        // Retain one week for refits; refit weekly, as the paper suggests.
+        StreamConfig::new(week).refit_every(week),
     )
     .expect("training data fits");
 

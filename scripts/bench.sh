@@ -11,9 +11,6 @@
 #
 # Compare two baselines with e.g.:
 #   join -t, <(sort a.jsonl) <(sort b.jsonl)   # or any JSON tooling
-#
-# The first PR's reference baseline is committed as
-# scripts/bench-baseline-seed.jsonl.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -48,7 +48,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | the subspace method: [`core::Pca`], [`core::SubspaceModel`], [`core::Diagnoser`], the [`core::stream`] ingestion engine (with [`core::OnlineDiagnoser`] as its compatibility wrapper), the [`core::shard`] link-partitioned engine, multi-flow extension, detectability bounds |
+//! | [`core`] | the subspace method: [`core::Pca`], [`core::SubspaceModel`], [`core::Diagnoser`], the [`core::stream`] ingestion engine, the [`core::shard`] link-partitioned engine, multi-flow extension, detectability bounds |
 //! | [`topology`] | PoP graphs, shortest-path routing, routing matrices, link partitions ([`topology::LinkPartition`]); [`topology::builtin::abilene`] and friends |
 //! | [`traffic`] | synthetic OD-flow generation, packet-sampling simulation, anomaly injection, the canned paper datasets |
 //! | [`baselines`] | EWMA / Fourier / Holt-Winters / wavelet comparators and ground-truth extraction |
@@ -56,8 +56,7 @@
 //! | [`eval`] | metrics, injection sweeps, and drivers regenerating every table and figure of the paper |
 //! | [`linalg`] | the dependency-free dense linear algebra underneath it all |
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! See `DESIGN.md` for the full system inventory.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full pipeline through the facade API.
 
-use netanom::core::{Diagnoser, DiagnoserConfig, OnlineDiagnoser, Pca, SeparationPolicy};
+use netanom::core::{
+    Diagnoser, DiagnoserConfig, Pca, SeparationPolicy, StreamConfig, StreamingEngine,
+};
 use netanom::eval::metrics::{self, TruthEvent};
 use netanom::linalg::vector;
 use netanom::topology::builtin;
@@ -74,8 +76,13 @@ fn online_and_batch_agree_on_fresh_data() {
     let rm = &ds.network.routing_matrix;
 
     let batch = Diagnoser::fit(&training, rm, DiagnoserConfig::default()).unwrap();
-    let mut online =
-        OnlineDiagnoser::new(&training, rm, DiagnoserConfig::default(), week, None).unwrap();
+    let mut online = StreamingEngine::new(
+        &training,
+        rm,
+        DiagnoserConfig::default(),
+        StreamConfig::new(week),
+    )
+    .unwrap();
 
     for t in week..week + extra {
         let y = ds.links.bin(t);

@@ -1,8 +1,7 @@
 //! Reproduction-shape assertions: the qualitative results every table and
 //! figure of the paper reports must hold on our datasets.
 //!
-//! These are the repository's headline guarantees; EXPERIMENTS.md records
-//! the exact numbers behind them.
+//! These are the repository's headline guarantees.
 
 use netanom::baselines::link_residual::{residual_energy_series, LinkFilter};
 use netanom::baselines::{extract_true_anomalies, TruthMethod};
