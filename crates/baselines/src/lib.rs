@@ -24,11 +24,11 @@
 //! * [`link_residual`] — per-link temporal filtering of the measurement
 //!   matrix for the Figure 10 comparison.
 //! * [`methods`] — every temporal comparator as a pluggable
-//!   [`DetectionBackend`](netanom_core::DetectionBackend) (streaming
-//!   `step` ports per link, residual-energy scoring), plus the
-//!   [`MethodBackend`](methods::MethodBackend) enum and by-name
-//!   registry uniting them with the subspace reference implementation
-//!   behind the same engines.
+//!   [`DetectionBackend`](netanom_core::DetectionBackend) and
+//!   [`ShardableBackend`](netanom_core::ShardableBackend) (streaming
+//!   `step` ports per link, residual-energy scoring), plus the by-name
+//!   registry and the [`MethodBackend`](methods::MethodBackend) enum
+//!   that runs any registered method through the streaming engine.
 //!
 //! # Example
 //!

@@ -6,10 +6,14 @@
 //! the eight-period Fourier model, and the Haar wavelet — implement
 //! [`DetectionBackend`] (and [`ShardableBackend`]), so every method runs
 //! through the *same* streaming and sharded engines as the subspace
-//! method. [`MethodBackend`] unites the subspace reference
-//! implementation and the temporal family behind one concrete type, and
-//! [`MethodName`] is the registry the CLI's `--method` flag resolves
-//! against.
+//! method. [`MethodName`] is the registry the CLI's `--method` flag
+//! resolves against, and [`MethodBackend`] puts the subspace reference
+//! implementation and the temporal family behind one concrete
+//! [`DetectionBackend`] for the callers that pick the method at run time
+//! (`stream`, `serve`, `eval`). The sharded engine is driven with the
+//! concrete backend instead — [`SubspaceBackend`] or
+//! [`TemporalBackend`] — so the shard protocol is implemented exactly
+//! twice, once per family.
 //!
 //! # Scoring semantics of the temporal backends
 //!
@@ -383,6 +387,12 @@ impl TemporalBackend {
         Ok((links, threshold))
     }
 
+    /// Refit: rerun the calibration on the retained window.
+    fn recalibrate(&mut self, window: &Matrix) -> Result<()> {
+        (self.links, self.threshold) = Self::calibrate(self.kind, window, self.confidence)?;
+        Ok(())
+    }
+
     fn check_vector(&self, y: &[f64]) -> Result<()> {
         if y.len() != self.links.len() {
             return Err(CoreError::DimensionMismatch {
@@ -396,14 +406,26 @@ impl TemporalBackend {
         Ok(())
     }
 
-    /// Residual energy of `y` against the given per-link states (shared
-    /// by the streaming and sharded scoring paths; summation is in link
-    /// order).
+    /// Residual energy of `y` against the given per-link states
+    /// (summation is in link order).
     fn energy_of(states: &[LinkState], y: &[f64]) -> f64 {
         let mut e = 0.0;
         for (state, &z) in states.iter().zip(y) {
             let r = z - state.forecast(z);
             e += r * r;
+        }
+        e
+    }
+
+    /// [`energy_of`](Self::energy_of) `y`, advancing every state past it
+    /// — one step of the block loops the streaming `score_matrix` and
+    /// the sharded phase B share.
+    fn step_energy(states: &mut [LinkState], y: &[f64]) -> f64 {
+        let mut e = 0.0;
+        for (state, &z) in states.iter_mut().zip(y) {
+            let r = z - state.forecast(z);
+            e += r * r;
+            state.advance(z);
         }
         e
     }
@@ -453,13 +475,7 @@ impl DetectionBackend for TemporalBackend {
         for t in 0..links.rows() {
             let row = links.row(t);
             self.check_vector(row)?;
-            let mut e = 0.0;
-            for (state, &z) in sim.iter_mut().zip(row) {
-                let r = z - state.forecast(z);
-                e += r * r;
-                state.advance(z);
-            }
-            out.push(self.report(e));
+            out.push(self.report(Self::step_energy(&mut sim, row)));
         }
         Ok(out)
     }
@@ -473,11 +489,7 @@ impl DetectionBackend for TemporalBackend {
     }
 
     fn refit(&mut self, window: &RingWindow) -> Result<()> {
-        let training = window.to_matrix();
-        let (links, threshold) = Self::calibrate(self.kind, &training, self.confidence)?;
-        self.links = links;
-        self.threshold = threshold;
-        Ok(())
+        self.recalibrate(&window.to_matrix())
     }
 
     fn export_state(&self) -> MethodState {
@@ -729,17 +741,9 @@ impl ShardableBackend for TemporalBackend {
         _block: &Matrix,
         _evicted: &[Option<Vec<f64>>],
     ) -> Result<ShardScores> {
-        let mut scores = Vec::with_capacity(partial.rows());
-        for t in 0..partial.rows() {
-            let row = partial.row(t);
-            let mut e = 0.0;
-            for (state, &z) in shard.states.iter_mut().zip(row) {
-                let r = z - state.forecast(z);
-                e += r * r;
-                state.advance(z);
-            }
-            scores.push(e);
-        }
+        let scores = (0..partial.rows())
+            .map(|t| Self::step_energy(&mut shard.states, partial.row(t)))
+            .collect();
         Ok(ShardScores {
             scores,
             residual: None,
@@ -755,10 +759,7 @@ impl ShardableBackend for TemporalBackend {
         // window), recalibrate globally, then scatter the fresh per-link
         // states back to the shards — so the sharded refit is bitwise
         // the streaming refit.
-        let window = assemble_shard_windows(self.dim(), ctx)?;
-        let (links, threshold) = Self::calibrate(self.kind, &window, self.confidence)?;
-        self.links = links;
-        self.threshold = threshold;
+        self.recalibrate(&assemble_shard_windows(self.dim(), ctx)?)?;
         for (shard, c) in shards.iter_mut().zip(ctx) {
             shard.states = c.links.iter().map(|&l| self.links[l].clone()).collect();
         }
@@ -832,55 +833,12 @@ impl MethodName {
         config: DiagnoserConfig,
         strategy: RefitStrategy,
     ) -> Result<MethodBackend> {
-        Ok(match self {
-            MethodName::Subspace => {
-                MethodBackend::Subspace(SubspaceBackend::fit(training, rm, config, strategy)?)
+        Ok(match self.temporal_kind() {
+            None => MethodBackend::Subspace(SubspaceBackend::fit(training, rm, config, strategy)?),
+            Some(kind) => {
+                MethodBackend::Temporal(TemporalBackend::fit(kind, training, config.confidence)?)
             }
-            MethodName::Ewma => MethodBackend::Temporal(TemporalBackend::fit(
-                TemporalKind::Ewma,
-                training,
-                config.confidence,
-            )?),
-            MethodName::HoltWinters => MethodBackend::Temporal(TemporalBackend::fit(
-                TemporalKind::HoltWinters {
-                    period: DEFAULT_HW_PERIOD,
-                },
-                training,
-                config.confidence,
-            )?),
-            MethodName::Fourier => MethodBackend::Temporal(TemporalBackend::fit(
-                TemporalKind::Fourier,
-                training,
-                config.confidence,
-            )?),
-            MethodName::Wavelet => MethodBackend::Temporal(TemporalBackend::fit(
-                TemporalKind::Wavelet {
-                    levels: DEFAULT_WAVELET_LEVELS,
-                },
-                training,
-                config.confidence,
-            )?),
         })
-    }
-
-    /// Like [`MethodName::fit`], but for a backend that will drive a
-    /// sharded engine: the subspace method skips its global streaming
-    /// statistics (per-shard statistics replace them — see
-    /// [`SubspaceBackend::fit_sharded`]); the temporal methods are
-    /// unchanged.
-    pub fn fit_sharded(
-        self,
-        training: &Matrix,
-        rm: &RoutingMatrix,
-        config: DiagnoserConfig,
-        strategy: RefitStrategy,
-    ) -> Result<MethodBackend> {
-        match self {
-            MethodName::Subspace => Ok(MethodBackend::Subspace(SubspaceBackend::fit_sharded(
-                training, rm, config, strategy,
-            )?)),
-            other => other.fit(training, rm, config, strategy),
-        }
     }
 
     /// The [`TemporalKind`] this name selects (with the registry's
@@ -955,33 +913,17 @@ pub fn build_streaming(
         .map_err(|e| format!("assembling {method} engine: {e}"))
 }
 
-/// Fit `cfg`'s method for a sharded deployment and assemble the sharded
-/// engine over `partition` — the single construction path behind
-/// `netanom shard` (the distributed tracker shares the backend-fitting
-/// half).
-pub fn build_sharded(
-    cfg: &netanom_core::EngineConfig,
-    training: &Matrix,
-    rm: &RoutingMatrix,
-    partition: &LinkPartition,
-) -> std::result::Result<netanom_core::ShardedEngine<MethodBackend>, String> {
-    let method = MethodName::parse(cfg.method())?;
-    let backend = method
-        .fit_sharded(training, rm, cfg.diagnoser_config(), cfg.strategy())
-        .map_err(|e| format!("fitting {method} model: {e}"))?;
-    netanom_core::ShardedEngine::with_backend(backend, training, cfg.stream_config(), partition)
-        .map_err(|e| format!("assembling {method} engine: {e}"))
-}
-
 impl std::fmt::Display for MethodName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// Any registered detection method behind one concrete type — what the
-/// CLI and the eval scenarios instantiate the engines with
-/// (`StreamingEngine<MethodBackend>`, `ShardedEngine<MethodBackend>`).
+/// Any registered detection method behind one concrete
+/// [`DetectionBackend`] — what `stream`, `serve` and the eval scenarios
+/// instantiate `StreamingEngine<MethodBackend>` with. It deliberately
+/// does not implement [`ShardableBackend`]: `netanom shard` resolves the
+/// method once and runs `ShardedEngine` over the concrete backend.
 // The subspace variant is much larger than the temporal one, but a
 // process holds a handful of backends (one per engine), never bulk
 // collections — boxing would tax every score call for nothing.
@@ -1079,177 +1021,6 @@ impl DetectionBackend for MethodBackend {
         match self {
             MethodBackend::Subspace(b) => b.import_state(state),
             MethodBackend::Temporal(b) => b.import_state(state),
-        }
-    }
-}
-
-/// Per-shard state of a [`MethodBackend`].
-#[derive(Debug, Clone)]
-pub enum MethodShard {
-    /// Subspace shard state.
-    Subspace(<SubspaceBackend as ShardableBackend>::Shard),
-    /// Temporal shard state.
-    Temporal(TemporalShard),
-}
-
-/// Phase-A partial of a [`MethodBackend`].
-#[derive(Debug)]
-pub enum MethodPartial {
-    /// Subspace partial (raw/centered/coefficients).
-    Subspace(<SubspaceBackend as ShardableBackend>::Partial),
-    /// Temporal partial (raw slice).
-    Temporal(Matrix),
-}
-
-/// Merged cross-shard context of a [`MethodBackend`].
-#[derive(Debug)]
-pub enum MethodMerged {
-    /// Merged subspace projection coefficients.
-    Subspace(Matrix),
-    /// Temporal methods need no cross-shard context.
-    Temporal,
-}
-
-/// Internal invariant: the engine never mixes states across backends.
-const MIXED: &str = "sharded state belongs to a different method (engine invariant)";
-
-impl ShardableBackend for MethodBackend {
-    type Shard = MethodShard;
-    type Partial = MethodPartial;
-    type Merged = MethodMerged;
-
-    fn make_shards(
-        &self,
-        partition: &LinkPartition,
-        training: &Matrix,
-    ) -> Result<Vec<Self::Shard>> {
-        Ok(match self {
-            MethodBackend::Subspace(b) => b
-                .make_shards(partition, training)?
-                .into_iter()
-                .map(MethodShard::Subspace)
-                .collect(),
-            MethodBackend::Temporal(b) => b
-                .make_shards(partition, training)?
-                .into_iter()
-                .map(MethodShard::Temporal)
-                .collect(),
-        })
-    }
-
-    fn needs_evicted(&self) -> bool {
-        match self {
-            MethodBackend::Subspace(b) => b.needs_evicted(),
-            MethodBackend::Temporal(b) => b.needs_evicted(),
-        }
-    }
-
-    fn wants_residual(&self) -> bool {
-        match self {
-            MethodBackend::Subspace(b) => b.wants_residual(),
-            MethodBackend::Temporal(b) => b.wants_residual(),
-        }
-    }
-
-    fn shard_phase_a(&self, shard: &Self::Shard, links: &[usize], block: &Matrix) -> MethodPartial {
-        match (self, shard) {
-            (MethodBackend::Subspace(b), MethodShard::Subspace(s)) => {
-                MethodPartial::Subspace(b.shard_phase_a(s, links, block))
-            }
-            (MethodBackend::Temporal(b), MethodShard::Temporal(s)) => {
-                MethodPartial::Temporal(b.shard_phase_a(s, links, block))
-            }
-            _ => unreachable!("{MIXED}"),
-        }
-    }
-
-    fn partial_raw<'a>(&self, partial: &'a MethodPartial) -> &'a Matrix {
-        match (self, partial) {
-            (MethodBackend::Subspace(b), MethodPartial::Subspace(p)) => b.partial_raw(p),
-            (MethodBackend::Temporal(b), MethodPartial::Temporal(p)) => b.partial_raw(p),
-            _ => unreachable!("{MIXED}"),
-        }
-    }
-
-    fn merge_partials(&self, bins: usize, partials: &[&MethodPartial]) -> MethodMerged {
-        match self {
-            MethodBackend::Subspace(b) => {
-                let inner: Vec<_> = partials
-                    .iter()
-                    .map(|p| match p {
-                        MethodPartial::Subspace(p) => p,
-                        MethodPartial::Temporal(_) => unreachable!("{MIXED}"),
-                    })
-                    .collect();
-                MethodMerged::Subspace(b.merge_partials(bins, &inner))
-            }
-            MethodBackend::Temporal(_) => MethodMerged::Temporal,
-        }
-    }
-
-    fn shard_phase_b(
-        &self,
-        shard: &mut Self::Shard,
-        links: &[usize],
-        partial: &MethodPartial,
-        merged: &MethodMerged,
-        block: &Matrix,
-        evicted: &[Option<Vec<f64>>],
-    ) -> Result<ShardScores> {
-        match (self, shard, partial, merged) {
-            (
-                MethodBackend::Subspace(b),
-                MethodShard::Subspace(s),
-                MethodPartial::Subspace(p),
-                MethodMerged::Subspace(m),
-            ) => b.shard_phase_b(s, links, p, m, block, evicted),
-            (
-                MethodBackend::Temporal(b),
-                MethodShard::Temporal(s),
-                MethodPartial::Temporal(p),
-                MethodMerged::Temporal,
-            ) => b.shard_phase_b(s, links, p, &(), block, evicted),
-            _ => unreachable!("{MIXED}"),
-        }
-    }
-
-    fn finalize(&self, score: f64, residual: Option<&[f64]>) -> Result<DiagnosisReport> {
-        match self {
-            MethodBackend::Subspace(b) => b.finalize(score, residual),
-            MethodBackend::Temporal(b) => b.finalize(score, residual),
-        }
-    }
-
-    fn refit_shards(&mut self, shards: &mut [Self::Shard], ctx: &[ShardCtx<'_>]) -> Result<()> {
-        match self {
-            MethodBackend::Subspace(b) => {
-                let mut inner: Vec<_> = shards
-                    .iter()
-                    .map(|s| match s {
-                        MethodShard::Subspace(s) => s.clone(),
-                        MethodShard::Temporal(_) => unreachable!("{MIXED}"),
-                    })
-                    .collect();
-                b.refit_shards(&mut inner, ctx)?;
-                for (slot, fresh) in shards.iter_mut().zip(inner) {
-                    *slot = MethodShard::Subspace(fresh);
-                }
-                Ok(())
-            }
-            MethodBackend::Temporal(b) => {
-                let mut inner: Vec<_> = shards
-                    .iter()
-                    .map(|s| match s {
-                        MethodShard::Temporal(s) => s.clone(),
-                        MethodShard::Subspace(_) => unreachable!("{MIXED}"),
-                    })
-                    .collect();
-                b.refit_shards(&mut inner, ctx)?;
-                for (slot, fresh) in shards.iter_mut().zip(inner) {
-                    *slot = MethodShard::Temporal(fresh);
-                }
-                Ok(())
-            }
         }
     }
 }

@@ -6,13 +6,14 @@ use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
-use netanom_baselines::methods::{
-    build_sharded, build_streaming, MethodBackend, MethodName, METHOD_NAMES,
-};
-use netanom_core::method::DetectionBackend;
+use netanom_baselines::methods::{build_streaming, MethodName, TemporalBackend, METHOD_NAMES};
+use netanom_core::method::{DetectionBackend, ShardableBackend};
 use netanom_core::service::PARTITION_KINDS;
 use netanom_core::stream::RefitStrategy;
-use netanom_core::{Diagnoser, DiagnoserConfig, EngineConfig, PartitionSpec};
+use netanom_core::{
+    Diagnoser, DiagnoserConfig, EngineConfig, PartitionSpec, ShardedEngine, SubspaceBackend,
+};
+use netanom_linalg::Matrix;
 use netanom_topology::{LinkPartition, RoutingMatrix};
 use netanom_traffic::datasets::{self, Dataset};
 use netanom_traffic::io as traffic_io;
@@ -361,72 +362,52 @@ fn load_paths(paths_file: &str, num_links: usize) -> Result<RoutingMatrix, Strin
 /// daemon's `open` command) constructs its engine from.
 /// `default_strategy` applies when `--refit` is absent. The method name
 /// is validated eagerly so a typo errors with the registry's valid set
-/// before any file is opened.
+/// before any file is opened, and a statistics-maintaining `--refit`
+/// with no `--refit-every` to consume it is downgraded with the note
+/// `stream`/`shard` historically printed.
 fn engine_config_of(
     flags: &HashMap<&str, &str>,
     default_strategy: RefitStrategy,
 ) -> Result<EngineConfig, String> {
-    let train_bins: usize = require(flags, "train-bins")?
-        .parse()
-        .ok()
-        .filter(|&n| n >= 2)
-        .ok_or_else(|| "--train-bins must be an integer ≥ 2".to_string())?;
-    let mut cfg = EngineConfig::new(train_bins)?.with_refit(default_strategy);
-    if let Some(name) = flags.get("method") {
-        MethodName::parse(name)?;
-        cfg = cfg.with_method(name);
+    let mut cfg = EngineConfig::new(required_train_bins(flags)?)?.with_refit(default_strategy);
+    // `--refit` before `--refit-k`, which only adjusts the truncated
+    // strategy; a fixed order also makes the first error reported the
+    // same on every run.
+    for key in [
+        "method",
+        "refit",
+        "refit-k",
+        "refit-every",
+        "window",
+        "confidence",
+    ] {
+        if let Some(value) = flags.get(key) {
+            cfg.set(key, value).map_err(|e| format!("--{e}"))?;
+        }
     }
-    if let Some(v) = flags.get("refit") {
-        cfg = cfg.with_refit_str(v)?;
-    }
-    if let Some(v) = flags.get("refit-k") {
-        let k: usize = v
-            .parse()
-            .ok()
-            .filter(|&k| k > 0)
-            .ok_or_else(|| format!("--refit-k must be a positive integer, got {v:?}"))?;
-        cfg = cfg.with_refit_k(k).map_err(|e| format!("--{e}"))?;
-    }
-    if let Some(s) = flags.get("refit-every") {
-        let n: usize = s
-            .parse()
-            .ok()
-            .filter(|&k| k > 0)
-            .ok_or_else(|| format!("--refit-every must be a positive integer, got {s:?}"))?;
-        cfg = cfg.with_refit_every(n).map_err(|e| format!("--{e}"))?;
-    }
-    if let Some(s) = flags.get("window") {
-        let n: usize = s
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--window must be a positive integer, got {s:?}"))?;
-        cfg = cfg.with_window(n).map_err(|e| format!("--{e}"))?;
-    }
+    MethodName::parse(cfg.method())?;
     if let Some(s) = flags.get("chunk") {
         let n: usize = s
             .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--chunk must be a positive integer, got {s:?}"))?;
+            .map_err(|_| format!("--chunk must be a positive integer, got {s:?}"))?;
         cfg = cfg.with_chunk(n).map_err(|e| format!("--{e}"))?;
     }
-    cfg = cfg
-        .with_confidence(confidence_of(flags)?)
-        .map_err(|e| format!("--{e}"))?;
-    Ok(cfg)
-}
-
-/// Apply the cadence-downgrade rule, printing the note `stream`/`shard`
-/// historically printed when a statistics-maintaining `--refit` has no
-/// `--refit-every` to consume it.
-fn note_downgrade(cfg: &mut EngineConfig) {
     if let Some(requested) = cfg.normalize() {
         eprintln!(
             "# note: --refit {requested} maintains statistics that are never consumed \
              without --refit-every; using full refits"
         );
     }
+    Ok(cfg)
+}
+
+/// The mandatory `--train-bins` of the online verbs.
+fn required_train_bins(flags: &HashMap<&str, &str>) -> Result<usize, String> {
+    require(flags, "train-bins")?
+        .parse()
+        .ok()
+        .filter(|&n| n >= 2)
+        .ok_or_else(|| "--train-bins must be an integer ≥ 2".to_string())
 }
 
 /// Resolve the partition flags (`--partition round-robin|per-pop|explicit`,
@@ -476,6 +457,9 @@ fn partition_spec_of(
     }
     Ok(spec)
 }
+
+/// The chunked `--links` reader of the online verbs.
+type LinkChunks = traffic_io::CsvChunks<Box<dyn BufRead>>;
 
 /// Open `--links` as a buffered reader (`-` reads stdin).
 fn open_links_reader(links_arg: &str) -> Result<Box<dyn BufRead>, String> {
@@ -529,31 +513,47 @@ fn emit_alarms(reports: &[netanom_core::DiagnosisReport], train_bins: usize) -> 
 }
 
 /// The `# trained …` banner of the online commands: the subspace method
-/// reports its normal dimension and Q-statistic threshold; every other
-/// method reports its calibrated residual-energy threshold.
+/// (`normal_dim` is `Some`) reports its normal dimension and Q-statistic
+/// threshold; every other method reports its calibrated residual-energy
+/// threshold. `deployment` names the shards or workers, if any.
 fn online_banner(
-    backend: &MethodBackend,
-    train_bins: usize,
-    m: usize,
-    confidence: f64,
-    suffix: &str,
+    backend: &dyn DetectionBackend,
+    normal_dim: Option<usize>,
+    cfg: &EngineConfig,
+    deployment: &str,
 ) {
-    match backend.as_subspace() {
-        Some(b) => eprintln!(
-            "# trained on {train_bins} bins x {m} links; method = subspace, r = {}, \
-             delta^2({:.2}%) = {:.6e}{suffix}",
-            b.diagnoser().model().normal_dim(),
-            confidence * 100.0,
-            b.diagnoser().detector().threshold().delta_sq,
+    let suffix = format!(
+        "{deployment}, refit = {}",
+        refit_label(cfg.refit_every(), cfg.strategy())
+    );
+    let (train_bins, m) = (cfg.train_bins(), backend.dim());
+    let percent = cfg.confidence() * 100.0;
+    let threshold = backend.threshold();
+    match normal_dim {
+        Some(r) => eprintln!(
+            "# trained on {train_bins} bins x {m} links; method = subspace, r = {r}, \
+             delta^2({percent:.2}%) = {threshold:.6e}{suffix}",
         ),
         None => eprintln!(
             "# trained on {train_bins} bins x {m} links; method = {}, \
-             energy threshold({:.2}%) = {:.6e}{suffix}",
+             energy threshold({percent:.2}%) = {threshold:.6e}{suffix}",
             backend.name(),
-            confidence * 100.0,
-            backend.threshold(),
         ),
     }
+}
+
+/// The banner's `; K shards (a/b/c links each)` clause.
+fn deployment_label(noun: &str, partition: &LinkPartition) -> String {
+    let sizes: Vec<String> = partition
+        .groups()
+        .iter()
+        .map(|g| g.len().to_string())
+        .collect();
+    format!(
+        "; {} {noun} ({} links each)",
+        partition.num_shards(),
+        sizes.join("/")
+    )
 }
 
 /// `netanom stream --links FILE|- --train-bins N [--method NAME]
@@ -588,8 +588,7 @@ pub fn stream(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let links_arg = require(&flags, "links")?;
-    let mut cfg = engine_config_of(&flags, RefitStrategy::FullSvd)?;
-    note_downgrade(&mut cfg);
+    let cfg = engine_config_of(&flags, RefitStrategy::FullSvd)?;
 
     let mut chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, cfg.chunk())
         .map_err(|e| format!("reading {links_arg}: {e}"))?;
@@ -606,13 +605,12 @@ pub fn stream(args: &[String]) -> Result<(), String> {
 
     online_banner(
         engine.backend(),
-        cfg.train_bins(),
-        m,
-        cfg.confidence(),
-        &format!(
-            ", refit = {}",
-            refit_label(cfg.refit_every(), cfg.strategy())
-        ),
+        engine
+            .backend()
+            .as_subspace()
+            .map(|b| b.diagnoser().model().normal_dim()),
+        &cfg,
+        "",
     );
     println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
 
@@ -646,6 +644,33 @@ fn shard_count_of(flags: &HashMap<&str, &str>, name: &str) -> Result<Option<usiz
             .map(Some)
             .ok_or_else(|| format!("--{name} must be a positive integer")),
     }
+}
+
+/// What `shard` and `tracker` set up alike before they differ: the
+/// engine configuration (defaulting to incremental refits — mergeable
+/// statistics are the point of a partitioned deployment), the chunked
+/// `--links` reader, the partition resolved over its link count, and
+/// the routing. `count` is the `--{count_flag}` shard count, if given.
+fn open_partitioned(
+    flags: &HashMap<&str, &str>,
+    count: Option<usize>,
+    count_flag: &str,
+) -> Result<(EngineConfig, LinkChunks, LinkPartition, RoutingMatrix), String> {
+    let links_arg = require(flags, "links")?;
+    let spec = partition_spec_of(flags, count, count_flag)?;
+    let cfg = engine_config_of(flags, RefitStrategy::Incremental)?;
+    let chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, cfg.chunk())
+        .map_err(|e| format!("reading {links_arg}: {e}"))?;
+    let m = chunks.num_links();
+    if spec.num_shards() > m {
+        return Err(format!(
+            "--{count_flag} {} exceeds the {m} links in the CSV",
+            spec.num_shards()
+        ));
+    }
+    let partition = spec.resolve(m).map_err(|e| format!("partitioning: {e}"))?;
+    let rm = routing_of(flags, m)?;
+    Ok((cfg, chunks, partition, rm))
 }
 
 /// `netanom shard --links FILE|- --train-bins N --shards K
@@ -689,48 +714,67 @@ pub fn shard(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let links_arg = require(&flags, "links")?;
-    let spec = partition_spec_of(&flags, shard_count_of(&flags, "shards")?, "shards")?;
-    let shards = spec.num_shards();
-    let mut cfg = engine_config_of(&flags, RefitStrategy::Incremental)?;
-    note_downgrade(&mut cfg);
-    cfg = cfg.with_partition(spec);
-
-    let chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, cfg.chunk())
-        .map_err(|e| format!("reading {links_arg}: {e}"))?;
-    let m = chunks.num_links();
-    if shards > m {
-        return Err(format!(
-            "--shards {shards} exceeds the {m} links in the CSV"
-        ));
-    }
-    let partition = cfg
-        .partition()
-        .expect("set above")
-        .resolve(m)
-        .map_err(|e| format!("partitioning: {e}"))?;
+    let (cfg, chunks, partition, rm) =
+        open_partitioned(&flags, shard_count_of(&flags, "shards")?, "shards")?;
     let mut feeds = traffic_io::ShardedChunks::new(chunks, &partition)
         .map_err(|e| format!("sharding {links_arg}: {e}"))?;
-    let rm = routing_of(&flags, m)?;
 
     let training = feeds
         .take_rows(cfg.train_bins())
         .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
 
-    let mut engine = build_sharded(&cfg, &training, &rm, &partition)?;
+    // The shard protocol is implemented per method family, so the name
+    // is resolved to a concrete backend here, once.
+    let method = MethodName::parse(cfg.method())?;
+    let fit_err = |e| format!("fitting {method} model: {e}");
+    match method.temporal_kind() {
+        None => {
+            let backend = SubspaceBackend::fit_sharded(
+                &training,
+                &rm,
+                cfg.diagnoser_config(),
+                cfg.strategy(),
+            )
+            .map_err(fit_err)?;
+            let r = backend.diagnoser().model().normal_dim();
+            run_sharded(
+                backend,
+                Some(r),
+                &training,
+                &cfg,
+                &partition,
+                feeds,
+                links_arg,
+            )
+        }
+        Some(kind) => {
+            let backend =
+                TemporalBackend::fit(kind, &training, cfg.confidence()).map_err(fit_err)?;
+            run_sharded(backend, None, &training, &cfg, &partition, feeds, links_arg)
+        }
+    }
+}
 
-    let sizes: Vec<String> = (0..engine.num_shards())
-        .map(|s| engine.shard_links(s).len().to_string())
-        .collect();
+/// The sharded ingest loop of `netanom shard`, over whichever backend
+/// the method resolved to: assemble the engine, print the banner, push
+/// every scattered chunk through it, print the alarms and the summary.
+fn run_sharded<B: ShardableBackend>(
+    backend: B,
+    normal_dim: Option<usize>,
+    training: &Matrix,
+    cfg: &EngineConfig,
+    partition: &LinkPartition,
+    mut feeds: traffic_io::ShardedChunks<Box<dyn BufRead>>,
+    links_arg: &str,
+) -> Result<(), String> {
+    let mut engine = ShardedEngine::with_backend(backend, training, cfg.stream_config(), partition)
+        .map_err(|e| format!("assembling {} engine: {e}", cfg.method()))?;
+
     online_banner(
         engine.backend(),
-        cfg.train_bins(),
-        m,
-        cfg.confidence(),
-        &format!(
-            "; {shards} shards ({} links each), refit = {}",
-            sizes.join("/"),
-            refit_label(cfg.refit_every(), cfg.strategy()),
-        ),
+        normal_dim,
+        cfg,
+        &deployment_label("shards", partition),
     );
     println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
 
@@ -754,6 +798,11 @@ pub fn shard(args: &[String]) -> Result<(), String> {
         arrivals as f64 / elapsed.max(1e-9),
     );
     Ok(())
+}
+
+/// The mandatory `--workers` of the distributed verbs.
+fn required_workers(flags: &HashMap<&str, &str>) -> Result<usize, String> {
+    shard_count_of(flags, "workers")?.ok_or_else(|| "--workers is required".to_string())
 }
 
 /// Parse a positive whole-second duration flag with a default.
@@ -823,32 +872,11 @@ pub fn tracker(args: &[String]) -> Result<(), String> {
     )?;
     let listen = require(&flags, "listen")?;
     let links_arg = require(&flags, "links")?;
-    let workers: usize = require(&flags, "workers")?
-        .parse()
-        .ok()
-        .filter(|&k| k > 0)
-        .ok_or_else(|| "--workers must be a positive integer".to_string())?;
-    let spec = partition_spec_of(&flags, Some(workers), "workers")?;
-    let mut engine_cfg = engine_config_of(&flags, RefitStrategy::Incremental)?;
-    note_downgrade(&mut engine_cfg);
-    engine_cfg = engine_cfg.with_partition(spec);
-
+    let workers = required_workers(&flags)?;
+    let (engine_cfg, mut chunks, partition, rm) =
+        open_partitioned(&flags, Some(workers), "workers")?;
     // Only the training prefix is read here — the streamed rows live at
     // the workers; the tracker never sees a measurement row again.
-    let mut chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, engine_cfg.chunk())
-        .map_err(|e| format!("reading {links_arg}: {e}"))?;
-    let m = chunks.num_links();
-    if workers > m {
-        return Err(format!(
-            "--workers {workers} exceeds the {m} links in the CSV"
-        ));
-    }
-    let partition = engine_cfg
-        .partition()
-        .expect("set above")
-        .resolve(m)
-        .map_err(|e| format!("partitioning: {e}"))?;
-    let rm = routing_of(&flags, m)?;
     let training = chunks
         .take_rows(engine_cfg.train_bins())
         .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
@@ -871,25 +899,11 @@ pub fn tracker(args: &[String]) -> Result<(), String> {
 
     let addr = tracker.local_addr().map_err(|e| e.to_string())?;
     eprintln!("# listening on {addr}");
-    let sizes: Vec<String> = partition
-        .groups()
-        .iter()
-        .map(|g| g.len().to_string())
-        .collect();
-    eprintln!(
-        "# trained on {} bins x {m} links; method = subspace, r = {}, \
-         delta^2({:.2}%) = {:.6e}; {workers} workers ({} links each), refit = {}",
-        engine_cfg.train_bins(),
-        tracker.backend_ref().diagnoser().model().normal_dim(),
-        engine_cfg.confidence() * 100.0,
-        tracker
-            .backend_ref()
-            .diagnoser()
-            .detector()
-            .threshold()
-            .delta_sq,
-        sizes.join("/"),
-        refit_label(engine_cfg.refit_every(), engine_cfg.strategy()),
+    online_banner(
+        tracker.backend_ref(),
+        Some(tracker.backend_ref().diagnoser().model().normal_dim()),
+        &engine_cfg,
+        &deployment_label("workers", &partition),
     );
     println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
 
@@ -944,16 +958,8 @@ pub fn worker(args: &[String]) -> Result<(), String> {
     )?;
     let connect = require(&flags, "connect")?;
     let links_arg = require(&flags, "links")?;
-    let train_bins: usize = require(&flags, "train-bins")?
-        .parse()
-        .ok()
-        .filter(|&n| n >= 2)
-        .ok_or_else(|| "--train-bins must be an integer ≥ 2".to_string())?;
-    let workers: usize = require(&flags, "workers")?
-        .parse()
-        .ok()
-        .filter(|&k| k > 0)
-        .ok_or_else(|| "--workers must be a positive integer".to_string())?;
+    let train_bins = required_train_bins(&flags)?;
+    let workers = required_workers(&flags)?;
     let shard: usize = require(&flags, "shard")?
         .parse()
         .map_err(|_| "--shard must be an integer".to_string())?;

@@ -1,0 +1,96 @@
+//! `netanom shard --method NAME` on the real binary
+//! (`CARGO_BIN_EXE_netanom`) against `netanom stream --method NAME` over
+//! the same simulated CSV, refits landing mid-chunk: the verb resolves
+//! the method to a concrete sharded backend itself, and nothing else
+//! compares what that path prints.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn netanom(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_netanom"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// Simulate the mini dataset into a fresh temp dir; returns
+/// (dir, links.csv, paths.csv).
+fn simulated() -> (PathBuf, String, String) {
+    let dir = std::env::temp_dir().join(format!("netanom-shard-methods-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = netanom(&[
+        "simulate",
+        "--dataset",
+        "mini",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "simulate: {:?}", out.status);
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    (dir.clone(), file("links.csv"), file("paths.csv"))
+}
+
+/// Run an online verb over the series and return its stdout (the alarm
+/// CSV).
+fn alarm_csv(verb: &[&str], links: &str, paths: &str, method: &str, confidence: &str) -> String {
+    let mut args = verb.to_vec();
+    args.extend([
+        "--links",
+        links,
+        "--paths",
+        paths,
+        "--train-bins",
+        "216",
+        "--refit-every",
+        "24",
+        "--chunk",
+        "17",
+        "--method",
+        method,
+        "--confidence",
+        confidence,
+    ]);
+    let out = netanom(&args);
+    assert!(
+        out.status.success(),
+        "{verb:?} --method {method}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn shard_prints_what_stream_prints_for_each_method_family() {
+    let (dir, links, paths) = simulated();
+    let stream = ["stream", "--refit", "incremental"];
+    let shard = ["shard", "--shards", "2"];
+
+    // Subspace: sharding is a pure scale transform — the same bytes.
+    let want = alarm_csv(&stream, &links, &paths, "subspace", "0.999");
+    let got = alarm_csv(&shard, &links, &paths, "subspace", "0.999");
+    assert!(
+        want.lines().count() > 1,
+        "the mini dataset stages anomalies"
+    );
+    assert_eq!(got, want, "shard --method subspace");
+
+    // Temporal: two shards reassociate the per-link energy sum, so the
+    // score may move in its last digits; the alarm bins and the
+    // thresholds (recalibrated on the identical window) may not.
+    for method in ["ewma", "wavelet"] {
+        let bins_and_thresholds = |csv: &str| -> Vec<(String, String)> {
+            csv.lines()
+                .map(|line| {
+                    let cols: Vec<&str> = line.split(',').collect();
+                    (cols[0].to_string(), cols[2].to_string())
+                })
+                .collect()
+        };
+        let want = bins_and_thresholds(&alarm_csv(&stream, &links, &paths, method, "0.95"));
+        let got = bins_and_thresholds(&alarm_csv(&shard, &links, &paths, method, "0.95"));
+        assert!(want.len() > 2, "{method}: {want:?} has too few alarms");
+        assert_eq!(got, want, "shard --method {method}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

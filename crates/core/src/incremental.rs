@@ -217,35 +217,50 @@ impl IncrementalCovariance {
     /// stable week over week, which is the paper's whole argument for
     /// fitting occasionally).
     pub fn to_model(&self, policy: SeparationPolicy) -> Result<SubspaceModel> {
+        let cov = self.refit_covariance(policy)?;
+        let eig = SymmetricEigen::of_covariance(&cov)?;
+        let total = eig.eigenvalues.iter().sum();
+        let r = self
+            .normal_dim(policy, &eig.eigenvalues, total)
+            .unwrap_or(eig.eigenvalues.len());
+        SubspaceModel::from_symmetric_eigen(self.mean()?, &eig, r)
+    }
+
+    /// The window covariance for a refit under `policy`, refusing the 3σ
+    /// policy first: it needs temporal projections that sufficient
+    /// statistics cannot provide.
+    fn refit_covariance(&self, policy: SeparationPolicy) -> Result<Matrix> {
         if let SeparationPolicy::ThreeSigma { .. } = policy {
             return Err(CoreError::DegenerateResidual { r: usize::MAX });
         }
-        let cov = self.covariance()?;
-        let eig = SymmetricEigen::of_covariance(&cov)?;
-        let eigenvalues = &eig.eigenvalues;
-        let r = match policy {
-            SeparationPolicy::FixedCount(r) => r.min(self.dim),
+        self.covariance()
+    }
+
+    /// The normal dimension `policy` picks on a (leading block of a)
+    /// descending spectrum whose full sum is `total`. `None` means the
+    /// variance target lies beyond the supplied eigenvalues.
+    fn normal_dim(
+        &self,
+        policy: SeparationPolicy,
+        eigenvalues: &[f64],
+        total: f64,
+    ) -> Option<usize> {
+        match policy {
+            SeparationPolicy::FixedCount(r) => Some(r.min(self.dim)),
+            SeparationPolicy::VarianceFraction(_) if total <= 0.0 => Some(0),
             SeparationPolicy::VarianceFraction(f) => {
-                let total: f64 = eigenvalues.iter().sum();
-                if total <= 0.0 {
-                    0
-                } else {
-                    let target = f.clamp(0.0, 1.0) * total;
-                    let mut acc = 0.0;
-                    let mut r = eigenvalues.len();
-                    for (i, &l) in eigenvalues.iter().enumerate() {
+                let target = f.clamp(0.0, 1.0) * total;
+                let mut acc = 0.0;
+                eigenvalues
+                    .iter()
+                    .position(|&l| {
                         acc += l;
-                        if acc >= target {
-                            r = i + 1;
-                            break;
-                        }
-                    }
-                    r
-                }
+                        acc >= target
+                    })
+                    .map(|i| i + 1)
             }
-            SeparationPolicy::ThreeSigma { .. } => unreachable!("rejected above"),
-        };
-        SubspaceModel::from_symmetric_eigen(self.mean()?, &eig, r)
+            SeparationPolicy::ThreeSigma { .. } => unreachable!("refused by refit_covariance"),
+        }
     }
 
     /// Rebuild a [`SubspaceModel`] from the current window with a
@@ -272,10 +287,7 @@ impl IncrementalCovariance {
         k: usize,
         tol: f64,
     ) -> Result<SubspaceModel> {
-        if let SeparationPolicy::ThreeSigma { .. } = policy {
-            return Err(CoreError::DegenerateResidual { r: usize::MAX });
-        }
-        let cov = self.covariance()?;
+        let cov = self.refit_covariance(policy)?;
         let k_eff = match policy {
             SeparationPolicy::FixedCount(r) => k.max(r.min(self.dim.saturating_sub(1))),
             _ => k,
@@ -283,39 +295,17 @@ impl IncrementalCovariance {
         .clamp(1, self.dim);
         let eig = TruncatedEigen::of_covariance(&cov, k_eff, tol)?;
         let traces = decomposition::power_traces(&cov)?;
-        let r = match policy {
-            SeparationPolicy::FixedCount(r) => r.min(self.dim),
-            SeparationPolicy::VarianceFraction(f) => {
-                let total = traces.0.max(0.0);
-                if total <= 0.0 {
-                    0
-                } else {
-                    let target = f.clamp(0.0, 1.0) * total;
-                    let mut acc = 0.0;
-                    let mut r = None;
-                    for (i, &l) in eig.eigenvalues.iter().enumerate() {
-                        acc += l;
-                        if acc >= target {
-                            r = Some(i + 1);
-                            break;
-                        }
-                    }
-                    match r {
-                        Some(r) => r,
-                        // The variance target lies beyond the computed
-                        // block: silently shrinking the subspace would
-                        // diverge from `to_model`'s choice, so refuse —
-                        // the caller must raise `k` (or the block
-                        // already spans the whole space and the policy
-                        // is degenerate either way).
-                        None if eig.len() < self.dim => {
-                            return Err(CoreError::TruncatedBlockTooSmall { k: eig.len() });
-                        }
-                        None => eig.len(),
-                    }
-                }
+        let r = match self.normal_dim(policy, &eig.eigenvalues, traces.0.max(0.0)) {
+            Some(r) => r,
+            // The variance target lies beyond the computed block:
+            // silently shrinking the subspace would diverge from
+            // `to_model`'s choice, so refuse — the caller must raise `k`
+            // (or the block already spans the whole space and the policy
+            // is degenerate either way).
+            None if eig.len() < self.dim => {
+                return Err(CoreError::TruncatedBlockTooSmall { k: eig.len() });
             }
-            SeparationPolicy::ThreeSigma { .. } => unreachable!("rejected above"),
+            None => eig.len(),
         };
         if r >= self.dim {
             // Same degenerate-separation semantics as `to_model`.

@@ -64,8 +64,8 @@
 #![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
 
+pub mod cadence;
 pub mod codec;
-pub mod coordinate;
 pub mod detectability;
 mod diagnose;
 mod error;
@@ -82,7 +82,7 @@ pub mod stream;
 mod subspace;
 pub mod timescale;
 
-pub use coordinate::Coordinator;
+pub use cadence::Cadence;
 pub use diagnose::{quantify, Diagnoser, DiagnoserConfig, DiagnosisReport};
 pub use error::CoreError;
 pub use identify::{Identification, Identifier};
@@ -93,7 +93,7 @@ pub use method::{
 pub use pca::{Pca, PcaMethod};
 pub use separation::SeparationPolicy;
 pub use service::{EngineConfig, PartitionSpec};
-pub use shard::ShardedEngine;
+pub use shard::{assemble_columns, evicted_rows, finalize_block, ShardedEngine};
 pub use stream::{
     MultiwayEngine, MultiwayReport, RefitStrategy, RingWindow, StreamConfig, StreamingEngine,
 };

@@ -25,9 +25,10 @@
 //!   and `tests/shard_parity.rs`).
 //!
 //! The temporal comparators (EWMA, Holt–Winters, Fourier, Haar wavelet)
-//! implement these traits in `netanom-baselines` (`methods` module),
-//! which also hosts the `MethodBackend` enum and the by-name registry
-//! the CLI's `--method` flag resolves against.
+//! implement both traits in `netanom-baselines` (`methods` module),
+//! which also hosts the by-name registry the CLI's `--method` flag
+//! resolves against and `MethodBackend`, the [`DetectionBackend`]-only
+//! enum the streaming verbs run any registered method through.
 //!
 //! # Engine contract
 //!
@@ -41,13 +42,14 @@
 
 use std::fmt;
 
-use netanom_linalg::{BlockPlacement, Matrix};
+use netanom_linalg::Matrix;
 use netanom_topology::{LinkPartition, RoutingMatrix};
 
 use crate::codec::{self, CodecError, Reader};
 use crate::diagnose::{quantify, Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::incremental::{CovarianceShard, IncrementalCovariance};
 use crate::separation::SeparationPolicy;
+use crate::shard::assemble_columns;
 use crate::stream::{RefitStrategy, RingWindow};
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
@@ -345,19 +347,9 @@ pub trait ShardableBackend: DetectionBackend + Sync + Sized {
 /// single-process window. Shared by backends whose sharded refit needs
 /// the full window.
 pub fn assemble_shard_windows(m: usize, ctx: &[ShardCtx<'_>]) -> Result<Matrix> {
-    let len = ctx.first().map_or(0, |c| c.window.len());
-    let row_ids: Vec<usize> = (0..len).collect();
+    let links: Vec<&[usize]> = ctx.iter().map(|c| c.links).collect();
     let slices: Vec<Matrix> = ctx.iter().map(|c| c.window.to_matrix()).collect();
-    let placements: Vec<BlockPlacement> = ctx
-        .iter()
-        .zip(&slices)
-        .map(|(c, slice)| BlockPlacement {
-            rows: &row_ids,
-            cols: c.links,
-            block: slice,
-        })
-        .collect();
-    Ok(Matrix::assemble_blocks(len, m, &placements)?)
+    assemble_columns(m, &links, &slices)
 }
 
 /// The subspace/Q-statistic pipeline as a [`DetectionBackend`] — the
@@ -388,23 +380,11 @@ impl SubspaceBackend {
         config: DiagnoserConfig,
         strategy: RefitStrategy,
     ) -> Result<Self> {
-        let diagnoser = Diagnoser::fit(training, rm, config)?;
-        let stats = if strategy.maintains_statistics() {
-            let mut acc = IncrementalCovariance::new(training.cols());
-            for t in 0..training.rows() {
-                acc.add(training.row(t))?;
-            }
-            Some(acc)
-        } else {
-            None
-        };
-        Ok(SubspaceBackend {
-            diagnoser,
-            rm: rm.clone(),
-            config,
-            strategy,
-            stats,
-        })
+        let mut backend = Self::fit_sharded(training, rm, config, strategy)?;
+        if strategy.maintains_statistics() {
+            backend.stats = Some(IncrementalCovariance::from_matrix(training));
+        }
+        Ok(backend)
     }
 
     /// Like [`SubspaceBackend::fit`], but for a backend that will drive
@@ -414,11 +394,12 @@ impl SubspaceBackend {
     /// ([`ShardableBackend::make_shards`]) — the global accumulator
     /// would be write-only dead state paying `O(t·m²)` at bootstrap.
     ///
-    /// A backend built this way must not be used with a
-    /// [`StreamingEngine`](crate::StreamingEngine) under
-    /// [`RefitStrategy::Incremental`] (its streaming
+    /// A backend built this way cannot refit inside a
+    /// [`StreamingEngine`](crate::StreamingEngine) under a
+    /// statistics-maintaining strategy: its streaming
     /// [`refit`](DetectionBackend::refit) needs the statistics this
-    /// constructor omits); the sharded refit path never touches them.
+    /// constructor omits and answers [`CoreError::ShardMismatch`]. The
+    /// sharded refit path never touches them.
     pub fn fit_sharded(
         training: &Matrix,
         rm: &RoutingMatrix,
@@ -584,28 +565,19 @@ impl DetectionBackend for SubspaceBackend {
     }
 
     fn refit(&mut self, window: &RingWindow) -> Result<()> {
-        let model = match self.strategy {
-            RefitStrategy::FullSvd => {
-                let training = window.to_matrix();
-                SubspaceModel::fit(&training, self.config.separation, self.config.pca_method)?
-            }
-            RefitStrategy::Incremental => {
-                let stats = self
-                    .stats
-                    .as_ref()
-                    .expect("incremental strategy maintains stats");
-                stats.to_model(self.incremental_policy())?
-            }
-            RefitStrategy::Truncated { k, tol } => {
-                let stats = self
-                    .stats
-                    .as_ref()
-                    .expect("truncated strategy maintains stats");
-                stats.to_model_truncated(self.incremental_policy(), k, tol)?
-            }
-        };
-        self.diagnoser
-            .refit_model(model, &self.rm, self.config.confidence)
+        if self.strategy == RefitStrategy::FullSvd {
+            return self.refit_from_window(&window.to_matrix());
+        }
+        // Taken for the call: `refit_from_statistics` needs `&mut self`
+        // next to the accumulator it reads.
+        let stats = self.stats.take().ok_or(CoreError::ShardMismatch {
+            reason: "this backend keeps no streaming statistics (it was fitted for \
+                     sharded use); fit it with SubspaceBackend::fit to refit in a \
+                     streaming engine",
+        })?;
+        let refitted = self.refit_from_statistics(&stats);
+        self.stats = Some(stats);
+        refitted
     }
 
     fn export_state(&self) -> MethodState {
@@ -678,14 +650,27 @@ impl SubspaceShard {
         }
     }
 
+    /// Merge the shards' statistics rows into the global accumulator —
+    /// what a sharded refit solves on, bitwise the accumulator a
+    /// single-process engine maintains over the same stream. Errors with
+    /// [`CoreError::ShardMismatch`] under [`RefitStrategy::FullSvd`],
+    /// which maintains no statistics.
+    pub(crate) fn merge_statistics(shards: &[SubspaceShard]) -> Result<IncrementalCovariance> {
+        let mut parts = Vec::with_capacity(shards.len());
+        for shard in shards {
+            parts.push(shard.stats.as_ref().ok_or(CoreError::ShardMismatch {
+                reason: "statistics are only maintained under the incremental \
+                         and truncated refit strategies",
+            })?);
+        }
+        IncrementalCovariance::merge(parts)
+    }
+
     /// Re-cut the model slices after a refit broadcast, keeping the
     /// statistics rows — the worker side of the coordinator's
     /// merge-refit-broadcast step.
     pub fn install_model(&mut self, model: &SubspaceModel, links: &[usize]) {
-        let mean = model.mean();
-        let basis = model.normal_basis();
-        self.mean = links.iter().map(|&l| mean[l]).collect();
-        self.basis = Matrix::from_fn(links.len(), basis.cols(), |k, j| basis[(links[k], j)]);
+        *self = Self::from_model(model, links, self.stats.take());
     }
 
     /// Phase A: cut the raw column slice, center it against the shard's
@@ -878,14 +863,7 @@ impl ShardableBackend for SubspaceBackend {
                 self.refit_from_window(&window)?;
             }
             RefitStrategy::Incremental | RefitStrategy::Truncated { .. } => {
-                let mut parts = Vec::with_capacity(shards.len());
-                for shard in shards.iter() {
-                    parts.push(shard.stats.as_ref().ok_or(CoreError::ShardMismatch {
-                        reason: "statistics are only maintained under the incremental \
-                                 and truncated refit strategies",
-                    })?);
-                }
-                let stats = IncrementalCovariance::merge(parts)?;
+                let stats = SubspaceShard::merge_statistics(shards)?;
                 self.refit_from_statistics(&stats)?;
             }
         }

@@ -5,8 +5,8 @@
 //! into ad-hoc locals and hand-assembled its engine. [`EngineConfig`] is
 //! the one builder they all share now — and the one the persistent
 //! `netanom serve` daemon uses to open sessions — so a named engine
-//! configuration (method × refit strategy × partition × cadence) means
-//! the same thing everywhere.
+//! configuration (method × refit strategy × cadence) means the same
+//! thing everywhere; the sharded verbs pair it with a [`PartitionSpec`].
 //!
 //! Parsing follows the CLI's error idiom: an unknown value errors with
 //! the full valid set (mirroring `netanom --list-methods` and
@@ -17,8 +17,9 @@
 //! engines and backends, but the method registry (`MethodName` in
 //! `netanom-baselines`) lives above it, so resolution of the name into
 //! a fitted backend happens in the layer that owns the registry
-//! (`netanom_baselines::methods::build_streaming` /
-//! `build_sharded`).
+//! (`netanom_baselines::methods::build_streaming` for the streaming
+//! verbs; `netanom shard` resolves the name itself and hands
+//! [`ShardedEngine`](crate::ShardedEngine) the concrete backend).
 
 use crate::stream::{RefitStrategy, StreamConfig};
 use crate::DiagnoserConfig;
@@ -137,9 +138,10 @@ pub fn parse_refit(value: &str) -> Result<RefitStrategy, String> {
 /// streaming, sharded, or served engine except the training data
 /// itself.
 ///
-/// Build it once from flags (or an `open` protocol line), then hand it
-/// to `netanom_baselines::methods::build_streaming` /
-/// `build_sharded` — the single construction path every verb shares.
+/// Build it once from flags (or an `open` protocol line) — both are a
+/// loop over [`EngineConfig::set`] — then hand it to
+/// `netanom_baselines::methods::build_streaming`, or read the engine's
+/// [`StreamConfig`] and [`DiagnoserConfig`] off it.
 ///
 /// ```
 /// use netanom_core::service::EngineConfig;
@@ -163,7 +165,6 @@ pub struct EngineConfig {
     window: Option<usize>,
     chunk: usize,
     confidence: f64,
-    partition: Option<PartitionSpec>,
 }
 
 impl EngineConfig {
@@ -174,8 +175,7 @@ impl EngineConfig {
 
     /// A configuration training on `train_bins` rows with every other
     /// knob at its default: subspace method, full refits, no cadence,
-    /// window = training length, chunk 144, confidence 0.999, no
-    /// partition.
+    /// window = training length, chunk 144, confidence 0.999.
     pub fn new(train_bins: usize) -> Result<Self, String> {
         if train_bins < 2 {
             return Err(format!(
@@ -190,7 +190,6 @@ impl EngineConfig {
             window: None,
             chunk: Self::DEFAULT_CHUNK,
             confidence: Self::DEFAULT_CONFIDENCE,
-            partition: None,
         })
     }
 
@@ -269,10 +268,37 @@ impl EngineConfig {
         Ok(self)
     }
 
-    /// How the link set is partitioned (sharded/distributed verbs).
-    pub fn with_partition(mut self, spec: PartitionSpec) -> Self {
-        self.partition = Some(spec);
-        self
+    /// Apply one textual engine option — the `--key value` flags of the
+    /// CLI's online verbs and the `key=value` parameters of the serve
+    /// daemon's `open` line are the same options, parsed and
+    /// range-checked here once. `Ok(false)` means `key` is not an engine
+    /// option, so the caller can try its own (`--chunk`, `queue=`, …).
+    ///
+    /// `refit-k` adjusts the truncated strategy, so it has to be applied
+    /// after `refit`.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<bool, String> {
+        let positive = || {
+            value
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{key} must be a positive integer, got {value:?}"))
+        };
+        let cfg = self.clone();
+        *self = match key {
+            "method" => cfg.with_method(value),
+            "refit" => cfg.with_refit_str(value)?,
+            "refit-k" => cfg.with_refit_k(positive()?)?,
+            "refit-every" => cfg.with_refit_every(positive()?)?,
+            "window" => cfg.with_window(positive()?)?,
+            "confidence" => cfg.with_confidence(
+                value
+                    .parse()
+                    .map_err(|_| format!("confidence must be a number, got {value:?}"))?,
+            )?,
+            _ => return Ok(false),
+        };
+        Ok(true)
     }
 
     /// Downgrade a statistics-maintaining strategy that has no refit
@@ -329,11 +355,6 @@ impl EngineConfig {
         self.confidence
     }
 
-    /// The partition spec, if one was set.
-    pub fn partition(&self) -> Option<&PartitionSpec> {
-        self.partition.as_ref()
-    }
-
     /// The engine-level [`StreamConfig`] this configuration describes.
     pub fn stream_config(&self) -> StreamConfig {
         let mut cfg = StreamConfig::new(self.window()).strategy(self.strategy);
@@ -385,6 +406,48 @@ mod tests {
             cfg.with_refit_k(4).unwrap().strategy(),
             RefitStrategy::Truncated { k: 4, .. }
         ));
+    }
+
+    #[test]
+    fn set_parses_every_engine_option_and_passes_on_the_rest() {
+        let mut cfg = EngineConfig::new(100).unwrap();
+        for (key, value) in [
+            ("method", "ewma"),
+            ("refit", "truncated"),
+            ("refit-k", "4"),
+            ("refit-every", "24"),
+            ("window", "60"),
+            ("confidence", "0.99"),
+        ] {
+            assert_eq!(cfg.set(key, value), Ok(true), "{key}");
+        }
+        assert_eq!(cfg.method(), "ewma");
+        assert!(matches!(
+            cfg.strategy(),
+            RefitStrategy::Truncated { k: 4, .. }
+        ));
+        assert_eq!(cfg.refit_every(), Some(24));
+        assert_eq!(cfg.window(), 60);
+        assert_eq!(cfg.confidence(), 0.99);
+        // Not engine options: the caller's own.
+        for key in ["chunk", "queue", "dim", "train-bins", "links"] {
+            assert_eq!(cfg.clone().set(key, "1"), Ok(false), "{key}");
+        }
+        // A rejected value names the option.
+        for (key, value) in [
+            ("refit", "sometimes"),
+            ("refit-k", "0"),
+            ("refit-every", "-3"),
+            ("window", "wide"),
+            ("confidence", "1.5"),
+            ("confidence", "high"),
+        ] {
+            let err = cfg.set(key, value).unwrap_err();
+            assert!(err.contains(key), "{key}={value}: {err}");
+        }
+        // refit-k needs the truncated strategy to be in force already.
+        let mut full = EngineConfig::new(100).unwrap();
+        assert!(full.set("refit-k", "4").unwrap_err().contains("truncated"));
     }
 
     #[test]

@@ -88,10 +88,10 @@ use std::time::Instant;
 use netanom_linalg::{BlockPlacement, Matrix};
 use netanom_topology::{LinkPartition, RoutingMatrix};
 
-use crate::coordinate::Coordinator;
+use crate::cadence::Cadence;
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::incremental::IncrementalCovariance;
-use crate::method::{ShardCtx, ShardScores, ShardableBackend, SubspaceBackend};
+use crate::method::{ShardCtx, ShardScores, ShardableBackend, SubspaceBackend, SubspaceShard};
 use crate::stream::{RefitStrategy, RingWindow, StreamConfig};
 use crate::{CoreError, Result};
 
@@ -130,10 +130,7 @@ pub struct ShardedEngine<B: ShardableBackend = SubspaceBackend> {
     windows: Vec<RingWindow>,
     /// Backend-specific per-shard state.
     states: Vec<B::Shard>,
-    refit_every: Option<usize>,
-    arrivals_since_fit: usize,
-    arrivals_total: usize,
-    refits: usize,
+    cadence: Cadence,
     refit_seconds: f64,
 }
 
@@ -183,14 +180,7 @@ impl ShardedEngine<SubspaceBackend> {
     /// Errors with [`CoreError::ShardMismatch`] under
     /// [`RefitStrategy::FullSvd`], which maintains no statistics.
     pub fn merged_statistics(&self) -> Result<IncrementalCovariance> {
-        let mut parts = Vec::with_capacity(self.states.len());
-        for state in &self.states {
-            parts.push(state.stats.as_ref().ok_or(CoreError::ShardMismatch {
-                reason: "statistics are only maintained under the incremental \
-                         and truncated refit strategies",
-            })?);
-        }
-        IncrementalCovariance::merge(parts)
+        SubspaceShard::merge_statistics(&self.states)
     }
 }
 
@@ -221,31 +211,21 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         }
         let states = backend.make_shards(partition, training)?;
         let capacity = stream.window_capacity.max(training.rows());
-        let start = training.rows().saturating_sub(capacity);
-        let mut links = Vec::with_capacity(partition.num_shards());
         let mut windows = Vec::with_capacity(partition.num_shards());
         for group in partition.groups() {
             let mut window = RingWindow::new(capacity, group.len());
-            let mut slice = vec![0.0; group.len()];
-            for t in start..training.rows() {
-                let row = training.row(t);
-                for (k, &l) in group.iter().enumerate() {
-                    slice[k] = row[l];
-                }
-                window.push(&slice);
+            let slice = training.select_columns(group);
+            for t in 0..slice.rows() {
+                window.push(slice.row(t));
             }
-            links.push(group.clone());
             windows.push(window);
         }
         Ok(ShardedEngine {
             backend,
-            links,
+            links: partition.groups().to_vec(),
             windows,
             states,
-            refit_every: stream.refit_every,
-            arrivals_since_fit: 0,
-            arrivals_total: 0,
-            refits: 0,
+            cadence: Cadence::new(stream.refit_every),
             refit_seconds: 0.0,
         })
     }
@@ -265,17 +245,17 @@ impl<B: ShardableBackend> ShardedEngine<B> {
 
     /// Total measurements processed so far.
     pub fn arrivals(&self) -> usize {
-        self.arrivals_total
+        self.cadence.total()
     }
 
     /// Arrivals since the most recent (re)fit.
     pub fn arrivals_since_refit(&self) -> usize {
-        self.arrivals_since_fit
+        self.cadence.since_fit()
     }
 
     /// Number of refits performed so far.
     pub fn refits(&self) -> usize {
-        self.refits
+        self.cadence.refits()
     }
 
     /// Wall-clock seconds spent in merge + refit + broadcast so far —
@@ -298,14 +278,7 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// [`ShardedEngine::process_batch`], so the per-arrival and batched
     /// paths cannot drift apart.
     pub fn process(&mut self, y: &[f64]) -> Result<DiagnosisReport> {
-        let m = self.backend.dim();
-        if y.len() != m {
-            return Err(CoreError::DimensionMismatch {
-                expected: m,
-                got: y.len(),
-            });
-        }
-        let block = Matrix::from_vec(1, m, y.to_vec()).expect("sized to shape");
+        let block = Matrix::from_vec(1, y.len(), y.to_vec()).expect("sized to shape");
         let mut reports = self.process_batch(&block)?;
         Ok(reports.pop().expect("one report per row"))
     }
@@ -334,24 +307,14 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         let mut out = Vec::with_capacity(links.rows());
         let mut next = 0;
         while next < links.rows() {
-            let until_refit = match self.refit_every {
-                Some(k) => k.saturating_sub(self.arrivals_since_fit).max(1),
-                None => links.rows() - next,
-            };
-            let take = until_refit.min(links.rows() - next);
+            let take = self.cadence.take(links.rows() - next);
             let block = links.row_block(next, take).expect("range checked");
             let mut reports = self.run_block(&block)?;
-            for rep in &mut reports {
-                rep.time = self.arrivals_total;
-                self.arrivals_total += 1;
-                self.arrivals_since_fit += 1;
-            }
+            let refit_due = self.cadence.stamp(&mut reports);
             out.append(&mut reports);
             next += take;
-            if let Some(k) = self.refit_every {
-                if self.arrivals_since_fit >= k {
-                    self.refit()?;
-                }
+            if refit_due {
+                self.refit()?;
             }
         }
         Ok(out)
@@ -367,39 +330,7 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// statistics over full arrival vectors need the slices to cover
     /// every link.
     pub fn process_batch_slices(&mut self, slices: &[Matrix]) -> Result<Vec<DiagnosisReport>> {
-        if slices.len() != self.states.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.states.len(),
-                got: slices.len(),
-            });
-        }
-        let bins = slices.first().map_or(0, Matrix::rows);
-        for (links, slice) in self.links.iter().zip(slices) {
-            if slice.rows() != bins {
-                return Err(CoreError::DimensionMismatch {
-                    expected: bins,
-                    got: slice.rows(),
-                });
-            }
-            if slice.cols() != links.len() {
-                return Err(CoreError::DimensionMismatch {
-                    expected: links.len(),
-                    got: slice.cols(),
-                });
-            }
-        }
-        let row_ids: Vec<usize> = (0..bins).collect();
-        let placements: Vec<BlockPlacement> = self
-            .links
-            .iter()
-            .zip(slices)
-            .map(|(links, slice)| BlockPlacement {
-                rows: &row_ids,
-                cols: links,
-                block: slice,
-            })
-            .collect();
-        let full = Matrix::assemble_blocks(bins, self.backend.dim(), &placements)?;
+        let full = assemble_columns(self.backend.dim(), &self.links, slices)?;
         self.process_batch(&full)
     }
 
@@ -420,111 +351,40 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         let parallel = self.parallel(bins);
         let backend = &self.backend;
 
-        // Phase A: per-shard computation over the raw column slices.
-        let mut partials: Vec<Option<B::Partial>> = (0..self.states.len()).map(|_| None).collect();
-        if parallel {
-            rayon::scope(|s| {
-                let mut triples = self
-                    .states
-                    .iter()
-                    .zip(self.links.iter())
-                    .zip(partials.iter_mut());
-                let first = triples.next();
-                for ((state, links), slot) in triples {
-                    s.spawn(move |_| *slot = Some(backend.shard_phase_a(state, links, block)));
-                }
-                if let Some(((state, links), slot)) = first {
-                    *slot = Some(backend.shard_phase_a(state, links, block));
-                }
-            });
-        } else {
-            for ((state, links), slot) in self
-                .states
-                .iter()
-                .zip(self.links.iter())
-                .zip(partials.iter_mut())
-            {
-                *slot = Some(backend.shard_phase_a(state, links, block));
-            }
-        }
-        let partials: Vec<B::Partial> = partials
-            .into_iter()
-            .map(|p| p.expect("every shard ran phase A"))
-            .collect();
-
-        // Merge the phase-A partials in shard order (fixed order =
-        // thread-count-independent results).
+        // Phase A: per-shard computation over the raw column slices,
+        // merged in shard order (fixed order = thread-count-independent
+        // results).
+        let partials = fan_out(
+            parallel,
+            self.states.iter().zip(&self.links),
+            |(state, links)| backend.shard_phase_a(state, links, block),
+        );
         let partial_refs: Vec<&B::Partial> = partials.iter().collect();
         let merged = backend.merge_partials(bins, &partial_refs);
 
         // Evicted full rows, assembled *before* any shard mutates its
         // window. Only backends with sliding statistics consume them.
-        let evicted: Vec<Option<Vec<f64>>> = if backend.needs_evicted() {
-            self.collect_evicted(block)
+        let evicted = if backend.needs_evicted() {
+            let window = &self.windows[0];
+            evicted_rows(window.capacity(), window.len(), block, |i| {
+                let slices = self.windows.iter().map(|w| w.row(i));
+                scatter_row(backend.dim(), &self.links, slices)
+            })
         } else {
             vec![None; bins]
         };
 
         // Phase B: partial scores (+ residual slices), advancing
         // shard-local state.
-        let mut outs: Vec<Option<Result<ShardScores>>> =
-            (0..self.states.len()).map(|_| None).collect();
-        let merged_ref = &merged;
-        let evicted_ref = &evicted;
-        if parallel {
-            rayon::scope(|s| {
-                let mut quads = self
-                    .states
-                    .iter_mut()
-                    .zip(self.links.iter())
-                    .zip(partials.iter())
-                    .zip(outs.iter_mut());
-                let first = quads.next();
-                for (((state, links), partial), slot) in quads {
-                    s.spawn(move |_| {
-                        *slot = Some(backend.shard_phase_b(
-                            state,
-                            links,
-                            partial,
-                            merged_ref,
-                            block,
-                            evicted_ref,
-                        ));
-                    });
-                }
-                if let Some((((state, links), partial), slot)) = first {
-                    *slot = Some(backend.shard_phase_b(
-                        state,
-                        links,
-                        partial,
-                        merged_ref,
-                        block,
-                        evicted_ref,
-                    ));
-                }
-            });
-        } else {
-            for (((state, links), partial), slot) in self
-                .states
-                .iter_mut()
-                .zip(self.links.iter())
-                .zip(partials.iter())
-                .zip(outs.iter_mut())
-            {
-                *slot = Some(backend.shard_phase_b(
-                    state,
-                    links,
-                    partial,
-                    merged_ref,
-                    block,
-                    evicted_ref,
-                ));
-            }
-        }
-        let mut shard_outs = Vec::with_capacity(self.states.len());
-        for out in outs {
-            shard_outs.push(out.expect("every shard ran phase B")?);
-        }
+        let outs = fan_out(
+            parallel,
+            self.states.iter_mut().zip(&self.links).zip(&partials),
+            |((state, links), partial)| {
+                backend.shard_phase_b(state, links, partial, &merged, block, &evicted)
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<ShardScores>>>()?;
 
         // Slide every shard window by the block's raw slice rows.
         for (window, partial) in self.windows.iter_mut().zip(&partials) {
@@ -534,46 +394,7 @@ impl<B: ShardableBackend> ShardedEngine<B> {
             }
         }
 
-        // Coordinator: sum score partials in shard order, detect, and
-        // finalize the fired bins on the assembled residual — the
-        // [`Coordinator`] default method, shared with the TCP tracker.
-        self.finalize_block(bins, &shard_outs)
-    }
-
-    /// The full rows evicted by each push of the block, in push order:
-    /// `None` while the window is still filling, else the oldest row of
-    /// the combined `[window, block]` sequence — assembled from the
-    /// shard windows for pre-block rows, borrowed from the block beyond.
-    fn collect_evicted(&self, block: &Matrix) -> Vec<Option<Vec<f64>>> {
-        let cap = self.windows[0].capacity();
-        let len = self.windows[0].len();
-        (0..block.rows())
-            .map(|t| {
-                if len + t < cap {
-                    None
-                } else {
-                    let idx = len + t - cap;
-                    Some(if idx < len {
-                        self.assemble_window_row(idx)
-                    } else {
-                        block.row(idx - len).to_vec()
-                    })
-                }
-            })
-            .collect()
-    }
-
-    /// Assemble the `i`-th retained row (arrival order) of the logical
-    /// global window from the shard windows' slices.
-    fn assemble_window_row(&self, i: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.backend.dim()];
-        for (links, window) in self.links.iter().zip(&self.windows) {
-            let row = window.row(i);
-            for (k, &l) in links.iter().enumerate() {
-                out[l] = row[k];
-            }
-        }
-        out
+        finalize_block(backend, &self.links, bins, &outs)
     }
 
     /// Merge, refit, and broadcast: collect the shard state into a fresh
@@ -595,23 +416,146 @@ impl<B: ShardableBackend> ShardedEngine<B> {
             .map(|(links, window)| ShardCtx { links, window })
             .collect();
         self.backend.refit_shards(&mut self.states, &ctx)?;
-        self.arrivals_since_fit = 0;
-        self.refits += 1;
+        self.cadence.refitted();
         self.refit_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
 }
 
-impl<B: ShardableBackend> Coordinator for ShardedEngine<B> {
-    type Backend = B;
-
-    fn backend(&self) -> &B {
-        &self.backend
+/// Run `f` once per shard — over scoped worker threads when `parallel`,
+/// in turn otherwise — and return the results in shard order.
+///
+/// Both ways compute exactly the same values; the first shard runs on
+/// the calling thread, so `K` shards cost `K − 1` spawns.
+fn fan_out<T: Send, R: Send>(
+    parallel: bool,
+    mut shards: impl Iterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if !parallel {
+        return shards.map(f).collect();
     }
+    let first = shards.next();
+    let rest: Vec<T> = shards.collect();
+    let mut slots: Vec<Option<R>> = rest.iter().map(|_| None).collect();
+    let f = &f;
+    let head = rayon::scope(|s| {
+        for (shard, slot) in rest.into_iter().zip(slots.iter_mut()) {
+            s.spawn(move |_| *slot = Some(f(shard)));
+        }
+        first.map(f)
+    });
+    head.into_iter()
+        .chain(slots.into_iter().map(|r| r.expect("every shard ran")))
+        .collect()
+}
 
-    fn shard_links(&self) -> &[Vec<usize>] {
-        &self.links
+/// The coordinator's scoring loop, shared by [`ShardedEngine`] and the
+/// TCP tracker in `netanom-net`: sum the shards' score partials in
+/// shard order, detect, and finalize the fired bins on the residual
+/// assembled from the shard slices.
+///
+/// `outs[s]` is shard `s`'s phase-B output for the same `bins`-row
+/// block and `links[s]` its ascending global link indices; summation
+/// and residual placement both walk shards in that order, so results
+/// are independent of where (or in what thread/socket order) the shards
+/// computed. Reports come back with `time == 0` — the driver's
+/// [`Cadence`] stamps arrival indices.
+pub fn finalize_block<B: ShardableBackend>(
+    backend: &B,
+    links: &[Vec<usize>],
+    bins: usize,
+    outs: &[ShardScores],
+) -> Result<Vec<DiagnosisReport>> {
+    let threshold = backend.threshold();
+    let wants_residual = backend.wants_residual();
+    let mut reports = Vec::with_capacity(bins);
+    for t in 0..bins {
+        let score: f64 = outs.iter().map(|o| o.scores[t]).sum();
+        let residual = (wants_residual && score > threshold).then(|| {
+            let slices = outs.iter().map(|o| {
+                let slice = o.residual.as_ref();
+                slice
+                    .expect("wants_residual backends return residual slices")
+                    .row(t)
+            });
+            scatter_row(backend.dim(), links, slices)
+        });
+        reports.push(backend.finalize(score, residual.as_deref())?);
     }
+    Ok(reports)
+}
+
+/// One full-width row from the shards' slices of it: `slices[s][k]` is
+/// the value of link `links[s][k]`.
+fn scatter_row<'a>(
+    m: usize,
+    links: &[Vec<usize>],
+    slices: impl Iterator<Item = &'a [f64]>,
+) -> Vec<f64> {
+    let mut row = vec![0.0; m];
+    for (links, slice) in links.iter().zip(slices) {
+        for (k, &l) in links.iter().enumerate() {
+            row[l] = slice[k];
+        }
+    }
+    row
+}
+
+/// The full rows evicted by each push of `block` into a window of
+/// `capacity` rows that currently retains `len`, in push order: `None`
+/// while the window is still filling, else the oldest row of the
+/// combined `[window, block]` sequence — `window_row(i)` for the `i`-th
+/// retained row (arrival order), the block's own rows beyond.
+pub fn evicted_rows(
+    capacity: usize,
+    len: usize,
+    block: &Matrix,
+    window_row: impl Fn(usize) -> Vec<f64>,
+) -> Vec<Option<Vec<f64>>> {
+    (0..block.rows())
+        .map(|t| {
+            let idx = (len + t).checked_sub(capacity)?;
+            Some(if idx < len {
+                window_row(idx)
+            } else {
+                block.row(idx - len).to_vec()
+            })
+        })
+        .collect()
+}
+
+/// Place per-shard column slices into one `rows × cols` matrix:
+/// `slices[s]` holds the columns `links[s]` of every row. Pure
+/// placement, so the result is bitwise the matrix the slices were cut
+/// from — how a block scattered to the shards, the shard windows of a
+/// full refit, and the window slices TCP workers send are put back
+/// together.
+pub fn assemble_columns<L: AsRef<[usize]>>(
+    cols: usize,
+    links: &[L],
+    slices: &[Matrix],
+) -> Result<Matrix> {
+    if slices.len() != links.len() {
+        return Err(CoreError::DimensionMismatch {
+            expected: links.len(),
+            got: slices.len(),
+        });
+    }
+    // A slice of the wrong height or width is refused by
+    // `assemble_blocks`: every block must match its index lists.
+    let rows = slices.first().map_or(0, Matrix::rows);
+    let row_ids: Vec<usize> = (0..rows).collect();
+    let placements: Vec<BlockPlacement> = links
+        .iter()
+        .zip(slices)
+        .map(|(links, block)| BlockPlacement {
+            rows: &row_ids,
+            cols: links.as_ref(),
+            block,
+        })
+        .collect();
+    Ok(Matrix::assemble_blocks(rows, cols, &placements)?)
 }
 
 #[cfg(test)]

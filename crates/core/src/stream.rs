@@ -36,6 +36,7 @@
 use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
 
+use crate::cadence::Cadence;
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::method::{DetectionBackend, SubspaceBackend};
 use crate::multiflow::{self, MultiFlowAnomaly};
@@ -292,10 +293,7 @@ impl RingWindow {
 pub struct StreamingEngine<B: DetectionBackend = SubspaceBackend> {
     backend: B,
     window: RingWindow,
-    refit_every: Option<usize>,
-    arrivals_since_fit: usize,
-    arrivals_total: usize,
-    refits: usize,
+    cadence: Cadence,
 }
 
 impl StreamingEngine<SubspaceBackend> {
@@ -372,37 +370,27 @@ impl<B: DetectionBackend> StreamingEngine<B> {
         }
         let capacity = stream.window_capacity.max(training.rows());
         let mut window = RingWindow::new(capacity, training.cols());
-        let start = training.rows().saturating_sub(capacity);
-        for t in start..training.rows() {
+        for t in 0..training.rows() {
             window.push(training.row(t));
         }
         Ok(StreamingEngine {
             backend,
             window,
-            refit_every: stream.refit_every,
-            arrivals_since_fit: 0,
-            arrivals_total: 0,
-            refits: 0,
+            cadence: Cadence::new(stream.refit_every),
         })
     }
 
     /// Reassemble an engine from checkpointed parts without refitting:
     /// an already-restored backend, the retained window rows (oldest
-    /// first), and the arrival/refit counters of the exporting engine.
+    /// first), and the arrival/refit counters of the exporting engine
+    /// ([`Cadence::resume`]).
     ///
     /// With backend, window, and counters restored bit-exactly, every
     /// subsequent [`StreamingEngine::process`] call — scoring, window
     /// eviction, and refit timing — is bitwise identical to the engine
     /// that was checkpointed, which is what lets a restarted service
     /// session resume mid-stream with no warmup.
-    pub fn resume(
-        backend: B,
-        window: RingWindow,
-        refit_every: Option<usize>,
-        arrivals_total: usize,
-        arrivals_since_fit: usize,
-        refits: usize,
-    ) -> Result<Self> {
+    pub fn resume(backend: B, window: RingWindow, cadence: Cadence) -> Result<Self> {
         if window.dim() != backend.dim() {
             return Err(CoreError::DimensionMismatch {
                 expected: backend.dim(),
@@ -412,31 +400,28 @@ impl<B: DetectionBackend> StreamingEngine<B> {
         Ok(StreamingEngine {
             backend,
             window,
-            refit_every,
-            arrivals_since_fit,
-            arrivals_total,
-            refits,
+            cadence,
         })
     }
 
     /// The refit cadence in arrivals, if any.
     pub fn refit_cadence(&self) -> Option<usize> {
-        self.refit_every
+        self.cadence.refit_every()
     }
 
     /// Total measurements processed so far.
     pub fn arrivals(&self) -> usize {
-        self.arrivals_total
+        self.cadence.total()
     }
 
     /// Arrivals since the most recent (re)fit.
     pub fn arrivals_since_refit(&self) -> usize {
-        self.arrivals_since_fit
+        self.cadence.since_fit()
     }
 
     /// Number of refits performed so far.
     pub fn refits(&self) -> usize {
-        self.refits
+        self.cadence.refits()
     }
 
     /// The detection backend.
@@ -463,14 +448,10 @@ impl<B: DetectionBackend> StreamingEngine<B> {
     /// The report's `time` is the arrival counter (0-based).
     pub fn process(&mut self, y: &[f64]) -> Result<DiagnosisReport> {
         let mut report = self.backend.score_vector(y)?;
-        report.time = self.arrivals_total;
-        self.arrivals_total += 1;
-        self.arrivals_since_fit += 1;
+        let refit_due = self.cadence.stamp(std::slice::from_mut(&mut report));
         self.ingest_row(y)?;
-        if let Some(k) = self.refit_every {
-            if self.arrivals_since_fit >= k {
-                self.refit()?;
-            }
+        if refit_due {
+            self.refit()?;
         }
         Ok(report)
     }
@@ -489,27 +470,17 @@ impl<B: DetectionBackend> StreamingEngine<B> {
         let mut out = Vec::with_capacity(links.rows());
         let mut next = 0;
         while next < links.rows() {
-            let until_refit = match self.refit_every {
-                Some(k) => k.saturating_sub(self.arrivals_since_fit).max(1),
-                None => links.rows() - next,
-            };
-            let take = until_refit.min(links.rows() - next);
+            let take = self.cadence.take(links.rows() - next);
             let block = links.row_block(next, take).expect("range checked");
             let mut reports = self.backend.score_matrix(&block)?;
-            for rep in &mut reports {
-                rep.time = self.arrivals_total;
-                self.arrivals_total += 1;
-                self.arrivals_since_fit += 1;
-            }
+            let refit_due = self.cadence.stamp(&mut reports);
             out.append(&mut reports);
             for t in 0..take {
                 self.ingest_row(block.row(t))?;
             }
             next += take;
-            if let Some(k) = self.refit_every {
-                if self.arrivals_since_fit >= k {
-                    self.refit()?;
-                }
+            if refit_due {
+                self.refit()?;
             }
         }
         Ok(out)
@@ -524,8 +495,7 @@ impl<B: DetectionBackend> StreamingEngine<B> {
     /// dominated by diurnal structure, so sparse spikes barely move them.
     pub fn refit(&mut self) -> Result<()> {
         self.backend.refit(&self.window)?;
-        self.arrivals_since_fit = 0;
-        self.refits += 1;
+        self.cadence.refitted();
         Ok(())
     }
 }

@@ -19,8 +19,10 @@
 //! [`SubspaceShard`](netanom_core::SubspaceShard) phase A/B the
 //! in-process engine runs, the tracker merges with the same
 //! [`merge_coeff_partials`](netanom_core::merge_coeff_partials) in the
-//! same shard order, and finalizes through the same
-//! [`Coordinator`](netanom_core::Coordinator) loop — so detections,
+//! same shard order, finalizes through the same
+//! [`finalize_block`](netanom_core::finalize_block), and cuts rounds
+//! and times refits with the same [`Cadence`](netanom_core::Cadence) —
+//! so detections,
 //! identifications, and refits match the in-process engine bit for
 //! bit (pinned by `tests/distributed_parity.rs`).
 //!

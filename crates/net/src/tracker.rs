@@ -6,12 +6,12 @@
 //! same row count, merges the partial projection coefficients **in
 //! shard order** (the same [`merge_coeff_partials`] the in-process
 //! engine calls), broadcasts the merged context for phase B, and
-//! finalizes through the shared [`Coordinator`] loop — so a
-//! distributed diagnosis is bitwise identical to
+//! finalizes through the same [`finalize_block`] — so a distributed
+//! diagnosis is bitwise identical to
 //! [`ShardedEngine`](netanom_core::ShardedEngine) on the same
-//! partition by construction. Round sizes honor the refit cadence
-//! exactly like `process_batch` (`take = chunk.min(k − since_fit)`),
-//! so refits land on the same arrival indices.
+//! partition by construction. Round sizes, report numbering and refit
+//! timing come from the same [`Cadence`] the in-process engines own, so
+//! refits land on the same arrival indices.
 //!
 //! Failure handling is per-worker and classified: a connection fault
 //! ([`FailureKind`]) drops only that worker's connection, opens a
@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 
 use netanom_core::incremental::{CovarianceShard, IncrementalCovariance};
 use netanom_core::{
-    merge_coeff_partials, Coordinator, DetectionBackend, DiagnosisReport, RefitStrategy,
-    ShardScores, StreamConfig, SubspaceBackend,
+    assemble_columns, finalize_block, merge_coeff_partials, Cadence, DetectionBackend,
+    DiagnosisReport, RefitStrategy, ShardScores, StreamConfig, SubspaceBackend,
 };
-use netanom_linalg::{BlockPlacement, Matrix};
+use netanom_linalg::Matrix;
 use netanom_topology::LinkPartition;
 
 use crate::error::{FailureKind, NetError, Result};
@@ -120,22 +120,45 @@ pub struct Tracker {
     cfg: TrackerConfig,
     window_capacity: usize,
     conns: Vec<Option<FramedConn<TcpStream>>>,
-    arrivals_total: usize,
-    arrivals_since_fit: usize,
+    cadence: Cadence,
     completed: u64,
-    refits: usize,
     rejoins: Vec<RejoinEvent>,
 }
 
-impl Coordinator for Tracker {
-    type Backend = SubspaceBackend;
+/// One reply slot per shard for a request every shard must answer, and
+/// whether that request is already in flight on the shard's live
+/// connection.
+///
+/// A request sent on a still-live connection must not be re-sent on the
+/// next attempt even though its reply has not arrived yet (another
+/// shard's failure can abort an attempt with replies still in flight) —
+/// re-requesting would queue a duplicate answer that a later recv
+/// misreads. The flag resets only when that shard's connection is
+/// dropped.
+struct Slots<T> {
+    replies: Vec<Option<T>>,
+    asked: Vec<bool>,
+}
 
-    fn backend(&self) -> &SubspaceBackend {
-        &self.backend
+impl<T> Slots<T> {
+    fn new(shards: usize) -> Self {
+        Slots {
+            replies: (0..shards).map(|_| None).collect(),
+            asked: vec![false; shards],
+        }
     }
 
-    fn shard_links(&self) -> &[Vec<usize>] {
-        &self.links
+    /// Forget shard `s`'s reply and request: its connection was dropped.
+    fn clear(&mut self, s: usize) {
+        self.replies[s] = None;
+        self.asked[s] = false;
+    }
+
+    fn into_replies(self) -> Vec<T> {
+        self.replies
+            .into_iter()
+            .map(|r| r.expect("every shard replied"))
+            .collect()
     }
 }
 
@@ -161,6 +184,7 @@ impl Tracker {
         }
         let listener = TcpListener::bind(addr)?;
         let window_capacity = cfg.stream.window_capacity.max(cfg.train_bins);
+        let cadence = Cadence::new(cfg.stream.refit_every);
         let shards = partition.num_shards();
         Ok(Tracker {
             listener,
@@ -169,10 +193,8 @@ impl Tracker {
             cfg,
             window_capacity,
             conns: (0..shards).map(|_| None).collect(),
-            arrivals_total: 0,
-            arrivals_since_fit: 0,
+            cadence,
             completed: 0,
-            refits: 0,
             rejoins: Vec::new(),
         })
     }
@@ -305,18 +327,18 @@ impl Tracker {
         }
     }
 
-    /// Accept joins until every shard slot is filled or the deadline
-    /// passes.
-    fn accept_joins(&mut self, deadline: Instant, during: &'static str) -> Result<()> {
-        while self.conns.iter().any(Option::is_none) {
+    /// Accept and handshake joins until `filled` holds; `false` when the
+    /// deadline passes first.
+    fn accept_until(&mut self, deadline: Instant, filled: impl Fn(&Self) -> bool) -> Result<bool> {
+        while !filled(self) {
             match self.poll_accept(deadline)? {
                 Some(stream) => {
                     self.handshake(stream)?;
                 }
-                None => return Err(NetError::Timeout { during }),
+                None => return Ok(false),
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// A worker failed: classify, drop its connection, and hold a
@@ -327,15 +349,7 @@ impl Tracker {
         for attempt in 0..self.cfg.rejoin_attempts.max(1) {
             let window = self.cfg.rejoin_backoff * (1 << attempt.min(6)) as u32;
             let deadline = Instant::now() + window;
-            while self.conns[shard].is_none() {
-                match self.poll_accept(deadline)? {
-                    Some(stream) => {
-                        self.handshake(stream)?;
-                    }
-                    None => break,
-                }
-            }
-            if self.conns[shard].is_some() {
+            if self.accept_until(deadline, |t| t.conns[shard].is_some())? {
                 self.rejoins.push(RejoinEvent {
                     shard,
                     kind,
@@ -351,23 +365,20 @@ impl Tracker {
         })
     }
 
-    /// Send to shard `s`, surfacing the shard index with the failure.
-    fn send_to(&mut self, s: usize, msg: &Message) -> std::result::Result<(), (usize, NetError)> {
+    /// Send to shard `s`.
+    fn send_to(&mut self, s: usize, msg: &Message) -> Result<()> {
         self.conns[s]
             .as_mut()
             .expect("send_to targets a connected shard")
             .send(msg)
-            .map_err(|e| (s, e))
     }
 
-    /// Receive from shard `s`, surfacing the shard index with the
-    /// failure.
-    fn recv_from(&mut self, s: usize) -> std::result::Result<Message, (usize, NetError)> {
+    /// Receive from shard `s`.
+    fn recv_from(&mut self, s: usize) -> Result<Message> {
         self.conns[s]
             .as_mut()
             .expect("recv_from targets a connected shard")
             .recv()
-            .map_err(|e| (s, e))
     }
 
     /// Tell every connected worker the run is over (best effort).
@@ -392,127 +403,131 @@ impl Tracker {
     /// the in-process engine's `process_batch` output).
     pub fn run(&mut self, mut sink: impl FnMut(&[DiagnosisReport])) -> Result<TrackerSummary> {
         let deadline = Instant::now() + self.cfg.join_timeout;
-        self.accept_joins(deadline, "initial worker joins")?;
+        if !self.accept_until(deadline, |t| t.conns.iter().all(Option::is_some))? {
+            return Err(NetError::Timeout {
+                during: "initial worker joins",
+            });
+        }
 
         loop {
             let round = self.completed + 1;
-            let until_refit = match self.cfg.stream.refit_every {
-                Some(k) => k.saturating_sub(self.arrivals_since_fit).max(1),
-                None => self.cfg.chunk,
-            };
-            let take = self.cfg.chunk.min(until_refit);
+            let take = self.cadence.take(self.cfg.chunk);
             match self.run_round(round, take)? {
                 None => {
                     self.broadcast_final(&Message::Done {
-                        arrivals: self.arrivals_total as u64,
+                        arrivals: self.cadence.total() as u64,
                     });
                     return Ok(TrackerSummary {
-                        arrivals: self.arrivals_total,
+                        arrivals: self.cadence.total(),
                         rounds: self.completed,
-                        refits: self.refits,
+                        refits: self.cadence.refits(),
                         rejoins: std::mem::take(&mut self.rejoins),
                     });
                 }
                 Some(mut reports) => {
-                    for rep in &mut reports {
-                        rep.time = self.arrivals_total;
-                        self.arrivals_total += 1;
-                        self.arrivals_since_fit += 1;
-                    }
+                    let refit_due = self.cadence.stamp(&mut reports);
                     self.completed = round;
                     sink(&reports);
-                    if let Some(k) = self.cfg.stream.refit_every {
-                        if self.arrivals_since_fit >= k {
-                            self.refit(round)?;
-                        }
+                    if refit_due {
+                        self.refit(round)?;
                     }
                 }
             }
         }
     }
 
+    /// One pass of the asked-once discipline every collection shares:
+    /// send `request` to each shard lacking a reply and not yet asked on
+    /// its live connection, then receive from each shard lacking a
+    /// reply, keeping what `accept` makes of it (its `Err` is a fatal
+    /// protocol error).
+    ///
+    /// `Ok(None)` means every slot is filled. `Ok(Some(s))` means shard
+    /// `s`'s connection faulted and the worker has rejoined: its slot
+    /// here is cleared, replies from the other shards are kept, and the
+    /// caller restarts its attempt after clearing whatever else it
+    /// holds for `s`.
+    fn collect<T>(
+        &mut self,
+        request: &Message,
+        slots: &mut Slots<T>,
+        accept: impl Fn(&Self, usize, Message) -> std::result::Result<T, String>,
+    ) -> Result<Option<usize>> {
+        // Every request goes out before the first reply is awaited, so
+        // the workers compute side by side.
+        for s in 0..self.conns.len() {
+            if slots.replies[s].is_some() || slots.asked[s] {
+                continue;
+            }
+            if let Err(e) = self.send_to(s, request) {
+                slots.clear(s);
+                self.recover(s, e)?;
+                return Ok(Some(s));
+            }
+            slots.asked[s] = true;
+        }
+        for s in 0..self.conns.len() {
+            if slots.replies[s].is_some() {
+                continue;
+            }
+            match self.recv_from(s) {
+                Ok(msg) => match accept(self, s, msg) {
+                    Ok(value) => slots.replies[s] = Some(value),
+                    Err(reason) => return Err(self.fatal(reason)),
+                },
+                Err(e) => {
+                    slots.clear(s);
+                    self.recover(s, e)?;
+                    return Ok(Some(s));
+                }
+            }
+        }
+        Ok(None)
+    }
+
     /// Drive one round to completion, retrying per-worker failures via
     /// rejoin windows. `Ok(None)` means every feed is exhausted.
     fn run_round(&mut self, round: u64, take: usize) -> Result<Option<Vec<DiagnosisReport>>> {
         let n = self.conns.len();
-        let mut a: Vec<Option<PhaseAReply>> = (0..n).map(|_| None).collect();
-        let mut b: Vec<Option<ShardScores>> = (0..n).map(|_| None).collect();
-        // A request already sent on a still-live connection must not be
-        // re-sent on the next attempt even though its reply has not
-        // arrived yet (another shard's failure can abort an attempt
-        // with replies still in flight) — re-requesting would queue a
-        // duplicate answer that a later recv misreads. The flags reset
-        // only when that shard's connection is dropped.
-        let mut asked_a = vec![false; n];
-        let mut asked_b = vec![false; n];
+        let mut a: Slots<PhaseAReply> = Slots::new(n);
+        let mut b: Slots<ShardScores> = Slots::new(n);
+        let run_block = Message::RunBlock {
+            round,
+            take: take as u64,
+        };
 
-        'attempt: loop {
-            // Phase A: request from (and collect from) every shard
-            // still lacking a reply and not already asked on its live
-            // connection.
-            for s in 0..n {
-                if a[s].is_some() || asked_a[s] {
-                    continue;
-                }
-                if let Err((s, e)) = self.send_to(
-                    s,
-                    &Message::RunBlock {
-                        round,
-                        take: take as u64,
-                    },
-                ) {
-                    a[s] = None;
-                    b[s] = None;
-                    asked_a[s] = false;
-                    asked_b[s] = false;
-                    self.recover(s, e)?;
-                    continue 'attempt;
-                }
-                asked_a[s] = true;
-            }
-            for s in 0..n {
-                if a[s].is_some() {
-                    continue;
-                }
-                match self.recv_from(s) {
-                    Ok(Message::PhaseA {
-                        round: r,
-                        rows,
+        loop {
+            // Phase A. A shard only talks here while it holds no
+            // phase-A reply, which it loses together with its phase-B
+            // slot, so there is nothing of `b` to clear on a fault.
+            let faulted = self.collect(&run_block, &mut a, |_, s, msg| match msg {
+                Message::PhaseA {
+                    round: r,
+                    rows,
+                    coeffs,
+                } if r == round => {
+                    if rows == 0 || coeffs.rows() != rows as usize {
+                        return Err(format!("shard {s} phase A shape mismatch in round {round}"));
+                    }
+                    Ok(PhaseAReply::Rows {
+                        rows: rows as usize,
                         coeffs,
-                    }) if r == round => {
-                        if rows == 0 || coeffs.rows() != rows as usize {
-                            return Err(self.fatal(format!(
-                                "shard {s} phase A shape mismatch in round {round}"
-                            )));
-                        }
-                        a[s] = Some(PhaseAReply::Rows {
-                            rows: rows as usize,
-                            coeffs,
-                        });
-                    }
-                    Ok(Message::Exhausted { round: r }) if r == round => {
-                        a[s] = Some(PhaseAReply::Exhausted);
-                    }
-                    Ok(other) => {
-                        return Err(self.fatal(format!(
-                            "shard {s} answered round {round} phase A with {}",
-                            other.name()
-                        )));
-                    }
-                    Err((s, e)) => {
-                        a[s] = None;
-                        b[s] = None;
-                        asked_a[s] = false;
-                        asked_b[s] = false;
-                        self.recover(s, e)?;
-                        continue 'attempt;
-                    }
+                    })
                 }
+                Message::Exhausted { round: r } if r == round => Ok(PhaseAReply::Exhausted),
+                other => Err(format!(
+                    "shard {s} answered round {round} phase A with {}",
+                    other.name()
+                )),
+            })?;
+            if faulted.is_some() {
+                continue;
             }
 
             // End-of-stream consensus: feeds are replicas of the same
             // bin sequence, so either all are exhausted or none is.
             let exhausted = a
+                .replies
                 .iter()
                 .filter(|r| matches!(r, Some(PhaseAReply::Exhausted)))
                 .count();
@@ -524,19 +539,21 @@ impl Tracker {
                     "{exhausted} of {n} workers exhausted in round {round} — feeds disagree"
                 )));
             }
-            let rows = match &a[0] {
-                Some(PhaseAReply::Rows { rows, .. }) => *rows,
-                _ => unreachable!("all replies are rows"),
-            };
-            for (s, reply) in a.iter().enumerate() {
-                if let Some(PhaseAReply::Rows { rows: r, .. }) = reply {
-                    if *r != rows {
-                        return Err(self.fatal(format!(
-                            "round {round} row counts disagree: shard 0 read {rows}, \
-                             shard {s} read {r}"
-                        )));
-                    }
-                }
+            let partials: Vec<(usize, &Matrix)> = a
+                .replies
+                .iter()
+                .map(|reply| match reply {
+                    Some(PhaseAReply::Rows { rows, coeffs }) => (*rows, coeffs),
+                    _ => unreachable!("all replies are rows"),
+                })
+                .collect();
+            let rows = partials[0].0;
+            if let Some(s) = partials.iter().position(|&(r, _)| r != rows) {
+                let r = partials[s].0;
+                return Err(self.fatal(format!(
+                    "round {round} row counts disagree: shard 0 read {rows}, \
+                     shard {s} read {r}"
+                )));
             }
 
             // Merge in shard order — the same function the in-process
@@ -544,86 +561,49 @@ impl Tracker {
             // collected partials (deterministic, so retries are
             // bitwise identical).
             let r = self.backend.diagnoser().model().normal_dim();
-            let merged = merge_coeff_partials(
-                rows,
-                r,
-                a.iter().map(|reply| match reply {
-                    Some(PhaseAReply::Rows { coeffs, .. }) => coeffs,
-                    _ => unreachable!("all replies are rows"),
-                }),
-            );
+            let merged = Message::Merged {
+                round,
+                coeffs: merge_coeff_partials(rows, r, partials.into_iter().map(|(_, c)| c)),
+            };
 
-            // Phase B: same lacking-reply and asked-once discipline.
-            for s in 0..n {
-                if b[s].is_some() || asked_b[s] {
-                    continue;
-                }
-                if let Err((s, e)) = self.send_to(
-                    s,
-                    &Message::Merged {
-                        round,
-                        coeffs: merged.clone(),
-                    },
-                ) {
-                    // Reset phase A too: a worker restarted from its
-                    // checkpoint has no pending phase A to apply a
-                    // merged context to — re-driving it through
-                    // phase A replays its caches bitwise.
-                    a[s] = None;
-                    b[s] = None;
-                    asked_a[s] = false;
-                    asked_b[s] = false;
-                    self.recover(s, e)?;
-                    continue 'attempt;
-                }
-                asked_b[s] = true;
-            }
-            for s in 0..n {
-                if b[s].is_some() {
-                    continue;
-                }
-                match self.recv_from(s) {
-                    Ok(Message::PhaseB {
-                        round: r,
+            // Phase B.
+            let faulted = self.collect(&merged, &mut b, |tracker, s, msg| match msg {
+                Message::PhaseB {
+                    round: r,
+                    scores,
+                    residual,
+                } if r == round => {
+                    if scores.len() != rows
+                        || residual.rows() != rows
+                        || residual.cols() != tracker.links[s].len()
+                    {
+                        return Err(format!("shard {s} phase B shape mismatch in round {round}"));
+                    }
+                    Ok(ShardScores {
                         scores,
-                        residual,
-                    }) if r == round => {
-                        if scores.len() != rows
-                            || residual.rows() != rows
-                            || residual.cols() != self.links[s].len()
-                        {
-                            return Err(self.fatal(format!(
-                                "shard {s} phase B shape mismatch in round {round}"
-                            )));
-                        }
-                        b[s] = Some(ShardScores {
-                            scores,
-                            residual: Some(residual),
-                        });
-                    }
-                    Ok(other) => {
-                        return Err(self.fatal(format!(
-                            "shard {s} answered round {round} phase B with {}",
-                            other.name()
-                        )));
-                    }
-                    Err((s, e)) => {
-                        a[s] = None;
-                        b[s] = None;
-                        asked_a[s] = false;
-                        asked_b[s] = false;
-                        self.recover(s, e)?;
-                        continue 'attempt;
-                    }
+                        residual: Some(residual),
+                    })
                 }
+                other => Err(format!(
+                    "shard {s} answered round {round} phase B with {}",
+                    other.name()
+                )),
+            })?;
+            if let Some(s) = faulted {
+                // Reset phase A too: a worker restarted from its
+                // checkpoint has no pending phase A to apply a merged
+                // context to — re-driving it through phase A replays
+                // its caches bitwise.
+                a.clear(s);
+                continue;
             }
 
-            // Coordinator finalize — the trait's shared loop.
-            let outs: Vec<ShardScores> = b
-                .into_iter()
-                .map(|o| o.expect("all phase B replies collected"))
-                .collect();
-            return Ok(Some(self.finalize_block(rows, &outs)?));
+            return Ok(Some(finalize_block(
+                &self.backend,
+                &self.links,
+                rows,
+                &b.into_replies(),
+            )?));
         }
     }
 
@@ -634,10 +614,9 @@ impl Tracker {
     /// rejoins mid-broadcast receives the refitted state in its
     /// `Welcome` instead).
     fn refit(&mut self, round: u64) -> Result<()> {
-        let n = self.conns.len();
         match self.cfg.stream.strategy {
             RefitStrategy::FullSvd => {
-                let slices = self.collect_refit_inputs(round, n, |msg, round| match msg {
+                let slices = self.collect_refit_inputs(round, |msg| match msg {
                     Message::WindowSlice { round: r, slice } if r == round => Some(slice),
                     _ => None,
                 })?;
@@ -649,23 +628,11 @@ impl Tracker {
                         )));
                     }
                 }
-                let row_ids: Vec<usize> = (0..len).collect();
-                let placements: Vec<BlockPlacement> = self
-                    .links
-                    .iter()
-                    .zip(&slices)
-                    .map(|(links, slice)| BlockPlacement {
-                        rows: &row_ids,
-                        cols: links,
-                        block: slice,
-                    })
-                    .collect();
-                let window = Matrix::assemble_blocks(len, self.backend.dim(), &placements)
-                    .map_err(netanom_core::CoreError::from)?;
+                let window = assemble_columns(self.backend.dim(), &self.links, &slices)?;
                 self.backend.refit_from_window(&window)?;
             }
             RefitStrategy::Incremental | RefitStrategy::Truncated { .. } => {
-                let payloads = self.collect_refit_inputs(round, n, |msg, round| match msg {
+                let payloads = self.collect_refit_inputs(round, |msg| match msg {
                     Message::Stats { round: r, bytes } if r == round => Some(bytes),
                     _ => None,
                 })?;
@@ -677,78 +644,42 @@ impl Tracker {
                 self.backend.refit_from_statistics(&merged)?;
             }
         }
-        self.refits += 1;
-        self.arrivals_since_fit = 0;
+        self.cadence.refitted();
 
         // Idempotent model broadcast: a worker that fails here rejoins
         // with a Welcome already carrying the refitted state, so its
         // delivery is complete either way.
-        let state = self.backend.export_state().to_bytes();
-        for s in 0..n {
-            if let Err((s, e)) = self.send_to(
-                s,
-                &Message::Model {
-                    round,
-                    state: state.clone(),
-                },
-            ) {
+        let model = Message::Model {
+            round,
+            state: self.backend.export_state().to_bytes(),
+        };
+        for s in 0..self.conns.len() {
+            if let Err(e) = self.send_to(s, &model) {
                 self.recover(s, e)?;
             }
         }
         Ok(())
     }
 
-    /// Collect one refit input per shard, re-requesting only from
-    /// shards that have not answered (reads never mutate worker state,
-    /// so re-requests are safe).
+    /// Collect one refit input per shard. Reads never mutate worker
+    /// state, so a rejoined worker is simply asked again.
     fn collect_refit_inputs<T>(
         &mut self,
         round: u64,
-        n: usize,
-        extract: impl Fn(Message, u64) -> Option<T>,
+        extract: impl Fn(Message) -> Option<T>,
     ) -> Result<Vec<T>> {
-        let mut replies: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        // Same asked-once discipline as `run_round`: never re-request
-        // on a live connection whose reply is still in flight.
-        let mut asked = vec![false; n];
-        'attempt: loop {
-            for s in 0..n {
-                if replies[s].is_some() || asked[s] {
-                    continue;
-                }
-                if let Err((s, e)) = self.send_to(s, &Message::StatsRequest { round }) {
-                    asked[s] = false;
-                    self.recover(s, e)?;
-                    continue 'attempt;
-                }
-                asked[s] = true;
-            }
-            for (s, slot) in replies.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                match self.recv_from(s) {
-                    Ok(msg) => match extract(msg, round) {
-                        Some(value) => *slot = Some(value),
-                        None => {
-                            return Err(self.fatal(format!(
-                                "shard {s} answered the round-{round} refit request \
-                                 with the wrong message"
-                            )));
-                        }
-                    },
-                    Err((s, e)) => {
-                        asked[s] = false;
-                        self.recover(s, e)?;
-                        continue 'attempt;
-                    }
-                }
-            }
-            return Ok(replies
-                .into_iter()
-                .map(|r| r.expect("all refit inputs collected"))
-                .collect());
-        }
+        let request = Message::StatsRequest { round };
+        let mut inputs = Slots::new(self.conns.len());
+        let accept = |_: &Self, s: usize, msg: Message| {
+            extract(msg).ok_or_else(|| {
+                format!(
+                    "shard {s} answered the round-{round} refit request \
+                     with the wrong message"
+                )
+            })
+        };
+        while self.collect(&request, &mut inputs, accept)?.is_some() {}
+        Ok(inputs.into_replies())
     }
 
     /// Broadcast a fatal error to the workers and build the matching

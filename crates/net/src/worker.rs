@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use netanom_core::incremental::CovarianceShard;
 use netanom_core::{
-    subspace_model_from_state, MethodState, RefitStrategy, RingWindow, SubspacePartial,
-    SubspaceShard,
+    evicted_rows, subspace_model_from_state, MethodState, RefitStrategy, RingWindow,
+    SubspacePartial, SubspaceShard,
 };
 use netanom_linalg::Matrix;
 
@@ -233,28 +233,6 @@ fn install_state(shard: &mut SubspaceShard, links: &[usize], state: &[u8]) -> Re
     Ok(())
 }
 
-/// The evicted full rows for a block about to be pushed — exactly the
-/// in-process engine's `collect_evicted`, but trivially local because
-/// the worker retains the *full-width* window.
-fn collect_evicted(window: &RingWindow, block: &Matrix) -> Vec<Option<Vec<f64>>> {
-    let cap = window.capacity();
-    let len = window.len();
-    (0..block.rows())
-        .map(|t| {
-            if len + t < cap {
-                None
-            } else {
-                let idx = len + t - cap;
-                Some(if idx < len {
-                    window.row(idx).to_vec()
-                } else {
-                    block.row(idx - len).to_vec()
-                })
-            }
-        })
-        .collect()
-}
-
 fn write_checkpoint(
     st: &WorkerState,
     links: &[usize],
@@ -338,11 +316,12 @@ pub fn run_worker<F: RowFeed>(
     } = join(addr, links, dim, completed, arrivals, cfg)?;
     let capacity = window_capacity as usize;
 
-    let mut st = match resumed {
+    // A fresh start and a checkpoint resume differ only in where the
+    // statistics rows, the retained window rows and the reply cache
+    // come from.
+    let (stats, retained, cache) = match resumed {
         None => {
             let training = training.expect("fresh start read the training prefix");
-            let (model, _confidence) =
-                subspace_model_from_state(&MethodState::from_bytes(&state)?)?;
             let stats = if strategy.maintains_statistics() {
                 let mut acc = CovarianceShard::new(dim, links)?;
                 for t in 0..training.rows() {
@@ -352,23 +331,7 @@ pub fn run_worker<F: RowFeed>(
             } else {
                 None
             };
-            let shard = SubspaceShard::from_model(&model, links, stats);
-            let mut window = RingWindow::new(capacity, dim);
-            let start = training.rows().saturating_sub(capacity);
-            for t in start..training.rows() {
-                window.push(training.row(t));
-            }
-            WorkerState {
-                shard,
-                window,
-                window_capacity: capacity,
-                state_bytes: state,
-                completed: 0,
-                arrivals: 0,
-                pending: None,
-                cache: None,
-                rejoins: 0,
-            }
+            (stats, training, None)
         }
         Some(ckpt) => {
             if ckpt.window_capacity as usize != capacity {
@@ -379,8 +342,6 @@ pub fn run_worker<F: RowFeed>(
                     ),
                 });
             }
-            let (model, _confidence) =
-                subspace_model_from_state(&MethodState::from_bytes(&state)?)?;
             let stats = match (&ckpt.stats, strategy.maintains_statistics()) {
                 (Some(bytes), true) => Some(CovarianceShard::from_bytes(bytes)?),
                 (None, false) => None,
@@ -392,23 +353,25 @@ pub fn run_worker<F: RowFeed>(
                     })
                 }
             };
-            let shard = SubspaceShard::from_model(&model, links, stats);
-            let mut window = RingWindow::new(capacity, dim);
-            for t in 0..ckpt.window.rows() {
-                window.push(ckpt.window.row(t));
-            }
-            WorkerState {
-                shard,
-                window,
-                window_capacity: capacity,
-                state_bytes: state,
-                completed: ckpt.completed_round,
-                arrivals: ckpt.arrivals,
-                pending: None,
-                cache: ckpt.cache,
-                rejoins: 0,
-            }
+            (stats, ckpt.window, ckpt.cache)
         }
+    };
+    let (model, _confidence) = subspace_model_from_state(&MethodState::from_bytes(&state)?)?;
+    // Pushing every row leaves the most recent `capacity` of them.
+    let mut window = RingWindow::new(capacity, dim);
+    for t in 0..retained.rows() {
+        window.push(retained.row(t));
+    }
+    let mut st = WorkerState {
+        shard: SubspaceShard::from_model(&model, links, stats),
+        window,
+        window_capacity: capacity,
+        state_bytes: state,
+        completed,
+        arrivals,
+        pending: None,
+        cache,
+        rejoins: 0,
     };
 
     // Serve rounds until Done (or an unrecoverable error).
@@ -573,7 +536,12 @@ fn dispatch<F: RowFeed>(
                     reason: format!("merged coefficients for exhausted round {round}"),
                 });
             };
-            let evicted = collect_evicted(&st.window, &block);
+            // The in-process engine's eviction rule, read straight off
+            // the worker's own *full-width* window.
+            let window = &st.window;
+            let evicted = evicted_rows(window.capacity(), window.len(), &block, |i| {
+                window.row(i).to_vec()
+            });
             let scores = st.shard.phase_b(&partial, &coeffs, &block, &evicted)?;
             for t in 0..block.rows() {
                 st.window.push(block.row(t));

@@ -10,6 +10,7 @@ use std::thread;
 use netanom_baselines::methods::MethodName;
 use netanom_core::{
     DetectionBackend, DiagnoserConfig, MethodState, RefitStrategy, SeparationPolicy,
+    SubspaceBackend,
 };
 use netanom_linalg::Matrix;
 use netanom_net::{read_frame, write_frame, FramedConn, DEFAULT_MAX_FRAME};
@@ -109,8 +110,7 @@ fn sharded_subspace_state_matches_streaming_state() {
         .fit(&train, rm, config(), RefitStrategy::Incremental)
         .unwrap()
         .export_state();
-    let b = MethodName::Subspace
-        .fit_sharded(&train, rm, config(), RefitStrategy::Incremental)
+    let b = SubspaceBackend::fit_sharded(&train, rm, config(), RefitStrategy::Incremental)
         .unwrap()
         .export_state();
     assert_eq!(a.to_bytes(), b.to_bytes());

@@ -31,7 +31,7 @@ use std::time::Instant;
 use netanom_baselines::methods::{build_streaming, MethodBackend, MethodName};
 use netanom_core::incremental::IncrementalCovariance;
 use netanom_core::method::DetectionBackend;
-use netanom_core::{EngineConfig, MethodState, RingWindow, StreamingEngine};
+use netanom_core::{Cadence, EngineConfig, MethodState, RingWindow, StreamingEngine};
 use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
 
@@ -62,62 +62,27 @@ impl SessionConfig {
     /// list the valid set.
     pub fn from_params(params: &[(&str, &str)]) -> Result<Self, ServeError> {
         let bad = |msg: String| ServeError::new(ErrorCode::BadConfig, msg);
+        let positive = |k: &str, v: &str| {
+            v.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| bad(format!("{k} must be a positive integer, got {v:?}")))
+        };
         let mut dim = None;
         let mut train_bins = None;
-        let mut method = None;
-        let mut refit = None;
-        let mut refit_k = None;
-        let mut refit_every = None;
-        let mut window = None;
-        let mut confidence = None;
         let mut queue_capacity = DEFAULT_QUEUE_CAPACITY;
         let mut autodrain = true;
+        let mut engine_params = Vec::new();
         for &(k, v) in params {
             match k {
-                "dim" => {
-                    dim =
-                        Some(v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            bad(format!("dim must be a positive integer, got {v:?}"))
-                        })?)
-                }
+                "dim" => dim = Some(positive(k, v)?),
                 "train-bins" => {
                     train_bins =
                         Some(v.parse::<usize>().map_err(|_| {
                             bad(format!("train-bins must be an integer, got {v:?}"))
                         })?)
                 }
-                "method" => method = Some(v),
-                "refit" => refit = Some(v),
-                "refit-k" => {
-                    refit_k = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| bad(format!("refit-k must be an integer, got {v:?}")))?,
-                    )
-                }
-                "refit-every" => {
-                    refit_every =
-                        Some(v.parse::<usize>().map_err(|_| {
-                            bad(format!("refit-every must be an integer, got {v:?}"))
-                        })?)
-                }
-                "window" => {
-                    window = Some(
-                        v.parse::<usize>()
-                            .map_err(|_| bad(format!("window must be an integer, got {v:?}")))?,
-                    )
-                }
-                "confidence" => {
-                    confidence = Some(
-                        v.parse::<f64>()
-                            .map_err(|_| bad(format!("confidence must be a number, got {v:?}")))?,
-                    )
-                }
-                "queue" => {
-                    queue_capacity =
-                        v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            bad(format!("queue must be a positive integer, got {v:?}"))
-                        })?
-                }
+                "queue" => queue_capacity = positive(k, v)?,
                 "drain" => {
                     autodrain = match v {
                         "auto" => true,
@@ -127,34 +92,24 @@ impl SessionConfig {
                         }
                     }
                 }
-                other => return Err(bad(format!("unknown open parameter {other:?}"))),
+                _ => engine_params.push((k, v)),
             }
         }
         let dim = dim.ok_or_else(|| bad("open requires dim=<links>".to_string()))?;
         let train_bins =
             train_bins.ok_or_else(|| bad("open requires train-bins=<rows>".to_string()))?;
         let mut engine = EngineConfig::new(train_bins).map_err(bad)?;
-        if let Some(name) = method {
-            // Resolve now so a typo is answered at open time with the
-            // registry's valid-set error, not at fit time.
-            MethodName::parse(name).map_err(bad)?;
-            engine = engine.with_method(name);
+        // `refit` first, wherever it sat on the line: `refit-k` only
+        // adjusts the truncated strategy.
+        engine_params.sort_by_key(|&(k, _)| k != "refit");
+        for (k, v) in engine_params {
+            if !engine.set(k, v).map_err(bad)? {
+                return Err(bad(format!("unknown open parameter {k:?}")));
+            }
         }
-        if let Some(v) = refit {
-            engine = engine.with_refit_str(v).map_err(bad)?;
-        }
-        if let Some(k) = refit_k {
-            engine = engine.with_refit_k(k).map_err(bad)?;
-        }
-        if let Some(n) = refit_every {
-            engine = engine.with_refit_every(n).map_err(bad)?;
-        }
-        if let Some(n) = window {
-            engine = engine.with_window(n).map_err(bad)?;
-        }
-        if let Some(c) = confidence {
-            engine = engine.with_confidence(c).map_err(bad)?;
-        }
+        // Resolve now so a typo is answered at open time with the
+        // registry's valid-set error, not at fit time.
+        MethodName::parse(engine.method()).map_err(bad)?;
         Ok(SessionConfig {
             dim,
             engine,
@@ -531,15 +486,15 @@ impl Session {
                 }
                 window.push(row);
             }
-            let engine = StreamingEngine::resume(
-                backend,
-                window,
+            let cadence = Cadence::resume(
                 cp.refit_every,
                 cp.arrivals_total,
                 cp.arrivals_since_fit,
                 cp.refits,
-            )
-            .map_err(|e| ServeError::new(ErrorCode::Checkpoint, format!("resuming engine: {e}")))?;
+            );
+            let engine = StreamingEngine::resume(backend, window, cadence).map_err(|e| {
+                ServeError::new(ErrorCode::Checkpoint, format!("resuming engine: {e}"))
+            })?;
             Phase::Streaming {
                 engine: Box::new(engine),
             }
