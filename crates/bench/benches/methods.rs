@@ -4,7 +4,7 @@
 //! `methods/ingest_m121_*` replay two days of arrivals (288 bins, one
 //! `process_batch` per 36-bin poll cycle) against a one-week window
 //! (1008 × 121) with a refit every 72 arrivals — four refits per
-//! iteration, so each method's model upkeep (Jacobi refit, per-link
+//! iteration, so each method's model upkeep (eigen-solve refit, per-link
 //! grid search, Holt–Winters replay, pyramid rebuild) is part of its
 //! number. The committed reference baseline is
 //! `scripts/bench-baseline-methods.jsonl`.

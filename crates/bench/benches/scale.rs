@@ -1,13 +1,14 @@
 //! Benchmarks of the large-topology refit path: the numbers behind the
-//! truncated-eigensolver trade-off (ISSUE 5's acceptance gate is the
-//! truncated refit ≥ 5× faster than the full Jacobi refit at
-//! `m = 1024`).
+//! truncated-eigensolver trade-off (the truncated refit against the
+//! dense one at `m = 1024`; DESIGN.md states the gate).
 //!
 //! `scale/refit_m{512,1024}_{jacobi,truncated}` rebuild a
 //! [`SubspaceModel`](netanom_core::SubspaceModel) from the same
 //! sufficient statistics (`IncrementalCovariance` over a synthetic
 //! diurnal window): the `jacobi` ids run the full `m × m` eigensolve
-//! (`to_model`, the [`RefitStrategy::Incremental`] route), the
+//! (`to_model`, the [`RefitStrategy::Incremental`] route — tridiagonal
+//! QL since the cyclic Jacobi solver they were named for retired; the
+//! ids stay so the baseline file keeps one series per route), the
 //! `truncated` ids the blocked top-k subspace iteration plus the
 //! exact-moment threshold traces (`to_model_truncated`, the
 //! [`RefitStrategy::Truncated`] route).
@@ -45,8 +46,8 @@ fn stats(m: usize) -> IncrementalCovariance {
 
 fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
-    // Each jacobi iteration is seconds of wall clock at these sizes;
-    // keep the sample counts minimal.
+    // A dense iteration nears a second of wall clock at m = 1024; keep
+    // the sample counts minimal.
     group.sample_size(2);
     for m in [512usize, 1024] {
         let acc = stats(m);

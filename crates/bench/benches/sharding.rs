@@ -6,7 +6,7 @@
 //! (1008 × 121) with incremental statistics maintained and no refits —
 //! isolating the per-arrival cost the shards split: the `O(m²)`
 //! sufficient-statistic upkeep plus the `O(m·r)` SPE work.
-//! `shard/refit_m121_k4` isolates one merge + Jacobi refit + broadcast
+//! `shard/refit_m121_k4` isolates one merge + dense refit + broadcast
 //! cycle, the coordination overhead the global view costs.
 //!
 //! Interpreting the committed baseline

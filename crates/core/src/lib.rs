@@ -23,7 +23,7 @@
 //! a frozen model in `O(m·r)` (Section 7.1) from a flat ring-buffer
 //! window, refitting periodically either with a full fit or from the
 //! [`incremental`] sufficient statistics (`O(m²)` per arrival plus one
-//! Jacobi eigen-solve per refit, independent of the window length);
+//! dense symmetric eigen-solve per refit, independent of the window length);
 //! [`MultiwayEngine`] runs several measurement kinds (bytes, packets,
 //! entropy) in lockstep. The detection method itself is a pluggable
 //! backend ([`method`]): every engine is generic over a

@@ -17,7 +17,8 @@ pub enum PcaMethod {
     /// One-sided Jacobi SVD of the centered data matrix.
     #[default]
     Svd,
-    /// Jacobi eigendecomposition of the sample covariance `YᵀY/(t−1)`.
+    /// Symmetric eigendecomposition (tridiagonal QL) of the sample
+    /// covariance `YᵀY/(t−1)`.
     Covariance,
 }
 

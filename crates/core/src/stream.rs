@@ -17,7 +17,7 @@
 //!   sufficient statistics
 //!   ([`IncrementalCovariance`](crate::incremental::IncrementalCovariance))
 //!   are maintained at `O(m²)` per arrival and a refit is one `m × m`
-//!   Jacobi eigen-solve, independent of the window length — versus the
+//!   symmetric eigen-solve, independent of the window length — versus the
 //!   full-window SVD of [`RefitStrategy::FullSvd`];
 //! * backlogs and micro-batched collection go through
 //!   [`StreamingEngine::process_batch`], which rides the backend's
@@ -62,7 +62,7 @@ pub enum RefitStrategy {
     #[default]
     FullSvd,
     /// Maintain sufficient statistics (`n`, `Σy`, `Σyyᵀ`) incrementally
-    /// at `O(m²)` per arrival and refit with one `m × m` Jacobi
+    /// at `O(m²)` per arrival and refit with one `m × m` symmetric
     /// eigen-solve — independent of the window length.
     ///
     /// The 3σ separation rule needs temporal projections that sufficient
@@ -83,7 +83,7 @@ pub enum RefitStrategy {
     /// for the top `k` eigenpairs of the covariance — blocked subspace
     /// iteration with deflation
     /// ([`TruncatedEigen`](netanom_linalg::decomposition::TruncatedEigen)),
-    /// `O(m²·k)` per sweep instead of full-Jacobi `O(m³)` — which is
+    /// `O(m²·k)` per sweep instead of the dense solve's `O(m³)` — which is
     /// what makes refits affordable on thousand-link topologies.
     ///
     /// The Q-statistic threshold stays **exact**: the residual moments

@@ -9,8 +9,12 @@
 
 use netanom_core::incremental::{CovarianceShard, IncrementalCovariance};
 use netanom_core::stream::RingWindow;
+use netanom_core::{CoreError, PcaMethod, SeparationPolicy, SubspaceModel};
 use netanom_linalg::{vector, Matrix};
 use proptest::prelude::*;
+
+#[path = "../../linalg/tests/support/jacobi.rs"]
+mod jacobi;
 
 /// Strategy: a `rows × cols` matrix with entries in [-50, 50].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -183,8 +187,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The truncated refit route must reproduce the dense (full-Jacobi)
-    /// refit from the same statistics: matching top eigenvalues and a
+    /// The truncated refit route must reproduce the dense refit from the same statistics: matching top eigenvalues and a
     /// matching Q-statistic threshold — the moments route is exact, not
     /// an approximation — on arbitrary window matrices.
     #[test]
@@ -222,6 +225,96 @@ proptest! {
                     "threshold differs: {} vs {}", qa.delta_sq, qb.delta_sq
                 );
             }
+        }
+    }
+}
+
+/// The model a refit should produce, computed without the incremental
+/// statistics or the tridiagonal solver: the two-pass `Pca::fit(.., Svd)`
+/// route where it applies, and — `Pca::fit` refuses `t < m` — the Jacobi
+/// oracle on the file's `two_pass_covariance` otherwise, with `r` the
+/// smallest count whose eigenvalues reach `fraction` of the total.
+fn reference_model(y: &Matrix, fraction: f64) -> netanom_core::Result<SubspaceModel> {
+    if y.rows() >= y.cols() {
+        let policy = SeparationPolicy::VarianceFraction(fraction);
+        return SubspaceModel::fit(y, policy, PcaMethod::Svd);
+    }
+    let (values, vectors) = jacobi::jacobi_eigen(&two_pass_covariance(y));
+    let values: Vec<f64> = values.into_iter().map(|l| l.max(0.0)).collect();
+    let target = fraction * values.iter().sum::<f64>();
+    let mut acc = 0.0;
+    let r = values
+        .iter()
+        .position(|l| {
+            acc += l;
+            acc >= target
+        })
+        .map_or(values.len(), |i| i + 1);
+    let (_, mean) = y.mean_centered_columns();
+    SubspaceModel::from_eigen(mean, &vectors, values, r)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `to_model` against [`reference_model`] on the windows that make a
+    /// covariance hard to decompose: a constant link (a zero row and
+    /// column), a duplicated link (an exact zero eigenvalue), fewer rows
+    /// than links (rank `t − 1 < m`), and a rank-two signal over noise
+    /// `10^-decade` of its size, so the residual moments run from
+    /// ordinary down to nothing. Either route may find the residual
+    /// empty and say so with `DegenerateResidual`; otherwise the two must
+    /// agree on `r`, on the threshold to 1e-9 relative — plus the
+    /// `1e-13·λ₁` below which no route through a covariance resolves an
+    /// eigenvalue — and, where `λ_r` is set apart from `λ_{r+1}`, on the
+    /// normal projector `PPᵀ` to 1e-8.
+    #[test]
+    fn to_model_matches_two_pass_reference_on_hard_windows(
+        pool in matrix(40, 8),
+        t in 12usize..=40,
+        m in 3usize..=8,
+        kind in 0usize..4,
+        decade in 0u32..10,
+        fraction in 0.5..0.95f64,
+    ) {
+        let y = match kind {
+            0 => Matrix::from_fn(t, m, |i, j| if j == 1 { 7.5 } else { pool[(i, j)] }),
+            1 => Matrix::from_fn(t, m, |i, j| pool[(i, if j == 2 { 0 } else { j })]),
+            2 => Matrix::from_fn(2 + t % (m - 2), m, |i, j| pool[(i, j)]),
+            _ => Matrix::from_fn(t, m, |i, j| {
+                pool[(i, 0)] * pool[(0, j)]
+                    + pool[(i, 1)] * pool[(1, j)]
+                    + 0.1f64.powi(decade as i32) * pool[(i, j)]
+            }),
+        };
+        let policy = SeparationPolicy::VarianceFraction(fraction);
+        let refit = IncrementalCovariance::from_matrix(&y).to_model(policy);
+        match (refit, reference_model(&y, fraction)) {
+            (Err(CoreError::DegenerateResidual { .. }), _)
+            | (_, Err(CoreError::DegenerateResidual { .. })) => {}
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(got.normal_dim(), want.normal_dim());
+                let lambda1 = want.eigenvalues()[0];
+                match (got.q_threshold(0.999), want.q_threshold(0.999)) {
+                    (Err(CoreError::DegenerateResidual { .. }), _)
+                    | (_, Err(CoreError::DegenerateResidual { .. })) => {}
+                    (Ok(a), Ok(b)) => prop_assert!(
+                        (a.delta_sq - b.delta_sq).abs() <= 1e-9 * b.delta_sq + 1e-13 * lambda1,
+                        "threshold {} vs reference {}", a.delta_sq, b.delta_sq
+                    ),
+                    other => panic!("untyped threshold failure: {other:?}"),
+                }
+                let r = want.normal_dim();
+                if r > 0 && want.eigenvalues()[r - 1] - want.eigenvalues()[r] > 1e-6 * lambda1 {
+                    let projector = |model: &SubspaceModel| {
+                        let p = model.normal_basis();
+                        p.matmul_nt(p).unwrap()
+                    };
+                    let diff = projector(&got).sub(&projector(&want)).unwrap().max_abs();
+                    prop_assert!(diff <= 1e-8, "normal projectors differ by {diff:e}");
+                }
+            }
+            other => panic!("untyped refit failure: {other:?}"),
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Robustness: degenerate and adversarial inputs through the pipeline.
 
+use netanom_core::incremental::IncrementalCovariance;
 use netanom_core::{
     CoreError, Diagnoser, DiagnoserConfig, PcaMethod, SeparationPolicy, SubspaceModel,
 };
-use netanom_linalg::{vector, Matrix};
+use netanom_linalg::{vector, LinalgError, Matrix};
 use netanom_topology::builtin;
 
 fn measurements(t: usize, m: usize) -> Matrix {
@@ -41,6 +42,37 @@ fn nan_measurement_is_rejected_not_swallowed() {
         diagnoser.diagnose_vector(&y2),
         Err(CoreError::NonFiniteMeasurement { link: 0 })
     ));
+}
+
+/// A checkpoint is outside input: NAIC bytes carrying a NaN cross-product
+/// decode (every `f64` bit pattern is preserved), and the refit must then
+/// refuse with the solver's typed error. Installing the model instead
+/// would install a NaN threshold, and `spe > NaN` never alarms.
+#[test]
+fn nan_in_decoded_statistics_refuses_the_refit() {
+    let m = 9;
+    let stats = IncrementalCovariance::from_matrix(&measurements(200, m));
+    let policy = SeparationPolicy::FixedCount(2);
+    stats.to_model(policy).unwrap();
+    stats.to_model_truncated(policy, 4, 1e-10).unwrap();
+
+    // Header (8), dim and count (16), m sums, then the m × m upper
+    // triangle row-major: poison Σ y₀y₁.
+    let mut bytes = stats.to_bytes();
+    let at = 8 + 16 + 8 * m + 8;
+    bytes[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+    let poisoned = IncrementalCovariance::from_bytes(&bytes).unwrap();
+    for refused in [
+        poisoned.to_model(policy),
+        poisoned.to_model_truncated(policy, 4, 1e-10),
+    ] {
+        match refused {
+            Err(CoreError::Linalg(LinalgError::DomainError { value, .. })) => {
+                assert!(value.is_nan())
+            }
+            other => panic!("expected a DomainError, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //!   ground truth and arrivals/sec per backend (experiment id
 //!   `methods`).
 //! * [`scale`] — the large-topology scenario: synthetic networks at
-//!   several link counts, streamed under full-Jacobi vs truncated
+//!   several link counts, streamed under dense vs truncated
 //!   refits — throughput, refit latency, and ground-truth detection
 //!   quality vs `m` (experiment id `scale`, JSONL report for CI).
 //!

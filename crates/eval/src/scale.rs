@@ -9,8 +9,8 @@
 //! detection quality is measured against known ground truth). Each size
 //! runs under both statistics-maintaining refit strategies:
 //!
-//! * [`RefitStrategy::Incremental`] — full `m × m` Jacobi eigensolve
-//!   per refit (`O(m³)` per sweep);
+//! * [`RefitStrategy::Incremental`] — the full `m × m` symmetric
+//!   eigensolve per refit (`O(m³)`);
 //! * [`RefitStrategy::Truncated`] — top-k blocked subspace iteration
 //!   (`O(m²k)` per sweep) with the exact-moment threshold.
 //!
@@ -129,7 +129,7 @@ pub fn strategy_label(s: RefitStrategy) -> &'static str {
 }
 
 /// Run the scenario: one synthetic workload per size, streamed under
-/// the incremental (full Jacobi refit) and truncated strategies.
+/// the incremental (dense refit) and truncated strategies.
 pub fn run_scenario(cfg: &ScenarioConfig) -> Result<Vec<ScaleMeasurement>, CoreError> {
     if cfg.stream_bins < cfg.anomaly_every + cfg.anomaly_len {
         return Err(CoreError::TooFewSamples {
@@ -316,7 +316,7 @@ pub fn experiment(_lab: &Lab, out_dir: &Path) -> ExperimentOutput {
     let rendered = format!(
         "Streaming diagnosis on synthetic networks (gravity traffic,\n\
          staged ground-truth anomalies): throughput and refit latency vs\n\
-         link count, full-Jacobi (incremental) vs truncated top-{} refits.\n\n{}",
+         link count, dense (incremental) vs truncated top-{} refits.\n\n{}",
         cfg.truncated_k,
         report::ascii_table(&headers, &rows)
     );

@@ -1,22 +1,13 @@
-//! Cyclic Jacobi eigendecomposition for symmetric matrices.
+//! [`SymmetricEigen`]: the dense symmetric eigendecomposition every
+//! refit runs through.
+//!
+//! This module is the type and its input contract; the algorithm is in
+//! [`super::tridiagonal`]. (The file is named for the cyclic Jacobi
+//! solver it held first, which survives as the test oracle in
+//! `tests/support/jacobi.rs`.)
 
-use crate::{vector, LinalgError, Matrix, Result};
-
-/// Maximum number of full Jacobi sweeps before declaring non-convergence.
-///
-/// Cyclic Jacobi's off-diagonal norm shrinks linearly for the first few
-/// sweeps and quadratically once rotations stop interfering, so the
-/// sweep count grows roughly logarithmically in `n`, not linearly.
-/// Measured on this implementation (hashed dense symmetric and
-/// covariance-shaped inputs): `n = 64` converges in 8 sweeps,
-/// `n = 128` in 9, `n = 256` in 9–10, `n = 512` in 10. Extrapolating
-/// the ≈ +1 sweep per doubling puts `n = 2048` — the largest size the
-/// workspace reaches today, via the truncated solver's dense fallback
-/// on synthetic thousand-link topologies — at ≈ 12 sweeps. A budget
-/// of 64 is therefore ~5× headroom over every constructible input;
-/// exhausting it indicates NaN/Inf contamination (finite symmetric
-/// input always converges), not an undersized budget.
-const MAX_SWEEPS: usize = 64;
+use super::tridiagonal;
+use crate::{LinalgError, Matrix, Result};
 
 /// Relative tolerance on the asymmetry check in [`SymmetricEigen::new`].
 const SYMMETRY_RTOL: f64 = 1e-8;
@@ -30,11 +21,16 @@ const SYMMETRY_RTOL: f64 = 1e-8;
 ///
 /// # Algorithm
 ///
-/// Classic cyclic Jacobi: sweep over all off-diagonal pairs `(p, q)`,
-/// annihilating each with a Givens rotation chosen by the stable
-/// `t = sign(θ)/(|θ| + √(θ² + 1))` formula (Golub & Van Loan §8.5). The
-/// accumulated rotations form `V`. Each sweep is `O(n³)` and the iteration
-/// converges quadratically, so the total cost is a small multiple of `n³`.
+/// Householder reflections reduce `A` to a tridiagonal `T = QᵀAQ`
+/// (`4n³/3` flops), the implicit-shift QL iteration diagonalizes `T` in
+/// under two iterations per eigenvalue on average, and its plane
+/// rotations are applied to `Q` as they are generated (`≈ 3n³` flops) —
+/// Golub & Van Loan §8.3, EISPACK `tred2`/`tql2`. The solve is
+/// backward stable: eigenvalues are accurate to a few ulps of `‖A‖`,
+/// eigenvectors orthonormal to the same order however the spectrum
+/// clusters. It is serial and uses no dispatched kernel, so the result
+/// is a pure function of the input bits — the same on every thread
+/// count and kernel tier.
 ///
 /// # Example
 ///
@@ -54,144 +50,77 @@ pub struct SymmetricEigen {
     pub eigenvectors: Matrix,
 }
 
+/// The input contract shared by [`SymmetricEigen::new`] and
+/// [`super::TruncatedEigen::top_k`]: every entry finite
+/// ([`LinalgError::DomainError`] carrying the first that is not) and the
+/// asymmetry within a small relative tolerance
+/// ([`LinalgError::NotSymmetric`] at the worst pair). A NaN or an
+/// infinity would otherwise slip through every comparison below it and
+/// come back as an `Ok` spectrum.
+pub(super) fn ensure_finite_symmetric(a: &Matrix, op: &'static str) -> Result<()> {
+    if let Some(&value) = a.as_slice().iter().find(|v| !v.is_finite()) {
+        return Err(LinalgError::DomainError { op, value });
+    }
+    let mut worst = (0usize, 0usize, 0.0f64);
+    for i in 0..a.rows() {
+        for j in (i + 1)..a.cols() {
+            let d = (a[(i, j)] - a[(j, i)]).abs();
+            if d > worst.2 {
+                worst = (i, j, d);
+            }
+        }
+    }
+    if worst.2 > SYMMETRY_RTOL * a.max_abs().max(1.0) {
+        return Err(LinalgError::NotSymmetric {
+            at: (worst.0, worst.1),
+        });
+    }
+    Ok(())
+}
+
 impl SymmetricEigen {
     /// Decompose a symmetric matrix.
     ///
-    /// Returns [`LinalgError::NotSymmetric`] if the input's asymmetry
-    /// exceeds a small relative tolerance, [`LinalgError::Empty`] for a
-    /// `0 × 0` input, and [`LinalgError::NonConvergence`] if the sweep
-    /// budget is exhausted (which indicates NaN/Inf contamination — finite
-    /// symmetric input always converges).
+    /// Returns [`LinalgError::Empty`] for a `0 × 0` input,
+    /// [`LinalgError::DimensionMismatch`] for a non-square one,
+    /// [`LinalgError::DomainError`] if an entry is NaN or infinite (or
+    /// so large that the solve overflows), [`LinalgError::NotSymmetric`]
+    /// if the asymmetry exceeds a small relative tolerance, and
+    /// [`LinalgError::NonConvergence`] if the QL iteration spends its
+    /// per-eigenvalue budget.
     pub fn new(a: &Matrix) -> Result<Self> {
+        const OP: &str = "symmetric eigendecomposition";
         if a.is_empty() {
-            return Err(LinalgError::Empty {
-                op: "symmetric eigendecomposition",
-            });
+            return Err(LinalgError::Empty { op: OP });
         }
         if !a.is_square() {
             return Err(LinalgError::DimensionMismatch {
-                op: "symmetric eigendecomposition",
+                op: OP,
                 lhs: a.shape(),
                 rhs: (a.cols(), a.rows()),
             });
         }
-        let scale = a.max_abs().max(1.0);
-        if let Some(asym) = a.asymmetry() {
-            if asym > SYMMETRY_RTOL * scale {
-                // Locate the worst offender for the error message.
-                let mut worst = (0usize, 0usize, 0.0f64);
-                for i in 0..a.rows() {
-                    for j in (i + 1)..a.cols() {
-                        let d = (a[(i, j)] - a[(j, i)]).abs();
-                        if d > worst.2 {
-                            worst = (i, j, d);
-                        }
-                    }
-                }
-                return Err(LinalgError::NotSymmetric {
-                    at: (worst.0, worst.1),
-                });
-            }
-        }
+        ensure_finite_symmetric(a, OP)?;
 
         let n = a.rows();
         // Work on a symmetrized copy so tiny asymmetries cannot bias the
-        // rotations.
+        // reduction.
         let mut m = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-        // The accumulated rotations are stored *transposed* (`vt[k]` is
-        // the k-th eigenvector candidate as a row): the per-rotation
-        // update then touches two contiguous rows instead of two
-        // strided columns, which lets `vector::rotate_pair`
-        // autovectorize it. Pure storage change — each element sees
-        // exactly the arithmetic the column-major accumulation
-        // performed, and the final extraction transposes back.
-        let mut vt = Matrix::identity(n);
-
-        let off = |m: &Matrix| -> f64 {
-            let mut s = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    s += m[(i, j)] * m[(i, j)];
-                }
-            }
-            s.sqrt()
-        };
-
-        let frob = m.frobenius_norm().max(f64::MIN_POSITIVE);
-        let tol = 1e-14 * frob;
-
-        let mut converged = false;
-        let mut sweeps = 0;
-        while sweeps < MAX_SWEEPS {
-            if off(&m) <= tol {
-                converged = true;
-                break;
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = m[(p, q)];
-                    if apq.abs() <= tol / (n as f64) {
-                        continue;
-                    }
-                    let app = m[(p, p)];
-                    let aqq = m[(q, q)];
-                    let theta = (aqq - app) / (2.0 * apq);
-                    // Stable tangent of the rotation angle.
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-
-                    // Apply the rotation to columns p and q of m: walk
-                    // each row once and update its (p, q) element pair.
-                    // The same update order (ascending k, columns before
-                    // rows) and the same scalar expressions as the
-                    // textbook loop — the column pass must stay scalar
-                    // and strided because consecutive k touch
-                    // row-distant elements, and reordering it against
-                    // the row pass would change results bitwise.
-                    for k in 0..n {
-                        let row = m.row_mut(k);
-                        let (mkp, mkq) = (row[p], row[q]);
-                        row[p] = c * mkp - s * mkq;
-                        row[q] = s * mkp + c * mkq;
-                    }
-                    // Rows p and q are contiguous: rotate the pair with
-                    // the autovectorized kernel. Per element this is
-                    // exactly the scalar `(c·mpk − s·mqk, s·mpk + c·mqk)`
-                    // update — vectorization is across independent
-                    // elements, so the pass is bitwise the scalar loop.
-                    let (rp, rq) = m.row_pair_mut(p, q);
-                    vector::rotate_pair(c, s, rp, rq);
-                    // Accumulate into the transposed eigenvector matrix:
-                    // another contiguous row pair.
-                    let (vp, vq) = vt.row_pair_mut(p, q);
-                    vector::rotate_pair(c, s, vp, vq);
-                }
-            }
-            sweeps += 1;
-        }
-        if !converged && off(&m) > tol {
-            return Err(LinalgError::NonConvergence {
-                algorithm: "cyclic Jacobi",
-                iterations: sweeps,
-            });
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        let mut zt = tridiagonal::tridiagonalize(&mut m, &mut d, &mut e);
+        tridiagonal::implicit_ql(&mut d, &mut e, &mut zt)?;
+        if let Some(&value) = d.iter().find(|l| !l.is_finite()) {
+            return Err(LinalgError::DomainError { op: OP, value });
         }
 
         // Sort by decreasing eigenvalue.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| {
-            m[(j, j)]
-                .partial_cmp(&m[(i, i)])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
+        order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+        let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
         // Transpose back while applying the sort order: column k of the
         // result is row order[k] of the transposed accumulator.
-        let eigenvectors = Matrix::from_fn(n, n, |i, k| vt[(order[k], i)]);
+        let eigenvectors = Matrix::from_fn(n, n, |i, k| zt[(order[k], i)]);
 
         Ok(SymmetricEigen {
             eigenvalues,
@@ -199,8 +128,8 @@ impl SymmetricEigen {
         })
     }
 
-    /// Decompose a covariance matrix for a model refit: run the Jacobi
-    /// sweep and clamp eigenvalues that cancellation drove slightly
+    /// Decompose a covariance matrix for a model refit: solve, then clamp
+    /// eigenvalues that cancellation drove slightly
     /// negative back to zero.
     ///
     /// This is the refit entry point for streaming model maintenance:
@@ -317,6 +246,38 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_entries() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = Matrix::identity(121);
+            a[(3, 70)] = bad;
+            a[(70, 3)] = bad;
+            match SymmetricEigen::new(&a) {
+                Err(LinalgError::DomainError { value, .. }) => {
+                    assert!(value == bad || (value.is_nan() && bad.is_nan()))
+                }
+                other => panic!("{bad} accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_entries_are_an_error_not_a_nan_spectrum() {
+        // Finite input the arithmetic cannot hold: the symmetrized copy
+        // of the first is already infinite on its diagonal, the second
+        // overflows inside the reduction.
+        let diagonal = Matrix::from_diag(&[f64::MAX, 1.0]);
+        assert!(matches!(
+            SymmetricEigen::new(&diagonal),
+            Err(LinalgError::DomainError { .. })
+        ));
+        let dense = Matrix::from_fn(6, 6, |i, j| f64::MAX / (1 + i + j) as f64);
+        assert!(matches!(
+            SymmetricEigen::new(&dense),
+            Err(LinalgError::NonConvergence { .. })
+        ));
+    }
+
+    #[test]
     fn one_by_one() {
         let e = SymmetricEigen::new(&Matrix::from_rows(&[vec![-4.0]])).unwrap();
         assert_eq!(e.eigenvalues, vec![-4.0]);
@@ -340,115 +301,6 @@ mod tests {
         let e = SymmetricEigen::new(&a).unwrap();
         assert_eq!(e.eigenvalues, vec![3.0, 3.0, 3.0]);
         assert!(e.eigenvectors.gram().approx_eq(&Matrix::identity(3), 1e-12));
-    }
-
-    /// Transcription of the rotation-application loops as they existed
-    /// before the row-pair restructure: strided column updates, a
-    /// second strided pass for rows p and q, and a column-major
-    /// eigenvector accumulator extracted with `select_columns`. The
-    /// production path must match this bitwise — the restructure is a
-    /// memory-layout change only.
-    fn eigen_reference_scalar(a: &Matrix) -> (Vec<f64>, Matrix) {
-        let n = a.rows();
-        let mut m = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-        let mut v = Matrix::identity(n);
-        let off = |m: &Matrix| -> f64 {
-            let mut s = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    s += m[(i, j)] * m[(i, j)];
-                }
-            }
-            s.sqrt()
-        };
-        let frob = m.frobenius_norm().max(f64::MIN_POSITIVE);
-        let tol = 1e-14 * frob;
-        let mut sweeps = 0;
-        while sweeps < MAX_SWEEPS {
-            if off(&m) <= tol {
-                break;
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = m[(p, q)];
-                    if apq.abs() <= tol / (n as f64) {
-                        continue;
-                    }
-                    let app = m[(p, p)];
-                    let aqq = m[(q, q)];
-                    let theta = (aqq - app) / (2.0 * apq);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    for k in 0..n {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(k, q)] = s * mkp + c * mkq;
-                    }
-                    for k in 0..n {
-                        let mpk = m[(p, k)];
-                        let mqk = m[(q, k)];
-                        m[(p, k)] = c * mpk - s * mqk;
-                        m[(q, k)] = s * mpk + c * mqk;
-                    }
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-            sweeps += 1;
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| {
-            m[(j, j)]
-                .partial_cmp(&m[(i, i)])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
-        (eigenvalues, v.select_columns(&order))
-    }
-
-    #[test]
-    fn restructured_sweep_is_bitwise_original() {
-        // Hashed pseudo-random symmetric matrices of several sizes,
-        // including ones large enough for many sweeps and rotation
-        // skips to fire.
-        for (n, seed) in [(3usize, 1u64), (8, 2), (17, 3), (33, 4)] {
-            let a = Matrix::from_fn(n, n, |i, j| {
-                let (lo, hi) = (i.min(j) as u64, i.max(j) as u64);
-                let mut h = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(lo.wrapping_mul(0x2545_f491_4f6c_dd1d))
-                    .wrapping_add(hi.wrapping_mul(0x27d4_eb2f_1656_67c5));
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-                h ^= h >> 33;
-                (h % 2000) as f64 / 100.0 - 10.0
-            });
-            let e = SymmetricEigen::new(&a).unwrap();
-            let (ref_vals, ref_vecs) = eigen_reference_scalar(&a);
-            assert_eq!(e.eigenvalues.len(), ref_vals.len());
-            for (got, want) in e.eigenvalues.iter().zip(&ref_vals) {
-                assert_eq!(got.to_bits(), want.to_bits(), "eigenvalue drift at n={n}");
-            }
-            for i in 0..n {
-                for k in 0..n {
-                    assert_eq!(
-                        e.eigenvectors[(i, k)].to_bits(),
-                        ref_vecs[(i, k)].to_bits(),
-                        "eigenvector drift at n={n}, ({i},{k})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Matrix decompositions.
 //!
-//! Four decompositions cover everything the subspace method and its
+//! Five decompositions cover everything the subspace method and its
 //! baselines need:
 //!
-//! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition of a symmetric
-//!   matrix. The paper computes principal components by "solving the
+//! * [`SymmetricEigen`] — eigendecomposition of a symmetric matrix by
+//!   Householder tridiagonalisation and the implicit-shift QL iteration. The paper computes principal components by "solving the
 //!   symmetric eigenvalue problem for the covariance matrix"; this is that
 //!   solver.
 //! * [`Svd`] — thin singular value decomposition via one-sided Jacobi
@@ -16,13 +16,14 @@
 //!   extension (Section 7.2) for its small normal-equation solves.
 //! * [`TruncatedEigen`] — the top-k eigenpairs only, by blocked subspace
 //!   iteration with deflation: the `O(m²k)`-per-sweep refit route the
-//!   streaming engines use at large link counts, where a full Jacobi
+//!   streaming engines use at large link counts, where a full dense
 //!   solve is wasteful (the subspace method keeps `k ≈ 4` axes of `m`).
 
 mod cholesky;
 mod jacobi;
 mod qr;
 mod svd;
+mod tridiagonal;
 mod truncated;
 
 pub use cholesky::Cholesky;

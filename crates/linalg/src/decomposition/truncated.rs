@@ -2,15 +2,15 @@
 //! blocked subspace iteration with deflation.
 //!
 //! The subspace method only ever consumes the leading `k ≈ 4` principal
-//! axes of the link-traffic covariance, yet a full Jacobi solve pays
-//! `O(m³)` *per sweep* for all `m` of them. [`TruncatedEigen`] computes
+//! axes of the link-traffic covariance, yet the dense solve pays
+//! `O(m³)` for all `m` of them. [`TruncatedEigen`] computes
 //! just the top of the spectrum:
 //!
 //! * **Blocked subspace iteration.** An `m × b` orthonormal block
 //!   (`b = k` plus oversampling) is repeatedly multiplied by `A` — one
 //!   GEMM, `O(m²·b)` per sweep — and re-orthonormalized.
 //! * **Rayleigh–Ritz extraction.** Each sweep diagonalizes the small
-//!   `b × b` projection `QᵀAQ` (a cheap Jacobi solve) and rotates the
+//!   `b × b` projection `QᵀAQ` (a cheap [`SymmetricEigen`] solve) and rotates the
 //!   block onto the Ritz vectors, so eigenvalue estimates converge
 //!   quadratically in the subspace angle.
 //! * **Rayleigh-quotient residual stopping rule.** A Ritz pair
@@ -31,6 +31,7 @@
 //! sweep budget bounds that case and surfaces it as
 //! [`LinalgError::NonConvergence`].
 
+use super::jacobi::ensure_finite_symmetric;
 use crate::decomposition::SymmetricEigen;
 use crate::{LinalgError, Matrix, Result};
 
@@ -38,10 +39,6 @@ use crate::{LinalgError, Matrix, Result};
 /// relative gap `λ_{b+1}/λ_k ≤ 0.9` converge in well under 300 sweeps
 /// at `tol = 1e-12`.
 const MAX_SWEEPS: usize = 600;
-
-/// Relative tolerance on the asymmetry check (matches
-/// [`SymmetricEigen`]).
-const SYMMETRY_RTOL: f64 = 1e-8;
 
 /// Effective floor on the convergence tolerance: residuals cannot be
 /// driven below the roundoff of the `A·Q` product.
@@ -85,15 +82,16 @@ impl TruncatedEigen {
     /// current largest Ritz value). Eigenvalue accuracy is at worst the
     /// residual and quadratically better across a spectral gap.
     ///
-    /// Falls back to the dense Jacobi solve when the oversampled block
-    /// would span (nearly) the whole space — tiny matrices or `k` close
-    /// to `m` — where iteration saves nothing.
+    /// Falls back to the dense [`SymmetricEigen`] solve when the
+    /// oversampled block would span (nearly) the whole space — tiny
+    /// matrices or `k` close to `m` — where iteration saves nothing.
     ///
     /// Errors: [`LinalgError::Empty`] / [`LinalgError::DimensionMismatch`]
     /// / [`LinalgError::NotSymmetric`] on malformed input (including
-    /// `k == 0`, `k > m`, or a non-finite/non-positive `tol`), and
+    /// `k == 0`, `k > m`, or a non-finite/non-positive `tol`),
+    /// [`LinalgError::DomainError`] on a NaN or infinite entry, and
     /// [`LinalgError::NonConvergence`] when the sweep budget is spent —
-    /// NaN contamination or a gap-free spectrum at the block boundary.
+    /// a gap-free spectrum at the block boundary.
     pub fn top_k(a: &Matrix, k: usize, tol: f64) -> Result<Self> {
         if a.is_empty() {
             return Err(LinalgError::Empty {
@@ -114,23 +112,7 @@ impl TruncatedEigen {
                 rhs: (k, k),
             });
         }
-        let scale = a.max_abs().max(1.0);
-        if let Some(asym) = a.asymmetry() {
-            if asym > SYMMETRY_RTOL * scale {
-                let mut worst = (0usize, 0usize, 0.0f64);
-                for i in 0..a.rows() {
-                    for j in (i + 1)..a.cols() {
-                        let d = (a[(i, j)] - a[(j, i)]).abs();
-                        if d > worst.2 {
-                            worst = (i, j, d);
-                        }
-                    }
-                }
-                return Err(LinalgError::NotSymmetric {
-                    at: (worst.0, worst.1),
-                });
-            }
-        }
+        ensure_finite_symmetric(a, "truncated eigendecomposition")?;
 
         let m = a.rows();
         let block = oversampled_block(k, m);
@@ -502,6 +484,17 @@ mod tests {
             TruncatedEigen::top_k(&asym, 2, 1e-10),
             Err(LinalgError::NotSymmetric { .. })
         ));
+        // Non-finite entries, on the dense-fallback and the iterative
+        // route alike.
+        for (m, bad) in [(8, f64::NAN), (121, f64::NAN), (121, f64::INFINITY)] {
+            let mut a = Matrix::identity(m);
+            a[(1, 5)] = bad;
+            a[(5, 1)] = bad;
+            assert!(matches!(
+                TruncatedEigen::top_k(&a, 2, 1e-10),
+                Err(LinalgError::DomainError { .. })
+            ));
+        }
     }
 
     #[test]

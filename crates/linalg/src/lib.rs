@@ -5,7 +5,7 @@
 //! most, and every decomposition the method needs (symmetric
 //! eigendecomposition of the covariance, thin SVD of the data matrix, least
 //! squares for the Fourier baseline) is comfortably in the regime where
-//! Jacobi-style algorithms are both simple and numerically excellent.
+//! the textbook dense algorithms are both simple and numerically excellent.
 //!
 //! This crate is dependency-free and provides:
 //!
@@ -19,7 +19,7 @@
 //!   contract).
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms,
 //!   elementwise arithmetic) so that callers can stay allocation-light.
-//! * [`decomposition`] — cyclic Jacobi symmetric eigendecomposition,
+//! * [`decomposition`] — tridiagonal-QL symmetric eigendecomposition,
 //!   one-sided Jacobi (Hestenes) SVD, Householder QR with least-squares
 //!   solving, and Cholesky factorization.
 //! * [`stats`] — descriptive statistics, histograms, and the standard normal

@@ -161,9 +161,10 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Borrow two distinct rows mutably at once — the unit the Jacobi
-    /// rotation updates operate on ([`crate::vector::rotate_pair`]
-    /// rotates the pair in place, walking both rows contiguously).
+    /// Borrow two distinct rows mutably at once — the unit a plane
+    /// rotation of the symmetric eigen-solver operates on
+    /// ([`crate::vector::rotate_pair`] rotates the pair in place, walking
+    /// both rows contiguously).
     ///
     /// # Panics
     /// Panics unless `i < j < rows`.

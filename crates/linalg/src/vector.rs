@@ -76,10 +76,11 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 ///
 /// Each lane is independent — the loop autovectorizes across `i` with
 /// no reassociation, so every element computes exactly the scalar
-/// mul-then-sub/add expressions written here. This is the contiguous
-/// row-pair form of the Jacobi rotation update: applying it to two
-/// matrix *rows* touches memory sequentially, where the textbook
-/// column-pair update would stride by the row width.
+/// mul-then-sub/add expressions written here. The symmetric eigen-solver
+/// keeps its eigenvector accumulator transposed so that each QL rotation
+/// is this call on two adjacent matrix *rows*, touching memory
+/// sequentially where the textbook column-pair update would stride by
+/// the row width.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.

@@ -9,6 +9,9 @@ use netanom_linalg::decomposition::{
 use netanom_linalg::{stats, vector, Matrix};
 use proptest::prelude::*;
 
+#[path = "support/jacobi.rs"]
+mod jacobi;
+
 /// Strategy: matrix with given shape and entries in [-10, 10].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0..10.0f64, rows * cols)
@@ -334,4 +337,233 @@ proptest! {
         prop_assert!((t2 - s2).abs() <= 1e-9 * s2.abs().max(1.0));
         prop_assert!((t3 - s3).abs() <= 1e-8 * s3.abs().max(1.0));
     }
+}
+
+// ---------------------------------------------------------------------
+// `SymmetricEigen` (Householder tridiagonalisation + implicit QL) against
+// the cyclic-Jacobi oracle in `support/jacobi.rs`.
+// ---------------------------------------------------------------------
+
+/// Hold `SymmetricEigen::new(a)` to its accuracy contract, with the
+/// oracle's spectrum as the reference and `λ₁` the spectral radius:
+/// descending order; trace preserved; every eigenvalue within
+/// `1e-10·λ₁` of the oracle's; `max |AV − VΛ| ≤ 1e-10·λ₁`;
+/// `max |VᵀV − I| ≤ 1e-10`; and for every run of eigenvalues set apart
+/// from its neighbours by more than `1e-6·λ₁`, the same spanned
+/// projector `PPᵀ` as the oracle's — single vectors are sign-ambiguous,
+/// and arbitrary inside a cluster, so they are not compared. The
+/// projector tolerance is the Davis–Kahan bound for two solves that are
+/// each backward stable to `4·n·ε·λ₁`: that error over the gap (observed
+/// differences stay under a fifth of it).
+fn assert_matches_oracle(a: &Matrix) {
+    let n = a.rows();
+    let eig = SymmetricEigen::new(a).unwrap();
+    let (want, want_vecs) = jacobi::jacobi_eigen(a);
+    let radius = want[0].abs().max(want[n - 1].abs());
+    let tol = 1e-10 * radius;
+
+    assert_eq!(eig.eigenvalues.len(), n);
+    assert_eq!(eig.eigenvectors.shape(), (n, n));
+    for w in eig.eigenvalues.windows(2) {
+        assert!(w[0] >= w[1], "not descending: {} then {}", w[0], w[1]);
+    }
+    let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
+    let sum: f64 = eig.eigenvalues.iter().sum();
+    assert!((sum - trace).abs() <= tol, "trace {trace} vs Σλ {sum}");
+    for (k, (got, want)) in eig.eigenvalues.iter().zip(&want).enumerate() {
+        assert!((got - want).abs() <= tol, "λ[{k}]: {got} vs oracle {want}");
+    }
+
+    let v = &eig.eigenvectors;
+    let av = a.matmul(v).unwrap();
+    let vl = v.matmul(&Matrix::from_diag(&eig.eigenvalues)).unwrap();
+    let residual = av.sub(&vl).unwrap().max_abs();
+    assert!(
+        residual <= tol,
+        "max|AV − VΛ| = {residual:e}, λ₁ = {radius:e}"
+    );
+    let orth = v.gram().sub(&Matrix::identity(n)).unwrap().max_abs();
+    assert!(orth <= 1e-10, "max|VᵀV − I| = {orth:e}");
+
+    // Runs of oracle eigenvalues with no internal gap above 1e-6·λ₁.
+    let gap_after = |k: usize| want[k] - want[k + 1];
+    let mut start = 0;
+    for end in 1..=n {
+        if end < n && gap_after(end - 1) <= 1e-6 * radius {
+            continue;
+        }
+        let mut gap = f64::INFINITY;
+        if start > 0 {
+            gap = gap.min(gap_after(start - 1));
+        }
+        if end < n {
+            gap = gap.min(gap_after(end - 1));
+        }
+        if gap.is_finite() {
+            let run: Vec<usize> = (start..end).collect();
+            let projector = |vecs: &Matrix| {
+                let p = vecs.select_columns(&run);
+                p.matmul_nt(&p).unwrap()
+            };
+            let diff = projector(v).sub(&projector(&want_vecs)).unwrap().max_abs();
+            let bound = 8.0 * n as f64 * f64::EPSILON * radius / gap;
+            assert!(
+                diff <= bound,
+                "projector of λ[{start}..{end}] differs by {diff:e} (gap {gap:e}, bound {bound:e})"
+            );
+        }
+        start = end;
+    }
+}
+
+/// Hashed `t × n` data whose columns differ in mean and scale, like link
+/// byte counts; `dup` maps a column to the one it copies, `None` to a
+/// constant (a link that never varies).
+fn link_data(t: usize, n: usize, seed: u64, dup: impl Fn(usize) -> Option<usize>) -> Matrix {
+    Matrix::from_fn(t, n, |i, j| match dup(j) {
+        None => 7.0,
+        Some(j) => {
+            let scale = 10f64.powi((j % 4) as i32);
+            scale * (3.0 + hash_unit(seed as usize * 7919 + i * n + j))
+        }
+    })
+}
+
+/// Sample covariance of the rows of `data`.
+fn covariance(data: &Matrix) -> Matrix {
+    let (centered, _) = data.mean_centered_columns();
+    centered
+        .gram()
+        .scaled(1.0 / (data.rows() as f64 - 1.0).max(1.0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn eigen_matches_oracle_on_dense_symmetric(n in 1usize..=64, seed in 0u64..1000) {
+        let a = Matrix::from_fn(n, n, |i, j| {
+            10.0 * hash_unit(seed as usize * 4099 + i.min(j) * n + i.max(j))
+        });
+        assert_matches_oracle(&a);
+    }
+
+    #[test]
+    fn eigen_matches_oracle_on_covariances(n in 1usize..=64, extra in 1usize..100, seed in 0u64..1000) {
+        assert_matches_oracle(&covariance(&link_data(n + extra, n, seed, Some)));
+    }
+
+    /// `c·I` exactly, and spectra made of a few values each repeated
+    /// across a block.
+    #[test]
+    fn eigen_matches_oracle_on_repeated_eigenvalues(
+        n in 1usize..=64, block in 1usize..9, c in -50.0..50.0f64, seed in 0u64..1000
+    ) {
+        assert_matches_oracle(&Matrix::identity(n).scaled(c));
+        let lambdas: Vec<f64> = (0..n).map(|i| c + 10.0 * (i / block) as f64).collect();
+        assert_matches_oracle(&spectral_matrix(&lambdas, seed));
+    }
+
+    /// Pairs `λ, λ(1 + 1e-12)`: closer than any solver resolves.
+    #[test]
+    fn eigen_matches_oracle_on_clustered_eigenvalues(n in 2usize..=64, seed in 0u64..1000) {
+        let lambdas: Vec<f64> = (0..n)
+            .map(|i| 1e6 * 0.7f64.powi((i / 2) as i32) * (1.0 + 1e-12 * (i % 2) as f64))
+            .collect();
+        assert_matches_oracle(&spectral_matrix(&lambdas, seed));
+    }
+
+    /// Fifteen decades, `1e15 … 1`: the small end is below the roundoff
+    /// of the large one.
+    #[test]
+    fn eigen_matches_oracle_on_graded_spectra(n in 2usize..=64, seed in 0u64..1000) {
+        let lambdas: Vec<f64> = (0..n)
+            .map(|i| 10f64.powf(15.0 * (1.0 - i as f64 / (n - 1) as f64)))
+            .collect();
+        assert_matches_oracle(&spectral_matrix(&lambdas, seed));
+    }
+
+    /// Gram matrices of data with duplicated columns and, half the time,
+    /// fewer rows than columns.
+    #[test]
+    fn eigen_matches_oracle_on_rank_deficient_gram(
+        n in 2usize..=64, t in 2usize..100, seed in 0u64..1000
+    ) {
+        assert_matches_oracle(&link_data(t, n, seed, |j| Some(j - j % 2)).gram());
+    }
+
+    /// Constant links: whole rows and columns of the covariance are
+    /// exactly zero.
+    #[test]
+    fn eigen_matches_oracle_with_zero_rows_and_columns(
+        n in 2usize..=64, extra in 1usize..50, seed in 0u64..1000
+    ) {
+        let cov = covariance(&link_data(n + extra, n, seed, |j| (j % 3 != 1).then_some(j)));
+        prop_assert!((0..n).all(|k| cov[(1, k)] == 0.0 && cov[(k, 1)] == 0.0));
+        assert_matches_oracle(&cov);
+    }
+
+    #[test]
+    fn eigen_matches_oracle_on_one_by_one_and_two_by_two(
+        a in -1e6..1e6f64, b in -1e6..1e6f64, d in -1e6..1e6f64
+    ) {
+        assert_matches_oracle(&Matrix::from_rows(&[vec![a]]));
+        for off in [b, 0.0, 1e-300, a] {
+            assert_matches_oracle(&Matrix::from_rows(&[vec![a, off], vec![off, d]]));
+            assert_matches_oracle(&Matrix::from_rows(&[vec![a, off], vec![off, a]]));
+        }
+    }
+}
+
+fn hashed_symmetric(n: usize, seed: u64) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| {
+        let (lo, hi) = (i.min(j) as u64, i.max(j) as u64);
+        let mut h = seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(lo.wrapping_mul(0x2545_f491_4f6c_dd1d))
+            .wrapping_add(hi.wrapping_mul(0x27d4_eb2f_1656_67c5));
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        (h % 2000) as f64 / 100.0 - 10.0
+    })
+}
+
+/// The oracle's contiguous row-pair rotations are a memory-layout change
+/// over the textbook strided loops, nothing else: every output bit is
+/// the same. Sizes large enough for many sweeps and for rotation skips
+/// to fire.
+#[test]
+fn restructured_sweep_is_bitwise_original() {
+    for (n, seed) in [(3usize, 1u64), (8, 2), (17, 3), (33, 4)] {
+        let a = hashed_symmetric(n, seed);
+        let (vals, vecs) = jacobi::jacobi_eigen(&a);
+        let (ref_vals, ref_vecs) = jacobi::jacobi_eigen_scalar(&a);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&vals), bits(&ref_vals), "eigenvalue drift at n={n}");
+        assert_eq!(
+            bits(vecs.as_slice()),
+            bits(ref_vecs.as_slice()),
+            "eigenvector drift at n={n}"
+        );
+    }
+}
+
+/// The solve is serial scalar arithmetic with no dispatched kernel, so
+/// its output bits are one fixed function of the input: pinned here, and
+/// rerun by CI under `RAYON_NUM_THREADS` 1 and 8 and under each
+/// `NETANOM_KERNEL` tier, where any dependence would move the digest.
+#[test]
+fn eigen_bits_are_independent_of_threads_and_kernel_tier() {
+    let eig = SymmetricEigen::new(&hashed_symmetric(48, 5)).unwrap();
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for x in eig.eigenvalues.iter().chain(eig.eigenvectors.as_slice()) {
+        for byte in x.to_bits().to_le_bytes() {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        digest, 0x0730_727d_4fe7_5856,
+        "FNV-1a of eigenvalues then eigenvectors"
+    );
 }
