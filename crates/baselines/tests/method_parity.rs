@@ -29,10 +29,15 @@ fn training(m: usize, bins: usize, seed: usize) -> Matrix {
     })
 }
 
-fn config() -> DiagnoserConfig {
+/// The subspace cases run once per PCA route: `Svd` is the seed loop's
+/// route, `Covariance` the one every verb ships with. Parity is relative
+/// to the same config on both sides, so the assertions do not change.
+const ROUTES: [PcaMethod; 2] = [PcaMethod::Svd, PcaMethod::Covariance];
+
+fn config(pca_method: PcaMethod) -> DiagnoserConfig {
     DiagnoserConfig {
         separation: SeparationPolicy::FixedCount(2),
-        pca_method: PcaMethod::Svd,
+        pca_method,
         confidence: 0.999,
     }
 }
@@ -73,25 +78,27 @@ fn temporal_kinds() -> Vec<TemporalKind> {
 
 #[test]
 fn method_enum_subspace_is_bitwise_to_plain_engines() {
-    let net = builtin::line(3);
-    let rm = &net.routing_matrix;
-    let m = rm.num_links();
-    let train = training(m, 250, 0);
-    let stream_cfg = StreamConfig::new(250)
-        .refit_every(40)
-        .strategy(RefitStrategy::Incremental);
-    let arrivals = staged_stream(&net, 250, 100);
+    for pca_method in ROUTES {
+        let net = builtin::line(3);
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let train = training(m, 250, 0);
+        let stream_cfg = StreamConfig::new(250)
+            .refit_every(40)
+            .strategy(RefitStrategy::Incremental);
+        let arrivals = staged_stream(&net, 250, 100);
 
-    // Streaming: plain vs enum-wrapped, batched entry point.
-    let mut plain = StreamingEngine::new(&train, rm, config(), stream_cfg).unwrap();
-    let backend = MethodName::Subspace
-        .fit(&train, rm, config(), RefitStrategy::Incremental)
-        .unwrap();
-    let mut wrapped = StreamingEngine::with_backend(backend, &train, stream_cfg).unwrap();
-    let a = plain.process_batch(&arrivals).unwrap();
-    let b = wrapped.process_batch(&arrivals).unwrap();
-    assert_eq!(a, b, "streaming enum route must be bitwise");
-    assert!(a.iter().any(|r| r.detected), "staged anomalies fire");
+        // Streaming: plain vs enum-wrapped, batched entry point.
+        let mut plain = StreamingEngine::new(&train, rm, config(pca_method), stream_cfg).unwrap();
+        let backend = MethodName::Subspace
+            .fit(&train, rm, config(pca_method), RefitStrategy::Incremental)
+            .unwrap();
+        let mut wrapped = StreamingEngine::with_backend(backend, &train, stream_cfg).unwrap();
+        let a = plain.process_batch(&arrivals).unwrap();
+        let b = wrapped.process_batch(&arrivals).unwrap();
+        assert_eq!(a, b, "streaming enum route must be bitwise");
+        assert!(a.iter().any(|r| r.detected), "staged anomalies fire");
+    }
 }
 
 #[test]
@@ -193,46 +200,48 @@ fn temporal_sharded_matches_streaming_decisions() {
 
 #[test]
 fn every_method_state_roundtrips_scoring() {
-    let net = builtin::line(3);
-    let rm = &net.routing_matrix;
-    let m = rm.num_links();
-    let train = training(m, 240, 0);
-    let other_train = training(m, 240, 7777);
-    let probe = staged_stream(&net, 240, 25);
+    for pca_method in ROUTES {
+        let net = builtin::line(3);
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let train = training(m, 240, 0);
+        let other_train = training(m, 240, 7777);
+        let probe = staged_stream(&net, 240, 25);
 
-    for name in MethodName::ALL {
-        let exporter = name
-            .fit(&train, rm, config(), RefitStrategy::FullSvd)
-            .unwrap();
-        let state = exporter.export_state();
-        assert_eq!(state.method, name.as_str());
-        let bytes = state.to_bytes();
-        let decoded = netanom_core::MethodState::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, state);
+        for name in MethodName::ALL {
+            let exporter = name
+                .fit(&train, rm, config(pca_method), RefitStrategy::FullSvd)
+                .unwrap();
+            let state = exporter.export_state();
+            assert_eq!(state.method, name.as_str());
+            let bytes = state.to_bytes();
+            let decoded = netanom_core::MethodState::from_bytes(&bytes).unwrap();
+            assert_eq!(decoded, state);
 
-        let mut importer = name
-            .fit(&other_train, rm, config(), RefitStrategy::FullSvd)
-            .unwrap();
-        importer.import_state(&decoded).unwrap();
-        assert_eq!(
-            importer.threshold(),
-            exporter.threshold(),
-            "{name}: threshold must survive the roundtrip bitwise"
-        );
-        for t in 0..probe.rows() {
-            let a = exporter.score_vector(probe.row(t)).unwrap();
-            let b = importer.score_vector(probe.row(t)).unwrap();
-            assert_eq!(a, b, "{name}: scoring diverged after import at bin {t}");
+            let mut importer = name
+                .fit(&other_train, rm, config(pca_method), RefitStrategy::FullSvd)
+                .unwrap();
+            importer.import_state(&decoded).unwrap();
+            assert_eq!(
+                importer.threshold(),
+                exporter.threshold(),
+                "{name}: threshold must survive the roundtrip bitwise"
+            );
+            for t in 0..probe.rows() {
+                let a = exporter.score_vector(probe.row(t)).unwrap();
+                let b = importer.score_vector(probe.row(t)).unwrap();
+                assert_eq!(a, b, "{name}: scoring diverged after import at bin {t}");
+            }
+
+            // Cross-method state is rejected.
+            let mut wrong = decoded.clone();
+            wrong.method = if name == MethodName::Ewma {
+                "fourier".to_string()
+            } else {
+                "ewma".to_string()
+            };
+            assert!(importer.import_state(&wrong).is_err(), "{name}");
         }
-
-        // Cross-method state is rejected.
-        let mut wrong = decoded.clone();
-        wrong.method = if name == MethodName::Ewma {
-            "fourier".to_string()
-        } else {
-            "ewma".to_string()
-        };
-        assert!(importer.import_state(&wrong).is_err(), "{name}");
     }
 }
 

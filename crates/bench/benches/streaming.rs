@@ -1,6 +1,10 @@
 //! Benchmarks of the streaming ingestion engine: the numbers behind the
 //! refit-strategy trade-off (ISSUE 2's acceptance gate is incremental
-//! refits ≥ 3× faster than full-SVD refits at `m = 121`).
+//! refits ≥ 3× faster than full-SVD refits at `m = 121`). The config
+//! pins `PcaMethod::Svd` so the committed `stream/*` series keeps
+//! measuring that route — the seed loop's — and its gate; on the default
+//! Gram route a full refit is within ≈ 1.4× of an incremental one
+//! (DESIGN.md, *Parity and performance gates*).
 //!
 //! `stream/ingest_m121_*` replay two days of arrivals (288 bins, one
 //! `process_batch` per 36-bin poll cycle) against a one-week window

@@ -7,8 +7,12 @@
 //! statistics of the measurement window — column sums and the raw
 //! cross-product matrix `Σ y yᵀ` — under `O(m²)` row additions and
 //! removals, and rebuild the `m × m` covariance eigendecomposition on
-//! demand (one dense symmetric eigen-solve: about 1.5 ms at `m = 121`,
-//! where the full-window SVD fit takes about 230 ms).
+//! demand (one dense symmetric eigen-solve: about 1.5 ms at `m = 121`).
+//! The first fit takes the same route — two-pass Gram matrix, same
+//! solver ([`PcaMethod::Covariance`](crate::PcaMethod::Covariance), about
+//! 4.5 ms over a 1008-bin week at `m = 121`) — so what the statistics
+//! save a refit is the `O(w·m²)` pass over the window, not a different
+//! decomposition.
 //!
 //! A sliding one-week window over 10-minute bins therefore costs `O(m²)`
 //! per arrival plus one small eigen-solve per refit, independent of the
@@ -53,14 +57,64 @@ impl IncrementalCovariance {
         }
     }
 
-    /// Statistics of every row of a `t × m` matrix.
+    /// Statistics of every row of a `t × m` matrix: bitwise what
+    /// [`add`](Self::add), row after row, leaves behind, in about half
+    /// the time.
     pub fn from_matrix(data: &Matrix) -> Self {
         let mut acc = Self::new(data.cols());
-        for t in 0..data.rows() {
+        let quads = data.rows() / 4;
+        for q in 0..quads {
+            acc.add_four(std::array::from_fn(|r| data.row(4 * q + r)));
+        }
+        for t in 4 * quads..data.rows() {
             acc.add(data.row(t))
                 .expect("row length matches by construction");
         }
         acc
+    }
+
+    /// [`add`](Self::add) of four measurements in the order given, in one
+    /// pass over the cross-products instead of four, two rows of the
+    /// triangle at a time. Each entry still takes its four `+= yi * y[j]`
+    /// steps one after the other, each rounded on its own, so the
+    /// statistics are bitwise those of four `add`s; a row that has (or
+    /// whose partner has) a zero among its multipliers, and the last row
+    /// of an odd `m`, go through `add`'s own skipping loop, so that holds
+    /// for non-finite data too.
+    fn add_four(&mut self, ys: [&[f64]; 4]) {
+        fn steps(c: f64, a: [f64; 4], b: [f64; 4]) -> f64 {
+            (((c + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3]
+        }
+        let [y0, y1, y2, y3] = ys;
+        self.count += 4;
+        for y in ys {
+            vector::axpy(1.0, y, &mut self.sum);
+        }
+        let column = |j: usize| [y0[j], y1[j], y2[j], y3[j]];
+        let mut i = 0;
+        while i < self.dim {
+            let k = i + 1;
+            let a = column(i);
+            if k == self.dim || a.contains(&0.0) || column(k).contains(&0.0) {
+                let row = &mut self.cross.row_mut(i)[i..];
+                for y in ys.iter().filter(|y| y[i] != 0.0) {
+                    vector::axpy(y[i], &y[i..], row);
+                }
+                i = k;
+                continue;
+            }
+            let d = column(k);
+            let (top, bottom) = self.cross.row_pair_mut(i, k);
+            top[i] = steps(top[i], a, a);
+            let tails = y0[k..].iter().zip(&y1[k..]).zip(&y2[k..]).zip(&y3[k..]);
+            let pairs = top[k..].iter_mut().zip(&mut bottom[k..]);
+            for ((c, e), (((b0, b1), b2), b3)) in pairs.zip(tails) {
+                let b = [*b0, *b1, *b2, *b3];
+                *c = steps(*c, a, b);
+                *e = steps(*e, d, b);
+            }
+            i += 2;
+        }
     }
 
     /// Number of accumulated measurements.
@@ -585,6 +639,28 @@ mod tests {
             "incremental covariance diverges from two-pass"
         );
         assert!(vector::approx_eq(&inc.mean().unwrap(), &mean, 1e-9));
+    }
+
+    #[test]
+    fn from_matrix_is_bitwise_row_by_row_adds() {
+        // Every t mod 4 and both parities of m. Zeros of either sign take
+        // `add`'s skipping loop, and the NaN in row 5 sits beside one, so
+        // its products are skipped there and nowhere else.
+        for (t, m) in [(0, 3), (3, 4), (9, 1), (22, 7), (41, 12)] {
+            let base = data(t, m, 3);
+            let y = Matrix::from_fn(t, m, |i, j| match (i * m + j) % 23 {
+                _ if i == 5 && j < 2 => [0.0, f64::NAN][j],
+                0 => 0.0,
+                7 => -0.0,
+                _ => base[(i, j)],
+            });
+            let mut want = IncrementalCovariance::new(m);
+            for i in 0..t {
+                want.add(y.row(i)).unwrap();
+            }
+            let got = IncrementalCovariance::from_matrix(&y);
+            assert_eq!(got.to_bytes(), want.to_bytes(), "t = {t}, m = {m}");
+        }
     }
 
     #[test]

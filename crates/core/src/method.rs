@@ -510,7 +510,7 @@ impl SubspaceBackend {
         let model = match self.strategy {
             RefitStrategy::FullSvd => {
                 return Err(CoreError::ShardMismatch {
-                    reason: "full-SVD refits rebuild from the window, not statistics",
+                    reason: "full refits rebuild from the window, not statistics",
                 })
             }
             RefitStrategy::Incremental => stats.to_model(self.incremental_policy())?,
@@ -525,7 +525,9 @@ impl SubspaceBackend {
     /// Refit the frozen model with a full fit over an assembled window
     /// (`len × m`, arrival order) — the [`RefitStrategy::FullSvd`]
     /// coordinator step, shared by the in-process engine and the TCP
-    /// tracker.
+    /// tracker: the configured [`PcaMethod`](crate::PcaMethod) (by
+    /// default the two-pass Gram route) and the separation policy re-run
+    /// on the window, 3σ included.
     pub fn refit_from_window(&mut self, window: &Matrix) -> Result<()> {
         let model = SubspaceModel::fit(window, self.config.separation, self.config.pca_method)?;
         self.diagnoser
@@ -879,7 +881,6 @@ impl ShardableBackend for SubspaceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pca::PcaMethod;
     use netanom_topology::builtin;
 
     fn training(m: usize, bins: usize, seed: usize) -> Matrix {
@@ -892,10 +893,10 @@ mod tests {
     }
 
     fn config() -> DiagnoserConfig {
+        // The route every verb ships with; `tests/*_parity.rs` run both.
         DiagnoserConfig {
             separation: SeparationPolicy::FixedCount(2),
-            pca_method: PcaMethod::Svd,
-            confidence: 0.999,
+            ..DiagnoserConfig::default()
         }
     }
 

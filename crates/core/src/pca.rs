@@ -8,17 +8,38 @@ use crate::{CoreError, Result};
 /// How to compute the principal components.
 ///
 /// Both routes produce the same subspace; they are cross-validated against
-/// each other in tests. The covariance route is what the paper describes
-/// ("solving the symmetric eigenvalue problem for the covariance matrix,
-/// YᵀY"); the SVD route has better numerical behaviour for tiny trailing
-/// eigenvalues and is the default.
+/// each other in `tests/pca_route_proptests.rs`.
+///
+/// [`PcaMethod::Covariance`] is the default and the route every product
+/// path fits with. It is what the paper describes ("solving the symmetric
+/// eigenvalue problem for the covariance matrix, YᵀY") and what every
+/// statistics-based refit already does, so a model does not change
+/// numerical route at its first refit: two-pass centring, one
+/// [`Matrix::gram`] on the dispatched kernel, one tridiagonal-QL solve —
+/// `O(t·m²)` at GEMM speed where the SVD route spends `O(t·m²)` per
+/// *sweep* in serial plane rotations (over a 1008-bin week: 4.5 ms
+/// against 0.33 s at `m = 121`, 25 ms against 2 s at `m = 256`).
+///
+/// Forming `YᵀY` squares the condition number: an eigenvalue is known
+/// only to about `m·ε·λ₁`, so a zero eigenvalue comes back as roundoff
+/// of that order instead of the SVD route's `≈ 1e-29·λ₁`. The model is
+/// indifferent — the residual moments `φ₁..φ₃` are sums dominated by
+/// eigenvalues many orders above that floor — and the degenerate-residual
+/// guard ([`CoreError::DegenerateResidual`]) is scaled to it, so a
+/// residual made of nothing but roundoff is refused on either route.
+///
+/// [`PcaMethod::Svd`] stays selectable through
+/// [`DiagnoserConfig::pca_method`](crate::DiagnoserConfig::pca_method): it
+/// is the seed loop's route, which the parity suites pin, and the
+/// high-relative-accuracy oracle the route-vs-route tests compare
+/// against. No CLI verb reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PcaMethod {
     /// One-sided Jacobi SVD of the centered data matrix.
-    #[default]
     Svd,
     /// Symmetric eigendecomposition (tridiagonal QL) of the sample
     /// covariance `YᵀY/(t−1)`.
+    #[default]
     Covariance,
 }
 
@@ -64,11 +85,12 @@ impl Pca {
                 (svd.v, eig)
             }
             PcaMethod::Covariance => {
-                let cov = centered.gram().scaled(1.0 / denom);
-                let eig = SymmetricEigen::new(&cov)?;
-                // Clamp tiny negative values from roundoff.
-                let vals = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
-                (eig.eigenvectors, vals)
+                let mut cov = centered.gram();
+                cov.scale_in_place(1.0 / denom);
+                // Clamps tiny negative values from roundoff, exactly as
+                // the statistics-based refits do.
+                let eig = SymmetricEigen::of_covariance(&cov)?;
+                (eig.eigenvectors, eig.eigenvalues)
             }
         };
 

@@ -35,6 +35,63 @@ pub struct QStatistic {
     pub h0: f64,
 }
 
+/// How many multiples of `m·ε·λ₁` the residual variance `φ₁` must clear.
+///
+/// Every model in this crate is (or will, at its first refit, be) built
+/// from a covariance matrix, and forming one squares the condition
+/// number: an eigenvalue that is zero in exact arithmetic comes back as
+/// roundoff of order `ε·λ₁`, so a residual made only of such eigenvalues
+/// sums to a multiple of `m·ε·λ₁` — measured ≈ 0.1 on the two-pass
+/// route for `m` from 8 to 512, ≈ 4 from sliding sufficient statistics
+/// at a mean-to-deviation ratio `μ/σ ≈ 5` and growing as `(μ/σ)²` (see
+/// the numerical note on `IncrementalCovariance`). The factor covers
+/// statistics refits up to `μ/σ ≈ 80` and still sits nine orders below
+/// the residual of a traffic matrix (`φ₁ ≈ 0.05–0.13·λ₁` on the canned
+/// datasets).
+const NOISE_FLOOR_FACTOR: f64 = 1024.0;
+
+/// The one degenerate-residual guard: `Err(DegenerateResidual { r })`
+/// unless the residual moments `(φ₁, φ₂, φ₃)` of an `m`-link model are
+/// finite and `φ₁` is above the noise floor `1024·m·ε·λ₁` of a
+/// covariance-route spectrum. Below it the "residual variance" is
+/// roundoff, the SPE of every bin exceeds any threshold computed from
+/// it, and no finite threshold separates normal from anomalous. The
+/// floor is relative to `λ₁` and nothing else, so the answer does not
+/// depend on the unit the links are measured in; a `λ₁` that is negative
+/// or not a number is refused, and `λ₁ = 0` (an all-zero spectrum, or a
+/// truncated model that stores none) leaves the floor at zero.
+pub(crate) fn ensure_residual(
+    (phi1, phi2, phi3): (f64, f64, f64),
+    lambda1: f64,
+    m: usize,
+    r: usize,
+) -> Result<()> {
+    let floor = NOISE_FLOOR_FACTOR * m as f64 * f64::EPSILON * lambda1;
+    let finite = phi1.is_finite() && phi2.is_finite() && phi3.is_finite();
+    if !(finite && lambda1 >= 0.0 && phi1 > floor) {
+        return Err(CoreError::DegenerateResidual { r });
+    }
+    Ok(())
+}
+
+/// The residual moments `(φ₁, φ₂, φ₃)` of a full descending spectrum
+/// split at `r`, or `DegenerateResidual { r }` when the split leaves no
+/// residual (`r ≥ m`) or [`ensure_residual`] refuses what it leaves —
+/// the guard of every dense model constructor and of [`q_threshold`].
+pub(crate) fn dense_residual(eigenvalues: &[f64], r: usize) -> Result<(f64, f64, f64)> {
+    if r >= eigenvalues.len() {
+        return Err(CoreError::DegenerateResidual { r });
+    }
+    let residual = &eigenvalues[r..];
+    let moments = (
+        residual.iter().sum(),
+        residual.iter().map(|l| l * l).sum(),
+        residual.iter().map(|l| l * l * l).sum(),
+    );
+    ensure_residual(moments, eigenvalues[0], eigenvalues.len(), r)?;
+    Ok(moments)
+}
+
 /// Compute the Q-statistic threshold for a spectrum split at `r`.
 ///
 /// * `eigenvalues` — all `m` captured variances, decreasing, on the
@@ -47,19 +104,8 @@ pub struct QStatistic {
 /// residual is identically zero under the model and no finite threshold
 /// separates normal from anomalous.
 pub fn q_threshold(eigenvalues: &[f64], r: usize, confidence: f64) -> Result<QStatistic> {
-    if r >= eigenvalues.len() {
-        return Err(CoreError::DegenerateResidual { r });
-    }
-    let residual = &eigenvalues[r..];
-    let phi1: f64 = residual.iter().sum();
-    let phi2: f64 = residual.iter().map(|l| l * l).sum();
-    let phi3: f64 = residual.iter().map(|l| l * l * l).sum();
-    let scale = eigenvalues.first().copied().unwrap_or(0.0).max(1.0);
-    q_threshold_from_moments(phi1, phi2, phi3, scale, confidence).map_err(|e| match e {
-        // Re-anchor the degenerate report on the split the caller chose.
-        CoreError::DegenerateResidual { .. } => CoreError::DegenerateResidual { r },
-        other => other,
-    })
+    ensure_confidence(confidence)?;
+    jackson_mudholkar(dense_residual(eigenvalues, r)?, confidence)
 }
 
 /// Compute the Q-statistic threshold directly from the residual power
@@ -71,24 +117,31 @@ pub fn q_threshold(eigenvalues: &[f64], r: usize, confidence: f64) -> Result<QSt
 /// minus the leading eigenvalues' contributions — see
 /// [`power_traces`](netanom_linalg::decomposition::power_traces))
 /// without ever materializing the residual spectrum, so the threshold
-/// agrees with a full eigendecomposition's to roundoff. `scale` is the
-/// magnitude the degeneracy test is relative to (the largest
-/// eigenvalue, or `1.0` when unknown).
+/// agrees with a full eigendecomposition's to roundoff. `lambda1` (the
+/// largest eigenvalue) and `dim` (the link count `m`) set the noise
+/// floor `φ₁` must clear: a covariance-route spectrum resolves nothing
+/// below about `m·ε·λ₁`.
 pub fn q_threshold_from_moments(
-    phi1: f64,
-    phi2: f64,
-    phi3: f64,
-    scale: f64,
+    moments: (f64, f64, f64),
+    lambda1: f64,
+    dim: usize,
     confidence: f64,
 ) -> Result<QStatistic> {
+    ensure_confidence(confidence)?;
+    ensure_residual(moments, lambda1, dim, usize::MAX)?;
+    jackson_mudholkar(moments, confidence)
+}
+
+fn ensure_confidence(confidence: f64) -> Result<()> {
     if !(confidence > 0.0 && confidence < 1.0) {
         return Err(CoreError::InvalidConfidence { value: confidence });
     }
-    if !(phi1.is_finite() && phi2.is_finite() && phi3.is_finite()) || phi1 <= scale.max(1.0) * 1e-15
-    {
-        return Err(CoreError::DegenerateResidual { r: usize::MAX });
-    }
+    Ok(())
+}
 
+/// The formula in the module docs, on a confidence and moments the two
+/// callers above have already checked.
+fn jackson_mudholkar((phi1, phi2, phi3): (f64, f64, f64), confidence: f64) -> Result<QStatistic> {
     let c_alpha = stats::inverse_normal_cdf(confidence)?;
     let h0 = 1.0 - 2.0 * phi1 * phi3 / (3.0 * phi2 * phi2);
 
@@ -213,6 +266,34 @@ mod tests {
                 q_threshold(&eig, 4, c),
                 Err(CoreError::InvalidConfidence { .. })
             ));
+        }
+        // …and first, whatever the residual, on both entry points.
+        assert!(matches!(
+            q_threshold(&[5.0, 0.0], 1, 1.5),
+            Err(CoreError::InvalidConfidence { .. })
+        ));
+        assert!(matches!(
+            q_threshold_from_moments((0.0, 0.0, 0.0), 5.0, 2, 1.5),
+            Err(CoreError::InvalidConfidence { .. })
+        ));
+    }
+
+    #[test]
+    fn degeneracy_does_not_depend_on_the_unit() {
+        // `m·ε·λ₁` is the only yardstick: a healthy split stays healthy
+        // and a roundoff tail stays refused however small or large `λ₁`.
+        for scale in [1e-30, 1.0, 1e30] {
+            let healthy: Vec<f64> = spectrum().iter().map(|l| l * 1e-16 * scale).collect();
+            assert!(q_threshold(&healthy, 4, 0.999).is_ok(), "scale {scale:e}");
+            let mut roundoff = vec![scale; 4];
+            roundoff.extend(std::iter::repeat_n(1e-15 * scale, 45));
+            assert!(
+                matches!(
+                    q_threshold(&roundoff, 4, 0.999),
+                    Err(CoreError::DegenerateResidual { r: 4 })
+                ),
+                "scale {scale:e}"
+            );
         }
     }
 

@@ -561,7 +561,6 @@ pub fn assemble_columns<L: AsRef<[usize]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pca::PcaMethod;
     use crate::separation::SeparationPolicy;
     use netanom_linalg::vector;
     use netanom_topology::builtin;
@@ -576,10 +575,10 @@ mod tests {
     }
 
     fn config() -> DiagnoserConfig {
+        // The route every verb ships with; `tests/*_parity.rs` run both.
         DiagnoserConfig {
             separation: SeparationPolicy::FixedCount(2),
-            pca_method: PcaMethod::Svd,
-            confidence: 0.999,
+            ..DiagnoserConfig::default()
         }
     }
 

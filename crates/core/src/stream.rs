@@ -18,7 +18,7 @@
 //!   ([`IncrementalCovariance`](crate::incremental::IncrementalCovariance))
 //!   are maintained at `O(m²)` per arrival and a refit is one `m × m`
 //!   symmetric eigen-solve, independent of the window length — versus the
-//!   full-window SVD of [`RefitStrategy::FullSvd`];
+//!   two-pass refit over the whole window of [`RefitStrategy::FullSvd`];
 //! * backlogs and micro-batched collection go through
 //!   [`StreamingEngine::process_batch`], which rides the backend's
 //!   batched scoring path (a GEMM for the subspace method) between
@@ -56,9 +56,15 @@ pub const DEFAULT_TRUNCATED_TOL: f64 = 1e-10;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RefitStrategy {
     /// Materialize the window and rerun the full fit (PCA via the
-    /// configured [`crate::PcaMethod`], subspace separation, threshold).
-    /// Exactly the behavior of the seed's sequential loop; cost grows
-    /// with the window length.
+    /// configured [`crate::PcaMethod`], subspace separation — so the 3σ
+    /// rule is re-run and `r` may move — and threshold). Exactly the
+    /// behavior of the seed's sequential loop; cost grows with the
+    /// window length.
+    ///
+    /// The name is historical (and the CLI keyword stays `full`): on
+    /// the default [`PcaMethod::Covariance`](crate::PcaMethod::Covariance)
+    /// route this is a two-pass centring, one Gram product and one
+    /// symmetric eigen-solve over the whole window, not an SVD.
     #[default]
     FullSvd,
     /// Maintain sufficient statistics (`n`, `Σy`, `Σyyᵀ`) incrementally
@@ -657,7 +663,6 @@ impl<B: DetectionBackend> MultiwayEngine<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pca::PcaMethod;
     use crate::separation::SeparationPolicy;
     use netanom_linalg::vector;
     use netanom_topology::builtin;
@@ -672,10 +677,10 @@ mod tests {
     }
 
     fn config() -> DiagnoserConfig {
+        // The route every verb ships with; `tests/*_parity.rs` run both.
         DiagnoserConfig {
             separation: SeparationPolicy::FixedCount(2),
-            pca_method: PcaMethod::Svd,
-            confidence: 0.999,
+            ..DiagnoserConfig::default()
         }
     }
 

@@ -3,7 +3,9 @@
 use netanom_linalg::{kernel, vector, Matrix};
 
 use crate::pca::{Pca, PcaMethod};
-use crate::qstat::{q_threshold, QStatistic};
+use crate::qstat::{
+    dense_residual, ensure_residual, q_threshold, q_threshold_from_moments, QStatistic,
+};
 use crate::separation::SeparationPolicy;
 use crate::{CoreError, Result};
 
@@ -30,6 +32,11 @@ pub struct SubspaceModel {
     /// (truncated refits). When present, [`SubspaceModel::q_threshold`]
     /// uses them instead of summing `eigenvalues[r..]`.
     residual_moments: Option<(f64, f64, f64)>,
+}
+
+/// The largest eigenvalue of a descending spectrum (`0` when empty).
+fn leading(eigenvalues: &[f64]) -> f64 {
+    eigenvalues.first().copied().unwrap_or(0.0)
 }
 
 impl SubspaceModel {
@@ -65,14 +72,7 @@ impl SubspaceModel {
                 got: components.rows(),
             });
         }
-        if r >= m {
-            return Err(CoreError::DegenerateResidual { r });
-        }
-        let resid_var: f64 = eigenvalues[r..].iter().sum();
-        let scale = eigenvalues.first().copied().unwrap_or(0.0).max(1.0);
-        if resid_var <= scale * 1e-15 {
-            return Err(CoreError::DegenerateResidual { r });
-        }
+        dense_residual(&eigenvalues, r)?;
         let indices: Vec<usize> = (0..r).collect();
         Ok(SubspaceModel {
             mean,
@@ -115,14 +115,7 @@ impl SubspaceModel {
                 got: p.rows(),
             });
         }
-        if r >= m {
-            return Err(CoreError::DegenerateResidual { r });
-        }
-        let resid_var: f64 = eigenvalues[r..].iter().sum();
-        let scale = eigenvalues.first().copied().unwrap_or(0.0).max(1.0);
-        if resid_var <= scale * 1e-15 {
-            return Err(CoreError::DegenerateResidual { r });
-        }
+        dense_residual(&eigenvalues, r)?;
         Ok(SubspaceModel {
             mean,
             p,
@@ -135,16 +128,7 @@ impl SubspaceModel {
     /// Build a model from an existing PCA with an explicit normal
     /// dimension `r`.
     pub fn from_pca(pca: &Pca, r: usize) -> Result<Self> {
-        let m = pca.dim();
-        if r >= m {
-            return Err(CoreError::DegenerateResidual { r });
-        }
-        // Verify the residual carries variance; otherwise SPE ≡ 0.
-        let resid_var: f64 = pca.eigenvalues()[r..].iter().sum();
-        let scale = pca.eigenvalues().first().copied().unwrap_or(0.0).max(1.0);
-        if resid_var <= scale * 1e-15 {
-            return Err(CoreError::DegenerateResidual { r });
-        }
+        dense_residual(pca.eigenvalues(), r)?;
         let indices: Vec<usize> = (0..r).collect();
         let p = pca.components().select_columns(&indices);
         Ok(SubspaceModel {
@@ -235,22 +219,19 @@ impl SubspaceModel {
         p: Matrix,
         eigenvalues: Vec<f64>,
         r: usize,
-        (phi1, phi2, phi3): (f64, f64, f64),
+        moments: (f64, f64, f64),
     ) -> Result<Self> {
         let m = mean.len();
         if r >= m {
             return Err(CoreError::DegenerateResidual { r });
         }
-        let scale = eigenvalues.first().copied().unwrap_or(0.0).max(1.0);
-        if !(phi1.is_finite() && phi2.is_finite() && phi3.is_finite()) || phi1 <= scale * 1e-15 {
-            return Err(CoreError::DegenerateResidual { r });
-        }
+        ensure_residual(moments, leading(&eigenvalues), m, r)?;
         Ok(SubspaceModel {
             mean,
             p,
             eigenvalues,
             r,
-            residual_moments: Some((phi1, phi2, phi3)),
+            residual_moments: Some(moments),
         })
     }
 
@@ -455,10 +436,12 @@ impl SubspaceModel {
     /// spectrum. Both routes compute the same Jackson–Mudholkar formula.
     pub fn q_threshold(&self, confidence: f64) -> Result<QStatistic> {
         match self.residual_moments {
-            Some((phi1, phi2, phi3)) => {
-                let scale = self.eigenvalues.first().copied().unwrap_or(0.0).max(1.0);
-                crate::qstat::q_threshold_from_moments(phi1, phi2, phi3, scale, confidence)
-            }
+            Some(moments) => q_threshold_from_moments(
+                moments,
+                leading(&self.eigenvalues),
+                self.dim(),
+                confidence,
+            ),
             None => q_threshold(&self.eigenvalues, self.r, confidence),
         }
     }

@@ -1,0 +1,354 @@
+//! Route against route: [`PcaMethod::Covariance`] — the two-pass Gram
+//! matrix plus the tridiagonal-QL solver every verb fits with — held to
+//! the one-sided-Jacobi [`PcaMethod::Svd`] oracle.
+//!
+//! Forming `YᵀY` squares the condition number, so the Gram route knows
+//! an eigenvalue only to about `m·ε·λ₁` where the SVD route keeps high
+//! relative accuracy. What a subspace model is built from must not
+//! notice: the same normal dimension `r` under every
+//! [`SeparationPolicy`], eigenvalues within `1e-10·λ₁`, the same normal
+//! projector `PPᵀ` across any spectral gap, the same threshold `δ²` —
+//! or the same typed [`CoreError::DegenerateResidual`] when the residual
+//! is roundoff on the Gram route and (almost) nothing on the SVD route.
+//!
+//! The training matrices are the ones that make the squaring bite: link
+//! scales spread over twelve decades, means a million deviations away
+//! from zero, a constant link, a duplicated link, exact low rank,
+//! `t = m`. The second half states the same agreement on the canned
+//! datasets at the paper's two confidence levels.
+
+use netanom_core::{
+    CoreError, Detector, Diagnoser, Pca, PcaMethod, SeparationPolicy, SubspaceModel,
+};
+use netanom_linalg::decomposition::SymmetricEigen;
+use netanom_linalg::kernel::{active_backend, gram_with, KernelBackend};
+use netanom_linalg::Matrix;
+use netanom_traffic::datasets;
+use proptest::prelude::*;
+
+/// Deterministic pseudo-random value in `[-1, 1)`.
+fn hash_unit(i: usize) -> f64 {
+    let mut x = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// What is wrong with a training matrix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Family {
+    /// Nothing: link scales within three decades, `μ/σ ≈ 10`.
+    Benign,
+    /// Link scales drawn log-uniformly from `1e0…1e12`.
+    ScaleSpread,
+    /// Per-link means `10^(0…6)` deviations away from zero.
+    LargeMeans,
+    /// One link never varies (a zero row and column of the covariance).
+    ConstantLink,
+    /// One link copies another (an exact zero eigenvalue).
+    DuplicatedLink,
+    /// No noise: the rank is the number of temporal patterns.
+    LowRank,
+    /// As many bins as links (rank at most `m − 1` after centring).
+    Square,
+}
+
+const FAMILIES: [Family; 7] = [
+    Family::Benign,
+    Family::ScaleSpread,
+    Family::LargeMeans,
+    Family::ConstantLink,
+    Family::DuplicatedLink,
+    Family::LowRank,
+    Family::Square,
+];
+
+/// A `t × m` training matrix shaped like link traffic — a few smooth
+/// diurnal patterns of geometrically falling strength shared by all
+/// links, one short spike pattern (what the 3σ walk stops at), hashed
+/// noise underneath — with `family`'s defect applied.
+fn training(t: usize, m: usize, seed: usize, family: Family) -> Matrix {
+    let smooth = 1 + seed % 3;
+    let spike_at = (seed / 3) % t;
+    let unit = |a: usize, b: usize| hash_unit((seed * 7919 + a) * 104_729 + b);
+    let noise = if family == Family::LowRank { 0.0 } else { 1.0 };
+    let source = |j: usize| match family {
+        Family::DuplicatedLink if j == m - 1 => 0,
+        _ => j,
+    };
+    Matrix::from_fn(t, m, |i, j| {
+        if family == Family::ConstantLink && j == m / 2 {
+            return 7.5;
+        }
+        let j = source(j);
+        let mut deviation = noise * unit(i + 3, j + 1000);
+        for k in 0..smooth {
+            let phase = std::f64::consts::TAU * ((k + 1) * i) as f64 / t as f64;
+            deviation +=
+                300.0 * 0.2f64.powi(k as i32) * (phase + unit(1, k)).sin() * unit(2, j + k * m);
+        }
+        if i == spike_at {
+            deviation += 25.0 * unit(0, j);
+        }
+        let (scale, mean) = match family {
+            Family::ScaleSpread => (10f64.powf(6.0 * (1.0 + unit(4, j))), 1e3),
+            Family::LargeMeans => (1.0, 50.0 * 10f64.powf(3.0 * (1.0 + unit(5, j)))),
+            _ => (10f64.powi((j % 4) as i32), 1e3),
+        };
+        scale * (mean + deviation)
+    })
+}
+
+/// The normal projector `PPᵀ` of a model.
+fn projector(model: &SubspaceModel) -> Matrix {
+    let p = model.normal_basis();
+    p.matmul_nt(p).unwrap()
+}
+
+/// Hold the two fitted routes to the contract in the module docs under
+/// one separation policy.
+fn assert_routes_agree(svd: &Pca, covariance: &Pca, policy: SeparationPolicy, label: &str) {
+    let spectrum = svd.eigenvalues();
+    let (m, lambda1) = (spectrum.len(), spectrum[0]);
+    let r = policy.normal_dim(svd);
+    let r_covariance = policy.normal_dim(covariance);
+    let fitted = (
+        SubspaceModel::from_pca(covariance, r_covariance),
+        SubspaceModel::from_pca(svd, r),
+    );
+    match fitted {
+        // The one place `r` may differ: a 3σ walk that ran out of signal
+        // judges axes that are roundoff on one route and nothing on the
+        // other, and wherever it stops there is no residual left.
+        (Err(CoreError::DegenerateResidual { .. }), Err(CoreError::DegenerateResidual { .. })) => {}
+        (Ok(got), Ok(want)) => {
+            assert_eq!(r_covariance, r, "{label}: normal dimension");
+            let (got_q, want_q) = (
+                got.q_threshold(0.999).unwrap(),
+                want.q_threshold(0.999).unwrap(),
+            );
+            assert!(
+                (got_q.delta_sq - want_q.delta_sq).abs()
+                    <= 1e-9 * want_q.delta_sq + 1e-12 * lambda1,
+                "{label}: δ² {:e} vs the oracle's {:e} (λ₁ = {lambda1:e})",
+                got_q.delta_sq,
+                want_q.delta_sq
+            );
+            let gap = if r == 0 {
+                0.0
+            } else {
+                spectrum[r - 1] - spectrum[r]
+            };
+            if gap > 1e-6 * lambda1 {
+                // Davis–Kahan for two backward-stable solves, as in
+                // linalg's `assert_matches_oracle`.
+                let bound = 8.0 * m as f64 * f64::EPSILON * lambda1 / gap;
+                let diff = projector(&got).sub(&projector(&want)).unwrap().max_abs();
+                assert!(
+                    diff <= bound,
+                    "{label}: normal projectors differ by {diff:e} (gap {gap:e}, bound {bound:e})"
+                );
+            }
+        }
+        (got, want) => panic!(
+            "{label}: one route fitted and the other refused, or an untyped failure: \
+             covariance {:?}, svd {:?}",
+            got.map(|model| model.normal_dim()),
+            want.map(|model| model.normal_dim())
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn covariance_route_matches_the_svd_oracle(
+        m in 2usize..=48,
+        stretch in 1.0..6.0f64,
+        seed in 0usize..100_000,
+        family in 0usize..FAMILIES.len(),
+        fraction in 0.5..0.999_999f64,
+    ) {
+        let family = FAMILIES[family];
+        let t = match family {
+            Family::Square => m,
+            _ => ((m as f64 * stretch) as usize).clamp(m, 6 * m),
+        };
+        let y = training(t, m, seed, family);
+        let svd = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let covariance = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let label = format!("{family:?} {t}×{m} seed {seed}");
+
+        let lambda1 = svd.eigenvalues()[0];
+        for (i, (got, want)) in covariance.eigenvalues().iter().zip(svd.eigenvalues()).enumerate() {
+            prop_assert!(
+                (got - want).abs() <= 1e-10 * lambda1,
+                "{label}: λ[{i}] {got:e} vs the oracle's {want:e}"
+            );
+        }
+
+        let smooth = 1 + seed % 3;
+        let mut policies = vec![
+            SeparationPolicy::default(),
+            SeparationPolicy::VarianceFraction(fraction),
+        ];
+        // Splits above, at and below the signal, and one that leaves a
+        // single residual axis — roundoff in the rank-deficient families.
+        policies.extend([0, smooth, smooth + 1, m / 2, m - 1].map(SeparationPolicy::FixedCount));
+        for policy in policies {
+            assert_routes_agree(&svd, &covariance, policy, &format!("{label} {policy:?}"));
+        }
+    }
+}
+
+/// The subspace rows of the paper-fidelity scoreboard, route against
+/// route, on each canned dataset: the same scree (variance fractions,
+/// the 90 % and 99 % knees), the same 3σ rank, thresholds within 1e-9
+/// relative, and at the paper's two confidence levels the same alarm
+/// bins carrying the same identified flows.
+#[test]
+fn canned_datasets_diagnose_identically_on_both_routes() {
+    for ds in [
+        datasets::abilene(),
+        datasets::sprint1(),
+        datasets::sprint2(),
+    ] {
+        let links = ds.links.matrix();
+        let svd = Pca::fit(links, PcaMethod::Svd).unwrap();
+        let covariance = Pca::fit(links, PcaMethod::Covariance).unwrap();
+        for (a, b) in covariance
+            .variance_fractions()
+            .iter()
+            .zip(svd.variance_fractions())
+        {
+            assert!((a - b).abs() <= 1e-10, "{}: scree {a} vs {b}", ds.name);
+        }
+        for knee in [0.90, 0.99] {
+            assert_eq!(
+                covariance.effective_dimension(knee),
+                svd.effective_dimension(knee),
+                "{}: {knee} knee",
+                ds.name
+            );
+        }
+        let three_sigma = SeparationPolicy::default();
+        let r = three_sigma.normal_dim(&svd);
+        assert_eq!(
+            three_sigma.normal_dim(&covariance),
+            r,
+            "{}: 3σ rank",
+            ds.name
+        );
+
+        // `Diagnoser::fit` is `Pca::fit` + 3σ + `from_model`; the two
+        // confidence levels share one decomposition per route.
+        let rm = &ds.network.routing_matrix;
+        for confidence in [0.999, 0.995] {
+            let diagnose = |pca: &Pca| {
+                let model = SubspaceModel::from_pca(pca, r).unwrap();
+                let diagnoser = Diagnoser::from_model(model, rm, confidence).unwrap();
+                let alarms: Vec<(usize, usize)> = diagnoser
+                    .diagnose_anomalies(links)
+                    .unwrap()
+                    .iter()
+                    .map(|rep| (rep.time, rep.identification.expect("identified").flow))
+                    .collect();
+                (diagnoser.detector().threshold().delta_sq, alarms)
+            };
+            let (threshold_svd, alarms_svd) = diagnose(&svd);
+            let (threshold_cov, alarms_cov) = diagnose(&covariance);
+            assert!(
+                (threshold_cov - threshold_svd).abs() <= 1e-9 * threshold_svd,
+                "{} at {confidence}: δ² {threshold_cov:e} vs {threshold_svd:e}",
+                ds.name
+            );
+            assert!(
+                !alarms_svd.is_empty(),
+                "{} at {confidence}: no alarms",
+                ds.name
+            );
+            assert_eq!(
+                alarms_cov, alarms_svd,
+                "{} at {confidence}: alarms",
+                ds.name
+            );
+        }
+    }
+}
+
+/// The same fit on each kernel tier the host can run. A process
+/// dispatches one tier for life, so the Covariance arm of `Pca::fit` is
+/// spelled out here over [`gram_with`] — and checked to be the real
+/// route, bit for bit, on the tier this process dispatched. The two
+/// fused tiers share one numeric contract and must produce the same
+/// model bits; the portable tier rounds differently (mul-then-add) and
+/// must agree on `δ²` to 1e-9 and on every detection decision.
+/// (`cli/tests/backend_parity.rs` asserts the latter end to end.)
+#[test]
+fn default_route_fit_across_kernel_tiers() {
+    let ds = datasets::sprint1();
+    let links = ds.links.matrix();
+    let real =
+        SubspaceModel::fit(links, SeparationPolicy::default(), PcaMethod::Covariance).unwrap();
+    let r = real.normal_dim();
+
+    let fit_on = |tier: KernelBackend| {
+        let (centered, mean) = links.mean_centered_columns();
+        let mut cov = gram_with(tier, &centered);
+        cov.scale_in_place(1.0 / (links.rows() - 1) as f64);
+        let eig = SymmetricEigen::of_covariance(&cov).unwrap();
+        let model = SubspaceModel::from_symmetric_eigen(mean, &eig, r).unwrap();
+        let detector = Detector::new(model, 0.999).unwrap();
+        let decisions: Vec<bool> = detector
+            .detect_matrix(links)
+            .unwrap()
+            .iter()
+            .map(|d| d.anomalous)
+            .collect();
+        (detector, decisions)
+    };
+    let bits = |detector: &Detector| {
+        let model = detector.model();
+        let floats = model
+            .eigenvalues()
+            .iter()
+            .chain(model.normal_basis().as_slice());
+        let mut bits: Vec<u64> = floats.map(|x| x.to_bits()).collect();
+        bits.push(detector.threshold().delta_sq.to_bits());
+        bits
+    };
+
+    let (active, _) = fit_on(active_backend());
+    let dispatched = Detector::new(real, 0.999).unwrap();
+    assert_eq!(
+        bits(&active),
+        bits(&dispatched),
+        "the spelled-out route is not `Pca::fit`'s"
+    );
+
+    let (portable, portable_decisions) = fit_on(KernelBackend::Portable);
+    assert!(portable_decisions.iter().any(|&d| d), "sprint-1 must alarm");
+    let fused: Vec<_> = [KernelBackend::Fma, KernelBackend::Avx512]
+        .into_iter()
+        .filter(|tier| tier.is_supported())
+        .map(|tier| (tier, fit_on(tier)))
+        .collect();
+    for (tier, (detector, decisions)) in &fused {
+        let (got, want) = (detector.threshold().delta_sq, portable.threshold().delta_sq);
+        assert!(
+            (got - want).abs() <= 1e-9 * want,
+            "{}: δ² {got:e} vs portable {want:e}",
+            tier.name()
+        );
+        assert_eq!(decisions, &portable_decisions, "{}: decisions", tier.name());
+    }
+    if let [(_, (fma, _)), (_, (avx512, _))] = &fused[..] {
+        assert_eq!(
+            bits(fma),
+            bits(avx512),
+            "the fused tiers share one contract"
+        );
+    }
+}

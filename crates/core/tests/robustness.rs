@@ -2,7 +2,7 @@
 
 use netanom_core::incremental::IncrementalCovariance;
 use netanom_core::{
-    CoreError, Diagnoser, DiagnoserConfig, PcaMethod, SeparationPolicy, SubspaceModel,
+    CoreError, Diagnoser, DiagnoserConfig, Pca, PcaMethod, SeparationPolicy, SubspaceModel,
 };
 use netanom_linalg::{vector, LinalgError, Matrix};
 use netanom_topology::builtin;
@@ -219,4 +219,119 @@ fn model_rejects_vectors_from_other_network() {
         model.spe(&wrong),
         Err(CoreError::DimensionMismatch { .. })
     ));
+}
+
+/// One week at `m = 121` of exact rank 5 (up to the rounding of its
+/// entries): five hashed temporal patterns on hashed link weights over
+/// per-link means, strengths falling geometrically so that
+/// `λ₅ ≈ 2e-9·λ₁` — small, but five orders above anything roundoff
+/// produces — and every later eigenvalue is zero in exact arithmetic.
+fn rank_five_week(scale: f64) -> Matrix {
+    let hash = |i: usize| (i.wrapping_mul(2654435761) >> 7) % 100_003;
+    let unit = |i: usize| hash(i) as f64 / 100_003.0 - 0.5;
+    Matrix::from_fn(1008, 121, |i, j| {
+        let mut v = 100.0 * (1 + j % 7) as f64;
+        for k in 0..5 {
+            let strength = 1e3 * 1e-4f64.powf(k as f64 / 4.0);
+            v += strength * unit(i * 31 + k * 7919 + 13) * unit(j * 17 + k * 104_729 + 5);
+        }
+        v * scale
+    })
+}
+
+/// A residual made of nothing but roundoff must be refused with the
+/// typed error on every route that can build a model — the two `fit`
+/// routes and both statistics refits — whatever unit the links are
+/// measured in (the floor is relative to `λ₁` alone). The Gram
+/// route returns zero eigenvalues as roundoff of order `m·ε·λ₁`; a floor
+/// that does not grow with `m` lets their sum through as a "threshold"
+/// that alarms on every bin.
+#[test]
+fn roundoff_residual_is_degenerate_on_every_route() {
+    for scale in [1e-6, 1.0, 1e6] {
+        let y = rank_five_week(scale);
+        // `SubspaceModel::fit` is `Pca::fit` + `from_pca`; the two splits
+        // below share one decomposition per route.
+        let svd = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let covariance = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let stats = IncrementalCovariance::from_matrix(&y);
+        let threshold = |model: SubspaceModel| model.q_threshold(0.999).unwrap().delta_sq;
+
+        let spectrum = svd.eigenvalues();
+        let tail = spectrum[4] / spectrum[0];
+        assert!((1e-10..1e-8).contains(&tail), "λ₅/λ₁ = {tail:e}");
+        assert!(spectrum[5] < 1e-20 * spectrum[0], "rank 5 exactly");
+
+        let refused = [
+            ("fit/svd", SubspaceModel::from_pca(&svd, 5)),
+            ("fit/covariance", SubspaceModel::from_pca(&covariance, 5)),
+            ("to_model", stats.to_model(SeparationPolicy::FixedCount(5))),
+            (
+                "to_model_truncated",
+                stats.to_model_truncated(SeparationPolicy::FixedCount(5), 8, 1e-9),
+            ),
+        ];
+        for (route, got) in refused {
+            assert!(
+                matches!(got, Err(CoreError::DegenerateResidual { r: 5 })),
+                "scale {scale:e}, {route}: a roundoff residual must be refused, got δ² = {:?}",
+                got.map(threshold)
+            );
+        }
+
+        // One axis fewer and the residual is λ₅: real variance, which
+        // every dense route must resolve to the same threshold. (Any
+        // covariance route knows λ₅ only to ≈ m·ε·λ₁/λ₅ ≈ 1e-5.)
+        let want = threshold(SubspaceModel::from_pca(&svd, 4).unwrap());
+        let dense = [
+            ("fit/covariance", SubspaceModel::from_pca(&covariance, 4)),
+            ("to_model", stats.to_model(SeparationPolicy::FixedCount(4))),
+        ];
+        for (route, got) in dense {
+            let got = threshold(got.unwrap());
+            assert!(
+                (got - want).abs() <= 1e-3 * want,
+                "scale {scale:e}, {route}: δ² {got:e} vs the SVD route's {want:e}"
+            );
+        }
+    }
+}
+
+/// A constant link and a duplicated link each leave exactly one zero
+/// eigenvalue; a split that keeps every other axis normal has only that
+/// one left to detect with, and every route must say so rather than
+/// calibrate a threshold on its roundoff.
+#[test]
+fn lone_roundoff_axis_is_refused_by_every_route() {
+    let (t, m) = (120, 12);
+    let base = measurements(t, m);
+    let constant = Matrix::from_fn(t, m, |i, j| if j == 5 { 7.5 } else { base[(i, j)] });
+    let duplicated = Matrix::from_fn(t, m, |i, j| base[(i, if j == 9 { 2 } else { j })]);
+    for (defect, y) in [("constant", constant), ("duplicated", duplicated)] {
+        let policy = SeparationPolicy::FixedCount(m - 1);
+        let stats = IncrementalCovariance::from_matrix(&y);
+        let refused = [
+            ("fit/svd", SubspaceModel::fit(&y, policy, PcaMethod::Svd)),
+            (
+                "fit/covariance",
+                SubspaceModel::fit(&y, policy, PcaMethod::Covariance),
+            ),
+            ("to_model", stats.to_model(policy)),
+            (
+                "to_model_truncated",
+                stats.to_model_truncated(policy, m - 1, 1e-10),
+            ),
+        ];
+        for (route, got) in refused {
+            assert!(
+                matches!(got, Err(CoreError::DegenerateResidual { r: 11 })),
+                "{defect} link, {route}: got {:?}",
+                got.map(|model| model.q_threshold(0.999).map(|q| q.delta_sq))
+            );
+        }
+        // One axis fewer leaves real variance, and every route fits.
+        let policy = SeparationPolicy::FixedCount(m - 2);
+        assert!(SubspaceModel::fit(&y, policy, PcaMethod::Covariance).is_ok());
+        assert!(stats.to_model(policy).is_ok());
+    }
 }

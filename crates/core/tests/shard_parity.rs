@@ -31,10 +31,15 @@ fn training(m: usize, bins: usize, seed: usize) -> Matrix {
     })
 }
 
-fn config() -> DiagnoserConfig {
+/// Every case below runs once per PCA route: `Svd` is the seed loop's
+/// route, `Covariance` the one every verb ships with. Parity is relative
+/// to the same config on both sides, so the assertions do not change.
+const ROUTES: [PcaMethod; 2] = [PcaMethod::Svd, PcaMethod::Covariance];
+
+fn config(pca_method: PcaMethod) -> DiagnoserConfig {
     DiagnoserConfig {
         separation: SeparationPolicy::FixedCount(3),
-        pca_method: PcaMethod::Svd,
+        pca_method,
         confidence: 0.999,
     }
 }
@@ -60,53 +65,57 @@ fn staged_stream(net: &Network, bins: usize, seed: usize) -> Matrix {
 /// Drive both engines over the same stream (streaming per row, sharded
 /// in chunks) and assert decision-level bitwise parity.
 fn assert_parity(net: &Network, partition: &LinkPartition, strategy: RefitStrategy, label: &str) {
-    let rm = &net.routing_matrix;
-    let train = training(rm.num_links(), 300, 0);
-    let stream_cfg = StreamConfig::new(300).refit_every(48).strategy(strategy);
-    let mut single = StreamingEngine::new(&train, rm, config(), stream_cfg).unwrap();
-    let mut sharded = ShardedEngine::new(&train, rm, config(), stream_cfg, partition).unwrap();
+    for pca_method in ROUTES {
+        let label = &format!("{label} {pca_method:?}");
+        let rm = &net.routing_matrix;
+        let train = training(rm.num_links(), 300, 0);
+        let stream_cfg = StreamConfig::new(300).refit_every(48).strategy(strategy);
+        let mut single = StreamingEngine::new(&train, rm, config(pca_method), stream_cfg).unwrap();
+        let mut sharded =
+            ShardedEngine::new(&train, rm, config(pca_method), stream_cfg, partition).unwrap();
 
-    let stream = staged_stream(net, 150, 300);
-    let mut detected_bins = 0usize;
-    let mut next = 0;
-    while next < stream.rows() {
-        let take = 36.min(stream.rows() - next);
-        let block = stream.row_block(next, take).unwrap();
-        let sharded_reports = sharded.process_batch(&block).unwrap();
-        for (i, sh) in sharded_reports.iter().enumerate() {
-            let t = next + i;
-            let si = single.process(stream.row(t)).unwrap();
-            assert_eq!(sh.time, si.time, "{label}: time at bin {t}");
-            assert_eq!(
-                sh.detected, si.detected,
-                "{label}: detection diverged at bin {t} (sharded spe {} vs single {})",
-                sh.spe, si.spe
-            );
-            assert_eq!(
-                sh.threshold, si.threshold,
-                "{label}: threshold diverged at bin {t} — refitted models differ"
-            );
-            let rel = (sh.spe - si.spe).abs() / si.spe.max(1.0);
-            assert!(rel <= 1e-9, "{label}: SPE rel {rel:.2e} at bin {t}");
-            match (sh.identification, si.identification) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    detected_bins += 1;
-                    assert_eq!(a.flow, b.flow, "{label}: identification at bin {t}");
-                    let fr = (a.f_hat - b.f_hat).abs() / b.f_hat.abs().max(1.0);
-                    assert!(fr <= 1e-9, "{label}: f_hat rel {fr:.2e} at bin {t}");
-                    let eb = (sh.estimated_bytes.unwrap() - si.estimated_bytes.unwrap()).abs()
-                        / si.estimated_bytes.unwrap().abs().max(1.0);
-                    assert!(eb <= 1e-9, "{label}: bytes rel {eb:.2e} at bin {t}");
+        let stream = staged_stream(net, 150, 300);
+        let mut detected_bins = 0usize;
+        let mut next = 0;
+        while next < stream.rows() {
+            let take = 36.min(stream.rows() - next);
+            let block = stream.row_block(next, take).unwrap();
+            let sharded_reports = sharded.process_batch(&block).unwrap();
+            for (i, sh) in sharded_reports.iter().enumerate() {
+                let t = next + i;
+                let si = single.process(stream.row(t)).unwrap();
+                assert_eq!(sh.time, si.time, "{label}: time at bin {t}");
+                assert_eq!(
+                    sh.detected, si.detected,
+                    "{label}: detection diverged at bin {t} (sharded spe {} vs single {})",
+                    sh.spe, si.spe
+                );
+                assert_eq!(
+                    sh.threshold, si.threshold,
+                    "{label}: threshold diverged at bin {t} — refitted models differ"
+                );
+                let rel = (sh.spe - si.spe).abs() / si.spe.max(1.0);
+                assert!(rel <= 1e-9, "{label}: SPE rel {rel:.2e} at bin {t}");
+                match (sh.identification, si.identification) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        detected_bins += 1;
+                        assert_eq!(a.flow, b.flow, "{label}: identification at bin {t}");
+                        let fr = (a.f_hat - b.f_hat).abs() / b.f_hat.abs().max(1.0);
+                        assert!(fr <= 1e-9, "{label}: f_hat rel {fr:.2e} at bin {t}");
+                        let eb = (sh.estimated_bytes.unwrap() - si.estimated_bytes.unwrap()).abs()
+                            / si.estimated_bytes.unwrap().abs().max(1.0);
+                        assert!(eb <= 1e-9, "{label}: bytes rel {eb:.2e} at bin {t}");
+                    }
+                    other => panic!("{label}: identification presence diverged at {t}: {other:?}"),
                 }
-                other => panic!("{label}: identification presence diverged at {t}: {other:?}"),
             }
+            next += take;
         }
-        next += take;
+        assert_eq!(single.refits(), sharded.refits(), "{label}: refit counts");
+        assert!(single.refits() >= 3, "{label}: stream must cross refits");
+        assert!(detected_bins >= 3, "{label}: staged anomalies must fire");
     }
-    assert_eq!(single.refits(), sharded.refits(), "{label}: refit counts");
-    assert!(single.refits() >= 3, "{label}: stream must cross refits");
-    assert!(detected_bins >= 3, "{label}: staged anomalies must fire");
 }
 
 #[test]
@@ -151,39 +160,42 @@ fn per_pop_parity_incremental() {
 /// wall-clock, never values.
 #[test]
 fn parallel_fanout_is_bitwise_serial() {
-    let net = builtin::sprint_europe();
-    let rm = &net.routing_matrix;
-    let m = rm.num_links();
-    let train = training(m, 300, 0);
-    let partition = LinkPartition::round_robin(m, 4).unwrap();
-    let stream_cfg = StreamConfig::new(300)
-        .refit_every(40)
-        .strategy(RefitStrategy::Incremental);
-    let stream = staged_stream(&net, 100, 300);
+    for pca_method in ROUTES {
+        let net = builtin::sprint_europe();
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let train = training(m, 300, 0);
+        let partition = LinkPartition::round_robin(m, 4).unwrap();
+        let stream_cfg = StreamConfig::new(300)
+            .refit_every(40)
+            .strategy(RefitStrategy::Incremental);
+        let stream = staged_stream(&net, 100, 300);
 
-    let run = |threads: Option<&str>| {
-        match threads {
-            Some(n) => std::env::set_var("RAYON_NUM_THREADS", n),
-            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        let run = |threads: Option<&str>| {
+            match threads {
+                Some(n) => std::env::set_var("RAYON_NUM_THREADS", n),
+                None => std::env::remove_var("RAYON_NUM_THREADS"),
+            }
+            let mut engine =
+                ShardedEngine::new(&train, rm, config(pca_method), stream_cfg, &partition).unwrap();
+            let reports = engine.process_batch(&stream).unwrap();
+            std::env::remove_var("RAYON_NUM_THREADS");
+            reports
+        };
+        let serial = run(Some("1"));
+        let parallel = run(Some("4"));
+        assert_eq!(serial.len(), parallel.len());
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(a.spe, b.spe, "SPE must be bitwise thread-count independent");
+            assert_eq!(a.detected, b.detected);
+            assert_eq!(a.threshold, b.threshold);
+            assert_eq!(
+                a.identification.map(|i| i.flow),
+                b.identification.map(|i| i.flow)
+            );
         }
-        let mut engine = ShardedEngine::new(&train, rm, config(), stream_cfg, &partition).unwrap();
-        let reports = engine.process_batch(&stream).unwrap();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        reports
-    };
-    let serial = run(Some("1"));
-    let parallel = run(Some("4"));
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a.spe, b.spe, "SPE must be bitwise thread-count independent");
-        assert_eq!(a.detected, b.detected);
-        assert_eq!(a.threshold, b.threshold);
-        assert_eq!(
-            a.identification.map(|i| i.flow),
-            b.identification.map(|i| i.flow)
-        );
+        assert!(serial.iter().any(|r| r.detected), "staged anomalies fire");
     }
-    assert!(serial.iter().any(|r| r.detected), "staged anomalies fire");
 }
 
 /// The backend-generic construction path (`SubspaceBackend::fit` +
@@ -193,29 +205,32 @@ fn parallel_fanout_is_bitwise_serial() {
 /// against.
 #[test]
 fn generic_backend_sharded_engine_is_bitwise_to_sugar() {
-    let net = builtin::sprint_europe();
-    let rm = &net.routing_matrix;
-    let m = rm.num_links();
-    let train = training(m, 300, 0);
-    let partition = LinkPartition::round_robin(m, 4).unwrap();
-    let stream = staged_stream(&net, 120, 300);
+    for pca_method in ROUTES {
+        let net = builtin::sprint_europe();
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let train = training(m, 300, 0);
+        let partition = LinkPartition::round_robin(m, 4).unwrap();
+        let stream = staged_stream(&net, 120, 300);
 
-    for strategy in [RefitStrategy::FullSvd, RefitStrategy::Incremental] {
-        let stream_cfg = StreamConfig::new(300).refit_every(48).strategy(strategy);
-        let mut sugar = ShardedEngine::new(&train, rm, config(), stream_cfg, &partition).unwrap();
-        let backend = SubspaceBackend::fit(&train, rm, config(), strategy).unwrap();
-        let mut generic =
-            ShardedEngine::with_backend(backend, &train, stream_cfg, &partition).unwrap();
+        for strategy in [RefitStrategy::FullSvd, RefitStrategy::Incremental] {
+            let stream_cfg = StreamConfig::new(300).refit_every(48).strategy(strategy);
+            let mut sugar =
+                ShardedEngine::new(&train, rm, config(pca_method), stream_cfg, &partition).unwrap();
+            let backend = SubspaceBackend::fit(&train, rm, config(pca_method), strategy).unwrap();
+            let mut generic =
+                ShardedEngine::with_backend(backend, &train, stream_cfg, &partition).unwrap();
 
-        let a = sugar.process_batch(&stream).unwrap();
-        let b = generic.process_batch(&stream).unwrap();
-        assert_eq!(a, b, "{strategy:?}");
-        assert_eq!(sugar.refits(), generic.refits());
-        assert!(
-            sugar.refits() >= 2,
-            "{strategy:?}: stream must cross refits"
-        );
-        assert!(a.iter().any(|r| r.detected), "staged anomalies fire");
+            let a = sugar.process_batch(&stream).unwrap();
+            let b = generic.process_batch(&stream).unwrap();
+            assert_eq!(a, b, "{strategy:?}");
+            assert_eq!(sugar.refits(), generic.refits());
+            assert!(
+                sugar.refits() >= 2,
+                "{strategy:?}: stream must cross refits"
+            );
+            assert!(a.iter().any(|r| r.detected), "staged anomalies fire");
+        }
     }
 }
 
@@ -224,43 +239,46 @@ fn generic_backend_sharded_engine_is_bitwise_to_sugar() {
 /// (1e-9 relative).
 #[test]
 fn merged_covariance_matches_single_process_and_two_pass() {
-    let net = builtin::line(4);
-    let rm = &net.routing_matrix;
-    let m = rm.num_links();
-    let window = 120;
-    let total = 300; // slides the window far past a full wrap
-    let series = training(m, total, 7);
-    let train = series.row_block(0, window).unwrap();
-    let partition = LinkPartition::round_robin(m, 3).unwrap();
-    let stream_cfg = StreamConfig::new(window).strategy(RefitStrategy::Incremental);
-    let mut single = StreamingEngine::new(&train, rm, config(), stream_cfg).unwrap();
-    let mut sharded = ShardedEngine::new(&train, rm, config(), stream_cfg, &partition).unwrap();
-    let tail = series.row_block(window, total - window).unwrap();
-    sharded.process_batch(&tail).unwrap();
-    for t in 0..tail.rows() {
-        single.process(tail.row(t)).unwrap();
+    for pca_method in ROUTES {
+        let net = builtin::line(4);
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let window = 120;
+        let total = 300; // slides the window far past a full wrap
+        let series = training(m, total, 7);
+        let train = series.row_block(0, window).unwrap();
+        let partition = LinkPartition::round_robin(m, 3).unwrap();
+        let stream_cfg = StreamConfig::new(window).strategy(RefitStrategy::Incremental);
+        let mut single = StreamingEngine::new(&train, rm, config(pca_method), stream_cfg).unwrap();
+        let mut sharded =
+            ShardedEngine::new(&train, rm, config(pca_method), stream_cfg, &partition).unwrap();
+        let tail = series.row_block(window, total - window).unwrap();
+        sharded.process_batch(&tail).unwrap();
+        for t in 0..tail.rows() {
+            single.process(tail.row(t)).unwrap();
+        }
+
+        let merged = sharded.merged_statistics().unwrap();
+        let merged_cov = merged.covariance().unwrap();
+
+        // Two-pass covariance over exactly the retained window rows.
+        let retained = series.row_block(total - window, window).unwrap();
+        let (centered, _) = retained.mean_centered_columns();
+        let two_pass = centered.gram().scaled(1.0 / (window as f64 - 1.0));
+        assert!(
+            merged_cov.approx_eq(&two_pass, 1e-9 * two_pass.max_abs().max(1.0)),
+            "merged covariance diverges from two-pass beyond 1e-9"
+        );
+
+        // And bitwise against the single-process incremental model: both
+        // engines refit from their statistics and must produce identical
+        // thresholds.
+        single.refit().unwrap();
+        sharded.refit().unwrap();
+        assert_eq!(
+            single.diagnoser().detector().threshold().delta_sq,
+            sharded.diagnoser().detector().threshold().delta_sq,
+            "refit from merged statistics must be bitwise identical"
+        );
     }
-
-    let merged = sharded.merged_statistics().unwrap();
-    let merged_cov = merged.covariance().unwrap();
-
-    // Two-pass covariance over exactly the retained window rows.
-    let retained = series.row_block(total - window, window).unwrap();
-    let (centered, _) = retained.mean_centered_columns();
-    let two_pass = centered.gram().scaled(1.0 / (window as f64 - 1.0));
-    assert!(
-        merged_cov.approx_eq(&two_pass, 1e-9 * two_pass.max_abs().max(1.0)),
-        "merged covariance diverges from two-pass beyond 1e-9"
-    );
-
-    // And bitwise against the single-process incremental model: both
-    // engines refit from their statistics and must produce identical
-    // thresholds.
-    single.refit().unwrap();
-    sharded.refit().unwrap();
-    assert_eq!(
-        single.diagnoser().detector().threshold().delta_sq,
-        sharded.diagnoser().detector().threshold().delta_sq,
-        "refit from merged statistics must be bitwise identical"
-    );
 }

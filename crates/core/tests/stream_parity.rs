@@ -100,10 +100,15 @@ fn arrivals_with_anomalies(rm: &RoutingMatrix, bins: usize, seed: usize) -> Matr
     fresh
 }
 
-fn fixed_config() -> DiagnoserConfig {
+/// Every case below runs once per PCA route: `Svd` is the seed loop's
+/// route, `Covariance` the one every verb ships with. Parity is relative
+/// to the same config on both sides, so the assertions do not change.
+const ROUTES: [PcaMethod; 2] = [PcaMethod::Svd, PcaMethod::Covariance];
+
+fn fixed_config(pca_method: PcaMethod) -> DiagnoserConfig {
     DiagnoserConfig {
         separation: SeparationPolicy::FixedCount(2),
-        pca_method: PcaMethod::Svd,
+        pca_method,
         confidence: 0.999,
     }
 }
@@ -132,119 +137,124 @@ fn assert_reports_bitwise(engine: &[DiagnosisReport], reference: &[DiagnosisRepo
 
 #[test]
 fn engine_process_is_bitwise_to_sequential_seed_across_refits() {
-    let net = builtin::ring(5);
-    let rm = &net.routing_matrix;
-    let train = training(rm.num_links(), 300, 0);
-    let fresh = arrivals_with_anomalies(rm, 130, 300);
+    for pca_method in ROUTES {
+        let net = builtin::ring(5);
+        let rm = &net.routing_matrix;
+        let train = training(rm.num_links(), 300, 0);
+        let fresh = arrivals_with_anomalies(rm, 130, 300);
 
-    // Refit every 50 → two refit boundaries inside the run.
-    let mut reference = SeqReference::new(&train, rm, fixed_config(), 300, Some(50));
-    let mut engine = StreamingEngine::new(
-        &train,
-        rm,
-        fixed_config(),
-        StreamConfig::new(300).refit_every(50),
-    )
-    .unwrap();
+        // Refit every 50 → two refit boundaries inside the run.
+        let mut reference = SeqReference::new(&train, rm, fixed_config(pca_method), 300, Some(50));
+        let mut engine = StreamingEngine::new(
+            &train,
+            rm,
+            fixed_config(pca_method),
+            StreamConfig::new(300).refit_every(50),
+        )
+        .unwrap();
 
-    let ref_reports: Vec<_> = (0..fresh.rows())
-        .map(|t| reference.process(fresh.row(t)))
-        .collect();
-    let eng_reports: Vec<_> = (0..fresh.rows())
-        .map(|t| engine.process(fresh.row(t)).unwrap())
-        .collect();
-    assert_reports_bitwise(&eng_reports, &ref_reports);
+        let ref_reports: Vec<_> = (0..fresh.rows())
+            .map(|t| reference.process(fresh.row(t)))
+            .collect();
+        let eng_reports: Vec<_> = (0..fresh.rows())
+            .map(|t| engine.process(fresh.row(t)).unwrap())
+            .collect();
+        assert_reports_bitwise(&eng_reports, &ref_reports);
 
-    // Window state agrees row for row (the ring buffer vs the Vec).
-    assert_eq!(engine.window().len(), reference.window.len());
-    for i in 0..engine.window().len() {
-        assert_eq!(engine.window().row(i), &reference.window[i][..], "row {i}");
+        // Window state agrees row for row (the ring buffer vs the Vec).
+        assert_eq!(engine.window().len(), reference.window.len());
+        for i in 0..engine.window().len() {
+            assert_eq!(engine.window().row(i), &reference.window[i][..], "row {i}");
+        }
+        assert_eq!(engine.arrivals_since_refit(), reference.arrivals_since_fit);
     }
-    assert_eq!(engine.arrivals_since_refit(), reference.arrivals_since_fit);
 }
 
 #[test]
 fn engine_process_batch_is_bitwise_to_sequential_seed_across_refits() {
-    let net = builtin::line(3);
-    let rm = &net.routing_matrix;
-    let train = training(rm.num_links(), 300, 0);
-    let fresh = arrivals_with_anomalies(rm, 130, 300);
+    for pca_method in ROUTES {
+        let net = builtin::line(3);
+        let rm = &net.routing_matrix;
+        let train = training(rm.num_links(), 300, 0);
+        let fresh = arrivals_with_anomalies(rm, 130, 300);
 
-    let mut reference = SeqReference::new(&train, rm, fixed_config(), 300, Some(50));
-    let mut engine = StreamingEngine::new(
-        &train,
-        rm,
-        fixed_config(),
-        StreamConfig::new(300).refit_every(50),
-    )
-    .unwrap();
+        let mut reference = SeqReference::new(&train, rm, fixed_config(pca_method), 300, Some(50));
+        let mut engine = StreamingEngine::new(
+            &train,
+            rm,
+            fixed_config(pca_method),
+            StreamConfig::new(300).refit_every(50),
+        )
+        .unwrap();
 
-    let ref_reports: Vec<_> = (0..fresh.rows())
-        .map(|t| reference.process(fresh.row(t)))
-        .collect();
-    // One call spanning both refit boundaries.
-    let eng_reports = engine.process_batch(&fresh).unwrap();
+        let ref_reports: Vec<_> = (0..fresh.rows())
+            .map(|t| reference.process(fresh.row(t)))
+            .collect();
+        // One call spanning both refit boundaries.
+        let eng_reports = engine.process_batch(&fresh).unwrap();
 
-    assert_eq!(eng_reports.len(), ref_reports.len());
-    for (e, r) in eng_reports.iter().zip(&ref_reports) {
-        assert!(
-            (e.spe - r.spe).abs() <= 1e-9 * r.spe.max(1.0),
-            "SPE diverged at arrival {}",
-            r.time
-        );
-        assert_eq!(e.time, r.time);
-        assert_eq!(e.detected, r.detected, "detection diverged at {}", r.time);
-        assert_eq!(
-            e.identification, r.identification,
-            "identification diverged at {}",
-            r.time
-        );
-        assert_eq!(
-            e.estimated_bytes, r.estimated_bytes,
-            "quantification diverged at {}",
-            r.time
-        );
+        assert_eq!(eng_reports.len(), ref_reports.len());
+        for (e, r) in eng_reports.iter().zip(&ref_reports) {
+            assert!(
+                (e.spe - r.spe).abs() <= 1e-9 * r.spe.max(1.0),
+                "SPE diverged at arrival {}",
+                r.time
+            );
+            assert_eq!(e.time, r.time);
+            assert_eq!(e.detected, r.detected, "detection diverged at {}", r.time);
+            assert_eq!(
+                e.identification, r.identification,
+                "identification diverged at {}",
+                r.time
+            );
+            assert_eq!(
+                e.estimated_bytes, r.estimated_bytes,
+                "quantification diverged at {}",
+                r.time
+            );
+        }
+        assert_eq!(engine.arrivals(), reference.arrivals_total);
+        assert_eq!(engine.arrivals_since_refit(), reference.arrivals_since_fit);
     }
-    assert_eq!(engine.arrivals(), reference.arrivals_total);
-    assert_eq!(engine.arrivals_since_refit(), reference.arrivals_since_fit);
 }
 
 #[test]
 fn parity_holds_under_the_paper_default_config() {
-    // ThreeSigma separation + default PCA route — the paper's defaults —
-    // with a window smaller than the training data (clamped up) and a
-    // refit cadence of 1 (refit after every arrival: every boundary is a
-    // refit boundary).
-    let net = builtin::line(4);
-    let rm = &net.routing_matrix;
-    let train = training(rm.num_links(), 220, 7);
-    let fresh = arrivals_with_anomalies(rm, 25, 900);
+    for pca_method in ROUTES {
+        // ThreeSigma separation at 99.9 % — the paper's defaults — with a
+        // window smaller than the training data (clamped up) and a refit
+        // cadence of 1 (refit after every arrival: every boundary is a
+        // refit boundary).
+        let net = builtin::line(4);
+        let rm = &net.routing_matrix;
+        let train = training(rm.num_links(), 220, 7);
+        let fresh = arrivals_with_anomalies(rm, 25, 900);
 
-    let mut reference = SeqReference::new(&train, rm, DiagnoserConfig::default(), 64, Some(1));
-    let mut engine = StreamingEngine::new(
-        &train,
-        rm,
-        DiagnoserConfig::default(),
-        StreamConfig::new(64).refit_every(1),
-    )
-    .unwrap();
+        let config = DiagnoserConfig {
+            pca_method,
+            ..DiagnoserConfig::default()
+        };
+        let mut reference = SeqReference::new(&train, rm, config, 64, Some(1));
+        let mut engine =
+            StreamingEngine::new(&train, rm, config, StreamConfig::new(64).refit_every(1)).unwrap();
 
-    let ref_reports: Vec<_> = (0..fresh.rows())
-        .map(|t| reference.process(fresh.row(t)))
-        .collect();
-    let eng_reports = engine.process_batch(&fresh).unwrap();
-    for (e, r) in eng_reports.iter().zip(&ref_reports) {
-        assert_eq!(e.time, r.time);
-        assert_eq!(e.detected, r.detected, "detection diverged at {}", r.time);
-        assert!(
-            (e.spe - r.spe).abs() <= 1e-9 * r.spe.max(1.0),
-            "SPE diverged at arrival {}",
-            r.time
-        );
-        assert_eq!(e.identification, r.identification);
+        let ref_reports: Vec<_> = (0..fresh.rows())
+            .map(|t| reference.process(fresh.row(t)))
+            .collect();
+        let eng_reports = engine.process_batch(&fresh).unwrap();
+        for (e, r) in eng_reports.iter().zip(&ref_reports) {
+            assert_eq!(e.time, r.time);
+            assert_eq!(e.detected, r.detected, "detection diverged at {}", r.time);
+            assert!(
+                (e.spe - r.spe).abs() <= 1e-9 * r.spe.max(1.0),
+                "SPE diverged at arrival {}",
+                r.time
+            );
+            assert_eq!(e.identification, r.identification);
+        }
+        // Capacity was clamped up to the training length, as the seed did.
+        assert_eq!(engine.window().capacity(), 220);
     }
-    // Capacity was clamped up to the training length, as the seed did.
-    assert_eq!(engine.window().capacity(), 220);
 }
 
 /// The backend-generic construction path (`SubspaceBackend::fit` +
@@ -253,77 +263,83 @@ fn parity_holds_under_the_paper_default_config() {
 /// sequential seed — across refit boundaries, for both refit strategies.
 #[test]
 fn generic_backend_engine_is_bitwise_to_sugar() {
-    let net = builtin::ring(5);
-    let rm = &net.routing_matrix;
-    let train = training(rm.num_links(), 300, 0);
-    let fresh = arrivals_with_anomalies(rm, 130, 300);
+    for pca_method in ROUTES {
+        let net = builtin::ring(5);
+        let rm = &net.routing_matrix;
+        let train = training(rm.num_links(), 300, 0);
+        let fresh = arrivals_with_anomalies(rm, 130, 300);
 
-    for strategy in [RefitStrategy::FullSvd, RefitStrategy::Incremental] {
-        let stream_cfg = StreamConfig::new(300).refit_every(50).strategy(strategy);
-        let mut sugar = StreamingEngine::new(&train, rm, fixed_config(), stream_cfg).unwrap();
-        let backend = SubspaceBackend::fit(&train, rm, fixed_config(), strategy).unwrap();
-        let mut generic = StreamingEngine::with_backend(backend, &train, stream_cfg).unwrap();
+        for strategy in [RefitStrategy::FullSvd, RefitStrategy::Incremental] {
+            let stream_cfg = StreamConfig::new(300).refit_every(50).strategy(strategy);
+            let mut sugar =
+                StreamingEngine::new(&train, rm, fixed_config(pca_method), stream_cfg).unwrap();
+            let backend =
+                SubspaceBackend::fit(&train, rm, fixed_config(pca_method), strategy).unwrap();
+            let mut generic = StreamingEngine::with_backend(backend, &train, stream_cfg).unwrap();
 
-        // Both entry points, like for like (the per-vector and fused
-        // batch SPE kernels differ in the last bits by design, so the
-        // comparison must not mix them).
-        let head = 40;
-        let a: Vec<_> = (0..head)
-            .map(|t| sugar.process(fresh.row(t)).unwrap())
-            .collect();
-        let b: Vec<_> = (0..head)
-            .map(|t| generic.process(fresh.row(t)).unwrap())
-            .collect();
-        assert_eq!(a, b, "{strategy:?}: per-arrival path");
-        let tail = fresh
-            .row_block(head, fresh.rows() - head)
-            .expect("within range");
-        let a = sugar.process_batch(&tail).unwrap();
-        let b = generic.process_batch(&tail).unwrap();
-        assert_eq!(a, b, "{strategy:?}: batched path");
-        assert_eq!(sugar.refits(), generic.refits());
-        assert_eq!(
-            sugar.diagnoser().detector().threshold().delta_sq,
-            generic.diagnoser().detector().threshold().delta_sq,
-            "{strategy:?}: post-refit thresholds must be bitwise equal"
-        );
+            // Both entry points, like for like (the per-vector and fused
+            // batch SPE kernels differ in the last bits by design, so the
+            // comparison must not mix them).
+            let head = 40;
+            let a: Vec<_> = (0..head)
+                .map(|t| sugar.process(fresh.row(t)).unwrap())
+                .collect();
+            let b: Vec<_> = (0..head)
+                .map(|t| generic.process(fresh.row(t)).unwrap())
+                .collect();
+            assert_eq!(a, b, "{strategy:?}: per-arrival path");
+            let tail = fresh
+                .row_block(head, fresh.rows() - head)
+                .expect("within range");
+            let a = sugar.process_batch(&tail).unwrap();
+            let b = generic.process_batch(&tail).unwrap();
+            assert_eq!(a, b, "{strategy:?}: batched path");
+            assert_eq!(sugar.refits(), generic.refits());
+            assert_eq!(
+                sugar.diagnoser().detector().threshold().delta_sq,
+                generic.diagnoser().detector().threshold().delta_sq,
+                "{strategy:?}: post-refit thresholds must be bitwise equal"
+            );
+        }
     }
 }
 
 #[test]
 fn incremental_strategy_matches_detections_within_numerical_tolerance() {
-    // The incremental refit route is numerically different (sufficient
-    // statistics + Jacobi instead of a fresh SVD) — the contract is
-    // agreement on decisions and small relative SPE drift, not bitwise
-    // equality.
-    let net = builtin::ring(5);
-    let rm = &net.routing_matrix;
-    let train = training(rm.num_links(), 300, 0);
-    let fresh = arrivals_with_anomalies(rm, 130, 300);
+    for pca_method in ROUTES {
+        // The incremental refit route is numerically different (sufficient
+        // statistics + Jacobi instead of a fresh SVD) — the contract is
+        // agreement on decisions and small relative SPE drift, not bitwise
+        // equality.
+        let net = builtin::ring(5);
+        let rm = &net.routing_matrix;
+        let train = training(rm.num_links(), 300, 0);
+        let fresh = arrivals_with_anomalies(rm, 130, 300);
 
-    let mut reference = SeqReference::new(&train, rm, fixed_config(), 300, Some(40));
-    let mut engine = StreamingEngine::new(
-        &train,
-        rm,
-        fixed_config(),
-        StreamConfig::new(300)
-            .refit_every(40)
-            .strategy(RefitStrategy::Incremental),
-    )
-    .unwrap();
+        let mut reference = SeqReference::new(&train, rm, fixed_config(pca_method), 300, Some(40));
+        let mut engine = StreamingEngine::new(
+            &train,
+            rm,
+            fixed_config(pca_method),
+            StreamConfig::new(300)
+                .refit_every(40)
+                .strategy(RefitStrategy::Incremental),
+        )
+        .unwrap();
 
-    let mut detections = 0usize;
-    for t in 0..fresh.rows() {
-        let r = reference.process(fresh.row(t));
-        let e = engine.process(fresh.row(t)).unwrap();
-        assert_eq!(e.detected, r.detected, "decision diverged at arrival {t}");
-        if let (Some(ei), Some(ri)) = (e.identification, r.identification) {
-            assert_eq!(ei.flow, ri.flow, "identified flow diverged at {t}");
+        let mut detections = 0usize;
+        for t in 0..fresh.rows() {
+            let r = reference.process(fresh.row(t));
+            let e = engine.process(fresh.row(t)).unwrap();
+            assert_eq!(e.detected, r.detected, "decision diverged at arrival {t}");
+            if let (Some(ei), Some(ri)) = (e.identification, r.identification) {
+                assert_eq!(ei.flow, ri.flow, "identified flow diverged at {t}");
+            }
+            let rel = (e.spe - r.spe).abs() / r.spe.max(1.0);
+            assert!(rel < 1e-5, "SPE drift {rel:.2e} at arrival {t}");
+            detections += usize::from(r.detected);
         }
-        let rel = (e.spe - r.spe).abs() / r.spe.max(1.0);
-        assert!(rel < 1e-5, "SPE drift {rel:.2e} at arrival {t}");
-        detections += usize::from(r.detected);
+        assert!(detections >= 3);
+        assert_eq!(engine.refits(), 3);
     }
-    assert!(detections >= 3);
-    assert_eq!(engine.refits(), 3);
 }

@@ -5,7 +5,7 @@ use netanom_traffic::datasets::{self, Dataset};
 
 /// The three canned datasets plus fitted diagnosers, built once and
 /// shared by every experiment. Construction costs a few seconds (three
-/// traffic weeks + three SVDs); experiments borrow from it.
+/// traffic weeks + three model fits); experiments borrow from it.
 pub struct Lab {
     /// Sprint-Europe week 1.
     pub sprint1: Dataset,

@@ -253,7 +253,9 @@ pub fn experiment(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
     ];
     let rendered = format!(
         "Streaming ingestion on {} ({} links): detection latency and\n\
-         throughput across refit cadences, full-SVD vs incremental refits.\n\n{}",
+         throughput across refit cadences, full-window vs incremental\n\
+         refits (`full-svd` is the strategy's historical key: a two-pass\n\
+         refit over the whole window with 3σ re-run, not an SVD).\n\n{}",
         ds.name,
         rm.num_links(),
         report::ascii_table(&headers, &rows)

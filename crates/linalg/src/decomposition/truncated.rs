@@ -302,7 +302,10 @@ fn hash_unit(i: usize) -> f64 {
 /// In-place modified Gram–Schmidt (two passes for stability) against the
 /// locked vectors and the preceding columns. Columns that lose (nearly)
 /// all their norm — rank deficiency in the iterate — are replaced by
-/// fresh deterministic directions and re-orthogonalized.
+/// fresh deterministic directions and re-orthogonalized. "Nearly all" is
+/// relative to the norm the column came in with: an iterate column is
+/// `A·v`, on the scale of `A`'s eigenvalues, and a spectrum that is small
+/// in absolute terms (traffic counted in a large unit) is not deficient.
 fn orthonormalize(q: &mut Matrix, locked: &[Vec<f64>]) {
     let m = q.rows();
     let b = q.cols();
@@ -312,6 +315,7 @@ fn orthonormalize(q: &mut Matrix, locked: &[Vec<f64>]) {
             for (i, v) in col.iter_mut().enumerate() {
                 *v = q[(i, j)];
             }
+            let incoming = col.iter().map(|v| v * v).sum::<f64>().sqrt();
             for _pass in 0..2 {
                 for basis in locked.iter() {
                     project_out(&mut col, basis);
@@ -327,7 +331,7 @@ fn orthonormalize(q: &mut Matrix, locked: &[Vec<f64>]) {
                 }
             }
             let norm = col.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > 1e-12 {
+            if norm > 1e-12 * incoming {
                 for (i, v) in col.iter().enumerate() {
                     q[(i, j)] = v / norm;
                 }
@@ -448,6 +452,27 @@ mod tests {
         for i in 0..3 {
             let rel = (top.eigenvalues[i] - full.eigenvalues[i]).abs() / full.eigenvalues[0];
             assert!(rel < 1e-9, "clustered eigenvalue {i}: rel err {rel:.2e}");
+        }
+    }
+
+    #[test]
+    fn convergence_does_not_depend_on_the_unit() {
+        // The same steep spectrum in three units. An iterate column is on
+        // the scale of its eigenvalue, so a deficiency test with an
+        // absolute cut-off throws away every pair below it sweep after
+        // sweep and ends in `NonConvergence` at the small scale.
+        let m = 40;
+        let a = spectral_matrix(m, &[1.0, 1e-2, 1e-4, 1e-6, 1e-8], 6);
+        let want = TruncatedEigen::top_k(&a, 5, 1e-9).unwrap();
+        for scale in [1e-9, 1e9] {
+            let got = TruncatedEigen::top_k(&a.scaled(scale), 5, 1e-9)
+                .unwrap_or_else(|e| panic!("scale {scale:e}: {e}"));
+            for (g, w) in got.eigenvalues.iter().zip(&want.eigenvalues) {
+                assert!(
+                    (g / scale - w).abs() <= 1e-9,
+                    "scale {scale:e}: {g:e} vs {w:e}"
+                );
+            }
         }
     }
 

@@ -578,6 +578,12 @@ impl Matrix {
         }
     }
 
+    /// Scale every entry by a constant in place — the same `x · s` per
+    /// entry as [`Matrix::scaled`], without the copy.
+    pub fn scale_in_place(&mut self, s: f64) {
+        vector::scale_in_place(&mut self.data, s);
+    }
+
     /// Per-column arithmetic means (length `cols`).
     pub fn column_means(&self) -> Vec<f64> {
         if self.rows == 0 {

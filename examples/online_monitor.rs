@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Trains a subspace model on one week of link measurements, then streams
-//! a fresh day of traffic bin by bin — the SVD is *not* recomputed per
+//! a fresh day of traffic bin by bin — the model is *not* refitted per
 //! arrival; each measurement is diagnosed in O(m·r). Mid-day we stage a
 //! live incident (a 4·10⁷-byte spike in one OD flow) and watch the alarm
 //! fire with the correct flow and size.

@@ -9,7 +9,7 @@
 //! first six days bootstrap the model, and the remaining day streams
 //! through a [`StreamingEngine`] with *incremental* refits — sufficient
 //! statistics maintained in `O(m²)` per arrival, each refit one `m × m`
-//! eigen-solve instead of a full-window SVD.
+//! eigen-solve instead of another pass over the whole window.
 //!
 //! [`StreamingEngine`]: netanom::core::stream::StreamingEngine
 
