@@ -2,7 +2,7 @@
 //!
 //! One of the forecasting-family baselines the paper cites (used by
 //! Brutlag's aberrant-behaviour detector [5]). Included for the ablation
-//! benches comparing temporal detectors on link data.
+//! experiments comparing temporal detectors on link data.
 
 /// Additive Holt–Winters: level + trend + seasonal components with
 /// exponential updates.

@@ -5,8 +5,8 @@
 //! weighted moving averages ([`Ewma`]) and an eight-period Fourier model
 //! ([`FourierModel`]) — and contrasts the subspace method against the same
 //! temporal filters applied per link (Figure 10). This crate implements
-//! those methods, plus two related-work comparators used in ablation
-//! benches ([`HoltWinters`], [`HaarWavelet`]).
+//! those methods, plus two related-work comparators used in the ablation
+//! experiments ([`HoltWinters`], [`HaarWavelet`]).
 //!
 //! Contents:
 //!

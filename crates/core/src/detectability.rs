@@ -19,6 +19,7 @@
 use netanom_linalg::vector;
 use netanom_topology::RoutingMatrix;
 
+use crate::identify::VISIBILITY_FLOOR;
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
 
@@ -31,7 +32,8 @@ pub struct FlowDetectability {
     /// (1.0 = fully visible, 0.0 = undetectable).
     pub residual_norm: f64,
     /// Minimum guaranteed-detectable bytes
-    /// `2δ_α / (‖C̃θᵢ‖·‖Aᵢ‖)`; infinite when `residual_norm == 0`.
+    /// `2δ_α / (‖C̃θᵢ‖·‖Aᵢ‖)`; infinite for a flow the identifier
+    /// skips as invisible (`‖C̃θᵢ‖²` at or below its visibility floor).
     pub min_detectable_bytes: f64,
 }
 
@@ -53,9 +55,10 @@ pub fn flow_detectability(
     let theta_tilde = model.residual_directions(rm.theta_matrix())?;
     let mut out = Vec::with_capacity(rm.num_flows());
     for i in 0..rm.num_flows() {
-        let residual_norm = vector::norm(&theta_tilde.col(i));
+        let visibility = vector::norm_sq(&theta_tilde.col(i));
+        let residual_norm = visibility.sqrt();
         let a_norm = (rm.path_len(i) as f64).sqrt();
-        let min_detectable_bytes = if residual_norm <= 1e-12 {
+        let min_detectable_bytes = if visibility <= VISIBILITY_FLOOR {
             f64::INFINITY
         } else {
             2.0 * delta / (residual_norm * a_norm)
@@ -158,6 +161,47 @@ mod tests {
         for (a, b) in lo.iter().zip(&hi) {
             assert!(b.min_detectable_bytes > a.min_detectable_bytes);
         }
+    }
+
+    /// A flow whose squared residual norm sits between the square of the
+    /// floor and the floor itself (`1e-24 < ‖θ̃‖² ≤ 1e-12`) is invisible
+    /// to every consumer alike: the identifier never names it, so it
+    /// must not be priced at a finite size either.
+    #[test]
+    fn a_flow_the_identifier_skips_has_no_finite_bound() {
+        use crate::identify::Identifier;
+        use netanom_topology::RoutingMatrix;
+
+        // Flow 0 crosses links 0 and 1; the one normal axis is its
+        // direction tilted by 1e-8 towards link 2, so ‖θ̃₀‖² ≈ 1e-16.
+        // Flow 1 (link 3) is orthogonal to the axis and fully visible.
+        let rm = RoutingMatrix::from_paths(4, &[vec![0, 1], vec![3]]);
+        let mut axis = rm.theta(0);
+        axis[2] = 1e-8;
+        vector::normalize(&mut axis);
+        let model = SubspaceModel::from_parts(
+            vec![0.0; 4],
+            Matrix::from_fn(4, 1, |i, _| axis[i]),
+            vec![4.0, 1.0, 1.0, 1.0],
+            1,
+        )
+        .unwrap();
+
+        let identifier = Identifier::new(&model, &rm).unwrap();
+        let visibility = identifier.residual_visibility(0);
+        assert!(visibility > 1e-24 && visibility <= VISIBILITY_FLOOR);
+
+        // A residual along θ̃₀ is one only flow 0 could explain; skipped,
+        // the identifier falls back to flow 1, which explains none of it.
+        let residual = model.residual_direction(&rm.theta(0)).unwrap();
+        let id = identifier.identify(&residual).unwrap();
+        assert_eq!(id.flow, 1);
+        assert_eq!(id.remaining_energy, id.residual_energy);
+
+        let det = flow_detectability(&model, &rm, 0.999).unwrap();
+        assert!(det[0].residual_norm > 0.0);
+        assert_eq!(det[0].min_detectable_bytes, f64::INFINITY);
+        assert!(det[1].min_detectable_bytes.is_finite());
     }
 
     #[test]

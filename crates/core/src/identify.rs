@@ -21,6 +21,13 @@ use netanom_topology::RoutingMatrix;
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
 
+/// Smallest `‖θ̃ᵢ‖²` (squared norm of a unit flow direction's residual
+/// part) at which flow `i` counts as visible. At or below it the flow
+/// lies inside the normal subspace up to rounding: identification never
+/// names it, pair search never pairs it, and its detectability bound is
+/// infinite — one floor, always compared against the *squared* norm.
+pub(crate) const VISIBILITY_FLOOR: f64 = 1e-12;
+
 /// Result of identifying one anomaly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Identification {
@@ -126,7 +133,7 @@ impl Identifier {
         let mut best: Option<(usize, f64)> = None;
         for i in 0..inner.len() {
             let nsq = self.theta_tilde_norm_sq[i];
-            if nsq <= 1e-12 {
+            if nsq <= VISIBILITY_FLOOR {
                 continue;
             }
             let explained = inner[i] * inner[i] / nsq;
@@ -156,7 +163,7 @@ impl Identifier {
         let mut best: Option<(usize, f64, f64)> = None; // (flow, remaining, f_hat)
         for i in 0..self.num_candidates() {
             let nsq = self.theta_tilde_norm_sq[i];
-            if nsq <= 1e-12 {
+            if nsq <= VISIBILITY_FLOOR {
                 continue;
             }
             let tt = self.theta_tilde.col(i);

@@ -21,7 +21,7 @@ use netanom_linalg::decomposition::Cholesky;
 use netanom_linalg::{vector, Matrix};
 use netanom_topology::RoutingMatrix;
 
-use crate::identify::Identifier;
+use crate::identify::{Identifier, VISIBILITY_FLOOR};
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
 
@@ -160,12 +160,12 @@ pub fn identify_best_pair(
     let mut best: Option<(usize, usize, f64, [f64; 2])> = None;
     for i in 0..n {
         let gii = gram[(i, i)];
-        if gii <= 1e-12 {
+        if gii <= VISIBILITY_FLOOR {
             continue;
         }
         for j in (i + 1)..n {
             let gjj = gram[(j, j)];
-            if gjj <= 1e-12 {
+            if gjj <= VISIBILITY_FLOOR {
                 continue;
             }
             let gij = gram[(i, j)];

@@ -13,7 +13,7 @@ use crate::pca::Pca;
 /// the anomalous subspace, and all subsequent axes join it. On the paper's
 /// data this consistently selected `r = 4`.
 ///
-/// The two alternative policies exist for the ablation benches: a fixed
+/// The two alternative policies exist for the ablation experiments: a fixed
 /// `r`, and the classical cumulative-variance criterion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SeparationPolicy {

@@ -66,6 +66,7 @@ pub mod methods;
 pub mod metrics;
 pub mod report;
 pub mod scale;
+mod scenario;
 pub mod serve;
 pub mod sharded;
 pub mod streaming;

@@ -18,7 +18,6 @@
 //! Registered in the experiment registry as `"methods"`.
 
 use std::path::Path;
-use std::time::Instant;
 
 use netanom_baselines::methods::{MethodBackend, MethodName};
 use netanom_core::stream::{RefitStrategy, StreamConfig, StreamingEngine};
@@ -29,7 +28,7 @@ use netanom_topology::RoutingMatrix;
 use crate::experiments::ExperimentOutput;
 use crate::lab::Lab;
 use crate::report;
-use crate::streaming::stage_anomalies;
+use crate::scenario::{self, Staged};
 
 /// Scenario parameters.
 #[derive(Debug, Clone)]
@@ -94,81 +93,42 @@ pub fn run_scenario(
     rm: &RoutingMatrix,
     cfg: &MethodsConfig,
 ) -> Result<Vec<MethodMeasurement>, CoreError> {
-    if links.rows() < cfg.train_bins + cfg.anomaly_every + cfg.anomaly_len {
-        return Err(CoreError::TooFewSamples {
-            got: links.rows(),
-            need: cfg.train_bins + cfg.anomaly_every + cfg.anomaly_len,
-        });
-    }
-    let training = links.row_block(0, cfg.train_bins).expect("length checked");
-    let tail = links
-        .row_block(cfg.train_bins, links.rows() - cfg.train_bins)
-        .expect("length checked");
-    let (streamed, onsets) = stage_anomalies(
-        &tail,
+    let staged = Staged::split(
+        links,
         rm,
+        cfg.train_bins,
         cfg.anomaly_every,
         cfg.anomaly_len,
         cfg.anomaly_bytes,
-    );
+    )?;
     let diag_config = DiagnoserConfig {
         confidence: cfg.confidence,
         ..DiagnoserConfig::default()
-    };
-    let active = |t: usize| {
-        onsets
-            .iter()
-            .any(|&(onset, _)| t >= onset && t < onset + cfg.anomaly_len)
     };
 
     let mut out = Vec::new();
     for method in MethodName::ALL {
         let backend: MethodBackend =
-            method.fit(&training, rm, diag_config, RefitStrategy::FullSvd)?;
+            method.fit(&staged.training, rm, diag_config, RefitStrategy::FullSvd)?;
         let mut engine = StreamingEngine::with_backend(
             backend,
-            &training,
+            &staged.training,
             StreamConfig::new(cfg.train_bins).refit_every(cfg.refit_every),
         )?;
-
-        let start = Instant::now();
-        let mut reports = Vec::with_capacity(streamed.rows());
-        let mut next = 0;
-        while next < streamed.rows() {
-            let take = cfg.chunk_rows.min(streamed.rows() - next);
-            let block = streamed.row_block(next, take).expect("range checked");
-            reports.extend(engine.process_batch(&block)?);
-            next += take;
-        }
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        let mut caught = 0usize;
-        let mut latency_sum = 0usize;
-        for &(onset, _) in &onsets {
-            if let Some(t) = (onset..onset + cfg.anomaly_len).find(|&t| reports[t].detected) {
-                caught += 1;
-                latency_sum += t - onset;
-            }
-        }
-        let false_alarms = reports
-            .iter()
-            .enumerate()
-            .filter(|(t, r)| r.detected && !active(*t))
-            .count();
+        let run = scenario::replay(cfg.chunk_rows, &staged.streamed, |block| {
+            engine.process_batch(block)
+        })?;
+        let score = scenario::score(&run.reports, &staged.onsets, cfg.anomaly_len);
         out.push(MethodMeasurement {
             method,
-            arrivals: streamed.rows(),
+            arrivals: run.reports.len(),
             refits: engine.refits(),
-            wall_seconds,
-            arrivals_per_sec: streamed.rows() as f64 / wall_seconds.max(1e-12),
-            staged: onsets.len(),
-            caught,
-            mean_latency_bins: if caught == 0 {
-                f64::NAN
-            } else {
-                latency_sum as f64 / caught as f64
-            },
-            false_alarms,
+            wall_seconds: run.wall_seconds,
+            arrivals_per_sec: run.arrivals_per_sec(),
+            staged: staged.onsets.len(),
+            caught: score.caught,
+            mean_latency_bins: score.mean_latency_bins(),
+            false_alarms: score.false_alarms,
         });
     }
     Ok(out)

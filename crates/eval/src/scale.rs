@@ -4,8 +4,8 @@
 //! For every target link count the scenario manufactures a fresh
 //! workload ([`netanom_traffic::synth::workload`]: exact-`m` synthetic
 //! backbone + gravity-model traffic), bootstraps a
-//! [`StreamingEngine`], and replays a contaminated tail (the same
-//! `stage_anomalies` staging the streaming/sharded scenarios use, so
+//! [`StreamingEngine`], and replays a contaminated tail (staged, timed
+//! and scored exactly as the streaming/sharded scenarios' is, so
 //! detection quality is measured against known ground truth). Each size
 //! runs under both statistics-maintaining refit strategies:
 //!
@@ -40,7 +40,7 @@ use netanom_traffic::synth::{workload, ScaleConfig};
 use crate::experiments::ExperimentOutput;
 use crate::lab::Lab;
 use crate::report;
-use crate::streaming::stage_anomalies;
+use crate::scenario::{self, Staged};
 
 /// Scenario parameters.
 #[derive(Debug, Clone)]
@@ -138,12 +138,6 @@ pub fn strategy_label(s: RefitStrategy) -> &'static str {
 /// Run the scenario: one synthetic workload per size, streamed under
 /// the incremental (dense refit) and truncated strategies.
 pub fn run_scenario(cfg: &ScenarioConfig) -> Result<Vec<ScaleMeasurement>, CoreError> {
-    if cfg.stream_bins < cfg.anomaly_every + cfg.anomaly_len {
-        return Err(CoreError::TooFewSamples {
-            got: cfg.stream_bins,
-            need: cfg.anomaly_every + cfg.anomaly_len,
-        });
-    }
     let diag_config = DiagnoserConfig {
         confidence: cfg.confidence,
         ..DiagnoserConfig::default()
@@ -164,26 +158,19 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> Result<Vec<ScaleMeasurement>, CoreE
         let (network, links) = workload(&ScaleConfig::new(m, bins, cfg.seed))
             .map_err(|_| CoreError::TooFewSamples { got: m, need: 7 })?;
         let rm = &network.routing_matrix;
-        let training = links
-            .matrix()
-            .row_block(0, train_bins)
-            .expect("length checked");
-        let tail = links
-            .matrix()
-            .row_block(train_bins, cfg.stream_bins)
-            .expect("length checked");
-        let (streamed, onsets) = stage_anomalies(
-            &tail,
+        let staged = Staged::split(
+            links.matrix(),
             rm,
+            train_bins,
             cfg.anomaly_every,
             cfg.anomaly_len,
             cfg.anomaly_bytes,
-        );
+        )?;
 
         for strategy in strategies {
             let fit_start = Instant::now();
             let mut engine = StreamingEngine::new(
-                &training,
+                &staged.training,
                 rm,
                 diag_config,
                 StreamConfig::new(train_bins)
@@ -191,16 +178,9 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> Result<Vec<ScaleMeasurement>, CoreE
                     .strategy(strategy),
             )?;
             let fit_seconds = fit_start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let mut reports = Vec::with_capacity(streamed.rows());
-            let mut next = 0;
-            while next < streamed.rows() {
-                let take = cfg.chunk_rows.min(streamed.rows() - next);
-                let block = streamed.row_block(next, take).expect("range checked");
-                reports.extend(engine.process_batch(&block)?);
-                next += take;
-            }
-            let wall_seconds = start.elapsed().as_secs_f64();
+            let run = scenario::replay(cfg.chunk_rows, &staged.streamed, |block| {
+                engine.process_batch(block)
+            })?;
 
             // One isolated refit on a clone: the model-rebuild latency
             // the strategy pays on every cadence tick.
@@ -209,36 +189,21 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> Result<Vec<ScaleMeasurement>, CoreE
             probe.refit()?;
             let refit_seconds = t0.elapsed().as_secs_f64();
 
-            let active = |t: usize| {
-                onsets
-                    .iter()
-                    .any(|&(onset, _)| t >= onset && t < onset + cfg.anomaly_len)
-            };
-            let caught = onsets
-                .iter()
-                .filter(|&&(onset, _)| {
-                    (onset..onset + cfg.anomaly_len).any(|t| reports[t].detected)
-                })
-                .count();
-            let false_alarms = reports
-                .iter()
-                .enumerate()
-                .filter(|(t, r)| r.detected && !active(*t))
-                .count();
+            let score = scenario::score(&run.reports, &staged.onsets, cfg.anomaly_len);
             out.push(ScaleMeasurement {
                 links: m,
                 flows: rm.num_flows(),
                 strategy,
                 normal_dim: engine.diagnoser().model().normal_dim(),
-                arrivals: streamed.rows(),
+                arrivals: run.reports.len(),
                 refits: engine.refits(),
                 fit_seconds,
-                wall_seconds,
-                arrivals_per_sec: streamed.rows() as f64 / wall_seconds.max(1e-12),
+                wall_seconds: run.wall_seconds,
+                arrivals_per_sec: run.arrivals_per_sec(),
                 refit_seconds,
-                staged: onsets.len(),
-                caught,
-                false_alarms,
+                staged: staged.onsets.len(),
+                caught: score.caught,
+                false_alarms: score.false_alarms,
             });
         }
     }

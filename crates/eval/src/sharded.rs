@@ -21,7 +21,6 @@
 //! `O(m²)` statistics upkeep and `O(m·r)` projections split `K` ways.
 
 use std::path::Path;
-use std::time::Instant;
 
 use netanom_core::shard::ShardedEngine;
 use netanom_core::stream::{RefitStrategy, StreamConfig};
@@ -32,7 +31,7 @@ use netanom_topology::{LinkPartition, RoutingMatrix};
 use crate::experiments::ExperimentOutput;
 use crate::lab::Lab;
 use crate::report;
-use crate::streaming::stage_anomalies;
+use crate::scenario::{self, Staged};
 
 /// Scenario parameters.
 #[derive(Debug, Clone)]
@@ -108,23 +107,14 @@ pub fn run_scenario(
     rm: &RoutingMatrix,
     cfg: &ScenarioConfig,
 ) -> Result<Vec<ShardMeasurement>, CoreError> {
-    if links.rows() < cfg.train_bins + cfg.anomaly_every + cfg.anomaly_len {
-        return Err(CoreError::TooFewSamples {
-            got: links.rows(),
-            need: cfg.train_bins + cfg.anomaly_every + cfg.anomaly_len,
-        });
-    }
-    let training = links.row_block(0, cfg.train_bins).expect("length checked");
-    let tail = links
-        .row_block(cfg.train_bins, links.rows() - cfg.train_bins)
-        .expect("length checked");
-    let (streamed, onsets) = stage_anomalies(
-        &tail,
+    let staged = Staged::split(
+        links,
         rm,
+        cfg.train_bins,
         cfg.anomaly_every,
         cfg.anomaly_len,
         cfg.anomaly_bytes,
-    );
+    )?;
     let diag_config = DiagnoserConfig {
         confidence: cfg.confidence,
         ..DiagnoserConfig::default()
@@ -138,7 +128,7 @@ pub fn run_scenario(
             }
         })?;
         let mut engine = ShardedEngine::new(
-            &training,
+            &staged.training,
             rm,
             diag_config,
             StreamConfig::new(cfg.train_bins)
@@ -146,37 +136,23 @@ pub fn run_scenario(
                 .strategy(RefitStrategy::Incremental),
             &partition,
         )?;
-
-        let start = Instant::now();
-        let mut reports = Vec::with_capacity(streamed.rows());
-        let mut next = 0;
-        while next < streamed.rows() {
-            let take = cfg.chunk_rows.min(streamed.rows() - next);
-            let block = streamed.row_block(next, take).expect("range checked");
-            reports.extend(engine.process_batch(&block)?);
-            next += take;
-        }
-        let wall_seconds = start.elapsed().as_secs_f64();
-
-        let mut caught = 0usize;
-        for &(onset, _) in &onsets {
-            if (onset..onset + cfg.anomaly_len).any(|t| reports[t].detected) {
-                caught += 1;
-            }
-        }
+        let run = scenario::replay(cfg.chunk_rows, &staged.streamed, |block| {
+            engine.process_batch(block)
+        })?;
+        let score = scenario::score(&run.reports, &staged.onsets, cfg.anomaly_len);
         let sizes: Vec<usize> = (0..k).map(|s| engine.shard_links(s).len()).collect();
         out.push(ShardMeasurement {
             shards: k,
             min_links: sizes.iter().copied().min().unwrap_or(0),
             max_links: sizes.iter().copied().max().unwrap_or(0),
-            arrivals: streamed.rows(),
+            arrivals: run.reports.len(),
             refits: engine.refits(),
-            wall_seconds,
-            arrivals_per_sec: streamed.rows() as f64 / wall_seconds.max(1e-12),
+            wall_seconds: run.wall_seconds,
+            arrivals_per_sec: run.arrivals_per_sec(),
             merge_seconds: engine.refit_seconds(),
-            detections: reports.iter().filter(|r| r.detected).count(),
-            staged: onsets.len(),
-            caught,
+            detections: run.reports.iter().filter(|r| r.detected).count(),
+            staged: staged.onsets.len(),
+            caught: score.caught,
         });
     }
     Ok(out)

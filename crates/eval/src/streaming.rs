@@ -19,16 +19,16 @@
 //! eigen-solve, independent of the window length.
 
 use std::path::Path;
-use std::time::Instant;
 
 use netanom_core::stream::{RefitStrategy, StreamConfig, StreamingEngine};
 use netanom_core::{CoreError, DiagnoserConfig};
-use netanom_linalg::{vector, Matrix};
+use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
 
 use crate::experiments::ExperimentOutput;
 use crate::lab::Lab;
 use crate::report;
+use crate::scenario::{self, Staged};
 
 /// Scenario parameters.
 #[derive(Debug, Clone)]
@@ -86,40 +86,6 @@ pub struct CadenceMeasurement {
     pub mean_latency_bins: f64,
 }
 
-/// Stage persistent anomalies into the streamed tail: every
-/// `anomaly_every` bins, a spike of `anomaly_bytes` is added to a
-/// (cycling) OD flow for `anomaly_len` consecutive bins. Returns the
-/// contaminated tail and the `(onset, flow)` list.
-///
-/// Shared with the sharded-deployment scenario ([`crate::sharded`]) so
-/// both measure the same contaminated stream.
-pub(crate) fn stage_anomalies(
-    tail: &Matrix,
-    rm: &RoutingMatrix,
-    anomaly_every: usize,
-    anomaly_len: usize,
-    anomaly_bytes: f64,
-) -> (Matrix, Vec<(usize, usize)>) {
-    let mut streamed = tail.clone();
-    let mut onsets = Vec::new();
-    let mut k = 0usize;
-    loop {
-        let onset = (k + 1) * anomaly_every;
-        if onset + anomaly_len > streamed.rows() {
-            break;
-        }
-        let flow = (k * 7 + 3) % rm.num_flows();
-        for t in onset..onset + anomaly_len {
-            let mut row = streamed.row(t).to_vec();
-            vector::axpy(anomaly_bytes, &rm.column(flow), &mut row);
-            streamed.set_row(t, &row);
-        }
-        onsets.push((onset, flow));
-        k += 1;
-    }
-    (streamed, onsets)
-}
-
 /// Run the scenario on a link series: sweep every cadence in
 /// `cfg.refit_cadences` under both refit strategies.
 ///
@@ -130,23 +96,14 @@ pub fn run_scenario(
     rm: &RoutingMatrix,
     cfg: &ScenarioConfig,
 ) -> Result<Vec<CadenceMeasurement>, CoreError> {
-    if links.rows() < cfg.train_bins + cfg.anomaly_every + cfg.anomaly_len {
-        return Err(CoreError::TooFewSamples {
-            got: links.rows(),
-            need: cfg.train_bins + cfg.anomaly_every + cfg.anomaly_len,
-        });
-    }
-    let training = links.row_block(0, cfg.train_bins).expect("length checked");
-    let tail = links
-        .row_block(cfg.train_bins, links.rows() - cfg.train_bins)
-        .expect("length checked");
-    let (streamed, onsets) = stage_anomalies(
-        &tail,
+    let staged = Staged::split(
+        links,
         rm,
+        cfg.train_bins,
         cfg.anomaly_every,
         cfg.anomaly_len,
         cfg.anomaly_bytes,
-    );
+    )?;
     let diag_config = DiagnoserConfig {
         confidence: cfg.confidence,
         ..DiagnoserConfig::default()
@@ -156,47 +113,27 @@ pub fn run_scenario(
     for &cadence in &cfg.refit_cadences {
         for strategy in [RefitStrategy::FullSvd, RefitStrategy::Incremental] {
             let mut engine = StreamingEngine::new(
-                &training,
+                &staged.training,
                 rm,
                 diag_config,
                 StreamConfig::new(cfg.train_bins)
                     .refit_every(cadence)
                     .strategy(strategy),
             )?;
-
-            let start = Instant::now();
-            let mut reports = Vec::with_capacity(streamed.rows());
-            let mut next = 0;
-            while next < streamed.rows() {
-                let take = cfg.chunk_rows.min(streamed.rows() - next);
-                let block = streamed.row_block(next, take).expect("range checked");
-                reports.extend(engine.process_batch(&block)?);
-                next += take;
-            }
-            let wall_seconds = start.elapsed().as_secs_f64();
-
-            let mut caught = 0usize;
-            let mut latency_sum = 0usize;
-            for &(onset, _) in &onsets {
-                if let Some(t) = (onset..onset + cfg.anomaly_len).find(|&t| reports[t].detected) {
-                    caught += 1;
-                    latency_sum += t - onset;
-                }
-            }
+            let run = scenario::replay(cfg.chunk_rows, &staged.streamed, |block| {
+                engine.process_batch(block)
+            })?;
+            let score = scenario::score(&run.reports, &staged.onsets, cfg.anomaly_len);
             out.push(CadenceMeasurement {
                 refit_every: cadence,
                 strategy,
-                arrivals: streamed.rows(),
+                arrivals: run.reports.len(),
                 refits: engine.refits(),
-                wall_seconds,
-                arrivals_per_sec: streamed.rows() as f64 / wall_seconds.max(1e-12),
-                staged: onsets.len(),
-                caught,
-                mean_latency_bins: if caught == 0 {
-                    f64::NAN
-                } else {
-                    latency_sum as f64 / caught as f64
-                },
+                wall_seconds: run.wall_seconds,
+                arrivals_per_sec: run.arrivals_per_sec(),
+                staged: staged.onsets.len(),
+                caught: score.caught,
+                mean_latency_bins: score.mean_latency_bins(),
             });
         }
     }

@@ -55,7 +55,7 @@ pub enum KernelBackend {
 }
 
 /// Every tier, widest first — the order detection prefers them. Used
-/// by tier-generic tests and benches to enumerate what the host can
+/// by tier-generic tests to enumerate what the host can
 /// run (filtered through [`KernelBackend::is_supported`]).
 pub const ALL_BACKENDS: [KernelBackend; 3] = [
     KernelBackend::Avx512,

@@ -38,7 +38,7 @@
 //! [`Matrix`]'s product methods route through [`active_backend`]; the
 //! explicit `*_with` entry points ([`matmul_with`],
 //! [`matmul_nt_with`], [`matmul_tn_with`], [`gram_with`]) run a chosen
-//! backend for tests, benches, and the pinned-portable SPE path.
+//! backend for tests and the pinned-portable SPE path.
 //!
 //! # Accumulation-order contract (three tiers, two roundings)
 //!
@@ -69,12 +69,12 @@
 //!    `+ 0·x` terms only to discarded padding lanes), not handled by a
 //!    differently-ordered scalar loop.
 //!
-//! The reference kernels in this module ([`matmul_reference`],
-//! [`matmul_nt_reference`], [`matmul_tn_reference`],
-//! [`gram_reference`]) realize the portable tier's order with plain
-//! loop nests; `fma::gemm_reference_fma` is the fused counterpart
-//! serving both hardware tiers. Each packed tier is pinned against
-//! its own reference bitwise in the unit and property tests. Because the portable order also matches
+//! The crate-private `gemm_reference` loop nest realizes the portable
+//! tier's order (it is the fallback [`use_packed`] routes small shapes
+//! to); `fma::gemm_reference_fma` is the fused counterpart serving both
+//! hardware tiers. Each packed tier is pinned bitwise against naive
+//! triple loops written independently in `crates/linalg/tests/`.
+//! Because the portable order also matches
 //! the pre-kernel row-axpy/dot implementations, every parity suite
 //! that pinned bitwise values across the old code remains valid under
 //! `NETANOM_KERNEL=portable` — with one deliberate exception: the old
@@ -422,101 +422,6 @@ pub(crate) fn gemm_reference_with(
     }
 }
 
-/// Reference GEMM `A·B` — the naive ascending-`k` row-axpy triple loop
-/// the packed kernel is pinned against (and the fallback for shapes too
-/// small to amortize packing). No zero-skip: `0 × NaN` propagates.
-///
-/// Returns an error if `a.cols() != b.rows()`.
-pub fn matmul_reference(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(crate::LinalgError::DimensionMismatch {
-            op: "matmul_reference",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    gemm_reference(
-        &Operand::normal(a),
-        &Operand::normal(b),
-        0,
-        out.data_mut(),
-        b.cols(),
-        a.cols(),
-        false,
-    );
-    Ok(out)
-}
-
-/// Reference `A·Bᵀ` (`b` stored `n × k`), ascending-`k` per element.
-///
-/// Returns an error if `a.cols() != b.cols()`.
-pub fn matmul_nt_reference(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.cols() != b.cols() {
-        return Err(crate::LinalgError::DimensionMismatch {
-            op: "matmul_nt_reference",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    gemm_reference(
-        &Operand::normal(a),
-        &Operand::transposed(b),
-        0,
-        out.data_mut(),
-        b.rows(),
-        a.cols(),
-        false,
-    );
-    Ok(out)
-}
-
-/// Reference `Aᵀ·B` (`a` stored `k × m`), ascending-`k` per element.
-///
-/// Returns an error if `a.rows() != b.rows()`.
-pub fn matmul_tn_reference(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(crate::LinalgError::DimensionMismatch {
-            op: "matmul_tn_reference",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    gemm_reference(
-        &Operand::transposed(a),
-        &Operand::normal(b),
-        0,
-        out.data_mut(),
-        b.cols(),
-        a.rows(),
-        false,
-    );
-    Ok(out)
-}
-
-/// Reference Gram product `AᵀA`: upper triangle in ascending-`k`
-/// (data-row) order, mirrored to the lower triangle. No zero-skip.
-pub fn gram_reference(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), a.cols());
-    if a.cols() == 0 {
-        return out;
-    }
-    let (n, kdim) = (a.cols(), a.rows());
-    gemm_reference(
-        &Operand::transposed(a),
-        &Operand::normal(a),
-        0,
-        out.data_mut(),
-        n,
-        kdim,
-        true,
-    );
-    mirror_upper(&mut out);
-    out
-}
-
 /// Copy the upper triangle onto the lower one (`out[b][a] = out[a][b]`).
 pub(crate) fn mirror_upper(out: &mut Matrix) {
     for a in 0..out.rows() {
@@ -559,7 +464,7 @@ fn run_product(
 
 /// `a · b` on an explicitly chosen backend — the entry point behind
 /// [`Matrix::matmul`] (which passes [`active_backend`]), used directly
-/// by tests and benches that must pin a tier regardless of environment.
+/// by tests that must pin a tier regardless of environment.
 ///
 /// # Panics
 ///
@@ -708,8 +613,8 @@ pub fn gram_with(backend: KernelBackend, a: &Matrix) -> Matrix {
 
 /// Scalar reference GEMM over a row block: per output element, terms
 /// accumulate in strictly ascending `k` — the order every kernel in
-/// this crate honors. Used directly for small shapes and as the pinning
-/// reference for the packed path. The loop nest adapts to the operand
+/// this crate honors. Used directly for shapes too small to amortize
+/// packing. The loop nest adapts to the operand
 /// orientations so both sides are walked contiguously where possible,
 /// which changes nothing about the per-element order.
 pub(crate) fn gemm_reference(

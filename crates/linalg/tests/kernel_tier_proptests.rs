@@ -185,6 +185,53 @@ fn every_tier_kc_crossing_accumulation_is_bitwise() {
     }
 }
 
+/// An output wider than `NC = 1024` sends the outermost `jc` loop round
+/// a second time: `B` is repacked from column 1024 on, every row block
+/// is revisited, and the last column block is ragged (76 columns). For
+/// `gram` the output is also taller than `NC`, so the upper-triangle
+/// mode skips the whole row block that lies below the first column
+/// block's diagonal. One product per orientation, each bitwise its
+/// tier's naive loop; like the test below, the CI determinism job
+/// reruns it at `RAYON_NUM_THREADS` 1 and 8.
+#[test]
+fn every_tier_nc_crossing_is_bitwise() {
+    let a = hashed(5, 300, 51);
+    let b = hashed(300, 1100, 53);
+    let bt = hashed(1100, 300, 57);
+    let at = hashed(300, 5, 59);
+    let wide = hashed(9, 1100, 61);
+    for tier in supported_backends() {
+        let nn = matmul_with(tier, &a, &b).unwrap();
+        assert_eq!(
+            bits(&nn),
+            bits(&naive_matmul_for(tier, &a, &b)),
+            "{} matmul",
+            tier.name()
+        );
+        let nt = matmul_nt_with(tier, &a, &bt).unwrap();
+        assert_eq!(
+            bits(&nt),
+            bits(&naive_matmul_for(tier, &a, &bt.transpose())),
+            "{} matmul_nt",
+            tier.name()
+        );
+        let tn = matmul_tn_with(tier, &at, &b).unwrap();
+        assert_eq!(
+            bits(&tn),
+            bits(&naive_matmul_for(tier, &at.transpose(), &b)),
+            "{} matmul_tn",
+            tier.name()
+        );
+        let g = gram_with(tier, &wide);
+        assert_eq!(
+            bits(&g),
+            bits(&naive_matmul_for(tier, &wide.transpose(), &wide)),
+            "{} gram",
+            tier.name()
+        );
+    }
+}
+
 /// Each tier's packed path must be bit-identical regardless of the
 /// thread count the row fan-out *and the panel-packing fan-out* pick.
 /// The serial naive loop is env-independent; the CI determinism job

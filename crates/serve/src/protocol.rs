@@ -33,7 +33,8 @@ use netanom_core::DiagnosisReport;
 pub enum ErrorCode {
     /// The verb is not part of the protocol.
     UnknownCommand,
-    /// The line or an argument did not parse.
+    /// The line or an argument did not parse, or a measurement was not
+    /// a finite number.
     Parse,
     /// An `open`/`restore` configuration value was invalid.
     BadConfig,
@@ -48,6 +49,8 @@ pub enum ErrorCode {
     StateMismatch,
     /// A checkpoint could not be written, read, or validated.
     Checkpoint,
+    /// A request line exceeded the transport's fixed length limit.
+    LineTooLong,
 }
 
 impl ErrorCode {
@@ -62,6 +65,7 @@ impl ErrorCode {
             ErrorCode::DimMismatch => "dim-mismatch",
             ErrorCode::StateMismatch => "state-mismatch",
             ErrorCode::Checkpoint => "checkpoint",
+            ErrorCode::LineTooLong => "line-too-long",
         }
     }
 }

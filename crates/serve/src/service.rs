@@ -29,7 +29,7 @@ impl Response {
         }
     }
 
-    fn error(e: ServeError) -> Self {
+    pub(crate) fn error(e: ServeError) -> Self {
         Response::reply(e.to_line())
     }
 }

@@ -31,7 +31,7 @@ use std::time::Instant;
 use netanom_baselines::methods::{build_streaming, MethodBackend, MethodName};
 use netanom_core::incremental::IncrementalCovariance;
 use netanom_core::method::DetectionBackend;
-use netanom_core::{Cadence, EngineConfig, MethodState, RingWindow, StreamingEngine};
+use netanom_core::{Cadence, CoreError, EngineConfig, MethodState, RingWindow, StreamingEngine};
 use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
 
@@ -269,7 +269,11 @@ impl Session {
 
     /// Enqueue one row. A full queue rejects the row and counts a drop
     /// — the caller answers `busy <sid> queued=<q> capacity=<c>`; a
-    /// wrong-width row is a [`ErrorCode::DimMismatch`] error.
+    /// wrong-width row is a [`ErrorCode::DimMismatch`] error and a row
+    /// with a NaN or infinite value a [`ErrorCode::Parse`] error. A row
+    /// the engine would refuse must be refused here, before it is
+    /// queued: `drain` hands the engine whole blocks, and a refused
+    /// block stays queued.
     ///
     /// Returns `Ok(true)` when the row was queued, `Ok(false)` on a
     /// full queue.
@@ -278,6 +282,12 @@ impl Session {
             return Err(ServeError::new(
                 ErrorCode::DimMismatch,
                 format!("expected {} links, got {}", self.config.dim, row.len()),
+            ));
+        }
+        if let Some(link) = row.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::new(
+                ErrorCode::Parse,
+                CoreError::NonFiniteMeasurement { link }.to_string(),
             ));
         }
         if self.queue.len() >= self.config.queue_capacity {

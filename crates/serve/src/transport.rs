@@ -1,12 +1,17 @@
 //! Transports: the same [`Service`] behind stdin/stdout or a TCP
 //! socket.
 //!
-//! Both transports are thin line pumps around
-//! [`Service::handle_line`] — they read one line, write the response's
-//! lines, flush, and repeat. The TCP listener serves clients
-//! *sequentially* and keeps sessions alive across connections: a client
-//! may connect, feed a session, disconnect, and a later client resumes
-//! it — the daemon is the state holder, exactly like the stdio form.
+//! Both transports are one line pump around [`Service::handle_line`]:
+//! read one line, write the response's lines, flush, and repeat. The
+//! pump reads bytes, not text, into a buffer of fixed maximum size, so
+//! neither a byte that is not UTF-8 (`err parse line is not UTF-8`) nor
+//! a client that never sends a newline (`err line-too-long`, the rest
+//! of the line discarded) can stop the daemon or grow it: both are
+//! answered and the conversation continues. The TCP listener serves
+//! clients *sequentially* and keeps sessions alive across connections:
+//! a client may connect, feed a session, disconnect, and a later client
+//! resumes it — the daemon is the state holder, exactly like the stdio
+//! form.
 //! Socket failures reuse the [`netanom_net`] error taxonomy
 //! ([`NetError`]): a clean EOF ends the client (`CleanDisconnect`
 //! semantics, next client is accepted), a read deadline surfaces as
@@ -19,7 +24,78 @@ use std::time::Duration;
 
 use netanom_net::NetError;
 
-use crate::service::Service;
+use crate::protocol::{ErrorCode, ServeError};
+use crate::service::{Response, Service};
+
+/// Longest request line either transport accepts, terminator excluded.
+/// 1 MiB holds an `obs` row of some forty thousand links; a client that
+/// sends more without a newline is answered `err line-too-long` and the
+/// rest of its line discarded, so the daemon's line buffer never
+/// outgrows this.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read one `\n`-terminated line into `buf`, without the terminator
+/// and holding at most [`MAX_LINE_BYTES`] of it; whatever lies beyond
+/// that is consumed and dropped. Returns the line's whole length, or
+/// `None` at end of input (a last line without a newline still counts).
+fn read_bounded_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
+    buf.clear();
+    let mut len = 0usize;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok((len > 0).then_some(len));
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        let room = MAX_LINE_BYTES - buf.len();
+        buf.extend_from_slice(&part[..part.len().min(room)]);
+        len += part.len();
+        let consumed = part.len() + usize::from(newline.is_some());
+        reader.consume(consumed);
+        if newline.is_some() {
+            return Ok(Some(len));
+        }
+    }
+}
+
+/// The line pump under both transports: read a bounded line, answer it,
+/// flush, repeat. Returns `Ok(true)` when `quit` was handled and
+/// `Ok(false)` at end of input. A line that is too long or not UTF-8 is
+/// the client's mistake, answered with a typed error like any other —
+/// the pump, the service and its sessions carry on.
+fn pump<R: BufRead, W: Write>(
+    service: &mut Service,
+    mut reader: R,
+    mut writer: W,
+) -> io::Result<bool> {
+    let mut buf = Vec::new();
+    while let Some(len) = read_bounded_line(&mut reader, &mut buf)? {
+        let response = if len > MAX_LINE_BYTES {
+            Response::error(ServeError::new(
+                ErrorCode::LineTooLong,
+                format!("line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit"),
+            ))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) => service.handle_line(line),
+                Err(_) => Response::error(ServeError::new(ErrorCode::Parse, "line is not UTF-8")),
+            }
+        };
+        for out in &response.lines {
+            writeln!(writer, "{out}")?;
+        }
+        writer.flush()?;
+        if response.quit {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
 
 /// Pump request lines from `reader` through the service, writing each
 /// response to `writer`. Returns when `quit` is handled or the reader
@@ -27,20 +103,9 @@ use crate::service::Service;
 pub fn serve_lines<R: BufRead, W: Write>(
     service: &mut Service,
     reader: R,
-    mut writer: W,
+    writer: W,
 ) -> io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        let response = service.handle_line(&line);
-        for out in &response.lines {
-            writeln!(writer, "{out}")?;
-        }
-        writer.flush()?;
-        if response.quit {
-            break;
-        }
-    }
-    Ok(())
+    pump(service, reader, writer).map(|_quit| ())
 }
 
 /// TCP transport knobs.
@@ -93,26 +158,10 @@ fn serve_client(
     stream
         .set_read_timeout(options.read_timeout)
         .map_err(NetError::from)?;
-    let mut writer = stream.try_clone().map_err(NetError::from)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // `From<io::Error>` classifies an exceeded deadline into
-        // `NetError::Timeout`, matching the rest of the wire layer.
-        let n = reader.read_line(&mut line).map_err(NetError::from)?;
-        if n == 0 {
-            return Ok(false);
-        }
-        let response = service.handle_line(&line);
-        for out in &response.lines {
-            writeln!(writer, "{out}").map_err(NetError::from)?;
-        }
-        writer.flush().map_err(NetError::from)?;
-        if response.quit {
-            return Ok(true);
-        }
-    }
+    let writer = stream.try_clone().map_err(NetError::from)?;
+    // `From<io::Error>` classifies an exceeded deadline into
+    // `NetError::Timeout`, matching the rest of the wire layer.
+    pump(service, BufReader::new(stream), writer).map_err(NetError::from)
 }
 
 #[cfg(test)]
@@ -129,6 +178,20 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         // The third line is never read: quit stops the pump.
         assert_eq!(text, "ok pong\nok bye\n");
+    }
+
+    #[test]
+    fn an_endless_line_is_counted_whole_but_held_to_the_limit() {
+        let mut input = vec![b'x'; 2 * MAX_LINE_BYTES];
+        input.extend(b"\nping");
+        let mut reader = Cursor::new(input);
+        let mut buf = Vec::new();
+        let len = read_bounded_line(&mut reader, &mut buf).unwrap();
+        assert_eq!((len, buf.len()), (Some(2 * MAX_LINE_BYTES), MAX_LINE_BYTES));
+        // What follows the discarded tail is read intact.
+        assert_eq!(read_bounded_line(&mut reader, &mut buf).unwrap(), Some(4));
+        assert_eq!(buf, b"ping");
+        assert_eq!(read_bounded_line(&mut reader, &mut buf).unwrap(), None);
     }
 
     #[test]

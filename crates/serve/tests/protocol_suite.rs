@@ -1,7 +1,13 @@
 //! Protocol state-machine suite: out-of-order commands answer typed
-//! errors without killing the daemon, and the reply grammar is stable.
+//! errors without killing the daemon, the reply grammar is stable, and
+//! neither transport can be stopped or grown by the bytes a client sends.
 
-use netanom_serve::{ErrorCode, Service, SessionCheckpoint};
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+
+use netanom_serve::{
+    serve_lines, serve_tcp, ErrorCode, Service, SessionCheckpoint, TcpServeOptions,
+};
 
 /// Drive one line and return the response lines.
 fn ask(service: &mut Service, line: &str) -> Vec<String> {
@@ -219,4 +225,143 @@ fn cadence_less_statistics_strategies_downgrade_with_a_note() {
     assert!(lines[0].starts_with("note s "), "{}", lines[0]);
     assert!(lines[0].contains("incremental"), "{}", lines[0]);
     assert_eq!(lines[1], "ok open s phase=training queue=4096");
+}
+
+/// A `drain=manual` conversation over the mini dataset (216 training
+/// bins, then streaming with a refit every 24): every reply line, with
+/// a `drain` every 12 rows. Before each row index in `poison`, the same
+/// row is first sent with one value replaced by `bad`; those refusals
+/// are returned separately.
+fn manual_drain_transcript(poison: &[(usize, &str)]) -> (Vec<String>, Vec<String>) {
+    let ds = netanom_traffic::datasets::mini(1);
+    let links = ds.links.matrix();
+    let mut service = Service::new();
+    let open = format!(
+        "open s dim={} train-bins=216 refit=incremental refit-every=24 drain=manual",
+        links.cols()
+    );
+    let mut lines = ask(&mut service, &open);
+    let mut refusals = Vec::new();
+    for t in 0..links.rows() {
+        let mut fields: Vec<String> = links.row(t).iter().map(|v| v.to_string()).collect();
+        let good = format!("obs s {}", fields.join(","));
+        if let Some((_, bad)) = poison.iter().find(|(at, _)| *at == t) {
+            fields[1] = bad.to_string();
+            refusals.extend(ask(&mut service, &format!("obs s {}", fields.join(","))));
+        }
+        lines.extend(ask(&mut service, &good));
+        if (t + 1) % 12 == 0 {
+            lines.extend(ask(&mut service, "drain s"));
+        }
+    }
+    lines.extend(ask(&mut service, "stats s"));
+    (lines, refusals)
+}
+
+/// A non-finite row is refused where it arrives, once, in either phase,
+/// and the session carries on as if it had never been sent: the rows
+/// queued around it are fitted on and scored, not wedged behind it.
+#[test]
+fn a_non_finite_row_is_refused_once_and_the_session_carries_on() {
+    let (clean, none) = manual_drain_transcript(&[]);
+    assert!(none.is_empty());
+    assert!(clean.iter().any(|l| l.starts_with("fit s ")));
+    assert!(clean.iter().any(|l| l.starts_with("alarm s ")));
+
+    // One bad row while training (bin 100), one while streaming (250).
+    let (lines, refusals) = manual_drain_transcript(&[(100, "nan"), (250, "-inf")]);
+    assert_eq!(
+        refusals,
+        vec!["err parse measurement for link 1 is not finite"; 2]
+    );
+    // Same fit, same alarms, same queue depths and counters; only the
+    // `stat` line's two wall-clock fields may differ.
+    let timeless = |lines: &[String]| -> Vec<String> {
+        let timed =
+            |tok: &&str| tok.starts_with("arrivals-per-sec=") || tok.starts_with("last-refit-ms=");
+        lines
+            .iter()
+            .map(|l| {
+                let kept: Vec<&str> = l.split(' ').filter(|tok| !timed(tok)).collect();
+                kept.join(" ")
+            })
+            .collect()
+    };
+    assert_eq!(timeless(&lines), timeless(&clean));
+}
+
+/// The transports' fixed line limit (1 MiB, terminator excluded), and
+/// what they answer to a line of `len` bytes past it or to one that is
+/// not UTF-8.
+const MAX_LINE_BYTES: usize = 1 << 20;
+const NOT_UTF8: &str = "err parse line is not UTF-8";
+fn too_long(len: usize) -> String {
+    format!("err line-too-long line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit")
+}
+
+#[test]
+fn stdio_pump_refuses_bad_lines_and_carries_on() {
+    let mut service = Service::new();
+    let mut input = b"open s dim=2 train-bins=4\nobs s 1,\xff\n".to_vec();
+    // A comment of exactly the limit is read (and ignored) like any
+    // other; one byte more is refused.
+    input.extend(vec![b'#'; MAX_LINE_BYTES]);
+    input.push(b'\n');
+    input.extend(vec![b'#'; MAX_LINE_BYTES + 1]);
+    input.extend(b"\nobs s 1,2\nping");
+    let mut out = Vec::new();
+    serve_lines(&mut service, Cursor::new(input), &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    assert_eq!(
+        text.lines().collect::<Vec<_>>(),
+        vec![
+            "ok open s phase=training queue=4096",
+            NOT_UTF8,
+            &too_long(MAX_LINE_BYTES + 1),
+            // Neither refusal touched the session, and a last line
+            // without a newline is still served.
+            "ok obs s queued=0 phase=training",
+            "ok pong",
+        ]
+    );
+}
+
+#[test]
+fn tcp_daemon_survives_bad_bytes_and_endless_lines() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || {
+        let mut service = Service::new();
+        serve_tcp(&mut service, &listener, &TcpServeOptions::default())
+    });
+    // One thread writes while this one reads, so neither side of the
+    // socket waits on a full buffer.
+    let talk = |bytes: Vec<u8>| -> Vec<String> {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            writer.write_all(&bytes).unwrap();
+            writer.shutdown(Shutdown::Write).unwrap();
+        });
+        let replies = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+        sender.join().unwrap();
+        replies
+    };
+
+    // One stray byte used to be an `InvalidData` read error that
+    // `serve_tcp` returned with, taking every session down.
+    assert_eq!(
+        talk(b"open s dim=2 train-bins=4\n\xff\n".to_vec()),
+        vec!["ok open s phase=training queue=4096", NOT_UTF8]
+    );
+    assert_eq!(talk(b"ping\n".to_vec()), vec!["ok pong"]);
+    // A line that never ends is cut off at the limit and the rest
+    // discarded; what follows it is served.
+    let mut endless = vec![b'x'; 2 * MAX_LINE_BYTES];
+    endless.extend(b"\nstats\nquit\n");
+    let replies = talk(endless);
+    assert_eq!(replies[0], too_long(2 * MAX_LINE_BYTES));
+    assert!(replies[1].starts_with("stat s phase=training"));
+    assert_eq!(&replies[2..], ["ok stats sessions=1", "ok bye"]);
+    daemon.join().unwrap().unwrap();
 }
