@@ -142,7 +142,7 @@ impl FourierModel {
     /// `coefficients.len() == 1 + 2 * periods.len()`), e.g. from a
     /// serialized method state. The reassembled model predicts
     /// ([`FourierModel::predict_at`]) but carries no fitted series
-    /// (`fit_len() == 0`).
+    /// (`fitted()` is empty).
     ///
     /// # Panics
     /// Panics if the coefficient count does not match the periods.
@@ -157,11 +157,6 @@ impl FourierModel {
             coefficients,
             fitted: Vec::new(),
         }
-    }
-
-    /// Number of bins the model was fit on.
-    pub fn fit_len(&self) -> usize {
-        self.fitted.len()
     }
 }
 
@@ -291,7 +286,6 @@ mod tests {
         let m = FourierModel::fit_paper_basis(&s);
         assert_eq!(m.fitted().len(), 300);
         assert_eq!(m.spike_sizes(&s).len(), 300);
-        assert_eq!(m.fit_len(), 300);
     }
 
     #[test]
@@ -317,7 +311,7 @@ mod tests {
         let gen = |i: usize| 50.0 + 10.0 * (std::f64::consts::TAU / 144.0 * i as f64).sin();
         let s: Vec<f64> = (0..1008).map(gen).collect();
         let m = FourierModel::fit_paper_basis(&s);
-        let mut stream = m.clone().stream(m.fit_len());
+        let mut stream = m.clone().stream(m.fitted().len());
         assert_eq!(stream.time(), 1008);
         for i in 1008..1152 {
             let r = stream.step(gen(i));

@@ -53,14 +53,6 @@ pub fn knee_index(sizes_desc: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// The size cutoff implied by the knee: the value of the last rank before
-/// the knee (everything `≥` this size is in the important set).
-///
-/// Returns `None` when no knee exists.
-pub fn knee_cutoff(sizes_desc: &[f64]) -> Option<f64> {
-    knee_index(sizes_desc).map(|i| sizes_desc[i - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,8 +67,6 @@ mod tests {
             (4..=6).contains(&idx),
             "knee at {idx}, expected near rank 5"
         );
-        let cutoff = knee_cutoff(&sizes).unwrap();
-        assert!((10.0..=60.0).contains(&cutoff));
     }
 
     #[test]
@@ -90,7 +80,6 @@ mod tests {
     #[test]
     fn flat_curve_has_no_knee() {
         assert_eq!(knee_index(&[5.0; 20]), None);
-        assert_eq!(knee_cutoff(&[5.0; 20]), None);
     }
 
     #[test]
@@ -98,7 +87,6 @@ mod tests {
         assert_eq!(knee_index(&[]), None);
         assert_eq!(knee_index(&[1.0]), None);
         assert_eq!(knee_index(&[2.0, 1.0]), None);
-        assert_eq!(knee_cutoff(&[]), None);
     }
 
     #[test]
@@ -111,7 +99,6 @@ mod tests {
             let mut bad = sizes.clone();
             bad[poison] = f64::NAN;
             assert_eq!(knee_index(&bad), None, "NaN at rank {poison}");
-            assert_eq!(knee_cutoff(&bad), None);
         }
         let mut inf = sizes.clone();
         inf[0] = f64::INFINITY;
@@ -129,7 +116,6 @@ mod tests {
     #[test]
     fn all_equal_input_has_no_knee() {
         assert_eq!(knee_index(&[7.5; 40]), None);
-        assert_eq!(knee_cutoff(&[7.5; 40]), None);
         // Zero is an allowed (non-negative) size; all-zero is flat.
         assert_eq!(knee_index(&[0.0; 10]), None);
     }

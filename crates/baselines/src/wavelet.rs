@@ -114,14 +114,6 @@ pub struct HaarStream {
 }
 
 impl HaarStream {
-    /// Create with the given decomposition depth.
-    ///
-    /// # Panics
-    /// Panics if `levels == 0`.
-    pub fn new(levels: usize) -> Self {
-        HaarWavelet::new(levels).stream()
-    }
-
     /// Bins per emitted block (`2^levels`).
     pub fn block_len(&self) -> usize {
         1usize << self.filter.levels

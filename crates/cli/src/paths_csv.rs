@@ -77,6 +77,7 @@ pub fn serialize(paths: &[Vec<usize>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip() {
@@ -111,5 +112,43 @@ mod tests {
     fn blank_lines_ok() {
         let parsed = parse("flow,links\n0,1\n\n1,2;3\n").unwrap();
         assert_eq!(parsed.len(), 2);
+    }
+
+    /// Non-empty path lists of non-empty paths, link indices from small
+    /// to near `usize::MAX`.
+    fn path_lists() -> impl Strategy<Value = Vec<Vec<usize>>> {
+        let link = (0usize..4, 0usize..=usize::MAX).prop_map(|(scale, x)| match scale {
+            0 => x % 10,
+            1 => x % 1000,
+            2 => x % 1_000_000,
+            _ => x,
+        });
+        collection::vec(collection::vec(link, 1..8), 1..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn serialize_then_parse_is_the_identity(paths in path_lists()) {
+            prop_assert_eq!(parse(&serialize(&paths)), Ok(paths));
+        }
+
+        /// Any one byte of a valid file replaced by any value: a parse
+        /// or an error, never a panic (a mutant that is not UTF-8 never
+        /// reaches `parse`, which takes `&str`).
+        #[test]
+        fn any_single_byte_mutation_parses_or_errs(
+            paths in path_lists(),
+            at in 0usize..=usize::MAX,
+            byte in 0u8..=255,
+        ) {
+            let mut bytes = serialize(&paths).into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            if let Ok(text) = String::from_utf8(bytes) {
+                let _ = parse(&text);
+            }
+        }
     }
 }

@@ -96,8 +96,12 @@ mod tests {
             let noise = (((i * m + l).wrapping_mul(2654435761)) % 4096) as f64 - 2048.0;
             1e6 + smooth + noise
         });
-        let model =
-            SubspaceModel::fit(&links, SeparationPolicy::FixedCount(1), PcaMethod::Svd).unwrap();
+        let model = SubspaceModel::fit(
+            &links,
+            SeparationPolicy::FixedCount(1),
+            PcaMethod::Covariance,
+        )
+        .unwrap();
         (model, net, links)
     }
 

@@ -17,7 +17,7 @@ pub struct DiagnoserConfig {
     pub confidence: f64,
     /// Normal/anomalous axis separation policy.
     pub separation: SeparationPolicy,
-    /// PCA computation route.
+    /// PCA computation route (one variant; see [`PcaMethod`]).
     pub pca_method: PcaMethod,
 }
 

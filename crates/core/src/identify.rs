@@ -213,8 +213,12 @@ mod tests {
             let noise = (((i * m + l).wrapping_mul(0x9E3779B9)) % 4096) as f64 - 2048.0;
             1e6 + smooth + noise
         });
-        let model =
-            SubspaceModel::fit(&links, SeparationPolicy::FixedCount(2), PcaMethod::Svd).unwrap();
+        let model = SubspaceModel::fit(
+            &links,
+            SeparationPolicy::FixedCount(2),
+            PcaMethod::Covariance,
+        )
+        .unwrap();
         let ident = Identifier::new(&model, rm).unwrap();
         (model, ident, net.clone(), links)
     }

@@ -616,7 +616,7 @@ impl CovarianceShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pca::{Pca, PcaMethod};
+    use crate::pca::Pca;
 
     fn data(t: usize, m: usize, seed: usize) -> Matrix {
         Matrix::from_fn(t, m, |i, j| {
@@ -685,7 +685,7 @@ mod tests {
         let y = data(500, 6, 2);
         let inc = IncrementalCovariance::from_matrix(&y);
         let model_inc = inc.to_model(SeparationPolicy::FixedCount(2)).unwrap();
-        let pca = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let model_batch = SubspaceModel::from_pca(&pca, 2).unwrap();
 
         // Same SPE on arbitrary probes (sign flips in eigenvectors cancel

@@ -23,9 +23,8 @@
 //! a frozen model in `O(m·r)` (Section 7.1) from a flat ring-buffer
 //! window, refitting periodically either with a full fit or from the
 //! [`incremental`] sufficient statistics (`O(m²)` per arrival plus one
-//! dense symmetric eigen-solve per refit, independent of the window length);
-//! [`MultiwayEngine`] runs several measurement kinds (bytes, packets,
-//! entropy) in lockstep. The detection method itself is a pluggable
+//! dense symmetric eigen-solve per refit, independent of the window length).
+//! The detection method itself is a pluggable
 //! backend ([`method`]): every engine is generic over a
 //! [`DetectionBackend`] (default: the [`SubspaceBackend`] reference
 //! implementation, bitwise the historical behavior), so the temporal
@@ -94,9 +93,7 @@ pub use pca::{Pca, PcaMethod};
 pub use separation::SeparationPolicy;
 pub use service::{EngineConfig, PartitionSpec};
 pub use shard::{assemble_columns, evicted_rows, finalize_block, ShardedEngine};
-pub use stream::{
-    MultiwayEngine, MultiwayReport, RefitStrategy, RingWindow, StreamConfig, StreamingEngine,
-};
+pub use stream::{RefitStrategy, RingWindow, StreamConfig, StreamingEngine};
 pub use subspace::{Detection, Detector, SubspaceModel};
 
 /// Result alias used throughout the crate.

@@ -471,11 +471,6 @@ impl SubspaceBackend {
         &self.diagnoser
     }
 
-    /// The routing matrix identification runs against.
-    pub fn routing(&self) -> &RoutingMatrix {
-        &self.rm
-    }
-
     /// The active refit strategy.
     pub fn strategy(&self) -> RefitStrategy {
         self.strategy
@@ -525,8 +520,8 @@ impl SubspaceBackend {
     /// Refit the frozen model with a full fit over an assembled window
     /// (`len × m`, arrival order) — the [`RefitStrategy::FullSvd`]
     /// coordinator step, shared by the in-process engine and the TCP
-    /// tracker: the configured [`PcaMethod`](crate::PcaMethod) (by
-    /// default the two-pass Gram route) and the separation policy re-run
+    /// tracker: the two-pass Gram route of
+    /// [`PcaMethod`](crate::PcaMethod) and the separation policy re-run
     /// on the window, 3σ included.
     pub fn refit_from_window(&mut self, window: &Matrix) -> Result<()> {
         let model = SubspaceModel::fit(window, self.config.separation, self.config.pca_method)?;

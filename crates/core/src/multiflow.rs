@@ -11,17 +11,17 @@
 //! f̂ = (Θ̃ᵀΘ̃)⁻¹ Θ̃ᵀ ỹ,   Θ̃ = C̃Θ
 //! ```
 //!
-//! [`estimate_intensities`] solves that for a *known* candidate set;
-//! [`greedy_identify`] searches for an unknown set by matching pursuit
-//! (repeatedly adding the single flow that explains the most remaining
-//! residual, then re-solving jointly) — the natural extension of the
-//! paper's argmin to subsets without combinatorial search.
+//! [`greedy_identify`] searches for the participating set by matching
+//! pursuit (repeatedly adding the single flow that explains the most
+//! remaining residual, then re-solving that least-squares problem for
+//! the set jointly) — the natural extension of the paper's argmin to
+//! subsets without combinatorial search.
 
 use netanom_linalg::decomposition::Cholesky;
 use netanom_linalg::{vector, Matrix};
 use netanom_topology::RoutingMatrix;
 
-use crate::identify::{Identifier, VISIBILITY_FLOOR};
+use crate::identify::Identifier;
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
 
@@ -66,27 +66,14 @@ fn theta_columns(rm: &RoutingMatrix, flows: &[usize]) -> Matrix {
     Matrix::from_columns(&cols)
 }
 
-/// Estimate the intensities of a *known* set of participating flows
-/// (paper Section 7.2: "replace θᵢ with a matrix Θᵢ … and fᵢ with a
-/// vector fᵢ").
+/// The joint least-squares intensities of a *known* set of participating
+/// flows (paper Section 7.2: "replace θᵢ with a matrix Θᵢ … and fᵢ with a
+/// vector fᵢ") against an already-projected residual `ỹ = C̃(y − μ)`.
 ///
 /// Returns [`CoreError::DependentCandidates`] when the flows' residual
 /// footprints are linearly dependent (e.g. two flows routed identically),
 /// [`CoreError::NoCandidates`] for an empty set.
-pub fn estimate_intensities(
-    model: &SubspaceModel,
-    rm: &RoutingMatrix,
-    flows: &[usize],
-    y: &[f64],
-) -> Result<MultiFlowAnomaly> {
-    let residual = model.residual(y)?;
-    estimate_from_residual(model, rm, flows, &residual)
-}
-
-/// [`estimate_intensities`] against an already-projected residual
-/// `ỹ = C̃(y − μ)` — the streaming/pursuit entry point, which avoids
-/// re-projecting the measurement on every candidate-set evaluation.
-pub fn estimate_from_residual(
+fn estimate_from_residual(
     model: &SubspaceModel,
     rm: &RoutingMatrix,
     flows: &[usize],
@@ -119,77 +106,6 @@ pub fn estimate_from_residual(
         f_hat,
         residual_energy: energy,
         remaining_energy: remaining,
-    })
-}
-
-/// Exhaustive two-flow identification: extend the candidate set from
-/// single flows to all unordered flow pairs, exactly as the paper
-/// suggests ("to identify anomalies involving any two flows, one simply
-/// extends {Fᵢ} to include the new anomalies").
-///
-/// For each pair `(i, j)` the explained residual energy is
-/// `bᵀG⁻¹b` with `G = [θ̃ᵢᵀθ̃ᵢ, θ̃ᵢᵀθ̃ⱼ; ·, θ̃ⱼᵀθ̃ⱼ]` and
-/// `b = [θ̃ᵢᵀỹ, θ̃ⱼᵀỹ]`; the Gram matrix over all flows is computed once
-/// (`O(m·n²)`), after which each pair costs a closed-form 2×2 solve, so
-/// the full sweep over `n(n−1)/2` pairs stays interactive even for
-/// Sprint's 169 flows (14 196 pairs).
-///
-/// Returns the best pair with its jointly-estimated magnitudes. Pairs
-/// whose residual footprints are numerically dependent (nested routes)
-/// are skipped — link data cannot distinguish their members.
-pub fn identify_best_pair(
-    model: &SubspaceModel,
-    rm: &RoutingMatrix,
-    y: &[f64],
-) -> Result<MultiFlowAnomaly> {
-    let n = rm.num_flows();
-    if n < 2 {
-        return Err(CoreError::NoCandidates);
-    }
-    let residual = model.residual(y)?;
-    let energy = vector::norm_sq(&residual);
-
-    // Θ̃ for all flows in one batched projection, then its Gram matrix
-    // and projections onto ỹ.
-    let theta_tilde = model.residual_directions(rm.theta_matrix())?;
-    let gram = theta_tilde.gram();
-    let b = theta_tilde
-        .matvec_t(&residual)
-        .expect("dims consistent by construction");
-
-    let mut best: Option<(usize, usize, f64, [f64; 2])> = None;
-    for i in 0..n {
-        let gii = gram[(i, i)];
-        if gii <= VISIBILITY_FLOOR {
-            continue;
-        }
-        for j in (i + 1)..n {
-            let gjj = gram[(j, j)];
-            if gjj <= VISIBILITY_FLOOR {
-                continue;
-            }
-            let gij = gram[(i, j)];
-            let det = gii * gjj - gij * gij;
-            // Skip (near-)dependent pairs: nested or identical routes.
-            if det <= 1e-9 * gii * gjj {
-                continue;
-            }
-            // Closed-form 2x2 solve for f̂ and the explained energy.
-            let fi = (gjj * b[i] - gij * b[j]) / det;
-            let fj = (gii * b[j] - gij * b[i]) / det;
-            let explained = b[i] * fi + b[j] * fj;
-            match best {
-                Some((_, _, e, _)) if e >= explained => {}
-                _ => best = Some((i, j, explained, [fi, fj])),
-            }
-        }
-    }
-    let (i, j, explained, f_hat) = best.ok_or(CoreError::NoCandidates)?;
-    Ok(MultiFlowAnomaly {
-        flows: vec![i, j],
-        f_hat: f_hat.to_vec(),
-        residual_energy: energy,
-        remaining_energy: (energy - explained).max(0.0),
     })
 }
 
@@ -272,10 +188,24 @@ mod tests {
             let noise = (((i * m + l).wrapping_mul(0x9E3779B9)) % 16384) as f64 - 8192.0;
             5e6 + smooth + noise
         });
-        let model =
-            SubspaceModel::fit(&links, SeparationPolicy::FixedCount(2), PcaMethod::Svd).unwrap();
+        let model = SubspaceModel::fit(
+            &links,
+            SeparationPolicy::FixedCount(2),
+            PcaMethod::Covariance,
+        )
+        .unwrap();
         let ident = Identifier::new(&model, &net.routing_matrix).unwrap();
         (model, ident, net, links)
+    }
+
+    /// The joint estimate for a known flow set against a raw measurement.
+    fn estimate(
+        model: &SubspaceModel,
+        rm: &RoutingMatrix,
+        flows: &[usize],
+        y: &[f64],
+    ) -> Result<MultiFlowAnomaly> {
+        estimate_from_residual(model, rm, flows, &model.residual(y)?)
     }
 
     #[test]
@@ -288,7 +218,7 @@ mod tests {
         for (&f, &s) in flows.iter().zip(&sizes) {
             vector::axpy(s, &rm.column(f), &mut y);
         }
-        let est = estimate_intensities(&model, rm, &flows, &y).unwrap();
+        let est = estimate(&model, rm, &flows, &y).unwrap();
         let bytes = est.estimated_bytes(rm);
         for ((&truth, est_b), &f) in sizes.iter().zip(&bytes).zip(&flows) {
             assert!(
@@ -348,7 +278,7 @@ mod tests {
         let mut y = links.row(300).to_vec();
         vector::axpy(5e6, &rm.column(f1), &mut y);
         vector::axpy(5e6, &rm.column(f2), &mut y);
-        let joint = estimate_intensities(&model, rm, &[f1, f2], &y).unwrap();
+        let joint = estimate(&model, rm, &[f1, f2], &y).unwrap();
         let bytes = joint.estimated_bytes(rm);
         for b in &bytes {
             assert!((b / 5e6 - 1.0).abs() < 0.35, "joint estimate {b} vs 5e6");
@@ -361,7 +291,7 @@ mod tests {
         let rm = &net.routing_matrix;
         let y = links.row(10).to_vec();
         assert!(matches!(
-            estimate_intensities(&model, rm, &[5, 5], &y),
+            estimate(&model, rm, &[5, 5], &y),
             Err(CoreError::DependentCandidates)
         ));
     }
@@ -371,65 +301,12 @@ mod tests {
         let (model, ident, net, links) = setup();
         let y = links.row(0).to_vec();
         assert!(matches!(
-            estimate_intensities(&model, &net.routing_matrix, &[], &y),
+            estimate(&model, &net.routing_matrix, &[], &y),
             Err(CoreError::NoCandidates)
         ));
         assert!(matches!(
             greedy_identify(&model, &net.routing_matrix, &ident, &y, 0, 0.1),
             Err(CoreError::NoCandidates)
-        ));
-    }
-
-    #[test]
-    fn best_pair_recovers_two_disjoint_anomalies() {
-        let (model, _, net, links) = setup();
-        let rm = &net.routing_matrix;
-        let flows = [25usize, 140];
-        let sizes = [8e6, 6e6];
-        let mut y = links.row(77).to_vec();
-        for (&f, &s) in flows.iter().zip(&sizes) {
-            vector::axpy(s, &rm.column(f), &mut y);
-        }
-        let pair = identify_best_pair(&model, rm, &y).unwrap();
-        let mut found = pair.flows.clone();
-        found.sort_unstable();
-        assert_eq!(found, vec![25, 140], "found {:?}", pair.flows);
-        assert!(pair.explained_fraction() > 0.85);
-        // Joint magnitudes land near the injected sizes.
-        let bytes = pair.estimated_bytes(rm);
-        for (&f, est) in pair.flows.iter().zip(bytes) {
-            let truth = if f == 25 { 8e6 } else { 6e6 };
-            assert!(
-                (est / truth - 1.0).abs() < 0.35,
-                "flow {f}: {est} vs {truth}"
-            );
-        }
-    }
-
-    #[test]
-    fn best_pair_agrees_with_joint_estimate() {
-        let (model, _, net, links) = setup();
-        let rm = &net.routing_matrix;
-        let mut y = links.row(90).to_vec();
-        vector::axpy(7e6, &rm.column(30), &mut y);
-        vector::axpy(9e6, &rm.column(95), &mut y);
-        let pair = identify_best_pair(&model, rm, &y).unwrap();
-        let direct = estimate_intensities(&model, rm, &pair.flows, &y).unwrap();
-        for (a, b) in pair.f_hat.iter().zip(&direct.f_hat) {
-            assert!((a - b).abs() < 1e-6 * a.abs().max(1.0));
-        }
-        assert!(
-            (pair.remaining_energy - direct.remaining_energy).abs() < 1e-6 * pair.residual_energy
-        );
-    }
-
-    #[test]
-    fn best_pair_needs_two_candidates() {
-        let (model, _, _, links) = setup();
-        let tiny = builtin::line(1); // 1 PoP -> a single self-flow
-        assert!(matches!(
-            identify_best_pair(&model, &tiny.routing_matrix, links.row(0)),
-            Err(CoreError::NoCandidates) | Err(CoreError::DimensionMismatch { .. })
         ));
     }
 
@@ -440,7 +317,7 @@ mod tests {
         let mut y = links.row(150).to_vec();
         vector::axpy(8e6, &rm.column(60), &mut y);
         let single = ident.identify(&model.residual(&y).unwrap()).unwrap();
-        let multi = estimate_intensities(&model, rm, &[single.flow], &y).unwrap();
+        let multi = estimate(&model, rm, &[single.flow], &y).unwrap();
         assert!((multi.f_hat[0] - single.f_hat).abs() < 1e-6 * single.f_hat.abs());
     }
 }

@@ -1,42 +1,35 @@
 //! Principal component analysis of the link measurement matrix.
 
-use netanom_linalg::decomposition::{Svd, SymmetricEigen};
+use netanom_linalg::decomposition::SymmetricEigen;
 use netanom_linalg::{vector, Matrix};
 
 use crate::{CoreError, Result};
 
-/// How to compute the principal components.
+/// How to compute the principal components: one route, the paper's
+/// ("solving the symmetric eigenvalue problem for the covariance matrix,
+/// YᵀY").
 ///
-/// Both routes produce the same subspace; they are cross-validated against
-/// each other in `tests/pca_route_proptests.rs`.
-///
-/// [`PcaMethod::Covariance`] is the default and the route every product
-/// path fits with. It is what the paper describes ("solving the symmetric
-/// eigenvalue problem for the covariance matrix, YᵀY") and what every
-/// statistics-based refit already does, so a model does not change
-/// numerical route at its first refit: two-pass centring, one
+/// It is what every statistics-based refit already does, so a model does
+/// not change numerical route at its first refit: two-pass centring, one
 /// [`Matrix::gram`] on the dispatched kernel, one tridiagonal-QL solve —
-/// `O(t·m²)` at GEMM speed where the SVD route spends `O(t·m²)` per
-/// *sweep* in serial plane rotations (over a 1008-bin week: 4.5 ms
-/// against 0.33 s at `m = 121`, 25 ms against 2 s at `m = 256`).
+/// `O(t·m²)` at GEMM speed (over a 1008-bin week: 4.5 ms at `m = 121`,
+/// 25 ms at `m = 256`).
 ///
 /// Forming `YᵀY` squares the condition number: an eigenvalue is known
 /// only to about `m·ε·λ₁`, so a zero eigenvalue comes back as roundoff
-/// of that order instead of the SVD route's `≈ 1e-29·λ₁`. The model is
-/// indifferent — the residual moments `φ₁..φ₃` are sums dominated by
-/// eigenvalues many orders above that floor — and the degenerate-residual
-/// guard ([`CoreError::DegenerateResidual`]) is scaled to it, so a
-/// residual made of nothing but roundoff is refused on either route.
+/// of that order instead of the `≈ 1e-29·λ₁` a one-sided Jacobi SVD of
+/// the centred data would give. The model is indifferent — the residual
+/// moments `φ₁..φ₃` are sums dominated by eigenvalues many orders above
+/// that floor — and the degenerate-residual guard
+/// ([`CoreError::DegenerateResidual`]) is scaled to it, so a residual
+/// made of nothing but roundoff is refused. `tests/pca_route_proptests.rs`
+/// holds this route to that SVD, kept as a test oracle.
 ///
-/// [`PcaMethod::Svd`] stays selectable through
-/// [`DiagnoserConfig::pca_method`](crate::DiagnoserConfig::pca_method): it
-/// is the seed loop's route, which the parity suites pin, and the
-/// high-relative-accuracy oracle the route-vs-route tests compare
-/// against. No CLI verb reaches it.
+/// A one-variant enum because
+/// [`DiagnoserConfig::pca_method`](crate::DiagnoserConfig::pca_method)
+/// and [`SubspaceModel::fit`](crate::SubspaceModel::fit) carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PcaMethod {
-    /// One-sided Jacobi SVD of the centered data matrix.
-    Svd,
     /// Symmetric eigendecomposition (tridiagonal QL) of the sample
     /// covariance `YᵀY/(t−1)`.
     #[default]
@@ -67,7 +60,7 @@ impl Pca {
     ///
     /// Requires at least two timesteps and `t ≥ m` (one week of 10-minute
     /// bins against ≤ 49 links leaves a huge margin).
-    pub fn fit(links: &Matrix, method: PcaMethod) -> Result<Self> {
+    pub fn fit(links: &Matrix) -> Result<Self> {
         let (t, m) = links.shape();
         if t < 2 {
             return Err(CoreError::TooFewSamples { got: t, need: 2 });
@@ -76,27 +69,15 @@ impl Pca {
             return Err(CoreError::TooFewSamples { got: t, need: m });
         }
         let (centered, mean) = links.mean_centered_columns();
-        let denom = (t - 1) as f64;
-
-        let (components, eigenvalues) = match method {
-            PcaMethod::Svd => {
-                let svd = Svd::new(&centered)?;
-                let eig: Vec<f64> = svd.sigma.iter().map(|s| s * s / denom).collect();
-                (svd.v, eig)
-            }
-            PcaMethod::Covariance => {
-                let mut cov = centered.gram();
-                cov.scale_in_place(1.0 / denom);
-                // Clamps tiny negative values from roundoff, exactly as
-                // the statistics-based refits do.
-                let eig = SymmetricEigen::of_covariance(&cov)?;
-                (eig.eigenvectors, eig.eigenvalues)
-            }
-        };
+        let mut cov = centered.gram();
+        cov.scale_in_place(1.0 / (t - 1) as f64);
+        // Clamps tiny negative values from roundoff, exactly as the
+        // statistics-based refits do.
+        let eig = SymmetricEigen::of_covariance(&cov)?;
 
         Ok(Pca {
-            components,
-            eigenvalues,
+            components: eig.eigenvectors,
+            eigenvalues: eig.eigenvalues,
             mean,
             num_samples: t,
             centered,
@@ -116,14 +97,6 @@ impl Pca {
     /// The principal axes as columns of an `m × m` orthogonal matrix.
     pub fn components(&self) -> &Matrix {
         &self.components
-    }
-
-    /// Principal axis `i` (unit vector of length `m`).
-    ///
-    /// # Panics
-    /// Panics if `i ≥ m`.
-    pub fn component(&self, i: usize) -> Vec<f64> {
-        self.components.col(i)
     }
 
     /// Captured sample variances `λᵢ`, decreasing.
@@ -163,8 +136,10 @@ impl Pca {
     /// The normalized temporal projection `uᵢ = Yvᵢ / ‖Yvᵢ‖` (length `t`).
     ///
     /// `u₁, u₂` show the clean diurnal trends of the paper's Figure 4(a);
-    /// higher-order projections carry spikes (Figure 4(b)). For an axis
-    /// with zero captured variance the projection is the zero vector.
+    /// higher-order projections carry spikes (Figure 4(b)). When the
+    /// centred data has no component along the axis at all (constant
+    /// traffic) the projection is the zero vector; an axis whose variance
+    /// is only roundoff projects to normalized roundoff.
     ///
     /// # Panics
     /// Panics if `i ≥ m`.
@@ -194,39 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn methods_agree_on_eigenvalues() {
-        let y = structured_data(200, 8);
-        let svd = Pca::fit(&y, PcaMethod::Svd).unwrap();
-        let cov = Pca::fit(&y, PcaMethod::Covariance).unwrap();
-        for k in 0..8 {
-            let a = svd.eigenvalues()[k];
-            let b = cov.eigenvalues()[k];
-            assert!(
-                (a - b).abs() <= 1e-6 * svd.eigenvalues()[0].max(1.0),
-                "eigenvalue {k}: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn methods_agree_on_leading_subspace() {
-        let y = structured_data(150, 6);
-        let svd = Pca::fit(&y, PcaMethod::Svd).unwrap();
-        let cov = Pca::fit(&y, PcaMethod::Covariance).unwrap();
-        // Component signs may flip; compare |dot| ≈ 1.
-        for k in 0..2 {
-            let d = vector::dot(&svd.component(k), &cov.component(k)).abs();
-            assert!(d > 1.0 - 1e-6, "component {k} differs: |dot| = {d}");
-        }
-    }
-
-    #[test]
     fn eigenvalues_match_projected_variance() {
         let y = structured_data(300, 5);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let (centered, _) = y.mean_centered_columns();
         for k in 0..5 {
-            let proj = centered.matvec(&pca.component(k)).unwrap();
+            let proj = centered.matvec(&pca.components().col(k)).unwrap();
             let var = vector::norm_sq(&proj) / (y.rows() as f64 - 1.0);
             assert!(
                 (var - pca.eigenvalues()[k]).abs() <= 1e-8 * pca.eigenvalues()[0].max(1.0),
@@ -238,7 +186,7 @@ mod tests {
     #[test]
     fn variance_fractions_sum_to_one() {
         let y = structured_data(100, 7);
-        let pca = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let sum: f64 = pca.variance_fractions().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -247,7 +195,7 @@ mod tests {
     fn strong_structure_concentrates_variance() {
         // One dominant direction -> first axis captures nearly everything.
         let y = structured_data(400, 10);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         assert!(pca.variance_fractions()[0] > 0.9);
         assert_eq!(pca.effective_dimension(0.9), 1);
         assert!(pca.effective_dimension(0.99999) <= 10);
@@ -256,7 +204,7 @@ mod tests {
     #[test]
     fn temporal_projection_is_unit_norm_and_tracks_signal() {
         let y = structured_data(288, 6);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let u1 = pca.temporal_projection(0);
         assert_eq!(u1.len(), 288);
         assert!((vector::norm(&u1) - 1.0).abs() < 1e-9);
@@ -270,25 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_variance_axis_projects_to_zero() {
-        // Rank-1 data: only one nonzero eigenvalue.
-        let y = Matrix::from_fn(50, 3, |i, _| i as f64);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
-        assert!(pca.eigenvalues()[1] < 1e-9 * pca.eigenvalues()[0]);
-        let u3 = pca.temporal_projection(2);
-        assert!(vector::norm(&u3) < 1e-9);
-    }
-
-    #[test]
     fn rejects_too_few_samples() {
         let y = Matrix::zeros(1, 5);
-        assert!(matches!(
-            Pca::fit(&y, PcaMethod::Svd),
-            Err(CoreError::TooFewSamples { .. })
-        ));
+        assert!(matches!(Pca::fit(&y), Err(CoreError::TooFewSamples { .. })));
         let wide = Matrix::zeros(4, 10);
         assert!(matches!(
-            Pca::fit(&wide, PcaMethod::Svd),
+            Pca::fit(&wide),
             Err(CoreError::TooFewSamples { .. })
         ));
     }
@@ -296,7 +231,7 @@ mod tests {
     #[test]
     fn constant_traffic_has_zero_spectrum() {
         let y = Matrix::from_fn(60, 4, |_, j| 100.0 * (j + 1) as f64);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         assert!(pca.eigenvalues().iter().all(|&l| l < 1e-18));
         assert_eq!(pca.variance_fractions(), vec![0.0; 4]);
     }
@@ -304,7 +239,7 @@ mod tests {
     #[test]
     fn mean_is_removed() {
         let y = structured_data(120, 4);
-        let pca = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let means = y.column_means();
         assert!(vector::approx_eq(pca.mean(), &means, 1e-9));
     }

@@ -79,7 +79,6 @@ impl SeparationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pca::PcaMethod;
     use netanom_linalg::Matrix;
 
     /// Data with two smooth strong directions and a third direction
@@ -102,7 +101,7 @@ mod tests {
     #[test]
     fn three_sigma_keeps_smooth_axes_normal() {
         let y = smooth_plus_spike(432);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let r = SeparationPolicy::default().normal_dim(&pca);
         // The two sinusoidal directions must be normal; the spike axis
         // must not be.
@@ -112,7 +111,7 @@ mod tests {
     #[test]
     fn fixed_count_is_clamped() {
         let y = smooth_plus_spike(300);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         assert_eq!(SeparationPolicy::FixedCount(4).normal_dim(&pca), 4);
         assert_eq!(SeparationPolicy::FixedCount(100).normal_dim(&pca), 6);
         assert_eq!(SeparationPolicy::FixedCount(0).normal_dim(&pca), 0);
@@ -121,7 +120,7 @@ mod tests {
     #[test]
     fn variance_fraction_policy() {
         let y = smooth_plus_spike(300);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let r_small = SeparationPolicy::VarianceFraction(0.5).normal_dim(&pca);
         let r_large = SeparationPolicy::VarianceFraction(0.9999).normal_dim(&pca);
         assert!(r_small <= r_large);
@@ -131,7 +130,7 @@ mod tests {
     #[test]
     fn lower_sigma_is_stricter() {
         let y = smooth_plus_spike(432);
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let r3 = SeparationPolicy::ThreeSigma { sigma: 3.0 }.normal_dim(&pca);
         let r1 = SeparationPolicy::ThreeSigma { sigma: 1.0 }.normal_dim(&pca);
         assert!(r1 <= r3, "sigma=1 ({r1}) should not exceed sigma=3 ({r3})");
@@ -148,7 +147,7 @@ mod tests {
         let y = Matrix::from_fn(400, 4, |i, j| {
             ((i * 4 + j).wrapping_mul(2654435761) % 4096) as f64
         });
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let r = SeparationPolicy::default().normal_dim(&pca);
         // Uniform noise has max/σ ≈ √3 < 3, so every axis passes.
         assert_eq!(r, 4);
@@ -163,7 +162,7 @@ mod tests {
             1 => (i as f64 * 0.1).cos() * 90.0,
             _ => 0.0,
         });
-        let pca = Pca::fit(&y, PcaMethod::Svd).unwrap();
+        let pca = Pca::fit(&y).unwrap();
         let r = SeparationPolicy::default().normal_dim(&pca);
         assert!(r <= 2, "zero-variance axes must be anomalous, r = {r}");
     }

@@ -92,7 +92,7 @@ use crate::cadence::Cadence;
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::incremental::IncrementalCovariance;
 use crate::method::{ShardCtx, ShardScores, ShardableBackend, SubspaceBackend, SubspaceShard};
-use crate::stream::{RefitStrategy, RingWindow, StreamConfig};
+use crate::stream::{RingWindow, StreamConfig};
 use crate::{CoreError, Result};
 
 /// The sharded diagnosis engine: `K` shard workers over a link
@@ -113,12 +113,14 @@ use crate::{CoreError, Result};
 ///   which the parity suite shows does not happen on any pinned
 ///   stream (the same caveat the batch API documents for
 ///   [`Detector::detect_matrix`](crate::Detector::detect_matrix)).
-/// * Under [`RefitStrategy::Incremental`] the merged covariance is
-///   **bitwise identical** to the single-process
-///   [`StreamingEngine`](crate::StreamingEngine)'s, so refitted models
-///   match exactly; under [`RefitStrategy::FullSvd`] the reassembled
-///   window is bitwise the single-process window, so full refits match
-///   exactly too.
+/// * Under
+///   [`RefitStrategy::Incremental`](crate::RefitStrategy::Incremental)
+///   the merged covariance is **bitwise identical** to the
+///   single-process [`StreamingEngine`](crate::StreamingEngine)'s, so
+///   refitted models match exactly; under
+///   [`RefitStrategy::FullSvd`](crate::RefitStrategy::FullSvd) the
+///   reassembled window is bitwise the single-process window, so full
+///   refits match exactly too.
 /// * Results are bitwise independent of the worker thread count: shard
 ///   partials are always merged in shard order.
 #[derive(Debug, Clone)]
@@ -141,8 +143,8 @@ impl ShardedEngine<SubspaceBackend> {
     ///
     /// The global fit happens once at the coordinator; every shard is
     /// seeded with its column slice of the trailing window and (under
-    /// [`RefitStrategy::Incremental`]) its rows of the sufficient
-    /// statistics over the same rows.
+    /// [`RefitStrategy::Incremental`](crate::RefitStrategy::Incremental))
+    /// its rows of the sufficient statistics over the same rows.
     pub fn new(
         training: &Matrix,
         rm: &RoutingMatrix,
@@ -167,18 +169,14 @@ impl ShardedEngine<SubspaceBackend> {
         self.backend.diagnoser()
     }
 
-    /// The active refit strategy.
-    pub fn strategy(&self) -> RefitStrategy {
-        self.backend.strategy()
-    }
-
     /// Merge the shard statistics into the global accumulator — bitwise
     /// identical to the one a single-process
     /// [`StreamingEngine`](crate::StreamingEngine) maintains over the
     /// same stream.
     ///
     /// Errors with [`CoreError::ShardMismatch`] under
-    /// [`RefitStrategy::FullSvd`], which maintains no statistics.
+    /// [`RefitStrategy::FullSvd`](crate::RefitStrategy::FullSvd), which
+    /// maintains no statistics.
     pub fn merged_statistics(&self) -> Result<IncrementalCovariance> {
         SubspaceShard::merge_statistics(&self.states)
     }
@@ -246,11 +244,6 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// Total measurements processed so far.
     pub fn arrivals(&self) -> usize {
         self.cadence.total()
-    }
-
-    /// Arrivals since the most recent (re)fit.
-    pub fn arrivals_since_refit(&self) -> usize {
-        self.cadence.since_fit()
     }
 
     /// Number of refits performed so far.
@@ -562,6 +555,7 @@ pub fn assemble_columns<L: AsRef<[usize]>>(
 mod tests {
     use super::*;
     use crate::separation::SeparationPolicy;
+    use crate::RefitStrategy;
     use netanom_linalg::vector;
     use netanom_topology::builtin;
 

@@ -7,8 +7,9 @@
 //! that sketch:
 //!
 //! * the retained history lives in a [`RingWindow`] — one contiguous
-//!   `capacity × m` allocation with `O(1)` eviction, no per-row boxing,
-//!   no `remove(0)` shifting;
+//!   row-major buffer that grows to at most `capacity × m` and then rings
+//!   in place, with `O(1)` eviction, no per-row boxing, no `remove(0)`
+//!   shifting;
 //! * the detection method itself is a pluggable [`DetectionBackend`]:
 //!   the engine is generic over it (default: the paper's
 //!   [`SubspaceBackend`]), so the temporal comparators stream through
@@ -22,10 +23,7 @@
 //! * backlogs and micro-batched collection go through
 //!   [`StreamingEngine::process_batch`], which rides the backend's
 //!   batched scoring path (a GEMM for the subspace method) between
-//!   refit boundaries;
-//! * several measurement kinds (bytes, packets, flow-entropy, …) stream
-//!   through one [`MultiwayEngine`] that keeps the per-way engines in
-//!   lockstep.
+//!   refit boundaries.
 //!
 //! Semantics are pinned by parity tests (`tests/stream_parity.rs`):
 //! under [`RefitStrategy::FullSvd`], [`StreamingEngine::process`] and
@@ -39,7 +37,6 @@ use netanom_topology::RoutingMatrix;
 use crate::cadence::Cadence;
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::method::{DetectionBackend, SubspaceBackend};
-use crate::multiflow::{self, MultiFlowAnomaly};
 use crate::{CoreError, Result};
 
 /// Default number of top eigenpairs computed by
@@ -55,16 +52,15 @@ pub const DEFAULT_TRUNCATED_TOL: f64 = 1e-10;
 /// How [`StreamingEngine`] recomputes its model when a refit is due.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RefitStrategy {
-    /// Materialize the window and rerun the full fit (PCA via the
-    /// configured [`crate::PcaMethod`], subspace separation — so the 3σ
-    /// rule is re-run and `r` may move — and threshold). Exactly the
-    /// behavior of the seed's sequential loop; cost grows with the
-    /// window length.
+    /// Materialize the window and rerun the full fit (PCA, subspace
+    /// separation — so the 3σ rule is re-run and `r` may move — and
+    /// threshold). Exactly the behavior of the seed's sequential loop;
+    /// cost grows with the window length.
     ///
-    /// The name is historical (and the CLI keyword stays `full`): on
-    /// the default [`PcaMethod::Covariance`](crate::PcaMethod::Covariance)
-    /// route this is a two-pass centring, one Gram product and one
-    /// symmetric eigen-solve over the whole window, not an SVD.
+    /// The name is historical (and the CLI keyword stays `full`): the
+    /// one PCA route ([`PcaMethod::Covariance`](crate::PcaMethod::Covariance))
+    /// is a two-pass centring, one Gram product and one symmetric
+    /// eigen-solve over the whole window, not an SVD.
     #[default]
     FullSvd,
     /// Maintain sufficient statistics (`n`, `Σy`, `Σyyᵀ`) incrementally
@@ -167,18 +163,24 @@ impl StreamConfig {
     }
 }
 
-/// A fixed-capacity sliding window of measurement rows backed by one
-/// contiguous `capacity × m` allocation.
+/// A fixed-capacity sliding window of measurement rows in one contiguous
+/// row-major buffer.
 ///
-/// Pushing into a full window overwrites the oldest row in place: `O(m)`
-/// per push, `O(1)` eviction, zero steady-state allocation — replacing
-/// the `Vec<Vec<f64>>` + `remove(0)` pattern (`O(n)` shift per arrival
-/// plus a heap round-trip per row) the original online path used.
+/// The buffer grows as rows arrive, up to `capacity` rows and never past
+/// them, so a `capacity` far beyond what will ever be retained (a
+/// client's `window=`, a decoded checkpoint) costs only the rows that
+/// are. Once full, pushing overwrites the oldest row in place: `O(m)` per
+/// push, `O(1)` eviction, zero steady-state allocation — replacing the
+/// `Vec<Vec<f64>>` + `remove(0)` pattern (`O(n)` shift per arrival plus a
+/// heap round-trip per row) the original online path used.
 #[derive(Debug, Clone)]
 pub struct RingWindow {
-    /// Flat `capacity × dim` storage; rows are addressed modulo
-    /// `capacity`.
-    data: Matrix,
+    /// The retained rows, `len × dim` values. Until the window fills,
+    /// nothing has been evicted and they sit in arrival order; after,
+    /// rows are addressed modulo `capacity` from `head`.
+    data: Vec<f64>,
+    capacity: usize,
+    dim: usize,
     /// Physical row of the oldest logical row.
     head: usize,
     /// Number of valid rows (`≤ capacity`).
@@ -186,7 +188,8 @@ pub struct RingWindow {
 }
 
 impl RingWindow {
-    /// An empty window of `capacity` rows of width `dim`.
+    /// An empty window of `capacity` rows of width `dim`. Allocates
+    /// nothing until the first push.
     ///
     /// # Panics
     /// Panics if `capacity` or `dim` is zero.
@@ -194,7 +197,9 @@ impl RingWindow {
         assert!(capacity > 0, "RingWindow capacity must be positive");
         assert!(dim > 0, "RingWindow dim must be positive");
         RingWindow {
-            data: Matrix::zeros(capacity, dim),
+            data: Vec::new(),
+            capacity,
+            dim,
             head: 0,
             len: 0,
         }
@@ -202,7 +207,7 @@ impl RingWindow {
 
     /// Maximum number of retained rows.
     pub fn capacity(&self) -> usize {
-        self.data.rows()
+        self.capacity
     }
 
     /// Current number of retained rows.
@@ -217,12 +222,17 @@ impl RingWindow {
 
     /// Row width `m`.
     pub fn dim(&self) -> usize {
-        self.data.cols()
+        self.dim
     }
 
     /// `true` when the next push will evict the oldest row.
     pub fn is_full(&self) -> bool {
-        self.len == self.capacity()
+        self.len == self.capacity
+    }
+
+    /// Physical row `slot` of the buffer.
+    fn slot(&self, slot: usize) -> &[f64] {
+        &self.data[slot * self.dim..(slot + 1) * self.dim]
     }
 
     /// The `i`-th retained row in arrival order (`0` = oldest).
@@ -231,53 +241,50 @@ impl RingWindow {
     /// Panics if `i >= len()`.
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.len, "RingWindow row {i} out of {}", self.len);
-        self.data.row((self.head + i) % self.capacity())
+        self.slot((self.head + i) % self.capacity)
     }
 
     /// The row the next [`RingWindow::push`] will evict, when full.
     pub fn oldest(&self) -> Option<&[f64]> {
         if self.is_full() {
-            Some(self.data.row(self.head))
+            Some(self.slot(self.head))
         } else {
             None
         }
     }
 
-    /// Append a row, overwriting the oldest when full (`O(m)`, no
-    /// allocation).
+    /// Append a row, overwriting the oldest when full (`O(m)`; no
+    /// allocation once full).
+    ///
+    /// Until then the buffer doubles with `reserve_exact`, capped at
+    /// `capacity` rows, so a full window holds exactly `capacity × dim`.
     ///
     /// # Panics
     /// Panics if `y.len() != dim()`.
     pub fn push(&mut self, y: &[f64]) {
-        let cap = self.capacity();
-        assert_eq!(y.len(), self.dim(), "RingWindow row width mismatch");
-        if self.len == cap {
-            self.data.row_mut(self.head).copy_from_slice(y);
-            self.head = (self.head + 1) % cap;
+        assert_eq!(y.len(), self.dim, "RingWindow row width mismatch");
+        if self.len == self.capacity {
+            let at = self.head * self.dim;
+            self.data[at..at + self.dim].copy_from_slice(y);
+            self.head = (self.head + 1) % self.capacity;
         } else {
-            let slot = (self.head + self.len) % cap;
-            self.data.row_mut(slot).copy_from_slice(y);
+            if self.data.len() == self.data.capacity() {
+                let rows = (2 * self.len).clamp(1, self.capacity);
+                self.data.reserve_exact((rows - self.len) * self.dim);
+            }
+            self.data.extend_from_slice(y);
             self.len += 1;
         }
     }
 
     /// Materialize the window in arrival order as a `len × m` matrix.
     ///
-    /// A wrapped window is exactly two contiguous spans of the backing
-    /// storage, so this is at most two `memcpy`s
-    /// ([`Matrix::from_segments`]) — no per-row allocation.
+    /// A wrapped window is exactly two contiguous spans of the buffer, so
+    /// this is at most two `memcpy`s ([`Matrix::from_segments`]) — no
+    /// per-row allocation.
     pub fn to_matrix(&self) -> Matrix {
-        let cap = self.capacity();
-        let first = self.len.min(cap - self.head);
-        let a = self
-            .data
-            .row_span(self.head, first)
-            .expect("within storage");
-        let b = self
-            .data
-            .row_span(0, self.len - first)
-            .expect("within storage");
-        Matrix::from_segments(self.dim(), &[a, b]).expect("whole rows by construction")
+        let (newest, oldest) = self.data.split_at(self.head * self.dim);
+        Matrix::from_segments(self.dim, &[oldest, newest]).expect("whole rows by construction")
     }
 }
 
@@ -317,44 +324,9 @@ impl StreamingEngine<SubspaceBackend> {
         Self::with_backend(backend, training, stream)
     }
 
-    /// The active refit strategy.
-    pub fn strategy(&self) -> RefitStrategy {
-        self.backend.strategy()
-    }
-
     /// The current (frozen) diagnoser.
     pub fn diagnoser(&self) -> &Diagnoser {
         self.backend.diagnoser()
-    }
-
-    /// Diagnose a measurement for a *multi-flow* anomaly against the
-    /// frozen model, without advancing the stream: greedy matching
-    /// pursuit ([`multiflow::greedy_identify`]) over at most `max_flows`
-    /// flows, keeping a flow only if it explains at least `min_gain` of
-    /// the residual energy.
-    ///
-    /// Returns `Ok(None)` when the detection step does not fire — the
-    /// paper does not attempt identification on undetected bins.
-    pub fn diagnose_multiflow(
-        &self,
-        y: &[f64],
-        max_flows: usize,
-        min_gain: f64,
-    ) -> Result<Option<MultiFlowAnomaly>> {
-        let diagnoser = self.backend.diagnoser();
-        let report = diagnoser.diagnose_vector(y)?;
-        if !report.detected {
-            return Ok(None);
-        }
-        multiflow::greedy_identify(
-            diagnoser.model(),
-            self.backend.routing(),
-            diagnoser.identifier(),
-            y,
-            max_flows,
-            min_gain,
-        )
-        .map(Some)
     }
 }
 
@@ -503,160 +475,6 @@ impl<B: DetectionBackend> StreamingEngine<B> {
         self.backend.refit(&self.window)?;
         self.cadence.refitted();
         Ok(())
-    }
-}
-
-/// One synchronized report from a [`MultiwayEngine`]: the per-way
-/// diagnosis of a single time bin.
-#[derive(Debug, Clone)]
-pub struct MultiwayReport {
-    /// Per-way reports, aligned with [`MultiwayEngine::way_names`].
-    pub reports: Vec<DiagnosisReport>,
-    /// Number of ways whose detection fired.
-    pub detections: usize,
-}
-
-impl MultiwayReport {
-    /// `true` if any way detected an anomaly this bin.
-    pub fn any_detected(&self) -> bool {
-        self.detections > 0
-    }
-
-    /// `true` if at least `min_ways` ways fired — a simple consensus
-    /// rule; requiring two of {bytes, packets, entropy} suppresses
-    /// single-metric measurement glitches.
-    pub fn consensus(&self, min_ways: usize) -> bool {
-        self.detections >= min_ways
-    }
-}
-
-/// Several measurement kinds (*ways*) of the same network — e.g. byte
-/// counts, packet counts, and flow-entropy summaries — streaming in
-/// lockstep through one engine per way.
-///
-/// The multi-way view is how the follow-on traffic-feature work deploys
-/// the subspace method: volume anomalies surface in bytes/packets while
-/// distributional anomalies (scans, worms) surface in entropy; running
-/// the ways against one clock gives a per-bin consensus report.
-#[derive(Debug, Clone)]
-pub struct MultiwayEngine<B: DetectionBackend = SubspaceBackend> {
-    names: Vec<String>,
-    engines: Vec<StreamingEngine<B>>,
-}
-
-impl<B: DetectionBackend> MultiwayEngine<B> {
-    /// Assemble from named per-way engines (at least one).
-    pub fn new(ways: Vec<(String, StreamingEngine<B>)>) -> Result<Self> {
-        if ways.is_empty() {
-            return Err(CoreError::NoCandidates);
-        }
-        let (names, engines) = ways.into_iter().unzip();
-        Ok(MultiwayEngine { names, engines })
-    }
-
-    /// Number of ways.
-    pub fn num_ways(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// The way names, in report order.
-    pub fn way_names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The engine behind way `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= num_ways()`.
-    pub fn way(&self, i: usize) -> &StreamingEngine<B> {
-        &self.engines[i]
-    }
-
-    /// Process one time bin: measurement vector `rows[i]` goes to way
-    /// `i`. Errors if the slice count does not match the way count; a
-    /// failing way aborts the bin *before any way ingests it* (widths
-    /// and finiteness are validated up front), so bad input can never
-    /// drift the ways out of lockstep. A refit failure mid-call is the
-    /// one desynchronizing error left; it means that way's window can no
-    /// longer support a model, and the ensemble should be rebuilt.
-    pub fn process(&mut self, rows: &[&[f64]]) -> Result<MultiwayReport> {
-        if rows.len() != self.engines.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.engines.len(),
-                got: rows.len(),
-            });
-        }
-        // Validate everything up front so no way ingests a row unless
-        // all ways will.
-        for (engine, row) in self.engines.iter().zip(rows) {
-            if row.len() != engine.window.dim() {
-                return Err(CoreError::DimensionMismatch {
-                    expected: engine.window.dim(),
-                    got: row.len(),
-                });
-            }
-            if let Some(link) = row.iter().position(|v| !v.is_finite()) {
-                return Err(CoreError::NonFiniteMeasurement { link });
-            }
-        }
-        let mut reports = Vec::with_capacity(self.engines.len());
-        for (engine, row) in self.engines.iter_mut().zip(rows) {
-            reports.push(engine.process(row)?);
-        }
-        let detections = reports.iter().filter(|r| r.detected).count();
-        Ok(MultiwayReport {
-            reports,
-            detections,
-        })
-    }
-
-    /// Process a whole block per way (`blocks[i]` is a `b × mᵢ` matrix,
-    /// all with the same row count `b`): the batched form of
-    /// [`MultiwayEngine::process`], returning one [`MultiwayReport`] per
-    /// bin. The same up-front validation (row counts, widths,
-    /// finiteness) guarantees bad input is rejected before any way
-    /// ingests a row.
-    pub fn process_batch(&mut self, blocks: &[Matrix]) -> Result<Vec<MultiwayReport>> {
-        if blocks.len() != self.engines.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.engines.len(),
-                got: blocks.len(),
-            });
-        }
-        let bins = blocks.first().map_or(0, Matrix::rows);
-        for (engine, b) in self.engines.iter().zip(blocks) {
-            if b.rows() != bins {
-                return Err(CoreError::DimensionMismatch {
-                    expected: bins,
-                    got: b.rows(),
-                });
-            }
-            if b.cols() != engine.window.dim() {
-                return Err(CoreError::DimensionMismatch {
-                    expected: engine.window.dim(),
-                    got: b.cols(),
-                });
-            }
-            for t in 0..b.rows() {
-                if let Some(link) = b.row(t).iter().position(|v| !v.is_finite()) {
-                    return Err(CoreError::NonFiniteMeasurement { link });
-                }
-            }
-        }
-        let mut per_way = Vec::with_capacity(self.engines.len());
-        for (engine, block) in self.engines.iter_mut().zip(blocks) {
-            per_way.push(engine.process_batch(block)?);
-        }
-        let mut out = Vec::with_capacity(bins);
-        for t in 0..bins {
-            let reports: Vec<DiagnosisReport> = per_way.iter().map(|w| w[t]).collect();
-            let detections = reports.iter().filter(|r| r.detected).count();
-            out.push(MultiwayReport {
-                reports,
-                detections,
-            });
-        }
-        Ok(out)
     }
 }
 
@@ -818,134 +636,6 @@ mod tests {
         }
         assert_eq!(engine.refits(), 2);
         assert_eq!(engine.diagnoser().model().normal_dim(), r0);
-    }
-
-    #[test]
-    fn multiflow_hook_reports_detected_bins_only() {
-        let net = builtin::sprint_europe();
-        let rm = &net.routing_matrix;
-        let train = training(rm.num_links(), 400, 0);
-        let engine = StreamingEngine::new(&train, rm, config(), StreamConfig::new(400)).unwrap();
-
-        let quiet = training(rm.num_links(), 1, 900).row(0).to_vec();
-        assert!(engine
-            .diagnose_multiflow(&quiet, 3, 0.05)
-            .unwrap()
-            .is_none());
-
-        let mut y = quiet.clone();
-        vector::axpy(2e7, &rm.column(20), &mut y);
-        vector::axpy(1.5e7, &rm.column(130), &mut y);
-        let found = engine.diagnose_multiflow(&y, 4, 0.05).unwrap().unwrap();
-        assert!(found.flows.contains(&20), "found {:?}", found.flows);
-    }
-
-    #[test]
-    fn multiway_engines_stay_in_lockstep() {
-        let net = builtin::line(3);
-        let rm = &net.routing_matrix;
-        let bytes_train = training(rm.num_links(), 300, 0);
-        let pkts_train = bytes_train.scaled(1.0 / 1500.0); // ~MTU-sized packets
-        let mk = |train: &Matrix| {
-            StreamingEngine::new(train, rm, config(), StreamConfig::new(300).refit_every(80))
-                .unwrap()
-        };
-        let mut multi = MultiwayEngine::new(vec![
-            ("bytes".to_string(), mk(&bytes_train)),
-            ("packets".to_string(), mk(&pkts_train)),
-        ])
-        .unwrap();
-        assert_eq!(multi.way_names(), ["bytes", "packets"]);
-
-        let fresh = training(rm.num_links(), 100, 300);
-        for t in 0..fresh.rows() {
-            let row = fresh.row(t).to_vec();
-            let pkts = vector::scaled(&row, 1.0 / 1500.0);
-            let rep = multi.process(&[&row, &pkts]).unwrap();
-            assert_eq!(rep.reports.len(), 2);
-            assert_eq!(rep.reports[0].time, t);
-            assert_eq!(rep.reports[1].time, t);
-        }
-        assert_eq!(multi.way(0).arrivals(), 100);
-        assert_eq!(multi.way(1).arrivals(), 100);
-        // An anomaly visible in both ways reaches consensus.
-        let mut row = fresh.row(50).to_vec();
-        vector::axpy(8e6, &rm.column(2), &mut row);
-        let pkts = vector::scaled(&row, 1.0 / 1500.0);
-        let rep = multi.process(&[&row, &pkts]).unwrap();
-        assert!(rep.any_detected());
-        assert!(rep.consensus(2));
-    }
-
-    #[test]
-    fn multiway_batch_equals_sequential() {
-        let net = builtin::line(3);
-        let rm = &net.routing_matrix;
-        let train = training(rm.num_links(), 300, 0);
-        let mk = || {
-            StreamingEngine::new(&train, rm, config(), StreamConfig::new(300).refit_every(40))
-                .unwrap()
-        };
-        let mut seq = MultiwayEngine::new(vec![
-            ("bytes".to_string(), mk()),
-            ("packets".to_string(), mk()),
-        ])
-        .unwrap();
-        let mut bat = seq.clone();
-
-        let fresh = training(rm.num_links(), 90, 300);
-        let mut seq_reports = Vec::new();
-        for t in 0..fresh.rows() {
-            seq_reports.push(seq.process(&[fresh.row(t), fresh.row(t)]).unwrap());
-        }
-        let bat_reports = bat.process_batch(&[fresh.clone(), fresh.clone()]).unwrap();
-        assert_eq!(bat_reports.len(), seq_reports.len());
-        for (b, s) in bat_reports.iter().zip(&seq_reports) {
-            for (br, sr) in b.reports.iter().zip(&s.reports) {
-                assert_eq!(br.time, sr.time);
-                assert_eq!(br.detected, sr.detected);
-                assert!((br.spe - sr.spe).abs() <= 1e-12 * sr.spe.max(1.0));
-            }
-        }
-        // One batched call leaves the engine where row-by-row calls do:
-        // same refit phase, same retained window.
-        let (b, s) = (bat.way(0), seq.way(0));
-        assert_eq!(b.arrivals_since_refit(), s.arrivals_since_refit());
-        assert_eq!(b.window().len(), s.window().len());
-        for i in 0..b.window().len() {
-            assert_eq!(b.window().row(i), s.window().row(i), "window row {i}");
-        }
-    }
-
-    #[test]
-    fn multiway_validates_shapes() {
-        let net = builtin::line(3);
-        let rm = &net.routing_matrix;
-        let train = training(rm.num_links(), 200, 0);
-        let engine = StreamingEngine::new(&train, rm, config(), StreamConfig::new(200)).unwrap();
-        let mut multi = MultiwayEngine::new(vec![("bytes".to_string(), engine)]).unwrap();
-        assert!(MultiwayEngine::<SubspaceBackend>::new(vec![]).is_err());
-        assert!(multi.process(&[]).is_err());
-        let short = [1.0, 2.0];
-        assert!(multi.process(&[&short[..]]).is_err());
-        // Non-finite rows are rejected before any way ingests.
-        let m = multi.way(0).window().dim();
-        let mut bad = vec![1.0; m];
-        bad[1] = f64::NAN;
-        assert!(matches!(
-            multi.process(&[&bad[..]]),
-            Err(CoreError::NonFiniteMeasurement { link: 1 })
-        ));
-        // Batched entry point validates widths and finiteness too.
-        assert!(multi.process_batch(&[Matrix::zeros(2, m + 1)]).is_err());
-        let mut block = Matrix::zeros(2, m);
-        block[(1, 0)] = f64::INFINITY;
-        assert!(matches!(
-            multi.process_batch(&[block]),
-            Err(CoreError::NonFiniteMeasurement { link: 0 })
-        ));
-        // Nothing was ingested by the failed calls.
-        assert_eq!(multi.way(0).arrivals(), 0);
     }
 
     #[test]

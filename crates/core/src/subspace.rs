@@ -40,14 +40,14 @@ fn leading(eigenvalues: &[f64]) -> f64 {
 }
 
 impl SubspaceModel {
-    /// Fit a model to a `t × m` measurement matrix: PCA, then subspace
-    /// separation under `policy`.
+    /// Fit a model to a `t × m` measurement matrix: PCA (by the one
+    /// [`PcaMethod`]), then subspace separation under `policy`.
     ///
     /// Returns [`CoreError::DegenerateResidual`] if the policy assigns
     /// every axis to the normal subspace or the residual carries no
     /// variance (in either case there is nothing to detect with).
-    pub fn fit(links: &Matrix, policy: SeparationPolicy, method: PcaMethod) -> Result<Self> {
-        let pca = Pca::fit(links, method)?;
+    pub fn fit(links: &Matrix, policy: SeparationPolicy, _method: PcaMethod) -> Result<Self> {
+        let pca = Pca::fit(links)?;
         let r = policy.normal_dim(&pca);
         Self::from_pca(&pca, r)
     }
@@ -359,12 +359,6 @@ impl SubspaceModel {
         Ok(z.project_rows_split(&self.p).expect("dims checked"))
     }
 
-    /// The residual (anomalous-subspace) part of every row:
-    /// `Ỹ = C̃(Y − 1μᵀ)`. Batched form of [`SubspaceModel::residual`].
-    pub fn residual_matrix(&self, links: &Matrix) -> Result<Matrix> {
-        Ok(self.decompose_matrix(links)?.1)
-    }
-
     /// The SPE `‖ỹ‖²` of every row. Batched form of
     /// [`SubspaceModel::spe`].
     ///
@@ -548,7 +542,7 @@ mod tests {
         SubspaceModel::fit(
             &training_data(),
             SeparationPolicy::FixedCount(2),
-            PcaMethod::Svd,
+            PcaMethod::Covariance,
         )
         .unwrap()
     }
@@ -653,13 +647,17 @@ mod tests {
         let y = training_data();
         // r = m leaves no residual.
         assert!(matches!(
-            SubspaceModel::fit(&y, SeparationPolicy::FixedCount(6), PcaMethod::Svd),
+            SubspaceModel::fit(&y, SeparationPolicy::FixedCount(6), PcaMethod::Covariance),
             Err(CoreError::DegenerateResidual { .. })
         ));
         // Constant data has no variance anywhere.
         let flat = Matrix::from_fn(50, 4, |_, _| 7.0);
         assert!(matches!(
-            SubspaceModel::fit(&flat, SeparationPolicy::FixedCount(1), PcaMethod::Svd),
+            SubspaceModel::fit(
+                &flat,
+                SeparationPolicy::FixedCount(1),
+                PcaMethod::Covariance
+            ),
             Err(CoreError::DegenerateResidual { .. })
         ));
     }
@@ -702,7 +700,7 @@ mod tests {
             );
         }
         // And the exact route (residual matrix row norms) is bitwise.
-        let exact_batch = m.residual_matrix(&y).unwrap().row_norms_sq();
+        let exact_batch = m.decompose_matrix(&y).unwrap().1.row_norms_sq();
         for t in 0..y.rows() {
             assert_eq!(exact_batch[t], m.spe(y.row(t)).unwrap(), "exact spe at {t}");
         }

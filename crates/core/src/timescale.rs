@@ -21,7 +21,7 @@ use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
 
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
-use crate::{CoreError, Result};
+use crate::Result;
 
 /// A detection at one pyramid level, mapped back to bin coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +64,8 @@ impl MultiscaleDiagnoser {
     ///
     /// Each level needs enough blocks to fit a model (`blocks ≥ m`);
     /// levels that run out of data are rejected with
-    /// [`CoreError::TooFewSamples`] — a week of 10-minute bins supports
+    /// [`CoreError::TooFewSamples`](crate::CoreError::TooFewSamples) — a
+    /// week of 10-minute bins supports
     /// `max_level = 4` (63 blocks of ~2.7 h) on the paper's networks.
     pub fn fit(
         links: &Matrix,
@@ -114,21 +115,13 @@ impl MultiscaleDiagnoser {
         }
         Ok(out)
     }
-
-    /// Detections at a given level only.
-    pub fn diagnose_level(&self, links: &Matrix, level: usize) -> Result<Vec<DiagnosisReport>> {
-        if level >= self.levels.len() {
-            return Err(CoreError::NoCandidates);
-        }
-        let averaged = block_average(links, level);
-        self.levels[level].diagnose_series(&averaged)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::separation::SeparationPolicy;
+    use crate::CoreError;
     use netanom_linalg::vector;
     use netanom_topology::builtin;
 
@@ -256,14 +249,5 @@ mod tests {
         // Per-bin estimate ≈ the sustained rate.
         let est = hit.report.estimated_bytes.unwrap();
         assert!((est / 2e6 - 1.0).abs() < 0.3, "estimate {est}");
-    }
-
-    #[test]
-    fn diagnose_level_bounds_checked() {
-        let net = builtin::line(3);
-        let y = training(net.routing_matrix.num_links(), 256);
-        let ms = MultiscaleDiagnoser::fit(&y, &net.routing_matrix, config(), 2).unwrap();
-        assert!(ms.diagnose_level(&y, 2).is_ok());
-        assert!(ms.diagnose_level(&y, 3).is_err());
     }
 }

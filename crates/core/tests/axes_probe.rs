@@ -12,7 +12,7 @@ fn axes_probe() {
         datasets::sprint2(),
         datasets::abilene(),
     ] {
-        let pca = Pca::fit(ds.links.matrix(), Default::default()).unwrap();
+        let pca = Pca::fit(ds.links.matrix()).unwrap();
         let fracs = pca.variance_fractions();
         println!("=== {} ===", ds.name);
         for (i, frac) in fracs.iter().enumerate().take(10) {

@@ -19,7 +19,7 @@ fn calibration_report() {
         datasets::sprint2(),
         datasets::abilene(),
     ] {
-        let pca = Pca::fit(ds.links.matrix(), Default::default()).unwrap();
+        let pca = Pca::fit(ds.links.matrix()).unwrap();
         let r = SeparationPolicy::default().normal_dim(&pca);
         let q = qstat::q_threshold(pca.eigenvalues(), r, 0.999).unwrap();
         let diagnoser = Diagnoser::fit(

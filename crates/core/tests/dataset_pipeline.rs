@@ -137,7 +137,7 @@ fn three_sigma_selects_low_dimensional_normal_subspace() {
         datasets::sprint2(),
         datasets::abilene(),
     ] {
-        let pca = netanom_core::Pca::fit(ds.links.matrix(), Default::default()).unwrap();
+        let pca = netanom_core::Pca::fit(ds.links.matrix()).unwrap();
         let r = SeparationPolicy::default().normal_dim(&pca);
         assert!(
             (1..=8).contains(&r),
@@ -151,7 +151,7 @@ fn three_sigma_selects_low_dimensional_normal_subspace() {
 fn scree_shows_low_effective_dimensionality() {
     // Paper Figure 3: the vast majority of variance in 3–4 components.
     for ds in [datasets::sprint1(), datasets::abilene()] {
-        let pca = netanom_core::Pca::fit(ds.links.matrix(), Default::default()).unwrap();
+        let pca = netanom_core::Pca::fit(ds.links.matrix()).unwrap();
         let dim90 = pca.effective_dimension(0.90);
         assert!(
             dim90 <= 6,

@@ -9,12 +9,14 @@
 
 use netanom_core::incremental::{CovarianceShard, IncrementalCovariance};
 use netanom_core::stream::RingWindow;
-use netanom_core::{CoreError, PcaMethod, SeparationPolicy, SubspaceModel};
+use netanom_core::{CoreError, SeparationPolicy, SubspaceModel};
 use netanom_linalg::{vector, Matrix};
 use proptest::prelude::*;
 
 #[path = "../../linalg/tests/support/jacobi.rs"]
 mod jacobi;
+#[path = "support/svd_route.rs"]
+mod svd_route;
 
 /// Strategy: a `rows × cols` matrix with entries in [-50, 50].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -230,14 +232,14 @@ proptest! {
 }
 
 /// The model a refit should produce, computed without the incremental
-/// statistics or the tridiagonal solver: the two-pass `Pca::fit(.., Svd)`
-/// route where it applies, and — `Pca::fit` refuses `t < m` — the Jacobi
+/// statistics or the tridiagonal solver: the two-pass SVD route
+/// (`support/svd_route.rs`) where it applies, and — `Pca::fit` refuses `t < m` — the Jacobi
 /// oracle on the file's `two_pass_covariance` otherwise, with `r` the
 /// smallest count whose eigenvalues reach `fraction` of the total.
 fn reference_model(y: &Matrix, fraction: f64) -> netanom_core::Result<SubspaceModel> {
     if y.rows() >= y.cols() {
         let policy = SeparationPolicy::VarianceFraction(fraction);
-        return SubspaceModel::fit(y, policy, PcaMethod::Svd);
+        return svd_route::fit_model(y, policy);
     }
     let (values, vectors) = jacobi::jacobi_eigen(&two_pass_covariance(y));
     let values: Vec<f64> = values.into_iter().map(|l| l.max(0.0)).collect();

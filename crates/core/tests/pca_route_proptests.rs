@@ -1,6 +1,6 @@
 //! Route against route: [`PcaMethod::Covariance`] — the two-pass Gram
 //! matrix plus the tridiagonal-QL solver every verb fits with — held to
-//! the one-sided-Jacobi [`PcaMethod::Svd`] oracle.
+//! the one-sided-Jacobi SVD oracle (`support/svd_route.rs`).
 //!
 //! Forming `YᵀY` squares the condition number, so the Gram route knows
 //! an eigenvalue only to about `m·ε·λ₁` where the SVD route keeps high
@@ -22,9 +22,13 @@ use netanom_core::{
 };
 use netanom_linalg::decomposition::SymmetricEigen;
 use netanom_linalg::kernel::{active_backend, gram_with, KernelBackend};
-use netanom_linalg::Matrix;
+use netanom_linalg::{vector, Matrix};
 use netanom_traffic::datasets;
 use proptest::prelude::*;
+
+#[path = "support/svd_route.rs"]
+mod svd_route;
+use svd_route::SvdPca;
 
 /// Deterministic pseudo-random value in `[-1, 1)`.
 fn hash_unit(i: usize) -> f64 {
@@ -108,14 +112,14 @@ fn projector(model: &SubspaceModel) -> Matrix {
 
 /// Hold the two fitted routes to the contract in the module docs under
 /// one separation policy.
-fn assert_routes_agree(svd: &Pca, covariance: &Pca, policy: SeparationPolicy, label: &str) {
+fn assert_routes_agree(svd: &SvdPca, covariance: &Pca, policy: SeparationPolicy, label: &str) {
     let spectrum = svd.eigenvalues();
     let (m, lambda1) = (spectrum.len(), spectrum[0]);
-    let r = policy.normal_dim(svd);
+    let r = svd.normal_dim(policy);
     let r_covariance = policy.normal_dim(covariance);
     let fitted = (
         SubspaceModel::from_pca(covariance, r_covariance),
-        SubspaceModel::from_pca(svd, r),
+        svd.model(r),
     );
     match fitted {
         // The one place `r` may differ: a 3σ walk that ran out of signal
@@ -177,8 +181,8 @@ proptest! {
             _ => ((m as f64 * stretch) as usize).clamp(m, 6 * m),
         };
         let y = training(t, m, seed, family);
-        let svd = Pca::fit(&y, PcaMethod::Svd).unwrap();
-        let covariance = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let svd = SvdPca::fit(&y).unwrap();
+        let covariance = Pca::fit(&y).unwrap();
         let label = format!("{family:?} {t}×{m} seed {seed}");
 
         let lambda1 = svd.eigenvalues()[0];
@@ -216,8 +220,8 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
         datasets::sprint2(),
     ] {
         let links = ds.links.matrix();
-        let svd = Pca::fit(links, PcaMethod::Svd).unwrap();
-        let covariance = Pca::fit(links, PcaMethod::Covariance).unwrap();
+        let svd = SvdPca::fit(links).unwrap();
+        let covariance = Pca::fit(links).unwrap();
         for (a, b) in covariance
             .variance_fractions()
             .iter()
@@ -234,7 +238,7 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
             );
         }
         let three_sigma = SeparationPolicy::default();
-        let r = three_sigma.normal_dim(&svd);
+        let r = svd.normal_dim(three_sigma);
         assert_eq!(
             three_sigma.normal_dim(&covariance),
             r,
@@ -246,8 +250,7 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
         // confidence levels share one decomposition per route.
         let rm = &ds.network.routing_matrix;
         for confidence in [0.999, 0.995] {
-            let diagnose = |pca: &Pca| {
-                let model = SubspaceModel::from_pca(pca, r).unwrap();
+            let diagnose = |model: SubspaceModel| {
                 let diagnoser = Diagnoser::from_model(model, rm, confidence).unwrap();
                 let alarms: Vec<(usize, usize)> = diagnoser
                     .diagnose_anomalies(links)
@@ -257,8 +260,9 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
                     .collect();
                 (diagnoser.detector().threshold().delta_sq, alarms)
             };
-            let (threshold_svd, alarms_svd) = diagnose(&svd);
-            let (threshold_cov, alarms_cov) = diagnose(&covariance);
+            let (threshold_svd, alarms_svd) = diagnose(svd.model(r).unwrap());
+            let (threshold_cov, alarms_cov) =
+                diagnose(SubspaceModel::from_pca(&covariance, r).unwrap());
             assert!(
                 (threshold_cov - threshold_svd).abs() <= 1e-9 * threshold_svd,
                 "{} at {confidence}: δ² {threshold_cov:e} vs {threshold_svd:e}",
@@ -351,4 +355,54 @@ fn default_route_fit_across_kernel_tiers() {
             "the fused tiers share one contract"
         );
     }
+}
+
+/// Deterministic pseudo-random data matrix with two strong directions.
+fn structured_data(t: usize, m: usize) -> Matrix {
+    Matrix::from_fn(t, m, |i, j| {
+        let daily = (i as f64 * std::f64::consts::TAU / 144.0).sin();
+        let trend = (j as f64 + 1.0) * daily * 100.0;
+        let noise = ((i * m + j).wrapping_mul(2654435761) % 1000) as f64 / 100.0;
+        1000.0 + trend + noise
+    })
+}
+
+#[test]
+fn methods_agree_on_eigenvalues() {
+    let y = structured_data(200, 8);
+    let svd = SvdPca::fit(&y).unwrap();
+    let cov = Pca::fit(&y).unwrap();
+    for k in 0..8 {
+        let a = svd.eigenvalues()[k];
+        let b = cov.eigenvalues()[k];
+        assert!(
+            (a - b).abs() <= 1e-6 * svd.eigenvalues()[0].max(1.0),
+            "eigenvalue {k}: {a} vs {b}"
+        );
+    }
+}
+
+#[test]
+fn methods_agree_on_leading_subspace() {
+    let y = structured_data(150, 6);
+    let svd = SvdPca::fit(&y).unwrap();
+    let cov = Pca::fit(&y).unwrap();
+    // Component signs may flip; compare |dot| ≈ 1.
+    for k in 0..2 {
+        let d = vector::dot(&svd.components().col(k), &cov.components().col(k)).abs();
+        assert!(d > 1.0 - 1e-6, "component {k} differs: |dot| = {d}");
+    }
+}
+
+/// The SVD's relative accuracy, which the covariance route does not
+/// have: an axis with no variance in rank-1 data projects to zero, where
+/// the Gram route's roundoff axis projects to normalized roundoff.
+#[test]
+fn zero_variance_axis_projects_to_zero() {
+    // Rank-1 data: only one nonzero eigenvalue.
+    let y = Matrix::from_fn(50, 3, |i, _| i as f64);
+    let pca = SvdPca::fit(&y).unwrap();
+    assert!(pca.eigenvalues()[1] < 1e-9 * pca.eigenvalues()[0]);
+    let u3 = pca.temporal_projection(2);
+    assert!(vector::norm(&u3) < 1e-9);
 }

@@ -7,6 +7,10 @@ use netanom_linalg::{vector, Matrix};
 use netanom_topology::builtin;
 use proptest::prelude::*;
 
+#[path = "support/svd_route.rs"]
+mod svd_route;
+use svd_route::SvdPca;
+
 /// Deterministic structured measurement matrix parameterized by a seed.
 fn measurements(t: usize, m: usize, seed: u64) -> Matrix {
     Matrix::from_fn(t, m, |i, j| {
@@ -20,8 +24,12 @@ fn measurements(t: usize, m: usize, seed: u64) -> Matrix {
 fn fitted_model(seed: u64) -> (SubspaceModel, netanom_topology::Network, Matrix) {
     let net = builtin::line(4);
     let links = measurements(300, net.routing_matrix.num_links(), seed);
-    let model =
-        SubspaceModel::fit(&links, SeparationPolicy::FixedCount(3), PcaMethod::Svd).unwrap();
+    let model = SubspaceModel::fit(
+        &links,
+        SeparationPolicy::FixedCount(3),
+        PcaMethod::Covariance,
+    )
+    .unwrap();
     (model, net, links)
 }
 
@@ -152,9 +160,10 @@ proptest! {
     fn pca_preserves_total_variance(seed in 0u64..200) {
         let y = measurements(200, 6, seed);
         let total: f64 = y.column_variances().iter().sum();
-        for method in [PcaMethod::Svd, PcaMethod::Covariance] {
-            let pca = Pca::fit(&y, method).unwrap();
-            let sum: f64 = pca.eigenvalues().iter().sum();
+        let svd = SvdPca::fit(&y).unwrap();
+        let covariance = Pca::fit(&y).unwrap();
+        for (method, eigenvalues) in [("Svd", svd.eigenvalues()), ("Covariance", covariance.eigenvalues())] {
+            let sum: f64 = eigenvalues.iter().sum();
             prop_assert!(
                 (sum - total).abs() <= 1e-8 * total.max(1.0),
                 "{method:?}: {sum} vs trace {total}"

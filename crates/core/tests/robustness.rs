@@ -7,6 +7,10 @@ use netanom_core::{
 use netanom_linalg::{vector, LinalgError, Matrix};
 use netanom_topology::builtin;
 
+#[path = "support/svd_route.rs"]
+mod svd_route;
+use svd_route::SvdPca;
+
 fn measurements(t: usize, m: usize) -> Matrix {
     Matrix::from_fn(t, m, |i, j| {
         let phase = i as f64 * std::f64::consts::TAU / 144.0;
@@ -211,8 +215,12 @@ fn extreme_magnitudes_do_not_overflow() {
 fn model_rejects_vectors_from_other_network() {
     let net_a = builtin::line(4);
     let links = measurements(300, net_a.routing_matrix.num_links());
-    let model =
-        SubspaceModel::fit(&links, SeparationPolicy::FixedCount(2), PcaMethod::Svd).unwrap();
+    let model = SubspaceModel::fit(
+        &links,
+        SeparationPolicy::FixedCount(2),
+        PcaMethod::Covariance,
+    )
+    .unwrap();
     let net_b = builtin::ring(6);
     let wrong = vec![1.0; net_b.routing_matrix.num_links()];
     assert!(matches!(
@@ -252,8 +260,8 @@ fn roundoff_residual_is_degenerate_on_every_route() {
         let y = rank_five_week(scale);
         // `SubspaceModel::fit` is `Pca::fit` + `from_pca`; the two splits
         // below share one decomposition per route.
-        let svd = Pca::fit(&y, PcaMethod::Svd).unwrap();
-        let covariance = Pca::fit(&y, PcaMethod::Covariance).unwrap();
+        let svd = SvdPca::fit(&y).unwrap();
+        let covariance = Pca::fit(&y).unwrap();
         let stats = IncrementalCovariance::from_matrix(&y);
         let threshold = |model: SubspaceModel| model.q_threshold(0.999).unwrap().delta_sq;
 
@@ -263,7 +271,7 @@ fn roundoff_residual_is_degenerate_on_every_route() {
         assert!(spectrum[5] < 1e-20 * spectrum[0], "rank 5 exactly");
 
         let refused = [
-            ("fit/svd", SubspaceModel::from_pca(&svd, 5)),
+            ("fit/svd", svd.model(5)),
             ("fit/covariance", SubspaceModel::from_pca(&covariance, 5)),
             ("to_model", stats.to_model(SeparationPolicy::FixedCount(5))),
             (
@@ -282,7 +290,7 @@ fn roundoff_residual_is_degenerate_on_every_route() {
         // One axis fewer and the residual is λ₅: real variance, which
         // every dense route must resolve to the same threshold. (Any
         // covariance route knows λ₅ only to ≈ m·ε·λ₁/λ₅ ≈ 1e-5.)
-        let want = threshold(SubspaceModel::from_pca(&svd, 4).unwrap());
+        let want = threshold(svd.model(4).unwrap());
         let dense = [
             ("fit/covariance", SubspaceModel::from_pca(&covariance, 4)),
             ("to_model", stats.to_model(SeparationPolicy::FixedCount(4))),
@@ -311,7 +319,7 @@ fn lone_roundoff_axis_is_refused_by_every_route() {
         let policy = SeparationPolicy::FixedCount(m - 1);
         let stats = IncrementalCovariance::from_matrix(&y);
         let refused = [
-            ("fit/svd", SubspaceModel::fit(&y, policy, PcaMethod::Svd)),
+            ("fit/svd", svd_route::fit_model(&y, policy)),
             (
                 "fit/covariance",
                 SubspaceModel::fit(&y, policy, PcaMethod::Covariance),

@@ -43,12 +43,7 @@ pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
     let fourier = residual_energy_series(&ds.links, LinkFilter::Fourier);
     let ewma = residual_energy_series(&ds.links, LinkFilter::Ewma);
 
-    let anomaly_bins: Vec<usize> = ds
-        .truth
-        .iter()
-        .filter(|e| e.size() >= ds.cutoff_bytes)
-        .map(|e| e.time)
-        .collect();
+    let anomaly_bins: Vec<usize> = ds.important_truth().iter().map(|e| e.time).collect();
 
     let mut rendered = format!(
         "Figure 10: squared residual magnitude under three normal-behaviour\n\

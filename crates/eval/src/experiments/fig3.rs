@@ -13,7 +13,7 @@ use crate::report;
 pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
     let mut fractions: Vec<(String, Vec<f64>, usize)> = Vec::new();
     for (ds, _) in lab.all() {
-        let pca = Pca::fit(ds.links.matrix(), Default::default()).expect("canned data fits");
+        let pca = Pca::fit(ds.links.matrix()).expect("canned data fits");
         let r = SeparationPolicy::default().normal_dim(&pca);
         fractions.push((ds.name.to_string(), pca.variance_fractions(), r));
     }

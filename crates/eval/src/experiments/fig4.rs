@@ -12,7 +12,7 @@ use crate::report;
 
 pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
     let ds = &lab.sprint1;
-    let pca = Pca::fit(ds.links.matrix(), Default::default()).expect("canned data fits");
+    let pca = Pca::fit(ds.links.matrix()).expect("canned data fits");
 
     // Paper axes are 1-indexed: u1, u2 (normal) and u6, u8 (anomalous).
     let axes = [(0usize, "u1"), (1, "u2"), (5, "u6"), (7, "u8")];

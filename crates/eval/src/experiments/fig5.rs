@@ -35,12 +35,7 @@ pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
         }
         let above_995 = spe.iter().filter(|&&s| s > q995.delta_sq).count();
         let above_999 = spe.iter().filter(|&&s| s > q999.delta_sq).count();
-        let truth_marks: Vec<usize> = ds
-            .truth
-            .iter()
-            .filter(|e| e.size() >= ds.cutoff_bytes)
-            .map(|e| e.time)
-            .collect();
+        let truth_marks: Vec<usize> = ds.important_truth().iter().map(|e| e.time).collect();
 
         rendered.push_str(&format!(
             "{}:\n  state    {}\n  residual {}\n  δ²(99.5%) = {}  exceeded {above_995}×; \

@@ -4,6 +4,7 @@
 use std::path::{Path, PathBuf};
 
 use netanom_baselines::{extract_true_anomalies, knee, TruthMethod};
+use netanom_linalg::stats;
 
 use super::ExperimentOutput;
 use crate::lab::Lab;
@@ -30,7 +31,8 @@ pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
         let mut detected_above = 0usize;
         let mut identified_above = 0usize;
         let mut above = 0usize;
-        let mut quant_pairs: Vec<(f64, f64)> = Vec::new();
+        // Sizes and estimates of the identified important anomalies.
+        let (mut quant_truth, mut quant_est) = (Vec::new(), Vec::new());
         for (rank, e) in truth.iter().enumerate() {
             let rep = &reports[e.time];
             let detected = rep.detected;
@@ -46,7 +48,8 @@ pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
                 detected_above += detected as usize;
                 identified_above += identified as usize;
                 if identified {
-                    quant_pairs.push((e.size, est.unwrap_or(0.0)));
+                    quant_truth.push(e.size);
+                    quant_est.push(est.unwrap_or(0.0));
                 }
             }
             marks.push(if identified {
@@ -78,12 +81,7 @@ pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
             report::fmt_num(ds.cutoff_bytes),
             knee_at.map(|k| (k + 1).to_string()).unwrap_or("-".into()),
         ));
-        if !quant_pairs.is_empty() {
-            let mare = quant_pairs
-                .iter()
-                .map(|(t, e)| ((e - t) / t).abs())
-                .sum::<f64>()
-                / quant_pairs.len() as f64;
+        if let Some(mare) = stats::mean_abs_relative_error(&quant_est, &quant_truth) {
             rendered.push_str(&format!(
                 "  quantification vs Fourier size estimate: mean abs rel err {}\n",
                 report::fmt_pct(mare)

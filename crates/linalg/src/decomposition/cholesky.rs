@@ -64,11 +64,6 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
     /// The lower-triangular factor `L`.
     pub fn l(&self) -> &Matrix {
         &self.l
@@ -105,12 +100,6 @@ impl Cholesky {
             x[i] = s / self.l[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Log-determinant of `A` (sum of `2 ln L[i,i]`), handy for
-    /// model-selection diagnostics.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| 2.0 * self.l[(i, i)].ln()).sum()
     }
 }
 
@@ -180,18 +169,6 @@ mod tests {
     fn solve_validates_rhs_length() {
         let ch = Cholesky::new(&Matrix::identity(3)).unwrap();
         assert!(ch.solve(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_identity_is_zero() {
-        let ch = Cholesky::new(&Matrix::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_det_diagonal() {
-        let ch = Cholesky::new(&Matrix::from_diag(&[2.0, 8.0])).unwrap();
-        assert!((ch.log_det() - (16.0_f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl SymmetricEigen {
         Ok(eig)
     }
 
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.eigenvalues.len()
-    }
-
     /// Reconstruct `V Λ Vᵀ`; useful for accuracy checks.
     pub fn reconstruct(&self) -> Matrix {
         let lambda = Matrix::from_diag(&self.eigenvalues);

@@ -83,16 +83,6 @@ impl Qr {
         Ok(Qr { qr, tau })
     }
 
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.qr.rows()
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.qr.cols()
-    }
-
     /// Apply `Qᵀ` to a vector of length `rows`.
     fn apply_qt(&self, b: &[f64]) -> Vec<f64> {
         let (m, n) = self.qr.shape();
@@ -178,13 +168,6 @@ impl Qr {
         }
         q
     }
-}
-
-/// Convenience wrapper: solve `min ‖A x − b‖₂` in one call.
-///
-/// Equivalent to `Qr::new(a)?.solve_least_squares(b)`.
-pub fn least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Qr::new(a)?.solve_least_squares(b)
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The PCA subspace method of Lakhina et al. operates on small dense
 //! matrices: a week of 10-minute link measurements is a 1008 × 49 matrix at
 //! most, and every decomposition the method needs (symmetric
-//! eigendecomposition of the covariance, thin SVD of the data matrix, least
-//! squares for the Fourier baseline) is comfortably in the regime where
+//! eigendecomposition of the covariance, least squares for the Fourier
+//! baseline) is comfortably in the regime where
 //! the textbook dense algorithms are both simple and numerically excellent.
 //!
 //! This crate is dependency-free and provides:
@@ -20,7 +20,7 @@
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms,
 //!   elementwise arithmetic) so that callers can stay allocation-light.
 //! * [`decomposition`] — tridiagonal-QL symmetric eigendecomposition,
-//!   one-sided Jacobi (Hestenes) SVD, Householder QR with least-squares
+//!   truncated top-k eigenpairs, Householder QR with least-squares
 //!   solving, and Cholesky factorization.
 //! * [`stats`] — descriptive statistics, histograms, and the standard normal
 //!   CDF / inverse CDF needed by the Jackson–Mudholkar Q-statistic.
@@ -59,6 +59,11 @@
 // module (`kernel::fma`), which scopes an `allow` around the
 // `std::arch` intrinsics and documents the safety argument in place.
 #![deny(unsafe_code)]
+
+// The test oracles under `tests/support/` name this crate by its package
+// name, also when this crate's own unit tests compile them.
+#[cfg(test)]
+extern crate self as netanom_linalg;
 
 pub mod decomposition;
 mod error;

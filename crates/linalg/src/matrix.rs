@@ -637,22 +637,6 @@ impl Matrix {
         vector::norm_inf(&self.data)
     }
 
-    /// Borrow the contiguous flat storage of `nrows` rows starting at
-    /// `start_row` — a zero-copy row view for ring-buffer windows and
-    /// other consumers that only need the raw row-major span.
-    ///
-    /// Returns an error if the range exceeds the matrix.
-    pub fn row_span(&self, start_row: usize, nrows: usize) -> Result<&[f64]> {
-        if start_row + nrows > self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "row_span",
-                lhs: self.shape(),
-                rhs: (start_row + nrows, self.cols),
-            });
-        }
-        Ok(&self.data[start_row * self.cols..(start_row + nrows) * self.cols])
-    }
-
     /// Assemble a matrix by concatenating flat row-major segments, each
     /// holding a whole number of `cols`-wide rows.
     ///
@@ -803,22 +787,6 @@ impl Matrix {
     /// and shapes match.
     pub fn approx_eq(&self, rhs: &Matrix, tol: f64) -> bool {
         self.shape() == rhs.shape() && vector::approx_eq(&self.data, &rhs.data, tol)
-    }
-
-    /// Maximum absolute asymmetry `|a[i,j] − a[j,i]|` over the matrix.
-    ///
-    /// Returns `None` for non-square matrices.
-    pub fn asymmetry(&self) -> Option<f64> {
-        if !self.is_square() {
-            return None;
-        }
-        let mut worst = 0.0_f64;
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                worst = worst.max((self[(i, j)] - self[(j, i)]).abs());
-            }
-        }
-        Some(worst)
     }
 }
 
@@ -1099,7 +1067,8 @@ mod tests {
     #[test]
     fn gram_is_symmetric() {
         let a = Matrix::from_fn(5, 4, |i, j| (i as f64 - 2.0) * (j as f64 + 0.5));
-        assert_eq!(a.gram().asymmetry(), Some(0.0));
+        let g = a.gram();
+        assert!(g.approx_eq(&g.transpose(), 0.0));
     }
 
     #[test]

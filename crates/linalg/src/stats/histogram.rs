@@ -44,11 +44,6 @@ impl Histogram {
         })
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Width of each bin.
     pub fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64

@@ -26,15 +26,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() as f64 - 1.0)
 }
 
-/// Population variance (denominator `n`); `0.0` for empty input.
-pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Sample standard deviation.
 pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
@@ -55,11 +46,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (the 0.5 quantile); `None` for empty input.
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
 }
 
 /// Minimum and maximum; `None` for empty input. NaNs are skipped.
@@ -134,7 +120,6 @@ mod tests {
     fn mean_variance_std() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert!((population_variance(&xs) - 4.0).abs() < 1e-12);
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert!((std_dev(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
@@ -150,7 +135,7 @@ mod tests {
         let xs = [3.0, 1.0, 2.0, 4.0];
         assert_eq!(quantile(&xs, 0.0), Some(1.0));
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
+        assert_eq!(quantile(&xs, 0.5), Some(2.5));
         assert_eq!(quantile(&xs, 0.25), Some(1.75));
         assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(quantile(&xs, 1.5), None);

@@ -146,13 +146,6 @@ pub fn argmax(a: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-/// Index and value of the minimum entry; `None` for empty input.
-///
-/// NaN entries are skipped, mirroring [`argmax`].
-pub fn argmin(a: &[f64]) -> Option<(usize, f64)> {
-    argmax(&scaled(a, -1.0)).map(|(i, v)| (i, -v))
-}
-
 /// Squared Euclidean distance between two equal-length slices.
 ///
 /// # Panics
@@ -245,11 +238,6 @@ mod tests {
     fn argmax_skips_nan() {
         assert_eq!(argmax(&[f64::NAN, 2.0, 1.0]), Some((1, 2.0)));
         assert_eq!(argmax(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn argmin_basic() {
-        assert_eq!(argmin(&[3.0, -1.0, 2.0]), Some((1, -1.0)));
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! Matrices are generated with bounded entries so that tolerance choices
 //! scale predictably; shapes are kept in the workspace's realistic range.
 
-use netanom_linalg::decomposition::{
-    power_traces, Cholesky, Qr, Svd, SymmetricEigen, TruncatedEigen,
-};
+use netanom_linalg::decomposition::{power_traces, Cholesky, Qr, SymmetricEigen, TruncatedEigen};
 use netanom_linalg::{stats, vector, Matrix};
 use proptest::prelude::*;
 
 #[path = "support/jacobi.rs"]
 mod jacobi;
+#[path = "support/svd.rs"]
+mod svd;
+use svd::Svd;
 
 /// Strategy: matrix with given shape and entries in [-10, 10].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {

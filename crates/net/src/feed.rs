@@ -90,11 +90,6 @@ impl MatrixFeed {
     pub fn new(data: Matrix) -> Self {
         MatrixFeed { data, at: 0 }
     }
-
-    /// Rows consumed so far.
-    pub fn position(&self) -> usize {
-        self.at
-    }
 }
 
 impl RowFeed for MatrixFeed {

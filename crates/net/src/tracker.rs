@@ -204,11 +204,6 @@ impl Tracker {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.conns.len()
-    }
-
     /// The coordinator's backend (current model, threshold, strategy).
     pub fn backend_ref(&self) -> &SubspaceBackend {
         &self.backend

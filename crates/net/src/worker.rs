@@ -483,6 +483,11 @@ fn dispatch<F: RowFeed>(
                     ),
                 });
             }
+            if take == 0 {
+                return Err(NetError::Protocol {
+                    reason: format!("run-block for round {round} takes no rows"),
+                });
+            }
             if st.pending.is_none() {
                 st.pending = Some(match feed.take_up_to(take as usize)? {
                     None => PendingA::Exhausted,

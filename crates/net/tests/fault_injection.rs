@@ -4,18 +4,19 @@
 //! restarted from its checkpoint produces a report stream **bitwise
 //! identical** to a run where nothing ever failed.
 
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
 use netanom_core::{
-    DiagnoserConfig, DiagnosisReport, RefitStrategy, SeparationPolicy, ShardedEngine, StreamConfig,
-    SubspaceBackend,
+    DetectionBackend, DiagnoserConfig, DiagnosisReport, RefitStrategy, SeparationPolicy,
+    ShardedEngine, StreamConfig, SubspaceBackend,
 };
 use netanom_linalg::Matrix;
 use netanom_net::{
-    run_worker, FailureKind, InjectedFault, MatrixFeed, NetError, Tracker, TrackerConfig,
-    WorkerConfig,
+    run_worker, FailureKind, FramedConn, InjectedFault, MatrixFeed, Message, NetError, Tracker,
+    TrackerConfig, WorkerConfig, DEFAULT_MAX_FRAME,
 };
 use netanom_topology::{LinkPartition, RoutingMatrix};
 use netanom_traffic::datasets;
@@ -307,4 +308,47 @@ fn mismatched_checkpoint_is_refused() {
         "expected a checkpoint refusal, got {err:?}"
     );
     let _ = std::fs::remove_file(&ckpt);
+}
+
+/// A tracker that asks for a round of zero rows gets a protocol error
+/// back from the worker, not a worker that dies on the feed's
+/// positive-count assertion.
+#[test]
+fn run_block_of_zero_rows_is_refused() {
+    let (data, rm) = mini_data();
+    let partition = LinkPartition::round_robin(rm.num_links(), 2).unwrap();
+    let training = data.row_block(0, TRAIN_BINS).unwrap();
+    let state = SubspaceBackend::fit_sharded(&training, &rm, config(), RefitStrategy::FullSvd)
+        .unwrap()
+        .export_state()
+        .to_bytes();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let tracker = thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FramedConn::new(stream, DEFAULT_MAX_FRAME);
+        assert!(matches!(conn.recv().unwrap(), Message::Join { .. }));
+        conn.send(&Message::Welcome {
+            state,
+            strategy: RefitStrategy::FullSvd,
+            window_capacity: TRAIN_BINS as u64,
+            round: 0,
+        })
+        .unwrap();
+        conn.send(&Message::RunBlock { round: 1, take: 0 }).unwrap();
+        // The worker hangs up instead of replying.
+        assert!(conn.recv_raw().unwrap().is_none());
+    });
+    let err = run_worker(
+        &addr,
+        MatrixFeed::new(data),
+        partition.group(0),
+        &worker_config(0),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, NetError::Protocol { .. }),
+        "expected a protocol refusal, got {err:?}"
+    );
+    tracker.join().unwrap();
 }

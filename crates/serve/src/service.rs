@@ -49,11 +49,6 @@ impl Service {
         Service::default()
     }
 
-    /// Number of live sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Handle one request line. Never panics on malformed input: every
     /// failure becomes an `err <code> <message>` reply and the daemon
     /// keeps serving.

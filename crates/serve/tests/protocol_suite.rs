@@ -290,6 +290,77 @@ fn a_non_finite_row_is_refused_once_and_the_session_carries_on() {
     assert_eq!(timeless(&lines), timeless(&clean));
 }
 
+/// Every reply to `open`, then one `obs` per sprint-1 bin, then `ping`.
+fn sprint1_transcript(open: &str) -> Vec<String> {
+    let ds = netanom_traffic::datasets::sprint1();
+    let links = ds.links.matrix();
+    let mut service = Service::new();
+    let mut lines = ask(&mut service, open);
+    for t in 0..links.rows() {
+        let fields: Vec<String> = links.row(t).iter().map(|v| v.to_string()).collect();
+        lines.extend(ask(&mut service, &format!("obs s {}", fields.join(","))));
+    }
+    lines.extend(ask(&mut service, "ping"));
+    lines
+}
+
+/// A client's `window=` far beyond any row count it will send used to
+/// be allocated whole at the fit (39 PB here) and abort the daemon. The
+/// window now holds only the rows it has been given.
+#[test]
+fn an_oversized_window_costs_only_the_rows_it_keeps() {
+    let huge = sprint1_transcript("open s dim=49 train-bins=300 window=100000000000000");
+    let plain = sprint1_transcript("open s dim=49 train-bins=300");
+    assert!(huge.iter().any(|l| l.starts_with("fit s ")), "no fit");
+    assert_eq!(huge.last().map(String::as_str), Some("ok pong"));
+    let events = |lines: &[String]| -> Vec<String> {
+        lines
+            .iter()
+            .filter(|l| l.starts_with("fit s ") || l.starts_with("alarm s "))
+            .cloned()
+            .collect()
+    };
+    let alarms = events(&huge);
+    assert!(
+        alarms.iter().any(|l| l.starts_with("alarm s ")),
+        "no alarms"
+    );
+    assert_eq!(alarms, events(&plain));
+}
+
+/// The same for a checkpoint: a decoded `window_capacity` of 2⁵⁰ rows is
+/// a bound, not an allocation, so the restored session keeps serving.
+#[test]
+fn a_checkpoint_claiming_a_huge_window_restores_and_keeps_serving() {
+    let dir = std::env::temp_dir().join("netanom-serve-huge-window");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp = dir.join("session.bin");
+    let cp_arg = cp.to_str().unwrap();
+
+    let mut service = Service::new();
+    reply(&mut service, "open a dim=3 train-bins=4 method=ewma");
+    for t in 0..6 {
+        reply(&mut service, &format!("obs a {}", row_csv(3, t as f64)));
+    }
+    let r = reply(&mut service, &format!("checkpoint a {cp_arg}"));
+    assert!(r.starts_with("ok checkpoint a bytes="), "{r}");
+    let mut patched = SessionCheckpoint::from_bytes(&std::fs::read(&cp).unwrap()).unwrap();
+    assert!(patched.streaming);
+    patched.window_capacity = 1 << 50;
+    std::fs::write(&cp, patched.to_bytes()).unwrap();
+
+    reply(&mut service, "open b dim=3 train-bins=4 method=ewma");
+    let r = reply(&mut service, &format!("restore b {cp_arg}"));
+    assert!(r.starts_with("ok restore b "), "{r}");
+    for t in 6..10 {
+        let r = reply(&mut service, &format!("obs b {}", row_csv(3, t as f64)));
+        assert!(r.starts_with("ok obs b "), "{r}");
+    }
+    assert_eq!(reply(&mut service, "ping"), "ok pong");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The transports' fixed line limit (1 MiB, terminator excluded), and
 /// what they answer to a line of `len` bytes past it or to one that is
 /// not UTF-8.

@@ -368,7 +368,9 @@ mod tests {
             stats::std_dev(&diffs)
         };
         let (fmax, _) = netanom_linalg::vector::argmax(&means).unwrap();
-        let (fmin, _) = netanom_linalg::vector::argmin(&means).unwrap();
+        let fmin = (0..means.len())
+            .min_by(|&a, &b| means[a].total_cmp(&means[b]))
+            .unwrap();
         assert!(
             residual_std(fmax) > residual_std(fmin),
             "noise should scale with flow size"

@@ -256,51 +256,37 @@ impl<R: BufRead> CsvChunks<R> {
     }
 
     /// Read exactly `need` data rows as one `need × m` matrix —
-    /// accumulating whole chunks and splitting the boundary chunk, whose
-    /// overflow is buffered and yielded first by the next read. This is
-    /// the bootstrap-window reader: collect the training prefix, then
-    /// keep iterating the same `CsvChunks` for the streamed remainder
-    /// without losing or double-reading a row.
+    /// [`CsvChunks::take_up_to`], which splits the boundary chunk and
+    /// buffers its overflow for the next read. This is the
+    /// bootstrap-window reader: collect the training prefix, then keep
+    /// iterating the same `CsvChunks` for the streamed remainder without
+    /// losing or double-reading a row.
     ///
     /// Returns [`CsvError::Truncated`] if the input ends first.
     pub fn take_rows(&mut self, need: usize) -> Result<Matrix, CsvError> {
-        let m = self.names.len();
-        let mut blocks: Vec<Matrix> = Vec::new();
-        let mut got = 0usize;
-        while got < need {
-            let Some(block) = self.next_chunk()? else {
-                return Err(CsvError::Truncated { got, need });
-            };
-            let take = (need - got).min(block.rows());
-            if take < block.rows() {
-                self.pending = Some(
-                    block
-                        .row_block(take, block.rows() - take)
-                        .expect("within block"),
-                );
-                blocks.push(block.row_block(0, take).expect("within block"));
-            } else {
-                blocks.push(block);
-            }
-            got += take;
+        if need == 0 {
+            return Ok(Matrix::zeros(0, self.names.len()));
         }
-        let spans: Vec<&[f64]> = blocks
-            .iter()
-            .map(|b| b.row_span(0, b.rows()).expect("whole matrix"))
-            .collect();
-        Ok(Matrix::from_segments(m, &spans).expect("aligned blocks"))
+        let got = match self.take_up_to(need)? {
+            Some(block) if block.rows() == need => return Ok(block),
+            Some(block) => block.rows(),
+            None => 0,
+        };
+        Err(CsvError::Truncated { got, need })
     }
 
-    /// Read *up to* `need` data rows as one matrix, splitting the
-    /// boundary chunk exactly like [`CsvChunks::take_rows`] — but where
-    /// `take_rows` errors on a short input, this returns the rows that
-    /// were there, and `Ok(None)` once the input is exhausted. This is
-    /// the demand-driven reader a distributed tracker's `RunBlock{take}`
-    /// dispatch maps onto: every worker reads the same row count per
-    /// round regardless of its local chunk size.
+    /// Read *up to* `need` data rows as one matrix — accumulating whole
+    /// chunks and splitting the boundary chunk, whose overflow is
+    /// buffered and yielded first by the next read. Returns the rows that
+    /// were there when the input ends first, and `Ok(None)` once it is
+    /// exhausted. This is also the demand-driven reader a distributed
+    /// tracker's `RunBlock{take}` dispatch maps onto: every worker reads
+    /// the same row count per round regardless of its local chunk size.
+    ///
+    /// # Panics
+    /// Panics if `need` is zero.
     pub fn take_up_to(&mut self, need: usize) -> Result<Option<Matrix>, CsvError> {
         assert!(need > 0, "need must be positive");
-        let m = self.names.len();
         let mut blocks: Vec<Matrix> = Vec::new();
         let mut got = 0usize;
         while got < need {
@@ -323,14 +309,14 @@ impl<R: BufRead> CsvChunks<R> {
         if got == 0 {
             return Ok(None);
         }
-        let spans: Vec<&[f64]> = blocks
-            .iter()
-            .map(|b| b.row_span(0, b.rows()).expect("whole matrix"))
-            .collect();
-        Ok(Some(
-            Matrix::from_segments(m, &spans).expect("aligned blocks"),
-        ))
+        Ok(Some(stack(self.names.len(), &blocks)))
     }
+}
+
+/// Concatenate row blocks, each `m` wide, into one matrix.
+fn stack(m: usize, blocks: &[Matrix]) -> Matrix {
+    let spans: Vec<&[f64]> = blocks.iter().map(Matrix::as_slice).collect();
+    Matrix::from_segments(m, &spans).expect("blocks share the header width")
 }
 
 impl<R: BufRead> Iterator for CsvChunks<R> {
@@ -402,16 +388,6 @@ impl<R: BufRead> ShardedChunks<R> {
         self.inner.take_rows(need)
     }
 
-    /// Read *up to* `need` full-width rows; see
-    /// [`CsvChunks::take_up_to`]. A distributed worker reads full rows —
-    /// sliding [`CovarianceShard`] statistics need every column of each
-    /// arrival — and slices columns only inside the per-shard compute.
-    ///
-    /// [`CovarianceShard`]: https://docs.rs/netanom-core
-    pub fn take_up_to(&mut self, need: usize) -> Result<Option<Matrix>, CsvError> {
-        self.inner.take_up_to(need)
-    }
-
     /// Parse the next block and return it *both* full-width and
     /// scattered into per-shard column slices (partition order, all cut
     /// from the same rows). The full block is what sliding-statistics
@@ -465,12 +441,7 @@ pub fn link_series_from_csv_str(content: &str) -> Result<(LinkSeries, Vec<String
     if blocks.is_empty() {
         return Err(CsvError::Empty);
     }
-    let spans: Vec<&[f64]> = blocks
-        .iter()
-        .map(|b| b.row_span(0, b.rows()).expect("whole matrix"))
-        .collect();
-    let matrix = Matrix::from_segments(names.len(), &spans).expect("aligned blocks");
-    Ok((LinkSeries::new(matrix), names))
+    Ok((LinkSeries::new(stack(names.len(), &blocks)), names))
 }
 
 /// Read a link-measurement CSV from disk.

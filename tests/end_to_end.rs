@@ -96,7 +96,7 @@ fn online_and_batch_agree_on_fresh_data() {
 #[test]
 fn separation_policies_are_ordered_sensibly() {
     let ds = datasets::mini(5);
-    let pca = Pca::fit(ds.links.matrix(), Default::default()).unwrap();
+    let pca = Pca::fit(ds.links.matrix()).unwrap();
     let r_sigma = SeparationPolicy::default().normal_dim(&pca);
     let r_frac = SeparationPolicy::VarianceFraction(0.95).normal_dim(&pca);
     let m = ds.links.num_links();

@@ -19,7 +19,7 @@ fn low_effective_dimensionality() {
         datasets::sprint2(),
         datasets::abilene(),
     ] {
-        let pca = Pca::fit(ds.links.matrix(), Default::default()).unwrap();
+        let pca = Pca::fit(ds.links.matrix()).unwrap();
         let d90 = pca.effective_dimension(0.90);
         assert!(d90 <= 5, "{}: 90% variance needs {d90} PCs", ds.name);
         let r = SeparationPolicy::default().normal_dim(&pca);
