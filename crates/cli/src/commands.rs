@@ -11,7 +11,8 @@ use netanom_core::method::{DetectionBackend, ShardableBackend};
 use netanom_core::service::PARTITION_KINDS;
 use netanom_core::stream::RefitStrategy;
 use netanom_core::{
-    Diagnoser, DiagnoserConfig, EngineConfig, PartitionSpec, ShardedEngine, SubspaceBackend,
+    Diagnoser, DiagnoserConfig, DiagnosisReport, EngineConfig, PartitionSpec, ShardedEngine,
+    SubspaceBackend,
 };
 use netanom_linalg::Matrix;
 use netanom_topology::{LinkPartition, RoutingMatrix};
@@ -255,20 +256,15 @@ pub fn diagnose(args: &[String]) -> Result<(), String> {
         ..DiagnoserConfig::default()
     };
 
-    // (reports with their absolute bin index, scored bin count, model label)
-    let (stamped, scored_bins, model_label) = if method == MethodName::Subspace {
+    // (reports, the bin index their `time` counts from, model label)
+    let (reports, first_bin, model_label) = if method == MethodName::Subspace {
         let diagnoser =
             Diagnoser::fit(&training, &rm, diag_cfg).map_err(|e| format!("fitting model: {e}"))?;
         let reports = diagnoser
             .diagnose_series(links.matrix())
             .map_err(|e| e.to_string())?;
         let label = format!("r = {}", diagnoser.model().normal_dim());
-        let n = reports.len();
-        (
-            reports.into_iter().map(|r| (r.time, r)).collect::<Vec<_>>(),
-            n,
-            label,
-        )
+        (reports, 0, label)
     } else {
         // Temporal forecasters only score the bins *after* their
         // training prefix; without a prefix split there is nothing to
@@ -290,39 +286,21 @@ pub fn diagnose(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let reports = backend.score_matrix(&tail).map_err(|e| e.to_string())?;
         let label = format!("method = {method}");
-        let n = reports.len();
-        (
-            reports
-                .into_iter()
-                .enumerate()
-                .map(|(t, r)| (train_bins + t, r))
-                .collect(),
-            n,
-            label,
-        )
+        // Stamp each row with its offset into the scored tail.
+        let reports = reports
+            .into_iter()
+            .enumerate()
+            .map(|(time, r)| DiagnosisReport { time, ..r })
+            .collect();
+        (reports, train_bins, label)
     };
+    let scored_bins = reports.len();
 
     let mut csv = String::from("time,spe,threshold,flow,estimated_bytes,explained_fraction\n");
     let mut alarms = 0usize;
-    for (time, rep) in stamped.iter().filter(|(_, r)| r.detected) {
+    for rep in reports.iter().filter(|r| r.detected) {
         alarms += 1;
-        match rep.identification {
-            Some(id) => {
-                let _ = writeln!(
-                    csv,
-                    "{},{:.6e},{:.6e},{},{:.6e},{:.4}",
-                    time,
-                    rep.spe,
-                    rep.threshold,
-                    id.flow,
-                    rep.estimated_bytes.unwrap_or(0.0),
-                    id.explained_fraction(),
-                );
-            }
-            None => {
-                let _ = writeln!(csv, "{},{:.6e},{:.6e},-,-,-", time, rep.spe, rep.threshold);
-            }
-        }
+        let _ = writeln!(csv, "{}", netanom_serve::alarm_csv_row(rep, first_bin));
     }
 
     match flags.get("out") {
@@ -501,7 +479,7 @@ fn refit_label(refit_every: Option<usize>, strategy: RefitStrategy) -> String {
 ///
 /// Detection-only methods (the temporal backends) carry no
 /// identification — their flow/bytes/fraction columns print `-`.
-fn emit_alarms(reports: &[netanom_core::DiagnosisReport], train_bins: usize) -> usize {
+fn emit_alarms(reports: &[DiagnosisReport], train_bins: usize) -> usize {
     let mut alarms = 0;
     for rep in reports.iter().filter(|r| r.detected) {
         alarms += 1;

@@ -50,8 +50,8 @@
 //!   bitwise `checkpoint`/`restore`, and a `stats` verb (see the
 //!   `netanom-serve` crate docs for the protocol grammar).
 //! * `eval` lists or reruns the paper's tables/figures and the
-//!   deployment scenarios (the same registry as the `experiments`
-//!   binary).
+//!   deployment scenarios (`netanom-eval`'s experiment registry; this
+//!   verb is its only front end).
 //!
 //! # The `paths.csv` format
 //!

@@ -13,11 +13,14 @@ fn usage() {
          netanom diagnose --links FILE --paths FILE [--method NAME] [--confidence C]\n           \
          [--train-bins N] [--out FILE]\n  \
          netanom stream   --links FILE|- --train-bins N [--method NAME] [--paths FILE]\n           \
-         [--confidence C] [--window N] [--refit-every K] [--refit full|incremental] [--chunk B]\n  \
+         [--confidence C] [--window N] [--refit-every K]\n           \
+         [--refit full|incremental|truncated] [--refit-k K] [--chunk B]\n  \
          netanom shard    --links FILE|- --train-bins N --shards K [--method NAME] [--paths FILE]\n           \
-         [--confidence C] [--window N] [--refit-every K] [--refit full|incremental] [--chunk B]\n  \
+         [--confidence C] [--window N] [--refit-every K]\n           \
+         [--refit full|incremental|truncated] [--refit-k K] [--chunk B]\n  \
          netanom tracker  --listen ADDR --links FILE|- --train-bins N --workers K [--paths FILE]\n           \
-         [--confidence C] [--window N] [--refit-every K] [--refit full|incremental]\n           \
+         [--confidence C] [--window N] [--refit-every K]\n           \
+         [--refit full|incremental|truncated] [--refit-k K]\n           \
          [--chunk B] [--join-timeout S] [--read-timeout S]\n  \
          netanom worker   --connect ADDR --links FILE|- --train-bins N --workers K --shard S\n           \
          [--checkpoint FILE] [--retries N] [--read-timeout S]\n  \

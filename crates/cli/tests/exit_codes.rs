@@ -75,6 +75,17 @@ fn help_exits_zero_and_mentions_method_selection() {
 }
 
 #[test]
+fn help_lists_every_refit_strategy_and_refit_k() {
+    let out = netanom(&["--help"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let refit = format!("[--refit {}]", netanom_core::service::REFIT_NAMES.join("|"));
+    // One `--refit` line each for stream, shard and tracker.
+    assert_eq!(stderr.matches(&refit).count(), 3, "{refit} in: {stderr}");
+    assert_eq!(stderr.matches("[--refit-k K]").count(), 3, "{stderr}");
+}
+
+#[test]
 fn diagnose_on_mini_routes_small_operands_through_the_reference_kernel() {
     // The mini dataset has 10 links and 16 flows, so every GEMM in the
     // fit/score pipeline sits below the packed-kernel crossover and

@@ -66,8 +66,7 @@ pub const EXPERIMENT_IDS: [&str; 20] = [
 
 /// Expand and validate a user-supplied id list: `all` expands to the
 /// whole registry, and an unknown id errors with every available id
-/// listed — shared by the `experiments` binary and `netanom eval` so
-/// the two entry points cannot drift.
+/// listed. `netanom eval` resolves its arguments through it.
 pub fn resolve_ids(ids: &[String]) -> Result<Vec<&'static str>, String> {
     if ids.is_empty() {
         return Err(format!(

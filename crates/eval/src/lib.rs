@@ -31,10 +31,9 @@
 //!   refits — throughput, refit latency, and ground-truth detection
 //!   quality vs `m` (experiment id `scale`, JSONL report for CI).
 //!
-//! The `experiments` binary (`cargo run -p netanom-eval --release --bin
-//! experiments -- all`) runs everything and writes results under
-//! `target/paper/`; `netanom eval --list` enumerates the same registry
-//! from the CLI.
+//! The CLI is the one front end to the registry: `netanom eval all`
+//! runs everything and writes results under `target/paper/`, and
+//! `netanom eval --list` enumerates the ids.
 //!
 //! # Example
 //!

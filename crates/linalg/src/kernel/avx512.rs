@@ -1,346 +1,35 @@
-//! The AVX-512 micro-kernel tier: one `8 × 8` tile of `C` in eight
-//! ZMM accumulators, extended by explicit `_mm512_fmadd_pd` steps.
-//!
-//! # Numeric contract
-//!
-//! Identical to the FMA tier's (`super::fma`): per output element,
-//! exactly one fused multiply-add per `k`-term, in strictly ascending
-//! `k` order, into a single accumulator lane — bitwise the
-//! [`f64::mul_add`] ascending-`k` triple loop. Because fused rounding
-//! is deterministic and lane position never changes a lane's value,
-//! the AVX-512 and AVX2+FMA tiers are **bitwise identical to each
-//! other** on every input; they differ only in how many lanes run per
-//! instruction. The sub-crossover fallback is therefore shared:
-//! `super::fma::gemm_reference_fma` serves both hardware tiers.
-//! Everything that carries the contract carries over unchanged — the
-//! `KC` loop stays outside the tiles (`C` is loaded, extended,
-//! stored), vectorization is across output lanes (never across `k`),
-//! and edge tiles stage through the shared stack-scratch helpers in
-//! `super::micro` so `fma(0, x, acc)` lands only in discarded padding
-//! lanes. Against the portable tier the result differs by at most one
-//! rounding per `k`-term, bounded at `≤ 1e-12` relative by the
-//! property tests.
-//!
-//! # Tile shape and unrolling
-//!
-//! `MR = 8`, `NR = 8`: each of the 8 accumulator rows is exactly one
-//! 8-lane ZMM register, so the accumulator block uses 8 of the 32 ZMM
-//! registers and a full `k` step is one ZMM `B` load plus eight
-//! broadcast-FMA pairs — the densest 64-flop step the 512-bit FMA
-//! units can retire with a single `B` stream. Eight independent
-//! accumulator chains cover the 4-cycle FMA latency at 2 issues per
-//! cycle on the dual-port server cores this tier targets. The `k`
-//! loop is unrolled ×4 to amortize loop control; the unroll only
-//! repeats whole `k` steps, so it cannot reorder any per-element
-//! accumulation.
-//!
-//! # Safety
-//!
-//! Mirrors `super::fma` (the crate root carries `#![deny(unsafe_code)]`;
-//! the allow below scopes the exception). The intrinsics require
-//! `avx512f`+`avx512vl` at runtime; the safe entry point
-//! [`kernel_update`] asserts
-//! [`super::dispatch::KernelBackend::is_supported`] (a cached CPUID
-//! check) before entering the `#[target_feature]` function, so the
-//! unsafe call is sound on every path — including a caller that
-//! bypasses the dispatcher. All pointer arithmetic stays inside the
-//! bounds-checked slices the safe wrapper receives; the packed-panel
-//! length preconditions are `debug_assert`ed and guaranteed by
-//! [`super::pack`].
-#![allow(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+//! Unit tests of the AVX-512 tier's tile: the one generic tile
+//! (`kernel::micro`) at `AVX512_MR × NR`, fused and `k`-unrolled ×4,
+//! run through the tier's `#[target_feature(enable =
+//! "avx512f,avx512vl")]` function — the build the tier executes. On a
+//! CPU without avx512f+avx512vl the tier can never be selected, and
+//! each test returns at once.
 
-#[cfg(target_arch = "x86_64")]
-use super::dispatch::KernelBackend;
-#[cfg(target_arch = "x86_64")]
-use super::micro::{load_edge_tile, store_edge_tile};
-
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::{
-    _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
-};
-
-/// Micro-tile rows (`A` panel height) of the AVX-512 tier.
-pub(crate) const MR: usize = 8;
-/// Micro-tile columns (`B` panel width) of the AVX-512 tier.
-pub(crate) const NR: usize = 8;
-
-/// Load the `mr_eff × nr_eff` valid corner of the `C` tile, extend it
-/// by `kc` fused rank-1 updates, and store the valid corner back —
-/// the AVX-512 counterpart of [`super::micro::kernel_update`], same
-/// signature so the macro loop dispatches over plain function values.
-///
-/// # Panics
-///
-/// Panics if the CPU lacks `avx512f`+`avx512vl`; the dispatcher never
-/// routes here in that case.
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn kernel_update(
-    kc: usize,
-    apanel: &[f64],
-    bpanel: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    tile_row: usize,
-    tile_col: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        KernelBackend::Avx512.is_supported(),
-        "AVX-512 micro-kernel invoked without runtime avx512f+avx512vl support"
-    );
-    // SAFETY: the assertion above proves `avx512f` and `avx512vl` are
-    // available on the executing CPU, which is the only precondition
-    // of the `#[target_feature]` function.
-    unsafe {
-        kernel_update_avx512(
-            kc, apanel, bpanel, c, ldc, tile_row, tile_col, mr_eff, nr_eff,
-        )
-    }
-}
-
-/// Non-x86_64 stub so the module always compiles; the dispatcher can
-/// never select [`KernelBackend::Avx512`] on these targets.
-#[allow(clippy::too_many_arguments)]
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn kernel_update(
-    _kc: usize,
-    _apanel: &[f64],
-    _bpanel: &[f64],
-    _c: &mut [f64],
-    _ldc: usize,
-    _tile_row: usize,
-    _tile_col: usize,
-    _mr_eff: usize,
-    _nr_eff: usize,
-) {
-    unreachable!("AVX-512 backend is never selected on non-x86_64 targets");
-}
-
-/// One fused `k` step: one ZMM load of the packed `B` row, then
-/// broadcast each of the `MR` packed `A` lanes and fold `a · b` into
-/// its whole-row accumulator. A macro (not a helper function) so the
-/// body expands textually inside the `#[target_feature]` region and
-/// inlining can never be defeated.
-#[cfg(target_arch = "x86_64")]
-macro_rules! avx512_k_step {
-    ($ap:expr, $bp:expr, $k:expr, $acc:expr) => {{
-        let b = _mm512_loadu_pd($bp.add($k * NR));
-        let mut i = 0;
-        while i < MR {
-            let ai = _mm512_set1_pd(*$ap.add($k * MR + i));
-            $acc[i] = _mm512_fmadd_pd(ai, b, $acc[i]);
-            i += 1;
-        }
-    }};
-}
-
-/// The ×4-unrolled ascending-`k` accumulation loop shared by the full
-/// and edge tile paths. Whole `k` steps only: the per-element order is
-/// untouched by the unroll.
-#[cfg(target_arch = "x86_64")]
-macro_rules! avx512_k_loop {
-    ($ap:expr, $bp:expr, $kc:expr, $acc:expr) => {{
-        let mut k = 0;
-        while k + 4 <= $kc {
-            avx512_k_step!($ap, $bp, k, $acc);
-            avx512_k_step!($ap, $bp, k + 1, $acc);
-            avx512_k_step!($ap, $bp, k + 2, $acc);
-            avx512_k_step!($ap, $bp, k + 3, $acc);
-            k += 4;
-        }
-        while k < $kc {
-            avx512_k_step!($ap, $bp, k, $acc);
-            k += 1;
-        }
-    }};
-}
-
-/// # Safety
-///
-/// Requires `avx512f` and `avx512vl` on the executing CPU. Slice
-/// bounds are honored on every access: the `C` accesses go through
-/// index ranges, and the raw-pointer panel reads are `debug_assert`ed
-/// against the panel lengths (guaranteed by the packing layer).
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512vl")]
-unsafe fn kernel_update_avx512(
-    kc: usize,
-    apanel: &[f64],
-    bpanel: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    tile_row: usize,
-    tile_col: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    debug_assert!(apanel.len() >= kc * MR);
-    debug_assert!(bpanel.len() >= kc * NR);
-    let ap = apanel.as_ptr();
-    let bp = bpanel.as_ptr();
-    let mut acc = [_mm512_setzero_pd(); MR];
-    if mr_eff == MR && nr_eff == NR {
-        for (i, arow) in acc.iter_mut().enumerate() {
-            let off = (tile_row + i) * ldc + tile_col;
-            let crow = &c[off..off + NR];
-            // SAFETY: `crow` holds NR = 8 contiguous f64s — one ZMM.
-            *arow = unsafe { _mm512_loadu_pd(crow.as_ptr()) };
-        }
-        // SAFETY: the k-step macro reads `ap[k*MR..k*MR+MR]` and
-        // `bp[k*NR..k*NR+NR]` for k < kc, within the asserted lengths.
-        unsafe {
-            avx512_k_loop!(ap, bp, kc, acc);
-        }
-        for (i, arow) in acc.iter().enumerate() {
-            let off = (tile_row + i) * ldc + tile_col;
-            let crow = &mut c[off..off + NR];
-            // SAFETY: `crow` holds NR = 8 contiguous f64s.
-            unsafe { _mm512_storeu_pd(crow.as_mut_ptr(), *arow) };
-        }
-    } else {
-        // Edge tile: stage the valid corner through the shared stack
-        // scratch tile so the vector loop never reads or writes past
-        // `C`. Padding lanes accumulate garbage from the packed zeros
-        // (exactly `fma(0, x, 0)` chains) and are discarded.
-        let mut tile = load_edge_tile::<MR, NR>(c, ldc, tile_row, tile_col, mr_eff, nr_eff);
-        for (i, arow) in acc.iter_mut().enumerate() {
-            // SAFETY: each scratch row holds NR = 8 contiguous f64s.
-            *arow = unsafe { _mm512_loadu_pd(tile[i].as_ptr()) };
-        }
-        // SAFETY: same panel-bounds argument as the full-tile path.
-        unsafe {
-            avx512_k_loop!(ap, bp, kc, acc);
-        }
-        for (i, arow) in acc.iter().enumerate() {
-            // SAFETY: each scratch row holds NR = 8 contiguous f64s.
-            unsafe { _mm512_storeu_pd(tile[i].as_mut_ptr(), *arow) };
-        }
-        store_edge_tile(&tile, c, ldc, tile_row, tile_col, mr_eff, nr_eff);
-    }
-}
-
-#[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
-    use super::*;
+    use crate::kernel::micro::tests::{ascending_k, extends_in_order, padding_untouched};
+    use crate::kernel::micro::{AVX512_MR, NR};
+    use crate::kernel::KernelBackend;
 
-    fn avx512_available() -> bool {
-        KernelBackend::Avx512.is_supported()
-    }
+    const TIER: KernelBackend = KernelBackend::Avx512;
 
     #[test]
     fn avx512_tile_is_fused_ascending_k_per_element() {
-        if !avx512_available() {
-            return;
-        }
-        let kc = 9; // exercises both the ×4 unroll and the remainder
-        let apanel: Vec<f64> = (0..kc * MR).map(|i| (i as f64).sin()).collect();
-        let bpanel: Vec<f64> = (0..kc * NR).map(|i| (i as f64).cos()).collect();
-        let ldc = NR;
-        let mut c = vec![0.0; MR * ldc];
-        kernel_update(kc, &apanel, &bpanel, &mut c, ldc, 0, 0, MR, NR);
-        for i in 0..MR {
-            for j in 0..NR {
-                // Scalar fused ascending-k reference, one accumulator.
-                let mut want = 0.0_f64;
-                for k in 0..kc {
-                    want = apanel[k * MR + i].mul_add(bpanel[k * NR + j], want);
-                }
-                assert_eq!(c[i * ldc + j], want, "element ({i},{j})");
-            }
+        if TIER.is_supported() {
+            ascending_k::<AVX512_MR, NR, true>(TIER);
         }
     }
 
     #[test]
     fn avx512_kernel_update_extends_partial_sums_in_order() {
-        if !avx512_available() {
-            return;
+        if TIER.is_supported() {
+            extends_in_order::<AVX512_MR, NR, true>(TIER);
         }
-        // Two KC blocks back to back must equal one pass over the
-        // concatenated k range, bitwise — the load/extend/store
-        // contract that keeps multi-block products ascending in k.
-        let (k1, k2) = (5usize, 7usize);
-        let ka = k1 + k2;
-        let apanel: Vec<f64> = (0..ka * MR).map(|i| 1.0 / (i + 1) as f64).collect();
-        let bpanel: Vec<f64> = (0..ka * NR).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-        let ldc = NR + 3;
-        let mut split = vec![0.0; MR * ldc];
-        kernel_update(k1, &apanel, &bpanel, &mut split, ldc, 0, 0, MR, NR);
-        kernel_update(
-            k2,
-            &apanel[k1 * MR..],
-            &bpanel[k1 * NR..],
-            &mut split,
-            ldc,
-            0,
-            0,
-            MR,
-            NR,
-        );
-        let mut whole = vec![0.0; MR * ldc];
-        kernel_update(ka, &apanel, &bpanel, &mut whole, ldc, 0, 0, MR, NR);
-        assert_eq!(split, whole);
     }
 
     #[test]
     fn avx512_kernel_update_never_touches_padding_lanes() {
-        if !avx512_available() {
-            return;
-        }
-        let kc = 3;
-        let apanel = vec![1.0; kc * MR];
-        let bpanel = vec![1.0; kc * NR];
-        let ldc = NR;
-        let mut c = vec![f64::NAN; MR * ldc];
-        // Valid corner 1×2 only; everything else must stay NaN.
-        c[0] = 0.0;
-        c[1] = 0.0;
-        kernel_update(kc, &apanel, &bpanel, &mut c, ldc, 0, 0, 1, 2);
-        assert_eq!(c[0], kc as f64);
-        assert_eq!(c[1], kc as f64);
-        for (i, v) in c.iter().enumerate().skip(2) {
-            assert!(v.is_nan(), "lane {i} was written");
-        }
-    }
-
-    #[test]
-    fn avx512_tile_matches_the_fma_tile_bitwise() {
-        if !avx512_available() || !KernelBackend::Fma.is_supported() {
-            return;
-        }
-        // Same fused ascending-k contract ⇒ the tiers must agree
-        // bitwise on a shared logical tile. The panels are packed per
-        // tier (different MR), the logical A rows are identical.
-        let kc = 13;
-        let arow = |i: usize, k: usize| ((i * 31 + k * 7) % 17) as f64 / 8.0 - 1.0;
-        let bval = |k: usize, j: usize| ((k * 13 + j * 5) % 19) as f64 / 8.0 - 1.0;
-        let a512: Vec<f64> = (0..kc * MR).map(|x| arow(x % MR, x / MR)).collect();
-        let b512: Vec<f64> = (0..kc * NR).map(|x| bval(x / NR, x % NR)).collect();
-        let mut c512 = vec![0.0; MR * NR];
-        kernel_update(kc, &a512, &b512, &mut c512, NR, 0, 0, MR, NR);
-
-        use super::super::fma;
-        let afma: Vec<f64> = (0..kc * fma::MR)
-            .map(|x| arow(x % fma::MR, x / fma::MR))
-            .collect();
-        let bfma: Vec<f64> = (0..kc * fma::NR)
-            .map(|x| bval(x / fma::NR, x % fma::NR))
-            .collect();
-        let mut cfma = vec![0.0; fma::MR * fma::NR];
-        fma::kernel_update(kc, &afma, &bfma, &mut cfma, fma::NR, 0, 0, fma::MR, fma::NR);
-
-        // Compare the overlapping 6×8 corner (fma::MR = 6 rows).
-        for i in 0..fma::MR {
-            for j in 0..fma::NR.min(NR) {
-                assert_eq!(
-                    c512[i * NR + j].to_bits(),
-                    cfma[i * fma::NR + j].to_bits(),
-                    "element ({i},{j})"
-                );
-            }
+        if TIER.is_supported() {
+            padding_untouched::<AVX512_MR, NR, true>(TIER);
         }
     }
 }

@@ -1,16 +1,20 @@
 //! Runtime kernel-backend selection.
 //!
-//! The packed GEMM layer has three micro-kernel tiers spanning *two
-//! numeric contracts* (see the module docs of [`crate::kernel`]):
+//! The packed GEMM layer has three tiers — three instantiations of one
+//! micro-tile source — spanning *two numeric contracts* (see the
+//! module docs of [`crate::kernel`]):
 //!
-//! * [`KernelBackend::Portable`] — the autovectorized tier, bitwise
-//!   identical to the naive mul-then-add ascending-`k` triple loop.
-//! * [`KernelBackend::Fma`] — explicit AVX2+FMA intrinsics, bitwise
-//!   identical to the [`f64::mul_add`] ascending-`k` triple loop.
-//! * [`KernelBackend::Avx512`] — explicit AVX-512 intrinsics on zmm
-//!   registers, sharing the **same** fused contract as the FMA tier
-//!   (one `mul_add` rounding per `k`-term, ascending `k`), so the two
-//!   hardware tiers are bitwise identical to each other.
+//! * [`KernelBackend::Portable`] — the mul-then-add tile, compiled for
+//!   the build target; bitwise identical to the naive mul-then-add
+//!   ascending-`k` triple loop.
+//! * [`KernelBackend::Fma`] — the fused 6×8 tile, compiled for
+//!   AVX2+FMA; bitwise identical to the [`f64::mul_add`] ascending-`k`
+//!   triple loop.
+//! * [`KernelBackend::Avx512`] — the fused 8×8 tile, compiled for
+//!   AVX-512 (one zmm register per accumulator row), sharing the
+//!   **same** fused contract as the FMA tier (one `mul_add` rounding
+//!   per `k`-term, ascending `k`), so the two hardware tiers are
+//!   bitwise identical to each other.
 //!
 //! The backend is chosen **once per process** the first time any
 //! dispatched product runs, from two inputs:
@@ -41,13 +45,13 @@ use std::sync::OnceLock;
 /// The micro-kernel tier every dispatched product routes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// Autovectorized portable tile (`super::micro`): bitwise equal
-    /// to the naive mul-then-add ascending-`k` loop on every target.
+    /// The mul-then-add tile for the build target: bitwise equal to
+    /// the naive mul-then-add ascending-`k` loop on every target.
     Portable,
-    /// Explicit AVX2+FMA tile (`super::fma`): bitwise equal to the
+    /// The fused 6×8 tile compiled for AVX2+FMA: bitwise equal to the
     /// [`f64::mul_add`] ascending-`k` loop; requires `avx2` + `fma`.
     Fma,
-    /// Explicit AVX-512 tile (`super::avx512`): same fused contract as
+    /// The fused 8×8 tile compiled for AVX-512: same fused contract as
     /// [`KernelBackend::Fma`] — bitwise equal to the [`f64::mul_add`]
     /// ascending-`k` loop — on 8-lane zmm registers; requires
     /// `avx512f` + `avx512vl`.

@@ -1,395 +1,34 @@
-//! The AVX2+FMA micro-kernel tier: one `6 × 8` tile of `C` in twelve
-//! YMM accumulators, extended by explicit `_mm256_fmadd_pd` steps.
-//!
-//! # Numeric contract
-//!
-//! Each fused multiply-add computes `a·b + acc` with a **single**
-//! rounding, so this tier cannot be bitwise identical to the portable
-//! mul-then-add kernel. Instead it is pinned bitwise against the
-//! [`f64::mul_add`] ascending-`k` triple loop (realized by
-//! [`gemm_reference_fma`]): per output element the tile performs
-//! exactly one fused multiply-add per `k`, in strictly ascending `k`
-//! order, into a single accumulator lane. Everything that made the
-//! portable contract hold transfers verbatim — the `KC` loop stays
-//! outside the tiles (`C` is loaded, extended, stored), vectorization
-//! is across output lanes (never across `k`), and edge tiles are
-//! zero-padded in the packed panels (`fma(0, x, acc)` only ever lands
-//! in discarded padding lanes). Against the portable tier the result
-//! differs by at most one rounding per `k`-term, which the property
-//! tests bound at `≤ 1e-12` relative.
-//!
-//! # Tile shape and unrolling
-//!
-//! `MR = 6`, `NR = 8`: the accumulator block is 6 rows × 2 YMM lanes
-//! = 12 of the 16 YMM registers, leaving two for the broadcast `B`
-//! lanes and one for the `A` broadcast — the classic 6×8 f64 AVX2
-//! shape. The `k` loop is unrolled ×4 to hide the 4-cycle FMA latency
-//! behind the 2-per-cycle issue width; the unroll only repeats whole
-//! `k` steps, so it cannot reorder any per-element accumulation.
-//!
-//! # Safety
-//!
-//! This is the only module in the crate that uses `unsafe` (the crate
-//! root carries `#![deny(unsafe_code)]`; the allow below scopes the
-//! exception). The intrinsics require AVX2+FMA at runtime; the safe
-//! entry point [`kernel_update`] asserts
-//! [`super::dispatch::KernelBackend::is_supported`] (a cached CPUID
-//! check) before entering the `#[target_feature]` function, so the
-//! unsafe call is sound on every path — including a caller that
-//! bypasses the dispatcher. All pointer arithmetic stays inside the
-//! bounds-checked slices the safe wrapper receives; the packed-panel
-//! length preconditions are `debug_assert`ed and guaranteed by
-//! [`super::pack`].
-#![allow(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+//! Unit tests of the AVX2+FMA tier's tile: the one generic tile
+//! (`kernel::micro`) at `FMA_MR × NR`, fused, run through the tier's
+//! `#[target_feature(enable = "avx2,fma")]` function — the build the
+//! tier executes. On a CPU without AVX2+FMA the tier can never be
+//! selected, and each test returns at once.
 
-#[cfg(target_arch = "x86_64")]
-use super::dispatch::KernelBackend;
-use super::Operand;
-
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::{_mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_storeu_pd};
-
-/// Micro-tile rows (`A` panel height) of the FMA tier.
-pub(crate) const MR: usize = 6;
-/// Micro-tile columns (`B` panel width) of the FMA tier.
-pub(crate) const NR: usize = 8;
-
-/// Load the `mr_eff × nr_eff` valid corner of the `C` tile, extend it
-/// by `kc` fused rank-1 updates, and store the valid corner back —
-/// the FMA counterpart of [`super::micro::kernel_update`], same
-/// signature so the macro loop dispatches over plain function values.
-///
-/// # Panics
-///
-/// Panics if the CPU lacks AVX2+FMA; the dispatcher never routes here
-/// in that case.
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn kernel_update(
-    kc: usize,
-    apanel: &[f64],
-    bpanel: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    tile_row: usize,
-    tile_col: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    assert!(
-        KernelBackend::Fma.is_supported(),
-        "FMA micro-kernel invoked without runtime AVX2+FMA support"
-    );
-    // SAFETY: the assertion above proves `avx2` and `fma` are available
-    // on the executing CPU, which is the only precondition of the
-    // `#[target_feature]` function.
-    unsafe {
-        kernel_update_avx2(
-            kc, apanel, bpanel, c, ldc, tile_row, tile_col, mr_eff, nr_eff,
-        )
-    }
-}
-
-/// Non-x86_64 stub so the module always compiles; the dispatcher can
-/// never select [`KernelBackend::Fma`] on these targets.
-#[allow(clippy::too_many_arguments)]
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn kernel_update(
-    _kc: usize,
-    _apanel: &[f64],
-    _bpanel: &[f64],
-    _c: &mut [f64],
-    _ldc: usize,
-    _tile_row: usize,
-    _tile_col: usize,
-    _mr_eff: usize,
-    _nr_eff: usize,
-) {
-    unreachable!("FMA backend is never selected on non-x86_64 targets");
-}
-
-/// One fused `k` step: broadcast each of the `MR` packed `A` lanes and
-/// fold `a · b` into both YMM halves of its accumulator row. A macro
-/// (not a helper function) so the body expands textually inside the
-/// `#[target_feature]` region and inlining can never be defeated.
-#[cfg(target_arch = "x86_64")]
-macro_rules! fma_k_step {
-    ($ap:expr, $bp:expr, $k:expr, $acc:expr) => {{
-        let b0 = _mm256_loadu_pd($bp.add($k * NR));
-        let b1 = _mm256_loadu_pd($bp.add($k * NR + 4));
-        let mut i = 0;
-        while i < MR {
-            let ai = _mm256_set1_pd(*$ap.add($k * MR + i));
-            $acc[i][0] = _mm256_fmadd_pd(ai, b0, $acc[i][0]);
-            $acc[i][1] = _mm256_fmadd_pd(ai, b1, $acc[i][1]);
-            i += 1;
-        }
-    }};
-}
-
-/// # Safety
-///
-/// Requires `avx2` and `fma` on the executing CPU. Slice bounds are
-/// honored on every access: the `C` accesses go through index ranges,
-/// and the raw-pointer panel reads are `debug_assert`ed against the
-/// panel lengths (guaranteed by the packing layer).
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kernel_update_avx2(
-    kc: usize,
-    apanel: &[f64],
-    bpanel: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    tile_row: usize,
-    tile_col: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    debug_assert!(apanel.len() >= kc * MR);
-    debug_assert!(bpanel.len() >= kc * NR);
-    let ap = apanel.as_ptr();
-    let bp = bpanel.as_ptr();
-    let mut acc = [[unsafe { core::mem::zeroed() }; 2]; MR];
-    if mr_eff == MR && nr_eff == NR {
-        for (i, arow) in acc.iter_mut().enumerate() {
-            let off = (tile_row + i) * ldc + tile_col;
-            let crow = &c[off..off + NR];
-            // SAFETY: `crow` holds NR = 8 contiguous f64s.
-            arow[0] = unsafe { _mm256_loadu_pd(crow.as_ptr()) };
-            arow[1] = unsafe { _mm256_loadu_pd(crow.as_ptr().add(4)) };
-        }
-        // SAFETY: the k-step macro reads `ap[k*MR..k*MR+MR]` and
-        // `bp[k*NR..k*NR+NR]` for k < kc, within the asserted lengths.
-        unsafe {
-            let mut k = 0;
-            while k + 4 <= kc {
-                fma_k_step!(ap, bp, k, acc);
-                fma_k_step!(ap, bp, k + 1, acc);
-                fma_k_step!(ap, bp, k + 2, acc);
-                fma_k_step!(ap, bp, k + 3, acc);
-                k += 4;
-            }
-            while k < kc {
-                fma_k_step!(ap, bp, k, acc);
-                k += 1;
-            }
-        }
-        for (i, arow) in acc.iter().enumerate() {
-            let off = (tile_row + i) * ldc + tile_col;
-            let crow = &mut c[off..off + NR];
-            // SAFETY: `crow` holds NR = 8 contiguous f64s.
-            unsafe {
-                _mm256_storeu_pd(crow.as_mut_ptr(), arow[0]);
-                _mm256_storeu_pd(crow.as_mut_ptr().add(4), arow[1]);
-            }
-        }
-    } else {
-        // Edge tile: stage the valid corner through a stack scratch
-        // tile (shared helpers in `super::micro`) so the vector loop
-        // never reads or writes past `C`. Padding lanes accumulate
-        // garbage from the packed zeros (exactly `fma(0, x, 0)`
-        // chains) and are discarded.
-        let mut tile =
-            super::micro::load_edge_tile::<MR, NR>(c, ldc, tile_row, tile_col, mr_eff, nr_eff);
-        for (i, arow) in acc.iter_mut().enumerate() {
-            // SAFETY: each scratch row holds NR = 8 contiguous f64s.
-            arow[0] = unsafe { _mm256_loadu_pd(tile[i].as_ptr()) };
-            arow[1] = unsafe { _mm256_loadu_pd(tile[i].as_ptr().add(4)) };
-        }
-        // SAFETY: same panel-bounds argument as the full-tile path.
-        unsafe {
-            let mut k = 0;
-            while k + 4 <= kc {
-                fma_k_step!(ap, bp, k, acc);
-                fma_k_step!(ap, bp, k + 1, acc);
-                fma_k_step!(ap, bp, k + 2, acc);
-                fma_k_step!(ap, bp, k + 3, acc);
-                k += 4;
-            }
-            while k < kc {
-                fma_k_step!(ap, bp, k, acc);
-                k += 1;
-            }
-        }
-        for (i, arow) in acc.iter().enumerate() {
-            // SAFETY: each scratch row holds NR = 8 contiguous f64s.
-            unsafe {
-                _mm256_storeu_pd(tile[i].as_mut_ptr(), arow[0]);
-                _mm256_storeu_pd(tile[i].as_mut_ptr().add(4), arow[1]);
-            }
-        }
-        super::micro::store_edge_tile(&tile, c, ldc, tile_row, tile_col, mr_eff, nr_eff);
-    }
-}
-
-/// Scalar reference GEMM with fused multiply-adds: per output element,
-/// one [`f64::mul_add`] per `k`-term in strictly ascending order —
-/// the semantics the FMA tile is pinned against bitwise, and the
-/// sub-crossover fallback when the FMA backend is active (so routing
-/// through [`super::use_packed`] stays unobservable per backend). The
-/// loop nest mirrors [`super::gemm_reference`] arm for arm.
-pub(crate) fn gemm_reference_fma(
-    a: &Operand,
-    b: &Operand,
-    first_row: usize,
-    block: &mut [f64],
-    n: usize,
-    kdim: usize,
-    upper_only: bool,
-) {
-    if n == 0 {
-        return;
-    }
-    let mb = block.len() / n;
-    for li in 0..mb {
-        let i = first_row + li;
-        let row = &mut block[li * n..(li + 1) * n];
-        let j0 = if upper_only { i.min(n) } else { 0 };
-        match (a, b) {
-            // B row-major: middle-k loop, fused axpy of B's row k.
-            (_, Operand::N(bm)) => {
-                for k in 0..kdim {
-                    let aik = a.at(i, k);
-                    let brow = &bm.row(k)[j0..n];
-                    for (o, &bv) in row[j0..].iter_mut().zip(brow) {
-                        *o = aik.mul_add(bv, *o);
-                    }
-                }
-            }
-            // A and Bᵀ both row-major along k: per-element fused dot.
-            (Operand::N(am), Operand::T(bm)) => {
-                let arow = am.row(i);
-                for (j, o) in row.iter_mut().enumerate().skip(j0) {
-                    let mut acc = *o;
-                    for (&av, &bv) in arow.iter().zip(bm.row(j)) {
-                        acc = av.mul_add(bv, acc);
-                    }
-                    *o = acc;
-                }
-            }
-            // Doubly transposed: strided fallback (unused by the
-            // crate's products, kept for completeness).
-            (Operand::T(_), Operand::T(bm)) => {
-                for (j, o) in row.iter_mut().enumerate().skip(j0) {
-                    let mut acc = *o;
-                    for k in 0..kdim {
-                        acc = a.at(i, k).mul_add(bm.at(j, k), acc);
-                    }
-                    *o = acc;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
-    use super::*;
+    use crate::kernel::micro::tests::{ascending_k, extends_in_order, padding_untouched};
+    use crate::kernel::micro::{FMA_MR, NR};
+    use crate::kernel::KernelBackend;
 
-    fn fma_available() -> bool {
-        KernelBackend::Fma.is_supported()
-    }
+    const TIER: KernelBackend = KernelBackend::Fma;
 
     #[test]
     fn fma_tile_is_fused_ascending_k_per_element() {
-        if !fma_available() {
-            return;
-        }
-        let kc = 9; // exercises both the ×4 unroll and the remainder
-        let apanel: Vec<f64> = (0..kc * MR).map(|i| (i as f64).sin()).collect();
-        let bpanel: Vec<f64> = (0..kc * NR).map(|i| (i as f64).cos()).collect();
-        let ldc = NR;
-        let mut c = vec![0.0; MR * ldc];
-        kernel_update(kc, &apanel, &bpanel, &mut c, ldc, 0, 0, MR, NR);
-        for i in 0..MR {
-            for j in 0..NR {
-                // Scalar fused ascending-k reference, one accumulator.
-                let mut want = 0.0_f64;
-                for k in 0..kc {
-                    want = apanel[k * MR + i].mul_add(bpanel[k * NR + j], want);
-                }
-                assert_eq!(c[i * ldc + j], want, "element ({i},{j})");
-            }
+        if TIER.is_supported() {
+            ascending_k::<FMA_MR, NR, true>(TIER);
         }
     }
 
     #[test]
     fn fma_kernel_update_extends_partial_sums_in_order() {
-        if !fma_available() {
-            return;
+        if TIER.is_supported() {
+            extends_in_order::<FMA_MR, NR, true>(TIER);
         }
-        // Two KC blocks back to back must equal one pass over the
-        // concatenated k range, bitwise — the load/extend/store
-        // contract that keeps multi-block products ascending in k.
-        let (k1, k2) = (5usize, 7usize);
-        let ka = k1 + k2;
-        let apanel: Vec<f64> = (0..ka * MR).map(|i| 1.0 / (i + 1) as f64).collect();
-        let bpanel: Vec<f64> = (0..ka * NR).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-        let ldc = NR + 3;
-        let mut split = vec![0.0; MR * ldc];
-        kernel_update(k1, &apanel, &bpanel, &mut split, ldc, 0, 0, MR, NR);
-        kernel_update(
-            k2,
-            &apanel[k1 * MR..],
-            &bpanel[k1 * NR..],
-            &mut split,
-            ldc,
-            0,
-            0,
-            MR,
-            NR,
-        );
-        let mut whole = vec![0.0; MR * ldc];
-        kernel_update(ka, &apanel, &bpanel, &mut whole, ldc, 0, 0, MR, NR);
-        assert_eq!(split, whole);
     }
 
     #[test]
     fn fma_kernel_update_never_touches_padding_lanes() {
-        if !fma_available() {
-            return;
-        }
-        let kc = 3;
-        let apanel = vec![1.0; kc * MR];
-        let bpanel = vec![1.0; kc * NR];
-        let ldc = NR;
-        let mut c = vec![f64::NAN; MR * ldc];
-        // Valid corner 1×2 only; everything else must stay NaN.
-        c[0] = 0.0;
-        c[1] = 0.0;
-        kernel_update(kc, &apanel, &bpanel, &mut c, ldc, 0, 0, 1, 2);
-        assert_eq!(c[0], kc as f64);
-        assert_eq!(c[1], kc as f64);
-        for (i, v) in c.iter().enumerate().skip(2) {
-            assert!(v.is_nan(), "lane {i} was written");
-        }
-    }
-
-    #[test]
-    fn fused_and_portable_tiles_agree_on_exact_inputs() {
-        if !fma_available() {
-            return;
-        }
-        // Small integers: every product and sum is exact, so fused
-        // and mul-then-add rounding coincide and the two tiers must
-        // agree bitwise.
-        let kc = 4;
-        let apanel: Vec<f64> = (0..kc * MR).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let bpanel: Vec<f64> = (0..kc * NR).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let ldc = NR;
-        let mut c = vec![0.0; MR * ldc];
-        kernel_update(kc, &apanel, &bpanel, &mut c, ldc, 0, 0, MR, NR);
-        for i in 0..MR {
-            for j in 0..NR {
-                let mut want = 0.0_f64;
-                for k in 0..kc {
-                    want += apanel[k * MR + i] * bpanel[k * NR + j];
-                }
-                assert_eq!(c[i * ldc + j], want);
-            }
+        if TIER.is_supported() {
+            padding_untouched::<FMA_MR, NR, true>(TIER);
         }
     }
 }

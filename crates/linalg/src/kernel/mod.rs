@@ -16,15 +16,19 @@
 //!   (packed `B` stays in L2/L3), `KC`-deep slices of the shared
 //!   dimension (one packed `A` block stays in L2), and `MC`-tall row
 //!   blocks, following [`Tiles`].
-//! * **Register-blocked micro-kernel** (`micro`, `fma`, and `avx512`).
-//!   The innermost unit computes an `MR × NR` tile of `C` held entirely
-//!   in accumulator registers, reading one `MR`-slice of packed `A` and
-//!   one `NR`-slice of packed `B` per `k` step. Three tiers exist: the
-//!   portable tile (`micro`, loops over fixed-size arrays the
-//!   autovectorizer unrolls), the AVX2+FMA tile (`fma`, explicit
-//!   `std::arch` intrinsics with a wider 6×8 shape and a ×4-unrolled
-//!   `k` loop), and the AVX-512 tile (`avx512`, an 8×8 shape whose
-//!   accumulator rows are whole ZMM registers, same ×4 unroll).
+//! * **Register-blocked micro-kernel** (`micro`). The innermost unit
+//!   computes an `MR × NR` tile of `C` held entirely in accumulator
+//!   registers, reading one `MR`-slice of packed `A` and one
+//!   `NR`-slice of packed `B` per `k` step. There is one tile source,
+//!   generic over its shape and its rounding (loops over fixed-size
+//!   arrays the compiler unrolls and vectorizes), and three
+//!   instantiations of it: the portable tile (4×8, or 2×8 without AVX,
+//!   mul-then-add), the AVX2+FMA tile (6×8, fused) and the AVX-512 tile
+//!   (8×8, fused, one ZMM register per accumulator row). The two
+//!   hardware tiers are the same source compiled inside a
+//!   `#[target_feature]` function; the two calls into those are the
+//!   only code the workspace lets past `unsafe_code`, each behind a
+//!   [`KernelBackend::is_supported`] assertion.
 //!
 //! # Backend dispatch
 //!
@@ -44,14 +48,15 @@
 //!
 //! Per output element, **every** tier accumulates its `k`-terms in
 //! strictly ascending order into a single accumulator; the tiers
-//! differ only in the rounding of each step:
+//! differ only in the rounding of each step (the tile's `FUSED`
+//! parameter):
 //!
 //! * [`KernelBackend::Portable`] rounds the multiply and the add
 //!   separately (`acc += a·b`), making it **bitwise identical to the
 //!   naive mul-then-add `i j k` triple loop** — the original kernel
 //!   contract, unchanged.
 //! * [`KernelBackend::Fma`] and [`KernelBackend::Avx512`] fuse each
-//!   step into one rounding (`acc = fma(a, b, acc)`), making both
+//!   step into one rounding (`acc = a.mul_add(b, acc)`), making both
 //!   **bitwise identical to the [`f64::mul_add`] ascending-`k` triple
 //!   loop** — and therefore to each other, lane width being invisible
 //!   to a per-lane fused chain — and `≤ 1e-12` relative against the
@@ -69,10 +74,10 @@
 //!    `+ 0·x` terms only to discarded padding lanes), not handled by a
 //!    differently-ordered scalar loop.
 //!
-//! The crate-private `gemm_reference` loop nest realizes the portable
-//! tier's order (it is the fallback [`use_packed`] routes small shapes
-//! to); `fma::gemm_reference_fma` is the fused counterpart serving both
-//! hardware tiers. Each packed tier is pinned bitwise against naive
+//! The crate-private `gemm_reference::<FUSED>` loop nest realizes both
+//! orders, mul-then-add for the portable tier and fused for the two
+//! hardware tiers (it is the fallback [`use_packed`] routes small
+//! shapes to). Each packed tier is pinned bitwise against naive
 //! triple loops written independently in `crates/linalg/tests/`.
 //! Because the portable order also matches
 //! the pre-kernel row-axpy/dot implementations, every parity suite
@@ -92,9 +97,11 @@
 //! per-element order, so routing is purely a performance decision and
 //! never observable in results.
 
-pub(crate) mod avx512;
+#[cfg(test)]
+mod avx512;
 pub(crate) mod dispatch;
-pub(crate) mod fma;
+#[cfg(test)]
+mod fma;
 pub(crate) mod micro;
 pub(crate) mod pack;
 
@@ -255,69 +262,38 @@ pub(crate) fn gemm_block(
     kdim: usize,
     upper_only: bool,
 ) {
+    use micro::{AVX512_MR, FMA_MR, MR, NR};
+    let out = OutBlock {
+        ldc: n,
+        first_row,
+        upper_only,
+    };
     match backend {
-        KernelBackend::Portable => gemm_block_tiled(
-            a,
-            b,
-            first_row,
-            block,
-            n,
-            kdim,
-            upper_only,
-            micro::MR,
-            micro::NR,
-            micro::kernel_update,
-        ),
-        KernelBackend::Fma => gemm_block_tiled(
-            a,
-            b,
-            first_row,
-            block,
-            n,
-            kdim,
-            upper_only,
-            fma::MR,
-            fma::NR,
-            fma::kernel_update,
-        ),
-        KernelBackend::Avx512 => gemm_block_tiled(
-            a,
-            b,
-            first_row,
-            block,
-            n,
-            kdim,
-            upper_only,
-            avx512::MR,
-            avx512::NR,
-            avx512::kernel_update,
-        ),
+        KernelBackend::Portable => gemm_tiled::<MR, NR, false>(backend, a, b, block, kdim, &out),
+        KernelBackend::Fma => gemm_tiled::<FMA_MR, NR, true>(backend, a, b, block, kdim, &out),
+        KernelBackend::Avx512 => {
+            gemm_tiled::<AVX512_MR, NR, true>(backend, a, b, block, kdim, &out)
+        }
     }
 }
 
-/// A backend's tile-update entry point:
-/// `(kc, apanel, bpanel, c, ldc, tile_row, tile_col, mr_eff, nr_eff)`.
-/// Accumulates one `mr_eff × nr_eff` corner of a micro-tile of `C`
-/// from the packed panels.
-type TileUpdateFn = fn(usize, &[f64], &[f64], &mut [f64], usize, usize, usize, usize, usize);
-
-/// The shared cache-blocked loop nest, parameterized by the backend's
-/// micro-tile shape (`mr × nr`) and tile-update function. `update`
-/// must consume panels packed with exactly the `mr`/`nr` it is paired
-/// with ([`gemm_block`] keeps the pairing).
-#[allow(clippy::too_many_arguments)]
-fn gemm_block_tiled(
+/// The shared cache-blocked loop nest at one tile instantiation
+/// (`MR × NR`, `FUSED`): packs panels of exactly that shape and runs
+/// the macro kernel, compiled for `backend`'s CPU, on every packed
+/// block pair.
+fn gemm_tiled<const MR: usize, const NR: usize, const FUSED: bool>(
+    backend: KernelBackend,
     a: &Operand,
     b: &Operand,
-    first_row: usize,
     block: &mut [f64],
-    n: usize,
     kdim: usize,
-    upper_only: bool,
-    mr: usize,
-    nr: usize,
-    update: TileUpdateFn,
+    out: &OutBlock,
 ) {
+    let OutBlock {
+        ldc: n,
+        first_row,
+        upper_only,
+    } = *out;
     debug_assert_eq!(block.len() % n.max(1), 0);
     let Some(mb) = block.len().checked_div(n) else {
         return;
@@ -326,15 +302,15 @@ fn gemm_block_tiled(
         return;
     }
     let t = tiles_for(mb, kdim, n);
-    let mut apack = vec![0.0; t.mc.div_ceil(mr) * mr * t.kc];
-    let mut bpack = vec![0.0; t.nc.div_ceil(nr) * nr * t.kc];
+    let mut apack = vec![0.0; t.mc.div_ceil(MR) * MR * t.kc];
+    let mut bpack = vec![0.0; t.nc.div_ceil(NR) * NR * t.kc];
     let mut jc = 0;
     while jc < n {
         let ncb = t.nc.min(n - jc);
         let mut pc = 0;
         while pc < kdim {
-            let kcb = t.kc.min(kdim - pc);
-            pack::pack_b(b, pc, kcb, jc, ncb, nr, &mut bpack);
+            let kc = t.kc.min(kdim - pc);
+            pack::pack_b(b, pc, kc, jc, ncb, NR, &mut bpack);
             let mut ic = 0;
             while ic < mb {
                 let mcb = t.mc.min(mb - ic);
@@ -344,80 +320,180 @@ fn gemm_block_tiled(
                     ic += mcb;
                     continue;
                 }
-                pack::pack_a(a, first_row + ic, mcb, pc, kcb, mr, &mut apack);
-                macro_kernel(
-                    &apack, &bpack, kcb, block, n, ic, mcb, jc, ncb, first_row, upper_only, mr, nr,
-                    update,
-                );
+                pack::pack_a(a, first_row + ic, mcb, pc, kc, MR, &mut apack);
+                let pair = BlockPair {
+                    apack: &apack,
+                    bpack: &bpack,
+                    kc,
+                    ic,
+                    mcb,
+                    jc,
+                    ncb,
+                };
+                macro_kernel_on::<MR, NR, FUSED>(backend, &pair, block, out);
                 ic += mcb;
             }
-            pc += kcb;
+            pc += kc;
         }
         jc += ncb;
     }
 }
 
-/// Run the micro-kernel over every `mr × nr` tile of one packed
-/// `A`-block × packed `B`-block pair, updating `C` in place.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel(
-    apack: &[f64],
-    bpack: &[f64],
+/// One packed `A` block × packed `B` block pair: what the macro kernel
+/// multiplies.
+struct BlockPair<'p> {
+    apack: &'p [f64],
+    bpack: &'p [f64],
+    /// Depth of both packs (`KC` or the last, shorter slice).
     kc: usize,
-    c: &mut [f64],
-    ldc: usize,
+    /// First row and height of the `A` block, within the output block.
     ic: usize,
     mcb: usize,
+    /// First column and width of the `B` block.
     jc: usize,
     ncb: usize,
+}
+
+/// The output row block a product accumulates into (see [`gemm_block`]).
+#[derive(Clone, Copy)]
+struct OutBlock {
+    /// Row stride (`n`).
+    ldc: usize,
+    /// Global index of the block's first row.
     first_row: usize,
+    /// Skip tiles strictly below the global diagonal.
     upper_only: bool,
-    mr: usize,
-    nr: usize,
-    update: TileUpdateFn,
+}
+
+/// [`macro_kernel`] compiled for `backend`'s CPU. The portable tier runs
+/// it as built; each hardware tier calls it through a
+/// `#[target_feature]` function, so the tile inside compiles to that
+/// tier's YMM or ZMM registers. Those two calls are the only code the
+/// workspace lets past `unsafe_code`, each right behind an assertion
+/// that the CPU has the features.
+#[allow(unsafe_code)]
+#[inline(always)]
+fn macro_kernel_on<const MR: usize, const NR: usize, const FUSED: bool>(
+    backend: KernelBackend,
+    pair: &BlockPair,
+    c: &mut [f64],
+    out: &OutBlock,
 ) {
-    let a_panels = mcb.div_ceil(mr);
-    let b_panels = ncb.div_ceil(nr);
-    for jp in 0..b_panels {
-        let bpanel = &bpack[jp * kc * nr..(jp + 1) * kc * nr];
-        let nr_eff = nr.min(ncb - jp * nr);
-        for ip in 0..a_panels {
-            let tile_row = ic + ip * mr;
-            let tile_col = jc + jp * nr;
-            // Upper-triangle mode: skip tiles whose every column lies
-            // strictly left of (below) the diagonal.
-            if upper_only && tile_col + nr_eff <= first_row + tile_row {
-                continue;
+    match backend {
+        KernelBackend::Portable => macro_kernel::<MR, NR, FUSED>(pair, c, out),
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Fma => {
+            #[target_feature(enable = "avx2,fma")]
+            fn fma<const MR: usize, const NR: usize, const FUSED: bool>(
+                pair: &BlockPair,
+                c: &mut [f64],
+                out: &OutBlock,
+            ) {
+                macro_kernel::<MR, NR, FUSED>(pair, c, out)
             }
-            let apanel = &apack[ip * kc * mr..(ip + 1) * kc * mr];
-            let mr_eff = mr.min(mcb - ip * mr);
-            update(
-                kc, apanel, bpanel, c, ldc, tile_row, tile_col, mr_eff, nr_eff,
+            assert!(
+                backend.is_supported(),
+                "FMA micro-kernel invoked without runtime AVX2+FMA support"
             );
+            // SAFETY: the assertion above proves `avx2` and `fma` are
+            // available on the executing CPU, the only precondition of
+            // the `#[target_feature]` function.
+            unsafe { fma::<MR, NR, FUSED>(pair, c, out) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => {
+            #[target_feature(enable = "avx512f,avx512vl")]
+            fn avx512<const MR: usize, const NR: usize, const FUSED: bool>(
+                pair: &BlockPair,
+                c: &mut [f64],
+                out: &OutBlock,
+            ) {
+                macro_kernel::<MR, NR, FUSED>(pair, c, out)
+            }
+            assert!(
+                backend.is_supported(),
+                "AVX-512 micro-kernel invoked without runtime avx512f+avx512vl support"
+            );
+            // SAFETY: the assertion above proves `avx512f` and
+            // `avx512vl` are available on the executing CPU, the only
+            // precondition of the `#[target_feature]` function.
+            unsafe { avx512::<MR, NR, FUSED>(pair, c, out) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelBackend::Fma | KernelBackend::Avx512 => {
+            unreachable!("hardware tiers are never selected on non-x86_64 targets")
         }
     }
 }
 
-/// Route a sub-crossover (or explicitly un-packed) product to the
-/// reference loop nest matching `backend`'s per-step rounding, so the
-/// [`use_packed`] routing decision stays unobservable per backend.
+/// One `MR × NR` tile update at the origin of `c` (valid corner
+/// `mr_eff × nr_eff`), run the way `backend` runs it: through
+/// [`macro_kernel_on`], so a hardware tier's tile is the one compiled
+/// inside its `#[target_feature]` function. The tile tests' entry point.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_reference_with(
+fn tile_update_on<const MR: usize, const NR: usize, const FUSED: bool>(
     backend: KernelBackend,
-    a: &Operand,
-    b: &Operand,
-    first_row: usize,
-    block: &mut [f64],
-    n: usize,
-    kdim: usize,
-    upper_only: bool,
+    kc: usize,
+    apanel: &[f64],
+    bpanel: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
 ) {
-    match backend {
-        KernelBackend::Portable => gemm_reference(a, b, first_row, block, n, kdim, upper_only),
-        // Both hardware tiers share the fused ascending-k contract, so
-        // one fused reference loop serves them bitwise-identically.
-        KernelBackend::Fma | KernelBackend::Avx512 => {
-            fma::gemm_reference_fma(a, b, first_row, block, n, kdim, upper_only)
+    let pair = BlockPair {
+        apack: apanel,
+        bpack: bpanel,
+        kc,
+        ic: 0,
+        mcb: mr_eff,
+        jc: 0,
+        ncb: nr_eff,
+    };
+    let out = OutBlock {
+        ldc,
+        first_row: 0,
+        upper_only: false,
+    };
+    macro_kernel_on::<MR, NR, FUSED>(backend, &pair, c, &out);
+}
+
+/// Run the micro-kernel over every `MR × NR` tile of one packed block
+/// pair, updating `C` in place.
+#[inline(always)]
+fn macro_kernel<const MR: usize, const NR: usize, const FUSED: bool>(
+    pair: &BlockPair,
+    c: &mut [f64],
+    out: &OutBlock,
+) {
+    let BlockPair {
+        apack,
+        bpack,
+        kc,
+        ic,
+        mcb,
+        jc,
+        ncb,
+    } = *pair;
+    let a_panels = mcb.div_ceil(MR);
+    let b_panels = ncb.div_ceil(NR);
+    for jp in 0..b_panels {
+        let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        let nr_eff = NR.min(ncb - jp * NR);
+        for ip in 0..a_panels {
+            let tile_row = ic + ip * MR;
+            let tile_col = jc + jp * NR;
+            // Upper-triangle mode: skip tiles whose every column lies
+            // strictly left of (below) the diagonal.
+            if out.upper_only && tile_col + nr_eff <= out.first_row + tile_row {
+                continue;
+            }
+            let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
+            let mr_eff = MR.min(mcb - ip * MR);
+            micro::update::<MR, NR, FUSED>(
+                kc, apanel, bpanel, c, out.ldc, tile_row, tile_col, mr_eff, nr_eff,
+            );
         }
     }
 }
@@ -454,10 +530,14 @@ fn run_product(
     let workers = parallel::workers_for(flops, m);
     let boundaries = parallel::balanced_boundaries(m, workers, weight);
     parallel::for_row_blocks(out.data_mut(), n, &boundaries, |first_row, block| {
+        // Below the crossover, the reference loop nest with the
+        // backend's rounding keeps the routing unobservable per backend.
         if packed {
             gemm_block(backend, a, b, first_row, block, n, kdim, upper_only);
+        } else if backend.is_fused() {
+            gemm_reference::<true>(a, b, first_row, block, n, kdim, upper_only);
         } else {
-            gemm_reference_with(backend, a, b, first_row, block, n, kdim, upper_only);
+            gemm_reference::<false>(a, b, first_row, block, n, kdim, upper_only);
         }
     });
 }
@@ -613,11 +693,13 @@ pub fn gram_with(backend: KernelBackend, a: &Matrix) -> Matrix {
 
 /// Scalar reference GEMM over a row block: per output element, terms
 /// accumulate in strictly ascending `k` — the order every kernel in
-/// this crate honors. Used directly for shapes too small to amortize
+/// this crate honors — each step rounded as the tile's `FUSED` says
+/// (mul-then-add for the portable tier, [`f64::mul_add`] for both
+/// hardware tiers). Used directly for shapes too small to amortize
 /// packing. The loop nest adapts to the operand
 /// orientations so both sides are walked contiguously where possible,
 /// which changes nothing about the per-element order.
-pub(crate) fn gemm_reference(
+pub(crate) fn gemm_reference<const FUSED: bool>(
     a: &Operand,
     b: &Operand,
     first_row: usize,
@@ -641,7 +723,7 @@ pub(crate) fn gemm_reference(
                     let aik = a.at(i, k);
                     let brow = &bm.row(k)[j0..n];
                     for (o, &bv) in row[j0..].iter_mut().zip(brow) {
-                        *o += aik * bv;
+                        *o = micro::madd::<FUSED>(*o, aik, bv);
                     }
                 }
             }
@@ -651,7 +733,7 @@ pub(crate) fn gemm_reference(
                 for (j, o) in row.iter_mut().enumerate().skip(j0) {
                     let mut acc = *o;
                     for (&av, &bv) in arow.iter().zip(bm.row(j)) {
-                        acc += av * bv;
+                        acc = micro::madd::<FUSED>(acc, av, bv);
                     }
                     *o = acc;
                 }
@@ -662,7 +744,7 @@ pub(crate) fn gemm_reference(
                 for (j, o) in row.iter_mut().enumerate().skip(j0) {
                     let mut acc = *o;
                     for k in 0..kdim {
-                        acc += a.at(i, k) * bm.at(j, k);
+                        acc = micro::madd::<FUSED>(acc, a.at(i, k), bm.at(j, k));
                     }
                     *o = acc;
                 }

@@ -55,9 +55,9 @@
 // Indexed loops in numerical kernels mirror the published algorithms;
 // iterator chains would obscure the math without changing the codegen.
 #![allow(clippy::needless_range_loop)]
-// Unsafe is denied everywhere except the single AVX2+FMA micro-kernel
-// module (`kernel::fma`), which scopes an `allow` around the
-// `std::arch` intrinsics and documents the safety argument in place.
+// Denied everywhere except `kernel::macro_kernel_on`, whose two calls
+// into the `#[target_feature]` tiers each sit behind a runtime
+// CPU-support assertion.
 #![deny(unsafe_code)]
 
 // The test oracles under `tests/support/` name this crate by its package

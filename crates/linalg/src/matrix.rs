@@ -370,7 +370,7 @@ impl Matrix {
                     } else {
                         let z_op =
                             kernel::Operand::N(kernel::View::new(&zbuf[..take * m], take, m));
-                        kernel::gemm_reference(&z_op, &basis_op, 0, cblock, r, m, false);
+                        kernel::gemm_reference::<false>(&z_op, &basis_op, 0, cblock, r, m, false);
                     }
                 }
                 // Epilogue over row *pairs*: each row's reductions keep

@@ -7,16 +7,18 @@
 //! neither a byte that is not UTF-8 (`err parse line is not UTF-8`) nor
 //! a client that never sends a newline (`err line-too-long`, the rest
 //! of the line discarded) can stop the daemon or grow it: both are
-//! answered and the conversation continues. The TCP listener serves
-//! clients *sequentially* and keeps sessions alive across connections:
-//! a client may connect, feed a session, disconnect, and a later client
-//! resumes it — the daemon is the state holder, exactly like the stdio
-//! form.
+//! answered and the conversation continues. Only a `\n` ends a request:
+//! bytes that end of input cuts off before one (`obs s 9,1` cut from
+//! `obs s 9,1.25`) are answered `err parse` and never executed. The TCP
+//! listener serves clients *sequentially* and keeps sessions alive
+//! across connections: a client may connect, feed a session,
+//! disconnect, and a later client resumes it — the daemon is the state
+//! holder, exactly like the stdio form.
 //! Socket failures reuse the [`netanom_net`] error taxonomy
-//! ([`NetError`]): a clean EOF ends the client (`CleanDisconnect`
-//! semantics, next client is accepted), a read deadline surfaces as
-//! [`NetError::Timeout`] and drops the idle client, and other I/O
-//! failures propagate.
+//! ([`NetError`]): any connection fault on a client — clean EOF, an
+//! idle client past its read deadline ([`NetError::Timeout`]), a reset
+//! or a broken pipe — drops that client and the next one is accepted;
+//! only a failing `accept` ends the daemon.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -34,11 +36,20 @@ use crate::service::{Response, Service};
 /// outgrows this.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
+/// What [`read_bounded_line`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// A `\n`-terminated line of this whole length.
+    Terminated(usize),
+    /// Bytes of this length that end of input cut off before a `\n`.
+    Fragment(usize),
+}
+
 /// Read one `\n`-terminated line into `buf`, without the terminator
 /// and holding at most [`MAX_LINE_BYTES`] of it; whatever lies beyond
-/// that is consumed and dropped. Returns the line's whole length, or
-/// `None` at end of input (a last line without a newline still counts).
-fn read_bounded_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
+/// that is consumed and dropped. Returns the line's whole length, a
+/// fragment if end of input came first, or `None` at end of input.
+fn read_bounded_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<Line>> {
     buf.clear();
     let mut len = 0usize;
     loop {
@@ -48,7 +59,7 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Resul
             Err(e) => return Err(e),
         };
         if chunk.is_empty() {
-            return Ok((len > 0).then_some(len));
+            return Ok((len > 0).then_some(Line::Fragment(len)));
         }
         let newline = chunk.iter().position(|&b| b == b'\n');
         let part = &chunk[..newline.unwrap_or(chunk.len())];
@@ -58,33 +69,37 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Resul
         let consumed = part.len() + usize::from(newline.is_some());
         reader.consume(consumed);
         if newline.is_some() {
-            return Ok(Some(len));
+            return Ok(Some(Line::Terminated(len)));
         }
     }
 }
 
 /// The line pump under both transports: read a bounded line, answer it,
 /// flush, repeat. Returns `Ok(true)` when `quit` was handled and
-/// `Ok(false)` at end of input. A line that is too long or not UTF-8 is
-/// the client's mistake, answered with a typed error like any other —
-/// the pump, the service and its sessions carry on.
+/// `Ok(false)` at end of input. A line that is too long, not UTF-8 or
+/// cut off by end of input is the client's mistake, answered with a
+/// typed error like any other — the pump, the service and its sessions
+/// carry on.
 fn pump<R: BufRead, W: Write>(
     service: &mut Service,
     mut reader: R,
     mut writer: W,
 ) -> io::Result<bool> {
     let mut buf = Vec::new();
-    while let Some(len) = read_bounded_line(&mut reader, &mut buf)? {
-        let response = if len > MAX_LINE_BYTES {
-            Response::error(ServeError::new(
+    while let Some(line) = read_bounded_line(&mut reader, &mut buf)? {
+        let response = match line {
+            Line::Fragment(len) => Response::error(ServeError::new(
+                ErrorCode::Parse,
+                format!("line of {len} bytes ends without a newline; not executed"),
+            )),
+            Line::Terminated(len) if len > MAX_LINE_BYTES => Response::error(ServeError::new(
                 ErrorCode::LineTooLong,
                 format!("line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit"),
-            ))
-        } else {
-            match std::str::from_utf8(&buf) {
+            )),
+            Line::Terminated(_) => match std::str::from_utf8(&buf) {
                 Ok(line) => service.handle_line(line),
                 Err(_) => Response::error(ServeError::new(ErrorCode::Parse, "line is not UTF-8")),
-            }
+            },
         };
         for out in &response.lines {
             writeln!(writer, "{out}")?;
@@ -120,9 +135,9 @@ pub struct TcpServeOptions {
 }
 
 /// Accept clients sequentially on `listener`, serving each with the
-/// shared `service` until the client disconnects or sends `quit`.
-/// Sessions persist across client connections. Returns after `quit`,
-/// after `max_connections` clients, or on an unclassified I/O failure.
+/// shared `service` until the client disconnects, fails, or sends
+/// `quit`. Sessions persist across client connections. Returns after
+/// `quit`, after `max_connections` clients, or when `accept` fails.
 pub fn serve_tcp(
     service: &mut Service,
     listener: &TcpListener,
@@ -140,9 +155,9 @@ pub fn serve_tcp(
         match serve_client(service, stream, options) {
             Ok(true) => return Ok(()),
             Ok(false) => {}
-            // An idle client is the client's fault, not the daemon's:
-            // drop the connection and accept the next one.
-            Err(NetError::Timeout { .. }) => {}
+            // An idle, reset or vanished client is the client's fault,
+            // not the daemon's: drop the connection and accept the next.
+            Err(e) if e.is_connection_fault() => {}
             Err(e) => return Err(e),
         }
     }
@@ -186,10 +201,15 @@ mod tests {
         input.extend(b"\nping");
         let mut reader = Cursor::new(input);
         let mut buf = Vec::new();
-        let len = read_bounded_line(&mut reader, &mut buf).unwrap();
-        assert_eq!((len, buf.len()), (Some(2 * MAX_LINE_BYTES), MAX_LINE_BYTES));
-        // What follows the discarded tail is read intact.
-        assert_eq!(read_bounded_line(&mut reader, &mut buf).unwrap(), Some(4));
+        let read = read_bounded_line(&mut reader, &mut buf).unwrap();
+        assert_eq!(
+            (read, buf.len()),
+            (Some(Line::Terminated(2 * MAX_LINE_BYTES)), MAX_LINE_BYTES)
+        );
+        // What follows the discarded tail is read intact, and known for
+        // a fragment: end of input came before its newline.
+        let read = read_bounded_line(&mut reader, &mut buf).unwrap();
+        assert_eq!(read, Some(Line::Fragment(4)));
         assert_eq!(buf, b"ping");
         assert_eq!(read_bounded_line(&mut reader, &mut buf).unwrap(), None);
     }

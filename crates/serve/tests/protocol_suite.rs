@@ -3,7 +3,8 @@
 //! neither transport can be stopped or grown by the bytes a client sends.
 
 use std::io::{BufRead, BufReader, Cursor, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
 
 use netanom_serve::{
     serve_lines, serve_tcp, ErrorCode, Service, SessionCheckpoint, TcpServeOptions,
@@ -227,6 +228,47 @@ fn cadence_less_statistics_strategies_downgrade_with_a_note() {
     assert_eq!(lines[1], "ok open s phase=training queue=4096");
 }
 
+/// Reply lines without the `stat` line's two wall-clock fields.
+fn timeless(lines: &[String]) -> Vec<String> {
+    let timed =
+        |tok: &&str| tok.starts_with("arrivals-per-sec=") || tok.starts_with("last-refit-ms=");
+    lines
+        .iter()
+        .map(|l| {
+            l.split(' ')
+                .filter(|tok| !timed(tok))
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+}
+
+/// A daemon serving TCP clients on a loopback port until `quit`.
+fn tcp_daemon() -> (SocketAddr, JoinHandle<netanom_net::Result<()>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || {
+        let mut service = Service::new();
+        serve_tcp(&mut service, &listener, &TcpServeOptions::default())
+    });
+    (addr, daemon)
+}
+
+/// Send `bytes` as one TCP client, half-close, and return every reply.
+/// One thread writes while this one reads, so neither side of the
+/// socket waits on a full buffer.
+fn tcp_talk(addr: SocketAddr, bytes: Vec<u8>) -> Vec<String> {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        writer.write_all(&bytes).unwrap();
+        writer.shutdown(Shutdown::Write).unwrap();
+    });
+    let replies = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+    sender.join().unwrap();
+    replies
+}
+
 /// A `drain=manual` conversation over the mini dataset (216 training
 /// bins, then streaming with a refit every 24): every reply line, with
 /// a `drain` every 12 rows. Before each row index in `poison`, the same
@@ -276,17 +318,6 @@ fn a_non_finite_row_is_refused_once_and_the_session_carries_on() {
     );
     // Same fit, same alarms, same queue depths and counters; only the
     // `stat` line's two wall-clock fields may differ.
-    let timeless = |lines: &[String]| -> Vec<String> {
-        let timed =
-            |tok: &&str| tok.starts_with("arrivals-per-sec=") || tok.starts_with("last-refit-ms=");
-        lines
-            .iter()
-            .map(|l| {
-                let kept: Vec<&str> = l.split(' ').filter(|tok| !timed(tok)).collect();
-                kept.join(" ")
-            })
-            .collect()
-    };
     assert_eq!(timeless(&lines), timeless(&clean));
 }
 
@@ -379,7 +410,7 @@ fn stdio_pump_refuses_bad_lines_and_carries_on() {
     input.extend(vec![b'#'; MAX_LINE_BYTES]);
     input.push(b'\n');
     input.extend(vec![b'#'; MAX_LINE_BYTES + 1]);
-    input.extend(b"\nobs s 1,2\nping");
+    input.extend(b"\nobs s 1,2\nping\n");
     let mut out = Vec::new();
     serve_lines(&mut service, Cursor::new(input), &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
@@ -389,8 +420,7 @@ fn stdio_pump_refuses_bad_lines_and_carries_on() {
             "ok open s phase=training queue=4096",
             NOT_UTF8,
             &too_long(MAX_LINE_BYTES + 1),
-            // Neither refusal touched the session, and a last line
-            // without a newline is still served.
+            // Neither refusal touched the session.
             "ok obs s queued=0 phase=training",
             "ok pong",
         ]
@@ -399,40 +429,85 @@ fn stdio_pump_refuses_bad_lines_and_carries_on() {
 
 #[test]
 fn tcp_daemon_survives_bad_bytes_and_endless_lines() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let daemon = std::thread::spawn(move || {
-        let mut service = Service::new();
-        serve_tcp(&mut service, &listener, &TcpServeOptions::default())
-    });
-    // One thread writes while this one reads, so neither side of the
-    // socket waits on a full buffer.
-    let talk = |bytes: Vec<u8>| -> Vec<String> {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let sender = std::thread::spawn(move || {
-            writer.write_all(&bytes).unwrap();
-            writer.shutdown(Shutdown::Write).unwrap();
-        });
-        let replies = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
-        sender.join().unwrap();
-        replies
-    };
-
+    let (addr, daemon) = tcp_daemon();
     // One stray byte used to be an `InvalidData` read error that
     // `serve_tcp` returned with, taking every session down.
     assert_eq!(
-        talk(b"open s dim=2 train-bins=4\n\xff\n".to_vec()),
+        tcp_talk(addr, b"open s dim=2 train-bins=4\n\xff\n".to_vec()),
         vec!["ok open s phase=training queue=4096", NOT_UTF8]
     );
-    assert_eq!(talk(b"ping\n".to_vec()), vec!["ok pong"]);
+    assert_eq!(tcp_talk(addr, b"ping\n".to_vec()), vec!["ok pong"]);
     // A line that never ends is cut off at the limit and the rest
     // discarded; what follows it is served.
     let mut endless = vec![b'x'; 2 * MAX_LINE_BYTES];
     endless.extend(b"\nstats\nquit\n");
-    let replies = talk(endless);
+    let replies = tcp_talk(addr, endless);
     assert_eq!(replies[0], too_long(2 * MAX_LINE_BYTES));
     assert!(replies[1].starts_with("stat s phase=training"));
     assert_eq!(&replies[2..], ["ok stats sessions=1", "ok bye"]);
+    daemon.join().unwrap().unwrap();
+}
+
+/// A client that resets its connection used to end `serve_tcp` with
+/// `Connection reset by peer`, and every session with it. It is now
+/// dropped like an idle one, and the next client finds the daemon, and
+/// its sessions, as they were.
+#[test]
+fn a_client_that_resets_its_connection_is_dropped_and_the_daemon_serves_on() {
+    let (addr, daemon) = tcp_daemon();
+    let before = tcp_talk(
+        addr,
+        b"open s dim=2 train-bins=4\nobs s 1,2\nstats\n".to_vec(),
+    );
+    assert_eq!(before.len(), 4, "{before:?}");
+
+    // A burst of pings, then a close with all but the first `ok pong`
+    // unread: the client's kernel resets the connection under the
+    // daemon's writes. (Small enough that neither side's socket buffers
+    // can fill while nobody reads.)
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&b"ping\n".repeat(2_000)).unwrap();
+    let mut first = String::new();
+    BufReader::new(&stream).read_line(&mut first).unwrap();
+    assert_eq!(first, "ok pong\n");
+    drop(stream);
+
+    let after = tcp_talk(addr, b"ping\nstats\nquit\n".to_vec());
+    assert_eq!(after[0], "ok pong");
+    assert_eq!(timeless(&after[1..3]), timeless(&before[2..4]));
+    assert_eq!(after[3], "ok bye");
+    daemon.join().unwrap().unwrap();
+}
+
+/// Bytes that end of input cuts off before their newline are not a
+/// request: `obs s 9,1`, cut from `obs s 9,1.25`, is refused on both
+/// transports and never ingested.
+#[test]
+fn an_unterminated_trailing_obs_is_refused_not_ingested() {
+    let cut = "err parse line of 9 bytes ends without a newline; not executed";
+    let arrivals = |stat: &str| -> String {
+        let tok = stat.split(' ').find(|t| t.starts_with("arrivals="));
+        tok.expect("stat line carries arrivals").to_string()
+    };
+
+    // stdio: the fragment is answered, and the session counts only the
+    // whole `obs`.
+    let mut service = Service::new();
+    let mut out = Vec::new();
+    let input = "open s dim=2 train-bins=4\nobs s 9,1.25\nobs s 9,1";
+    serve_lines(&mut service, Cursor::new(input), &mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines[1..], ["ok obs s queued=0 phase=training", cut]);
+    let stats = ask(&mut service, "stats s");
+    assert_eq!(arrivals(&stats[0]), "arrivals=1", "{stats:?}");
+
+    // TCP: the same refusal, and the next client sees one arrival.
+    let (addr, daemon) = tcp_daemon();
+    let replies = tcp_talk(addr, input.as_bytes().to_vec());
+    assert_eq!(replies[1..], ["ok obs s queued=0 phase=training", cut]);
+    let replies = tcp_talk(addr, b"stats s\nquit\n".to_vec());
+    assert_eq!(arrivals(&replies[0]), "arrivals=1", "{replies:?}");
+    assert_eq!(replies.last().map(String::as_str), Some("ok bye"));
     daemon.join().unwrap().unwrap();
 }
