@@ -62,4 +62,4 @@ pub use ewma::{Ewma, EwmaStream};
 pub use fourier::{FourierModel, FourierStream};
 pub use ground_truth::{extract_true_anomalies, ExtractedAnomaly, TruthMethod};
 pub use holt_winters::{HoltWinters, HoltWintersStream};
-pub use wavelet::{HaarStream, HaarWavelet};
+pub use wavelet::HaarWavelet;

@@ -64,8 +64,7 @@
 //! ```
 
 use netanom_core::method::{
-    assemble_shard_windows, DetectionBackend, MethodState, ShardCtx, ShardScores, ShardableBackend,
-    SubspaceBackend,
+    DetectionBackend, MethodState, ShardScores, ShardableBackend, SubspaceBackend,
 };
 use netanom_core::{
     CoreError, DiagnoserConfig, DiagnosisReport, RefitStrategy, Result, RingWindow,
@@ -695,8 +694,8 @@ pub struct TemporalShard {
 
 impl ShardableBackend for TemporalBackend {
     type Shard = TemporalShard;
-    /// Phase A only cuts the raw column slice; all scoring state is
-    /// per-link, so nothing needs the cross-shard merge.
+    /// Phase A only cuts the shard's columns of the block; all scoring
+    /// state is per-link, so nothing needs the cross-shard merge.
     type Partial = Matrix;
     type Merged = ();
 
@@ -714,23 +713,13 @@ impl ShardableBackend for TemporalBackend {
             .collect())
     }
 
-    fn needs_evicted(&self) -> bool {
-        false
-    }
-
-    fn wants_residual(&self) -> bool {
-        false
-    }
-
     fn shard_phase_a(&self, _shard: &Self::Shard, links: &[usize], block: &Matrix) -> Matrix {
         block.select_columns(links)
     }
 
-    fn partial_raw<'a>(&self, partial: &'a Matrix) -> &'a Matrix {
-        partial
+    fn merge_partials(&self, _bins: usize, _partials: &[&Matrix]) -> Result<()> {
+        Ok(())
     }
-
-    fn merge_partials(&self, _bins: usize, _partials: &[&Matrix]) {}
 
     fn shard_phase_b(
         &self,
@@ -739,7 +728,7 @@ impl ShardableBackend for TemporalBackend {
         partial: &Matrix,
         _merged: &(),
         _block: &Matrix,
-        _evicted: &[Option<Vec<f64>>],
+        _evicted: &[Option<&[f64]>],
     ) -> Result<ShardScores> {
         let scores = (0..partial.rows())
             .map(|t| Self::step_energy(&mut shard.states, partial.row(t)))
@@ -750,18 +739,23 @@ impl ShardableBackend for TemporalBackend {
         })
     }
 
-    fn finalize(&self, score: f64, _residual: Option<&[f64]>) -> Result<DiagnosisReport> {
+    fn finalize(&self, score: f64, _residual: Option<Vec<f64>>) -> Result<DiagnosisReport> {
         Ok(self.report(score))
     }
 
-    fn refit_shards(&mut self, shards: &mut [Self::Shard], ctx: &[ShardCtx<'_>]) -> Result<()> {
-        // Reassemble the global window (bitwise the single-process
-        // window), recalibrate globally, then scatter the fresh per-link
-        // states back to the shards — so the sharded refit is bitwise
-        // the streaming refit.
-        self.recalibrate(&assemble_shard_windows(self.dim(), ctx)?)?;
-        for (shard, c) in shards.iter_mut().zip(ctx) {
-            shard.states = c.links.iter().map(|&l| self.links[l].clone()).collect();
+    fn refit_shards(
+        &mut self,
+        shards: &mut [Self::Shard],
+        links: &[Vec<usize>],
+        window: &RingWindow,
+    ) -> Result<()> {
+        // Recalibrate globally on the engine's window (the single-process
+        // window's rows), then scatter the fresh per-link states back to
+        // the shards — so the sharded refit is bitwise the streaming
+        // refit.
+        self.recalibrate(&window.to_matrix())?;
+        for (shard, links) in shards.iter_mut().zip(links) {
+            shard.states = links.iter().map(|&l| self.links[l].clone()).collect();
         }
         Ok(())
     }

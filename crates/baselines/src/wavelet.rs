@@ -84,72 +84,6 @@ impl HaarWavelet {
             .map(|(a, z)| z - a)
             .collect()
     }
-
-    /// The streaming-stateful port: buffer arrivals and emit each
-    /// completed `2^levels`-bin block's residuals. See [`HaarStream`].
-    pub fn stream(&self) -> HaarStream {
-        HaarStream {
-            filter: *self,
-            buf: Vec::with_capacity(1usize << self.levels),
-        }
-    }
-}
-
-/// Incremental Haar filter: the streaming port of [`HaarWavelet`].
-///
-/// The Haar pyramid is block-structured: on any series, the batch
-/// [`HaarWavelet::approximation`] is computed independently within each
-/// aligned `2^levels`-bin block (pairwise averaging never crosses an
-/// aligned block boundary, and odd tails are kept locally). The stream
-/// exploits exactly that: it buffers arrivals and, when a block
-/// completes, emits the block's residuals — **bitwise** the values the
-/// batch filter produces for those bins, including a final partial
-/// block via [`HaarStream::flush`]. Residuals therefore arrive with up
-/// to one block of latency, which is inherent to the (non-causal)
-/// wavelet smoothing itself.
-#[derive(Debug, Clone)]
-pub struct HaarStream {
-    filter: HaarWavelet,
-    buf: Vec<f64>,
-}
-
-impl HaarStream {
-    /// Bins per emitted block (`2^levels`).
-    pub fn block_len(&self) -> usize {
-        1usize << self.filter.levels
-    }
-
-    /// Arrivals buffered toward the next block.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Buffer one arrival; when it completes a block, return that
-    /// block's residuals (oldest first).
-    pub fn push(&mut self, z: f64) -> Option<Vec<f64>> {
-        self.buf.push(z);
-        if self.buf.len() == self.block_len() {
-            Some(self.emit())
-        } else {
-            None
-        }
-    }
-
-    /// Emit the residuals of the buffered partial block (empty if
-    /// nothing is buffered), clearing the buffer — the end-of-stream
-    /// counterpart of the batch filter's odd-tail handling.
-    pub fn flush(&mut self) -> Vec<f64> {
-        if self.buf.is_empty() {
-            return Vec::new();
-        }
-        self.emit()
-    }
-
-    fn emit(&mut self) -> Vec<f64> {
-        let out = self.filter.residuals(&self.buf);
-        self.buf.clear();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -222,36 +156,5 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_levels_rejected() {
         HaarWavelet::new(0);
-    }
-
-    #[test]
-    fn stream_blocks_reproduce_batch_residuals_bitwise() {
-        // Dyadic and non-dyadic lengths, several depths: the streamed
-        // block residuals concatenated (plus the flush) must equal the
-        // batch residuals exactly.
-        for levels in [1usize, 3, 5] {
-            for len in [1usize, 7, 64, 100, 257] {
-                let w = HaarWavelet::new(levels);
-                let s: Vec<f64> = (0..len)
-                    .map(|i| 100.0 + (i as f64 * 0.37).sin() * 25.0 + ((i * 17) % 5) as f64)
-                    .collect();
-                let batch = w.residuals(&s);
-                let mut stream = w.stream();
-                assert_eq!(stream.block_len(), 1 << levels);
-                let mut streamed = Vec::new();
-                for &z in &s {
-                    if let Some(block) = stream.push(z) {
-                        streamed.extend(block);
-                    }
-                }
-                streamed.extend(stream.flush());
-                assert_eq!(
-                    streamed, batch,
-                    "levels {levels} len {len}: streamed blocks diverge from batch"
-                );
-                assert_eq!(stream.pending(), 0);
-                assert!(stream.flush().is_empty());
-            }
-        }
     }
 }

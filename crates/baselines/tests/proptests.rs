@@ -195,26 +195,4 @@ proptest! {
             prop_assert_eq!(f, batch[t], "bin {}: not bitwise after restart at {}", t, cut);
         }
     }
-
-    /// The streaming Haar filter's emitted blocks (plus flush) equal the
-    /// batch residuals bitwise for arbitrary lengths and depths.
-    #[test]
-    fn haar_stream_matches_batch_residuals(
-        levels in 1usize..6,
-        seed in 0u64..200,
-        len in 1usize..300,
-    ) {
-        let s = series(len, seed, 500.0, 30.0);
-        let w = HaarWavelet::new(levels);
-        let batch = w.residuals(&s);
-        let mut stream = w.stream();
-        let mut streamed = Vec::new();
-        for &z in &s {
-            if let Some(block) = stream.push(z) {
-                streamed.extend(block);
-            }
-        }
-        streamed.extend(stream.flush());
-        prop_assert_eq!(streamed, batch);
-    }
 }

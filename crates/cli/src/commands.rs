@@ -662,10 +662,10 @@ fn open_partitioned(
 /// groups by the `--dataset` topology's PoPs; `explicit` reads a
 /// `shard,links` CSV), the link CSV is consumed in chunks and scattered
 /// into per-shard column-slice feeds (`traffic::io::ShardedChunks`),
-/// and each shard ingests its slice — windows, per-shard method state,
-/// and score contributions — while the coordinator merges, detects,
-/// identifies (subspace), and (on the refit cadence) rebuilds the
-/// global model from the merged shard state. Detections are bitwise the
+/// and each shard ingests its slice — per-shard method state and score
+/// contributions — while the coordinator keeps the window, merges,
+/// detects, identifies (subspace), and (on the refit cadence) rebuilds
+/// the global model from the merged shard state. Detections are bitwise the
 /// ones `netanom stream` would print for the subspace method, and
 /// decision-identical for every method.
 ///

@@ -14,10 +14,13 @@ fn netanom(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-/// Simulate the mini dataset into a fresh temp dir; returns
-/// (dir, links.csv, paths.csv).
-fn simulated() -> (PathBuf, String, String) {
-    let dir = std::env::temp_dir().join(format!("netanom-shard-methods-{}", std::process::id()));
+/// Simulate the mini dataset into a fresh temp dir named for `test`;
+/// returns (dir, links.csv, paths.csv).
+fn simulated(test: &str) -> (PathBuf, String, String) {
+    let dir = std::env::temp_dir().join(format!(
+        "netanom-shard-methods-{test}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let out = netanom(&[
         "simulate",
@@ -62,7 +65,7 @@ fn alarm_csv(verb: &[&str], links: &str, paths: &str, method: &str, confidence: 
 
 #[test]
 fn shard_prints_what_stream_prints_for_each_method_family() {
-    let (dir, links, paths) = simulated();
+    let (dir, links, paths) = simulated("methods");
     let stream = ["stream", "--refit", "incremental"];
     let shard = ["shard", "--shards", "2"];
 
@@ -92,5 +95,67 @@ fn shard_prints_what_stream_prints_for_each_method_family() {
         assert!(want.len() > 2, "{method}: {want:?} has too few alarms");
         assert_eq!(got, want, "shard --method {method}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two finite rows of ±1.7e308 overflow the projection, and one bin's
+/// summed shard score comes out NaN: `shard` reports it quiet (the
+/// `spe > threshold` rule) and exits 0 instead of panicking, printing
+/// the rows `stream` prints for every bin before them.
+#[test]
+fn shard_survives_rows_that_overflow_the_projection() {
+    let (dir, links, paths) = simulated("overflow");
+    let csv = std::fs::read_to_string(&links).unwrap();
+    let first_appended = csv.lines().count() - 1;
+    let row = |sign: f64| {
+        (0..csv.lines().next().unwrap().split(',').count())
+            .map(|l| format!("{:e}", if l % 2 == 0 { sign } else { -sign } * 1.7e308))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let big = dir.join("big.csv").to_str().unwrap().to_string();
+    std::fs::write(&big, format!("{csv}{}\n{}\n", row(1.0), row(-1.0))).unwrap();
+
+    let run = |verb: &[&str]| {
+        let mut args = verb.to_vec();
+        args.extend([
+            "--links",
+            &big,
+            "--paths",
+            &paths,
+            "--train-bins",
+            "216",
+            "--refit-every",
+            "1000",
+            "--refit",
+            "incremental",
+        ]);
+        netanom(&args)
+    };
+    let shard = run(&["shard", "--shards", "2"]);
+    assert!(
+        shard.status.success(),
+        "shard on overflowing rows: {:?}\n{}",
+        shard.status,
+        String::from_utf8_lossy(&shard.stderr)
+    );
+    let stream = run(&["stream"]);
+    assert!(stream.status.success());
+    let before_appended = |out: &[u8]| -> Vec<String> {
+        String::from_utf8(out.to_vec())
+            .unwrap()
+            .lines()
+            .filter(|line| {
+                line.split(',')
+                    .next()
+                    .and_then(|bin| bin.parse::<usize>().ok())
+                    .is_none_or(|bin| bin < first_appended)
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    let want = before_appended(&stream.stdout);
+    assert!(want.len() > 1, "the mini dataset stages anomalies");
+    assert_eq!(before_appended(&shard.stdout), want);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -124,30 +124,40 @@ impl Diagnoser {
         &self.identifier
     }
 
+    /// One bin's report from its SPE — the one place every subspace
+    /// report is built, per vector, per batch and per sharded bin.
+    ///
+    /// The bin is detected when `spe > threshold`, the rule
+    /// [`Detection::anomalous`](crate::Detection::anomalous) documents
+    /// (so a NaN SPE is quiet). Only then is `residual` called, and the
+    /// residual it yields identified and quantified. The report's `time`
+    /// is 0; the caller stamps it.
+    pub fn report(
+        &self,
+        spe: f64,
+        residual: impl FnOnce() -> Result<Vec<f64>>,
+    ) -> Result<DiagnosisReport> {
+        let threshold = self.detector.threshold().delta_sq;
+        let mut report = DiagnosisReport {
+            time: 0,
+            spe,
+            threshold,
+            detected: spe > threshold,
+            identification: None,
+            estimated_bytes: None,
+        };
+        if report.detected {
+            let id = self.identifier.identify(&residual()?)?;
+            report.estimated_bytes = Some(quantify_with_factor(&id, self.quant_factor[id.flow]));
+            report.identification = Some(id);
+        }
+        Ok(report)
+    }
+
     /// Diagnose a single measurement vector.
     pub fn diagnose_vector(&self, y: &[f64]) -> Result<DiagnosisReport> {
-        let detection = self.detector.detect_vector(y)?;
-        if !detection.anomalous {
-            return Ok(DiagnosisReport {
-                time: 0,
-                spe: detection.spe,
-                threshold: detection.threshold,
-                detected: false,
-                identification: None,
-                estimated_bytes: None,
-            });
-        }
-        let residual = self.detector.model().residual(y)?;
-        let id = self.identifier.identify(&residual)?;
-        let bytes = quantify_with_factor(&id, self.quant_factor[id.flow]);
-        Ok(DiagnosisReport {
-            time: 0,
-            spe: detection.spe,
-            threshold: detection.threshold,
-            detected: true,
-            identification: Some(id),
-            estimated_bytes: Some(bytes),
-        })
+        let spe = self.detector.detect_vector(y)?.spe;
+        self.report(spe, || self.detector.model().residual(y))
     }
 
     /// Diagnose every row of a `t × m` measurement matrix.
@@ -162,33 +172,13 @@ impl Diagnoser {
     pub fn diagnose_series(&self, links: &Matrix) -> Result<Vec<DiagnosisReport>> {
         let model = self.detector.model();
         let spes = model.spe_all(links)?;
-        let threshold = self.detector.threshold().delta_sq;
-        let mut out = Vec::with_capacity(links.rows());
-        for (time, spe) in spes.into_iter().enumerate() {
-            if spe <= threshold {
-                out.push(DiagnosisReport {
-                    time,
-                    spe,
-                    threshold,
-                    detected: false,
-                    identification: None,
-                    estimated_bytes: None,
-                });
-                continue;
-            }
-            let residual = model.residual(links.row(time))?;
-            let id = self.identifier.identify(&residual)?;
-            let bytes = quantify_with_factor(&id, self.quant_factor[id.flow]);
-            out.push(DiagnosisReport {
-                time,
-                spe,
-                threshold,
-                detected: true,
-                identification: Some(id),
-                estimated_bytes: Some(bytes),
-            });
-        }
-        Ok(out)
+        spes.into_iter()
+            .enumerate()
+            .map(|(time, spe)| {
+                let report = self.report(spe, || model.residual(links.row(time)))?;
+                Ok(DiagnosisReport { time, ..report })
+            })
+            .collect()
     }
 
     /// Only the reports whose detection step fired.

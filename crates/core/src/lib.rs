@@ -86,13 +86,13 @@ pub use diagnose::{quantify, Diagnoser, DiagnoserConfig, DiagnosisReport};
 pub use error::CoreError;
 pub use identify::{Identification, Identifier};
 pub use method::{
-    merge_coeff_partials, subspace_model_from_state, DetectionBackend, MethodState, ShardCtx,
-    ShardScores, ShardableBackend, SubspaceBackend, SubspacePartial, SubspaceShard,
+    merge_coeff_partials, subspace_model_from_state, DetectionBackend, MethodState, ShardScores,
+    ShardableBackend, SubspaceBackend, SubspacePartial, SubspaceShard,
 };
 pub use pca::{Pca, PcaMethod};
 pub use separation::SeparationPolicy;
 pub use service::{EngineConfig, PartitionSpec};
-pub use shard::{assemble_columns, evicted_rows, finalize_block, ShardedEngine};
+pub use shard::{assemble_columns, finalize_block, ShardedEngine};
 pub use stream::{RefitStrategy, RingWindow, StreamConfig, StreamingEngine};
 pub use subspace::{Detection, Detector, SubspaceModel};
 

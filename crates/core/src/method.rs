@@ -46,10 +46,9 @@ use netanom_linalg::Matrix;
 use netanom_topology::{LinkPartition, RoutingMatrix};
 
 use crate::codec::{self, CodecError, Reader};
-use crate::diagnose::{quantify, Diagnoser, DiagnoserConfig, DiagnosisReport};
+use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::incremental::{CovarianceShard, IncrementalCovariance};
 use crate::separation::SeparationPolicy;
-use crate::shard::assemble_columns;
 use crate::stream::{RefitStrategy, RingWindow};
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
@@ -264,16 +263,6 @@ pub struct ShardScores {
     pub residual: Option<Matrix>,
 }
 
-/// Read-only view of one shard's engine-owned state, handed to
-/// [`ShardableBackend::refit_shards`].
-#[derive(Debug)]
-pub struct ShardCtx<'a> {
-    /// Ascending global link indices the shard owns.
-    pub links: &'a [usize],
-    /// The shard's retained column-slice window.
-    pub window: &'a RingWindow,
-}
-
 /// A backend that can run partitioned across link shards (the
 /// [`ShardedEngine`](crate::ShardedEngine) architecture: per-shard
 /// phase A, coordinator merge in shard order, per-shard phase B,
@@ -297,30 +286,18 @@ pub trait ShardableBackend: DetectionBackend + Sync + Sized {
     fn make_shards(&self, partition: &LinkPartition, training: &Matrix)
         -> Result<Vec<Self::Shard>>;
 
-    /// Whether phase B consumes the full evicted rows (backends
-    /// maintaining sliding sufficient statistics).
-    fn needs_evicted(&self) -> bool;
-
-    /// Whether [`ShardableBackend::finalize`] wants the assembled
-    /// residual for bins whose score exceeds the threshold.
-    fn wants_residual(&self) -> bool;
-
-    /// Phase A: per-shard computation over the raw column slice of the
+    /// Phase A: per-shard computation over the shard's columns of the
     /// block, before any cross-shard information is available.
     fn shard_phase_a(&self, shard: &Self::Shard, links: &[usize], block: &Matrix) -> Self::Partial;
 
-    /// The raw column slice (`b × m_s`) phase A cut from the block; the
-    /// engine pushes its rows into the shard's window.
-    fn partial_raw<'a>(&self, partial: &'a Self::Partial) -> &'a Matrix;
-
     /// Merge the phase-A partials **in shard order** into the context
     /// phase B needs.
-    fn merge_partials(&self, bins: usize, partials: &[&Self::Partial]) -> Self::Merged;
+    fn merge_partials(&self, bins: usize, partials: &[&Self::Partial]) -> Result<Self::Merged>;
 
     /// Phase B: per-bin partial scores (and residual slice), advancing
     /// shard-local streaming state over the block. `evicted[t]` is the
-    /// full row the `t`-th push evicts (only populated when
-    /// [`ShardableBackend::needs_evicted`]).
+    /// full row the `t`-th push evicts from the engine's window
+    /// ([`RingWindow::evictions`]).
     fn shard_phase_b(
         &self,
         shard: &mut Self::Shard,
@@ -328,28 +305,24 @@ pub trait ShardableBackend: DetectionBackend + Sync + Sized {
         partial: &Self::Partial,
         merged: &Self::Merged,
         block: &Matrix,
-        evicted: &[Option<Vec<f64>>],
+        evicted: &[Option<&[f64]>],
     ) -> Result<ShardScores>;
 
-    /// Turn one bin's summed score (and, when above threshold and
-    /// [`ShardableBackend::wants_residual`], its assembled residual)
-    /// into a report. The engine stamps `time`.
-    fn finalize(&self, score: f64, residual: Option<&[f64]>) -> Result<DiagnosisReport>;
+    /// Turn one bin's summed score into a report; `residual` is the
+    /// bin's assembled residual when the score exceeds the threshold
+    /// and every shard returned its slice. The engine stamps `time`.
+    fn finalize(&self, score: f64, residual: Option<Vec<f64>>) -> Result<DiagnosisReport>;
 
-    /// Merge-refit-broadcast: collect the shard state/windows into a
-    /// fresh global model, refreeze the coordinator's scoring state, and
-    /// hand every shard its new model slice.
-    fn refit_shards(&mut self, shards: &mut [Self::Shard], ctx: &[ShardCtx<'_>]) -> Result<()>;
-}
-
-/// Assemble the logical global window (`len × m`, arrival order) from
-/// per-shard column-slice windows — pure placement, bitwise equal to the
-/// single-process window. Shared by backends whose sharded refit needs
-/// the full window.
-pub fn assemble_shard_windows(m: usize, ctx: &[ShardCtx<'_>]) -> Result<Matrix> {
-    let links: Vec<&[usize]> = ctx.iter().map(|c| c.links).collect();
-    let slices: Vec<Matrix> = ctx.iter().map(|c| c.window.to_matrix()).collect();
-    assemble_columns(m, &links, &slices)
+    /// Merge-refit-broadcast: collect the shard state (or the engine's
+    /// full-width `window`) into a fresh global model, refreeze the
+    /// coordinator's scoring state, and hand every shard its new model
+    /// slice. `links[s]` is shard `s`'s ascending global link indices.
+    fn refit_shards(
+        &mut self,
+        shards: &mut [Self::Shard],
+        links: &[Vec<usize>],
+        window: &RingWindow,
+    ) -> Result<()>;
 }
 
 /// The subspace/Q-statistic pipeline as a [`DetectionBackend`] — the
@@ -633,18 +606,28 @@ impl SubspaceShard {
     /// [`ShardableBackend::make_shards`] performs, exposed so an
     /// out-of-process worker can construct its shard from a broadcast
     /// [`MethodState`] (via [`subspace_model_from_state`]).
+    ///
+    /// Errors with [`CoreError::DimensionMismatch`] when a link lies
+    /// outside the model's `m` links.
     pub fn from_model(
         model: &SubspaceModel,
         links: &[usize],
         stats: Option<CovarianceShard>,
-    ) -> Self {
+    ) -> Result<Self> {
+        let m = model.dim();
+        if let Some(&l) = links.iter().find(|&&l| l >= m) {
+            return Err(CoreError::DimensionMismatch {
+                expected: m,
+                got: l + 1,
+            });
+        }
         let mean = model.mean();
         let basis = model.normal_basis();
-        SubspaceShard {
+        Ok(SubspaceShard {
             stats,
             mean: links.iter().map(|&l| mean[l]).collect(),
             basis: Matrix::from_fn(links.len(), basis.cols(), |k, j| basis[(links[k], j)]),
-        }
+        })
     }
 
     /// Merge the shards' statistics rows into the global accumulator —
@@ -665,50 +648,49 @@ impl SubspaceShard {
 
     /// Re-cut the model slices after a refit broadcast, keeping the
     /// statistics rows — the worker side of the coordinator's
-    /// merge-refit-broadcast step.
-    pub fn install_model(&mut self, model: &SubspaceModel, links: &[usize]) {
-        *self = Self::from_model(model, links, self.stats.take());
+    /// merge-refit-broadcast step. On error the shard is unchanged.
+    pub fn install_model(&mut self, model: &SubspaceModel, links: &[usize]) -> Result<()> {
+        let SubspaceShard { mean, basis, .. } = Self::from_model(model, links, None)?;
+        self.mean = mean;
+        self.basis = basis;
+        Ok(())
     }
 
-    /// Phase A: cut the raw column slice, center it against the shard's
-    /// mean slice, and project onto the shard's basis rows — no
-    /// cross-shard information, no state mutation.
+    /// Phase A: center the shard's columns of the block against its mean
+    /// slice and project onto its basis rows — no cross-shard
+    /// information, no state mutation.
     pub fn phase_a(&self, links: &[usize], block: &Matrix) -> SubspacePartial {
-        let m_s = links.len();
-        let raw = block.select_columns(links);
-        let centered = Matrix::from_fn(raw.rows(), m_s, |t, k| raw[(t, k)] - self.mean[k]);
+        let centered = Matrix::from_fn(block.rows(), links.len(), |t, k| {
+            block[(t, links[k])] - self.mean[k]
+        });
         let coeffs = centered
             .matmul(&self.basis)
             .expect("basis rows match the shard width");
-        SubspacePartial {
-            raw,
-            centered,
-            coeffs,
-        }
+        SubspacePartial { centered, coeffs }
     }
 
     /// Phase B: given the merged global projection coefficients, compute
     /// the shard's residual slice and partial SPE contributions, and
     /// advance the statistics rows over the block (`evicted[t]` is the
     /// full row the `t`-th window push evicts, `None` while filling).
+    ///
+    /// Errors with [`CoreError::DimensionMismatch`], before touching any
+    /// state, unless `merged` is `rows × r` like the partial's own
+    /// coefficients.
     pub fn phase_b(
         &mut self,
         partial: &SubspacePartial,
         merged: &Matrix,
         block: &Matrix,
-        evicted: &[Option<Vec<f64>>],
+        evicted: &[Option<&[f64]>],
     ) -> Result<ShardScores> {
-        let modeled = merged
-            .matmul_nt(&self.basis)
-            .expect("basis width matches the merged coefficients");
-        let residual = partial
-            .centered
-            .sub(&modeled)
-            .expect("shapes match by construction");
+        let (rows, r) = partial.coeffs.shape();
+        expect_shape(merged, rows, r)?;
+        let residual = partial.centered.sub(&merged.matmul_nt(&self.basis)?)?;
         let norms = residual.row_norms_sq();
         for t in 0..block.rows() {
             if let Some(stats) = &mut self.stats {
-                match &evicted[t] {
+                match evicted[t] {
                     Some(old) => stats.slide(old, block.row(t))?,
                     None => stats.add(block.row(t))?,
                 }
@@ -730,8 +712,6 @@ impl SubspaceShard {
 /// Phase-A output of one subspace shard.
 #[derive(Debug)]
 pub struct SubspacePartial {
-    /// Raw column slice of the block (`b × m_s`).
-    raw: Matrix,
     /// Mean-centered slice (`b × m_s`).
     centered: Matrix,
     /// Partial projection coefficients `Z_s · P_s` (`b × r`).
@@ -754,17 +734,28 @@ impl SubspacePartial {
 /// coefficients (and everything downstream) are bitwise identical
 /// across transports.
 ///
-/// # Panics
-/// Panics if any partial is not `bins × r`.
-pub fn merge_coeff_partials<'a, I>(bins: usize, r: usize, partials: I) -> Matrix
+/// Errors with [`CoreError::DimensionMismatch`] if any partial is not
+/// `bins × r`.
+pub fn merge_coeff_partials<'a, I>(bins: usize, r: usize, partials: I) -> Result<Matrix>
 where
     I: IntoIterator<Item = &'a Matrix>,
 {
     let mut coeffs = Matrix::zeros(bins, r);
     for partial in partials {
-        coeffs = coeffs.add(partial).expect("all partials are bins × r");
+        expect_shape(partial, bins, r)?;
+        coeffs = coeffs.add(partial)?;
     }
-    coeffs
+    Ok(coeffs)
+}
+
+/// [`CoreError::DimensionMismatch`] unless `matrix` is `rows × cols`.
+fn expect_shape(matrix: &Matrix, rows: usize, cols: usize) -> Result<()> {
+    for (expected, got) in [(rows, matrix.rows()), (cols, matrix.cols())] {
+        if got != expected {
+            return Err(CoreError::DimensionMismatch { expected, got });
+        }
+    }
+    Ok(())
 }
 
 impl ShardableBackend for SubspaceBackend {
@@ -790,28 +781,16 @@ impl ShardableBackend for SubspaceBackend {
             } else {
                 None
             };
-            shards.push(SubspaceShard::from_model(model, links, stats));
+            shards.push(SubspaceShard::from_model(model, links, stats)?);
         }
         Ok(shards)
-    }
-
-    fn needs_evicted(&self) -> bool {
-        self.strategy.maintains_statistics()
-    }
-
-    fn wants_residual(&self) -> bool {
-        true
     }
 
     fn shard_phase_a(&self, shard: &Self::Shard, links: &[usize], block: &Matrix) -> Self::Partial {
         shard.phase_a(links, block)
     }
 
-    fn partial_raw<'a>(&self, partial: &'a Self::Partial) -> &'a Matrix {
-        &partial.raw
-    }
-
-    fn merge_partials(&self, bins: usize, partials: &[&Self::Partial]) -> Self::Merged {
+    fn merge_partials(&self, bins: usize, partials: &[&Self::Partial]) -> Result<Self::Merged> {
         let r = self.diagnoser.model().normal_dim();
         merge_coeff_partials(bins, r, partials.iter().map(|p| p.coeffs()))
     }
@@ -823,42 +802,27 @@ impl ShardableBackend for SubspaceBackend {
         partial: &Self::Partial,
         merged: &Self::Merged,
         block: &Matrix,
-        evicted: &[Option<Vec<f64>>],
+        evicted: &[Option<&[f64]>],
     ) -> Result<ShardScores> {
         shard.phase_b(partial, merged, block, evicted)
     }
 
-    fn finalize(&self, score: f64, residual: Option<&[f64]>) -> Result<DiagnosisReport> {
-        let threshold = self.threshold();
-        if score <= threshold {
-            return Ok(DiagnosisReport {
-                time: 0,
-                spe: score,
-                threshold,
-                detected: false,
-                identification: None,
-                estimated_bytes: None,
-            });
-        }
-        let residual = residual.expect("wants_residual provides the assembled residual");
-        let id = self.diagnoser.identifier().identify(residual)?;
-        let bytes = quantify(&id, &self.rm);
-        Ok(DiagnosisReport {
-            time: 0,
-            spe: score,
-            threshold,
-            detected: true,
-            identification: Some(id),
-            estimated_bytes: Some(bytes),
+    fn finalize(&self, score: f64, residual: Option<Vec<f64>>) -> Result<DiagnosisReport> {
+        self.diagnoser.report(score, || {
+            residual.ok_or(CoreError::ShardMismatch {
+                reason: "a detected bin needs every shard's residual slice",
+            })
         })
     }
 
-    fn refit_shards(&mut self, shards: &mut [Self::Shard], ctx: &[ShardCtx<'_>]) -> Result<()> {
+    fn refit_shards(
+        &mut self,
+        shards: &mut [Self::Shard],
+        links: &[Vec<usize>],
+        window: &RingWindow,
+    ) -> Result<()> {
         match self.strategy {
-            RefitStrategy::FullSvd => {
-                let window = assemble_shard_windows(self.dim(), ctx)?;
-                self.refit_from_window(&window)?;
-            }
+            RefitStrategy::FullSvd => self.refit_from_window(&window.to_matrix())?,
             RefitStrategy::Incremental | RefitStrategy::Truncated { .. } => {
                 let stats = SubspaceShard::merge_statistics(shards)?;
                 self.refit_from_statistics(&stats)?;
@@ -866,8 +830,8 @@ impl ShardableBackend for SubspaceBackend {
         }
         // Broadcast the refreshed model's slices back to the shards.
         let model = self.diagnoser.model();
-        for (shard, c) in shards.iter_mut().zip(ctx) {
-            shard.install_model(model, c.links);
+        for (shard, links) in shards.iter_mut().zip(links) {
+            shard.install_model(model, links)?;
         }
         Ok(())
     }

@@ -6,20 +6,22 @@
 //! distributed: each PoP's collector reports its own links, not the
 //! whole network. [`ShardedEngine`] reconciles the two. The link set is
 //! split into `K` shards by a [`LinkPartition`] (per-PoP, round-robin,
-//! or explicit), and each shard runs its own
-//! [`StreamingEngine`](crate::StreamingEngine)-style ingestion over its
-//! column slice:
+//! or explicit), and each shard runs its share of the per-arrival work
+//! over its columns, while the coordinator keeps the one full-width
+//! [`RingWindow`] — held exactly as
+//! [`StreamingEngine`](crate::StreamingEngine) and the TCP worker hold
+//! theirs — for evictions and full refits:
 //!
 //! ```text
 //!        arrivals (full m-vector per bin, O(m) bandwidth)
-//!            │ scatter column slices
+//!            │ each shard reads its columns
 //!   ┌────────┼─────────┬──────────────┐
 //!   ▼        ▼         ▼              ▼
-//! shard 0  shard 1   shard 2  …    shard K−1     each: slice window +
-//!   │        │         │              │          backend shard state
-//!   └────────┴────┬────┴───────────── ┘          (statistics rows,
-//!                 ▼                               model slices, …)
-//!          coordinator: merge partials in shard order
+//! shard 0  shard 1   shard 2  …    shard K−1     each: backend shard
+//!   │        │         │              │          state (statistics
+//!   └────────┴────┬────┴───────────── ┘          rows, model slices, …)
+//!                 ▼
+//!          coordinator: merge partials in shard order, slide the window
 //!                 │ refit on cadence ([`ShardableBackend::refit_shards`])
 //!                 ▼
 //!          broadcast model slices back to shards
@@ -49,7 +51,7 @@
 //! On one box the shards execute on the rayon scope splitter (one worker
 //! per shard when more than one hardware thread is available; the merge
 //! order is fixed by shard index, so results are bitwise independent of
-//! the thread count). The same shard/coordinator message pattern — slice
+//! the thread count). The same shard/coordinator message pattern — column
 //! feeds in, partials out, model slices back — maps 1:1 onto a
 //! multi-process deployment where each PoP collector hosts its shard,
 //! with [`MethodState`](crate::method::MethodState) as the broadcast
@@ -91,7 +93,7 @@ use netanom_topology::{LinkPartition, RoutingMatrix};
 use crate::cadence::Cadence;
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::incremental::IncrementalCovariance;
-use crate::method::{ShardCtx, ShardScores, ShardableBackend, SubspaceBackend, SubspaceShard};
+use crate::method::{ShardScores, ShardableBackend, SubspaceBackend, SubspaceShard};
 use crate::stream::{RingWindow, StreamConfig};
 use crate::{CoreError, Result};
 
@@ -119,8 +121,8 @@ use crate::{CoreError, Result};
 ///   single-process [`StreamingEngine`](crate::StreamingEngine)'s, so
 ///   refitted models match exactly; under
 ///   [`RefitStrategy::FullSvd`](crate::RefitStrategy::FullSvd) the
-///   reassembled window is bitwise the single-process window, so full
-///   refits match exactly too.
+///   engine's window holds the single-process window's rows in the same
+///   order, so full refits match exactly too.
 /// * Results are bitwise independent of the worker thread count: shard
 ///   partials are always merged in shard order.
 #[derive(Debug, Clone)]
@@ -128,8 +130,8 @@ pub struct ShardedEngine<B: ShardableBackend = SubspaceBackend> {
     backend: B,
     /// Ascending global link indices per shard.
     links: Vec<Vec<usize>>,
-    /// Sliding window over each shard's column slice (`capacity × m_s`).
-    windows: Vec<RingWindow>,
+    /// The full-width sliding window (`capacity × m`).
+    window: RingWindow,
     /// Backend-specific per-shard state.
     states: Vec<B::Shard>,
     cadence: Cadence,
@@ -141,10 +143,10 @@ impl ShardedEngine<SubspaceBackend> {
     /// exactly like [`StreamingEngine::new`](crate::StreamingEngine::new),
     /// with the link set split across `partition`'s shards.
     ///
-    /// The global fit happens once at the coordinator; every shard is
-    /// seeded with its column slice of the trailing window and (under
+    /// The global fit happens once at the coordinator; the window is
+    /// seeded with the trailing training rows and every shard (under
     /// [`RefitStrategy::Incremental`](crate::RefitStrategy::Incremental))
-    /// its rows of the sufficient statistics over the same rows.
+    /// with its rows of the sufficient statistics over the same rows.
     pub fn new(
         training: &Matrix,
         rm: &RoutingMatrix,
@@ -184,10 +186,11 @@ impl ShardedEngine<SubspaceBackend> {
 
 impl<B: ShardableBackend> ShardedEngine<B> {
     /// Assemble a sharded engine around an already-fitted backend;
-    /// `training` must be the matrix the backend was fitted on. Every
-    /// shard is seeded with its column slice of the trailing window and
-    /// whatever per-shard state the backend's
-    /// [`ShardableBackend::make_shards`] builds.
+    /// `training` must be the matrix the backend was fitted on. The
+    /// window is seeded as
+    /// [`StreamingEngine::with_backend`](crate::StreamingEngine::with_backend)
+    /// seeds its own, and every shard with whatever per-shard state the
+    /// backend's [`ShardableBackend::make_shards`] builds.
     pub fn with_backend(
         backend: B,
         training: &Matrix,
@@ -209,19 +212,14 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         }
         let states = backend.make_shards(partition, training)?;
         let capacity = stream.window_capacity.max(training.rows());
-        let mut windows = Vec::with_capacity(partition.num_shards());
-        for group in partition.groups() {
-            let mut window = RingWindow::new(capacity, group.len());
-            let slice = training.select_columns(group);
-            for t in 0..slice.rows() {
-                window.push(slice.row(t));
-            }
-            windows.push(window);
+        let mut window = RingWindow::new(capacity, m);
+        for t in 0..training.rows() {
+            window.push(training.row(t));
         }
         Ok(ShardedEngine {
             backend,
             links: partition.groups().to_vec(),
-            windows,
+            window,
             states,
             cadence: Cadence::new(stream.refit_every),
             refit_seconds: 0.0,
@@ -266,8 +264,8 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     ///
     /// Semantically identical to
     /// [`StreamingEngine::process`](crate::StreamingEngine::process):
-    /// score against the frozen model, slide every shard's window and
-    /// state, refit when due. Implemented as a one-row
+    /// score against the frozen model, slide the window and every
+    /// shard's state, refit when due. Implemented as a one-row
     /// [`ShardedEngine::process_batch`], so the per-arrival and batched
     /// paths cannot drift apart.
     pub fn process(&mut self, y: &[f64]) -> Result<DiagnosisReport> {
@@ -344,7 +342,7 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         let parallel = self.parallel(bins);
         let backend = &self.backend;
 
-        // Phase A: per-shard computation over the raw column slices,
+        // Phase A: per-shard computation over the shards' columns,
         // merged in shard order (fixed order = thread-count-independent
         // results).
         let partials = fan_out(
@@ -353,22 +351,11 @@ impl<B: ShardableBackend> ShardedEngine<B> {
             |(state, links)| backend.shard_phase_a(state, links, block),
         );
         let partial_refs: Vec<&B::Partial> = partials.iter().collect();
-        let merged = backend.merge_partials(bins, &partial_refs);
-
-        // Evicted full rows, assembled *before* any shard mutates its
-        // window. Only backends with sliding statistics consume them.
-        let evicted = if backend.needs_evicted() {
-            let window = &self.windows[0];
-            evicted_rows(window.capacity(), window.len(), block, |i| {
-                let slices = self.windows.iter().map(|w| w.row(i));
-                scatter_row(backend.dim(), &self.links, slices)
-            })
-        } else {
-            vec![None; bins]
-        };
+        let merged = backend.merge_partials(bins, &partial_refs)?;
 
         // Phase B: partial scores (+ residual slices), advancing
-        // shard-local state.
+        // shard-local state past the rows the block evicts.
+        let evicted = self.window.evictions(block);
         let outs = fan_out(
             parallel,
             self.states.iter_mut().zip(&self.links).zip(&partials),
@@ -379,14 +366,9 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         .into_iter()
         .collect::<Result<Vec<ShardScores>>>()?;
 
-        // Slide every shard window by the block's raw slice rows.
-        for (window, partial) in self.windows.iter_mut().zip(&partials) {
-            let raw = backend.partial_raw(partial);
-            for t in 0..bins {
-                window.push(raw.row(t));
-            }
+        for t in 0..bins {
+            self.window.push(block.row(t));
         }
-
         finalize_block(backend, &self.links, bins, &outs)
     }
 
@@ -402,13 +384,8 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// [`ShardedEngine::refit_seconds`].
     pub fn refit(&mut self) -> Result<()> {
         let t0 = Instant::now();
-        let ctx: Vec<ShardCtx<'_>> = self
-            .links
-            .iter()
-            .zip(&self.windows)
-            .map(|(links, window)| ShardCtx { links, window })
-            .collect();
-        self.backend.refit_shards(&mut self.states, &ctx)?;
+        self.backend
+            .refit_shards(&mut self.states, &self.links, &self.window)?;
         self.cadence.refitted();
         self.refit_seconds += t0.elapsed().as_secs_f64();
         Ok(())
@@ -445,8 +422,9 @@ fn fan_out<T: Send, R: Send>(
 
 /// The coordinator's scoring loop, shared by [`ShardedEngine`] and the
 /// TCP tracker in `netanom-net`: sum the shards' score partials in
-/// shard order, detect, and finalize the fired bins on the residual
-/// assembled from the shard slices.
+/// shard order, detect, and finalize each bin — a fired one on the
+/// residual assembled from the shard slices, when every shard returned
+/// one.
 ///
 /// `outs[s]` is shard `s`'s phase-B output for the same `bins`-row
 /// block and `links[s]` its ascending global link indices; summation
@@ -461,20 +439,15 @@ pub fn finalize_block<B: ShardableBackend>(
     outs: &[ShardScores],
 ) -> Result<Vec<DiagnosisReport>> {
     let threshold = backend.threshold();
-    let wants_residual = backend.wants_residual();
+    let sliced = outs.iter().all(|o| o.residual.is_some());
     let mut reports = Vec::with_capacity(bins);
     for t in 0..bins {
         let score: f64 = outs.iter().map(|o| o.scores[t]).sum();
-        let residual = (wants_residual && score > threshold).then(|| {
-            let slices = outs.iter().map(|o| {
-                let slice = o.residual.as_ref();
-                slice
-                    .expect("wants_residual backends return residual slices")
-                    .row(t)
-            });
-            scatter_row(backend.dim(), links, slices)
+        let residual = (sliced && score > threshold).then(|| {
+            let slices = outs.iter().filter_map(|o| o.residual.as_ref());
+            scatter_row(backend.dim(), links, slices.map(|r| r.row(t)))
         });
-        reports.push(backend.finalize(score, residual.as_deref())?);
+        reports.push(backend.finalize(score, residual)?);
     }
     Ok(reports)
 }
@@ -495,35 +468,11 @@ fn scatter_row<'a>(
     row
 }
 
-/// The full rows evicted by each push of `block` into a window of
-/// `capacity` rows that currently retains `len`, in push order: `None`
-/// while the window is still filling, else the oldest row of the
-/// combined `[window, block]` sequence — `window_row(i)` for the `i`-th
-/// retained row (arrival order), the block's own rows beyond.
-pub fn evicted_rows(
-    capacity: usize,
-    len: usize,
-    block: &Matrix,
-    window_row: impl Fn(usize) -> Vec<f64>,
-) -> Vec<Option<Vec<f64>>> {
-    (0..block.rows())
-        .map(|t| {
-            let idx = (len + t).checked_sub(capacity)?;
-            Some(if idx < len {
-                window_row(idx)
-            } else {
-                block.row(idx - len).to_vec()
-            })
-        })
-        .collect()
-}
-
 /// Place per-shard column slices into one `rows × cols` matrix:
 /// `slices[s]` holds the columns `links[s]` of every row. Pure
 /// placement, so the result is bitwise the matrix the slices were cut
-/// from — how a block scattered to the shards, the shard windows of a
-/// full refit, and the window slices TCP workers send are put back
-/// together.
+/// from — how a block delivered as per-shard feeds and the window
+/// slices TCP workers send for a full refit are put back together.
 pub fn assemble_columns<L: AsRef<[usize]>>(
     cols: usize,
     links: &[L],
@@ -679,6 +628,35 @@ mod tests {
             Err(CoreError::NonFiniteMeasurement { link: 1 })
         ));
         assert_eq!(engine.arrivals(), 0);
+    }
+
+    /// A NaN partial score (an overflowed projection) is quiet — `spe >
+    /// threshold` is false — rather than a fired bin with no residual.
+    #[test]
+    fn a_nan_partial_score_finalizes_quiet() {
+        let net = builtin::line(3);
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let train = training(m, 200, 0);
+        let backend =
+            SubspaceBackend::fit_sharded(&train, rm, config(), RefitStrategy::FullSvd).unwrap();
+        let links = LinkPartition::round_robin(m, 2).unwrap().groups().to_vec();
+        let outs: Vec<ShardScores> = [[0.5, f64::NAN], [0.25, 0.5]]
+            .iter()
+            .zip(&links)
+            .map(|(scores, links)| ShardScores {
+                scores: scores.to_vec(),
+                residual: Some(Matrix::zeros(2, links.len())),
+            })
+            .collect();
+        let reports = finalize_block(&backend, &links, 2, &outs).unwrap();
+        assert_eq!(reports[0].spe, 0.75);
+        assert!(reports[1].spe.is_nan());
+        for report in &reports {
+            assert!(!report.detected);
+            assert!(report.identification.is_none());
+            assert!(report.estimated_bytes.is_none());
+        }
     }
 
     #[test]

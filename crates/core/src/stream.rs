@@ -277,6 +277,24 @@ impl RingWindow {
         }
     }
 
+    /// The row each push of `block`'s rows will evict, in push order,
+    /// borrowed rather than copied: `None` while the window is still
+    /// filling, else the oldest row of the combined `[window, block]`
+    /// sequence — a retained row while any is left, then the block's own
+    /// earlier rows.
+    pub fn evictions<'a>(&'a self, block: &'a Matrix) -> Vec<Option<&'a [f64]>> {
+        (0..block.rows())
+            .map(|t| {
+                let idx = (self.len + t).checked_sub(self.capacity)?;
+                Some(if idx < self.len {
+                    self.row(idx)
+                } else {
+                    block.row(idx - self.len)
+                })
+            })
+            .collect()
+    }
+
     /// Materialize the window in arrival order as a `len × m` matrix.
     ///
     /// A wrapped window is exactly two contiguous spans of the buffer, so

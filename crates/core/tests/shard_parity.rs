@@ -233,6 +233,51 @@ fn generic_backend_sharded_engine_is_bitwise_to_sugar() {
     }
 }
 
+/// A window longer than the training set fills mid-stream: with 300
+/// training rows and room for 320, the first 36-row block evicts nothing
+/// for 20 pushes and a retained row on each push after, so
+/// `RingWindow::evictions` returns `None` and then `Some` inside one
+/// block. Every other case here sizes the window to the training set.
+#[test]
+fn a_window_that_fills_mid_block_keeps_parity() {
+    let net = builtin::sprint_europe();
+    let rm = &net.routing_matrix;
+    let m = rm.num_links();
+    let train = training(m, 300, 0);
+    let stream = staged_stream(&net, 150, 300);
+    for k in [2usize, 4] {
+        let partition = LinkPartition::round_robin(m, k).unwrap();
+        for strategy in [RefitStrategy::FullSvd, RefitStrategy::Incremental] {
+            let label = format!("k={k} {strategy:?}");
+            let cfg = config(PcaMethod::Covariance);
+            let stream_cfg = StreamConfig::new(320).refit_every(48).strategy(strategy);
+            let mut single = StreamingEngine::new(&train, rm, cfg, stream_cfg).unwrap();
+            let mut sharded = ShardedEngine::new(&train, rm, cfg, stream_cfg, &partition).unwrap();
+            let mut fired = 0;
+            let mut next = 0;
+            while next < stream.rows() {
+                let take = 36.min(stream.rows() - next);
+                let block = stream.row_block(next, take).unwrap();
+                for (i, sh) in sharded.process_batch(&block).unwrap().iter().enumerate() {
+                    let t = next + i;
+                    let si = single.process(stream.row(t)).unwrap();
+                    assert_eq!(sh.detected, si.detected, "{label}: detection at bin {t}");
+                    assert_eq!(sh.threshold, si.threshold, "{label}: threshold at bin {t}");
+                    let rel = (sh.spe - si.spe).abs() / si.spe.max(1.0);
+                    assert!(rel <= 1e-9, "{label}: SPE rel {rel:.2e} at bin {t}");
+                    let flow = |r: &netanom_core::DiagnosisReport| r.identification.map(|i| i.flow);
+                    assert_eq!(flow(sh), flow(&si), "{label}: identification at bin {t}");
+                    fired += usize::from(si.detected);
+                }
+                next += take;
+            }
+            assert_eq!(single.refits(), 3, "{label}: stream must cross refits");
+            assert_eq!(sharded.refits(), 3, "{label}");
+            assert!(fired >= 3, "{label}: staged anomalies must fire");
+        }
+    }
+}
+
 /// The merged covariance must match both the single-process accumulator
 /// (bitwise) and the direct two-pass covariance of the retained window
 /// (1e-9 relative).

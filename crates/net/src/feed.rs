@@ -17,8 +17,8 @@ use crate::error::{NetError, Result};
 /// A forward-only source of full-width measurement rows.
 ///
 /// Feeds yield *full-width* rows (all `m` links): the shard's phase A
-/// cuts its own column slice, and the sliding statistics need full
-/// evicted rows. The tracker dictates the row cadence, so a feed only
+/// reads its own columns, and the sliding statistics need full evicted
+/// rows. The tracker dictates the row cadence, so a feed only
 /// supports "give me the next ≤ n rows".
 pub trait RowFeed {
     /// Row width `m` (global link count).

@@ -495,13 +495,14 @@ impl Tracker {
             // Phase A. A shard only talks here while it holds no
             // phase-A reply, which it loses together with its phase-B
             // slot, so there is nothing of `b` to clear on a fault.
-            let faulted = self.collect(&run_block, &mut a, |_, s, msg| match msg {
+            let faulted = self.collect(&run_block, &mut a, |tracker, s, msg| match msg {
                 Message::PhaseA {
                     round: r,
                     rows,
                     coeffs,
                 } if r == round => {
-                    if rows == 0 || coeffs.rows() != rows as usize {
+                    let r = tracker.backend.diagnoser().model().normal_dim();
+                    if rows == 0 || coeffs.rows() != rows as usize || coeffs.cols() != r {
                         return Err(format!("shard {s} phase A shape mismatch in round {round}"));
                     }
                     Ok(PhaseAReply::Rows {
@@ -558,7 +559,7 @@ impl Tracker {
             let r = self.backend.diagnoser().model().normal_dim();
             let merged = Message::Merged {
                 round,
-                coeffs: merge_coeff_partials(rows, r, partials.into_iter().map(|(_, c)| c)),
+                coeffs: merge_coeff_partials(rows, r, partials.into_iter().map(|(_, c)| c))?,
             };
 
             // Phase B.

@@ -4,8 +4,15 @@
 //! stream locally (tracker requests dictate the row cadence, so every
 //! worker stays on the same bin), and runs the exact
 //! [`SubspaceShard`] phase A/B the in-process
-//! [`ShardedEngine`](netanom_core::ShardedEngine) runs — one code path,
-//! so distributed detections are bitwise identical by construction.
+//! [`ShardedEngine`](netanom_core::ShardedEngine) runs, over one
+//! full-width [`RingWindow`] slid by the same
+//! [`RingWindow::evictions`] — one code path, so distributed detections
+//! are bitwise identical by construction.
+//!
+//! What a tracker or a checkpoint hands the worker is checked before it
+//! is used: a model state not `dim` links wide, a zero window capacity,
+//! merged coefficients of the wrong shape, or a checkpoint window of the
+//! wrong width is a typed error, never a panic.
 //!
 //! Robustness is a state machine, not an afterthought:
 //!
@@ -29,7 +36,7 @@ use std::time::Duration;
 
 use netanom_core::incremental::CovarianceShard;
 use netanom_core::{
-    evicted_rows, subspace_model_from_state, MethodState, RefitStrategy, RingWindow,
+    subspace_model_from_state, MethodState, RefitStrategy, RingWindow, SubspaceModel,
     SubspacePartial, SubspaceShard,
 };
 use netanom_linalg::Matrix;
@@ -221,16 +228,34 @@ fn rejoin(
     cfg: &WorkerConfig,
 ) -> Result<FramedConn<TcpStream>> {
     let joined = join(addr, links, dim, st.completed, st.arrivals, cfg)?;
-    install_state(&mut st.shard, links, &joined.state)?;
+    install_state(&mut st.shard, links, dim, &joined.state)?;
     st.state_bytes = joined.state;
     st.rejoins += 1;
     Ok(joined.conn)
 }
 
-fn install_state(shard: &mut SubspaceShard, links: &[usize], state: &[u8]) -> Result<()> {
+/// Decode a tracker's model state, refusing one that is not `dim` links
+/// wide.
+fn decode_model(state: &[u8], dim: usize) -> Result<SubspaceModel> {
     let (model, _confidence) = subspace_model_from_state(&MethodState::from_bytes(state)?)?;
-    shard.install_model(&model, links);
-    Ok(())
+    if model.dim() != dim {
+        return Err(NetError::Protocol {
+            reason: format!(
+                "tracker's model covers {} links, the feed {dim}",
+                model.dim()
+            ),
+        });
+    }
+    Ok(model)
+}
+
+fn install_state(
+    shard: &mut SubspaceShard,
+    links: &[usize],
+    dim: usize,
+    state: &[u8],
+) -> Result<()> {
+    Ok(shard.install_model(&decode_model(state, dim)?, links)?)
 }
 
 fn write_checkpoint(
@@ -314,6 +339,11 @@ pub fn run_worker<F: RowFeed>(
         strategy,
         window_capacity,
     } = join(addr, links, dim, completed, arrivals, cfg)?;
+    if window_capacity == 0 {
+        return Err(NetError::Protocol {
+            reason: "tracker's window capacity is 0 rows".into(),
+        });
+    }
     let capacity = window_capacity as usize;
 
     // A fresh start and a checkpoint resume differ only in where the
@@ -356,14 +386,14 @@ pub fn run_worker<F: RowFeed>(
             (stats, ckpt.window, ckpt.cache)
         }
     };
-    let (model, _confidence) = subspace_model_from_state(&MethodState::from_bytes(&state)?)?;
+    let model = decode_model(&state, dim)?;
     // Pushing every row leaves the most recent `capacity` of them.
     let mut window = RingWindow::new(capacity, dim);
     for t in 0..retained.rows() {
         window.push(retained.row(t));
     }
     let mut st = WorkerState {
-        shard: SubspaceShard::from_model(&model, links, stats),
+        shard: SubspaceShard::from_model(&model, links, stats)?,
         window,
         window_capacity: capacity,
         state_bytes: state,
@@ -437,6 +467,14 @@ fn validate_checkpoint(
                 ckpt.shards,
                 ckpt.links.len(),
                 ckpt.train_bins
+            ),
+        });
+    }
+    if ckpt.window.cols() != dim {
+        return Err(NetError::Checkpoint {
+            reason: format!(
+                "checkpoint window is {} links wide, the feed {dim}",
+                ckpt.window.cols()
             ),
         });
     }
@@ -541,12 +579,7 @@ fn dispatch<F: RowFeed>(
                     reason: format!("merged coefficients for exhausted round {round}"),
                 });
             };
-            // The in-process engine's eviction rule, read straight off
-            // the worker's own *full-width* window.
-            let window = &st.window;
-            let evicted = evicted_rows(window.capacity(), window.len(), &block, |i| {
-                window.row(i).to_vec()
-            });
+            let evicted = st.window.evictions(&block);
             let scores = st.shard.phase_b(&partial, &coeffs, &block, &evicted)?;
             for t in 0..block.rows() {
                 st.window.push(block.row(t));
@@ -579,7 +612,7 @@ fn dispatch<F: RowFeed>(
             },
         })),
         Message::Model { round: _, state } => {
-            install_state(&mut st.shard, links, &state)?;
+            install_state(&mut st.shard, links, dim, &state)?;
             st.state_bytes = state;
             Ok(Dispatch::Quiet)
         }

@@ -4,19 +4,19 @@
 //! restarted from its checkpoint produces a report stream **bitwise
 //! identical** to a run where nothing ever failed.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
 use netanom_core::{
-    DetectionBackend, DiagnoserConfig, DiagnosisReport, RefitStrategy, SeparationPolicy,
-    ShardedEngine, StreamConfig, SubspaceBackend,
+    CoreError, DetectionBackend, DiagnoserConfig, DiagnosisReport, MethodState, RefitStrategy,
+    SeparationPolicy, ShardedEngine, StreamConfig, SubspaceBackend,
 };
 use netanom_linalg::Matrix;
 use netanom_net::{
-    run_worker, FailureKind, FramedConn, InjectedFault, MatrixFeed, Message, NetError, Tracker,
-    TrackerConfig, WorkerConfig, DEFAULT_MAX_FRAME,
+    run_worker, Checkpoint, FailureKind, FramedConn, InjectedFault, MatrixFeed, Message, NetError,
+    Tracker, TrackerConfig, WorkerConfig, DEFAULT_MAX_FRAME,
 };
 use netanom_topology::{LinkPartition, RoutingMatrix};
 use netanom_traffic::datasets;
@@ -351,4 +351,232 @@ fn run_block_of_zero_rows_is_refused() {
         "expected a protocol refusal, got {err:?}"
     );
     tracker.join().unwrap();
+}
+
+/// The full-SVD model state of the mini training prefix, and its
+/// normal dimension `r`.
+fn mini_state() -> (Vec<u8>, usize) {
+    let (data, rm) = mini_data();
+    let training = data.row_block(0, TRAIN_BINS).unwrap();
+    let backend =
+        SubspaceBackend::fit_sharded(&training, &rm, config(), RefitStrategy::FullSvd).unwrap();
+    let r = backend.diagnoser().model().normal_dim();
+    (backend.export_state().to_bytes(), r)
+}
+
+/// `state` cut down to a model over its first `keep` links.
+fn narrowed(state: &[u8], keep: usize) -> Vec<u8> {
+    let mut state = MethodState::from_bytes(state).unwrap();
+    for v in &mut state.vectors {
+        v.truncate(keep);
+    }
+    state.matrices[0] = state.matrices[0].row_block(0, keep).unwrap();
+    state.to_bytes()
+}
+
+fn welcome(state: Vec<u8>, window_capacity: u64) -> Message {
+    Message::Welcome {
+        state,
+        strategy: RefitStrategy::FullSvd,
+        window_capacity,
+        round: 0,
+    }
+}
+
+/// A hand-driven tracker: accept one worker, read its `Join`, answer
+/// `welcome`, then run `script` on the connection.
+fn hand_driven_tracker(
+    welcome: Message,
+    script: impl FnOnce(&mut FramedConn<TcpStream>) + Send + 'static,
+) -> (String, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let tracker = thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FramedConn::new(stream, DEFAULT_MAX_FRAME);
+        assert!(matches!(conn.recv().unwrap(), Message::Join { .. }));
+        conn.send(&welcome).unwrap();
+        script(&mut conn);
+    });
+    (addr, tracker)
+}
+
+/// Run shard 0 of a 2-shard mini partition against `addr` and return
+/// its error.
+fn worker_error(addr: &str, cfg: &WorkerConfig) -> NetError {
+    let (data, rm) = mini_data();
+    let partition = LinkPartition::round_robin(rm.num_links(), 2).unwrap();
+    run_worker(addr, MatrixFeed::new(data), partition.group(0), cfg).unwrap_err()
+}
+
+/// A model that is not `dim` links wide, in a `Welcome` or in a later
+/// `Model` broadcast, is refused instead of indexing past its mean.
+#[test]
+fn a_model_of_the_wrong_width_is_refused() {
+    let (state, _) = mini_state();
+    let m = mini_data().1.num_links();
+    let narrow = narrowed(&state, m / 2);
+
+    let (addr, tracker) = hand_driven_tracker(welcome(narrow.clone(), TRAIN_BINS as u64), |_| {});
+    let err = worker_error(&addr, &worker_config(0));
+    assert!(
+        matches!(err, NetError::Protocol { .. }),
+        "welcome: expected a protocol refusal, got {err:?}"
+    );
+    tracker.join().unwrap();
+
+    let (addr, tracker) = hand_driven_tracker(welcome(state, TRAIN_BINS as u64), move |conn| {
+        conn.send(&Message::Model {
+            round: 0,
+            state: narrow,
+        })
+        .unwrap();
+        assert!(conn.recv_raw().unwrap().is_none());
+    });
+    let err = worker_error(&addr, &worker_config(0));
+    assert!(
+        matches!(err, NetError::Protocol { .. }),
+        "model: expected a protocol refusal, got {err:?}"
+    );
+    tracker.join().unwrap();
+}
+
+/// Merged coefficients that are not `rows × r` are refused before phase
+/// B touches any state.
+#[test]
+fn merged_coefficients_of_the_wrong_shape_are_refused() {
+    let (state, r) = mini_state();
+    let (addr, tracker) = hand_driven_tracker(welcome(state, TRAIN_BINS as u64), move |conn| {
+        conn.send(&Message::RunBlock { round: 1, take: 5 }).unwrap();
+        assert!(matches!(
+            conn.recv().unwrap(),
+            Message::PhaseA { rows: 5, .. }
+        ));
+        conn.send(&Message::Merged {
+            round: 1,
+            coeffs: Matrix::zeros(5, r + 1),
+        })
+        .unwrap();
+        assert!(conn.recv_raw().unwrap().is_none());
+    });
+    let err = worker_error(&addr, &worker_config(0));
+    assert!(
+        matches!(err, NetError::Core(CoreError::DimensionMismatch { .. })),
+        "expected a dimension refusal, got {err:?}"
+    );
+    tracker.join().unwrap();
+}
+
+/// A `Welcome` granting a window of zero rows is refused.
+#[test]
+fn a_zero_window_capacity_is_refused() {
+    let (state, _) = mini_state();
+    let (addr, tracker) = hand_driven_tracker(welcome(state, 0), |_| {});
+    let err = worker_error(&addr, &worker_config(0));
+    assert!(
+        matches!(err, NetError::Protocol { .. }),
+        "expected a protocol refusal, got {err:?}"
+    );
+    tracker.join().unwrap();
+}
+
+/// A checkpoint whose window is not `dim` links wide is refused before
+/// the network is touched.
+#[test]
+fn a_checkpoint_window_of_the_wrong_width_is_refused() {
+    let (state, _) = mini_state();
+    let (data, rm) = mini_data();
+    let m = rm.num_links();
+    let partition = LinkPartition::round_robin(m, 2).unwrap();
+    let ckpt = checkpoint_path("narrow_window");
+    Checkpoint {
+        shard: 0,
+        shards: 2,
+        dim: m as u64,
+        links: partition.group(0).to_vec(),
+        train_bins: TRAIN_BINS as u64,
+        completed_round: 0,
+        arrivals: 0,
+        state: state.clone(),
+        stats: None,
+        window_capacity: TRAIN_BINS as u64,
+        window: data.row_block(0, 3).unwrap().select_columns(&[0, 1]),
+        cache: None,
+    }
+    .save(&ckpt)
+    .unwrap();
+
+    let (addr, tracker) = hand_driven_tracker(welcome(state, TRAIN_BINS as u64), |_| {});
+    let mut cfg = worker_config(0);
+    cfg.checkpoint = Some(ckpt.clone());
+    let err = worker_error(&addr, &cfg);
+    assert!(
+        matches!(err, NetError::Checkpoint { .. }),
+        "expected a checkpoint refusal, got {err:?}"
+    );
+    // The worker never joined: release the hand-driven tracker.
+    let mut probe = FramedConn::new(TcpStream::connect(&addr).unwrap(), DEFAULT_MAX_FRAME);
+    probe
+        .send(&Message::Join {
+            shard: 0,
+            shards: 2,
+            dim: m as u64,
+            links: Vec::new(),
+            train_bins: TRAIN_BINS as u64,
+            completed_round: 0,
+            arrivals: 0,
+        })
+        .unwrap();
+    tracker.join().unwrap();
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+/// A worker whose phase-A partial is not `rows × r` is a fatal protocol
+/// error at the tracker, not a panic in the merge.
+#[test]
+fn a_phase_a_partial_of_the_wrong_width_is_a_protocol_error() {
+    let (data, rm) = mini_data();
+    let m = rm.num_links();
+    let partition = LinkPartition::round_robin(m, 1).unwrap();
+    let training = data.row_block(0, TRAIN_BINS).unwrap();
+    let backend =
+        SubspaceBackend::fit_sharded(&training, &rm, config(), RefitStrategy::FullSvd).unwrap();
+    let r = backend.diagnoser().model().normal_dim();
+    let mut cfg = tracker_config();
+    cfg.stream = StreamConfig::new(TRAIN_BINS);
+    let mut tracker = Tracker::bind("127.0.0.1:0", backend, &partition, cfg).unwrap();
+    let addr = tracker.local_addr().unwrap().to_string();
+
+    let worker = thread::spawn(move || {
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut conn = FramedConn::new(stream, DEFAULT_MAX_FRAME);
+        conn.send(&Message::Join {
+            shard: 0,
+            shards: 1,
+            dim: m as u64,
+            links: (0..m as u64).collect(),
+            train_bins: TRAIN_BINS as u64,
+            completed_round: 0,
+            arrivals: 0,
+        })
+        .unwrap();
+        assert!(matches!(conn.recv().unwrap(), Message::Welcome { .. }));
+        let Message::RunBlock { round, take } = conn.recv().unwrap() else {
+            panic!("expected run-block");
+        };
+        conn.send(&Message::PhaseA {
+            round,
+            rows: take,
+            coeffs: Matrix::zeros(take as usize, r + 1),
+        })
+        .unwrap();
+        assert!(matches!(conn.recv().unwrap(), Message::Fatal { .. }));
+    });
+
+    let err = tracker.run(|_| {}).unwrap_err();
+    assert!(
+        matches!(err, NetError::Protocol { .. }),
+        "expected a protocol error, got {err:?}"
+    );
+    worker.join().unwrap();
 }

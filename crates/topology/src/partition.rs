@@ -18,8 +18,8 @@
 //! * [`LinkPartition::explicit`] — bring your own assignment (e.g. one
 //!   shard per collection site), validated to be a true partition.
 //!
-//! Within each shard the link list is kept strictly ascending so shard
-//! windows, statistics rows and model slices all index consistently.
+//! Within each shard the link list is kept strictly ascending so column
+//! slices, statistics rows and model slices all index consistently.
 //!
 //! # Example
 //!
