@@ -322,16 +322,8 @@ fn load_paths(paths_file: &str, num_links: usize) -> Result<RoutingMatrix, Strin
     let paths_content =
         fs::read_to_string(paths_file).map_err(|e| format!("reading {paths_file}: {e}"))?;
     let paths = paths_csv::parse(&paths_content)?;
-    for (f, p) in paths.iter().enumerate() {
-        for &l in p {
-            if l >= num_links {
-                return Err(format!(
-                    "flow {f} references link {l}, but the links CSV has only {num_links}"
-                ));
-            }
-        }
-    }
-    Ok(RoutingMatrix::from_paths(num_links, &paths))
+    RoutingMatrix::try_from_paths(num_links, &paths)
+        .map_err(|e| format!("{paths_file}: {e} in the links CSV"))
 }
 
 /// Parse the shared engine options (`--train-bins`, `--method`,
@@ -455,10 +447,7 @@ fn open_links_reader(links_arg: &str) -> Result<Box<dyn BufRead>, String> {
 fn routing_of(flags: &HashMap<&str, &str>, num_links: usize) -> Result<RoutingMatrix, String> {
     match flags.get("paths") {
         Some(p) => load_paths(p, num_links),
-        None => {
-            let identity: Vec<Vec<usize>> = (0..num_links).map(|l| vec![l]).collect();
-            Ok(RoutingMatrix::from_paths(num_links, &identity))
-        }
+        None => Ok(RoutingMatrix::identity(num_links)),
     }
 }
 

@@ -16,12 +16,11 @@
 //! a fixed size are harder to detect in large flows**; this module
 //! quantifies that and the evaluation crate plots it (Figure 9).
 
-use netanom_linalg::vector;
 use netanom_topology::RoutingMatrix;
 
-use crate::identify::VISIBILITY_FLOOR;
+use crate::identify::{Identifier, VISIBILITY_FLOOR};
 use crate::subspace::SubspaceModel;
-use crate::{CoreError, Result};
+use crate::Result;
 
 /// The detectability floor of one OD flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,23 +38,20 @@ pub struct FlowDetectability {
 
 /// Compute the Section 5.4 detectability bound for every flow at the
 /// given confidence level.
+///
+/// `‖C̃θᵢ‖²` is the [`Identifier`]'s own
+/// ([`Identifier::residual_visibility`]), so a flow is priced exactly
+/// when identification can name it; errors are [`Identifier::new`]'s.
 pub fn flow_detectability(
     model: &SubspaceModel,
     rm: &RoutingMatrix,
     confidence: f64,
 ) -> Result<Vec<FlowDetectability>> {
-    if rm.num_links() != model.dim() {
-        return Err(CoreError::DimensionMismatch {
-            expected: model.dim(),
-            got: rm.num_links(),
-        });
-    }
+    let identifier = Identifier::new(model, rm)?;
     let delta = model.q_threshold(confidence)?.delta_sq.sqrt();
-    // All C̃θᵢ in one batched projection.
-    let theta_tilde = model.residual_directions(rm.theta_matrix())?;
     let mut out = Vec::with_capacity(rm.num_flows());
     for i in 0..rm.num_flows() {
-        let visibility = vector::norm_sq(&theta_tilde.col(i));
+        let visibility = identifier.residual_visibility(i);
         let residual_norm = visibility.sqrt();
         let a_norm = (rm.path_len(i) as f64).sqrt();
         let min_detectable_bytes = if visibility <= VISIBILITY_FLOOR {
@@ -78,7 +74,8 @@ mod tests {
     use crate::pca::PcaMethod;
     use crate::separation::SeparationPolicy;
     use crate::subspace::Detector;
-    use netanom_linalg::Matrix;
+    use crate::CoreError;
+    use netanom_linalg::{vector, Matrix};
     use netanom_topology::builtin;
 
     fn setup() -> (SubspaceModel, netanom_topology::Network, Matrix) {

@@ -72,9 +72,7 @@ impl Diagnoser {
     pub fn from_model(model: SubspaceModel, rm: &RoutingMatrix, confidence: f64) -> Result<Self> {
         let identifier = Identifier::new(&model, rm)?;
         let detector = Detector::new(model, confidence)?;
-        let quant_factor = (0..rm.num_flows())
-            .map(|i| netanom_linalg::vector::dot(&rm.abar(i), &rm.theta(i)))
-            .collect();
+        let quant_factor = (0..rm.num_flows()).map(|i| quant_factor(rm, i)).collect();
         Ok(Diagnoser {
             detector,
             identifier,
@@ -87,8 +85,8 @@ impl Diagnoser {
     /// `Āᵢᵀθᵢ`, which depend only on the routing matrix.
     ///
     /// This is the streaming refit entry point: a periodic model refresh
-    /// pays for the identifier's batched `θ̃ᵢ = C̃θᵢ` projection and one
-    /// threshold evaluation, nothing else. `rm` must be the routing
+    /// pays for the identifier's `n` norms `‖θ̃ᵢ‖²` (`O(r·nnz(A))`) and
+    /// one threshold evaluation, nothing else. `rm` must be the routing
     /// matrix the diagnoser was built with (checked by flow count).
     pub fn refit_model(
         &mut self,
@@ -199,8 +197,16 @@ impl Diagnoser {
 /// links, `Āᵢᵀθᵢ = 1/√k`, so the estimate reduces to `f̂ᵢ/‖Aᵢ‖` — which is
 /// exactly the injected byte count when the residual fit is clean.
 pub fn quantify(id: &Identification, rm: &RoutingMatrix) -> f64 {
-    let factor = netanom_linalg::vector::dot(&rm.abar(id.flow), &rm.theta(id.flow));
-    quantify_with_factor(id, factor)
+    quantify_with_factor(id, quant_factor(rm, id.flow))
+}
+
+/// `Āᵢᵀθᵢ`: the `kᵢ` products `(1/kᵢ)·(1/√kᵢ)` summed over flow `i`'s path
+/// in ascending link order — bitwise the dense dot of the two columns,
+/// whose off-path products are zeros that add nothing.
+fn quant_factor(rm: &RoutingMatrix, i: usize) -> f64 {
+    let k = rm.path_len(i);
+    let term = (1.0 / k as f64) * (1.0 / (k as f64).sqrt());
+    std::iter::repeat_n(term, k).sum()
 }
 
 fn quantify_with_factor(id: &Identification, factor: f64) -> f64 {

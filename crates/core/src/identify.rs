@@ -10,13 +10,26 @@
 //! Expanding the norm shows
 //! `‖ỹ − θ̃ᵢ f̂ᵢ‖² = ‖ỹ‖² − (θ̃ᵢᵀỹ)²/‖θ̃ᵢ‖²`,
 //! so the minimizer is simply the flow maximizing the *explained* energy
-//! `(θ̃ᵢᵀỹ)²/‖θ̃ᵢ‖²`. [`Identifier`] precomputes all `θ̃ᵢ` once
-//! (`O(m²n)` at build time) and then identifies in `O(mn)` per anomaly;
-//! the literal Equation-1 evaluation is kept as
-//! [`Identifier::identify_naive`] and tested equal.
+//! `(θ̃ᵢᵀỹ)²/‖θ̃ᵢ‖²`. Two facts make that cheap on a path-incidence `A`
+//! with `nnz(A)` ones:
+//!
+//! * `C̃ = I − PPᵀ` is symmetric and idempotent, so for a residual
+//!   `ỹ = C̃(y − μ)`, `θ̃ᵢᵀỹ = θᵢᵀC̃ỹ = θᵢᵀỹ` — the sum of `ỹ` over flow
+//!   `i`'s `kᵢ` links, times `1/√kᵢ`. Identification is `O(nnz(A))`
+//!   and allocates nothing.
+//! * `‖θ̃ᵢ‖² = ‖θᵢ‖² − ‖Pᵀθᵢ‖²`, and `Pᵀθᵢ` sums `kᵢ` rows of the
+//!   `m × r` basis `P`. [`Identifier::new`] is `O(r·nnz(A))`, so a
+//!   streaming refit rebuilds it for `n` short norms; it shares the
+//!   routing matrix's paths instead of copying them.
+//!
+//! No `m × n` matrix is formed. The dense route — `Θ̃ = Θ − P(PᵀΘ)` and
+//! the literal Equation-1 evaluation — is the test oracle in
+//! `tests/support/dense_identify.rs`.
+
+use std::sync::Arc;
 
 use netanom_linalg::{vector, Matrix};
-use netanom_topology::RoutingMatrix;
+use netanom_topology::{FlowPaths, RoutingMatrix};
 
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
@@ -27,6 +40,25 @@ use crate::{CoreError, Result};
 /// names it, pair search never pairs it, and its detectability bound is
 /// infinite — one floor, always compared against the *squared* norm.
 pub(crate) const VISIBILITY_FLOOR: f64 = 1e-12;
+
+/// Below this `‖θ̃ᵢ‖²` the identifier takes the norm from the flow's own
+/// residual column `θᵢ − P·Pᵀθᵢ` instead of the difference
+/// `‖θᵢ‖² − ‖Pᵀθᵢ‖²`.
+///
+/// The difference cancels two terms of size `≈ 1`, so its error is
+/// absolute: the few ulps each term is rounded to, plus `P`'s departure
+/// from orthonormality (`cᵀ(PᵀP − I)c`, which the column does not
+/// carry). Against the dense route on fitted models up to `m = 64` and
+/// the canned datasets it measured `a ≤ 5e-15 ≈ 22ε`. The relative error
+/// `a/‖θ̃ᵢ‖²` stays inside the `1e-12` the dense route is held to only
+/// while `‖θ̃ᵢ‖² ≥ a/1e-12 = 5e-3`; the cutoff takes a factor of two
+/// over that. Below it — the few flows lying close to the normal
+/// subspace, down to the `1e-24` the detectability tests resolve — the
+/// column costs `O(m·r)` and is the dense route's own arithmetic: each
+/// entry `Σⱼ P_lj·cⱼ` in ascending `j` with no fused multiply-add, then
+/// a left-to-right sum of squares, so those norms are bitwise the
+/// dense route's.
+const COLUMN_NORM_CUTOFF: f64 = 1e-2;
 
 /// Result of identifying one anomaly.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,21 +86,24 @@ impl Identification {
     }
 }
 
-/// Precomputed single-flow identification over a candidate set of OD
-/// flows.
+/// Single-flow identification over every OD flow of a routing matrix,
+/// prepared against one fitted model: per flow, its path (shared with
+/// the routing matrix), `1/√kᵢ` and `‖θ̃ᵢ‖²`.
 #[derive(Debug, Clone)]
 pub struct Identifier {
-    /// `θ̃ᵢ` as columns (`m × n`).
-    theta_tilde: Matrix,
+    /// Every flow's links, ascending.
+    paths: Arc<FlowPaths>,
+    /// `1/√kᵢ`: the value of `θᵢ` on each of flow `i`'s `kᵢ` links.
+    theta_value: Vec<f64>,
     /// `‖θ̃ᵢ‖²` per flow.
     theta_tilde_norm_sq: Vec<f64>,
-    /// `θᵢ` as columns (`m × n`), for reconstructing `y*`.
-    theta: Matrix,
+    /// Number of links `m`.
+    dim: usize,
 }
 
 impl Identifier {
     /// Build the identifier for all OD flows of a routing matrix under a
-    /// fitted model.
+    /// fitted model, in `O(r·nnz(A))`.
     ///
     /// Returns [`CoreError::DimensionMismatch`] if the routing matrix and
     /// model disagree on the number of links, and
@@ -84,16 +119,33 @@ impl Identifier {
         if n == 0 {
             return Err(CoreError::NoCandidates);
         }
-        // All θ̃ᵢ = C̃θᵢ in one batched projection instead of n matvec
-        // pairs (identical columns; see SubspaceModel::residual_directions).
-        let theta_tilde = model.residual_directions(rm.theta_matrix())?;
-        let norms: Vec<f64> = (0..n)
-            .map(|i| vector::norm_sq(&theta_tilde.col(i)))
-            .collect();
+        let p = model.normal_basis();
+        let paths = Arc::clone(rm.paths());
+        let mut coeffs = vec![0.0; p.cols()];
+        let mut theta_value = Vec::with_capacity(n);
+        let mut theta_tilde_norm_sq = Vec::with_capacity(n);
+        for i in 0..n {
+            let path = paths.path(i);
+            let s = 1.0 / (path.len() as f64).sqrt();
+            // cᵢ = Pᵀθᵢ over the path in ascending link order: the dense
+            // PᵀΘ's per-entry order and rounding, whose off-path
+            // products are zeros that add nothing.
+            coeffs.fill(0.0);
+            for &l in path {
+                vector::axpy(s, p.row(l), &mut coeffs);
+            }
+            let mut norm_sq = path.len() as f64 * (s * s) - vector::norm_sq(&coeffs);
+            if norm_sq < COLUMN_NORM_CUTOFF {
+                norm_sq = column_norm_sq(p, path, s, &coeffs);
+            }
+            theta_value.push(s);
+            theta_tilde_norm_sq.push(norm_sq);
+        }
         Ok(Identifier {
-            theta_tilde,
-            theta_tilde_norm_sq: norms,
-            theta: rm.theta_matrix().clone(),
+            paths,
+            theta_value,
+            theta_tilde_norm_sq,
+            dim: model.dim(),
         })
     }
 
@@ -113,89 +165,82 @@ impl Identifier {
     }
 
     /// Identify the best single-flow hypothesis for a residual vector
-    /// `ỹ` (as produced by [`SubspaceModel::residual`]).
+    /// `ỹ`, in `O(nnz(A))` without allocating.
     ///
-    /// Flows whose direction is (numerically) invisible in the residual
-    /// subspace are skipped — they cannot explain any residual energy.
+    /// `residual` must be a residual `ỹ = C̃(y − μ)` of the model the
+    /// identifier was built against — what [`SubspaceModel::residual`]
+    /// returns, or a difference of such vectors — because the score
+    /// uses `θ̃ᵢᵀỹ = θᵢᵀỹ`, which holds only inside the residual
+    /// subspace. Flows whose direction is (numerically) invisible in the
+    /// residual subspace are skipped — they cannot explain any residual
+    /// energy. Of equally good flows, the lowest index wins.
     pub fn identify(&self, residual: &[f64]) -> Result<Identification> {
-        if residual.len() != self.theta_tilde.rows() {
+        if residual.len() != self.dim {
             return Err(CoreError::DimensionMismatch {
-                expected: self.theta_tilde.rows(),
+                expected: self.dim,
                 got: residual.len(),
             });
         }
         let energy = vector::norm_sq(residual);
-        // inner[i] = θ̃ᵢᵀ ỹ for all flows at once.
-        let inner = self
-            .theta_tilde
-            .matvec_t(residual)
-            .expect("dim checked above");
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..inner.len() {
-            let nsq = self.theta_tilde_norm_sq[i];
+        // (flow, θᵢᵀỹ, explained energy) of the best flow so far.
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (i, (&nsq, &s)) in self
+            .theta_tilde_norm_sq
+            .iter()
+            .zip(&self.theta_value)
+            .enumerate()
+        {
             if nsq <= VISIBILITY_FLOOR {
                 continue;
             }
-            let explained = inner[i] * inner[i] / nsq;
+            let inner = s * self.paths.path(i).iter().map(|&l| residual[l]).sum::<f64>();
+            let explained = inner * inner / nsq;
             match best {
-                Some((_, b)) if b >= explained => {}
-                _ => best = Some((i, explained)),
+                Some((_, _, b)) if b >= explained => {}
+                _ => best = Some((i, inner, explained)),
             }
         }
-        let (flow, explained) = best.ok_or(CoreError::NoCandidates)?;
-        let f_hat = inner[flow] / self.theta_tilde_norm_sq[flow];
+        let (flow, inner, explained) = best.ok_or(CoreError::NoCandidates)?;
         Ok(Identification {
             flow,
-            f_hat,
+            f_hat: inner / self.theta_tilde_norm_sq[flow],
             residual_energy: energy,
             remaining_energy: (energy - explained).max(0.0),
         })
     }
-
-    /// Literal evaluation of paper Equation (1): for every flow, form
-    /// `yᵢ* = y − θᵢ f̂ᵢ` and measure `‖C̃ yᵢ*‖`, choosing the minimum.
-    ///
-    /// Quadratically slower than [`Identifier::identify`]; exists to pin
-    /// the algebraic reduction in tests and for didactic value.
-    pub fn identify_naive(&self, model: &SubspaceModel, y: &[f64]) -> Result<Identification> {
-        let residual = model.residual(y)?;
-        let energy = vector::norm_sq(&residual);
-        let mut best: Option<(usize, f64, f64)> = None; // (flow, remaining, f_hat)
-        for i in 0..self.num_candidates() {
-            let nsq = self.theta_tilde_norm_sq[i];
-            if nsq <= VISIBILITY_FLOOR {
-                continue;
-            }
-            let tt = self.theta_tilde.col(i);
-            let f_hat = vector::dot(&tt, &residual) / nsq;
-            // y* = y − θᵢ f̂ᵢ ; C̃y* = ỹ − θ̃ᵢ f̂ᵢ (mean cancels in C̃).
-            let removed = vector::sub(&residual, &vector::scaled(&tt, f_hat));
-            let remaining = vector::norm_sq(&removed);
-            match best {
-                Some((_, b, _)) if b <= remaining => {}
-                _ => best = Some((i, remaining, f_hat)),
-            }
-        }
-        let (flow, remaining, f_hat) = best.ok_or(CoreError::NoCandidates)?;
-        Ok(Identification {
-            flow,
-            f_hat,
-            residual_energy: energy,
-            remaining_energy: remaining,
-        })
-    }
-
-    /// The anomaly direction `θᵢ` of candidate `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn theta(&self, i: usize) -> Vec<f64> {
-        self.theta.col(i)
-    }
 }
+
+/// `‖θᵢ − P·cᵢ‖²` from the whole `m`-entry column, in the dense route's
+/// order (see [`COLUMN_NORM_CUTOFF`]); `θᵢ` is `s` on `path`, else 0.
+fn column_norm_sq(p: &Matrix, path: &[usize], s: f64, coeffs: &[f64]) -> f64 {
+    let mut on_path = path.iter().copied().peekable();
+    let mut norm_sq = 0.0;
+    for l in 0..p.rows() {
+        let modeled = p
+            .row(l)
+            .iter()
+            .zip(coeffs)
+            .fold(0.0, |acc, (pl, c)| acc + pl * c);
+        let theta = if on_path.next_if_eq(&l).is_some() {
+            s
+        } else {
+            0.0
+        };
+        let entry = theta - modeled;
+        norm_sq += entry * entry;
+    }
+    norm_sq
+}
+
+// The dense oracle (`tests/support/dense_identify.rs`) runs with this
+// module's unit tests as well as the integration suites.
+#[cfg(test)]
+#[path = "../tests/support/dense_identify.rs"]
+mod dense_identify;
 
 #[cfg(test)]
 mod tests {
+    use super::dense_identify::DenseIdentifier;
     use super::*;
     use crate::pca::PcaMethod;
     use crate::separation::SeparationPolicy;
@@ -263,11 +308,12 @@ mod tests {
     fn fast_and_naive_agree() {
         let (model, ident, net, links) = setup();
         let rm = &net.routing_matrix;
+        let oracle = DenseIdentifier::new(&model, rm).unwrap();
         for (t, flow, size) in [(30usize, 2usize, 7e5), (60, 9, 1.2e6), (90, 14, 9e5)] {
             let mut y = links.row(t).to_vec();
             vector::axpy(size, &rm.column(flow), &mut y);
             let fast = ident.identify(&model.residual(&y).unwrap()).unwrap();
-            let naive = ident.identify_naive(&model, &y).unwrap();
+            let naive = oracle.identify_naive(&model, &y).unwrap();
             assert_eq!(fast.flow, naive.flow, "flow mismatch at t={t}");
             assert!((fast.f_hat - naive.f_hat).abs() < 1e-6 * fast.f_hat.abs().max(1.0));
             assert!(
@@ -311,6 +357,15 @@ mod tests {
                 "flow {i} invisible in residual subspace"
             );
         }
+    }
+
+    #[test]
+    fn the_oracle_shares_the_floor_and_the_cutoff() {
+        assert_eq!(super::dense_identify::VISIBILITY_FLOOR, VISIBILITY_FLOOR);
+        assert_eq!(
+            super::dense_identify::COLUMN_NORM_CUTOFF,
+            COLUMN_NORM_CUTOFF
+        );
     }
 
     #[test]

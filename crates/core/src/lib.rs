@@ -63,6 +63,11 @@
 #![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
 
+// The test oracles under `tests/support/` name this crate by its package
+// name, also when this crate's own unit tests compile them.
+#[cfg(test)]
+extern crate self as netanom_core;
+
 pub mod cadence;
 pub mod codec;
 pub mod detectability;

@@ -304,7 +304,7 @@ impl SubspaceModel {
     /// Project an arbitrary *direction* (not a measurement — no mean
     /// subtraction) onto the anomalous subspace: `C̃ v`.
     ///
-    /// Used to compute `θ̃ᵢ = C̃θᵢ` for identification and detectability.
+    /// `θ̃ᵢ = C̃θᵢ` for one flow direction.
     pub fn residual_direction(&self, v: &[f64]) -> Result<Vec<f64>> {
         self.check_dim(v)?;
         let coeffs = self.p.matvec_t(v).expect("dim checked");
@@ -396,8 +396,9 @@ impl SubspaceModel {
     /// [`SubspaceModel::residual_direction`] (no mean subtraction);
     /// column `i` is bitwise identical to the per-vector result.
     ///
-    /// Used to compute all `θ̃ᵢ = C̃θᵢ` at once when building an
-    /// identifier or a multi-flow hypothesis. An identification kernel,
+    /// Used to compute the `θ̃ᵢ = C̃θᵢ` of a multi-flow hypothesis at
+    /// once (and by the dense identification oracle in the tests). An
+    /// identification kernel,
     /// so — like the batched SPE and decompose paths — its products are
     /// pinned to the portable kernel backend: per-vector equivalence is
     /// plain mul-then-add arithmetic and must not depend on which

@@ -11,6 +11,10 @@ use proptest::prelude::*;
 mod svd_route;
 use svd_route::SvdPca;
 
+#[path = "support/dense_identify.rs"]
+mod dense_identify;
+use dense_identify::DenseIdentifier;
+
 /// Deterministic structured measurement matrix parameterized by a seed.
 fn measurements(t: usize, m: usize, seed: u64) -> Matrix {
     Matrix::from_fn(t, m, |i, j| {
@@ -132,7 +136,8 @@ proptest! {
         let mut y = links.row(37).to_vec();
         vector::axpy(size, &net.routing_matrix.column(flow), &mut y);
         let fast = ident.identify(&model.residual(&y).unwrap()).unwrap();
-        let naive = ident.identify_naive(&model, &y).unwrap();
+        let oracle = DenseIdentifier::new(&model, &net.routing_matrix).unwrap();
+        let naive = oracle.identify_naive(&model, &y).unwrap();
         prop_assert_eq!(fast.flow, naive.flow);
         prop_assert!((fast.f_hat - naive.f_hat).abs() <= 1e-6 * naive.f_hat.abs().max(1.0));
     }

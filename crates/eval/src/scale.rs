@@ -17,7 +17,8 @@
 //! Reported per `(m, strategy)`: the engine bootstrap (`fit_ms`: first
 //! fit on the default two-pass Gram route, identifier, statistics —
 //! what a verb pays before its first arrival), arrivals/sec over the
-//! stream, the latency of one isolated refit, and caught/staged + false
+//! stream, the latency of one isolated refit, and caught/staged,
+//! identified (the first alarm named the staged flow) and false
 //! alarms —
 //! the figures that show the truncated solver is a pure cost
 //! transform, not a detection trade-off. Besides the usual table + CSV,
@@ -122,6 +123,8 @@ pub struct ScaleMeasurement {
     pub staged: usize,
     /// Staged anomalies that raised at least one alarm while active.
     pub caught: usize,
+    /// Caught anomalies whose first alarm named the staged flow.
+    pub identified: usize,
     /// Alarms raised outside every staged anomaly's lifetime.
     pub false_alarms: usize,
 }
@@ -203,6 +206,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> Result<Vec<ScaleMeasurement>, CoreE
                 refit_seconds,
                 staged: staged.onsets.len(),
                 caught: score.caught,
+                identified: score.identified,
                 false_alarms: score.false_alarms,
             });
         }
@@ -230,7 +234,7 @@ fn to_jsonl(rows: &[ScaleMeasurement]) -> String {
         out.push_str(&format!(
             "{{\"links\":{},\"flows\":{},\"strategy\":\"{}\",\"normal_dim\":{},\
              \"arrivals\":{},\"refits\":{},\"fit_ms\":{:.3},\"arrivals_per_sec\":{:.1},\
-             \"refit_ms\":{:.3},\"staged\":{},\"caught\":{},\"false_alarms\":{}}}\n",
+             \"refit_ms\":{:.3},\"staged\":{},\"caught\":{},\"identified\":{},\"false_alarms\":{}}}\n",
             r.links,
             r.flows,
             strategy_label(r.strategy),
@@ -242,6 +246,7 @@ fn to_jsonl(rows: &[ScaleMeasurement]) -> String {
             r.refit_seconds * 1e3,
             r.staged,
             r.caught,
+            r.identified,
             r.false_alarms,
         ));
     }
@@ -272,6 +277,7 @@ pub fn experiment(_lab: &Lab, out_dir: &Path) -> ExperimentOutput {
         "arrivals_per_sec",
         "refit_ms",
         "caught",
+        "identified",
         "false_alarms",
     ];
     let rows: Vec<Vec<String>> = rows_data
@@ -287,6 +293,7 @@ pub fn experiment(_lab: &Lab, out_dir: &Path) -> ExperimentOutput {
                 report::fmt_num(r.arrivals_per_sec),
                 format!("{:.1}", r.refit_seconds * 1e3),
                 format!("{}/{}", r.caught, r.staged),
+                r.identified.to_string(),
                 r.false_alarms.to_string(),
             ]
         })
@@ -350,6 +357,8 @@ mod tests {
             // them all, and truncation must not change what is caught.
             assert_eq!(r.caught, r.staged, "{}", strategy_label(r.strategy));
             assert_eq!(r.caught, caught0);
+            // ... and name the staged flow at the first alarm.
+            assert_eq!(r.identified, r.caught, "{}", strategy_label(r.strategy));
             assert!(
                 r.false_alarms <= r.arrivals / 20,
                 "{}: {} false alarms",
@@ -362,6 +371,7 @@ mod tests {
         assert!(jsonl.contains("\"strategy\":\"truncated\""));
         assert!(jsonl.contains("\"strategy\":\"incremental\""));
         assert!(jsonl.lines().all(|line| line.contains("\"fit_ms\":")));
+        assert!(jsonl.lines().all(|line| line.contains("\"identified\":")));
     }
 
     #[test]

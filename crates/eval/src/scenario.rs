@@ -119,6 +119,8 @@ pub(crate) fn replay(
 pub(crate) struct Score {
     /// Staged anomalies that raised at least one alarm while active.
     pub(crate) caught: usize,
+    /// Caught anomalies whose first alarm names the staged flow.
+    pub(crate) identified: usize,
     /// Bins from onset to first alarm, summed over the caught anomalies.
     pub(crate) latency_sum: usize,
     /// Detections at bins no staged anomaly was active in.
@@ -138,19 +140,24 @@ impl Score {
 }
 
 /// Score one replay: an anomaly staged at `onset` is caught by the
-/// first detection in `onset..onset + anomaly_len`; a detection outside
-/// every such lifetime is a false alarm.
+/// first detection in `onset..onset + anomaly_len`, and identified when
+/// that first alarm names the staged flow; a detection outside every
+/// such lifetime is a false alarm.
 pub(crate) fn score(
     reports: &[DiagnosisReport],
     onsets: &[(usize, usize)],
     anomaly_len: usize,
 ) -> Score {
     let mut caught = 0usize;
+    let mut identified = 0usize;
     let mut latency_sum = 0usize;
-    for &(onset, _) in onsets {
+    for &(onset, flow) in onsets {
         if let Some(t) = (onset..onset + anomaly_len).find(|&t| reports[t].detected) {
             caught += 1;
             latency_sum += t - onset;
+            if reports[t].identification.map(|id| id.flow) == Some(flow) {
+                identified += 1;
+            }
         }
     }
     let active = |t: usize| {
@@ -165,6 +172,7 @@ pub(crate) fn score(
         .count();
     Score {
         caught,
+        identified,
         latency_sum,
         false_alarms,
     }

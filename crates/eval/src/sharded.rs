@@ -94,6 +94,8 @@ pub struct ShardMeasurement {
     pub staged: usize,
     /// Staged anomalies that raised at least one alarm while active.
     pub caught: usize,
+    /// Caught anomalies whose first alarm named the staged flow.
+    pub identified: usize,
 }
 
 /// Run the scenario on a link series, sweeping every shard count in
@@ -153,6 +155,7 @@ pub fn run_scenario(
             detections: run.reports.iter().filter(|r| r.detected).count(),
             staged: staged.onsets.len(),
             caught: score.caught,
+            identified: score.identified,
         });
     }
     Ok(out)
@@ -191,6 +194,7 @@ pub fn experiment(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
                 ),
                 m.detections.to_string(),
                 format!("{}/{}", m.caught, m.staged),
+                m.identified.to_string(),
             ]
         })
         .collect();
@@ -203,6 +207,7 @@ pub fn experiment(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
         "merge_share",
         "detections",
         "caught",
+        "identified",
     ];
     let rendered = format!(
         "Sharded ingestion on {} ({} links, round-robin partitions):\n\

@@ -82,6 +82,8 @@ pub struct CadenceMeasurement {
     pub staged: usize,
     /// Staged anomalies that raised at least one alarm while active.
     pub caught: usize,
+    /// Caught anomalies whose first alarm named the staged flow.
+    pub identified: usize,
     /// Mean bins from onset to first alarm, over the caught anomalies.
     pub mean_latency_bins: f64,
 }
@@ -133,6 +135,7 @@ pub fn run_scenario(
                 arrivals_per_sec: run.arrivals_per_sec(),
                 staged: staged.onsets.len(),
                 caught: score.caught,
+                identified: score.identified,
                 mean_latency_bins: score.mean_latency_bins(),
             });
         }
@@ -172,6 +175,7 @@ pub fn experiment(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
                 m.refits.to_string(),
                 report::fmt_num(m.arrivals_per_sec),
                 format!("{}/{}", m.caught, m.staged),
+                m.identified.to_string(),
                 if m.mean_latency_bins.is_nan() {
                     "-".to_string()
                 } else {
@@ -186,6 +190,7 @@ pub fn experiment(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
         "refits",
         "arrivals_per_sec",
         "caught",
+        "identified",
         "latency_bins",
     ];
     let rendered = format!(

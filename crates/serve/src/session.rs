@@ -178,15 +178,6 @@ pub struct Session {
     downgraded: Option<&'static str>,
 }
 
-/// One flow per link: the identification fallback the offline verbs use
-/// when no routing is supplied — the served sessions always use it,
-/// which keeps a `serve` replay byte-identical to
-/// `netanom stream --links …` without `--paths`.
-fn identity_routing(dim: usize) -> RoutingMatrix {
-    let paths: Vec<Vec<usize>> = (0..dim).map(|l| vec![l]).collect();
-    RoutingMatrix::from_paths(dim, &paths)
-}
-
 impl Session {
     /// Open a session: validate nothing further (the config is already
     /// validated), apply the cadence-downgrade rule, start training.
@@ -473,7 +464,7 @@ impl Session {
                     ServeError::new(ErrorCode::Checkpoint, format!("decoding statistics: {e}"))
                 })?),
             };
-            let rm = identity_routing(cp.dim);
+            let rm = RoutingMatrix::identity(cp.dim);
             let backend = method
                 .backend_from_state(
                     &state,
@@ -523,14 +514,17 @@ impl Session {
 
 /// Fit the session's configured method on the accumulated training rows
 /// — the same shared construction path (`build_streaming`) as
-/// `netanom stream`, with identity routing.
+/// `netanom stream`, with identity routing: one flow per link, the
+/// fallback the offline verbs use when no routing is supplied, which
+/// keeps a `serve` replay byte-identical to `netanom stream --links …`
+/// without `--paths`.
 fn fit(
     config: &SessionConfig,
     training_rows: &[Vec<f64>],
 ) -> Result<(StreamingEngine<MethodBackend>, Event), ServeError> {
     let dim = config.dim;
     let training = Matrix::from_fn(training_rows.len(), dim, |i, j| training_rows[i][j]);
-    let rm = identity_routing(dim);
+    let rm = RoutingMatrix::identity(dim);
     let engine = build_streaming(&config.engine, &training, &rm)
         .map_err(|e| ServeError::new(ErrorCode::BadConfig, e))?;
     let backend = engine.backend();

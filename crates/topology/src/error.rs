@@ -45,6 +45,20 @@ pub enum TopologyError {
         /// Which partition invariant was violated.
         reason: String,
     },
+    /// A supplied flow path lists no links.
+    EmptyPath {
+        /// The flow with the empty path.
+        flow: usize,
+    },
+    /// A supplied flow path names a link the network does not have.
+    LinkOutOfRange {
+        /// The flow whose path names it.
+        flow: usize,
+        /// The offending link index.
+        link: usize,
+        /// Number of links in the network.
+        num_links: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -78,6 +92,15 @@ impl fmt::Display for TopologyError {
             TopologyError::InvalidPartition { reason } => {
                 write!(f, "invalid link partition: {reason}")
             }
+            TopologyError::EmptyPath { flow } => write!(f, "flow {flow} has an empty path"),
+            TopologyError::LinkOutOfRange {
+                flow,
+                link,
+                num_links,
+            } => write!(
+                f,
+                "flow {flow} references link {link}, but there are only {num_links} links"
+            ),
         }
     }
 }

@@ -14,9 +14,10 @@
 //!   36 + 13 = 49).
 //! * [`routing::Routes`] — shortest-path routes for every ordered PoP pair,
 //!   computed by Dijkstra with deterministic tie-breaking.
-//! * [`RoutingMatrix`] — the matrix `A` plus the derived per-flow vectors
-//!   the subspace method consumes: `θᵢ = Aᵢ/‖Aᵢ‖` (unit-norm anomaly
-//!   direction) and `Āᵢ = Aᵢ/ΣAᵢ` (quantification weights).
+//! * [`RoutingMatrix`] — the matrix `A`, stored as its flows' paths
+//!   ([`FlowPaths`]), plus the derived per-flow vectors the subspace
+//!   method consumes: `θᵢ = Aᵢ/‖Aᵢ‖` (unit-norm anomaly direction) and
+//!   `Āᵢ = Aᵢ/ΣAᵢ` (quantification weights).
 //! * [`builtin`] — the two topologies studied in the paper plus small
 //!   fixtures and a seeded random generator.
 //! * [`synth`] — parameterized synthetic backbones (PoP count, degree
@@ -50,7 +51,7 @@ pub mod synth;
 pub use builtin::Network;
 pub use error::TopologyError;
 pub use graph::{Link, LinkId, Pop, PopId, Topology};
-pub use matrix::{Flow, FlowId, OdPair, RoutingMatrix};
+pub use matrix::{Flow, FlowId, FlowPaths, OdPair, RoutingMatrix};
 pub use partition::LinkPartition;
 
 /// Result alias used throughout the crate.

@@ -1,9 +1,10 @@
 //! The routing matrix `A` and per-flow derived vectors.
 
-use netanom_linalg::{vector, Matrix};
+use std::sync::Arc;
 
 use crate::graph::{LinkId, PopId, Topology};
 use crate::routing::Routes;
+use crate::{Result, TopologyError};
 
 /// Identifier of an OD flow (column index into the routing matrix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,6 +24,29 @@ pub struct Flow {
     pub path: Vec<LinkId>,
 }
 
+/// The links of every flow in compressed-column form: flow `i`'s links
+/// are `path(i)`, ascending and distinct — the row indices of the ones
+/// in column `i` of `A`.
+///
+/// [`RoutingMatrix`] keeps it behind an [`Arc`] so a consumer that
+/// outlives one refit (the identifier) shares it for a refcount bump.
+#[derive(Debug)]
+pub struct FlowPaths {
+    /// `links[offsets[i]..offsets[i + 1]]` is flow `i`'s path.
+    offsets: Vec<usize>,
+    links: Vec<usize>,
+}
+
+impl FlowPaths {
+    /// Flow `i`'s links, ascending.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn path(&self, i: usize) -> &[usize] {
+        &self.links[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
 /// The routing matrix `A` (`#links × #OD-flows`, entries 0/1) together with
 /// the per-flow vectors the subspace method consumes.
 ///
@@ -31,10 +55,12 @@ pub struct Flow {
 /// intra-PoP link). For Abilene this gives the paper's 41 × 121 matrix; for
 /// the Sprint-Europe-like topology, 49 × 169.
 ///
-/// Three views of column `i` are precomputed because the diagnosis steps
-/// use them constantly:
+/// `A` is a path-incidence matrix — a few ones per column among hundreds
+/// or thousands of links — so it is stored as its paths
+/// ([`RoutingMatrix::paths`], `O(nnz(A))`), and every dense view of
+/// column `i` is built from flow `i`'s path on request:
 ///
-/// * `column(i)` — the raw 0/1 column `Aᵢ`,
+/// * [`RoutingMatrix::column`] — the raw 0/1 column `Aᵢ`,
 /// * [`RoutingMatrix::theta`] — `θᵢ = Aᵢ / ‖Aᵢ‖`, the unit-norm direction in
 ///   which a one-dimensional anomaly in flow `i` moves the link vector
 ///   (Section 5.2), and
@@ -42,10 +68,9 @@ pub struct Flow {
 ///   convert per-link anomalous traffic back to flow bytes (Section 5.3).
 #[derive(Debug, Clone)]
 pub struct RoutingMatrix {
-    a: Matrix,
+    num_links: usize,
     flows: Vec<Flow>,
-    theta: Matrix,
-    abar: Matrix,
+    paths: Arc<FlowPaths>,
 }
 
 impl RoutingMatrix {
@@ -60,22 +85,28 @@ impl RoutingMatrix {
     /// when the flow count is a perfect square (`o = f / √n`,
     /// `d = f mod √n`), or `(0, 0)` otherwise.
     ///
-    /// # Panics
-    /// Panics if any path is empty or references a link `≥ num_links`.
-    pub fn from_paths(num_links: usize, paths: &[Vec<usize>]) -> Self {
+    /// Returns [`TopologyError::EmptyPath`] for a flow with no links and
+    /// [`TopologyError::LinkOutOfRange`] for a link `≥ num_links`.
+    pub fn try_from_paths(num_links: usize, paths: &[Vec<usize>]) -> Result<Self> {
         let n_flows = paths.len();
         let side = (n_flows as f64).sqrt() as usize;
         let square = side * side == n_flows;
 
-        let mut a = Matrix::zeros(num_links, n_flows);
         let mut flows = Vec::with_capacity(n_flows);
         for (f, path) in paths.iter().enumerate() {
-            assert!(!path.is_empty(), "flow {f} has an empty path");
-            let mut link_ids = Vec::with_capacity(path.len());
+            if path.is_empty() {
+                return Err(TopologyError::EmptyPath { flow: f });
+            }
+            let mut link_ids: Vec<LinkId> = Vec::with_capacity(path.len());
             for &l in path {
-                assert!(l < num_links, "flow {f} references link {l} >= {num_links}");
-                if a[(l, f)] == 0.0 {
-                    a[(l, f)] = 1.0;
+                if l >= num_links {
+                    return Err(TopologyError::LinkOutOfRange {
+                        flow: f,
+                        link: l,
+                        num_links,
+                    });
+                }
+                if !link_ids.contains(&LinkId(l)) {
                     link_ids.push(LinkId(l));
                 }
             }
@@ -90,70 +121,69 @@ impl RoutingMatrix {
                 path: link_ids,
             });
         }
-        Self::finish(a, flows)
+        Ok(Self::finish(num_links, flows))
+    }
+
+    /// [`RoutingMatrix::try_from_paths`] for paths known to be valid.
+    ///
+    /// # Panics
+    /// Panics if any path is empty or references a link `≥ num_links`.
+    pub fn from_paths(num_links: usize, paths: &[Vec<usize>]) -> Self {
+        Self::try_from_paths(num_links, paths).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// One flow per link: flow `l` traverses link `l` alone, so
+    /// identification names the most anomalous link. The routing the
+    /// deployment verbs fall back to when no paths are supplied.
+    pub fn identity(num_links: usize) -> Self {
+        let paths: Vec<Vec<usize>> = (0..num_links).map(|l| vec![l]).collect();
+        Self::from_paths(num_links, &paths)
     }
 
     /// Build the routing matrix from a topology and its routes.
     pub fn new(topo: &Topology, routes: &Routes) -> Self {
         let n_pops = topo.num_pops();
-        let m = topo.num_links();
-        let n_flows = n_pops * n_pops;
-
-        let mut a = Matrix::zeros(m, n_flows);
-        let mut flows = Vec::with_capacity(n_flows);
+        let mut flows = Vec::with_capacity(n_pops * n_pops);
         for o in 0..n_pops {
             for d in 0..n_pops {
-                let id = FlowId(o * n_pops + d);
                 let od = (PopId(o), PopId(d));
-                let path = routes.path(od).to_vec();
-                for &lid in &path {
-                    a[(lid.0, id.0)] = 1.0;
-                }
-                flows.push(Flow { id, od, path });
+                flows.push(Flow {
+                    id: FlowId(o * n_pops + d),
+                    od,
+                    path: routes.path(od).to_vec(),
+                });
             }
         }
-
-        Self::finish(a, flows)
+        Self::finish(topo.num_links(), flows)
     }
 
-    /// Derive `θᵢ` and `Āᵢ` from the 0/1 matrix and freeze.
-    fn finish(a: Matrix, flows: Vec<Flow>) -> Self {
-        let m = a.rows();
-        let n_flows = a.cols();
-        let mut theta = Matrix::zeros(m, n_flows);
-        let mut abar = Matrix::zeros(m, n_flows);
-        for f in 0..n_flows {
-            let col = a.col(f);
-            let norm = vector::norm(&col);
-            let sum = vector::sum(&col);
-            for (l, &v) in col.iter().enumerate() {
-                if v != 0.0 {
-                    theta[(l, f)] = v / norm;
-                    abar[(l, f)] = v / sum;
-                }
-            }
+    /// Index every flow's distinct links, ascending, and freeze.
+    fn finish(num_links: usize, flows: Vec<Flow>) -> Self {
+        let mut offsets = Vec::with_capacity(flows.len() + 1);
+        let mut links = Vec::new();
+        offsets.push(0);
+        for flow in &flows {
+            let mut path: Vec<usize> = flow.path.iter().map(|l| l.0).collect();
+            path.sort_unstable();
+            path.dedup();
+            links.extend(path);
+            offsets.push(links.len());
         }
         RoutingMatrix {
-            a,
+            num_links,
             flows,
-            theta,
-            abar,
+            paths: Arc::new(FlowPaths { offsets, links }),
         }
-    }
-
-    /// The raw matrix `A`.
-    pub fn a(&self) -> &Matrix {
-        &self.a
     }
 
     /// Number of links (rows of `A`).
     pub fn num_links(&self) -> usize {
-        self.a.rows()
+        self.num_links
     }
 
     /// Number of OD flows (columns of `A`).
     pub fn num_flows(&self) -> usize {
-        self.a.cols()
+        self.flows.len()
     }
 
     /// Metadata for flow `i`.
@@ -169,33 +199,44 @@ impl RoutingMatrix {
         &self.flows
     }
 
+    /// Every flow's links, ascending: `A` in compressed-column form.
+    pub fn paths(&self) -> &Arc<FlowPaths> {
+        &self.paths
+    }
+
+    /// The dense column of flow `i` holding `value` at each of its links.
+    fn dense_column(&self, i: usize, value: f64) -> Vec<f64> {
+        let mut col = vec![0.0; self.num_links];
+        for &l in self.paths.path(i) {
+            col[l] = value;
+        }
+        col
+    }
+
     /// Raw 0/1 column `Aᵢ`.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn column(&self, i: usize) -> Vec<f64> {
-        self.a.col(i)
+        self.dense_column(i, 1.0)
     }
 
-    /// Unit-norm anomaly direction `θᵢ = Aᵢ / ‖Aᵢ‖`.
+    /// Unit-norm anomaly direction `θᵢ = Aᵢ / ‖Aᵢ‖`: `1/√kᵢ` on each of
+    /// the flow's `kᵢ` links.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn theta(&self, i: usize) -> Vec<f64> {
-        self.theta.col(i)
+        self.dense_column(i, 1.0 / (self.path_len(i) as f64).sqrt())
     }
 
-    /// All `θᵢ` as the columns of an `m × n` matrix.
-    pub fn theta_matrix(&self) -> &Matrix {
-        &self.theta
-    }
-
-    /// Unit-sum quantification weights `Āᵢ = Aᵢ / ΣAᵢ`.
+    /// Unit-sum quantification weights `Āᵢ = Aᵢ / ΣAᵢ`: `1/kᵢ` on each of
+    /// the flow's `kᵢ` links.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn abar(&self, i: usize) -> Vec<f64> {
-        self.abar.col(i)
+        self.dense_column(i, 1.0 / self.path_len(i) as f64)
     }
 
     /// Number of links on flow `i`'s path (`ΣAᵢ`, also `‖Aᵢ‖²`).
@@ -203,7 +244,7 @@ impl RoutingMatrix {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn path_len(&self, i: usize) -> usize {
-        self.flows[i].path.len()
+        self.paths.path(i).len()
     }
 
     /// Map an OD pair to its flow id.
@@ -212,14 +253,20 @@ impl RoutingMatrix {
         FlowId(od.0 .0 * n + od.1 .0)
     }
 
-    /// Compute link loads `y = A x` for one timestep of OD traffic `x`.
+    /// Compute link loads `y = A x` for one timestep of OD traffic `x`:
+    /// each link sums the flows crossing it in ascending flow order.
     ///
     /// # Panics
     /// Panics if `x.len() != num_flows()`.
     pub fn link_loads(&self, x: &[f64]) -> Vec<f64> {
-        self.a
-            .matvec(x)
-            .expect("x length checked against num_flows")
+        assert_eq!(x.len(), self.num_flows(), "x length must equal num_flows");
+        let mut y = vec![0.0; self.num_links];
+        for (f, &xf) in x.iter().enumerate() {
+            for &l in self.paths.path(f) {
+                y[l] += xf;
+            }
+        }
+        y
     }
 }
 
@@ -228,6 +275,7 @@ mod tests {
     use super::*;
     use crate::graph::Topology;
     use crate::routing::Routes;
+    use netanom_linalg::vector;
 
     fn line3() -> (Topology, Routes, RoutingMatrix) {
         let mut b = Topology::builder("line3");
@@ -333,8 +381,8 @@ mod tests {
             .map(|f| rm.flow(f).path.iter().map(|l| l.0).collect())
             .collect();
         let rebuilt = RoutingMatrix::from_paths(rm.num_links(), &paths);
-        assert!(rebuilt.a().approx_eq(rm.a(), 0.0));
         for f in 0..rm.num_flows() {
+            assert_eq!(rebuilt.column(f), rm.column(f), "column of flow {f}");
             assert_eq!(rebuilt.flow(f).od, rm.flow(f).od, "OD pair of flow {f}");
             assert!(vector::approx_eq(&rebuilt.theta(f), &rm.theta(f), 1e-12));
             assert!(vector::approx_eq(&rebuilt.abar(f), &rm.abar(f), 1e-12));
@@ -358,6 +406,46 @@ mod tests {
     #[should_panic(expected = "references link")]
     fn from_paths_rejects_out_of_range_link() {
         RoutingMatrix::from_paths(3, &[vec![7]]);
+    }
+
+    #[test]
+    fn try_from_paths_types_an_empty_path() {
+        let err = RoutingMatrix::try_from_paths(3, &[vec![1], vec![]]).unwrap_err();
+        assert_eq!(err, TopologyError::EmptyPath { flow: 1 });
+        assert!(err.to_string().contains("empty path"), "{err}");
+    }
+
+    #[test]
+    fn try_from_paths_types_an_out_of_range_link() {
+        let err = RoutingMatrix::try_from_paths(3, &[vec![0, 2], vec![1, 7]]).unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::LinkOutOfRange {
+                flow: 1,
+                link: 7,
+                num_links: 3
+            }
+        );
+        assert!(err.to_string().contains("references link"), "{err}");
+    }
+
+    #[test]
+    fn paths_are_sorted_distinct_columns() {
+        let rm = RoutingMatrix::from_paths(5, &[vec![4, 1, 4, 0], vec![3]]);
+        assert_eq!(rm.paths().path(0), &[0, 1, 4]);
+        assert_eq!(rm.paths().path(1), &[3]);
+        // Flow metadata keeps the traversal order.
+        let path: Vec<usize> = rm.flow(0).path.iter().map(|l| l.0).collect();
+        assert_eq!(path, vec![4, 1, 0]);
+    }
+
+    #[test]
+    fn identity_is_one_flow_per_link() {
+        let rm = RoutingMatrix::identity(9);
+        assert_eq!((rm.num_links(), rm.num_flows()), (9, 9));
+        for l in 0..9 {
+            assert_eq!(rm.paths().path(l), &[l]);
+        }
     }
 
     #[test]

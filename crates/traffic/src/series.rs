@@ -98,6 +98,9 @@ impl OdSeries {
     /// This is the measurement matrix the subspace method works on; the
     /// paper constructs it the same way ("we follow the method of \[31\] and
     /// construct link counts from OD flow counts using a routing table").
+    /// Each bin is [`RoutingMatrix::link_loads`]: every link adds the
+    /// flows crossing it in ascending flow order, the per-entry order of
+    /// the dense product `X·Aᵀ`, whose zero entries add nothing.
     ///
     /// # Panics
     /// Panics if the routing matrix's flow count differs from this series'.
@@ -107,9 +110,11 @@ impl OdSeries {
             rm.num_flows(),
             "routing matrix flow count mismatch"
         );
-        // Y = X Aᵀ  (bins × links).
-        let at = rm.a().transpose();
-        let y = self.data.matmul(&at).expect("shape checked above");
+        // Y = X Aᵀ  (bins × links), one scatter per bin.
+        let mut y = Matrix::zeros(self.num_bins(), rm.num_links());
+        for t in 0..self.num_bins() {
+            y.row_mut(t).copy_from_slice(&rm.link_loads(self.bin(t)));
+        }
         LinkSeries { data: y }
     }
 }
