@@ -164,3 +164,43 @@ fn stream_with_a_method_succeeds_end_to_end() {
     assert!(stderr.contains("method = wavelet"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_oversized_chunk_costs_only_the_rows_read() {
+    // A `--chunk` of 10¹² rows once reserved that many rows of floats
+    // before the first row was read, and the process aborted on the
+    // allocation.
+    let dir = std::env::temp_dir().join("netanom-exit-huge-chunk");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = netanom(&[
+        "simulate",
+        "--dataset",
+        "mini",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "simulate: {:?}", out.status);
+    let links = dir.join("links.csv");
+    let alarms = |chunk: &str| {
+        let out = netanom(&[
+            "stream",
+            "--links",
+            links.to_str().unwrap(),
+            "--paths",
+            dir.join("paths.csv").to_str().unwrap(),
+            "--train-bins",
+            "216",
+            "--chunk",
+            chunk,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "--chunk {chunk}: {:?}", out);
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let want = alarms("36");
+    assert!(
+        want.lines().count() > 1,
+        "the mini dataset stages anomalies"
+    );
+    assert_eq!(alarms("1000000000000"), want);
+    std::fs::remove_dir_all(&dir).ok();
+}

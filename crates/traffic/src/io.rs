@@ -12,7 +12,11 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::io::BufRead;
+use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 use netanom_linalg::Matrix;
 use netanom_topology::LinkPartition;
@@ -108,39 +112,225 @@ impl From<io::Error> for CsvError {
     }
 }
 
-/// Parse one data line (1-based `line` number for error reporting) into
-/// `m` numeric fields appended onto `out`.
-fn parse_row_into(
-    line_text: &str,
+/// Rounds of at least this many bytes of text convert on two threads.
+///
+/// Splitting a round saves half its conversion and costs one handoff to
+/// the helper and back. `str::parse::<f64>` takes about 45 ns per field
+/// on the 16–17-digit fields `link_series_to_csv_string` writes, about
+/// 18 bytes with the comma, so conversion costs at least 2.5 ns per
+/// byte. A handoff round trip to an idle helper measured a median of
+/// 18–27 µs on a 2-vCPU Xeon VM. Half a round outweighs that from about
+/// 2 × 27 µs / 2.5 ns ≈ 22 KB; 32 KiB keeps the helper off rounds whose
+/// gain the host's scheduling noise would eat. A six-hour chunk of the
+/// ledger's m = 121 series (36 rows, ≈ 80 KB) splits; a short `--chunk`
+/// or a narrow network converts on the caller's thread alone.
+const SPLIT_MIN_BYTES: usize = 32 * 1024;
+
+/// A block is cut and converted in rounds that stop once this much text
+/// is buffered (or the block's rows are in).
+///
+/// It bounds the text a block holds at once, however many rows it asks
+/// for: a 1008-row training prefix at m = 121 is 2.2 MB of text, more
+/// than its 0.98 MB of numbers, and a `--chunk` in the millions would
+/// otherwise buffer a whole file. At 2.5 ns per byte a round of this
+/// size converts in about 1.3 ms, so its one handoff costs about 2 %.
+const ROUND_BYTES: usize = 512 * 1024;
+
+/// One round of a block's data lines as read: their text, one line after
+/// another in one buffer that [`CsvChunks`] reuses from round to round,
+/// and where each data line sits in it.
+#[derive(Debug, Default, Clone)]
+struct Lines {
+    text: String,
+    cuts: Vec<Cut>,
+}
+
+/// One data line of a [`Lines`] buffer: its byte range with the line
+/// ending left out, and its 1-based line number in the input.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    start: usize,
+    end: usize,
     line: usize,
-    m: usize,
-    out: &mut Vec<f64>,
-) -> Result<(), CsvError> {
-    let fields: Vec<&str> = line_text.split(',').collect();
-    if fields.len() != m {
+}
+
+impl Lines {
+    /// Convert the data lines numbered `rows` (block order) onto `out`,
+    /// stopping at the first bad one.
+    fn convert(&self, rows: Range<usize>, m: usize, out: &mut Vec<f64>) -> Result<(), CsvError> {
+        for cut in &self.cuts[rows] {
+            convert_row(&self.text[cut.start..cut.end], cut.line, m, out)?;
+        }
+        Ok(())
+    }
+
+    /// The numbers the data lines `rows` can hold: `m` each, but never
+    /// more than their bytes of text — every field of a valid row takes
+    /// at least one — so a wide header over short rows reserves only what
+    /// the text allows.
+    fn capacity(&self, rows: Range<usize>, m: usize) -> usize {
+        let cuts = &self.cuts[rows];
+        let bytes = match (cuts.first(), cuts.last()) {
+            (Some(first), Some(last)) => last.end - first.start,
+            _ => 0,
+        };
+        cuts.len().saturating_mul(m).min(bytes)
+    }
+}
+
+/// Convert one data line (1-based `line` for error reporting) into `m`
+/// finite numbers appended onto `out`. The fields are counted before any
+/// is converted, so a row that is both ragged and holds a bad number
+/// reports [`CsvError::RaggedRow`].
+fn convert_row(text: &str, line: usize, m: usize, out: &mut Vec<f64>) -> Result<(), CsvError> {
+    let got = text.bytes().filter(|&b| b == b',').count() + 1;
+    if got != m {
         return Err(CsvError::RaggedRow {
             line,
-            got: fields.len(),
+            got,
             expected: m,
         });
     }
-    for (column, field) in fields.iter().enumerate() {
-        let trimmed = field.trim();
-        let v: f64 = trimmed.parse().map_err(|_| CsvError::BadNumber {
-            line,
-            column,
-            text: trimmed.to_string(),
-        })?;
-        if !v.is_finite() {
-            return Err(CsvError::BadNumber {
-                line,
-                column,
-                text: trimmed.to_string(),
-            });
+    for (column, field) in text.split(',').enumerate() {
+        let field = trim_field(field);
+        match field.parse::<f64>() {
+            Ok(v) if v.is_finite() => out.push(v),
+            _ => {
+                return Err(CsvError::BadNumber {
+                    line,
+                    column,
+                    text: field.to_string(),
+                })
+            }
         }
-        out.push(v);
     }
     Ok(())
+}
+
+/// `field.trim()`, skipped when no edge byte can belong to a whitespace
+/// character: ASCII whitespace is at most `b' '`, and every other
+/// whitespace character is encoded in bytes of `0x80` and above.
+fn trim_field(field: &str) -> &str {
+    let maybe_space = |b: &u8| *b <= b' ' || *b >= 0x80;
+    let bytes = field.as_bytes();
+    if bytes.first().is_some_and(maybe_space) || bytes.last().is_some_and(maybe_space) {
+        field.trim()
+    } else {
+        field
+    }
+}
+
+/// Rows of one round for the helper thread to convert.
+struct Job {
+    lines: Arc<Lines>,
+    rows: Range<usize>,
+    m: usize,
+    /// The buffer to convert into, sized by the caller so the helper
+    /// never allocates; handed back in the [`Reply`].
+    out: Vec<f64>,
+}
+
+/// The helper thread's answer to one [`Job`].
+struct Reply {
+    out: Vec<f64>,
+    result: Result<(), CsvError>,
+}
+
+/// The second core of a [`CsvChunks`], started the first time a round is
+/// large enough to split.
+#[derive(Debug, Default)]
+enum Helper {
+    /// No block has needed it yet.
+    #[default]
+    Unstarted,
+    Running(HelperThread),
+    /// One usable core, a failed spawn, a helper that went away, or an
+    /// input that has ended: every round converts on the caller's thread.
+    Inline,
+}
+
+impl Helper {
+    /// The running helper, started on first use where
+    /// `available_parallelism` (which honours affinity masks) reports at
+    /// least two cores.
+    fn get(&mut self) -> Option<&HelperThread> {
+        if matches!(self, Helper::Unstarted) {
+            let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            *self = match (cores >= 2).then(HelperThread::spawn).flatten() {
+                Some(running) => Helper::Running(running),
+                None => Helper::Inline,
+            };
+        }
+        match self {
+            Helper::Running(running) => Some(running),
+            _ => None,
+        }
+    }
+}
+
+/// A thread that converts the rows it is sent until its job channel
+/// closes. Dropping it closes the channel and joins the thread.
+#[derive(Debug)]
+struct HelperThread {
+    jobs: Option<mpsc::Sender<Job>>,
+    replies: mpsc::Receiver<Reply>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl HelperThread {
+    fn spawn() -> Option<Self> {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        let (outbox, replies) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name("csv-convert".to_string())
+            .spawn(move || {
+                for Job {
+                    lines,
+                    rows,
+                    m,
+                    mut out,
+                } in inbox
+                {
+                    let result = lines.convert(rows, m, &mut out);
+                    // Let go of the text before answering, so the caller
+                    // holds the only reference again and reuses it.
+                    drop(lines);
+                    if outbox.send(Reply { out, result }).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(HelperThread {
+            jobs: Some(jobs),
+            replies,
+            thread: Some(thread),
+        })
+    }
+
+    /// Hand rows `rows` of `lines` to the thread; false if it has gone.
+    fn send(&self, lines: Arc<Lines>, rows: Range<usize>, m: usize) -> bool {
+        let out = Vec::with_capacity(lines.capacity(rows.clone(), m));
+        self.jobs.as_ref().is_some_and(|jobs| {
+            jobs.send(Job {
+                lines,
+                rows,
+                m,
+                out,
+            })
+            .is_ok()
+        })
+    }
+}
+
+impl Drop for HelperThread {
+    fn drop(&mut self) {
+        // A closed job channel ends the thread's loop.
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Streaming CSV reader yielding row *blocks* (`≤ chunk_rows × m`
@@ -150,11 +340,27 @@ fn parse_row_into(
 /// method-agnostic: the same chunks drive whichever detection backend
 /// the engine was instantiated with (`netanom stream --method …`).
 ///
-/// The header is read eagerly on construction; each
-/// [`CsvChunks::next_chunk`] (or iterator step) then parses at most
-/// `chunk_rows` data rows directly into one flat matrix buffer. Blank
-/// lines are skipped and error positions are reported with 1-based file
-/// line numbers, exactly like [`link_series_from_csv_str`].
+/// The header is read eagerly on construction. Each
+/// [`CsvChunks::next_chunk`] (or iterator step) then reads up to
+/// `chunk_rows` data rows in two steps. It *cuts* the lines into one text
+/// buffer that is reused from block to block, validating each line's
+/// UTF-8 as it is read and skipping blank lines. It then *converts* each
+/// cut line to `m` finite numbers in one flat matrix buffer sized from
+/// the rows actually read. The two steps take turns in rounds of at most
+/// 512 KiB of text, so a huge `chunk_rows` buffers no more text than
+/// that. A round of at least 32 KiB converts on two cores: the caller's
+/// thread takes the first half of its rows while a helper thread owned
+/// by the reader takes the second. The helper starts with the first
+/// such round on a host with two usable cores; the read that meets the
+/// end of the input or an error joins it, as does dropping the reader
+/// before then. The reader itself never leaves the caller's thread, so
+/// `R` needs no `Send`.
+///
+/// Blocks, values and errors do not depend on which thread converted a
+/// row: a block reports the error of its first bad line in file order
+/// (ragged before bad number within a line), with 1-based file line
+/// numbers exactly like [`link_series_from_csv_str`], and every later
+/// call returns `Ok(None)`.
 ///
 /// [`netanom_core::stream::StreamingEngine::process_batch`]:
 /// https://docs.rs/netanom-core
@@ -170,6 +376,9 @@ pub struct CsvChunks<R> {
     /// Leftover rows from a [`CsvChunks::take_rows`] boundary split,
     /// yielded before any further reading.
     pending: Option<Matrix>,
+    /// The round being read; shared with the helper while it converts.
+    lines: Arc<Lines>,
+    helper: Helper,
 }
 
 impl<R: BufRead> CsvChunks<R> {
@@ -195,6 +404,8 @@ impl<R: BufRead> CsvChunks<R> {
             line: 1,
             done: false,
             pending: None,
+            lines: Arc::default(),
+            helper: Helper::default(),
         })
     }
 
@@ -216,43 +427,124 @@ impl<R: BufRead> CsvChunks<R> {
         if let Some(p) = self.pending.take() {
             return Ok(Some(p));
         }
-        if self.done {
-            return Ok(None);
+        self.read_block(self.chunk_rows)
+    }
+
+    /// Read and convert up to `max_rows` data rows as one block, in
+    /// rounds of at most [`ROUND_BYTES`] of text.
+    fn read_block(&mut self, max_rows: usize) -> Result<Option<Matrix>, CsvError> {
+        let mut data = Vec::new();
+        let mut rows = 0;
+        let mut rounds = 0;
+        let mut failed = None;
+        while rows < max_rows && !self.done {
+            let stopped = self.cut(max_rows - rows);
+            rows += self.lines.cuts.len();
+            rounds += 1;
+            // A bad line before the one the cut stopped at came first.
+            failed = self.convert(&mut data).err().or(stopped);
+            self.done |= failed.is_some();
         }
-        let m = self.names.len();
-        let mut data: Vec<f64> = Vec::with_capacity(self.chunk_rows * m);
-        let mut rows = 0usize;
-        let mut buf = String::new();
-        while rows < self.chunk_rows {
-            buf.clear();
-            let read = match self.reader.read_line(&mut buf) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e.into());
-                }
-            };
-            if read == 0 {
-                self.done = true;
-                break;
-            }
-            self.line += 1;
-            let text = buf.trim_end_matches(['\n', '\r']);
-            if text.trim().is_empty() {
-                continue;
-            }
-            if let Err(e) = parse_row_into(text, self.line, m, &mut data) {
-                self.done = true;
-                return Err(e);
-            }
-            rows += 1;
+        if self.done {
+            // Nothing is left to convert: join the helper in the read that
+            // found the end, not whenever the reader is dropped.
+            self.helper = Helper::Inline;
+        }
+        if rounds > 1 {
+            // A block of several rounds is a bulk read (the training
+            // prefix); the steady state's blocks fit one round, so only a
+            // buffer of their size stays resident.
+            self.lines = Arc::default();
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         if rows == 0 {
             return Ok(None);
         }
         Ok(Some(
-            Matrix::from_vec(rows, m, data).expect("sized to shape"),
+            Matrix::from_vec(rows, self.names.len(), data).expect("sized to shape"),
         ))
+    }
+
+    /// Read up to `max_rows` data lines into the text buffer, stopping
+    /// early once it holds [`ROUND_BYTES`]. Returns the read error that
+    /// stopped it, if any; end of input or an error ends the reader.
+    fn cut(&mut self, max_rows: usize) -> Option<CsvError> {
+        let lines = Arc::make_mut(&mut self.lines);
+        lines.text.clear();
+        lines.cuts.clear();
+        while lines.cuts.len() < max_rows && lines.text.len() < ROUND_BYTES {
+            let start = lines.text.len();
+            // `read_line` appends, and checks only the appended bytes'
+            // UTF-8; a line that is not UTF-8 is left out of the buffer.
+            match self.reader.read_line(&mut lines.text) {
+                Ok(0) => {
+                    self.done = true;
+                    break;
+                }
+                Ok(_) => {}
+                Err(e) => {
+                    self.done = true;
+                    lines.text.truncate(start);
+                    return Some(e.into());
+                }
+            }
+            self.line += 1;
+            let row = lines.text[start..].trim_end_matches(['\n', '\r']);
+            if row.trim().is_empty() {
+                lines.text.truncate(start);
+                continue;
+            }
+            let end = start + row.len();
+            lines.cuts.push(Cut {
+                start,
+                end,
+                line: self.line,
+            });
+        }
+        None
+    }
+
+    /// Convert the cut lines onto `data`, `m` numbers each. The first half
+    /// of a round of at least [`SPLIT_MIN_BYTES`] converts here while the
+    /// helper converts the second; a bad line in the first half wins over
+    /// one in the second, as it came first in the file.
+    fn convert(&mut self, data: &mut Vec<f64>) -> Result<(), CsvError> {
+        let m = self.names.len();
+        let lines = &self.lines;
+        let rows = lines.cuts.len();
+        data.reserve(lines.capacity(0..rows, m));
+        let helper = if lines.text.len() >= SPLIT_MIN_BYTES && rows >= 2 {
+            self.helper.get()
+        } else {
+            None
+        };
+        let Some(helper) = helper else {
+            return lines.convert(0..rows, m, data);
+        };
+        let head = rows / 2;
+        let sent = helper.send(Arc::clone(lines), head..rows, m);
+        let head_result = lines.convert(0..head, m, data);
+        // The reply is received even when the head failed, so it cannot
+        // be mistaken for the next round's.
+        let reply = if sent {
+            helper.replies.recv().ok()
+        } else {
+            None
+        };
+        head_result?;
+        match reply {
+            Some(Reply { out, result }) => {
+                result?;
+                data.extend_from_slice(&out);
+            }
+            None => {
+                self.helper = Helper::Inline;
+                self.lines.convert(head..rows, m, data)?;
+            }
+        }
+        Ok(())
     }
 
     /// Read exactly `need` data rows as one `need × m` matrix —
@@ -275,10 +567,12 @@ impl<R: BufRead> CsvChunks<R> {
         Err(CsvError::Truncated { got, need })
     }
 
-    /// Read *up to* `need` data rows as one matrix — accumulating whole
-    /// chunks and splitting the boundary chunk, whose overflow is
-    /// buffered and yielded first by the next read. Returns the rows that
-    /// were there when the input ends first, and `Ok(None)` once it is
+    /// Read *up to* `need` data rows as one matrix — whole chunks through
+    /// the one that holds row `need`, whose overflow is buffered and
+    /// yielded first by the next read. The chunks are read and converted
+    /// as one block, so every call sees the rows and errors a run of
+    /// [`CsvChunks::next_chunk`] calls would. Returns the rows that were
+    /// there when the input ends first, and `Ok(None)` once it is
     /// exhausted. This is also the demand-driven reader a distributed
     /// tracker's `RunBlock{take}` dispatch maps onto: every worker reads
     /// the same row count per round regardless of its local chunk size.
@@ -288,28 +582,38 @@ impl<R: BufRead> CsvChunks<R> {
     pub fn take_up_to(&mut self, need: usize) -> Result<Option<Matrix>, CsvError> {
         assert!(need > 0, "need must be positive");
         let mut blocks: Vec<Matrix> = Vec::new();
-        let mut got = 0usize;
-        while got < need {
-            let Some(block) = self.next_chunk()? else {
-                break;
-            };
-            let take = (need - got).min(block.rows());
-            if take < block.rows() {
-                self.pending = Some(
-                    block
-                        .row_block(take, block.rows() - take)
-                        .expect("within block"),
-                );
-                blocks.push(block.row_block(0, take).expect("within block"));
-            } else {
-                blocks.push(block);
+        let got = match self.pending.take() {
+            Some(block) => self.keep(block, need, &mut blocks),
+            None => 0,
+        };
+        if got < need {
+            let chunks = (need - got).div_ceil(self.chunk_rows);
+            if let Some(block) = self.read_block(chunks.saturating_mul(self.chunk_rows))? {
+                self.keep(block, need - got, &mut blocks);
             }
-            got += take;
         }
-        if got == 0 {
-            return Ok(None);
+        Ok(match blocks.len() {
+            0 => None,
+            1 => blocks.pop(),
+            _ => Some(stack(self.names.len(), &blocks)),
+        })
+    }
+
+    /// Push up to `want` rows of `block` onto `blocks`, buffering the rest
+    /// as pending; returns the rows pushed.
+    fn keep(&mut self, block: Matrix, want: usize, blocks: &mut Vec<Matrix>) -> usize {
+        let take = want.min(block.rows());
+        if take < block.rows() {
+            self.pending = Some(
+                block
+                    .row_block(take, block.rows() - take)
+                    .expect("within block"),
+            );
+            blocks.push(block.row_block(0, take).expect("within block"));
+        } else {
+            blocks.push(block);
         }
-        Ok(Some(stack(self.names.len(), &blocks)))
+        take
     }
 }
 
@@ -766,6 +1070,67 @@ mod tests {
         }
         assert_eq!(rows, sample().num_bins());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_wide_header_and_a_huge_chunk_cost_only_the_rows_read() {
+        let header: Vec<String> = (0..1000).map(|l| format!("l{l}")).collect();
+        let row = vec!["1.5"; 1000].join(",");
+        let csv = format!("{}\n{row}\n{row}\n", header.join(","));
+        let mut chunks = CsvChunks::new(csv.as_bytes(), 1 << 24).unwrap();
+        let block = chunks.next_chunk().unwrap().unwrap();
+        assert_eq!(block.shape(), (2, 1000));
+        assert!(block.as_slice().iter().all(|&v| v == 1.5));
+        assert!(chunks.next_chunk().unwrap().is_none());
+        // Rows too short for the header reserve nothing for it either.
+        let short = format!("{}\n{}", header.join(","), "1\n".repeat(4096));
+        let err = CsvChunks::new(short.as_bytes(), 1 << 24)
+            .unwrap()
+            .next_chunk()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CsvError::RaggedRow {
+                line: 2,
+                got: 1,
+                expected: 1000
+            }
+        ));
+    }
+
+    #[test]
+    fn large_blocks_convert_on_the_helper_where_two_cores_are_usable() {
+        let series = LinkSeries::new(Matrix::from_fn(1500, 40, |i, j| {
+            (i * 40 + j) as f64 * 1_234.567_890_123 + 0.123_456_789
+        }));
+        let csv = link_series_to_csv_string(&series, None);
+        assert!(
+            csv.len() > 2 * ROUND_BYTES,
+            "the block takes several rounds"
+        );
+        let mut chunks = CsvChunks::new(csv.as_bytes(), 1000).unwrap();
+        let block = chunks.next_chunk().unwrap().unwrap();
+        assert!(block == series.matrix().row_block(0, 1000).unwrap());
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(matches!(chunks.helper, Helper::Running(_)), cores >= 2);
+        let rest = chunks.next_chunk().unwrap().unwrap();
+        assert!(rest == series.matrix().row_block(1000, 500).unwrap());
+        // The read that found the end joined the helper.
+        assert!(matches!(chunks.helper, Helper::Inline));
+        assert!(chunks.next_chunk().unwrap().is_none());
+        // A bad field in the second half of the first round, which the
+        // helper converts, is reported as the caller's thread reports it.
+        let mut lines: Vec<String> = csv.lines().map(str::to_string).collect();
+        let v = series.matrix()[(500, 4)];
+        lines[501] = lines[501].replacen(&format!(",{v},"), ",x,", 1);
+        let err = CsvChunks::new(lines.join("\n").as_bytes(), 1 << 24)
+            .unwrap()
+            .next_chunk()
+            .unwrap_err();
+        assert!(
+            matches!(err, CsvError::BadNumber { line: 502, column: 4, ref text } if text == "x"),
+            "{err}"
+        );
     }
 
     #[test]
