@@ -5,8 +5,9 @@
 //! weighted moving averages ([`Ewma`]) and an eight-period Fourier model
 //! ([`FourierModel`]) — and contrasts the subspace method against the same
 //! temporal filters applied per link (Figure 10). This crate implements
-//! those methods, plus two related-work comparators used in the ablation
-//! experiments ([`HoltWinters`], [`HaarWavelet`]).
+//! those methods, plus two related-work comparators used in the methods
+//! head-to-head ([`HoltWinters`] and a causal Haar-pyramid predictor, the
+//! `wavelet` method).
 //!
 //! Contents:
 //!
@@ -16,19 +17,18 @@
 //!   (7 d, 5 d, 3 d, 24 h, 12 h, 6 h, 3 h, 1.5 h).
 //! * [`HoltWinters`] — additive seasonal forecasting (referenced via
 //!   Brutlag \[5\]).
-//! * [`HaarWavelet`] — a multiscale approximation residual in the spirit
-//!   of Barford et al. \[2\].
 //! * [`ground_truth`] — the Section 6.2 procedure: run a temporal method
 //!   over every OD flow, rank spike sizes, find the knee, emit the set of
 //!   "true" anomalies.
 //! * [`link_residual`] — per-link temporal filtering of the measurement
 //!   matrix for the Figure 10 comparison.
 //! * [`methods`] — every temporal comparator as a pluggable
-//!   [`DetectionBackend`](netanom_core::DetectionBackend) and
-//!   [`ShardableBackend`](netanom_core::ShardableBackend) (streaming
-//!   `step` ports per link, residual-energy scoring), plus the by-name
-//!   registry and the [`MethodBackend`](methods::MethodBackend) enum
-//!   that runs any registered method through the streaming engine.
+//!   [`DetectionBackend`](netanom_core::DetectionBackend) (streaming
+//!   `step` ports per link, residual-energy scoring; the `wavelet`
+//!   method is a causal Haar pyramid in the spirit of Barford et al.
+//!   \[2\]), plus the by-name registry and the
+//!   [`MethodBackend`](methods::MethodBackend) enum that runs any
+//!   registered method through the streaming engine.
 //!
 //! # Example
 //!
@@ -56,10 +56,8 @@ mod holt_winters;
 pub mod knee;
 pub mod link_residual;
 pub mod methods;
-mod wavelet;
 
 pub use ewma::{Ewma, EwmaStream};
 pub use fourier::{FourierModel, FourierStream};
 pub use ground_truth::{extract_true_anomalies, ExtractedAnomaly, TruthMethod};
 pub use holt_winters::{HoltWinters, HoltWintersStream};
-pub use wavelet::HaarWavelet;

@@ -12,8 +12,6 @@ use netanom_traffic::LinkSeries;
 
 use crate::ewma::Ewma;
 use crate::fourier::FourierModel;
-use crate::holt_winters::HoltWinters;
-use crate::wavelet::HaarWavelet;
 
 /// Which temporal filter to apply per link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,13 +20,6 @@ pub enum LinkFilter {
     Ewma,
     /// The paper's eight-period Fourier model per link.
     Fourier,
-    /// Additive Holt–Winters (daily season) per link.
-    HoltWinters,
-    /// Haar multiscale approximation per link.
-    Haar {
-        /// Decomposition depth.
-        levels: usize,
-    },
 }
 
 /// Apply the filter to every link column, returning the `t × m` residual
@@ -42,8 +33,6 @@ pub fn residual_matrix(links: &LinkSeries, filter: LinkFilter) -> Matrix {
         let resid = match filter {
             LinkFilter::Ewma => Ewma::grid_search(&series).residuals(&series),
             LinkFilter::Fourier => FourierModel::fit_paper_basis(&series).residuals(&series),
-            LinkFilter::HoltWinters => HoltWinters::daily().residuals(&series),
-            LinkFilter::Haar { levels } => HaarWavelet::new(levels).residuals(&series),
         };
         out.set_col(l, &resid);
     }
@@ -78,12 +67,7 @@ mod tests {
     #[test]
     fn all_filters_produce_full_matrices() {
         let links = links_with_spike();
-        for filter in [
-            LinkFilter::Ewma,
-            LinkFilter::Fourier,
-            LinkFilter::HoltWinters,
-            LinkFilter::Haar { levels: 5 },
-        ] {
+        for filter in [LinkFilter::Ewma, LinkFilter::Fourier] {
             let resid = residual_matrix(&links, filter);
             assert_eq!(resid.shape(), (1008, 3), "{filter:?}");
         }
@@ -92,12 +76,7 @@ mod tests {
     #[test]
     fn spike_bin_has_elevated_energy_under_every_filter() {
         let links = links_with_spike();
-        for filter in [
-            LinkFilter::Ewma,
-            LinkFilter::Fourier,
-            LinkFilter::HoltWinters,
-            LinkFilter::Haar { levels: 5 },
-        ] {
+        for filter in [LinkFilter::Ewma, LinkFilter::Fourier] {
             let energy = residual_energy_series(&links, filter);
             let spike = energy[400];
             let median = {
@@ -118,7 +97,7 @@ mod tests {
         let resid = residual_matrix(&links, LinkFilter::Fourier);
         // Least squares with a DC column leaves zero-mean residuals.
         for l in 0..3 {
-            let mean = netanom_linalg::vector::mean(&resid.col(l));
+            let mean = netanom_linalg::stats::mean(&resid.col(l));
             assert!(mean.abs() < 1e-6, "link {l} residual mean {mean}");
         }
     }
@@ -126,8 +105,8 @@ mod tests {
     #[test]
     fn energy_series_matches_matrix() {
         let links = links_with_spike();
-        let resid = residual_matrix(&links, LinkFilter::Haar { levels: 4 });
-        let energy = residual_energy_series(&links, LinkFilter::Haar { levels: 4 });
+        let resid = residual_matrix(&links, LinkFilter::Ewma);
+        let energy = residual_energy_series(&links, LinkFilter::Ewma);
         for t in (0..1008).step_by(101) {
             let direct = netanom_linalg::vector::norm_sq(resid.row(t));
             assert!((energy[t] - direct).abs() < 1e-9 * direct.max(1.0));

@@ -4,16 +4,15 @@
 //! This module closes the loop the paper's Section 6/Figure 10
 //! comparison opens: the per-link temporal filters — EWMA, Holt–Winters,
 //! the eight-period Fourier model, and the Haar wavelet — implement
-//! [`DetectionBackend`] (and [`ShardableBackend`]), so every method runs
-//! through the *same* streaming and sharded engines as the subspace
-//! method. [`MethodName`] is the registry the CLI's `--method` flag
-//! resolves against, and [`MethodBackend`] puts the subspace reference
-//! implementation and the temporal family behind one concrete
-//! [`DetectionBackend`] for the callers that pick the method at run time
-//! (`stream`, `serve`, `eval`). The sharded engine is driven with the
-//! concrete backend instead — [`SubspaceBackend`] or
-//! [`TemporalBackend`] — so the shard protocol is implemented exactly
-//! twice, once per family.
+//! [`DetectionBackend`], so every method runs through the *same*
+//! streaming engine as the subspace method. [`MethodName`] is the
+//! registry the CLI's `--method` flag resolves against, and
+//! [`MethodBackend`] puts the subspace reference implementation and the
+//! temporal family behind one concrete [`DetectionBackend`] for every
+//! caller that picks the method at run time (`stream`, `serve`, `eval`,
+//! and `shard` for a temporal method). A temporal method scores each
+//! link on its own, so a link partition gives it nothing to merge: only
+//! the subspace method runs through the sharded engine.
 //!
 //! # Scoring semantics of the temporal backends
 //!
@@ -63,14 +62,12 @@
 //! }
 //! ```
 
-use netanom_core::method::{
-    DetectionBackend, MethodState, ShardScores, ShardableBackend, SubspaceBackend,
-};
+use netanom_core::method::{DetectionBackend, MethodState, SubspaceBackend};
 use netanom_core::{
     CoreError, DiagnoserConfig, DiagnosisReport, RefitStrategy, Result, RingWindow,
 };
 use netanom_linalg::Matrix;
-use netanom_topology::{LinkPartition, RoutingMatrix};
+use netanom_topology::RoutingMatrix;
 
 use crate::ewma::{Ewma, EwmaStream};
 use crate::fourier::{FourierModel, FourierStream};
@@ -138,8 +135,8 @@ impl HaarPredictor {
         1usize << self.levels
     }
 
-    /// Reduce a full block to its approximation value with the same
-    /// pairwise-averaging tree the batch pyramid uses.
+    /// Reduce a full block to its approximation value: pairwise
+    /// averages, level by level, an odd tail carried up unaveraged.
     fn pyramid_value(block: &[f64]) -> f64 {
         let mut cur = block.to_vec();
         while cur.len() > 1 {
@@ -226,8 +223,7 @@ fn energy_threshold(energies: &[f64], confidence: f64) -> Result<f64> {
 /// See the [module docs](self) for the scoring semantics. Refits
 /// ([`DetectionBackend::refit`]) re-run the full calibration — parameter
 /// search, forecaster replay, threshold quantile — on the engine's
-/// retained window, which keeps the streaming and sharded deployments
-/// bitwise aligned (both calibrate on the identical window matrix).
+/// retained window.
 #[derive(Debug, Clone)]
 pub struct TemporalBackend {
     kind: TemporalKind,
@@ -417,8 +413,7 @@ impl TemporalBackend {
     }
 
     /// [`energy_of`](Self::energy_of) `y`, advancing every state past it
-    /// — one step of the block loops the streaming `score_matrix` and
-    /// the sharded phase B share.
+    /// — one step of `score_matrix`'s block loop.
     fn step_energy(states: &mut [LinkState], y: &[f64]) -> f64 {
         let mut e = 0.0;
         for (state, &z) in states.iter_mut().zip(y) {
@@ -685,82 +680,6 @@ impl DetectionBackend for TemporalBackend {
     }
 }
 
-/// One shard's slice of a temporal backend: the per-link forecaster
-/// states of its links, in shard-local order.
-#[derive(Debug, Clone)]
-pub struct TemporalShard {
-    states: Vec<LinkState>,
-}
-
-impl ShardableBackend for TemporalBackend {
-    type Shard = TemporalShard;
-    /// Phase A only cuts the shard's columns of the block; all scoring
-    /// state is per-link, so nothing needs the cross-shard merge.
-    type Partial = Matrix;
-    type Merged = ();
-
-    fn make_shards(
-        &self,
-        partition: &LinkPartition,
-        _training: &Matrix,
-    ) -> Result<Vec<Self::Shard>> {
-        Ok(partition
-            .groups()
-            .iter()
-            .map(|links| TemporalShard {
-                states: links.iter().map(|&l| self.links[l].clone()).collect(),
-            })
-            .collect())
-    }
-
-    fn shard_phase_a(&self, _shard: &Self::Shard, links: &[usize], block: &Matrix) -> Matrix {
-        block.select_columns(links)
-    }
-
-    fn merge_partials(&self, _bins: usize, _partials: &[&Matrix]) -> Result<()> {
-        Ok(())
-    }
-
-    fn shard_phase_b(
-        &self,
-        shard: &mut Self::Shard,
-        _links: &[usize],
-        partial: &Matrix,
-        _merged: &(),
-        _block: &Matrix,
-        _evicted: &[Option<&[f64]>],
-    ) -> Result<ShardScores> {
-        let scores = (0..partial.rows())
-            .map(|t| Self::step_energy(&mut shard.states, partial.row(t)))
-            .collect();
-        Ok(ShardScores {
-            scores,
-            residual: None,
-        })
-    }
-
-    fn finalize(&self, score: f64, _residual: Option<Vec<f64>>) -> Result<DiagnosisReport> {
-        Ok(self.report(score))
-    }
-
-    fn refit_shards(
-        &mut self,
-        shards: &mut [Self::Shard],
-        links: &[Vec<usize>],
-        window: &RingWindow,
-    ) -> Result<()> {
-        // Recalibrate globally on the engine's window (the single-process
-        // window's rows), then scatter the fresh per-link states back to
-        // the shards — so the sharded refit is bitwise the streaming
-        // refit.
-        self.recalibrate(&window.to_matrix())?;
-        for (shard, links) in shards.iter_mut().zip(links) {
-            shard.states = links.iter().map(|&l| self.links[l].clone()).collect();
-        }
-        Ok(())
-    }
-}
-
 /// Registry of every runnable detection method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MethodName {
@@ -815,7 +734,7 @@ impl MethodName {
     }
 
     /// Fit this method on a training matrix, ready to drive through the
-    /// streaming or sharded engines.
+    /// streaming engine.
     ///
     /// The routing matrix and refit `strategy` are consumed by the
     /// subspace method (identification needs routing); the temporal
@@ -888,8 +807,9 @@ impl MethodName {
 }
 
 /// Fit `cfg`'s method on `training` and assemble the streaming engine —
-/// the single construction path behind `netanom stream`, the `serve`
-/// sessions, and the eval scenarios.
+/// the single construction path behind `netanom stream` (and `netanom
+/// shard` for a temporal method), the `serve` sessions, and the eval
+/// scenarios.
 ///
 /// The method name is resolved against the registry here (unknown names
 /// error with the valid set); every other knob was validated when `cfg`
@@ -915,9 +835,7 @@ impl std::fmt::Display for MethodName {
 
 /// Any registered detection method behind one concrete
 /// [`DetectionBackend`] — what `stream`, `serve` and the eval scenarios
-/// instantiate `StreamingEngine<MethodBackend>` with. It deliberately
-/// does not implement [`ShardableBackend`]: `netanom shard` resolves the
-/// method once and runs `ShardedEngine` over the concrete backend.
+/// instantiate `StreamingEngine<MethodBackend>` with.
 // The subspace variant is much larger than the temporal one, but a
 // process holds a handful of backends (one per engine), never bulk
 // collections — boxing would tax every score call for nothing.

@@ -5,20 +5,15 @@
 //!   dispatch, never arithmetic);
 //! * every temporal backend's batched scoring equals its sequential
 //!   scoring, across refit boundaries;
-//! * every temporal backend's sharded deployment matches its streaming
-//!   deployment (bitwise for `K = 1`, decisions + `1e-9` scores beyond,
-//!   thresholds bitwise after refits — both sides recalibrate on the
-//!   identical reassembled window);
 //! * exported method state reproduces the exporter's scoring when
 //!   imported into a backend fitted on different data.
 
 use netanom_baselines::methods::{MethodName, TemporalBackend, TemporalKind};
 use netanom_core::method::DetectionBackend;
-use netanom_core::shard::ShardedEngine;
 use netanom_core::stream::{RefitStrategy, StreamConfig, StreamingEngine};
 use netanom_core::{DiagnoserConfig, PcaMethod, SeparationPolicy};
 use netanom_linalg::{vector, Matrix};
-use netanom_topology::{builtin, LinkPartition, Network};
+use netanom_topology::{builtin, Network};
 
 fn training(m: usize, bins: usize, seed: usize) -> Matrix {
     Matrix::from_fn(bins, m, |i, l| {
@@ -129,71 +124,6 @@ fn temporal_batched_scoring_equals_sequential_across_refits() {
             seq_reports.iter().any(|r| r.detected),
             "{kind:?}: staged 40 MB anomalies must fire"
         );
-    }
-}
-
-#[test]
-fn temporal_sharded_k1_is_bitwise_streaming() {
-    let net = builtin::line(3);
-    let m = net.routing_matrix.num_links();
-    let train = training(m, 240, 0);
-    let arrivals = staged_stream(&net, 240, 100);
-    let partition = LinkPartition::round_robin(m, 1).unwrap();
-
-    for kind in temporal_kinds() {
-        let stream_cfg = StreamConfig::new(240).refit_every(40);
-        let backend = TemporalBackend::fit(kind, &train, 0.999).unwrap();
-        let mut streaming =
-            StreamingEngine::with_backend(backend.clone(), &train, stream_cfg).unwrap();
-        let mut sharded =
-            ShardedEngine::with_backend(backend, &train, stream_cfg, &partition).unwrap();
-        let a = streaming.process_batch(&arrivals).unwrap();
-        let b = sharded.process_batch(&arrivals).unwrap();
-        // One shard owning every link in order: identical summation
-        // order, so even the scores are bitwise.
-        assert_eq!(a, b, "{kind:?}: K=1 sharding must be bitwise");
-    }
-}
-
-#[test]
-fn temporal_sharded_matches_streaming_decisions() {
-    let net = builtin::sprint_europe();
-    let m = net.routing_matrix.num_links();
-    let train = training(m, 200, 0);
-    let arrivals = staged_stream(&net, 200, 90);
-
-    for kind in [TemporalKind::Ewma, TemporalKind::Wavelet { levels: 4 }] {
-        for k in [2usize, 4] {
-            let partition = LinkPartition::round_robin(m, k).unwrap();
-            let stream_cfg = StreamConfig::new(200).refit_every(35);
-            let backend = TemporalBackend::fit(kind, &train, 0.999).unwrap();
-            let mut streaming =
-                StreamingEngine::with_backend(backend.clone(), &train, stream_cfg).unwrap();
-            let mut sharded =
-                ShardedEngine::with_backend(backend, &train, stream_cfg, &partition).unwrap();
-            let a = streaming.process_batch(&arrivals).unwrap();
-            let b = sharded.process_batch(&arrivals).unwrap();
-            assert_eq!(a.len(), b.len());
-            let mut fired = 0usize;
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.time, y.time);
-                assert_eq!(
-                    x.detected, y.detected,
-                    "{kind:?} k={k}: decision diverged at bin {}",
-                    x.time
-                );
-                assert_eq!(
-                    x.threshold, y.threshold,
-                    "{kind:?} k={k}: thresholds must be bitwise (same window calibration)"
-                );
-                let rel = (x.spe - y.spe).abs() / x.spe.max(1.0);
-                assert!(rel <= 1e-9, "{kind:?} k={k}: score rel {rel:.2e}");
-                fired += usize::from(x.detected);
-            }
-            assert!(fired >= 2, "{kind:?} k={k}: staged anomalies must fire");
-            assert_eq!(streaming.refits(), sharded.refits());
-            assert!(streaming.refits() >= 2);
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the temporal baselines.
 
-use netanom_baselines::{Ewma, EwmaStream, FourierModel, HaarWavelet, HoltWinters};
+use netanom_baselines::{Ewma, EwmaStream, FourierModel, HoltWinters};
 use proptest::prelude::*;
 
 fn series(len: usize, seed: u64, level: f64, amp: f64) -> Vec<f64> {
@@ -80,24 +80,6 @@ proptest! {
         let m = FourierModel::fit_paper_basis(&s);
         let resid_energy: f64 = m.residuals(&s).iter().map(|r| r * r).sum();
         prop_assert!(resid_energy <= centered_energy * (1.0 + 1e-9));
-    }
-
-    /// Haar approximation is idempotent-ish on block-constant signals: a
-    /// signal constant on 2^L blocks is reproduced exactly.
-    #[test]
-    fn haar_reproduces_block_constant_signals(levels in 1usize..5, seed in 0u64..200) {
-        let span = 1usize << levels;
-        let blocks = 16;
-        let signal: Vec<f64> = (0..blocks * span)
-            .map(|i| {
-                let b = i / span;
-                ((b + seed as usize).wrapping_mul(2654435761) % 1000) as f64
-            })
-            .collect();
-        let w = HaarWavelet::new(levels);
-        for (a, s) in w.approximation(&signal).iter().zip(&signal) {
-            prop_assert!((a - s).abs() < 1e-9);
-        }
     }
 
     /// Holt-Winters residuals on a noise-free seasonal+linear signal decay

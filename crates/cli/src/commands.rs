@@ -6,15 +6,14 @@ use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
-use netanom_baselines::methods::{build_streaming, MethodName, TemporalBackend, METHOD_NAMES};
-use netanom_core::method::{DetectionBackend, ShardableBackend};
+use netanom_baselines::methods::{build_streaming, MethodName, METHOD_NAMES};
+use netanom_core::method::DetectionBackend;
 use netanom_core::service::PARTITION_KINDS;
 use netanom_core::stream::RefitStrategy;
 use netanom_core::{
     Diagnoser, DiagnoserConfig, DiagnosisReport, EngineConfig, PartitionSpec, ShardedEngine,
     SubspaceBackend,
 };
-use netanom_linalg::Matrix;
 use netanom_topology::{LinkPartition, RoutingMatrix};
 use netanom_traffic::datasets::{self, Dataset};
 use netanom_traffic::io as traffic_io;
@@ -557,18 +556,30 @@ pub fn stream(args: &[String]) -> Result<(), String> {
     let links_arg = require(&flags, "links")?;
     let cfg = engine_config_of(&flags, RefitStrategy::FullSvd)?;
 
-    let mut chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, cfg.chunk())
+    let chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, cfg.chunk())
         .map_err(|e| format!("reading {links_arg}: {e}"))?;
-    let m = chunks.num_links();
-    let rm = routing_of(&flags, m)?;
+    let rm = routing_of(&flags, chunks.num_links())?;
+    run_streaming(&cfg, chunks, &rm, links_arg)
+}
 
+/// The streaming ingest loop of `netanom stream`, and of `netanom shard`
+/// for a method with nothing to merge: train on the first
+/// `--train-bins` rows, print the banner, push every chunk through the
+/// [`StreamingEngine`](netanom_core::stream::StreamingEngine), print the
+/// alarms and the summary.
+fn run_streaming(
+    cfg: &EngineConfig,
+    mut chunks: LinkChunks,
+    rm: &RoutingMatrix,
+    links_arg: &str,
+) -> Result<(), String> {
     // The training prefix; the boundary chunk's overflow stays buffered
     // inside `chunks` and streams first.
     let training = chunks
         .take_rows(cfg.train_bins())
         .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
 
-    let mut engine = build_streaming(&cfg, &training, &rm)?;
+    let mut engine = build_streaming(cfg, &training, rm)?;
 
     online_banner(
         engine.backend(),
@@ -576,7 +587,7 @@ pub fn stream(args: &[String]) -> Result<(), String> {
             .backend()
             .as_subspace()
             .map(|b| b.diagnoser().model().normal_dim()),
-        &cfg,
+        cfg,
         "",
     );
     println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
@@ -646,17 +657,22 @@ fn open_partitioned(
 /// [--chunk B] [--partition round-robin|per-pop|explicit]
 /// [--dataset NAME] [--partition-file FILE]`
 ///
-/// The sharded online path: the link set is partitioned into shards
-/// (`--partition round-robin` over `--shards K` by default; `per-pop`
-/// groups by the `--dataset` topology's PoPs; `explicit` reads a
-/// `shard,links` CSV), the link CSV is consumed in chunks and scattered
-/// into per-shard column-slice feeds (`traffic::io::ShardedChunks`),
-/// and each shard ingests its slice — per-shard method state and score
-/// contributions — while the coordinator keeps the window, merges,
-/// detects, identifies (subspace), and (on the refit cadence) rebuilds
-/// the global model from the merged shard state. Detections are bitwise the
-/// ones `netanom stream` would print for the subspace method, and
-/// decision-identical for every method.
+/// The sharded online path of the subspace method: the link set is
+/// partitioned into shards (`--partition round-robin` over `--shards K`
+/// by default; `per-pop` groups by the `--dataset` topology's PoPs;
+/// `explicit` reads a `shard,links` CSV), the link CSV is consumed in
+/// chunks and scattered into per-shard column-slice feeds
+/// (`traffic::io::ShardedChunks`), and each shard ingests its slice —
+/// statistics rows and partial SPEs — while the coordinator keeps the
+/// window, merges, detects, identifies, and (on the refit cadence)
+/// rebuilds the global model from the merged shard statistics.
+/// Detections are bitwise the ones `netanom stream` would print.
+///
+/// A temporal `--method` scores each link on its own, so a partition
+/// gives it nothing to merge: the flags are validated as for the
+/// subspace method, a `# note:` says so, and the series runs through
+/// `netanom stream`'s engine and loop, printing exactly what `stream`
+/// prints.
 ///
 /// Defaults to `--refit incremental`: mergeable sufficient statistics
 /// are the point of the sharded deployment.
@@ -683,66 +699,32 @@ pub fn shard(args: &[String]) -> Result<(), String> {
     let links_arg = require(&flags, "links")?;
     let (cfg, chunks, partition, rm) =
         open_partitioned(&flags, shard_count_of(&flags, "shards")?, "shards")?;
+    if MethodName::parse(cfg.method())? != MethodName::Subspace {
+        eprintln!(
+            "# note: --method {} has nothing to merge across shards; \
+             running it unsharded on the streaming engine",
+            cfg.method()
+        );
+        return run_streaming(&cfg, chunks, &rm, links_arg);
+    }
     let mut feeds = traffic_io::ShardedChunks::new(chunks, &partition)
         .map_err(|e| format!("sharding {links_arg}: {e}"))?;
 
     let training = feeds
         .take_rows(cfg.train_bins())
         .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
-
-    // The shard protocol is implemented per method family, so the name
-    // is resolved to a concrete backend here, once.
-    let method = MethodName::parse(cfg.method())?;
-    let fit_err = |e| format!("fitting {method} model: {e}");
-    match method.temporal_kind() {
-        None => {
-            let backend = SubspaceBackend::fit_sharded(
-                &training,
-                &rm,
-                cfg.diagnoser_config(),
-                cfg.strategy(),
-            )
-            .map_err(fit_err)?;
-            let r = backend.diagnoser().model().normal_dim();
-            run_sharded(
-                backend,
-                Some(r),
-                &training,
-                &cfg,
-                &partition,
-                feeds,
-                links_arg,
-            )
-        }
-        Some(kind) => {
-            let backend =
-                TemporalBackend::fit(kind, &training, cfg.confidence()).map_err(fit_err)?;
-            run_sharded(backend, None, &training, &cfg, &partition, feeds, links_arg)
-        }
-    }
-}
-
-/// The sharded ingest loop of `netanom shard`, over whichever backend
-/// the method resolved to: assemble the engine, print the banner, push
-/// every scattered chunk through it, print the alarms and the summary.
-fn run_sharded<B: ShardableBackend>(
-    backend: B,
-    normal_dim: Option<usize>,
-    training: &Matrix,
-    cfg: &EngineConfig,
-    partition: &LinkPartition,
-    mut feeds: traffic_io::ShardedChunks<Box<dyn BufRead>>,
-    links_arg: &str,
-) -> Result<(), String> {
-    let mut engine = ShardedEngine::with_backend(backend, training, cfg.stream_config(), partition)
-        .map_err(|e| format!("assembling {} engine: {e}", cfg.method()))?;
-
+    let backend =
+        SubspaceBackend::fit_sharded(&training, &rm, cfg.diagnoser_config(), cfg.strategy())
+            .map_err(|e| format!("fitting subspace model: {e}"))?;
     online_banner(
-        engine.backend(),
-        normal_dim,
-        cfg,
-        &deployment_label("shards", partition),
+        &backend,
+        Some(backend.diagnoser().model().normal_dim()),
+        &cfg,
+        &deployment_label("shards", &partition),
     );
+    let mut engine =
+        ShardedEngine::with_backend(backend, &training, cfg.stream_config(), &partition)
+            .map_err(|e| format!("assembling subspace engine: {e}"))?;
     println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
 
     let start = std::time::Instant::now();

@@ -28,15 +28,18 @@
 //!   `;`-separated link indices per flow).
 //! * `stream` is the online path: chunked ingestion through the
 //!   streaming engine with optional periodic refits.
-//! * `shard` is the sharded online path: the link set is partitioned
-//!   round-robin into `--shards K` shards, each ingesting its own column
-//!   slice, with per-shard method state merged into the global model at
-//!   every refit — bitwise the same detections as `stream`.
+//! * `shard` is the sharded online path of the subspace method: the
+//!   link set is partitioned round-robin into `--shards K` shards, each
+//!   ingesting its own column slice, with the per-shard statistics
+//!   merged into the global model at every refit — bitwise the same
+//!   detections as `stream`.
 //! * `diagnose`, `stream`, and `shard` accept `--method NAME` to run
 //!   any registered detection backend — the subspace method (default)
 //!   or one of the per-link temporal comparators — through the same
 //!   machinery; `netanom --list-methods` enumerates them, and an
-//!   unknown name errors with the valid set.
+//!   unknown name errors with the valid set. A temporal method has
+//!   nothing to merge across shards, so `shard` runs it through
+//!   `stream`'s engine and prints what `stream` prints.
 //! * `shard`, `tracker`, and `worker` accept
 //!   `--partition round-robin|per-pop|explicit`: round-robin (the
 //!   default) splits links cyclically over the shard count, `per-pop`

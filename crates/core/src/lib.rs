@@ -25,15 +25,15 @@
 //! [`incremental`] sufficient statistics (`O(m²)` per arrival plus one
 //! dense symmetric eigen-solve per refit, independent of the window length).
 //! The detection method itself is a pluggable
-//! backend ([`method`]): every engine is generic over a
+//! backend ([`method`]): the streaming engine is generic over a
 //! [`DetectionBackend`] (default: the [`SubspaceBackend`] reference
 //! implementation, bitwise the historical behavior), so the temporal
-//! comparators in `netanom-baselines` stream and shard through the
-//! identical machinery. The [`shard`] module scales the same semantics
-//! across link partitions: [`ShardedEngine`] runs one ingestion worker
-//! per shard and merges mergeable per-shard state — sufficient
-//! statistics ([`incremental::CovarianceShard`]) for the subspace
-//! backend — back into the global model, bitwise. [`multiflow`]
+//! comparators in `netanom-baselines` stream through the identical
+//! machinery. The [`shard`] module scales the subspace method — the one
+//! method whose state spans every link — across link partitions:
+//! [`ShardedEngine`] runs one ingestion worker per shard and merges the
+//! per-shard sufficient statistics ([`incremental::CovarianceShard`])
+//! back into the global model, bitwise. [`multiflow`]
 //! implements the Section 7.2
 //! extension to anomalies spanning several OD flows; [`timescale`]
 //! implements the Section 7.3 multi-timescale extension; and
@@ -92,7 +92,7 @@ pub use error::CoreError;
 pub use identify::{Identification, Identifier};
 pub use method::{
     merge_coeff_partials, subspace_model_from_state, DetectionBackend, MethodState, ShardScores,
-    ShardableBackend, SubspaceBackend, SubspacePartial, SubspaceShard,
+    SubspaceBackend, SubspacePartial, SubspaceShard,
 };
 pub use pca::{Pca, PcaMethod};
 pub use separation::SeparationPolicy;

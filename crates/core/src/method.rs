@@ -4,8 +4,8 @@
 //! method separates anomalies that per-link *temporal* filters (EWMA,
 //! Fourier, wavelets; Section 6, Figure 10) cannot. Comparing methods
 //! honestly requires running every one of them through the same
-//! ingestion, sharding, and evaluation machinery. This module makes the
-//! detection method a first-class, swappable component:
+//! ingestion and evaluation machinery. This module makes the detection
+//! method a first-class, swappable component:
 //!
 //! * [`DetectionBackend`] is the contract every method implements:
 //!   per-arrival [`score_vector`](DetectionBackend::score_vector) and
@@ -13,22 +13,25 @@
 //!   [`score_matrix`](DetectionBackend::score_matrix) (the GEMM path
 //!   where the method allows), a cadenced
 //!   [`refit`](DetectionBackend::refit) from the engine's retained
-//!   window, and a serializable [`MethodState`] for shard broadcast and
+//!   window, and a serializable [`MethodState`] for model broadcast and
 //!   checkpointing.
-//! * [`ShardableBackend`] extends the contract to link-partitioned
-//!   execution: per-shard phase A/B computations whose partials the
-//!   coordinator merges **in shard order** (so results are independent
-//!   of the worker thread count), plus a merge-refit-broadcast hook.
 //! * [`SubspaceBackend`] is the reference implementation: the
 //!   subspace/Q-statistic pipeline, producing bitwise the reports the
 //!   pre-refactor engines produced (pinned by `tests/stream_parity.rs`
 //!   and `tests/shard_parity.rs`).
+//! * [`SubspaceShard`] is one link shard's slice of the subspace state,
+//!   with the phase A/B computations whose partials the coordinator
+//!   merges **in shard order** ([`merge_coeff_partials`]). Only the
+//!   subspace method is network-wide — its projection and covariance
+//!   span every link — so it is the only method with something to merge
+//!   across a link partition; [`ShardedEngine`](crate::ShardedEngine)
+//!   and the TCP tracker/worker drive these phases directly.
 //!
 //! The temporal comparators (EWMA, Holt–Winters, Fourier, Haar wavelet)
-//! implement both traits in `netanom-baselines` (`methods` module),
-//! which also hosts the by-name registry the CLI's `--method` flag
-//! resolves against and `MethodBackend`, the [`DetectionBackend`]-only
-//! enum the streaming verbs run any registered method through.
+//! implement [`DetectionBackend`] in `netanom-baselines` (`methods`
+//! module), which also hosts the by-name registry the CLI's `--method`
+//! flag resolves against and `MethodBackend`, the enum the streaming
+//! verbs run any registered method through.
 //!
 //! # Engine contract
 //!
@@ -43,7 +46,7 @@
 use std::fmt;
 
 use netanom_linalg::Matrix;
-use netanom_topology::{LinkPartition, RoutingMatrix};
+use netanom_topology::RoutingMatrix;
 
 use crate::codec::{self, CodecError, Reader};
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
@@ -53,13 +56,12 @@ use crate::stream::{RefitStrategy, RingWindow};
 use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
 
-/// A detection method runnable through the streaming and sharded
-/// engines.
+/// A detection method runnable through the streaming engine.
 ///
 /// Implementations are fitted at construction (each backend has its own
 /// constructor taking whatever the method needs — routing for the
 /// subspace method, smoothing weights for EWMA, …); the trait covers
-/// only what the engines drive. See the [module docs](self) for the
+/// only what the engine drives. See the [module docs](self) for the
 /// score → observe → refit contract.
 pub trait DetectionBackend: fmt::Debug {
     /// Stable method name (`"subspace"`, `"ewma"`, …) — the identifier
@@ -251,78 +253,15 @@ pub fn subspace_model_from_state(state: &MethodState) -> Result<(SubspaceModel, 
 }
 
 /// Per-bin output of one shard's phase B: its partial score
-/// contributions and (for methods that identify) its residual slice.
+/// contributions and its residual slice.
 #[derive(Debug)]
 pub struct ShardScores {
     /// One partial score per bin of the block, summed across shards *in
     /// shard order* by the coordinator.
     pub scores: Vec<f64>,
     /// Residual column slice (`b × m_s`) for the coordinator to
-    /// assemble when a bin fires, or `None` for methods that do not
-    /// identify.
-    pub residual: Option<Matrix>,
-}
-
-/// A backend that can run partitioned across link shards (the
-/// [`ShardedEngine`](crate::ShardedEngine) architecture: per-shard
-/// phase A, coordinator merge in shard order, per-shard phase B,
-/// coordinator finalize; merge-refit-broadcast on the refit cadence).
-///
-/// `Sync` is required because shard phases fan out over scoped worker
-/// threads sharing `&self`.
-pub trait ShardableBackend: DetectionBackend + Sync + Sized {
-    /// Per-shard worker state (model slices, shard statistics, per-link
-    /// forecast states).
-    type Shard: fmt::Debug + Clone + Send + Sync;
-    /// Per-block partial a shard computes before the cross-shard merge.
-    type Partial: Send + Sync;
-    /// Merged cross-shard context phase B consumes (the subspace
-    /// method's global projection coefficients; `()` for per-link
-    /// methods).
-    type Merged: Sync;
-
-    /// Build the per-shard states after the coordinator fit; `training`
-    /// is the matrix the backend was fitted on.
-    fn make_shards(&self, partition: &LinkPartition, training: &Matrix)
-        -> Result<Vec<Self::Shard>>;
-
-    /// Phase A: per-shard computation over the shard's columns of the
-    /// block, before any cross-shard information is available.
-    fn shard_phase_a(&self, shard: &Self::Shard, links: &[usize], block: &Matrix) -> Self::Partial;
-
-    /// Merge the phase-A partials **in shard order** into the context
-    /// phase B needs.
-    fn merge_partials(&self, bins: usize, partials: &[&Self::Partial]) -> Result<Self::Merged>;
-
-    /// Phase B: per-bin partial scores (and residual slice), advancing
-    /// shard-local streaming state over the block. `evicted[t]` is the
-    /// full row the `t`-th push evicts from the engine's window
-    /// ([`RingWindow::evictions`]).
-    fn shard_phase_b(
-        &self,
-        shard: &mut Self::Shard,
-        links: &[usize],
-        partial: &Self::Partial,
-        merged: &Self::Merged,
-        block: &Matrix,
-        evicted: &[Option<&[f64]>],
-    ) -> Result<ShardScores>;
-
-    /// Turn one bin's summed score into a report; `residual` is the
-    /// bin's assembled residual when the score exceeds the threshold
-    /// and every shard returned its slice. The engine stamps `time`.
-    fn finalize(&self, score: f64, residual: Option<Vec<f64>>) -> Result<DiagnosisReport>;
-
-    /// Merge-refit-broadcast: collect the shard state (or the engine's
-    /// full-width `window`) into a fresh global model, refreeze the
-    /// coordinator's scoring state, and hand every shard its new model
-    /// slice. `links[s]` is shard `s`'s ascending global link indices.
-    fn refit_shards(
-        &mut self,
-        shards: &mut [Self::Shard],
-        links: &[Vec<usize>],
-        window: &RingWindow,
-    ) -> Result<()>;
+    /// assemble when a bin fires.
+    pub residual: Matrix,
 }
 
 /// The subspace/Q-statistic pipeline as a [`DetectionBackend`] — the
@@ -364,7 +303,7 @@ impl SubspaceBackend {
     /// a [`ShardedEngine`](crate::ShardedEngine): the global streaming
     /// statistics are skipped, because a sharded deployment maintains
     /// its statistics in the per-shard [`CovarianceShard`] rows
-    /// ([`ShardableBackend::make_shards`]) — the global accumulator
+    /// ([`SubspaceShard`]) — the global accumulator
     /// would be write-only dead state paying `O(t·m²)` at bootstrap.
     ///
     /// A backend built this way cannot refit inside a
@@ -469,7 +408,7 @@ impl SubspaceBackend {
     /// Refit the frozen model from merged sufficient statistics — the
     /// coordinator step after an [`IncrementalCovariance::merge`] of the
     /// shard rows, shared by the in-process
-    /// [`refit_shards`](ShardableBackend::refit_shards) and the TCP
+    /// [`ShardedEngine::refit`](crate::ShardedEngine::refit) and the TCP
     /// tracker so both refit bitwise identically. Applies the same 3σ
     /// normal-dimension freeze as the streaming refit. Errors with
     /// [`CoreError::ShardMismatch`] under [`RefitStrategy::FullSvd`],
@@ -585,9 +524,9 @@ impl DetectionBackend for SubspaceBackend {
 /// The phase methods ([`SubspaceShard::phase_a`],
 /// [`SubspaceShard::phase_b`]) are the *worker side* of the sharded
 /// subspace computation. [`ShardedEngine`](crate::ShardedEngine) drives
-/// them in process through the [`ShardableBackend`] impl; a distributed
-/// worker (`netanom-net`) drives the same methods over TCP — one code
-/// path, so the two deployments are bitwise identical by construction.
+/// them in process; a distributed worker (`netanom-net`) drives the
+/// same methods over TCP — one code path, so the two deployments are
+/// bitwise identical by construction.
 #[derive(Debug, Clone)]
 pub struct SubspaceShard {
     /// Statistics rows; maintained only under
@@ -603,8 +542,8 @@ impl SubspaceShard {
     /// Build a shard from the model it will score against: the slice of
     /// `model`'s mean and normal basis owned by `links`, plus optional
     /// pre-seeded statistics rows. This is exactly the seeding
-    /// [`ShardableBackend::make_shards`] performs, exposed so an
-    /// out-of-process worker can construct its shard from a broadcast
+    /// [`ShardedEngine::with_backend`](crate::ShardedEngine::with_backend)
+    /// performs, exposed so an out-of-process worker can construct its shard from a broadcast
     /// [`MethodState`] (via [`subspace_model_from_state`]).
     ///
     /// Errors with [`CoreError::DimensionMismatch`] when a link lies
@@ -698,7 +637,7 @@ impl SubspaceShard {
         }
         Ok(ShardScores {
             scores: norms,
-            residual: Some(residual),
+            residual,
         })
     }
 
@@ -729,10 +668,9 @@ impl SubspacePartial {
 
 /// Sum per-shard projection-coefficient partials (`bins × r` each) **in
 /// the given order** from a zero accumulator — the coordinator's merge.
-/// Both [`ShardableBackend::merge_partials`] for the in-process engine
-/// and the TCP tracker call this one function, so the merged
-/// coefficients (and everything downstream) are bitwise identical
-/// across transports.
+/// Both [`ShardedEngine`](crate::ShardedEngine) and the TCP tracker
+/// call this one function, so the merged coefficients (and everything
+/// downstream) are bitwise identical across transports.
 ///
 /// Errors with [`CoreError::DimensionMismatch`] if any partial is not
 /// `bins × r`.
@@ -756,85 +694,6 @@ fn expect_shape(matrix: &Matrix, rows: usize, cols: usize) -> Result<()> {
         }
     }
     Ok(())
-}
-
-impl ShardableBackend for SubspaceBackend {
-    type Shard = SubspaceShard;
-    type Partial = SubspacePartial;
-    type Merged = Matrix;
-
-    fn make_shards(
-        &self,
-        partition: &LinkPartition,
-        training: &Matrix,
-    ) -> Result<Vec<Self::Shard>> {
-        let m = self.dim();
-        let model = self.diagnoser.model();
-        let mut shards = Vec::with_capacity(partition.num_shards());
-        for links in partition.groups() {
-            let stats = if self.strategy.maintains_statistics() {
-                let mut acc = CovarianceShard::new(m, links)?;
-                for t in 0..training.rows() {
-                    acc.add(training.row(t))?;
-                }
-                Some(acc)
-            } else {
-                None
-            };
-            shards.push(SubspaceShard::from_model(model, links, stats)?);
-        }
-        Ok(shards)
-    }
-
-    fn shard_phase_a(&self, shard: &Self::Shard, links: &[usize], block: &Matrix) -> Self::Partial {
-        shard.phase_a(links, block)
-    }
-
-    fn merge_partials(&self, bins: usize, partials: &[&Self::Partial]) -> Result<Self::Merged> {
-        let r = self.diagnoser.model().normal_dim();
-        merge_coeff_partials(bins, r, partials.iter().map(|p| p.coeffs()))
-    }
-
-    fn shard_phase_b(
-        &self,
-        shard: &mut Self::Shard,
-        _links: &[usize],
-        partial: &Self::Partial,
-        merged: &Self::Merged,
-        block: &Matrix,
-        evicted: &[Option<&[f64]>],
-    ) -> Result<ShardScores> {
-        shard.phase_b(partial, merged, block, evicted)
-    }
-
-    fn finalize(&self, score: f64, residual: Option<Vec<f64>>) -> Result<DiagnosisReport> {
-        self.diagnoser.report(score, || {
-            residual.ok_or(CoreError::ShardMismatch {
-                reason: "a detected bin needs every shard's residual slice",
-            })
-        })
-    }
-
-    fn refit_shards(
-        &mut self,
-        shards: &mut [Self::Shard],
-        links: &[Vec<usize>],
-        window: &RingWindow,
-    ) -> Result<()> {
-        match self.strategy {
-            RefitStrategy::FullSvd => self.refit_from_window(&window.to_matrix())?,
-            RefitStrategy::Incremental | RefitStrategy::Truncated { .. } => {
-                let stats = SubspaceShard::merge_statistics(shards)?;
-                self.refit_from_statistics(&stats)?;
-            }
-        }
-        // Broadcast the refreshed model's slices back to the shards.
-        let model = self.diagnoser.model();
-        for (shard, links) in shards.iter_mut().zip(links) {
-            shard.install_model(model, links)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Sharded network-wide diagnosis: mergeable state across link
-//! partitions, generic over the detection method.
+//! Sharded network-wide diagnosis: the subspace method's mergeable
+//! state across link partitions.
 //!
 //! The paper's central claim is that a *network-wide* view separates
 //! anomalies per-link analysis misses — yet real measurement planes are
@@ -17,36 +17,31 @@
 //!            │ each shard reads its columns
 //!   ┌────────┼─────────┬──────────────┐
 //!   ▼        ▼         ▼              ▼
-//! shard 0  shard 1   shard 2  …    shard K−1     each: backend shard
-//!   │        │         │              │          state (statistics
-//!   └────────┴────┬────┴───────────── ┘          rows, model slices, …)
+//! shard 0  shard 1   shard 2  …    shard K−1     each: statistics rows,
+//!   │        │         │              │          mean + basis slices
+//!   └────────┴────┬────┴───────────── ┘          (phase A: projection)
 //!                 ▼
-//!          coordinator: merge partials in shard order, slide the window
-//!                 │ refit on cadence ([`ShardableBackend::refit_shards`])
+//!          coordinator: merge coefficients in shard order, slide the window
+//!                 │ refit on cadence (merged statistics or the window)
 //!                 ▼
 //!          broadcast model slices back to shards
 //!                 │
-//!          shards: partial scores ──► coordinator sums,
-//!          detects, finalizes ([`ShardableBackend::finalize`])
+//!          shards: partial SPEs + residual slices (phase B) ──►
+//!          coordinator sums, detects, identifies ([`finalize_block`])
 //! ```
 //!
-//! The engine is generic over a [`ShardableBackend`] (default: the
-//! paper's [`SubspaceBackend`]). The backend defines what a shard
-//! computes (phase A), what the coordinator merges (in shard order —
-//! results are bitwise independent of the worker thread count), what a
-//! shard finalizes after the merge (phase B), and how the periodic
-//! refit collects shard state into a fresh global model. For the
-//! subspace backend this reproduces the pre-refactor engine exactly:
-//! per arrival each shard pays its share of the `O(m²)`
-//! sufficient-statistic upkeep and the `O(m·r)` projection, the merge
-//! is `O(K·r)` per bin, and the refit merges
-//! [`CovarianceShard`](crate::incremental::CovarianceShard) rows into
-//! the global covariance **bitwise** — refitted models match the
-//! single-process engine exactly, merged SPEs agree within `1e-9`
-//! relative, and detections and identifications match exactly on every
-//! pinned stream (`tests/shard_parity.rs`). The temporal comparators in
-//! `netanom-baselines::methods` shard trivially (per-link state), so
-//! the same engine runs every method.
+//! The engine runs the paper's subspace method, the one method with
+//! something to merge: its projection and covariance span every link.
+//! Each shard is a [`SubspaceShard`]; per arrival it pays its share of
+//! the `O(m²)` sufficient-statistic upkeep and the `O(m·r)` projection,
+//! the merge is `O(K·r)` per bin, and the refit merges
+//! [`CovarianceShard`] rows into the global covariance **bitwise** —
+//! refitted models match the single-process engine exactly, merged SPEs
+//! agree within `1e-9` relative, and detections and identifications
+//! match exactly on every pinned stream (`tests/shard_parity.rs`). The
+//! per-link temporal comparators have nothing to merge: `netanom shard
+//! --method <temporal>` runs them through
+//! [`StreamingEngine`](crate::StreamingEngine).
 //!
 //! On one box the shards execute on the rayon scope splitter (one worker
 //! per shard when more than one hardware thread is available; the merge
@@ -92,19 +87,19 @@ use netanom_topology::{LinkPartition, RoutingMatrix};
 
 use crate::cadence::Cadence;
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
-use crate::incremental::IncrementalCovariance;
-use crate::method::{ShardScores, ShardableBackend, SubspaceBackend, SubspaceShard};
-use crate::stream::{RingWindow, StreamConfig};
+use crate::incremental::{CovarianceShard, IncrementalCovariance};
+use crate::method::{
+    merge_coeff_partials, DetectionBackend, ShardScores, SubspaceBackend, SubspaceShard,
+};
+use crate::stream::{RefitStrategy, RingWindow, StreamConfig};
 use crate::{CoreError, Result};
 
-/// The sharded diagnosis engine: `K` shard workers over a link
+/// The sharded subspace engine: `K` shard workers over a link
 /// partition, coordinated into exactly the single-process semantics of
-/// [`StreamingEngine`](crate::StreamingEngine) — generic over the
-/// [`ShardableBackend`] doing the scoring (default:
-/// [`SubspaceBackend`]).
+/// [`StreamingEngine`](crate::StreamingEngine).
 ///
 /// See the [module docs](self) for the architecture; the parity and
-/// scale contracts for the subspace backend are:
+/// scale contracts are:
 ///
 /// * **Detections and identifications** equal the single-process
 ///   engine's (pinned by `tests/shard_parity.rs` for every partition
@@ -115,38 +110,35 @@ use crate::{CoreError, Result};
 ///   which the parity suite shows does not happen on any pinned
 ///   stream (the same caveat the batch API documents for
 ///   [`Detector::detect_matrix`](crate::Detector::detect_matrix)).
-/// * Under
-///   [`RefitStrategy::Incremental`](crate::RefitStrategy::Incremental)
-///   the merged covariance is **bitwise identical** to the
-///   single-process [`StreamingEngine`](crate::StreamingEngine)'s, so
-///   refitted models match exactly; under
-///   [`RefitStrategy::FullSvd`](crate::RefitStrategy::FullSvd) the
-///   engine's window holds the single-process window's rows in the same
-///   order, so full refits match exactly too.
+/// * Under [`RefitStrategy::Incremental`] the merged covariance is
+///   **bitwise identical** to the single-process
+///   [`StreamingEngine`](crate::StreamingEngine)'s, so refitted models
+///   match exactly; under [`RefitStrategy::FullSvd`] the engine's window
+///   holds the single-process window's rows in the same order, so full
+///   refits match exactly too.
 /// * Results are bitwise independent of the worker thread count: shard
 ///   partials are always merged in shard order.
 #[derive(Debug, Clone)]
-pub struct ShardedEngine<B: ShardableBackend = SubspaceBackend> {
-    backend: B,
+pub struct ShardedEngine {
+    backend: SubspaceBackend,
     /// Ascending global link indices per shard.
     links: Vec<Vec<usize>>,
     /// The full-width sliding window (`capacity × m`).
     window: RingWindow,
-    /// Backend-specific per-shard state.
-    states: Vec<B::Shard>,
+    shards: Vec<SubspaceShard>,
     cadence: Cadence,
     refit_seconds: f64,
 }
 
-impl ShardedEngine<SubspaceBackend> {
-    /// Bootstrap the subspace engine from historical training data,
-    /// exactly like [`StreamingEngine::new`](crate::StreamingEngine::new),
-    /// with the link set split across `partition`'s shards.
+impl ShardedEngine {
+    /// Bootstrap the engine from historical training data, exactly like
+    /// [`StreamingEngine::new`](crate::StreamingEngine::new), with the
+    /// link set split across `partition`'s shards.
     ///
     /// The global fit happens once at the coordinator; the window is
     /// seeded with the trailing training rows and every shard (under
-    /// [`RefitStrategy::Incremental`](crate::RefitStrategy::Incremental))
-    /// with its rows of the sufficient statistics over the same rows.
+    /// [`RefitStrategy::Incremental`]) with its rows of the sufficient
+    /// statistics over the same rows.
     pub fn new(
         training: &Matrix,
         rm: &RoutingMatrix,
@@ -166,33 +158,15 @@ impl ShardedEngine<SubspaceBackend> {
         Self::with_backend(backend, training, stream, partition)
     }
 
-    /// The coordinator's current (frozen) diagnoser.
-    pub fn diagnoser(&self) -> &Diagnoser {
-        self.backend.diagnoser()
-    }
-
-    /// Merge the shard statistics into the global accumulator — bitwise
-    /// identical to the one a single-process
-    /// [`StreamingEngine`](crate::StreamingEngine) maintains over the
-    /// same stream.
-    ///
-    /// Errors with [`CoreError::ShardMismatch`] under
-    /// [`RefitStrategy::FullSvd`](crate::RefitStrategy::FullSvd), which
-    /// maintains no statistics.
-    pub fn merged_statistics(&self) -> Result<IncrementalCovariance> {
-        SubspaceShard::merge_statistics(&self.states)
-    }
-}
-
-impl<B: ShardableBackend> ShardedEngine<B> {
     /// Assemble a sharded engine around an already-fitted backend;
     /// `training` must be the matrix the backend was fitted on. The
     /// window is seeded as
     /// [`StreamingEngine::with_backend`](crate::StreamingEngine::with_backend)
-    /// seeds its own, and every shard with whatever per-shard state the
-    /// backend's [`ShardableBackend::make_shards`] builds.
+    /// seeds its own, and every shard with its slice of the model and
+    /// (when the backend's strategy maintains them) its rows of the
+    /// sufficient statistics over the training rows.
     pub fn with_backend(
-        backend: B,
+        backend: SubspaceBackend,
         training: &Matrix,
         stream: StreamConfig,
         partition: &LinkPartition,
@@ -210,7 +184,20 @@ impl<B: ShardableBackend> ShardedEngine<B> {
                 got: partition.num_links(),
             });
         }
-        let states = backend.make_shards(partition, training)?;
+        let model = backend.diagnoser().model();
+        let mut shards = Vec::with_capacity(partition.num_shards());
+        for links in partition.groups() {
+            let stats = if backend.strategy().maintains_statistics() {
+                let mut acc = CovarianceShard::new(m, links)?;
+                for t in 0..training.rows() {
+                    acc.add(training.row(t))?;
+                }
+                Some(acc)
+            } else {
+                None
+            };
+            shards.push(SubspaceShard::from_model(model, links, stats)?);
+        }
         let capacity = stream.window_capacity.max(training.rows());
         let mut window = RingWindow::new(capacity, m);
         for t in 0..training.rows() {
@@ -220,15 +207,31 @@ impl<B: ShardableBackend> ShardedEngine<B> {
             backend,
             links: partition.groups().to_vec(),
             window,
-            states,
+            shards,
             cadence: Cadence::new(stream.refit_every),
             refit_seconds: 0.0,
         })
     }
 
+    /// The coordinator's current (frozen) diagnoser.
+    pub fn diagnoser(&self) -> &Diagnoser {
+        self.backend.diagnoser()
+    }
+
+    /// Merge the shard statistics into the global accumulator — bitwise
+    /// identical to the one a single-process
+    /// [`StreamingEngine`](crate::StreamingEngine) maintains over the
+    /// same stream.
+    ///
+    /// Errors with [`CoreError::ShardMismatch`] under
+    /// [`RefitStrategy::FullSvd`], which maintains no statistics.
+    pub fn merged_statistics(&self) -> Result<IncrementalCovariance> {
+        SubspaceShard::merge_statistics(&self.shards)
+    }
+
     /// Number of shards `K`.
     pub fn num_shards(&self) -> usize {
-        self.states.len()
+        self.shards.len()
     }
 
     /// The ascending global link indices owned by shard `s`.
@@ -253,11 +256,6 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// the coordination overhead a deployment pays for the global view.
     pub fn refit_seconds(&self) -> f64 {
         self.refit_seconds
-    }
-
-    /// The coordinator's detection backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
     }
 
     /// Process one arriving full measurement vector.
@@ -317,8 +315,8 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// (see `netanom_traffic::io::ShardedChunks`).
     ///
     /// The coordinator reassembles the full block (pure placement) and
-    /// runs [`ShardedEngine::process_batch`]; backends that maintain
-    /// statistics over full arrival vectors need the slices to cover
+    /// runs [`ShardedEngine::process_batch`]; the statistics rows are
+    /// maintained over full arrival vectors, so the slices must cover
     /// every link.
     pub fn process_batch_slices(&mut self, slices: &[Matrix]) -> Result<Vec<DiagnosisReport>> {
         let full = assemble_columns(self.backend.dim(), &self.links, slices)?;
@@ -332,7 +330,7 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     /// decision: more than one shard, more than one hardware thread, and
     /// enough rows to amortize the spawns.
     fn parallel(&self, rows: usize) -> bool {
-        self.states.len() > 1 && rows >= 4 && rayon::current_num_threads() > 1
+        self.shards.len() > 1 && rows >= 4 && rayon::current_num_threads() > 1
     }
 
     /// Score a refit-free block against the frozen model and ingest it.
@@ -340,28 +338,24 @@ impl<B: ShardableBackend> ShardedEngine<B> {
     fn run_block(&mut self, block: &Matrix) -> Result<Vec<DiagnosisReport>> {
         let bins = block.rows();
         let parallel = self.parallel(bins);
-        let backend = &self.backend;
 
-        // Phase A: per-shard computation over the shards' columns,
-        // merged in shard order (fixed order = thread-count-independent
-        // results).
+        // Phase A: project each shard's columns, merged in shard order
+        // (fixed order = thread-count-independent results).
         let partials = fan_out(
             parallel,
-            self.states.iter().zip(&self.links),
-            |(state, links)| backend.shard_phase_a(state, links, block),
+            self.shards.iter().zip(&self.links),
+            |(shard, links)| shard.phase_a(links, block),
         );
-        let partial_refs: Vec<&B::Partial> = partials.iter().collect();
-        let merged = backend.merge_partials(bins, &partial_refs)?;
+        let r = self.backend.diagnoser().model().normal_dim();
+        let merged = merge_coeff_partials(bins, r, partials.iter().map(|p| p.coeffs()))?;
 
-        // Phase B: partial scores (+ residual slices), advancing
-        // shard-local state past the rows the block evicts.
+        // Phase B: partial SPEs and residual slices, advancing the
+        // statistics rows past the rows the block evicts.
         let evicted = self.window.evictions(block);
         let outs = fan_out(
             parallel,
-            self.states.iter_mut().zip(&self.links).zip(&partials),
-            |((state, links), partial)| {
-                backend.shard_phase_b(state, links, partial, &merged, block, &evicted)
-            },
+            self.shards.iter_mut().zip(&partials),
+            |(shard, partial)| shard.phase_b(partial, &merged, block, &evicted),
         )
         .into_iter()
         .collect::<Result<Vec<ShardScores>>>()?;
@@ -369,23 +363,32 @@ impl<B: ShardableBackend> ShardedEngine<B> {
         for t in 0..bins {
             self.window.push(block.row(t));
         }
-        finalize_block(backend, &self.links, bins, &outs)
+        finalize_block(self.backend.diagnoser(), &self.links, bins, &outs)
     }
 
-    /// Merge, refit, and broadcast: collect the shard state into a fresh
-    /// global model through the backend's
-    /// [`ShardableBackend::refit_shards`], and hand every shard its new
-    /// model slice.
+    /// Merge, refit, and broadcast: refit the coordinator's model from
+    /// the merged shard statistics (or, under
+    /// [`RefitStrategy::FullSvd`], from the window), and hand every
+    /// shard its new model slice.
     ///
-    /// For the subspace backend this exactly mirrors
+    /// This exactly mirrors
     /// [`StreamingEngine::refit`](crate::StreamingEngine::refit),
     /// including the 3σ freeze of the normal dimension under incremental
     /// refits. Wall-clock spent here accumulates into
     /// [`ShardedEngine::refit_seconds`].
     pub fn refit(&mut self) -> Result<()> {
         let t0 = Instant::now();
-        self.backend
-            .refit_shards(&mut self.states, &self.links, &self.window)?;
+        match self.backend.strategy() {
+            RefitStrategy::FullSvd => self.backend.refit_from_window(&self.window.to_matrix())?,
+            RefitStrategy::Incremental | RefitStrategy::Truncated { .. } => {
+                let stats = SubspaceShard::merge_statistics(&self.shards)?;
+                self.backend.refit_from_statistics(&stats)?;
+            }
+        }
+        let model = self.backend.diagnoser().model();
+        for (shard, links) in self.shards.iter_mut().zip(&self.links) {
+            shard.install_model(model, links)?;
+        }
         self.cadence.refitted();
         self.refit_seconds += t0.elapsed().as_secs_f64();
         Ok(())
@@ -422,9 +425,9 @@ fn fan_out<T: Send, R: Send>(
 
 /// The coordinator's scoring loop, shared by [`ShardedEngine`] and the
 /// TCP tracker in `netanom-net`: sum the shards' score partials in
-/// shard order, detect, and finalize each bin — a fired one on the
-/// residual assembled from the shard slices, when every shard returned
-/// one.
+/// shard order and report each bin through
+/// [`Diagnoser::report`], which identifies a fired bin on the residual
+/// assembled from the shard slices.
 ///
 /// `outs[s]` is shard `s`'s phase-B output for the same `bins`-row
 /// block and `links[s]` its ascending global link indices; summation
@@ -432,24 +435,25 @@ fn fan_out<T: Send, R: Send>(
 /// are independent of where (or in what thread/socket order) the shards
 /// computed. Reports come back with `time == 0` — the driver's
 /// [`Cadence`] stamps arrival indices.
-pub fn finalize_block<B: ShardableBackend>(
-    backend: &B,
+pub fn finalize_block(
+    diagnoser: &Diagnoser,
     links: &[Vec<usize>],
     bins: usize,
     outs: &[ShardScores],
 ) -> Result<Vec<DiagnosisReport>> {
-    let threshold = backend.threshold();
-    let sliced = outs.iter().all(|o| o.residual.is_some());
-    let mut reports = Vec::with_capacity(bins);
-    for t in 0..bins {
-        let score: f64 = outs.iter().map(|o| o.scores[t]).sum();
-        let residual = (sliced && score > threshold).then(|| {
-            let slices = outs.iter().filter_map(|o| o.residual.as_ref());
-            scatter_row(backend.dim(), links, slices.map(|r| r.row(t)))
-        });
-        reports.push(backend.finalize(score, residual)?);
-    }
-    Ok(reports)
+    let m = diagnoser.model().dim();
+    (0..bins)
+        .map(|t| {
+            let score: f64 = outs.iter().map(|o| o.scores[t]).sum();
+            diagnoser.report(score, || {
+                Ok(scatter_row(
+                    m,
+                    links,
+                    outs.iter().map(|o| o.residual.row(t)),
+                ))
+            })
+        })
+        .collect()
 }
 
 /// One full-width row from the shards' slices of it: `slices[s][k]` is
@@ -504,7 +508,6 @@ pub fn assemble_columns<L: AsRef<[usize]>>(
 mod tests {
     use super::*;
     use crate::separation::SeparationPolicy;
-    use crate::RefitStrategy;
     use netanom_linalg::vector;
     use netanom_topology::builtin;
 
@@ -646,10 +649,10 @@ mod tests {
             .zip(&links)
             .map(|(scores, links)| ShardScores {
                 scores: scores.to_vec(),
-                residual: Some(Matrix::zeros(2, links.len())),
+                residual: Matrix::zeros(2, links.len()),
             })
             .collect();
-        let reports = finalize_block(&backend, &links, 2, &outs).unwrap();
+        let reports = finalize_block(backend.diagnoser(), &links, 2, &outs).unwrap();
         assert_eq!(reports[0].spe, 0.75);
         assert!(reports[1].spe.is_nan());
         for report in &reports {

@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use netanom_linalg::vector;
+use netanom_linalg::stats;
 
 use super::ExperimentOutput;
 use crate::lab::Lab;
@@ -12,7 +12,7 @@ pub fn run(lab: &Lab, out_dir: &Path) -> ExperimentOutput {
     let mut rows = Vec::new();
     for (ds, _) in lab.all() {
         let topo = &ds.network.topology;
-        let mean_link = vector::mean(&ds.links.link_means());
+        let mean_link = stats::mean(&ds.links.link_means());
         rows.push(vec![
             ds.name.to_string(),
             topo.num_pops().to_string(),

@@ -14,7 +14,11 @@ pub use histogram::Histogram;
 
 /// Arithmetic mean; `0.0` for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
-    crate::vector::mean(xs)
+    if xs.is_empty() {
+        0.0
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
 }
 
 /// Sample variance (denominator `n − 1`); `0.0` for fewer than two samples.

@@ -114,15 +114,6 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     }
 }
 
-/// Arithmetic mean; `0.0` for empty input.
-pub fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        0.0
-    } else {
-        a.iter().sum::<f64>() / a.len() as f64
-    }
-}
-
 /// Sum of all entries.
 pub fn sum(a: &[f64]) -> f64 {
     a.iter().sum()
@@ -223,8 +214,8 @@ mod tests {
 
     #[test]
     fn mean_and_sum() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(crate::stats::mean(&[1.0, 2.0, 3.0]), 2.0);
+        assert_eq!(crate::stats::mean(&[]), 0.0);
         assert_eq!(sum(&[1.0, 2.0]), 3.0);
     }
 

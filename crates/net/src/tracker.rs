@@ -575,10 +575,7 @@ impl Tracker {
                     {
                         return Err(format!("shard {s} phase B shape mismatch in round {round}"));
                     }
-                    Ok(ShardScores {
-                        scores,
-                        residual: Some(residual),
-                    })
+                    Ok(ShardScores { scores, residual })
                 }
                 other => Err(format!(
                     "shard {s} answered round {round} phase B with {}",
@@ -595,7 +592,7 @@ impl Tracker {
             }
 
             return Ok(Some(finalize_block(
-                &self.backend,
+                self.backend.diagnoser(),
                 &self.links,
                 rows,
                 &b.into_replies(),

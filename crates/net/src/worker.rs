@@ -323,16 +323,16 @@ pub fn run_worker<F: RowFeed>(
     };
     let (training, resumed) = match resumed {
         Some(ckpt) => {
-            validate_checkpoint(&ckpt, links, dim, cfg)?;
+            let stats = validate_checkpoint(&ckpt, links, dim, cfg)?;
             feed.skip_rows(cfg.train_bins + ckpt.arrivals as usize)?;
-            (None, Some(ckpt))
+            (None, Some((ckpt, stats)))
         }
         None => (Some(feed.take_rows(cfg.train_bins)?), None),
     };
 
     let (completed, arrivals) = resumed
         .as_ref()
-        .map_or((0, 0), |c| (c.completed_round, c.arrivals));
+        .map_or((0, 0), |(c, _)| (c.completed_round, c.arrivals));
     let Joined {
         mut conn,
         state,
@@ -363,7 +363,7 @@ pub fn run_worker<F: RowFeed>(
             };
             (stats, training, None)
         }
-        Some(ckpt) => {
+        Some((ckpt, stats)) => {
             if ckpt.window_capacity as usize != capacity {
                 return Err(NetError::Checkpoint {
                     reason: format!(
@@ -372,17 +372,12 @@ pub fn run_worker<F: RowFeed>(
                     ),
                 });
             }
-            let stats = match (&ckpt.stats, strategy.maintains_statistics()) {
-                (Some(bytes), true) => Some(CovarianceShard::from_bytes(bytes)?),
-                (None, false) => None,
-                _ => {
-                    return Err(NetError::Checkpoint {
-                        reason: "checkpoint statistics disagree with the tracker's \
-                                 refit strategy"
-                            .into(),
-                    })
-                }
-            };
+            if stats.is_some() != strategy.maintains_statistics() {
+                return Err(NetError::Checkpoint {
+                    reason: "checkpoint statistics disagree with the tracker's refit strategy"
+                        .into(),
+                });
+            }
             (stats, ckpt.window, ckpt.cache)
         }
     };
@@ -447,12 +442,15 @@ pub fn run_worker<F: RowFeed>(
     }
 }
 
+/// Check a loaded checkpoint against this worker's configuration and
+/// decode its statistics rows, which must be this shard's rows over
+/// exactly the checkpoint's window.
 fn validate_checkpoint(
     ckpt: &Checkpoint,
     links: &[usize],
     dim: usize,
     cfg: &WorkerConfig,
-) -> Result<()> {
+) -> Result<Option<CovarianceShard>> {
     let ok = ckpt.shard as usize == cfg.shard
         && ckpt.shards as usize == cfg.shards
         && ckpt.dim as usize == dim
@@ -478,7 +476,25 @@ fn validate_checkpoint(
             ),
         });
     }
-    Ok(())
+    let Some(bytes) = &ckpt.stats else {
+        return Ok(None);
+    };
+    let stats = CovarianceShard::from_bytes(bytes).map_err(|e| NetError::Checkpoint {
+        reason: format!("decoding statistics: {e}"),
+    })?;
+    if stats.links() != links || stats.dim() != dim || stats.count() != ckpt.window.rows() {
+        return Err(NetError::Checkpoint {
+            reason: format!(
+                "checkpoint statistics cover links {:?} of {} over {} rows, \
+                 not this shard's {links:?} of {dim} over its {}-row window",
+                stats.links(),
+                stats.dim(),
+                stats.count(),
+                ckpt.window.rows()
+            ),
+        });
+    }
+    Ok(Some(stats))
 }
 
 enum Dispatch {
@@ -586,19 +602,18 @@ fn dispatch<F: RowFeed>(
             }
             st.completed = round;
             st.arrivals += block.rows() as u64;
-            let residual = scores.residual.expect("subspace phase B returns residual");
             st.cache = Some(RoundCache {
                 round,
                 rows: block.rows() as u64,
                 coeffs: partial.coeffs().clone(),
                 scores: scores.scores.clone(),
-                residual: residual.clone(),
+                residual: scores.residual.clone(),
             });
             write_checkpoint(st, links, dim, cfg)?;
             Ok(Dispatch::Reply(Message::PhaseB {
                 round,
                 scores: scores.scores,
-                residual,
+                residual: scores.residual,
             }))
         }
         Message::StatsRequest { round } => Ok(Dispatch::Reply(match st.shard.stats() {

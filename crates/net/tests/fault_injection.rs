@@ -9,6 +9,7 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
+use netanom_core::incremental::CovarianceShard;
 use netanom_core::{
     CoreError, DetectionBackend, DiagnoserConfig, DiagnosisReport, MethodState, RefitStrategy,
     SeparationPolicy, ShardedEngine, StreamConfig, SubspaceBackend,
@@ -528,6 +529,54 @@ fn a_checkpoint_window_of_the_wrong_width_is_refused() {
         })
         .unwrap();
     tracker.join().unwrap();
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+/// A checkpoint carrying another shard's statistics rows is refused at
+/// load, before the network is touched, instead of surfacing rounds
+/// later as the tracker's merge error or a phase-B dimension error.
+#[test]
+fn a_checkpoint_with_another_shards_statistics_is_refused() {
+    let (state, _) = mini_state();
+    let (data, rm) = mini_data();
+    let m = rm.num_links();
+    let partition = LinkPartition::round_robin(m, 2).unwrap();
+    let training = data.row_block(0, TRAIN_BINS).unwrap();
+    let mut foreign = CovarianceShard::new(m, partition.group(1)).unwrap();
+    for t in 0..training.rows() {
+        foreign.add(training.row(t)).unwrap();
+    }
+    let ckpt = checkpoint_path("foreign_stats");
+    Checkpoint {
+        shard: 0,
+        shards: 2,
+        dim: m as u64,
+        links: partition.group(0).to_vec(),
+        train_bins: TRAIN_BINS as u64,
+        completed_round: 0,
+        arrivals: 0,
+        state,
+        stats: Some(foreign.to_bytes()),
+        window_capacity: TRAIN_BINS as u64,
+        window: training,
+        cache: None,
+    }
+    .save(&ckpt)
+    .unwrap();
+
+    let mut cfg = worker_config(0);
+    cfg.checkpoint = Some(ckpt.clone());
+    let err = run_worker(
+        "127.0.0.1:1",
+        MatrixFeed::new(data),
+        partition.group(0),
+        &cfg,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, NetError::Checkpoint { .. }),
+        "expected a checkpoint refusal, got {err:?}"
+    );
     let _ = std::fs::remove_file(&ckpt);
 }
 

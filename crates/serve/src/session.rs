@@ -487,6 +487,20 @@ impl Session {
                 }
                 window.push(row);
             }
+            // The statistics describe exactly the window's rows; any other
+            // count would refit on moments no window produced.
+            if let Some(stats) = backend.statistics() {
+                if stats.count() != window.len() {
+                    return Err(ServeError::new(
+                        ErrorCode::Checkpoint,
+                        format!(
+                            "checkpoint statistics cover {} rows, its window {}",
+                            stats.count(),
+                            window.len()
+                        ),
+                    ));
+                }
+            }
             let cadence = Cadence::resume(
                 cp.refit_every,
                 cp.arrivals_total,

@@ -392,6 +392,56 @@ fn a_checkpoint_claiming_a_huge_window_restores_and_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint whose statistics count disagrees with its window rows is
+/// refused: restored, it would answer `ok` and then refit on moments no
+/// window produced, moving every later threshold.
+#[test]
+fn a_checkpoint_whose_statistics_miscount_its_window_is_refused() {
+    let dir = std::env::temp_dir().join("netanom-serve-stats-count");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp = dir.join("session.bin");
+    let cp_arg = cp.to_str().unwrap();
+
+    let open =
+        |name: &str| format!("open {name} dim=6 train-bins=96 refit=incremental refit-every=24");
+    let mut service = Service::new();
+    reply(&mut service, &open("a"));
+    for t in 0..150usize {
+        let row: Vec<String> = (0..6usize)
+            .map(|l| {
+                let noise = ((t * 6 + l).wrapping_mul(2654435761) % 8192) as f64;
+                format!(
+                    "{}",
+                    1e6 * (l + 1) as f64 + 3e4 * (t as f64 / 9.0).sin() + noise
+                )
+            })
+            .collect();
+        let r = reply(&mut service, &format!("obs a {}", row.join(",")));
+        assert!(r.starts_with("ok obs a "), "{r}");
+    }
+    let r = reply(&mut service, &format!("checkpoint a {cp_arg}"));
+    assert!(r.starts_with("ok checkpoint a bytes="), "{r}");
+    let mut patched = SessionCheckpoint::from_bytes(&std::fs::read(&cp).unwrap()).unwrap();
+    assert_eq!(patched.window_rows.len(), 96);
+    // NAIC: magic, version, then the u64 dimension and the u64 count.
+    let stats = patched
+        .stats
+        .as_mut()
+        .expect("incremental sessions keep statistics");
+    let count = &mut stats[16..24];
+    assert_eq!(u64::from_le_bytes(count.try_into().unwrap()), 96);
+    count.copy_from_slice(&97u64.to_le_bytes());
+    std::fs::write(&cp, patched.to_bytes()).unwrap();
+
+    reply(&mut service, &open("b"));
+    let r = reply(&mut service, &format!("restore b {cp_arg}"));
+    assert!(r.starts_with("err checkpoint "), "{r}");
+    assert!(r.contains("statistics cover 97 rows"), "{r}");
+    assert_eq!(reply(&mut service, "ping"), "ok pong");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The transports' fixed line limit (1 MiB, terminator excluded), and
 /// what they answer to a line of `len` bytes past it or to one that is
 /// not UTF-8.

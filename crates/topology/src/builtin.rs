@@ -204,7 +204,7 @@ pub fn random(n: usize, extra_edges: usize, seed: u64) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netanom_linalg::vector;
+    use netanom_linalg::stats;
 
     #[test]
     fn abilene_matches_table_1() {
@@ -323,7 +323,7 @@ mod tests {
         for net in [abilene(), sprint_europe()] {
             let rm = &net.routing_matrix;
             let lens: Vec<f64> = (0..rm.num_flows()).map(|f| rm.path_len(f) as f64).collect();
-            let mean = vector::mean(&lens);
+            let mean = stats::mean(&lens);
             assert!(
                 (1.0..=5.0).contains(&mean),
                 "{}: mean path length {mean}",

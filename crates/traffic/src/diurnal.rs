@@ -154,7 +154,7 @@ mod tests {
         // (within the weekend damping).
         let p = typical();
         let s = p.series(BINS_PER_WEEK);
-        let mean = netanom_linalg::vector::mean(&s);
+        let mean = netanom_linalg::stats::mean(&s);
         assert!(
             (0.85..=1.05).contains(&mean),
             "weekly mean factor {mean} too far from 1"

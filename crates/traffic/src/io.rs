@@ -634,9 +634,7 @@ impl<R: BufRead> Iterator for CsvChunks<R> {
 /// Per-shard chunked feeds: a [`CsvChunks`] stream scattered into the
 /// column slices of a [`LinkPartition`], the shape a sharded diagnosis
 /// deployment consumes (each shard sees only its own links' byte
-/// counts — one feed per PoP collector). Like [`CsvChunks`], the feed
-/// is method-agnostic — every detection backend's sharded engine
-/// consumes the same slices.
+/// counts — one feed per PoP collector).
 ///
 /// [`ShardedChunks::take_rows`] still yields the *full-width* training
 /// prefix (the bootstrap fit is global); [`ShardedChunks::next_slices`]
