@@ -265,16 +265,6 @@ impl TemporalBackend {
         Ok(backend)
     }
 
-    /// The temporal method this backend runs.
-    pub fn kind(&self) -> TemporalKind {
-        self.kind
-    }
-
-    /// The confidence level the threshold is calibrated at.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
-    }
-
     /// Calibrate per-link forecasters and the energy threshold on a
     /// training matrix.
     fn calibrate(

@@ -29,7 +29,9 @@ fn usage() {
          netanom --list-methods | --version\n\
          \n\
          shard/tracker/worker also accept --partition round-robin|per-pop|explicit\n           \
-         [--dataset NAME] [--partition-file FILE]"
+         [--dataset NAME] [--partition-file FILE]\n\
+         --refit-k K sizes the truncated refit's iteration block (default 8); the\n           \
+         solve locks only the r eigenpairs the model keeps"
     );
 }
 

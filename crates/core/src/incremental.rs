@@ -318,22 +318,27 @@ impl IncrementalCovariance {
     }
 
     /// Rebuild a [`SubspaceModel`] from the current window with a
-    /// **truncated** eigensolve: only the top `k` eigenpairs of the
+    /// **truncated** eigensolve: only the leading eigenpairs of the
     /// covariance are computed
-    /// ([`TruncatedEigen::of_covariance`]), `O(m²·k)` per sweep instead
+    /// ([`TruncatedEigen::covariance_pairs`]), `O(m²·k)` per sweep instead
     /// of the dense solve's `O(m³)` in [`IncrementalCovariance::to_model`]
     /// — the refit route for thousand-link topologies.
     ///
     /// The Q-statistic threshold stays exact: the covariance's power
     /// traces ([`power_traces`]) supply the residual moments without the
-    /// tail spectrum. `k` is raised to the policy's normal dimension
-    /// when smaller, and under [`SeparationPolicy::VarianceFraction`]
-    /// the dimension search is confined to the computed block (`r ≤ k`);
-    /// the 3σ policy is rejected exactly like
-    /// [`IncrementalCovariance::to_model`].
+    /// tail spectrum. `k` sizes the iteration block and is raised to the
+    /// policy's normal dimension when smaller. Under
+    /// [`SeparationPolicy::FixedCount`]`(r)` the solve locks only the `r`
+    /// pairs the model keeps ([`TruncatedEigen::covariance_pairs`]) —
+    /// bitwise the first `r` of the `k`-pair solve, so the model equals
+    /// [`SubspaceModel::from_truncated`] on that solve except that it
+    /// stores `r` eigenvalues, not `k`. Under
+    /// [`SeparationPolicy::VarianceFraction`] all `k` pairs lock and the
+    /// dimension search is confined to them (`r ≤ k`); the 3σ policy is
+    /// rejected exactly like [`IncrementalCovariance::to_model`].
     ///
-    /// [`TruncatedEigen::of_covariance`]:
-    /// netanom_linalg::decomposition::TruncatedEigen::of_covariance
+    /// [`TruncatedEigen::covariance_pairs`]:
+    /// netanom_linalg::decomposition::TruncatedEigen::covariance_pairs
     /// [`power_traces`]: netanom_linalg::decomposition::power_traces
     pub fn to_model_truncated(
         &self,
@@ -347,7 +352,14 @@ impl IncrementalCovariance {
             _ => k,
         }
         .clamp(1, self.dim);
-        let eig = TruncatedEigen::of_covariance(&cov, k_eff, tol)?;
+        // A fixed count locks only the pairs the model keeps (at least
+        // one: the threshold's degeneracy floor reads `λ₁`); the search
+        // of a variance fraction needs the whole block.
+        let pairs = match policy {
+            SeparationPolicy::FixedCount(r) => r.min(self.dim.saturating_sub(1)).max(1),
+            _ => k_eff,
+        };
+        let eig = TruncatedEigen::covariance_pairs(&cov, k_eff, pairs, tol)?;
         let traces = decomposition::power_traces(&cov)?;
         let r = match self.normal_dim(policy, &eig.eigenvalues, traces.0.max(0.0)) {
             Some(r) => r,

@@ -214,8 +214,8 @@ impl EngineConfig {
         Ok(self)
     }
 
-    /// Override the truncated strategy's eigenpair count; errors unless
-    /// the strategy is [`RefitStrategy::Truncated`].
+    /// Override the truncated strategy's block-sizing `k`; errors
+    /// unless the strategy is [`RefitStrategy::Truncated`].
     pub fn with_refit_k(mut self, k: usize) -> Result<Self, String> {
         if k == 0 {
             return Err("refit-k must be a positive integer".to_string());

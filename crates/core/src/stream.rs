@@ -39,10 +39,12 @@ use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
 use crate::method::{DetectionBackend, SubspaceBackend};
 use crate::{CoreError, Result};
 
-/// Default number of top eigenpairs computed by
-/// [`RefitStrategy::truncated`] — comfortably above the normal
-/// dimension the 3σ rule picks on backbone data (`r ≈ 4`), so the
-/// frozen `r` always fits inside the computed block.
+/// Default `k` of [`RefitStrategy::truncated`]: the iteration block is
+/// sized for `k` pairs (`b = k + 4 + k/2`), comfortably above the
+/// normal dimension the 3σ rule picks on backbone data (`r ≈ 4`). A
+/// refit locks only the `r` pairs the frozen model keeps; the width
+/// past `r` is there because a block sized from `r` converges slowly
+/// where the spectrum clusters just past it.
 pub const DEFAULT_TRUNCATED_K: usize = 8;
 
 /// Default Rayleigh-quotient residual tolerance of
@@ -82,7 +84,7 @@ pub enum RefitStrategy {
     /// maintains nothing.
     Incremental,
     /// Like [`RefitStrategy::Incremental`], but the refit solves only
-    /// for the top `k` eigenpairs of the covariance — blocked subspace
+    /// for the leading eigenpairs of the covariance — blocked subspace
     /// iteration with deflation
     /// ([`TruncatedEigen`](netanom_linalg::decomposition::TruncatedEigen)),
     /// `O(m²·k)` per sweep instead of the dense solve's `O(m³)` — which is
@@ -93,12 +95,16 @@ pub enum RefitStrategy {
     /// eigenvalues' contributions, so detections match the
     /// [`RefitStrategy::Incremental`] route up to the solver tolerance
     /// (pinned by `tests/refit_parity.rs`). The same 3σ freeze of the
-    /// normal dimension applies, and `k` is raised to the frozen `r`
-    /// when necessary; statistics upkeep is identical to the
-    /// incremental strategy.
+    /// normal dimension applies, and the solve locks only the frozen
+    /// `r` pairs; statistics upkeep is identical to the incremental
+    /// strategy.
     Truncated {
-        /// Number of top eigenpairs to compute (raised to the model's
-        /// normal dimension when smaller).
+        /// Pairs the iteration block is sized for (raised to the
+        /// model's normal dimension when smaller). Under the frozen
+        /// `FixedCount(r)` the solve stops once the `r` kept pairs
+        /// lock — bitwise the first `r` of a `k`-pair solve; under
+        /// `VarianceFraction` all `k` lock and `r` is searched among
+        /// them.
         k: usize,
         /// Relative Rayleigh-quotient residual tolerance of the
         /// iteration (see

@@ -263,8 +263,9 @@ impl SubspaceModel {
     }
 
     /// The captured eigenvalue spectrum (covariance scale), decreasing:
-    /// all `m` values for dense fits, the leading `k` computed values
-    /// for truncated refits ([`SubspaceModel::from_truncated`]).
+    /// all `m` values for dense fits, the leading computed values for
+    /// truncated refits ([`SubspaceModel::from_truncated`]) — `r` of
+    /// them when the refit froze `FixedCount(r)`.
     pub fn eigenvalues(&self) -> &[f64] {
         &self.eigenvalues
     }

@@ -268,3 +268,114 @@ fn truncated_state_roundtrips_with_identical_threshold() {
         assert_eq!(a, b, "bin {t}");
     }
 }
+
+/// Under `FixedCount(r)` a truncated refit locks only the `r` pairs the
+/// model keeps. Those are bitwise the first `r` of the `k`-pair solve,
+/// so the model is `SubspaceModel::from_truncated` on that solve bit for
+/// bit — basis, residual moments, threshold — except that it stores the
+/// `r` computed eigenvalues instead of `k`.
+#[test]
+fn fixed_count_truncated_refit_is_the_k_pair_model_bitwise() {
+    use netanom_core::incremental::IncrementalCovariance;
+    use netanom_core::SubspaceModel;
+    use netanom_linalg::decomposition::{power_traces, TruncatedEigen};
+
+    let k = netanom_core::stream::DEFAULT_TRUNCATED_K;
+    let tol = netanom_core::stream::DEFAULT_TRUNCATED_TOL;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for dataset in [datasets::abilene, datasets::sprint1, datasets::sprint2] {
+        let (training, _, _) = split(dataset());
+        let stats = IncrementalCovariance::from_matrix(&training);
+        let cov = stats.covariance().unwrap();
+        let all = TruncatedEigen::of_covariance(&cov, k, tol).unwrap();
+        assert!(all.sweeps > 0, "expected the iterative solve");
+        let traces = power_traces(&cov).unwrap();
+        for r in [1, 4, 5, k] {
+            let got = stats
+                .to_model_truncated(SeparationPolicy::FixedCount(r), k, tol)
+                .unwrap();
+            let want =
+                SubspaceModel::from_truncated(stats.mean().unwrap(), &all, r, traces).unwrap();
+            assert_eq!(got.normal_dim(), r);
+            assert_eq!(
+                bits(got.normal_basis().as_slice()),
+                bits(want.normal_basis().as_slice()),
+                "r = {r}: basis"
+            );
+            let (gm, wm) = (
+                got.residual_moments().unwrap(),
+                want.residual_moments().unwrap(),
+            );
+            assert_eq!(
+                bits(&[gm.0, gm.1, gm.2]),
+                bits(&[wm.0, wm.1, wm.2]),
+                "r = {r}: moments"
+            );
+            for confidence in [0.999, 0.995] {
+                assert_eq!(
+                    got.q_threshold(confidence).unwrap().delta_sq.to_bits(),
+                    want.q_threshold(confidence).unwrap().delta_sq.to_bits(),
+                    "r = {r}: threshold at {confidence}"
+                );
+            }
+            assert_eq!(bits(got.eigenvalues()), bits(&all.eigenvalues[..r]));
+        }
+    }
+}
+
+/// A checkpoint or `Model` broadcast written when truncated refits
+/// exported all `k` computed eigenvalues still imports, and gives the
+/// threshold of the `r`-eigenvalue state exported now.
+#[test]
+fn truncated_state_with_k_eigenvalues_still_imports() {
+    use netanom_core::method::subspace_model_from_state;
+    use netanom_linalg::decomposition::TruncatedEigen;
+
+    let (_, engine) = stream_reports(RefitStrategy::truncated());
+    let state = engine.backend().export_state();
+    let (model, confidence) = subspace_model_from_state(&state).unwrap();
+    let r = model.normal_dim();
+    assert_eq!(
+        state.vectors[1].len(),
+        r,
+        "exports the r locked eigenvalues"
+    );
+
+    // The state padded to k eigenvalues, the shape the k-pair solve
+    // exported. The values past r are the training window's (never
+    // read: the moments carry the residual, and the threshold's floor
+    // reads only λ₁).
+    let k = netanom_core::stream::DEFAULT_TRUNCATED_K;
+    assert!(r < k);
+    let (training, _, _) = abilene_split();
+    let cov = netanom_core::incremental::IncrementalCovariance::from_matrix(&training)
+        .covariance()
+        .unwrap();
+    let tail = TruncatedEigen::of_covariance(&cov, k, 1e-10).unwrap();
+    let mut old = state.clone();
+    old.vectors[1].extend_from_slice(&tail.eigenvalues[r..]);
+    assert_eq!(old.vectors[1].len(), k);
+    let (old_model, old_confidence) = subspace_model_from_state(&old).unwrap();
+    assert_eq!(old_confidence, confidence);
+    assert_eq!(old_model.normal_dim(), r);
+    assert_eq!(old_model.eigenvalues().len(), k);
+    assert_eq!(
+        old_model
+            .q_threshold(confidence)
+            .unwrap()
+            .delta_sq
+            .to_bits(),
+        model.q_threshold(confidence).unwrap().delta_sq.to_bits()
+    );
+
+    let (training, _, network) = abilene_split();
+    let mut other = SubspaceBackend::fit(
+        &training,
+        &network.routing_matrix,
+        DiagnoserConfig::default(),
+        RefitStrategy::FullSvd,
+    )
+    .unwrap();
+    other.import_state(&old).unwrap();
+    assert_eq!(other.threshold(), engine.backend().threshold());
+}

@@ -11,8 +11,9 @@
 //!
 //! * [`RefitStrategy::Incremental`] — the full `m × m` symmetric
 //!   eigensolve per refit (`O(m³)`);
-//! * [`RefitStrategy::Truncated`] — top-k blocked subspace iteration
-//!   (`O(m²k)` per sweep) with the exact-moment threshold.
+//! * [`RefitStrategy::Truncated`] — blocked subspace iteration in a
+//!   block sized for `k` (`O(m²k)` per sweep) that locks the `r` pairs
+//!   the model keeps, with the exact-moment threshold.
 //!
 //! Reported per `(m, strategy)`: the engine bootstrap (`fit_ms`: first
 //! fit on the default two-pass Gram route, identifier, statistics —
@@ -66,7 +67,7 @@ pub struct ScenarioConfig {
     pub anomaly_bytes: f64,
     /// Detection confidence level.
     pub confidence: f64,
-    /// Top-eigenpair count of the truncated strategy.
+    /// Block-sizing `k` of the truncated strategy.
     pub truncated_k: usize,
     /// Residual tolerance of the truncated strategy.
     pub truncated_tol: f64,
@@ -302,7 +303,7 @@ pub fn experiment(_lab: &Lab, out_dir: &Path) -> ExperimentOutput {
         "Streaming diagnosis on synthetic networks (gravity traffic,\n\
          staged ground-truth anomalies): set-up (fit_ms), throughput and\n\
          refit latency vs link count, dense (incremental) vs truncated\n\
-         top-{} refits.\n\n{}",
+         refits (block sized for k = {}).\n\n{}",
         cfg.truncated_k,
         report::ascii_table(&headers, &rows)
     );

@@ -21,7 +21,9 @@
 //! * **Deflation.** Accepted pairs are locked: later sweeps
 //!   orthogonalize the active block against them and iterate only the
 //!   still-unconverged directions, shrinking the per-sweep cost as
-//!   pairs converge.
+//!   pairs converge. The solve stops once the pairs asked for are
+//!   locked ([`TruncatedEigen::top_pairs`] asks for fewer than the
+//!   block is sized for).
 //!
 //! Convergence per sweep is geometric in `λ_{b+1}/λ_i`, so the
 //! oversampled block converges in a few dozen sweeps on covariance
@@ -65,9 +67,11 @@ fn oversampled_block(k: usize, m: usize) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TruncatedEigen {
-    /// The `k` largest eigenvalues, decreasing.
+    /// The largest eigenvalues, decreasing: `k` of them from
+    /// [`TruncatedEigen::top_k`], `pairs` from
+    /// [`TruncatedEigen::top_pairs`].
     pub eigenvalues: Vec<f64>,
-    /// Unit eigenvectors as columns (`m × k`), pairing with
+    /// Unit eigenvectors as columns (`m × len`), pairing with
     /// [`TruncatedEigen::eigenvalues`].
     pub eigenvectors: Matrix,
     /// Subspace-iteration sweeps spent (0 when the dense fallback ran).
@@ -93,6 +97,24 @@ impl TruncatedEigen {
     /// [`LinalgError::NonConvergence`] when the sweep budget is spent —
     /// a gap-free spectrum at the block boundary.
     pub fn top_k(a: &Matrix, k: usize, tol: f64) -> Result<Self> {
+        Self::top_pairs(a, k, k, tol)
+    }
+
+    /// The leading `pairs ≤ k` eigenpairs, iterated in the block
+    /// [`TruncatedEigen::top_k`] sizes for `k`: the solve stops as soon
+    /// as `pairs` pairs are locked.
+    ///
+    /// The block, the start and every sweep are `top_k(a, k, tol)`'s
+    /// until then, and pairs lock in order, so the result is **bitwise**
+    /// the first `pairs` values and vectors of the `k`-pair solve — at
+    /// the cost of the sweeps it takes to lock `pairs`, not `k`. The
+    /// block stays sized from `k` because a narrow block converges
+    /// slowly where the spectrum clusters past the pairs wanted.
+    ///
+    /// Errors as [`TruncatedEigen::top_k`], plus
+    /// [`LinalgError::DimensionMismatch`] when `pairs == 0` or
+    /// `pairs > k`.
+    pub fn top_pairs(a: &Matrix, k: usize, pairs: usize, tol: f64) -> Result<Self> {
         if a.is_empty() {
             return Err(LinalgError::Empty {
                 op: "truncated eigendecomposition",
@@ -103,6 +125,13 @@ impl TruncatedEigen {
                 op: "truncated eigendecomposition (needs square A, 1 <= k <= m)",
                 lhs: a.shape(),
                 rhs: (k, k),
+            });
+        }
+        if pairs == 0 || pairs > k {
+            return Err(LinalgError::DimensionMismatch {
+                op: "truncated eigendecomposition (needs 1 <= pairs <= k)",
+                lhs: a.shape(),
+                rhs: (pairs, k),
             });
         }
         if !(tol.is_finite() && tol > 0.0) {
@@ -120,9 +149,9 @@ impl TruncatedEigen {
         // block spans (nearly) everything.
         if block + 2 >= m {
             let full = SymmetricEigen::new(a)?;
-            let idx: Vec<usize> = (0..k).collect();
+            let idx: Vec<usize> = (0..pairs).collect();
             return Ok(TruncatedEigen {
-                eigenvalues: full.eigenvalues[..k].to_vec(),
+                eigenvalues: full.eigenvalues[..pairs].to_vec(),
                 eigenvectors: full.eigenvectors.select_columns(&idx),
                 sweeps: 0,
             });
@@ -132,8 +161,8 @@ impl TruncatedEigen {
         // Deterministic quasi-random start block (no RNG dependency; the
         // same inputs always produce the same factorization).
         let mut q = Matrix::from_fn(m, block, |i, j| hash_unit(i * block + j));
-        let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut locked_vals: Vec<f64> = Vec::with_capacity(k);
+        let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(pairs);
+        let mut locked_vals: Vec<f64> = Vec::with_capacity(pairs);
         orthonormalize(&mut q, &locked_vecs);
 
         let mut sweeps = 0;
@@ -180,7 +209,7 @@ impl TruncatedEigen {
             }
             let mut newly_locked = 0;
             for i in 0..b_active {
-                if locked_vals.len() >= k {
+                if locked_vals.len() >= pairs {
                     break;
                 }
                 if res_sq[i].sqrt() <= tol * theta1 {
@@ -191,8 +220,8 @@ impl TruncatedEigen {
                     break; // lock only a prefix, preserving order
                 }
             }
-            if locked_vals.len() >= k {
-                let vectors = Matrix::from_fn(m, k, |i, j| locked_vecs[j][i]);
+            if locked_vals.len() >= pairs {
+                let vectors = Matrix::from_fn(m, pairs, |i, j| locked_vecs[j][i]);
                 return Ok(TruncatedEigen {
                     eigenvalues: locked_vals,
                     eigenvectors: vectors,
@@ -219,7 +248,14 @@ impl TruncatedEigen {
     /// to zero, mirroring
     /// [`SymmetricEigen::of_covariance`].
     pub fn of_covariance(cov: &Matrix, k: usize, tol: f64) -> Result<Self> {
-        let mut eig = Self::top_k(cov, k, tol)?;
+        Self::covariance_pairs(cov, k, k, tol)
+    }
+
+    /// [`TruncatedEigen::top_pairs`] for a covariance refit, with
+    /// [`TruncatedEigen::of_covariance`]'s clamp: the leading `pairs`
+    /// of the `k`-pair solve, bit for bit.
+    pub fn covariance_pairs(cov: &Matrix, k: usize, pairs: usize, tol: f64) -> Result<Self> {
+        let mut eig = Self::top_pairs(cov, k, pairs, tol)?;
         for l in &mut eig.eigenvalues {
             if *l < 0.0 {
                 *l = 0.0;
@@ -228,7 +264,7 @@ impl TruncatedEigen {
         Ok(eig)
     }
 
-    /// Number of computed eigenpairs `k`.
+    /// Number of computed eigenpairs.
     pub fn len(&self) -> usize {
         self.eigenvalues.len()
     }
@@ -306,34 +342,36 @@ fn hash_unit(i: usize) -> f64 {
 /// relative to the norm the column came in with: an iterate column is
 /// `A·v`, on the scale of `A`'s eigenvalues, and a spectrum that is small
 /// in absolute terms (traffic counted in a large unit) is not deficient.
+///
+/// The sweep runs on `Qᵀ`, whose rows are `Q`'s columns, so every dot
+/// and update walks contiguous memory where indexing the row-major
+/// `m × b` block by column strides by `b`. The operations and their
+/// order are the column-wise loop's — the same dots in ascending row
+/// order, the same updates — so the result is bitwise the same.
 fn orthonormalize(q: &mut Matrix, locked: &[Vec<f64>]) {
     let m = q.rows();
     let b = q.cols();
+    let mut qt = q.transpose();
+    let columns = qt.data_mut();
     let mut col = vec![0.0; m];
     for j in 0..b {
+        let (done, rest) = columns.split_at_mut(j * m);
+        let out = &mut rest[..m];
         for attempt in 0..3 {
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = q[(i, j)];
-            }
+            col.copy_from_slice(out);
             let incoming = col.iter().map(|v| v * v).sum::<f64>().sqrt();
             for _pass in 0..2 {
                 for basis in locked.iter() {
                     project_out(&mut col, basis);
                 }
-                for prev in 0..j {
-                    let mut dot = 0.0;
-                    for i in 0..m {
-                        dot += q[(i, prev)] * col[i];
-                    }
-                    for (i, v) in col.iter_mut().enumerate() {
-                        *v -= dot * q[(i, prev)];
-                    }
+                for prev in done.chunks_exact(m) {
+                    project_out(&mut col, prev);
                 }
             }
             let norm = col.iter().map(|v| v * v).sum::<f64>().sqrt();
             if norm > 1e-12 * incoming {
-                for (i, v) in col.iter().enumerate() {
-                    q[(i, j)] = v / norm;
+                for (o, v) in out.iter_mut().zip(&col) {
+                    *o = v / norm;
                 }
                 break;
             }
@@ -341,11 +379,10 @@ fn orthonormalize(q: &mut Matrix, locked: &[Vec<f64>]) {
             for (i, v) in col.iter_mut().enumerate() {
                 *v = hash_unit((attempt + 2) * (m * b + 1) + i * b + j);
             }
-            for (i, v) in col.iter().enumerate() {
-                q[(i, j)] = *v;
-            }
+            out.copy_from_slice(&col);
         }
     }
+    *q = qt.transpose();
 }
 
 fn project_out(col: &mut [f64], basis: &[f64]) {
@@ -520,6 +557,105 @@ mod tests {
                 Err(LinalgError::DomainError { .. })
             ));
         }
+    }
+
+    /// The textbook column-at-a-time sweep, indexing the row-major
+    /// block by column: the reference [`orthonormalize`] must match
+    /// bit for bit.
+    fn orthonormalize_strided(q: &mut Matrix, locked: &[Vec<f64>]) {
+        let m = q.rows();
+        let b = q.cols();
+        let mut col = vec![0.0; m];
+        for j in 0..b {
+            for attempt in 0..3 {
+                for (i, v) in col.iter_mut().enumerate() {
+                    *v = q[(i, j)];
+                }
+                let incoming = col.iter().map(|v| v * v).sum::<f64>().sqrt();
+                for _pass in 0..2 {
+                    for basis in locked.iter() {
+                        project_out(&mut col, basis);
+                    }
+                    for prev in 0..j {
+                        let mut dot = 0.0;
+                        for i in 0..m {
+                            dot += q[(i, prev)] * col[i];
+                        }
+                        for (i, v) in col.iter_mut().enumerate() {
+                            *v -= dot * q[(i, prev)];
+                        }
+                    }
+                }
+                let norm = col.iter().map(|v| v * v).sum::<f64>().sqrt();
+                if norm > 1e-12 * incoming {
+                    for (i, v) in col.iter().enumerate() {
+                        q[(i, j)] = v / norm;
+                    }
+                    break;
+                }
+                for (i, v) in col.iter_mut().enumerate() {
+                    *v = hash_unit((attempt + 2) * (m * b + 1) + i * b + j);
+                }
+                for (i, v) in col.iter().enumerate() {
+                    q[(i, j)] = *v;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contiguous_sweep_is_bitwise_the_strided_one() {
+        // Locked vectors, a column repeating an earlier one and a column
+        // inside the locked span (both reseeded), on shapes around the
+        // refit block.
+        for (m, b, nlocked) in [
+            (12usize, 3usize, 0usize),
+            (40, 9, 2),
+            (121, 16, 6),
+            (256, 16, 6),
+        ] {
+            let mut basis =
+                Matrix::from_fn(m, nlocked + b, |i, j| hash_unit(7 * m + i * (b + 9) + j));
+            orthonormalize(&mut basis, &[]);
+            let locked: Vec<Vec<f64>> = (0..nlocked).map(|j| basis.col(j)).collect();
+            let mut q = Matrix::from_fn(m, b, |i, j| hash_unit(3 * m * b + i * b + j));
+            if b > 2 {
+                let first = q.col(0);
+                q.set_col(2, &first);
+            }
+            if let Some(l) = locked.first() {
+                q.set_col(1, l);
+            }
+            let mut want = q.clone();
+            orthonormalize_strided(&mut want, &locked);
+            orthonormalize(&mut q, &locked);
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&q), bits(&want), "m = {m}, b = {b}, {nlocked} locked");
+        }
+    }
+
+    #[test]
+    fn top_pairs_is_the_prefix_of_top_k() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The iterative route and the dense fallback.
+        for (m, k) in [(40usize, 6usize), (12, 6)] {
+            let a = spectral_matrix(m, &geometric_spectrum(m, 0.6), 8);
+            let all = TruncatedEigen::top_k(&a, k, 1e-12).unwrap();
+            for pairs in 1..=k {
+                let some = TruncatedEigen::top_pairs(&a, k, pairs, 1e-12).unwrap();
+                assert_eq!(some.len(), pairs);
+                assert!(some.sweeps <= all.sweeps);
+                assert_eq!(bits(&some.eigenvalues), bits(&all.eigenvalues[..pairs]));
+                let idx: Vec<usize> = (0..pairs).collect();
+                assert_eq!(
+                    bits(some.eigenvectors.as_slice()),
+                    bits(all.eigenvectors.select_columns(&idx).as_slice())
+                );
+            }
+        }
+        let a = spectral_matrix(10, &geometric_spectrum(10, 0.5), 9);
+        assert!(TruncatedEigen::top_pairs(&a, 3, 0, 1e-10).is_err());
+        assert!(TruncatedEigen::top_pairs(&a, 3, 4, 1e-10).is_err());
     }
 
     #[test]

@@ -322,6 +322,33 @@ proptest! {
         prop_assert!(g.approx_eq(&Matrix::identity(k), 1e-9));
     }
 
+    /// Locking `pairs ≤ k` pairs is the `k`-pair solve stopped early:
+    /// the same block, start and sweeps until pair `pairs` locks, so
+    /// its values and vectors are the `k`-pair solve's first `pairs`,
+    /// bit for bit.
+    #[test]
+    fn top_pairs_are_the_prefix_of_the_k_pair_solve(
+        seed in 0u64..300,
+        m in 24usize..48,
+        k in 1usize..9,
+        pairs_frac in 0.0..1.0f64,
+        ratio in 0.3..0.8f64,
+    ) {
+        let pairs = 1 + ((k as f64 * pairs_frac) as usize).min(k - 1);
+        let lambdas: Vec<f64> = (0..m).map(|i| 1e6 * ratio.powi(i as i32)).collect();
+        let a = spectral_matrix(&lambdas, seed);
+        let all = TruncatedEigen::top_k(&a, k, 1e-10).unwrap();
+        let some = TruncatedEigen::top_pairs(&a, k, pairs, 1e-10).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&some.eigenvalues), bits(&all.eigenvalues[..pairs]));
+        let idx: Vec<usize> = (0..pairs).collect();
+        prop_assert_eq!(
+            bits(some.eigenvectors.as_slice()),
+            bits(all.eigenvectors.select_columns(&idx).as_slice())
+        );
+        prop_assert!(some.sweeps <= all.sweeps);
+    }
+
     /// The power traces equal the spectrum's power sums — the identity
     /// the truncated refit's exact threshold rests on.
     #[test]
@@ -567,4 +594,56 @@ fn eigen_bits_are_independent_of_threads_and_kernel_tier() {
         digest, 0x0730_727d_4fe7_5856,
         "FNV-1a of eigenvalues then eigenvectors"
     );
+}
+
+/// FNV-1a over the eigenvalues' then the eigenvectors' bits.
+fn eigen_digest(values: &[f64], vectors: &Matrix) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for x in values.iter().chain(vectors.as_slice()) {
+        for byte in x.to_bits().to_le_bytes() {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// A covariance-like spectrum: six steep principal axes, then a slowly
+/// decaying noise floor — where the block's trailing pairs converge.
+fn knee_spectrum(m: usize) -> Vec<f64> {
+    (0..m)
+        .map(|i| {
+            if i < 6 {
+                1e8 * 0.5f64.powi(i as i32)
+            } else {
+                1e5 * 0.97f64.powi(i as i32)
+            }
+        })
+        .collect()
+}
+
+/// The truncated solver's output bits at `k = 8` on the refit widths,
+/// pinned: a rewrite of the sweep (the Gram–Schmidt layout, the lock
+/// count) must leave every bit where it was. The `A·Q` products run on
+/// the dispatched kernel, so there is one digest per rounding family;
+/// CI reruns this under `RAYON_NUM_THREADS` 1 and 8 and under each
+/// `NETANOM_KERNEL` tier.
+#[test]
+fn truncated_bits_are_pinned() {
+    let fused = netanom_linalg::kernel::active_backend().is_fused();
+    for (m, seed, want_fused, want_portable) in [
+        (
+            121usize,
+            11u64,
+            0x0f14_503c_6819_2112u64,
+            0xd3b4_5c57_a9ce_730fu64,
+        ),
+        (256, 12, 0x3380_747d_59a7_dcae, 0x2c5b_3a2e_ddfb_cbd5),
+    ] {
+        let a = spectral_matrix(&knee_spectrum(m), seed);
+        let top = TruncatedEigen::top_k(&a, 8, 1e-10).unwrap();
+        assert!(top.sweeps > 0, "m = {m}: expected the iterative path");
+        let digest = eigen_digest(&top.eigenvalues, &top.eigenvectors);
+        let want = if fused { want_fused } else { want_portable };
+        assert_eq!(digest, want, "m = {m}: FNV-1a of the top-8 eigenpairs");
+    }
 }
