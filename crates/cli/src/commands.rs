@@ -180,7 +180,7 @@ pub fn detect(args: &[String]) -> Result<(), String> {
         netanom_core::Detector::new(model, confidence).map_err(|e| format!("threshold: {e}"))?;
 
     let detections = detector
-        .detect_series(links.matrix())
+        .detect_matrix(links.matrix())
         .map_err(|e| e.to_string())?;
     let q = detector.threshold();
     println!(
@@ -339,17 +339,8 @@ fn engine_config_of(
     default_strategy: RefitStrategy,
 ) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::new(required_train_bins(flags)?)?.with_refit(default_strategy);
-    // `--refit` before `--refit-k`, which only adjusts the truncated
-    // strategy; a fixed order also makes the first error reported the
-    // same on every run.
-    for key in [
-        "method",
-        "refit",
-        "refit-k",
-        "refit-every",
-        "window",
-        "confidence",
-    ] {
+    // A fixed order makes the first error reported the same on every run.
+    for key in ["method", "refit", "refit-every", "window", "confidence"] {
         if let Some(value) = flags.get(key) {
             cfg.set(key, value).map_err(|e| format!("--{e}"))?;
         }
@@ -462,20 +453,34 @@ fn refit_label(refit_every: Option<usize>, strategy: RefitStrategy) -> String {
     }
 }
 
-/// Print one alarm CSV line per detected report (bins offset by the
-/// training prefix length); returns the number printed.
+/// The alarm CSV the online verbs print on stdout: the header row when
+/// it opens, then one line per detected report, bins offset by the
+/// training prefix length.
 ///
 /// Detection-only methods (the temporal backends) carry no
 /// identification — their flow/bytes/fraction columns print `-`.
-fn emit_alarms(reports: &[DiagnosisReport], train_bins: usize) -> usize {
-    let mut alarms = 0;
-    for rep in reports.iter().filter(|r| r.detected) {
-        alarms += 1;
-        // The shared payload formatter keeps these lines byte-identical
-        // to the `alarm` events `netanom serve` emits.
-        println!("{}", netanom_serve::alarm_csv_row(rep, train_bins));
+struct AlarmCsv {
+    train_bins: usize,
+    alarms: usize,
+}
+
+impl AlarmCsv {
+    fn open(train_bins: usize) -> Self {
+        println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
+        AlarmCsv {
+            train_bins,
+            alarms: 0,
+        }
     }
-    alarms
+
+    fn emit(&mut self, reports: &[DiagnosisReport]) {
+        for rep in reports.iter().filter(|r| r.detected) {
+            self.alarms += 1;
+            // The shared payload formatter keeps these lines byte-identical
+            // to the `alarm` events `netanom serve` emits.
+            println!("{}", netanom_serve::alarm_csv_row(rep, self.train_bins));
+        }
+    }
 }
 
 /// The `# trained …` banner of the online commands: the subspace method
@@ -522,9 +527,39 @@ fn deployment_label(noun: &str, partition: &LinkPartition) -> String {
     )
 }
 
+/// The engine flags of the online verbs, shared by `stream`, `shard`
+/// and `tracker`: the input, the routing, and the [`EngineConfig`]
+/// options but `--method` (the tracker runs the subspace method only).
+const ENGINE_FLAGS: [&str; 8] = [
+    "links",
+    "paths",
+    "confidence",
+    "train-bins",
+    "window",
+    "refit-every",
+    "refit",
+    "chunk",
+];
+
+/// The engine flags plus a verb's own.
+fn flags_with(own: &[&'static str]) -> Vec<&'static str> {
+    [&ENGINE_FLAGS[..], own].concat()
+}
+
+/// Read the training prefix of `--links`.
+fn training_rows(
+    chunks: &mut LinkChunks,
+    cfg: &EngineConfig,
+    links_arg: &str,
+) -> Result<netanom_linalg::Matrix, String> {
+    chunks
+        .take_rows(cfg.train_bins())
+        .map_err(|e| format!("reading {links_arg} training rows: {e}"))
+}
+
 /// `netanom stream --links FILE|- --train-bins N [--method NAME]
 /// [--paths FILE] [--confidence C] [--window N] [--refit-every K]
-/// [--refit full|incremental|truncated] [--refit-k K] [--chunk B]`
+/// [--refit full|incremental|truncated] [--chunk B]`
 ///
 /// Consume a link-measurement CSV (a file, or stdin with `--links -`) in
 /// chunks: train the selected method (default: subspace; see
@@ -538,49 +573,31 @@ fn deployment_label(noun: &str, partition: &LinkPartition) -> String {
 /// the `flow` column degenerates to "most anomalous link". The temporal
 /// methods detect but do not identify; their flow columns print `-`.
 pub fn stream(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(
-        args,
-        &[
-            "links",
-            "paths",
-            "confidence",
-            "train-bins",
-            "window",
-            "refit-every",
-            "refit",
-            "refit-k",
-            "chunk",
-            "method",
-        ],
-    )?;
+    let flags = parse_flags(args, &flags_with(&["method"]))?;
     let links_arg = require(&flags, "links")?;
     let cfg = engine_config_of(&flags, RefitStrategy::FullSvd)?;
 
     let chunks = traffic_io::CsvChunks::new(open_links_reader(links_arg)?, cfg.chunk())
         .map_err(|e| format!("reading {links_arg}: {e}"))?;
     let rm = routing_of(&flags, chunks.num_links())?;
-    run_streaming(&cfg, chunks, &rm, links_arg)
+    stream_engine(&cfg, chunks, &rm, links_arg)
 }
 
-/// The streaming ingest loop of `netanom stream`, and of `netanom shard`
-/// for a method with nothing to merge: train on the first
-/// `--train-bins` rows, print the banner, push every chunk through the
-/// [`StreamingEngine`](netanom_core::stream::StreamingEngine), print the
-/// alarms and the summary.
-fn run_streaming(
+/// `netanom stream`'s engine, and `netanom shard`'s for a method with
+/// nothing to merge: train on the first `--train-bins` rows, print the
+/// banner, run the
+/// [`StreamingEngine`](netanom_core::stream::StreamingEngine) over the
+/// rest and print the summary.
+fn stream_engine(
     cfg: &EngineConfig,
     mut chunks: LinkChunks,
     rm: &RoutingMatrix,
     links_arg: &str,
 ) -> Result<(), String> {
-    // The training prefix; the boundary chunk's overflow stays buffered
-    // inside `chunks` and streams first.
-    let training = chunks
-        .take_rows(cfg.train_bins())
-        .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
-
+    // The boundary chunk's overflow stays buffered inside `chunks` and
+    // streams first.
+    let training = training_rows(&mut chunks, cfg, links_arg)?;
     let mut engine = build_streaming(cfg, &training, rm)?;
-
     online_banner(
         engine.backend(),
         engine
@@ -590,18 +607,9 @@ fn run_streaming(
         cfg,
         "",
     );
-    println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
-
-    let start = std::time::Instant::now();
-    let mut alarms = 0usize;
-    while let Some(block) = chunks
-        .next_chunk()
-        .map_err(|e| format!("reading {links_arg}: {e}"))?
-    {
-        let reports = engine.process_batch(&block).map_err(|e| e.to_string())?;
-        alarms += emit_alarms(&reports, cfg.train_bins());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let (alarms, elapsed) = run_streaming(&mut chunks, cfg.train_bins(), links_arg, |block| {
+        engine.process_batch(block)
+    })?;
     let arrivals = engine.arrivals();
     eprintln!(
         "{alarms} alarms in {arrivals} streamed bins; {} refits; {:.0} arrivals/sec",
@@ -609,6 +617,26 @@ fn run_streaming(
         arrivals as f64 / elapsed.max(1e-9),
     );
     Ok(())
+}
+
+/// The one ingest loop of the online verbs: open the alarm CSV, hand
+/// every block `chunks` has left to `step` (an engine's batch call) and
+/// print its alarms. Returns the alarm count and the loop's seconds.
+fn run_streaming(
+    chunks: &mut LinkChunks,
+    train_bins: usize,
+    links_arg: &str,
+    mut step: impl FnMut(&netanom_linalg::Matrix) -> netanom_core::Result<Vec<DiagnosisReport>>,
+) -> Result<(usize, f64), String> {
+    let mut csv = AlarmCsv::open(train_bins);
+    let start = std::time::Instant::now();
+    while let Some(block) = chunks
+        .next_chunk()
+        .map_err(|e| format!("reading {links_arg}: {e}"))?
+    {
+        csv.emit(&step(&block).map_err(|e| e.to_string())?);
+    }
+    Ok((csv.alarms, start.elapsed().as_secs_f64()))
 }
 
 /// Parse an optional shard/worker-count flag (`--shards`, `--workers`).
@@ -653,7 +681,7 @@ fn open_partitioned(
 
 /// `netanom shard --links FILE|- --train-bins N --shards K
 /// [--method NAME] [--paths FILE] [--confidence C] [--window N]
-/// [--refit-every K] [--refit full|incremental|truncated] [--refit-k K]
+/// [--refit-every K] [--refit full|incremental|truncated]
 /// [--chunk B] [--partition round-robin|per-pop|explicit]
 /// [--dataset NAME] [--partition-file FILE]`
 ///
@@ -661,12 +689,12 @@ fn open_partitioned(
 /// partitioned into shards (`--partition round-robin` over `--shards K`
 /// by default; `per-pop` groups by the `--dataset` topology's PoPs;
 /// `explicit` reads a `shard,links` CSV), the link CSV is consumed in
-/// chunks and scattered into per-shard column-slice feeds
-/// (`traffic::io::ShardedChunks`), and each shard ingests its slice —
-/// statistics rows and partial SPEs — while the coordinator keeps the
-/// window, merges, detects, identifies, and (on the refit cadence)
-/// rebuilds the global model from the merged shard statistics.
-/// Detections are bitwise the ones `netanom stream` would print.
+/// the chunks `netanom stream` reads, and each shard ingests its links'
+/// columns of every chunk — statistics rows and partial SPEs — while the
+/// coordinator keeps the window, merges, detects, identifies, and (on
+/// the refit cadence) rebuilds the global model from the merged shard
+/// statistics. Detections are bitwise the ones `netanom stream` would
+/// print.
 ///
 /// A temporal `--method` scores each link on its own, so a partition
 /// gives it nothing to merge: the flags are validated as for the
@@ -679,25 +707,10 @@ fn open_partitioned(
 pub fn shard(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
-        &[
-            "links",
-            "paths",
-            "confidence",
-            "train-bins",
-            "window",
-            "refit-every",
-            "refit",
-            "refit-k",
-            "chunk",
-            "shards",
-            "method",
-            "partition",
-            "dataset",
-            "partition-file",
-        ],
+        &flags_with(&["shards", "method", "partition", "dataset", "partition-file"]),
     )?;
     let links_arg = require(&flags, "links")?;
-    let (cfg, chunks, partition, rm) =
+    let (cfg, mut chunks, partition, rm) =
         open_partitioned(&flags, shard_count_of(&flags, "shards")?, "shards")?;
     if MethodName::parse(cfg.method())? != MethodName::Subspace {
         eprintln!(
@@ -705,14 +718,10 @@ pub fn shard(args: &[String]) -> Result<(), String> {
              running it unsharded on the streaming engine",
             cfg.method()
         );
-        return run_streaming(&cfg, chunks, &rm, links_arg);
+        return stream_engine(&cfg, chunks, &rm, links_arg);
     }
-    let mut feeds = traffic_io::ShardedChunks::new(chunks, &partition)
-        .map_err(|e| format!("sharding {links_arg}: {e}"))?;
 
-    let training = feeds
-        .take_rows(cfg.train_bins())
-        .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
+    let training = training_rows(&mut chunks, &cfg, links_arg)?;
     let backend =
         SubspaceBackend::fit_sharded(&training, &rm, cfg.diagnoser_config(), cfg.strategy())
             .map_err(|e| format!("fitting subspace model: {e}"))?;
@@ -725,20 +734,9 @@ pub fn shard(args: &[String]) -> Result<(), String> {
     let mut engine =
         ShardedEngine::with_backend(backend, &training, cfg.stream_config(), &partition)
             .map_err(|e| format!("assembling subspace engine: {e}"))?;
-    println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
-
-    let start = std::time::Instant::now();
-    let mut alarms = 0usize;
-    while let Some(slices) = feeds
-        .next_slices()
-        .map_err(|e| format!("reading {links_arg}: {e}"))?
-    {
-        let reports = engine
-            .process_batch_slices(&slices)
-            .map_err(|e| e.to_string())?;
-        alarms += emit_alarms(&reports, cfg.train_bins());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let (alarms, elapsed) = run_streaming(&mut chunks, cfg.train_bins(), links_arg, |block| {
+        engine.process_batch(block)
+    })?;
     let arrivals = engine.arrivals();
     eprintln!(
         "{alarms} alarms in {arrivals} streamed bins; {} merges+refits ({:.1} ms); {:.0} arrivals/sec",
@@ -775,7 +773,7 @@ fn seconds_of(
 
 /// `netanom tracker --listen ADDR --links FILE|- --train-bins N
 /// --workers K [--paths FILE] [--confidence C] [--window N]
-/// [--refit-every K] [--refit full|incremental|truncated] [--refit-k K]
+/// [--refit-every K] [--refit full|incremental|truncated]
 /// [--chunk B] [--join-timeout S] [--read-timeout S]
 /// [--partition round-robin|per-pop|explicit] [--dataset NAME]
 /// [--partition-file FILE]`
@@ -800,24 +798,15 @@ fn seconds_of(
 pub fn tracker(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(
         args,
-        &[
+        &flags_with(&[
             "listen",
-            "links",
-            "paths",
-            "confidence",
-            "train-bins",
-            "window",
-            "refit-every",
-            "refit",
-            "refit-k",
-            "chunk",
             "workers",
             "join-timeout",
             "read-timeout",
             "partition",
             "dataset",
             "partition-file",
-        ],
+        ]),
     )?;
     let listen = require(&flags, "listen")?;
     let links_arg = require(&flags, "links")?;
@@ -826,9 +815,7 @@ pub fn tracker(args: &[String]) -> Result<(), String> {
         open_partitioned(&flags, Some(workers), "workers")?;
     // Only the training prefix is read here — the streamed rows live at
     // the workers; the tracker never sees a measurement row again.
-    let training = chunks
-        .take_rows(engine_cfg.train_bins())
-        .map_err(|e| format!("reading {links_arg} training rows: {e}"))?;
+    let training = training_rows(&mut chunks, &engine_cfg, links_arg)?;
 
     let backend = netanom_core::SubspaceBackend::fit_sharded(
         &training,
@@ -854,18 +841,16 @@ pub fn tracker(args: &[String]) -> Result<(), String> {
         &engine_cfg,
         &deployment_label("workers", &partition),
     );
-    println!("bin,spe,threshold,flow,estimated_bytes,explained_fraction");
+    let mut csv = AlarmCsv::open(engine_cfg.train_bins());
 
     let start = std::time::Instant::now();
-    let mut alarms = 0usize;
     let summary = tracker
-        .run(|block| {
-            alarms += emit_alarms(block, engine_cfg.train_bins());
-        })
+        .run(|block| csv.emit(block))
         .map_err(|e| format!("tracker run: {e}"))?;
     let elapsed = start.elapsed().as_secs_f64();
     eprintln!(
-        "{alarms} alarms in {} streamed bins; {} merges+refits; {} worker rejoins; {:.0} arrivals/sec",
+        "{} alarms in {} streamed bins; {} merges+refits; {} worker rejoins; {:.0} arrivals/sec",
+        csv.alarms,
         summary.arrivals,
         summary.refits,
         summary.rejoins.len(),
@@ -928,7 +913,6 @@ pub fn worker(args: &[String]) -> Result<(), String> {
         ));
     }
     let partition = spec.resolve(m).map_err(|e| format!("partitioning: {e}"))?;
-    let feed = netanom_net::CsvRowFeed::new(chunks);
 
     let mut cfg = netanom_net::WorkerConfig::new(shard, workers, train_bins);
     cfg.read_timeout = seconds_of(&flags, "read-timeout", 30)?;
@@ -943,7 +927,7 @@ pub fn worker(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("--retries must be a positive integer, got {s:?}"))?;
     }
 
-    let summary = netanom_net::run_worker(connect, feed, partition.group(shard), &cfg)
+    let summary = netanom_net::run_worker(connect, chunks, partition.group(shard), &cfg)
         .map_err(|e| format!("worker {shard}/{workers}: {e}"))?;
     eprintln!(
         "# worker {shard}/{workers}: {} streamed bins in {} rounds; {} rejoins",
@@ -1250,8 +1234,6 @@ mod tests {
             "24",
             "--refit",
             "truncated",
-            "--refit-k",
-            "6",
             "--chunk",
             "17",
         ]))
@@ -1269,21 +1251,6 @@ mod tests {
             "truncated",
         ]))
         .unwrap();
-        // --refit-k outside the truncated strategy is a clean error.
-        let err = stream(&s(&["--links", l, "--train-bins", "216", "--refit-k", "6"])).unwrap_err();
-        assert!(err.contains("truncated"), "{err}");
-        let err = stream(&s(&[
-            "--links",
-            l,
-            "--train-bins",
-            "216",
-            "--refit",
-            "truncated",
-            "--refit-k",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--refit-k"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,14 +14,14 @@ fn usage() {
          [--train-bins N] [--out FILE]\n  \
          netanom stream   --links FILE|- --train-bins N [--method NAME] [--paths FILE]\n           \
          [--confidence C] [--window N] [--refit-every K]\n           \
-         [--refit full|incremental|truncated] [--refit-k K] [--chunk B]\n  \
+         [--refit full|incremental|truncated] [--chunk B]\n  \
          netanom shard    --links FILE|- --train-bins N --shards K [--method NAME] [--paths FILE]\n           \
          [--confidence C] [--window N] [--refit-every K]\n           \
-         [--refit full|incremental|truncated] [--refit-k K] [--chunk B]\n  \
+         [--refit full|incremental|truncated] [--chunk B]\n  \
          netanom tracker  --listen ADDR --links FILE|- --train-bins N --workers K [--paths FILE]\n           \
          [--confidence C] [--window N] [--refit-every K]\n           \
-         [--refit full|incremental|truncated] [--refit-k K]\n           \
-         [--chunk B] [--join-timeout S] [--read-timeout S]\n  \
+         [--refit full|incremental|truncated] [--chunk B]\n           \
+         [--join-timeout S] [--read-timeout S]\n  \
          netanom worker   --connect ADDR --links FILE|- --train-bins N --workers K --shard S\n           \
          [--checkpoint FILE] [--retries N] [--read-timeout S]\n  \
          netanom serve    [--listen ADDR] [--read-timeout S] [--max-conns N]\n  \
@@ -29,9 +29,7 @@ fn usage() {
          netanom --list-methods | --version\n\
          \n\
          shard/tracker/worker also accept --partition round-robin|per-pop|explicit\n           \
-         [--dataset NAME] [--partition-file FILE]\n\
-         --refit-k K sizes the truncated refit's iteration block (default 8); the\n           \
-         solve locks only the r eigenpairs the model keeps"
+         [--dataset NAME] [--partition-file FILE]"
     );
 }
 

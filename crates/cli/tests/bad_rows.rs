@@ -2,7 +2,7 @@
 //! an empty field, a word, `nan`, an overflowing number, bytes that are
 //! not UTF-8 — placed in the training prefix or in the streamed tail
 //! draws the same `CsvError` text from `netanom stream`, from `netanom
-//! shard --shards 2`, and from the worker's `CsvRowFeed` (as
+//! shard --shards 2`, and from the worker's `CsvChunks` reads (as
 //! `NetError::Feed`). Both verbs exit 1; a refusal in the training prefix
 //! prints nothing on stdout, and one in the tail prints the header and
 //! exactly the alarms of the chunks before the one holding the bad row.
@@ -17,7 +17,7 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use netanom_net::{CsvRowFeed, NetError, RowFeed};
+use netanom_net::NetError;
 use netanom_traffic::io::CsvChunks;
 
 const TRAIN_BINS: usize = 864;
@@ -130,16 +130,16 @@ fn run(verb: &[&str], links: &Path) -> (Option<i32>, String, String) {
     )
 }
 
-/// The error the worker's feed returns reading `links` the way a worker
-/// does: the training prefix, then the tail in chunk-sized demands.
+/// The error a worker meets reading `links` the way it does: the
+/// training prefix, then the tail in chunk-sized demands, each read
+/// error passed on as a `NetError`.
 fn feed_error(links: &Path) -> String {
-    let chunks = CsvChunks::new(BufReader::new(File::open(links).unwrap()), CHUNK).unwrap();
-    let mut feed = CsvRowFeed::new(chunks);
-    let err = match feed.take_rows(TRAIN_BINS) {
-        Err(e) => e,
+    let mut chunks = CsvChunks::new(BufReader::new(File::open(links).unwrap()), CHUNK).unwrap();
+    let err: NetError = match chunks.take_rows(TRAIN_BINS) {
+        Err(e) => e.into(),
         Ok(_) => loop {
-            match feed.take_up_to(CHUNK) {
-                Err(e) => break e,
+            match chunks.take_up_to(CHUNK) {
+                Err(e) => break e.into(),
                 Ok(Some(_)) => {}
                 Ok(None) => panic!("{}: the feed ended without an error", links.display()),
             }

@@ -82,7 +82,12 @@ fn help_lists_every_refit_strategy_and_refit_k() {
     let refit = format!("[--refit {}]", netanom_core::service::REFIT_NAMES.join("|"));
     // One `--refit` line each for stream, shard and tracker.
     assert_eq!(stderr.matches(&refit).count(), 3, "{refit} in: {stderr}");
-    assert_eq!(stderr.matches("[--refit-k K]").count(), 3, "{stderr}");
+    // The truncated refit's block size is a constant, not a flag.
+    assert!(!stderr.contains("--refit-k"), "{stderr}");
+    let out = netanom(&["stream", "--refit-k", "8"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown flag --refit-k"), "{stderr}");
 }
 
 #[test]

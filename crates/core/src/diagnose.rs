@@ -164,9 +164,9 @@ impl Diagnoser {
     /// kernel ([`SubspaceModel::spe_all`]); identification and
     /// quantification then run only on the rows whose detection fired,
     /// each against the exact per-vector residual. Relative to running
-    /// [`Diagnoser::diagnose_vector`] per row, SPEs agree within `1e-12`
-    /// and identifications are bitwise identical — while the series as a
-    /// whole runs several times faster (DESIGN.md, *The batch API*).
+    /// [`Diagnoser::diagnose_vector`] per row, every report is bitwise
+    /// identical — while the series as a whole runs several times faster
+    /// (DESIGN.md, *The batch API*).
     pub fn diagnose_series(&self, links: &Matrix) -> Result<Vec<DiagnosisReport>> {
         let model = self.detector.model();
         let spes = model.spe_all(links)?;

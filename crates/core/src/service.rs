@@ -214,21 +214,6 @@ impl EngineConfig {
         Ok(self)
     }
 
-    /// Override the truncated strategy's block-sizing `k`; errors
-    /// unless the strategy is [`RefitStrategy::Truncated`].
-    pub fn with_refit_k(mut self, k: usize) -> Result<Self, String> {
-        if k == 0 {
-            return Err("refit-k must be a positive integer".to_string());
-        }
-        match self.strategy {
-            RefitStrategy::Truncated { tol, .. } => {
-                self.strategy = RefitStrategy::Truncated { k, tol };
-                Ok(self)
-            }
-            _ => Err("refit-k only applies with the truncated refit strategy".to_string()),
-        }
-    }
-
     /// Refit after every `every` arrivals.
     pub fn with_refit_every(mut self, every: usize) -> Result<Self, String> {
         if every == 0 {
@@ -273,9 +258,6 @@ impl EngineConfig {
     /// daemon's `open` line are the same options, parsed and
     /// range-checked here once. `Ok(false)` means `key` is not an engine
     /// option, so the caller can try its own (`--chunk`, `queue=`, …).
-    ///
-    /// `refit-k` adjusts the truncated strategy, so it has to be applied
-    /// after `refit`.
     pub fn set(&mut self, key: &str, value: &str) -> Result<bool, String> {
         let positive = || {
             value
@@ -288,7 +270,6 @@ impl EngineConfig {
         *self = match key {
             "method" => cfg.with_method(value),
             "refit" => cfg.with_refit_str(value)?,
-            "refit-k" => cfg.with_refit_k(positive()?)?,
             "refit-every" => cfg.with_refit_every(positive()?)?,
             "window" => cfg.with_window(positive()?)?,
             "confidence" => cfg.with_confidence(
@@ -374,6 +355,7 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::DEFAULT_TRUNCATED_K;
 
     #[test]
     fn refit_parse_lists_the_valid_set() {
@@ -400,11 +382,12 @@ mod tests {
         assert!(cfg.clone().with_window(0).is_err());
         assert!(cfg.clone().with_chunk(0).is_err());
         assert!(cfg.clone().with_confidence(1.0).is_err());
-        assert!(cfg.clone().with_refit_k(8).is_err()); // not truncated
-        let cfg = cfg.with_refit_str("truncated").unwrap();
         assert!(matches!(
-            cfg.with_refit_k(4).unwrap().strategy(),
-            RefitStrategy::Truncated { k: 4, .. }
+            cfg.with_refit_str("truncated").unwrap().strategy(),
+            RefitStrategy::Truncated {
+                k: DEFAULT_TRUNCATED_K,
+                ..
+            }
         ));
     }
 
@@ -414,7 +397,6 @@ mod tests {
         for (key, value) in [
             ("method", "ewma"),
             ("refit", "truncated"),
-            ("refit-k", "4"),
             ("refit-every", "24"),
             ("window", "60"),
             ("confidence", "0.99"),
@@ -424,7 +406,10 @@ mod tests {
         assert_eq!(cfg.method(), "ewma");
         assert!(matches!(
             cfg.strategy(),
-            RefitStrategy::Truncated { k: 4, .. }
+            RefitStrategy::Truncated {
+                k: DEFAULT_TRUNCATED_K,
+                ..
+            }
         ));
         assert_eq!(cfg.refit_every(), Some(24));
         assert_eq!(cfg.window(), 60);
@@ -436,7 +421,6 @@ mod tests {
         // A rejected value names the option.
         for (key, value) in [
             ("refit", "sometimes"),
-            ("refit-k", "0"),
             ("refit-every", "-3"),
             ("window", "wide"),
             ("confidence", "1.5"),
@@ -445,9 +429,6 @@ mod tests {
             let err = cfg.set(key, value).unwrap_err();
             assert!(err.contains(key), "{key}={value}: {err}");
         }
-        // refit-k needs the truncated strategy to be in force already.
-        let mut full = EngineConfig::new(100).unwrap();
-        assert!(full.set("refit-k", "4").unwrap_err().contains("truncated"));
     }
 
     #[test]

@@ -310,14 +310,15 @@ impl ShardedEngine {
     }
 
     /// Process a block delivered as per-shard column slices —
-    /// `slices[s]` is the `b × m_s` feed of shard `s`'s links, as a
-    /// per-PoP collector would ship it
-    /// (see `netanom_traffic::io::ShardedChunks`).
+    /// `slices[s]` is the `b × m_s` block of shard `s`'s links.
     ///
     /// The coordinator reassembles the full block (pure placement) and
     /// runs [`ShardedEngine::process_batch`]; the statistics rows are
     /// maintained over full arrival vectors, so the slices must cover
-    /// every link.
+    /// every link. No verb delivers slices — `netanom shard` calls
+    /// [`ShardedEngine::process_batch`] on the blocks it reads — and
+    /// this stays only because the performance ledger's harness compiles
+    /// against it, until the harness next changes.
     pub fn process_batch_slices(&mut self, slices: &[Matrix]) -> Result<Vec<DiagnosisReport>> {
         let full = assemble_columns(self.backend.dim(), &self.links, slices)?;
         self.process_batch(&full)

@@ -369,8 +369,7 @@ impl SubspaceModel {
     /// this several times faster than the per-vector loop even on one
     /// core, and row-parallel beyond that. The kernel keeps the exact
     /// per-vector operation order, so every SPE is bitwise identical to
-    /// [`SubspaceModel::spe`] — well inside the documented `1e-12`
-    /// relative contract of this batch API.
+    /// [`SubspaceModel::spe`].
     pub fn spe_all(&self, links: &Matrix) -> Result<Vec<f64>> {
         if links.cols() != self.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -496,11 +495,8 @@ impl Detector {
     /// batch pass ([`SubspaceModel::spe_all`]) instead of a per-vector
     /// loop — several times faster on one core, row-parallel beyond.
     ///
-    /// SPEs agree with [`Detector::detect_vector`] to within `1e-12`
-    /// relative; a detection decision can therefore differ from the
-    /// per-vector path only if an SPE sits within that sliver of the
-    /// threshold, which the parity suite shows does not happen on any
-    /// canned dataset.
+    /// Every detection is bitwise the one [`Detector::detect_vector`]
+    /// returns for its row, SPE included.
     pub fn detect_matrix(&self, links: &Matrix) -> Result<Vec<Detection>> {
         let spes = self.model.spe_all(links)?;
         Ok(spes
@@ -513,12 +509,6 @@ impl Detector {
                 anomalous: spe > self.q.delta_sq,
             })
             .collect())
-    }
-
-    /// Alias of [`Detector::detect_matrix`], kept for call sites that
-    /// read better with series vocabulary.
-    pub fn detect_series(&self, links: &Matrix) -> Result<Vec<Detection>> {
-        self.detect_matrix(links)
     }
 }
 
@@ -598,7 +588,7 @@ mod tests {
     fn training_rows_rarely_exceed_999_threshold() {
         let y = training_data();
         let det = Detector::new(model(), 0.999).unwrap();
-        let detections = det.detect_series(&y).unwrap();
+        let detections = det.detect_matrix(&y).unwrap();
         let alarms = detections.iter().filter(|d| d.anomalous).count();
         // Nominal rate 0.1% of 300 ≈ 0.3; the noise here is uniform
         // (lighter-tailed than Gaussian), so a handful at most.
@@ -641,7 +631,7 @@ mod tests {
             Err(CoreError::DimensionMismatch { .. })
         ));
         let det = Detector::new(m, 0.999).unwrap();
-        assert!(det.detect_series(&Matrix::zeros(5, 3)).is_err());
+        assert!(det.detect_matrix(&Matrix::zeros(5, 3)).is_err());
     }
 
     #[test]
@@ -668,7 +658,7 @@ mod tests {
     fn detect_series_indexes_time() {
         let det = Detector::new(model(), 0.995).unwrap();
         let y = training_data();
-        let ds = det.detect_series(&y).unwrap();
+        let ds = det.detect_matrix(&y).unwrap();
         assert_eq!(ds.len(), 300);
         for (t, d) in ds.iter().enumerate() {
             assert_eq!(d.time, t);
@@ -695,8 +685,9 @@ mod tests {
         let spes = m.spe_all(&y).unwrap();
         for t in 0..y.rows() {
             let exact = m.spe(y.row(t)).unwrap();
-            assert!(
-                (spes[t] - exact).abs() <= 1e-12 * exact.max(1.0),
+            assert_eq!(
+                spes[t].to_bits(),
+                exact.to_bits(),
                 "spe at {t}: batch {} vs exact {exact}",
                 spes[t]
             );
@@ -729,10 +720,7 @@ mod tests {
         for (t, d) in batch.iter().enumerate() {
             let single = det.detect_vector(y.row(t)).unwrap();
             assert_eq!(d.time, t);
-            assert!(
-                (d.spe - single.spe).abs() <= 1e-12 * single.spe.max(1.0),
-                "spe at {t}"
-            );
+            assert_eq!(d.spe.to_bits(), single.spe.to_bits(), "spe at {t}");
             assert_eq!(d.anomalous, single.anomalous, "detection at {t}");
             assert_eq!(d.threshold, single.threshold);
         }

@@ -2,21 +2,17 @@
 //!
 //! The batch API's contract: `Detector::detect_matrix` and the batched
 //! `Diagnoser::diagnose_series` agree with the per-vector path
-//! (`detect_vector` / `diagnose_vector` row by row) to within `1e-12`
-//! relative on every SPE — the fused detection kernel's blocked
-//! reductions reassociate sums, costing ~1e-14 — while detection
-//! decisions and identifications are identical (identification runs on
-//! the exact per-vector residual). These tests pin that contract on
-//! `datasets::mini`.
+//! (`detect_vector` / `diagnose_vector` row by row) bit for bit — the
+//! fused detection kernel keeps the per-vector operation order, and
+//! identification runs on the exact per-vector residual. These tests
+//! pin that contract on `datasets::mini`.
 
 use netanom_core::{Detector, Diagnoser, DiagnoserConfig};
 use netanom_traffic::datasets;
 
-/// Relative tolerance the public API contract guarantees.
-const TOL: f64 = 1e-12;
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= TOL * a.abs().max(b.abs()).max(1.0)
+/// Bitwise equality, spelled so a failure prints both values.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 #[test]
@@ -42,7 +38,7 @@ fn detect_matrix_is_identical_to_per_vector_detection() {
             "detection decision diverged at bin {t}"
         );
         assert!(
-            close(b.spe, single.spe),
+            same(b.spe, single.spe),
             "SPE diverged at bin {t}: {} vs {}",
             b.spe,
             single.spe
@@ -72,16 +68,16 @@ fn batched_diagnose_series_is_identical_to_per_vector_reports() {
         let mut single = diagnoser.diagnose_vector(links.row(t)).unwrap();
         single.time = t;
         assert_eq!(b.detected, single.detected, "detection diverged at bin {t}");
-        assert!(close(b.spe, single.spe), "SPE diverged at bin {t}");
+        assert!(same(b.spe, single.spe), "SPE diverged at bin {t}");
         assert_eq!(b.threshold, single.threshold);
         match (b.identification, single.identification) {
             (None, None) => {}
             (Some(bi), Some(si)) => {
                 assert_eq!(bi.flow, si.flow, "identified flow diverged at bin {t}");
-                assert!(close(bi.f_hat, si.f_hat), "f_hat diverged at bin {t}");
-                assert!(close(bi.residual_energy, si.residual_energy));
-                assert!(close(bi.remaining_energy, si.remaining_energy));
-                assert!(close(
+                assert!(same(bi.f_hat, si.f_hat), "f_hat diverged at bin {t}");
+                assert!(same(bi.residual_energy, si.residual_energy));
+                assert!(same(bi.remaining_energy, si.remaining_energy));
+                assert!(same(
                     b.estimated_bytes.unwrap(),
                     single.estimated_bytes.unwrap()
                 ));

@@ -28,6 +28,7 @@ use netanom_topology::RoutingMatrix;
 use crate::experiments::ExperimentOutput;
 use crate::lab::Lab;
 use crate::report;
+use crate::scale::strategy_label;
 use crate::scenario::{self, Staged};
 
 /// Scenario parameters.
@@ -141,10 +142,6 @@ pub fn run_scenario(
         }
     }
     Ok(out)
-}
-
-fn strategy_label(s: RefitStrategy) -> &'static str {
-    crate::scale::strategy_label(s)
 }
 
 /// The `streaming` experiment driver: the scenario on the Abilene week

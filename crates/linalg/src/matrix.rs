@@ -287,8 +287,8 @@ impl Matrix {
     /// rows never touch main memory. Every reduction keeps the exact
     /// per-vector operation order, so values are **bitwise identical**
     /// to the exact route ([`Matrix::matvec_t`] → [`Matrix::matvec`] →
-    /// subtract → norm per row) — strictly inside the 1e-12 contract the
-    /// `netanom-core` batch API documents. To keep that equivalence on
+    /// subtract → norm per row), the bitwise contract the `netanom-core`
+    /// batch API documents. To keep that equivalence on
     /// every host, the internal coefficient GEMM is pinned to
     /// [`kernel::KernelBackend::Portable`] regardless of the dispatched
     /// backend: the per-vector route is plain mul-then-add arithmetic,

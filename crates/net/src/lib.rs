@@ -40,11 +40,14 @@
 //! A two-worker loopback run, workers on threads:
 //!
 //! ```
+//! use std::io::Cursor;
 //! use std::thread;
 //! use netanom_core::{DiagnoserConfig, RefitStrategy, SeparationPolicy, StreamConfig, SubspaceBackend};
 //! use netanom_linalg::Matrix;
-//! use netanom_net::{run_worker, MatrixFeed, Tracker, TrackerConfig, WorkerConfig};
+//! use netanom_net::{run_worker, Tracker, TrackerConfig, WorkerConfig};
 //! use netanom_topology::{builtin, LinkPartition};
+//! use netanom_traffic::io::{link_series_to_csv_string, CsvChunks};
+//! use netanom_traffic::LinkSeries;
 //!
 //! let net = builtin::line(3);
 //! let rm = &net.routing_matrix;
@@ -72,13 +75,15 @@
 //! .unwrap();
 //! let addr = tracker.local_addr().unwrap().to_string();
 //!
+//! // Each worker reads its own copy of the measurement CSV.
+//! let csv = link_series_to_csv_string(&LinkSeries::new(data), None);
 //! let handles: Vec<_> = (0..2)
 //!     .map(|shard| {
 //!         let addr = addr.clone();
 //!         let links = partition.group(shard).to_vec();
-//!         let feed = MatrixFeed::new(data.clone());
+//!         let rows = CsvChunks::new(Cursor::new(csv.clone().into_bytes()), 36).unwrap();
 //!         thread::spawn(move || {
-//!             run_worker(&addr, feed, &links, &WorkerConfig::new(shard, 2, train_bins))
+//!             run_worker(&addr, rows, &links, &WorkerConfig::new(shard, 2, train_bins))
 //!         })
 //!     })
 //!     .collect();
@@ -97,7 +102,6 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod feed;
 pub mod frame;
 pub mod tracker;
 pub mod wire;
@@ -105,7 +109,6 @@ pub mod worker;
 
 pub use checkpoint::{Checkpoint, RoundCache};
 pub use error::{FailureKind, NetError, Result};
-pub use feed::{CsvRowFeed, MatrixFeed, RowFeed};
 pub use frame::{read_frame, write_frame, FramedConn, DEFAULT_MAX_FRAME};
 pub use tracker::{RejoinEvent, Tracker, TrackerConfig, TrackerSummary};
 pub use wire::Message;

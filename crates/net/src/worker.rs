@@ -29,6 +29,7 @@
 //!   atomically persisted, so a *killed* worker process restarted from
 //!   the checkpoint rejoins without warmup and without drift.
 
+use std::io::BufRead;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::thread;
@@ -40,10 +41,10 @@ use netanom_core::{
     SubspacePartial, SubspaceShard,
 };
 use netanom_linalg::Matrix;
+use netanom_traffic::io::CsvChunks;
 
 use crate::checkpoint::{Checkpoint, RoundCache};
 use crate::error::{NetError, Result};
-use crate::feed::RowFeed;
 use crate::frame::{FramedConn, DEFAULT_MAX_FRAME};
 use crate::wire::Message;
 
@@ -306,15 +307,18 @@ fn drain_until_eof(conn: &mut FramedConn<TcpStream>) {
 /// resume from the checkpoint), join the tracker at `addr`, and serve
 /// rounds until `Done`.
 ///
-/// `links` is the ascending global link set this shard owns — it must
-/// match the tracker's partition or the join is rejected.
-pub fn run_worker<F: RowFeed>(
+/// `rows` is the worker's local copy of the full-width measurement
+/// series; the tracker's `RunBlock` requests say how many rows each
+/// round reads. `links` is the ascending global link set this shard
+/// owns — it must match the tracker's partition or the join is
+/// rejected.
+pub fn run_worker<R: BufRead>(
     addr: &str,
-    mut feed: F,
+    mut rows: CsvChunks<R>,
     links: &[usize],
     cfg: &WorkerConfig,
 ) -> Result<WorkerSummary> {
-    let dim = feed.dim();
+    let dim = rows.num_links();
 
     // Bootstrap: fresh training read, or checkpoint resume.
     let resumed: Option<Checkpoint> = match &cfg.checkpoint {
@@ -324,10 +328,19 @@ pub fn run_worker<F: RowFeed>(
     let (training, resumed) = match resumed {
         Some(ckpt) => {
             let stats = validate_checkpoint(&ckpt, links, dim, cfg)?;
-            feed.skip_rows(cfg.train_bins + ckpt.arrivals as usize)?;
+            // Skip the training prefix and the arrivals already applied.
+            let mut left = cfg.train_bins + ckpt.arrivals as usize;
+            while left > 0 {
+                let Some(block) = rows.take_up_to(left)? else {
+                    return Err(NetError::Checkpoint {
+                        reason: format!("feed ended {left} rows before the checkpoint position"),
+                    });
+                };
+                left -= block.rows();
+            }
             (None, Some((ckpt, stats)))
         }
-        None => (Some(feed.take_rows(cfg.train_bins)?), None),
+        None => (Some(rows.take_rows(cfg.train_bins)?), None),
     };
 
     let (completed, arrivals) = resumed
@@ -409,7 +422,7 @@ pub fn run_worker<F: RowFeed>(
             }
             Err(e) => return Err(e),
         };
-        let reply = match dispatch(&mut feed, &mut st, links, dim, cfg, msg)? {
+        let reply = match dispatch(&mut rows, &mut st, links, dim, cfg, msg)? {
             Dispatch::Reply(reply) => reply,
             Dispatch::Quiet => continue,
             Dispatch::Finished(arrivals) => {
@@ -503,8 +516,8 @@ enum Dispatch {
     Finished(u64),
 }
 
-fn dispatch<F: RowFeed>(
-    feed: &mut F,
+fn dispatch<R: BufRead>(
+    rows: &mut CsvChunks<R>,
     st: &mut WorkerState,
     links: &[usize],
     dim: usize,
@@ -543,7 +556,7 @@ fn dispatch<F: RowFeed>(
                 });
             }
             if st.pending.is_none() {
-                st.pending = Some(match feed.take_up_to(take as usize)? {
+                st.pending = Some(match rows.take_up_to(take as usize)? {
                     None => PendingA::Exhausted,
                     Some(block) => {
                         let partial = st.shard.phase_a(links, &block);

@@ -6,6 +6,7 @@
 //! boundaries (rounds shrink to land refits on the same arrival
 //! indices).
 
+use std::io::Cursor;
 use std::thread;
 
 use netanom_core::{
@@ -13,9 +14,11 @@ use netanom_core::{
     SubspaceBackend,
 };
 use netanom_linalg::Matrix;
-use netanom_net::{run_worker, MatrixFeed, Tracker, TrackerConfig, WorkerConfig, WorkerSummary};
+use netanom_net::{run_worker, Tracker, TrackerConfig, WorkerConfig, WorkerSummary};
 use netanom_topology::{LinkPartition, RoutingMatrix};
 use netanom_traffic::datasets;
+use netanom_traffic::io::{link_series_to_csv_string, CsvChunks};
+use netanom_traffic::LinkSeries;
 
 const TRAIN_BINS: usize = 192;
 const CHUNK: usize = 17;
@@ -30,6 +33,13 @@ fn config() -> DiagnoserConfig {
 fn mini_data() -> (Matrix, RoutingMatrix) {
     let ds = datasets::mini(7);
     (ds.links.matrix().clone(), ds.network.routing_matrix)
+}
+
+/// A worker's copy of `data`: its CSV text, read back through the
+/// reader a production worker runs.
+fn csv_rows(data: &Matrix) -> CsvChunks<Cursor<Vec<u8>>> {
+    let text = link_series_to_csv_string(&LinkSeries::new(data.clone()), None);
+    CsvChunks::new(Cursor::new(text.into_bytes()), CHUNK).unwrap()
 }
 
 fn stream_config(strategy: RefitStrategy, refit_every: Option<usize>) -> StreamConfig {
@@ -62,7 +72,7 @@ fn run_distributed(
         .map(|shard| {
             let addr = addr.clone();
             let links = partition.group(shard).to_vec();
-            let feed = MatrixFeed::new(data.clone());
+            let feed = csv_rows(data);
             thread::spawn(move || {
                 let mut wcfg = WorkerConfig::new(shard, shards, TRAIN_BINS);
                 wcfg.read_timeout = std::time::Duration::from_secs(10);

@@ -4,6 +4,7 @@
 //! restarted from its checkpoint produces a report stream **bitwise
 //! identical** to a run where nothing ever failed.
 
+use std::io::Cursor;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::thread;
@@ -16,11 +17,13 @@ use netanom_core::{
 };
 use netanom_linalg::Matrix;
 use netanom_net::{
-    run_worker, Checkpoint, FailureKind, FramedConn, InjectedFault, MatrixFeed, Message, NetError,
-    Tracker, TrackerConfig, WorkerConfig, DEFAULT_MAX_FRAME,
+    run_worker, Checkpoint, FailureKind, FramedConn, InjectedFault, Message, NetError, Tracker,
+    TrackerConfig, WorkerConfig, DEFAULT_MAX_FRAME,
 };
 use netanom_topology::{LinkPartition, RoutingMatrix};
 use netanom_traffic::datasets;
+use netanom_traffic::io::{link_series_to_csv_string, CsvChunks};
+use netanom_traffic::LinkSeries;
 
 const TRAIN_BINS: usize = 192;
 const CHUNK: usize = 17;
@@ -37,6 +40,13 @@ fn config() -> DiagnoserConfig {
 fn mini_data() -> (Matrix, RoutingMatrix) {
     let ds = datasets::mini(7);
     (ds.links.matrix().clone(), ds.network.routing_matrix)
+}
+
+/// A worker's copy of `data`: its CSV text, read back through the
+/// reader a production worker runs.
+fn csv_rows(data: &Matrix) -> CsvChunks<Cursor<Vec<u8>>> {
+    let text = link_series_to_csv_string(&LinkSeries::new(data.clone()), None);
+    CsvChunks::new(Cursor::new(text.into_bytes()), CHUNK).unwrap()
 }
 
 fn stream_config() -> StreamConfig {
@@ -101,14 +111,14 @@ fn faulted_then_restarted(
         let mut cfg = worker_config(FAULT_SHARD);
         cfg.checkpoint = Some(ckpt.clone());
         cfg.fault = Some(fault);
-        let first = run_worker(&addr, MatrixFeed::new(data.clone()), &links, &cfg);
+        let first = run_worker(&addr, csv_rows(&data), &links, &cfg);
         assert!(
             matches!(first, Err(NetError::Injected)),
             "faulted run should die with Injected, got {first:?}"
         );
         assert!(ckpt.exists(), "the killed worker left no checkpoint");
         cfg.fault = None;
-        let summary = run_worker(&addr, MatrixFeed::new(data), &links, &cfg).unwrap();
+        let summary = run_worker(&addr, csv_rows(&data), &links, &cfg).unwrap();
         let _ = std::fs::remove_file(&ckpt);
         (summary.arrivals, summary.rejoins)
     })
@@ -138,7 +148,7 @@ fn kill_and_rejoin_case(fault: InjectedFault, expected_kind: FailureKind, test: 
     );
     let healthy = {
         let links = partition.group(1).to_vec();
-        let feed = MatrixFeed::new(data.clone());
+        let feed = csv_rows(&data);
         thread::spawn(move || run_worker(&addr, feed, &links, &worker_config(1)).unwrap())
     };
 
@@ -224,7 +234,7 @@ fn unrecovered_worker_exhausts_bounded_rejoin_windows() {
     let dead = {
         let addr = addr.clone();
         let links = partition.group(0).to_vec();
-        let feed = MatrixFeed::new(data.clone());
+        let feed = csv_rows(&data);
         thread::spawn(move || {
             let mut cfg = worker_config(0);
             cfg.fault = Some(InjectedFault::DropAfterRounds(1));
@@ -233,7 +243,7 @@ fn unrecovered_worker_exhausts_bounded_rejoin_windows() {
     };
     let orphan = {
         let links = partition.group(1).to_vec();
-        let feed = MatrixFeed::new(data.clone());
+        let feed = csv_rows(&data);
         thread::spawn(move || {
             let mut cfg = worker_config(1);
             cfg.retries = 2;
@@ -275,7 +285,7 @@ fn mismatched_checkpoint_is_refused() {
     let w0 = {
         let addr = addr.clone();
         let links = partition.group(0).to_vec();
-        let feed = MatrixFeed::new(data.clone());
+        let feed = csv_rows(&data);
         let ckpt = ckpt.clone();
         thread::spawn(move || {
             let mut cfg = worker_config(0);
@@ -286,7 +296,7 @@ fn mismatched_checkpoint_is_refused() {
     let w1 = {
         let addr = addr.clone();
         let links = partition.group(1).to_vec();
-        let feed = MatrixFeed::new(data.clone());
+        let feed = csv_rows(&data);
         thread::spawn(move || run_worker(&addr, feed, &links, &worker_config(1)).unwrap())
     };
     tracker.run(|_| {}).unwrap();
@@ -297,13 +307,7 @@ fn mismatched_checkpoint_is_refused() {
     // it must refuse before touching the network.
     let mut cfg = worker_config(1);
     cfg.checkpoint = Some(ckpt.clone());
-    let err = run_worker(
-        "127.0.0.1:1",
-        MatrixFeed::new(data),
-        partition.group(1),
-        &cfg,
-    )
-    .unwrap_err();
+    let err = run_worker("127.0.0.1:1", csv_rows(&data), partition.group(1), &cfg).unwrap_err();
     assert!(
         matches!(err, NetError::Checkpoint { .. }),
         "expected a checkpoint refusal, got {err:?}"
@@ -312,8 +316,7 @@ fn mismatched_checkpoint_is_refused() {
 }
 
 /// A tracker that asks for a round of zero rows gets a protocol error
-/// back from the worker, not a worker that dies on the feed's
-/// positive-count assertion.
+/// back from the worker.
 #[test]
 fn run_block_of_zero_rows_is_refused() {
     let (data, rm) = mini_data();
@@ -342,7 +345,7 @@ fn run_block_of_zero_rows_is_refused() {
     });
     let err = run_worker(
         &addr,
-        MatrixFeed::new(data),
+        csv_rows(&data),
         partition.group(0),
         &worker_config(0),
     )
@@ -407,7 +410,7 @@ fn hand_driven_tracker(
 fn worker_error(addr: &str, cfg: &WorkerConfig) -> NetError {
     let (data, rm) = mini_data();
     let partition = LinkPartition::round_robin(rm.num_links(), 2).unwrap();
-    run_worker(addr, MatrixFeed::new(data), partition.group(0), cfg).unwrap_err()
+    run_worker(addr, csv_rows(&data), partition.group(0), cfg).unwrap_err()
 }
 
 /// A model that is not `dim` links wide, in a `Welcome` or in a later
@@ -566,13 +569,7 @@ fn a_checkpoint_with_another_shards_statistics_is_refused() {
 
     let mut cfg = worker_config(0);
     cfg.checkpoint = Some(ckpt.clone());
-    let err = run_worker(
-        "127.0.0.1:1",
-        MatrixFeed::new(data),
-        partition.group(0),
-        &cfg,
-    )
-    .unwrap_err();
+    let err = run_worker("127.0.0.1:1", csv_rows(&data), partition.group(0), &cfg).unwrap_err();
     assert!(
         matches!(err, NetError::Checkpoint { .. }),
         "expected a checkpoint refusal, got {err:?}"

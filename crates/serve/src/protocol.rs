@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! open <sid> dim=<m> train-bins=<n> [method=<name>] [refit=<full|incremental|truncated>]
-//!      [refit-k=<k>] [refit-every=<n>] [window=<n>] [confidence=<c>]
+//!      [refit-every=<n>] [window=<n>] [confidence=<c>]
 //!      [queue=<cap>] [drain=<auto|manual>]
 //! obs <sid> <v1>,<v2>,…,<vm>
 //! drain <sid> [<max>]

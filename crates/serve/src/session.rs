@@ -99,9 +99,6 @@ impl SessionConfig {
         let train_bins =
             train_bins.ok_or_else(|| bad("open requires train-bins=<rows>".to_string()))?;
         let mut engine = EngineConfig::new(train_bins).map_err(bad)?;
-        // `refit` first, wherever it sat on the line: `refit-k` only
-        // adjusts the truncated strategy.
-        engine_params.sort_by_key(|&(k, _)| k != "refit");
         for (k, v) in engine_params {
             if !engine.set(k, v).map_err(bad)? {
                 return Err(bad(format!("unknown open parameter {k:?}")));

@@ -556,9 +556,6 @@ impl<R: BufRead> CsvChunks<R> {
     ///
     /// Returns [`CsvError::Truncated`] if the input ends first.
     pub fn take_rows(&mut self, need: usize) -> Result<Matrix, CsvError> {
-        if need == 0 {
-            return Ok(Matrix::zeros(0, self.names.len()));
-        }
         let got = match self.take_up_to(need)? {
             Some(block) if block.rows() == need => return Ok(block),
             Some(block) => block.rows(),
@@ -576,11 +573,11 @@ impl<R: BufRead> CsvChunks<R> {
     /// exhausted. This is also the demand-driven reader a distributed
     /// tracker's `RunBlock{take}` dispatch maps onto: every worker reads
     /// the same row count per round regardless of its local chunk size.
-    ///
-    /// # Panics
-    /// Panics if `need` is zero.
+    /// A `need` of zero reads nothing and returns an empty `0 × m` block.
     pub fn take_up_to(&mut self, need: usize) -> Result<Option<Matrix>, CsvError> {
-        assert!(need > 0, "need must be positive");
+        if need == 0 {
+            return Ok(Some(Matrix::zeros(0, self.names.len())));
+        }
         let mut blocks: Vec<Matrix> = Vec::new();
         let got = match self.pending.take() {
             Some(block) => self.keep(block, need, &mut blocks),
@@ -631,16 +628,14 @@ impl<R: BufRead> Iterator for CsvChunks<R> {
     }
 }
 
-/// Per-shard chunked feeds: a [`CsvChunks`] stream scattered into the
-/// column slices of a [`LinkPartition`], the shape a sharded diagnosis
-/// deployment consumes (each shard sees only its own links' byte
-/// counts — one feed per PoP collector).
+/// A [`CsvChunks`] stream scattered into the column slices of a
+/// [`LinkPartition`], one `≤ chunk × mₛ` slice per shard in partition
+/// order, all cut from the same rows.
 ///
-/// [`ShardedChunks::take_rows`] still yields the *full-width* training
-/// prefix (the bootstrap fit is global); [`ShardedChunks::next_slices`]
-/// then yields one `≤ chunk × mₛ` matrix per shard in partition order,
-/// all cut from the same rows, for
-/// `netanom_core::shard::ShardedEngine::process_batch_slices`.
+/// No verb reads this way: `netanom shard` hands `ShardedEngine` the
+/// full-width blocks of [`CsvChunks`] directly. It stays only because
+/// the performance ledger's harness compiles against it, until the
+/// harness next changes.
 #[derive(Debug)]
 pub struct ShardedChunks<R> {
     inner: CsvChunks<R>,
@@ -663,27 +658,6 @@ impl<R: BufRead> ShardedChunks<R> {
         })
     }
 
-    /// The link names from the header row.
-    pub fn header(&self) -> &[String] {
-        self.inner.header()
-    }
-
-    /// Number of links `m` (header width).
-    pub fn num_links(&self) -> usize {
-        self.inner.num_links()
-    }
-
-    /// Number of shards `K`.
-    pub fn num_shards(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The partition's link groups, one strictly-ascending global index
-    /// set per shard, in shard order.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
     /// Read exactly `need` full-width rows (the global training prefix);
     /// see [`CsvChunks::take_rows`].
     pub fn take_rows(&mut self, need: usize) -> Result<Matrix, CsvError> {
@@ -692,9 +666,7 @@ impl<R: BufRead> ShardedChunks<R> {
 
     /// Parse the next block and return it *both* full-width and
     /// scattered into per-shard column slices (partition order, all cut
-    /// from the same rows). The full block is what sliding-statistics
-    /// backends consume as evicted-row context; the slices feed
-    /// `process_batch_slices`.
+    /// from the same rows).
     ///
     /// Returns `Ok(None)` at end of input.
     #[allow(clippy::type_complexity)]
@@ -708,14 +680,6 @@ impl<R: BufRead> ShardedChunks<R> {
             .map(|g| block.select_columns(g))
             .collect();
         Ok(Some((block, slices)))
-    }
-
-    /// Parse the next block and scatter it into per-shard column slices
-    /// (one `rows × mₛ` matrix per shard, partition order).
-    ///
-    /// Returns `Ok(None)` at end of input.
-    pub fn next_slices(&mut self) -> Result<Option<Vec<Matrix>>, CsvError> {
-        Ok(self.next_block_and_slices()?.map(|(_, slices)| slices))
     }
 }
 
@@ -990,16 +954,33 @@ mod tests {
     }
 
     #[test]
+    fn take_up_to_zero_rows_reads_nothing() {
+        let csv = "a,b\n1,2\n3,4\n5,6\n";
+        let mut chunks = CsvChunks::new(csv.as_bytes(), 2).unwrap();
+        let empty = chunks.take_up_to(0).unwrap().unwrap();
+        assert_eq!(empty.shape(), (0, 2));
+        // A partly read chunk keeps its overflow for the next read.
+        assert_eq!(chunks.take_up_to(1).unwrap().unwrap().row(0), &[1.0, 2.0]);
+        assert_eq!(chunks.take_up_to(0).unwrap().unwrap().shape(), (0, 2));
+        assert_eq!(chunks.take_rows(0).unwrap().shape(), (0, 2));
+        let rest = chunks.take_up_to(5).unwrap().unwrap();
+        assert_eq!(rest.shape(), (2, 2));
+        assert_eq!(rest.row(0), &[3.0, 4.0]);
+        // Exhausted input still reads as an empty block, not as the end.
+        assert_eq!(chunks.take_up_to(0).unwrap().unwrap().shape(), (0, 2));
+        assert!(chunks.take_up_to(1).unwrap().is_none());
+    }
+
+    #[test]
     fn next_block_and_slices_returns_both_views_of_the_same_rows() {
         let csv = "a,b,c,d,e\n0,1,2,3,4\n10,11,12,13,14\n";
         let partition = LinkPartition::round_robin(5, 2).unwrap();
         let chunks = CsvChunks::new(csv.as_bytes(), 4).unwrap();
         let mut sharded = ShardedChunks::new(chunks, &partition).unwrap();
-        assert_eq!(sharded.groups().len(), 2);
         let (block, slices) = sharded.next_block_and_slices().unwrap().unwrap();
         assert_eq!(block.shape(), (2, 5));
         assert_eq!(slices.len(), 2);
-        for (group, slice) in sharded.groups().iter().zip(&slices) {
+        for (group, slice) in partition.groups().iter().zip(&slices) {
             assert!(*slice == block.select_columns(group));
         }
         assert!(sharded.next_block_and_slices().unwrap().is_none());
@@ -1011,23 +992,20 @@ mod tests {
         let partition = LinkPartition::round_robin(5, 2).unwrap();
         let chunks = CsvChunks::new(csv.as_bytes(), 3).unwrap();
         let mut sharded = ShardedChunks::new(chunks, &partition).unwrap();
-        assert_eq!(sharded.num_links(), 5);
-        assert_eq!(sharded.num_shards(), 2);
-        assert_eq!(sharded.header()[0], "a");
 
         // Training prefix stays full-width; the remainder streams as
         // per-shard slices of the same rows.
         let train = sharded.take_rows(1).unwrap();
         assert_eq!(train.shape(), (1, 5));
-        let slices = sharded.next_slices().unwrap().unwrap();
+        let (_, slices) = sharded.next_block_and_slices().unwrap().unwrap();
         assert_eq!(slices.len(), 2);
         // Shard 0 owns links {0, 2, 4}; shard 1 owns {1, 3}.
         assert_eq!(slices[0].row(0), &[10.0, 12.0, 14.0]);
         assert_eq!(slices[1].row(0), &[11.0, 13.0]);
         assert_eq!(slices[0].rows(), slices[1].rows());
-        let last = sharded.next_slices().unwrap().unwrap();
+        let (_, last) = sharded.next_block_and_slices().unwrap().unwrap();
         assert_eq!(last[0].rows(), 1);
-        assert!(sharded.next_slices().unwrap().is_none());
+        assert!(sharded.next_block_and_slices().unwrap().is_none());
     }
 
     #[test]
