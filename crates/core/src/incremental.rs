@@ -7,12 +7,14 @@
 //! statistics of the measurement window — column sums and the raw
 //! cross-product matrix `Σ y yᵀ` — under `O(m²)` row additions and
 //! removals, and rebuild the `m × m` covariance eigendecomposition on
-//! demand (one dense symmetric eigen-solve: about 1.5 ms at `m = 121`).
-//! The first fit takes the same route — two-pass Gram matrix, same
-//! solver ([`PcaMethod::Covariance`](crate::PcaMethod::Covariance), about
+//! demand: one dense symmetric eigen-solve for every eigenvalue and only
+//! the `r` eigenvectors the model keeps, about 1.1–1.3 ms at `m = 121`
+//! (the solve for all `m` vectors takes 1.8–2.0 ms).
+//! The first fit takes the same solver with every vector — two-pass Gram
+//! matrix ([`PcaMethod::Covariance`](crate::PcaMethod::Covariance), about
 //! 4.5 ms over a 1008-bin week at `m = 121`) — so what the statistics
-//! save a refit is the `O(w·m²)` pass over the window, not a different
-//! decomposition.
+//! save a refit is the `O(w·m²)` pass over the window and the
+//! eigenvectors it discards, not a different decomposition.
 //!
 //! A sliding one-week window over 10-minute bins therefore costs `O(m²)`
 //! per arrival plus one small eigen-solve per refit, independent of the
@@ -270,14 +272,31 @@ impl IncrementalCovariance {
     /// `r` the 3σ rule chose at the last full fit — the subspace is
     /// stable week over week, which is the paper's whole argument for
     /// fitting occasionally).
+    ///
+    /// The solve computes every eigenvalue but only the `r` eigenvectors
+    /// the model keeps ([`SymmetricEigen::of_covariance_leading`]): the
+    /// spectrum and threshold are bitwise those of a full
+    /// [`SymmetricEigen::of_covariance`], the basis equal to its leading
+    /// columns to roundoff.
     pub fn to_model(&self, policy: SeparationPolicy) -> Result<SubspaceModel> {
         let cov = self.refit_covariance(policy)?;
-        let eig = SymmetricEigen::of_covariance(&cov)?;
-        let total = eig.eigenvalues.iter().sum();
-        let r = self
-            .normal_dim(policy, &eig.eigenvalues, total)
-            .unwrap_or(eig.eigenvalues.len());
-        SubspaceModel::from_symmetric_eigen(self.mean()?, &eig, r)
+        let mut r = 0;
+        let eig = SymmetricEigen::of_covariance_leading(&cov, |spectrum| {
+            let total = spectrum.iter().sum();
+            r = self
+                .normal_dim(policy, spectrum, total)
+                .unwrap_or(spectrum.len());
+            // A degenerate split is refused below: replay nothing for it.
+            if r < self.dim {
+                r
+            } else {
+                0
+            }
+        })?;
+        if r >= self.dim {
+            return Err(CoreError::DegenerateResidual { r });
+        }
+        SubspaceModel::from_parts(self.mean()?, eig.eigenvectors, eig.eigenvalues, r)
     }
 
     /// The window covariance for a refit under `policy`, refusing the 3σ

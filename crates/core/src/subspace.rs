@@ -56,9 +56,12 @@ impl SubspaceModel {
     /// eigendecomposition (components as columns, eigenvalues decreasing,
     /// covariance scale).
     ///
-    /// This is the constructor used by incremental maintenance
-    /// ([`crate::incremental::IncrementalCovariance`]), where no centered
-    /// data matrix exists to run the full [`Pca`] path on.
+    /// For a decomposition made outside the [`Pca`] path, where no
+    /// centered data matrix exists — e.g. a
+    /// [`SymmetricEigen::of_covariance`] solve on a covariance.
+    ///
+    /// [`SymmetricEigen::of_covariance`]:
+    /// netanom_linalg::decomposition::SymmetricEigen::of_covariance
     pub fn from_eigen(
         mean: Vec<f64>,
         components: &Matrix,
@@ -81,21 +84,6 @@ impl SubspaceModel {
             r,
             residual_moments: None,
         })
-    }
-
-    /// Build a model from a covariance eigendecomposition produced by
-    /// [`SymmetricEigen::of_covariance`] — the streaming refit entry
-    /// point, where the decomposition comes from incremental sufficient
-    /// statistics rather than a centered data matrix.
-    ///
-    /// [`SymmetricEigen::of_covariance`]:
-    /// netanom_linalg::decomposition::SymmetricEigen::of_covariance
-    pub fn from_symmetric_eigen(
-        mean: Vec<f64>,
-        eig: &netanom_linalg::decomposition::SymmetricEigen,
-        r: usize,
-    ) -> Result<Self> {
-        Self::from_eigen(mean, &eig.eigenvectors, eig.eigenvalues.clone(), r)
     }
 
     /// Reassemble a model from its exported parts: the mean, the `m × r`

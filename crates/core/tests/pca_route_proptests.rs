@@ -303,7 +303,8 @@ fn default_route_fit_across_kernel_tiers() {
         let mut cov = gram_with(tier, &centered);
         cov.scale_in_place(1.0 / (links.rows() - 1) as f64);
         let eig = SymmetricEigen::of_covariance(&cov).unwrap();
-        let model = SubspaceModel::from_symmetric_eigen(mean, &eig, r).unwrap();
+        let model =
+            SubspaceModel::from_eigen(mean, &eig.eigenvectors, eig.eigenvalues.clone(), r).unwrap();
         let detector = Detector::new(model, 0.999).unwrap();
         let decisions: Vec<bool> = detector
             .detect_matrix(links)

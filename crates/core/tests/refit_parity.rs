@@ -379,3 +379,91 @@ fn truncated_state_with_k_eigenvalues_still_imports() {
     other.import_state(&old).unwrap();
     assert_eq!(other.threshold(), engine.backend().threshold());
 }
+
+/// A dense refit computes only the `r` eigenvectors the model keeps, yet
+/// its spectrum and thresholds are bitwise those of the full solve's
+/// model (`SubspaceModel::from_eigen` on `SymmetricEigen::of_covariance`)
+/// and its basis the full solve's leading columns to roundoff — on the
+/// first window of each canned week and on two slid windows after it,
+/// under fixed counts and variance fractions.
+#[test]
+fn dense_refit_keeps_the_full_solves_spectrum_and_threshold_bits() {
+    use netanom_core::incremental::IncrementalCovariance;
+    use netanom_core::SubspaceModel;
+    use netanom_linalg::decomposition::SymmetricEigen;
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let policies = [
+        SeparationPolicy::FixedCount(1),
+        SeparationPolicy::FixedCount(4),
+        SeparationPolicy::FixedCount(5),
+        SeparationPolicy::FixedCount(8),
+        SeparationPolicy::VarianceFraction(0.9),
+        SeparationPolicy::VarianceFraction(0.99),
+    ];
+    for dataset in [datasets::abilene, datasets::sprint1, datasets::sprint2] {
+        let ds = dataset();
+        let links = ds.links.matrix();
+        let mut stats =
+            IncrementalCovariance::from_matrix(&links.row_block(0, TRAIN_BINS).unwrap());
+        for window in 0..3 {
+            if window > 0 {
+                let start = (window - 1) * REFIT_EVERY;
+                for t in start..start + REFIT_EVERY {
+                    stats
+                        .slide(links.row(t), links.row(t + TRAIN_BINS))
+                        .unwrap();
+                }
+            }
+            let full = SymmetricEigen::of_covariance(&stats.covariance().unwrap()).unwrap();
+            let total: f64 = full.eigenvalues.iter().sum();
+            for policy in policies {
+                let r = match policy {
+                    SeparationPolicy::FixedCount(r) => r,
+                    SeparationPolicy::VarianceFraction(f) => {
+                        let mut acc = 0.0;
+                        1 + full
+                            .eigenvalues
+                            .iter()
+                            .position(|&l| {
+                                acc += l;
+                                acc >= f * total
+                            })
+                            .unwrap()
+                    }
+                    SeparationPolicy::ThreeSigma { .. } => unreachable!(),
+                };
+                let at = format!("{} window {window} {policy:?}", ds.name);
+                let got = stats.to_model(policy).unwrap();
+                let want = SubspaceModel::from_eigen(
+                    stats.mean().unwrap(),
+                    &full.eigenvectors,
+                    full.eigenvalues.clone(),
+                    r,
+                )
+                .unwrap();
+                assert_eq!(got.normal_dim(), r, "{at}");
+                assert_eq!(
+                    bits(got.eigenvalues()),
+                    bits(want.eigenvalues()),
+                    "{at}: eigenvalues"
+                );
+                for confidence in [0.999, 0.995] {
+                    let (g, w) = (
+                        got.q_threshold(confidence).unwrap(),
+                        want.q_threshold(confidence).unwrap(),
+                    );
+                    assert_eq!(
+                        bits(&[g.delta_sq, g.phi1, g.phi2, g.phi3, g.h0]),
+                        bits(&[w.delta_sq, w.phi1, w.phi2, w.phi3, w.h0]),
+                        "{at}: threshold at {confidence}"
+                    );
+                }
+                let (gp, wp) = (got.normal_basis(), want.normal_basis());
+                assert_eq!(gp.shape(), wp.shape(), "{at}");
+                let drift = gp.sub(wp).unwrap().max_abs();
+                assert!(drift <= 1e-12, "{at}: basis drift {drift:e}");
+            }
+        }
+    }
+}

@@ -6,8 +6,8 @@
 //! solver it held first, which survives as the test oracle in
 //! `tests/support/jacobi.rs`.)
 
-use super::tridiagonal;
-use crate::{LinalgError, Matrix, Result};
+use super::tridiagonal::{self, RotationLog, Tridiagonal};
+use crate::{vector, LinalgError, Matrix, Result};
 
 /// Relative tolerance on the asymmetry check in [`SymmetricEigen::new`].
 const SYMMETRY_RTOL: f64 = 1e-8;
@@ -17,20 +17,22 @@ const SYMMETRY_RTOL: f64 = 1e-8;
 /// Eigenvalues are returned in **decreasing** order, matching the PCA
 /// convention where the first principal component captures the most
 /// variance. `eigenvectors` holds the corresponding unit eigenvectors as
-/// **columns**.
+/// **columns**: all `n` of them, or only the leading `r` from
+/// [`SymmetricEigen::of_covariance_leading`].
 ///
 /// # Algorithm
 ///
 /// Householder reflections reduce `A` to a tridiagonal `T = QᵀAQ`
-/// (`4n³/3` flops), the implicit-shift QL iteration diagonalizes `T` in
-/// under two iterations per eigenvalue on average, and its plane
-/// rotations are applied to `Q` as they are generated (`≈ 3n³` flops) —
-/// Golub & Van Loan §8.3, EISPACK `tred2`/`tql2`. The solve is
-/// backward stable: eigenvalues are accurate to a few ulps of `‖A‖`,
-/// eigenvectors orthonormal to the same order however the spectrum
-/// clusters. It is serial and uses no dispatched kernel, so the result
-/// is a pure function of the input bits — the same on every thread
-/// count and kernel tier.
+/// (`4n³/3` flops), and the implicit-shift QL iteration diagonalizes `T`
+/// in under two iterations per eigenvalue on average — Golub & Van Loan
+/// §8.3, EISPACK `tred2`/`tql2`. The full solve applies the QL plane
+/// rotations to `Q` as they are generated (`≈ 3n³` flops); the leading
+/// solve logs them and replays them on `r` vectors only (`O(r·n²)`).
+/// Both are backward stable: eigenvalues are accurate to a few ulps of
+/// `‖A‖`, eigenvectors orthonormal to the same order however the
+/// spectrum clusters. They are serial and use no dispatched kernel, so
+/// the result is a pure function of the input bits — the same on every
+/// thread count and kernel tier.
 ///
 /// # Example
 ///
@@ -78,6 +80,50 @@ pub(super) fn ensure_finite_symmetric(a: &Matrix, op: &'static str) -> Result<()
     Ok(())
 }
 
+/// The error operation name every route of [`SymmetricEigen`] reports.
+const OP: &str = "symmetric eigendecomposition";
+
+/// The shared prologue of every [`SymmetricEigen`] route: the input
+/// contract, then the reduction of a symmetrized copy (so tiny
+/// asymmetries cannot bias it).
+fn reduced(a: &Matrix) -> Result<Tridiagonal> {
+    if a.is_empty() {
+        return Err(LinalgError::Empty { op: OP });
+    }
+    if !a.is_square() {
+        return Err(LinalgError::DimensionMismatch {
+            op: OP,
+            lhs: a.shape(),
+            rhs: (a.cols(), a.rows()),
+        });
+    }
+    ensure_finite_symmetric(a, OP)?;
+    let n = a.rows();
+    Ok(Tridiagonal::reduce(Matrix::from_fn(n, n, |i, j| {
+        0.5 * (a[(i, j)] + a[(j, i)])
+    })))
+}
+
+/// The indices of the diagonalized `d` by decreasing value, refusing a
+/// non-finite one (the solve overflowed).
+fn descending(d: &[f64]) -> Result<Vec<usize>> {
+    if let Some(&value) = d.iter().find(|l| !l.is_finite()) {
+        return Err(LinalgError::DomainError { op: OP, value });
+    }
+    let mut order: Vec<usize> = (0..d.len()).collect();
+    order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+    Ok(order)
+}
+
+/// Zero the eigenvalues that cancellation drove slightly negative.
+fn clamp_negative(eigenvalues: &mut [f64]) {
+    for l in eigenvalues {
+        if *l < 0.0 {
+            *l = 0.0;
+        }
+    }
+}
+
 impl SymmetricEigen {
     /// Decompose a symmetric matrix.
     ///
@@ -89,37 +135,17 @@ impl SymmetricEigen {
     /// [`LinalgError::NonConvergence`] if the QL iteration spends its
     /// per-eigenvalue budget.
     pub fn new(a: &Matrix) -> Result<Self> {
-        const OP: &str = "symmetric eigendecomposition";
-        if a.is_empty() {
-            return Err(LinalgError::Empty { op: OP });
-        }
-        if !a.is_square() {
-            return Err(LinalgError::DimensionMismatch {
-                op: OP,
-                lhs: a.shape(),
-                rhs: (a.cols(), a.rows()),
-            });
-        }
-        ensure_finite_symmetric(a, OP)?;
-
-        let n = a.rows();
-        // Work on a symmetrized copy so tiny asymmetries cannot bias the
-        // reduction.
-        let mut m = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-        let mut d = vec![0.0; n];
-        let mut e = vec![0.0; n];
-        let mut zt = tridiagonal::tridiagonalize(&mut m, &mut d, &mut e);
-        tridiagonal::implicit_ql(&mut d, &mut e, &mut zt)?;
-        if let Some(&value) = d.iter().find(|l| !l.is_finite()) {
-            return Err(LinalgError::DomainError { op: OP, value });
-        }
-
-        // Sort by decreasing eigenvalue.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+        let mut t = reduced(a)?;
+        let mut zt = t.q_transposed();
+        tridiagonal::implicit_ql(&mut t.d, &mut t.e, |i, c, s| {
+            let (zi, zi1) = zt.row_pair_mut(i, i + 1);
+            vector::rotate_pair(c, s, zi, zi1);
+        })?;
+        let order = descending(&t.d)?;
+        let eigenvalues: Vec<f64> = order.iter().map(|&i| t.d[i]).collect();
         // Transpose back while applying the sort order: column k of the
         // result is row order[k] of the transposed accumulator.
+        let n = order.len();
         let eigenvectors = Matrix::from_fn(n, n, |i, k| zt[(order[k], i)]);
 
         Ok(SymmetricEigen {
@@ -140,17 +166,42 @@ impl SymmetricEigen {
     /// non-negative, hence the clamp.
     pub fn of_covariance(cov: &Matrix) -> Result<Self> {
         let mut eig = Self::new(cov)?;
-        for l in &mut eig.eigenvalues {
-            if *l < 0.0 {
-                *l = 0.0;
-            }
-        }
+        clamp_negative(&mut eig.eigenvalues);
         Ok(eig)
     }
 
-    /// Reconstruct `V Λ Vᵀ`; useful for accuracy checks.
+    /// [`of_covariance`](Self::of_covariance) for a caller that keeps only
+    /// the leading eigenvectors: all `n` eigenvalues, bitwise
+    /// `of_covariance`'s (clamped, decreasing), and the first `r` of its
+    /// eigenvectors (`n × r`), equal to its columns to roundoff with the
+    /// same signs. `r_of` picks `r` from the finished spectrum; a
+    /// value above `n` means `n`.
+    ///
+    /// The QL rotations are logged instead of applied, then replayed
+    /// backwards on `r` unit vectors, followed by the Householder
+    /// reflections: `O(r·n²)` where the full solve spends `≈ 3n³` on the
+    /// accumulator, which is never allocated. Same input contract and
+    /// errors as `of_covariance`.
+    pub fn of_covariance_leading(cov: &Matrix, r_of: impl FnOnce(&[f64]) -> usize) -> Result<Self> {
+        let mut t = reduced(cov)?;
+        let mut log = RotationLog::default();
+        tridiagonal::implicit_ql(&mut t.d, &mut t.e, |i, c, s| log.push(i, c, s))?;
+        let order = descending(&t.d)?;
+        let mut eigenvalues: Vec<f64> = order.iter().map(|&i| t.d[i]).collect();
+        clamp_negative(&mut eigenvalues);
+        let r = r_of(&eigenvalues).min(order.len());
+        let eigenvectors = t.leading_vectors(&log, &order[..r]);
+        Ok(SymmetricEigen {
+            eigenvalues,
+            eigenvectors,
+        })
+    }
+
+    /// Reconstruct `V Λ Vᵀ`; useful for accuracy checks. After
+    /// [`of_covariance_leading`](Self::of_covariance_leading) this is the
+    /// rank-`r` part over the vectors it kept.
     pub fn reconstruct(&self) -> Matrix {
-        let lambda = Matrix::from_diag(&self.eigenvalues);
+        let lambda = Matrix::from_diag(&self.eigenvalues[..self.eigenvectors.cols()]);
         // `(VΛ)·Vᵀ` via the N·T kernel: no transposed copy, and entry
         // (i, j) accumulates the same ascending-k terms the explicit
         // transpose route would.
@@ -277,6 +328,53 @@ mod tests {
         let e = SymmetricEigen::new(&Matrix::from_rows(&[vec![-4.0]])).unwrap();
         assert_eq!(e.eigenvalues, vec![-4.0]);
         assert_eq!(e.eigenvectors[(0, 0)].abs(), 1.0);
+    }
+
+    #[test]
+    fn leading_one_by_one_is_the_full_solve() {
+        let a = Matrix::from_rows(&[vec![-4.0]]);
+        let full = SymmetricEigen::of_covariance(&a).unwrap();
+        let lead = SymmetricEigen::of_covariance_leading(&a, |_| 1).unwrap();
+        assert_eq!(lead.eigenvalues, vec![0.0]);
+        assert_eq!(lead.eigenvalues, full.eigenvalues);
+        assert_eq!(lead.eigenvectors, full.eigenvectors);
+    }
+
+    #[test]
+    fn leading_zero_vectors_keeps_the_whole_spectrum() {
+        let a = Matrix::from_fn(6, 6, |i, j| 1.0 / (1 + i + j) as f64);
+        let full = SymmetricEigen::of_covariance(&a).unwrap();
+        let lead = SymmetricEigen::of_covariance_leading(&a, |_| 0).unwrap();
+        assert_eq!(lead.eigenvalues, full.eigenvalues);
+        assert_eq!(lead.eigenvectors.shape(), (6, 0));
+        assert!(lead.reconstruct().approx_eq(&Matrix::zeros(6, 6), 0.0));
+        // A count past `n` means `n`.
+        let all = SymmetricEigen::of_covariance_leading(&a, |_| 99).unwrap();
+        assert_eq!(all.eigenvectors.shape(), (6, 6));
+        assert!(all.reconstruct().approx_eq(&a, 1e-12));
+    }
+
+    #[test]
+    fn leading_refuses_exactly_what_the_full_solve_refuses() {
+        let mut non_finite = Matrix::identity(5);
+        non_finite[(1, 3)] = f64::NAN;
+        non_finite[(3, 1)] = f64::NAN;
+        for bad in [
+            Matrix::zeros(0, 0),
+            Matrix::zeros(2, 3),
+            non_finite,
+            Matrix::from_rows(&[vec![1.0, 2.0], vec![0.0, 1.0]]),
+            Matrix::from_diag(&[f64::MAX, 1.0]),
+            Matrix::from_fn(6, 6, |i, j| f64::MAX / (1 + i + j) as f64),
+        ] {
+            let want = SymmetricEigen::new(&bad).unwrap_err();
+            let got = SymmetricEigen::of_covariance_leading(&bad, |_| {
+                panic!("r_of called on a refused input")
+            })
+            .unwrap_err();
+            // NaN payloads defeat `==`; the debug text names them.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]

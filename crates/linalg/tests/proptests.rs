@@ -442,6 +442,47 @@ fn assert_matches_oracle(a: &Matrix) {
         }
         start = end;
     }
+    assert_leading_matches_full(a, &eig, tol);
+}
+
+/// Hold `SymmetricEigen::of_covariance_leading(a, |_| r)` to the full
+/// solve for `r ∈ {0, 1, ⌈n/2⌉, n}`: `r_of` sees, and the result
+/// carries, exactly `of_covariance`'s eigenvalue bits; every vector entry
+/// is within `1e-12` of the full solve's column, signs not fixed; and
+/// the vectors keep the residual bound `tol` (against `full`'s unclamped
+/// eigenvalues) and orthonormality to `1e-10`.
+fn assert_leading_matches_full(a: &Matrix, full: &SymmetricEigen, tol: f64) {
+    let n = a.rows();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = bits(&SymmetricEigen::of_covariance(a).unwrap().eigenvalues);
+    for r in [0, 1, n.div_ceil(2), n] {
+        let mut seen = None;
+        let lead = SymmetricEigen::of_covariance_leading(a, |spectrum| {
+            seen = Some(bits(spectrum));
+            r
+        })
+        .unwrap();
+        assert_eq!(seen.as_ref(), Some(&want), "r_of's spectrum at r = {r}");
+        assert_eq!(bits(&lead.eigenvalues), want, "eigenvalue bits at r = {r}");
+        assert_eq!(lead.eigenvectors.shape(), (n, r));
+        let v = &lead.eigenvectors;
+        for k in 0..r {
+            for i in 0..n {
+                let (got, want) = (v[(i, k)], full.eigenvectors[(i, k)]);
+                assert!(
+                    (got - want).abs() <= 1e-12,
+                    "vector {k} entry {i}: {got:e} vs full {want:e} (r = {r})"
+                );
+            }
+            let av = a.matvec(&v.col(k)).unwrap();
+            for i in 0..n {
+                let res = (av[i] - full.eigenvalues[k] * v[(i, k)]).abs();
+                assert!(res <= tol, "|Av − λv| = {res:e} on vector {k} (r = {r})");
+            }
+        }
+        let orth = v.gram().sub(&Matrix::identity(r)).unwrap().max_abs();
+        assert!(orth <= 1e-10, "max|VᵀV − I| = {orth:e} at r = {r}");
+    }
 }
 
 /// Hashed `t × n` data whose columns differ in mean and scale, like link
