@@ -246,23 +246,131 @@ impl TemporalBackend {
         })
     }
 
-    /// Reconstruct a backend over `dim` links from an exported
+    /// Reconstruct a backend over `m` links from an exported
     /// [`MethodState`] without recalibrating — the restore half of a
     /// service-session checkpoint. The state carries the complete
     /// per-link forecaster states (levels, seasonals, coefficients,
     /// pending wavelet buffers), so scoring after a restore is bitwise
     /// the scoring of the exporting process.
-    pub fn from_state(kind: TemporalKind, dim: usize, state: &MethodState) -> Result<Self> {
-        // Placeholder per-link states of the right count; import_state
-        // replaces them wholesale and only reads their length.
-        let mut backend = TemporalBackend {
-            kind,
-            confidence: 0.0,
-            threshold: f64::INFINITY,
-            links: vec![LinkState::Ewma(EwmaStream::new(0.5)); dim],
+    /// A threshold that is negative or not finite (it would alarm always
+    /// or never) or a confidence outside `(0, 1)` is refused here, not at
+    /// the next refit, with [`CoreError::InvalidState`].
+    pub fn from_state(kind: TemporalKind, m: usize, state: &MethodState) -> Result<Self> {
+        state.expect_method(kind.name())?;
+        let bad = |reason: &'static str| CoreError::InvalidState { reason };
+        let [threshold, confidence, rest @ ..] = &state.scalars[..] else {
+            return Err(bad(
+                "temporal state needs [threshold, confidence, ...] scalars",
+            ));
         };
-        backend.import_state(state)?;
-        Ok(backend)
+        if !(threshold.is_finite() && *threshold >= 0.0) {
+            return Err(bad("temporal state threshold is negative or not finite"));
+        }
+        if !(*confidence > 0.0 && *confidence < 1.0) {
+            return Err(bad("temporal state confidence is outside (0, 1)"));
+        }
+        let mut links = Vec::with_capacity(m);
+        match kind {
+            TemporalKind::Ewma => {
+                let [alphas, smoothed] = &state.vectors[..] else {
+                    return Err(bad("ewma state needs [alphas, smoothed] vectors"));
+                };
+                if alphas.len() != m || smoothed.len() != m {
+                    return Err(bad("ewma state has the wrong link count"));
+                }
+                for l in 0..m {
+                    if !(0.0..=1.0).contains(&alphas[l]) {
+                        return Err(bad("ewma state carries an alpha outside [0, 1]"));
+                    }
+                    let mut s = EwmaStream::new(alphas[l]);
+                    if smoothed[l].is_finite() {
+                        s.set_level(smoothed[l]);
+                    }
+                    links.push(LinkState::Ewma(s));
+                }
+            }
+            TemporalKind::HoltWinters { .. } => {
+                let [period, t_obs] = rest else {
+                    return Err(bad("holt-winters state needs [period, observed] scalars"));
+                };
+                let ([levels, trends], [seasonal]) = (&state.vectors[..], &state.matrices[..])
+                else {
+                    return Err(bad(
+                        "holt-winters state needs [levels, trends] vectors and [seasonal]",
+                    ));
+                };
+                let period = *period as usize;
+                if levels.len() != m || trends.len() != m || seasonal.rows() != m {
+                    return Err(bad("holt-winters state has the wrong link count"));
+                }
+                if period == 0 || seasonal.cols() != period {
+                    return Err(bad("holt-winters state has an inconsistent period"));
+                }
+                let params = HoltWinters {
+                    period,
+                    ..HoltWinters::daily()
+                };
+                for l in 0..m {
+                    links.push(LinkState::Hw(HoltWintersStream::from_components(
+                        params,
+                        levels[l],
+                        trends[l],
+                        seasonal.row(l).to_vec(),
+                        *t_obs as usize,
+                    )));
+                }
+            }
+            TemporalKind::Fourier => {
+                let [t_next] = rest else {
+                    return Err(bad("fourier state needs a [time] scalar"));
+                };
+                let ([periods], [coeffs]) = (&state.vectors[..], &state.matrices[..]) else {
+                    return Err(bad("fourier state needs [periods] and [coefficients]"));
+                };
+                if coeffs.rows() != m {
+                    return Err(bad("fourier state has the wrong link count"));
+                }
+                if coeffs.cols() != 1 + 2 * periods.len() {
+                    return Err(bad("fourier state coefficients do not match its periods"));
+                }
+                for l in 0..m {
+                    let model =
+                        FourierModel::from_coefficients(periods.clone(), coeffs.row(l).to_vec());
+                    links.push(LinkState::Fourier(model.stream(*t_next as usize)));
+                }
+            }
+            TemporalKind::Wavelet { levels } => {
+                let [state_levels] = rest else {
+                    return Err(bad("wavelet state needs a [levels] scalar"));
+                };
+                // A state exported at a different decomposition depth
+                // would restore cleanly but complete blocks on the wrong
+                // cadence, silently diverging from the exporter.
+                if *state_levels as usize != levels {
+                    return Err(bad("wavelet state has a different decomposition depth"));
+                }
+                let ([held], [buf]) = (&state.vectors[..], &state.matrices[..]) else {
+                    return Err(bad("wavelet state needs [held] and [buffer]"));
+                };
+                if held.len() != m || buf.rows() != m {
+                    return Err(bad("wavelet state has the wrong link count"));
+                }
+                if buf.cols() >= (1usize << levels) {
+                    return Err(bad("wavelet state buffer exceeds a block"));
+                }
+                for (l, &h) in held.iter().enumerate() {
+                    let mut p = HaarPredictor::new(levels, h);
+                    p.buf.extend_from_slice(buf.row(l));
+                    links.push(LinkState::Haar(p));
+                }
+            }
+        }
+        Ok(TemporalBackend {
+            kind,
+            confidence: *confidence,
+            threshold: *threshold,
+            links,
+        })
     }
 
     /// Calibrate per-link forecasters and the energy threshold on a
@@ -557,117 +665,6 @@ impl DetectionBackend for TemporalBackend {
             matrices,
         }
     }
-
-    fn import_state(&mut self, state: &MethodState) -> Result<()> {
-        state.expect_method(self.kind.name())?;
-        let m = self.links.len();
-        let bad = |reason: &'static str| CoreError::InvalidState { reason };
-        let [threshold, confidence, rest @ ..] = &state.scalars[..] else {
-            return Err(bad(
-                "temporal state needs [threshold, confidence, ...] scalars",
-            ));
-        };
-        let mut links = Vec::with_capacity(m);
-        match self.kind {
-            TemporalKind::Ewma => {
-                let [alphas, smoothed] = &state.vectors[..] else {
-                    return Err(bad("ewma state needs [alphas, smoothed] vectors"));
-                };
-                if alphas.len() != m || smoothed.len() != m {
-                    return Err(bad("ewma state has the wrong link count"));
-                }
-                for l in 0..m {
-                    if !(0.0..=1.0).contains(&alphas[l]) {
-                        return Err(bad("ewma state carries an alpha outside [0, 1]"));
-                    }
-                    let mut s = EwmaStream::new(alphas[l]);
-                    if smoothed[l].is_finite() {
-                        s.set_level(smoothed[l]);
-                    }
-                    links.push(LinkState::Ewma(s));
-                }
-            }
-            TemporalKind::HoltWinters { .. } => {
-                let [period, t_obs] = rest else {
-                    return Err(bad("holt-winters state needs [period, observed] scalars"));
-                };
-                let ([levels, trends], [seasonal]) = (&state.vectors[..], &state.matrices[..])
-                else {
-                    return Err(bad(
-                        "holt-winters state needs [levels, trends] vectors and [seasonal]",
-                    ));
-                };
-                let period = *period as usize;
-                if levels.len() != m || trends.len() != m || seasonal.rows() != m {
-                    return Err(bad("holt-winters state has the wrong link count"));
-                }
-                if period == 0 || seasonal.cols() != period {
-                    return Err(bad("holt-winters state has an inconsistent period"));
-                }
-                let params = HoltWinters {
-                    period,
-                    ..HoltWinters::daily()
-                };
-                for l in 0..m {
-                    links.push(LinkState::Hw(HoltWintersStream::from_components(
-                        params,
-                        levels[l],
-                        trends[l],
-                        seasonal.row(l).to_vec(),
-                        *t_obs as usize,
-                    )));
-                }
-            }
-            TemporalKind::Fourier => {
-                let [t_next] = rest else {
-                    return Err(bad("fourier state needs a [time] scalar"));
-                };
-                let ([periods], [coeffs]) = (&state.vectors[..], &state.matrices[..]) else {
-                    return Err(bad("fourier state needs [periods] and [coefficients]"));
-                };
-                if coeffs.rows() != m {
-                    return Err(bad("fourier state has the wrong link count"));
-                }
-                if coeffs.cols() != 1 + 2 * periods.len() {
-                    return Err(bad("fourier state coefficients do not match its periods"));
-                }
-                for l in 0..m {
-                    let model =
-                        FourierModel::from_coefficients(periods.clone(), coeffs.row(l).to_vec());
-                    links.push(LinkState::Fourier(model.stream(*t_next as usize)));
-                }
-            }
-            TemporalKind::Wavelet { levels } => {
-                let [state_levels] = rest else {
-                    return Err(bad("wavelet state needs a [levels] scalar"));
-                };
-                // A state exported at a different decomposition depth
-                // would import cleanly but complete blocks on the wrong
-                // cadence, silently diverging from the exporter.
-                if *state_levels as usize != levels {
-                    return Err(bad("wavelet state has a different decomposition depth"));
-                }
-                let ([held], [buf]) = (&state.vectors[..], &state.matrices[..]) else {
-                    return Err(bad("wavelet state needs [held] and [buffer]"));
-                };
-                if held.len() != m || buf.rows() != m {
-                    return Err(bad("wavelet state has the wrong link count"));
-                }
-                if buf.cols() >= (1usize << levels) {
-                    return Err(bad("wavelet state buffer exceeds a block"));
-                }
-                for (l, &h) in held.iter().enumerate() {
-                    let mut p = HaarPredictor::new(levels, h);
-                    p.buf.extend_from_slice(buf.row(l));
-                    links.push(LinkState::Haar(p));
-                }
-            }
-        }
-        self.links = links;
-        self.threshold = *threshold;
-        self.confidence = *confidence;
-        Ok(())
-    }
 }
 
 /// Registry of every runnable detection method.
@@ -916,13 +913,6 @@ impl DetectionBackend for MethodBackend {
         match self {
             MethodBackend::Subspace(b) => b.export_state(),
             MethodBackend::Temporal(b) => b.export_state(),
-        }
-    }
-
-    fn import_state(&mut self, state: &MethodState) -> Result<()> {
-        match self {
-            MethodBackend::Subspace(b) => b.import_state(state),
-            MethodBackend::Temporal(b) => b.import_state(state),
         }
     }
 }

@@ -5,8 +5,9 @@
 //!   dispatch, never arithmetic);
 //! * every temporal backend's batched scoring equals its sequential
 //!   scoring, across refit boundaries;
-//! * exported method state reproduces the exporter's scoring when
-//!   imported into a backend fitted on different data.
+//! * exported method state reproduces the exporter's scoring when a
+//!   backend is restored from it, and a temporal state whose threshold
+//!   or confidence could not have come from a calibration is refused.
 
 use netanom_baselines::methods::{MethodName, TemporalBackend, TemporalKind};
 use netanom_core::method::DetectionBackend;
@@ -134,7 +135,6 @@ fn every_method_state_roundtrips_scoring() {
         let rm = &net.routing_matrix;
         let m = rm.num_links();
         let train = training(m, 240, 0);
-        let other_train = training(m, 240, 7777);
         let probe = staged_stream(&net, 240, 25);
 
         for name in MethodName::ALL {
@@ -147,10 +147,17 @@ fn every_method_state_roundtrips_scoring() {
             let decoded = netanom_core::MethodState::from_bytes(&bytes).unwrap();
             assert_eq!(decoded, state);
 
-            let mut importer = name
-                .fit(&other_train, rm, config(pca_method), RefitStrategy::FullSvd)
-                .unwrap();
-            importer.import_state(&decoded).unwrap();
+            let restore = |state: &netanom_core::MethodState| {
+                name.backend_from_state(
+                    state,
+                    m,
+                    rm,
+                    config(pca_method),
+                    RefitStrategy::FullSvd,
+                    None,
+                )
+            };
+            let importer = restore(&decoded).unwrap();
             assert_eq!(
                 importer.threshold(),
                 exporter.threshold(),
@@ -169,8 +176,54 @@ fn every_method_state_roundtrips_scoring() {
             } else {
                 "ewma".to_string()
             };
-            assert!(importer.import_state(&wrong).is_err(), "{name}");
+            assert!(restore(&wrong).is_err(), "{name}");
         }
+    }
+}
+
+/// A temporal state is refused at restore when its threshold could
+/// never alarm (NaN), always alarms (negative) or is infinite, or when
+/// its confidence lies outside `(0, 1)`, where it would fail only at the
+/// next refit. A threshold of 0, what constant training calibrates to,
+/// restores.
+#[test]
+fn temporal_state_with_an_unusable_threshold_or_confidence_is_refused() {
+    let net = builtin::line(3);
+    let rm = &net.routing_matrix;
+    let m = rm.num_links();
+    let train = training(m, 240, 0);
+    let cases = [
+        (0, f64::NAN),
+        (0, f64::INFINITY),
+        (0, f64::NEG_INFINITY),
+        (0, -1.0),
+        (1, 0.0),
+        (1, 1.0),
+        (1, f64::NAN),
+    ];
+    for name in MethodName::ALL {
+        let Some(kind) = name.temporal_kind() else {
+            continue;
+        };
+        let state = name
+            .fit(&train, rm, config(ROUTES[0]), RefitStrategy::FullSvd)
+            .unwrap()
+            .export_state();
+        for (slot, value) in cases {
+            let mut bad = state.clone();
+            bad.scalars[slot] = value;
+            assert!(
+                matches!(
+                    TemporalBackend::from_state(kind, m, &bad),
+                    Err(netanom_core::CoreError::InvalidState { .. })
+                ),
+                "{name}: scalar {slot} = {value} must be refused"
+            );
+        }
+        let mut zero = state.clone();
+        zero.scalars[0] = 0.0;
+        let restored = TemporalBackend::from_state(kind, m, &zero).unwrap();
+        assert_eq!(restored.threshold(), 0.0, "{name}");
     }
 }
 
@@ -182,12 +235,10 @@ fn wavelet_state_with_different_depth_is_rejected() {
     let exporter =
         TemporalBackend::fit(TemporalKind::Wavelet { levels: 4 }, &train, 0.999).unwrap();
     let state = exporter.export_state();
-    let mut importer =
-        TemporalBackend::fit(TemporalKind::Wavelet { levels: 5 }, &train, 0.999).unwrap();
     // Same method name, different decomposition depth: importing would
     // silently complete blocks on the wrong cadence, so it must error.
     assert!(
-        importer.import_state(&state).is_err(),
+        TemporalBackend::from_state(TemporalKind::Wavelet { levels: 5 }, m, &state).is_err(),
         "depth-4 state must not import into a depth-5 backend"
     );
 }

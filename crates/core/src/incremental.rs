@@ -19,6 +19,13 @@
 //! A sliding one-week window over 10-minute bins therefore costs `O(m²)`
 //! per arrival plus one small eigen-solve per refit, independent of the
 //! window length.
+//!
+//! One accumulator, [`CovarianceShard`], holds the update order of every
+//! entry, the slide-or-add choice ([`observe`](CovarianceShard::observe))
+//! and the four-row seeding pass ([`from_matrix`](CovarianceShard::from_matrix))
+//! for an ascending link set. Engine shards and TCP workers hold one over
+//! their links and [`IncrementalCovariance`] wraps one over every link, so
+//! [`IncrementalCovariance::merge`] of the shards is bitwise the global one.
 
 use netanom_linalg::decomposition::{self, SymmetricEigen, TruncatedEigen};
 use netanom_linalg::{vector, BlockPlacement, Matrix};
@@ -29,7 +36,8 @@ use crate::subspace::SubspaceModel;
 use crate::{CoreError, Result};
 
 /// Running sufficient statistics (`n`, `Σy`, `Σyyᵀ`) of a set of
-/// measurement vectors, supporting O(m²) add/remove.
+/// measurement vectors: the [`CovarianceShard`] over every link, and the
+/// only statistics a model is solved from.
 ///
 /// # Numerical note
 ///
@@ -41,166 +49,65 @@ use crate::{CoreError, Result};
 /// the direct two-pass computation to 1e-9 relative accuracy.
 #[derive(Debug, Clone)]
 pub struct IncrementalCovariance {
-    dim: usize,
-    count: usize,
-    sum: Vec<f64>,
-    /// Upper triangle (including diagonal) of `Σ y yᵀ`, row-major.
-    cross: Matrix,
+    /// Over `0..dim`, so row `i` of its `cross` is row `i` of `Σyyᵀ`.
+    stats: CovarianceShard,
 }
 
 impl IncrementalCovariance {
     /// Empty statistics over `m`-dimensional measurements.
     pub fn new(dim: usize) -> Self {
         IncrementalCovariance {
-            dim,
-            count: 0,
-            sum: vec![0.0; dim],
-            cross: Matrix::zeros(dim, dim),
+            stats: CovarianceShard::empty(dim, (0..dim).collect()),
         }
     }
 
     /// Statistics of every row of a `t × m` matrix: bitwise what
     /// [`add`](Self::add), row after row, leaves behind, in about half
-    /// the time.
+    /// the time ([`CovarianceShard::from_matrix`]).
     pub fn from_matrix(data: &Matrix) -> Self {
         let mut acc = Self::new(data.cols());
-        let quads = data.rows() / 4;
-        for q in 0..quads {
-            acc.add_four(std::array::from_fn(|r| data.row(4 * q + r)));
-        }
-        for t in 4 * quads..data.rows() {
-            acc.add(data.row(t))
-                .expect("row length matches by construction");
-        }
+        acc.stats.seed(data);
         acc
-    }
-
-    /// [`add`](Self::add) of four measurements in the order given, in one
-    /// pass over the cross-products instead of four, two rows of the
-    /// triangle at a time. Each entry still takes its four `+= yi * y[j]`
-    /// steps one after the other, each rounded on its own, so the
-    /// statistics are bitwise those of four `add`s; a row that has (or
-    /// whose partner has) a zero among its multipliers, and the last row
-    /// of an odd `m`, go through `add`'s own skipping loop, so that holds
-    /// for non-finite data too.
-    fn add_four(&mut self, ys: [&[f64]; 4]) {
-        fn steps(c: f64, a: [f64; 4], b: [f64; 4]) -> f64 {
-            (((c + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3]
-        }
-        let [y0, y1, y2, y3] = ys;
-        self.count += 4;
-        for y in ys {
-            vector::axpy(1.0, y, &mut self.sum);
-        }
-        let column = |j: usize| [y0[j], y1[j], y2[j], y3[j]];
-        let mut i = 0;
-        while i < self.dim {
-            let k = i + 1;
-            let a = column(i);
-            if k == self.dim || a.contains(&0.0) || column(k).contains(&0.0) {
-                let row = &mut self.cross.row_mut(i)[i..];
-                for y in ys.iter().filter(|y| y[i] != 0.0) {
-                    vector::axpy(y[i], &y[i..], row);
-                }
-                i = k;
-                continue;
-            }
-            let d = column(k);
-            let (top, bottom) = self.cross.row_pair_mut(i, k);
-            top[i] = steps(top[i], a, a);
-            let tails = y0[k..].iter().zip(&y1[k..]).zip(&y2[k..]).zip(&y3[k..]);
-            let pairs = top[k..].iter_mut().zip(&mut bottom[k..]);
-            for ((c, e), (((b0, b1), b2), b3)) in pairs.zip(tails) {
-                let b = [*b0, *b1, *b2, *b3];
-                *c = steps(*c, a, b);
-                *e = steps(*e, d, b);
-            }
-            i += 2;
-        }
     }
 
     /// Number of accumulated measurements.
     pub fn count(&self) -> usize {
-        self.count
+        self.stats.count
     }
 
     /// Measurement dimension `m`.
     pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn check(&self, y: &[f64]) -> Result<()> {
-        if y.len() != self.dim {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dim,
-                got: y.len(),
-            });
-        }
-        Ok(())
+        self.stats.dim
     }
 
     /// Add one measurement (`O(m²)`).
     pub fn add(&mut self, y: &[f64]) -> Result<()> {
-        self.check(y)?;
-        self.count += 1;
-        vector::axpy(1.0, y, &mut self.sum);
-        for i in 0..self.dim {
-            let yi = y[i];
-            if yi == 0.0 {
-                continue;
-            }
-            // Entry (i, j) accumulates `+= yi * y[j]`; the axpy performs
-            // exactly that per element, so results are bitwise identical
-            // to the scalar loop while vectorizing cleanly.
-            vector::axpy(yi, &y[i..], &mut self.cross.row_mut(i)[i..]);
-        }
-        Ok(())
+        self.stats.add(y)
     }
 
-    /// Remove a previously-added measurement (`O(m²)`).
-    ///
-    /// The caller is responsible for passing exactly a vector that was
-    /// added earlier (the sliding-window pattern); removing anything else
-    /// silently corrupts the statistics. Removing below zero measurements
-    /// is an error.
+    /// Remove a previously-added measurement ([`CovarianceShard::remove`]).
     pub fn remove(&mut self, y: &[f64]) -> Result<()> {
-        self.check(y)?;
-        if self.count == 0 {
-            return Err(CoreError::TooFewSamples { got: 0, need: 1 });
-        }
-        self.count -= 1;
-        vector::axpy(-1.0, y, &mut self.sum);
-        for i in 0..self.dim {
-            let yi = y[i];
-            if yi == 0.0 {
-                continue;
-            }
-            // `a -= yi * y[j]` and `a += (-yi) * y[j]` are the same
-            // floating-point operation (sign flips are exact).
-            vector::axpy(-yi, &y[i..], &mut self.cross.row_mut(i)[i..]);
-        }
-        Ok(())
+        self.stats.remove(y)
     }
 
-    /// Slide the window by one measurement: remove `old`, add `new`
-    /// (`O(m²)`, the steady-state cost of a full ring buffer).
-    ///
-    /// Equivalent to `remove(old)` followed by `add(new)`; the same
-    /// caller obligations as [`IncrementalCovariance::remove`] apply to
-    /// `old`.
+    /// Remove `old`, add `new` (`O(m²)`, a full ring buffer's steady state).
     pub fn slide(&mut self, old: &[f64], new: &[f64]) -> Result<()> {
-        self.remove(old)?;
-        self.add(new)
+        self.stats.slide(old, new)
+    }
+
+    /// Follow one window push ([`CovarianceShard::observe`]).
+    pub fn observe(&mut self, evicted: Option<&[f64]>, y: &[f64]) -> Result<()> {
+        self.stats.observe(evicted, y)
     }
 
     /// Current mean vector.
     ///
     /// Returns an error with zero measurements.
     pub fn mean(&self) -> Result<Vec<f64>> {
-        if self.count == 0 {
+        if self.count() == 0 {
             return Err(CoreError::TooFewSamples { got: 0, need: 1 });
         }
-        Ok(vector::scaled(&self.sum, 1.0 / self.count as f64))
+        Ok(vector::scaled(&self.stats.sum, 1.0 / self.count() as f64))
     }
 
     /// Sample covariance `(Σyyᵀ − n·μμᵀ)/(n−1)`.
@@ -208,19 +115,20 @@ impl IncrementalCovariance {
     /// Requires at least two measurements. Tiny negative diagonal values
     /// from cancellation are clamped to zero.
     pub fn covariance(&self) -> Result<Matrix> {
-        if self.count < 2 {
+        if self.count() < 2 {
             return Err(CoreError::TooFewSamples {
-                got: self.count,
+                got: self.count(),
                 need: 2,
             });
         }
-        let n = self.count as f64;
+        let n = self.count() as f64;
         let mean = self.mean()?;
         let denom = n - 1.0;
-        let mut cov = Matrix::zeros(self.dim, self.dim);
-        for i in 0..self.dim {
-            for j in i..self.dim {
-                let v = (self.cross[(i, j)] - n * mean[i] * mean[j]) / denom;
+        let dim = self.dim();
+        let mut cov = Matrix::zeros(dim, dim);
+        for i in 0..dim {
+            for j in i..dim {
+                let v = (self.stats.cross[(i, j)] - n * mean[i] * mean[j]) / denom;
                 let v = if i == j { v.max(0.0) } else { v };
                 cov[(i, j)] = v;
                 cov[(j, i)] = v;
@@ -229,38 +137,20 @@ impl IncrementalCovariance {
         Ok(cov)
     }
 
-    /// Serialize to the crate's little-endian binary layout with a
-    /// `"NAIC"` magic (netanom incremental covariance) — the statistics
-    /// half of a service-session checkpoint. Every `f64` bit pattern is
-    /// preserved exactly, so a decoded accumulator continues the exact
-    /// add/remove history of the original: refits after a restore are
+    /// Serialize with a `"NAIC"` magic (netanom incremental covariance) —
+    /// the statistics half of a service-session checkpoint, and
+    /// [`CovarianceShard`]'s layout without the link list. Every `f64`
+    /// bit pattern is preserved exactly, so refits after a restore are
     /// bitwise the refits of an uninterrupted run.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        codec::header(&mut out, STATS_MAGIC, STATS_VERSION);
-        codec::put_u64(&mut out, self.dim as u64);
-        codec::put_u64(&mut out, self.count as u64);
-        codec::put_f64s(&mut out, &self.sum);
-        codec::put_f64s(&mut out, self.cross.as_slice());
-        out
+        self.stats.encode(STATS_MAGIC, STATS_VERSION, false)
     }
 
     /// Decode a buffer produced by [`IncrementalCovariance::to_bytes`],
     /// rejecting bad magic/version, truncation, and trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        r.expect_header(STATS_MAGIC, STATS_VERSION)?;
-        let dim = r.u64()? as usize;
-        let count = r.u64()? as usize;
-        let sum = r.f64s(dim)?;
-        let cross = r.matrix_body(dim, dim)?;
-        r.finish()?;
-        Ok(IncrementalCovariance {
-            dim,
-            count,
-            sum,
-            cross,
-        })
+        let stats = CovarianceShard::decode(bytes, STATS_MAGIC, STATS_VERSION, false)?;
+        Ok(IncrementalCovariance { stats })
     }
 
     /// Rebuild a [`SubspaceModel`] from the current window under the
@@ -287,13 +177,13 @@ impl IncrementalCovariance {
                 .normal_dim(policy, spectrum, total)
                 .unwrap_or(spectrum.len());
             // A degenerate split is refused below: replay nothing for it.
-            if r < self.dim {
+            if r < self.dim() {
                 r
             } else {
                 0
             }
         })?;
-        if r >= self.dim {
+        if r >= self.dim() {
             return Err(CoreError::DegenerateResidual { r });
         }
         SubspaceModel::from_parts(self.mean()?, eig.eigenvectors, eig.eigenvalues, r)
@@ -319,7 +209,7 @@ impl IncrementalCovariance {
         total: f64,
     ) -> Option<usize> {
         match policy {
-            SeparationPolicy::FixedCount(r) => Some(r.min(self.dim)),
+            SeparationPolicy::FixedCount(r) => Some(r.min(self.dim())),
             SeparationPolicy::VarianceFraction(_) if total <= 0.0 => Some(0),
             SeparationPolicy::VarianceFraction(f) => {
                 let target = f.clamp(0.0, 1.0) * total;
@@ -367,15 +257,15 @@ impl IncrementalCovariance {
     ) -> Result<SubspaceModel> {
         let cov = self.refit_covariance(policy)?;
         let k_eff = match policy {
-            SeparationPolicy::FixedCount(r) => k.max(r.min(self.dim.saturating_sub(1))),
+            SeparationPolicy::FixedCount(r) => k.max(r.min(self.dim().saturating_sub(1))),
             _ => k,
         }
-        .clamp(1, self.dim);
+        .clamp(1, self.dim());
         // A fixed count locks only the pairs the model keeps (at least
         // one: the threshold's degeneracy floor reads `λ₁`); the search
         // of a variance fraction needs the whole block.
         let pairs = match policy {
-            SeparationPolicy::FixedCount(r) => r.min(self.dim.saturating_sub(1)).max(1),
+            SeparationPolicy::FixedCount(r) => r.min(self.dim().saturating_sub(1)).max(1),
             _ => k_eff,
         };
         let eig = TruncatedEigen::covariance_pairs(&cov, k_eff, pairs, tol)?;
@@ -387,12 +277,12 @@ impl IncrementalCovariance {
             // `to_model`'s choice, so refuse — the caller must raise `k`
             // (or the block already spans the whole space and the policy
             // is degenerate either way).
-            None if eig.len() < self.dim => {
+            None if eig.len() < self.dim() => {
                 return Err(CoreError::TruncatedBlockTooSmall { k: eig.len() });
             }
             None => eig.len(),
         };
-        if r >= self.dim {
+        if r >= self.dim() {
             // Same degenerate-separation semantics as `to_model`.
             return Err(CoreError::DegenerateResidual { r });
         }
@@ -403,15 +293,11 @@ impl IncrementalCovariance {
     /// link sets back into one global accumulator.
     ///
     /// The shards must all have seen the same number of measurements and
-    /// their link sets must partition `0..dim`. Because every shard
-    /// maintains exactly the rows of the global upper-triangle
-    /// cross-product its links own — with the same per-entry operation
-    /// sequence a single global accumulator would have used — the merge
-    /// is pure placement ([`Matrix::assemble_blocks`]) and the result is
-    /// **bitwise identical** to the [`IncrementalCovariance`] a single
-    /// process would have maintained over the same arrival stream.
-    /// Sharding is therefore a pure scale transform, not an
-    /// approximation.
+    /// their link sets must partition `0..dim`. Every shard holds exactly
+    /// its links' rows of the triangle, updated by the loop the global
+    /// accumulator runs, so the merge is pure placement
+    /// ([`Matrix::assemble_blocks`]) and **bitwise** the accumulator a
+    /// single process keeps over the same stream.
     pub fn merge<'a, I: IntoIterator<Item = &'a CovarianceShard>>(shards: I) -> Result<Self> {
         let shards: Vec<&CovarianceShard> = shards.into_iter().collect();
         let Some(&first) = shards.first() else {
@@ -449,21 +335,24 @@ impl IncrementalCovariance {
                 reason: "some link is owned by no shard",
             });
         }
-        let all_cols: Vec<usize> = (0..dim).collect();
+        let links: Vec<usize> = (0..dim).collect();
         let placements: Vec<BlockPlacement> = shards
             .iter()
             .map(|&shard| BlockPlacement {
                 rows: &shard.links,
-                cols: &all_cols,
+                cols: &links,
                 block: &shard.cross,
             })
             .collect();
         let cross = Matrix::assemble_blocks(dim, dim, &placements)?;
         Ok(IncrementalCovariance {
-            dim,
-            count,
-            sum,
-            cross,
+            stats: CovarianceShard {
+                dim,
+                links,
+                count,
+                sum,
+                cross,
+            },
         })
     }
 }
@@ -479,20 +368,15 @@ const SHARD_MAGIC: [u8; 4] = *b"NACS";
 /// Encoding version.
 const SHARD_VERSION: u32 = 1;
 
-/// One shard's slice of the global sufficient statistics: the rows of
-/// `Σ y yᵀ` (upper triangle) belonging to the shard's links, plus the
-/// matching entries of `Σ y` and the shared measurement count.
+/// The statistics accumulator: the rows of `Σ y yᵀ` (upper triangle)
+/// belonging to an ascending link set, the matching entries of `Σ y`,
+/// and the measurement count — one shard's slice of the global
+/// statistics, or over every link the global statistics themselves.
 ///
 /// Each arriving (or evicted) measurement is the **full** `m`-vector —
-/// statistics row `i` needs `y[j]` for every `j ≥ i` — but the per-shard
-/// *compute* is only the shard's share of the `O(m²)` upper triangle,
-/// which is the per-arrival hot cost the sharded engine splits across
-/// workers. (Bandwidth is `O(m)` doubles per arrival; the compute is
-/// `O(m²)` multiply-adds, so shipping the row is the cheap part.)
-///
-/// Accumulation order per entry is identical to
-/// [`IncrementalCovariance`]'s, so [`IncrementalCovariance::merge`]
-/// reassembles the global statistics bitwise.
+/// row `i` needs `y[j]` for every `j ≥ i` — but the compute is only the
+/// shard's share of the `O(m²)` triangle, the per-arrival hot cost the
+/// sharded engine splits across workers.
 #[derive(Debug, Clone)]
 pub struct CovarianceShard {
     /// Global measurement dimension `m`.
@@ -511,30 +395,94 @@ impl CovarianceShard {
     /// Empty statistics for a shard owning `links` (strictly ascending
     /// global indices into `0..dim`).
     pub fn new(dim: usize, links: &[usize]) -> Result<Self> {
-        if links.is_empty() {
-            return Err(CoreError::ShardMismatch {
-                reason: "a shard must own at least one link",
-            });
-        }
-        for w in links.windows(2) {
-            if w[0] >= w[1] {
-                return Err(CoreError::ShardMismatch {
-                    reason: "shard links must be strictly ascending",
-                });
-            }
-        }
-        if *links.last().expect("non-empty") >= dim {
-            return Err(CoreError::ShardMismatch {
-                reason: "shard links exceed the measurement dimension",
-            });
-        }
-        Ok(CovarianceShard {
+        check_links(dim, links)?;
+        Ok(Self::empty(dim, links.to_vec()))
+    }
+
+    /// Empty statistics over links already known to be valid.
+    fn empty(dim: usize, links: Vec<usize>) -> Self {
+        CovarianceShard {
             dim,
-            links: links.to_vec(),
             count: 0,
             sum: vec![0.0; links.len()],
             cross: Matrix::zeros(links.len(), dim),
-        })
+            links,
+        }
+    }
+
+    /// Statistics of every row of a `t × m` matrix for the shard owning
+    /// `links` — how every engine seeds its statistics.
+    ///
+    /// Bitwise what [`add`](Self::add), row after row, leaves behind, in
+    /// about half the time: four rows go through the triangle in one
+    /// pass. Owned rows pair up, `(i, j)` with `j` the next owned link;
+    /// the pair walks the columns `j..m` together and the top row takes
+    /// `i..j` alone. Each entry still takes its four `+= yᵢ·yⱼ` steps in
+    /// row order, each rounded on its own. A row with a zero among its
+    /// four multipliers (or whose partner has one), and an unpaired last
+    /// row, take `add`'s skipping update, so that holds for signed zeros
+    /// and non-finite data too.
+    pub fn from_matrix(data: &Matrix, links: &[usize]) -> Result<Self> {
+        let mut acc = Self::new(data.cols(), links)?;
+        acc.seed(data);
+        Ok(acc)
+    }
+
+    /// Add every row of `data` as [`from_matrix`](Self::from_matrix) does.
+    fn seed(&mut self, data: &Matrix) {
+        let quads = data.rows() / 4;
+        for q in 0..quads {
+            self.add_four(std::array::from_fn(|r| data.row(4 * q + r)));
+        }
+        for t in 4 * quads..data.rows() {
+            self.add(data.row(t))
+                .expect("row width is the dimension by construction");
+        }
+    }
+
+    /// Four [`add`](Self::add)s in one pass over the owned rows.
+    fn add_four(&mut self, ys: [&[f64]; 4]) {
+        fn steps(c: f64, a: [f64; 4], b: [f64; 4]) -> f64 {
+            (((c + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3]
+        }
+        // `Σ y` takes a row's four entries in order, as four adds would.
+        fn total(s: f64, a: [f64; 4]) -> f64 {
+            a.into_iter().fold(s, |s, v| s + v)
+        }
+        let [y0, y1, y2, y3] = ys;
+        let column = |j: usize| [y0[j], y1[j], y2[j], y3[j]];
+        self.count += 4;
+        let mut k = 0;
+        while k < self.links.len() {
+            let i = self.links[k];
+            let a = column(i);
+            self.sum[k] = total(self.sum[k], a);
+            let partner = self.links.get(k + 1).copied();
+            let Some(j) = partner.filter(|&j| !a.contains(&0.0) && !column(j).contains(&0.0))
+            else {
+                let row = self.cross.row_mut(k);
+                for y in ys {
+                    accumulate(row, i, y, false);
+                }
+                k += 1;
+                continue;
+            };
+            let d = column(j);
+            self.sum[k + 1] = total(self.sum[k + 1], d);
+            let (top, bottom) = self.cross.row_pair_mut(k, k + 1);
+            top[i] = steps(top[i], a, a);
+            for c in i + 1..j {
+                top[c] = steps(top[c], a, column(c));
+            }
+            let tails = y0[j..].iter().zip(&y1[j..]).zip(&y2[j..]).zip(&y3[j..]);
+            let pairs = top[j..].iter_mut().zip(&mut bottom[j..]);
+            for ((c, e), (((b0, b1), b2), b3)) in pairs.zip(tails) {
+                let b = [*b0, *b1, *b2, *b3];
+                *c = steps(*c, a, b);
+                *e = steps(*e, d, b);
+            }
+            k += 2;
+        }
     }
 
     /// Number of accumulated measurements.
@@ -566,33 +514,23 @@ impl CovarianceShard {
     pub fn add(&mut self, y: &[f64]) -> Result<()> {
         self.check(y)?;
         self.count += 1;
-        for (k, &i) in self.links.iter().enumerate() {
-            let yi = y[i];
-            self.sum[k] += yi;
-            if yi == 0.0 {
-                continue;
-            }
-            vector::axpy(yi, &y[i..], &mut self.cross.row_mut(k)[i..]);
-        }
+        self.update::<false>(y);
         Ok(())
     }
 
-    /// Remove a previously-added measurement. Same caller obligations as
-    /// [`IncrementalCovariance::remove`].
+    /// Remove a previously-added measurement.
+    ///
+    /// The caller is responsible for passing exactly a vector that was
+    /// added earlier (the sliding-window pattern); removing anything else
+    /// silently corrupts the statistics. Removing below zero measurements
+    /// is an error.
     pub fn remove(&mut self, y: &[f64]) -> Result<()> {
         self.check(y)?;
         if self.count == 0 {
             return Err(CoreError::TooFewSamples { got: 0, need: 1 });
         }
         self.count -= 1;
-        for (k, &i) in self.links.iter().enumerate() {
-            let yi = y[i];
-            self.sum[k] -= yi;
-            if yi == 0.0 {
-                continue;
-            }
-            vector::axpy(-yi, &y[i..], &mut self.cross.row_mut(k)[i..]);
-        }
+        self.update::<true>(y);
         Ok(())
     }
 
@@ -602,45 +540,119 @@ impl CovarianceShard {
         self.add(new)
     }
 
-    /// Encode as a self-contained little-endian byte buffer — the wire
-    /// format workers use to ship statistics partials to the tracker
-    /// (`"NACS"` = netanom covariance shard). Every `f64` bit pattern is
-    /// preserved exactly, so a decoded shard merges bitwise identically
-    /// to the original.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Follow one push of the engine's window: slide out the row it
+    /// evicted, or just add `y` while the window fills (`None`).
+    pub fn observe(&mut self, evicted: Option<&[f64]>, y: &[f64]) -> Result<()> {
+        match evicted {
+            Some(old) => self.slide(old, y),
+            None => self.add(y),
+        }
+    }
+
+    /// Add (or, with `NEGATE`, subtract) `y` into `Σ y` and every owned
+    /// row of `Σ y yᵀ`; a constant `NEGATE` keeps the sign choice out of
+    /// the per-row loop of the hot observe path.
+    fn update<const NEGATE: bool>(&mut self, y: &[f64]) {
+        for (k, &i) in self.links.iter().enumerate() {
+            if NEGATE {
+                self.sum[k] -= y[i];
+            } else {
+                self.sum[k] += y[i];
+            }
+            accumulate(self.cross.row_mut(k), i, y, NEGATE);
+        }
+    }
+
+    /// Header, `dim`, `count`, the link list when `with_links`, `Σ y`,
+    /// then the `Σ y yᵀ` rows: the `NACS` and `NAIC` layouts.
+    fn encode(&self, magic: [u8; 4], version: u32, with_links: bool) -> Vec<u8> {
         let mut out = Vec::new();
-        codec::header(&mut out, SHARD_MAGIC, SHARD_VERSION);
+        codec::header(&mut out, magic, version);
         codec::put_u64(&mut out, self.dim as u64);
         codec::put_u64(&mut out, self.count as u64);
-        codec::put_u64(&mut out, self.links.len() as u64);
-        for &l in &self.links {
-            codec::put_u64(&mut out, l as u64);
+        if with_links {
+            codec::put_u64(&mut out, self.links.len() as u64);
+            for &l in &self.links {
+                codec::put_u64(&mut out, l as u64);
+            }
         }
         codec::put_f64s(&mut out, &self.sum);
         codec::put_f64s(&mut out, self.cross.as_slice());
         out
     }
 
+    /// Encode as a self-contained little-endian byte buffer — the wire
+    /// format workers use to ship statistics partials to the tracker
+    /// (`"NACS"` = netanom covariance shard). Every `f64` bit pattern is
+    /// preserved exactly, so a decoded shard merges bitwise identically
+    /// to the original.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode(SHARD_MAGIC, SHARD_VERSION, true)
+    }
+
     /// Decode a buffer produced by [`CovarianceShard::to_bytes`],
     /// re-validating every structural invariant (`links` strictly
     /// ascending and inside `0..dim`, exact buffer length).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        Self::decode(bytes, SHARD_MAGIC, SHARD_VERSION, true)
+    }
+
+    /// Decode what [`encode`](Self::encode) wrote. Without a link list
+    /// the links are `0..dim`, built only after the length checks, so a
+    /// header claiming a huge `dim` allocates nothing.
+    fn decode(bytes: &[u8], magic: [u8; 4], version: u32, with_links: bool) -> Result<Self> {
         let mut r = Reader::new(bytes);
-        r.expect_header(SHARD_MAGIC, SHARD_VERSION)?;
+        r.expect_header(magic, version)?;
         let dim = r.u64()? as usize;
         let count = r.u64()? as usize;
-        let nlinks = r.count()?;
-        let links: Vec<usize> = r.u64s(nlinks)?.into_iter().map(|l| l as usize).collect();
-        let sum = r.f64s(nlinks)?;
-        let cross = r.matrix_body(nlinks, dim)?;
+        let listed = with_links
+            .then(|| r.count().and_then(|n| r.u64s(n)))
+            .transpose()?;
+        let rows = listed.as_ref().map_or(dim, Vec::len);
+        let sum = r.f64s(rows)?;
+        let cross = r.matrix_body(rows, dim)?;
         r.finish()?;
-        // Reuse the constructor's link validation, then install the
-        // decoded payload over the empty shell.
-        let mut shard = CovarianceShard::new(dim, &links)?;
-        shard.count = count;
-        shard.sum = sum;
-        shard.cross = cross;
-        Ok(shard)
+        let links: Vec<usize> = match listed {
+            Some(listed) => listed.into_iter().map(|l| l as usize).collect(),
+            None => (0..dim).collect(),
+        };
+        if with_links {
+            check_links(dim, &links)?;
+        }
+        Ok(CovarianceShard {
+            dim,
+            links,
+            count,
+            sum,
+            cross,
+        })
+    }
+}
+
+/// Refuse a link set that is empty, not strictly ascending, or reaches
+/// past `0..dim`.
+fn check_links(dim: usize, links: &[usize]) -> Result<()> {
+    let refuse = |reason| Err(CoreError::ShardMismatch { reason });
+    let Some(&last) = links.last() else {
+        return refuse("a shard must own at least one link");
+    };
+    if links.windows(2).any(|w| w[0] >= w[1]) {
+        return refuse("shard links must be strictly ascending");
+    }
+    if last >= dim {
+        return refuse("shard links exceed the measurement dimension");
+    }
+    Ok(())
+}
+
+/// Row `i` of `Σ y yᵀ` takes `± yᵢ·y[j]` for every `j ≥ i` — the one
+/// per-entry update, skipped whole when `yᵢ` is a zero of either sign.
+/// `−= yᵢ·y[j]` is `+= (−yᵢ)·y[j]` (a sign flip is exact), and the axpy
+/// performs exactly that scalar step per element.
+fn accumulate(row: &mut [f64], i: usize, y: &[f64], negate: bool) {
+    let yi = y[i];
+    if yi != 0.0 {
+        vector::axpy(if negate { -yi } else { yi }, &y[i..], &mut row[i..]);
     }
 }
 
@@ -676,11 +688,14 @@ mod tests {
     fn from_matrix_is_bitwise_row_by_row_adds() {
         // Every t mod 4 and both parities of m. Zeros of either sign take
         // `add`'s skipping loop, and the NaN in row 5 sits beside one, so
-        // its products are skipped there and nowhere else.
+        // its products are skipped there and nowhere else. Row 6 puts a
+        // zero on a pair's lower row with an infinity right of it: only
+        // the skip keeps `0 · ∞` out of that row.
         for (t, m) in [(0, 3), (3, 4), (9, 1), (22, 7), (41, 12)] {
             let base = data(t, m, 3);
             let y = Matrix::from_fn(t, m, |i, j| match (i * m + j) % 23 {
                 _ if i == 5 && j < 2 => [0.0, f64::NAN][j],
+                _ if i == 6 && (3..5).contains(&j) => [0.0, f64::INFINITY][j - 3],
                 0 => 0.0,
                 7 => -0.0,
                 _ => base[(i, j)],
@@ -691,6 +706,28 @@ mod tests {
             }
             let got = IncrementalCovariance::from_matrix(&y);
             assert_eq!(got.to_bytes(), want.to_bytes(), "t = {t}, m = {m}");
+
+            // The same pass over shards, merged back: round-robin over 1,
+            // 2, 3 and m shards (every link, pairs of non-adjacent links,
+            // one link each) and contiguous halves, odd counts among them.
+            let rr = |k: usize| -> Vec<Vec<usize>> {
+                (0..k).map(|s| (s..m).step_by(k).collect()).collect()
+            };
+            let half = m.div_ceil(2);
+            let halves = vec![(0..half).collect(), (half..m).collect()];
+            for groups in [rr(1), rr(2), rr(3), rr(m), halves] {
+                let seeded: Vec<CovarianceShard> = (groups.iter().filter(|g| !g.is_empty()))
+                    .map(|links| {
+                        let mut want = CovarianceShard::new(m, links).unwrap();
+                        (0..t).for_each(|i| want.add(y.row(i)).unwrap());
+                        let got = CovarianceShard::from_matrix(&y, links).unwrap();
+                        assert_eq!(got.to_bytes(), want.to_bytes(), "t = {t}, links {links:?}");
+                        got
+                    })
+                    .collect();
+                let merged = IncrementalCovariance::merge(&seeded).unwrap();
+                assert_eq!(merged.to_bytes(), got.to_bytes(), "t = {t}, {groups:?}");
+            }
         }
     }
 

@@ -99,12 +99,6 @@ pub trait DetectionBackend: fmt::Debug {
     /// Export the frozen model as a serializable [`MethodState`] — the
     /// unit a sharded deployment broadcasts and a checkpoint stores.
     fn export_state(&self) -> MethodState;
-
-    /// Restore the frozen model from an exported state. Streaming
-    /// statistics (window, forecast states) are *not* part of the state;
-    /// only the scoring model is. Errors with
-    /// [`CoreError::InvalidState`] on a method or dimension mismatch.
-    fn import_state(&mut self, state: &MethodState) -> Result<()>;
 }
 
 /// Serializable model state: what a coordinator broadcasts to shards and
@@ -209,7 +203,7 @@ impl MethodState {
 
 /// Rebuild a [`SubspaceModel`] (and its confidence level) from an
 /// exported subspace [`MethodState`] — the single decoder behind
-/// [`DetectionBackend::import_state`] and the distributed worker's model
+/// [`SubspaceBackend::from_state`] and the distributed worker's model
 /// broadcast, so a state installed over the wire assembles into
 /// **bitwise** the model the exporter froze.
 pub fn subspace_model_from_state(state: &MethodState) -> Result<(SubspaceModel, f64)> {
@@ -464,13 +458,10 @@ impl DetectionBackend for SubspaceBackend {
     }
 
     fn observe(&mut self, evicted: Option<&[f64]>, y: &[f64]) -> Result<()> {
-        if let Some(stats) = &mut self.stats {
-            match evicted {
-                Some(old) => stats.slide(old, y)?,
-                None => stats.add(y)?,
-            }
+        match &mut self.stats {
+            Some(stats) => stats.observe(evicted, y),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn refit(&mut self, window: &RingWindow) -> Result<()> {
@@ -506,16 +497,6 @@ impl DetectionBackend for SubspaceBackend {
             matrices: vec![model.normal_basis().clone()],
         }
     }
-
-    fn import_state(&mut self, state: &MethodState) -> Result<()> {
-        let (model, confidence) = subspace_model_from_state(state)?;
-        if model.dim() != self.dim() {
-            return Err(CoreError::InvalidState {
-                reason: "subspace state has the wrong link count",
-            });
-        }
-        self.diagnoser.refit_model(model, &self.rm, confidence)
-    }
 }
 
 /// One shard's slice of the subspace state: its rows of the global
@@ -531,7 +512,7 @@ impl DetectionBackend for SubspaceBackend {
 pub struct SubspaceShard {
     /// Statistics rows; maintained only under
     /// [`RefitStrategy::Incremental`].
-    pub(crate) stats: Option<CovarianceShard>,
+    stats: Option<CovarianceShard>,
     /// Broadcast slice of the model mean (`m_s` entries).
     mean: Vec<f64>,
     /// Broadcast rows of the normal basis (`m_s × r`).
@@ -627,12 +608,9 @@ impl SubspaceShard {
         expect_shape(merged, rows, r)?;
         let residual = partial.centered.sub(&merged.matmul_nt(&self.basis)?)?;
         let norms = residual.row_norms_sq();
-        for t in 0..block.rows() {
-            if let Some(stats) = &mut self.stats {
-                match evicted[t] {
-                    Some(old) => stats.slide(old, block.row(t))?,
-                    None => stats.add(block.row(t))?,
-                }
+        if let Some(stats) = &mut self.stats {
+            for t in 0..block.rows() {
+                stats.observe(evicted[t], block.row(t))?;
             }
         }
         Ok(ShardScores {
@@ -761,13 +739,13 @@ mod tests {
         let state = backend.export_state();
         assert_eq!(state.method, "subspace");
 
-        // Import into a backend fitted on *different* data: scoring must
-        // become bitwise identical to the exporter.
-        let other_train = training(rm.num_links(), 250, 99);
-        let mut other =
-            SubspaceBackend::fit(&other_train, rm, config(), RefitStrategy::FullSvd).unwrap();
+        // Restore from the decoded state alone: scoring must be bitwise
+        // identical to the exporter.
         let restored = MethodState::from_bytes(&state.to_bytes()).unwrap();
-        other.import_state(&restored).unwrap();
+        let restore = |state: &MethodState| {
+            SubspaceBackend::from_state(state, rm, config(), RefitStrategy::FullSvd, None)
+        };
+        let other = restore(&restored).unwrap();
         assert_eq!(other.threshold(), backend.threshold());
         let fresh = training(rm.num_links(), 30, 500);
         for t in 0..fresh.rows() {
@@ -780,7 +758,7 @@ mod tests {
         let mut wrong = state.clone();
         wrong.method = "ewma".to_string();
         assert!(matches!(
-            other.import_state(&wrong),
+            restore(&wrong),
             Err(CoreError::InvalidState { .. })
         ));
     }

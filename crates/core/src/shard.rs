@@ -164,7 +164,8 @@ impl ShardedEngine {
     /// [`StreamingEngine::with_backend`](crate::StreamingEngine::with_backend)
     /// seeds its own, and every shard with its slice of the model and
     /// (when the backend's strategy maintains them) its rows of the
-    /// sufficient statistics over the training rows.
+    /// sufficient statistics over the training rows
+    /// ([`CovarianceShard::from_matrix`], every engine's seeding pass).
     pub fn with_backend(
         backend: SubspaceBackend,
         training: &Matrix,
@@ -186,16 +187,11 @@ impl ShardedEngine {
         }
         let model = backend.diagnoser().model();
         let mut shards = Vec::with_capacity(partition.num_shards());
+        let seeds = backend.strategy().maintains_statistics();
         for links in partition.groups() {
-            let stats = if backend.strategy().maintains_statistics() {
-                let mut acc = CovarianceShard::new(m, links)?;
-                for t in 0..training.rows() {
-                    acc.add(training.row(t))?;
-                }
-                Some(acc)
-            } else {
-                None
-            };
+            let stats = seeds
+                .then(|| CovarianceShard::from_matrix(training, links))
+                .transpose()?;
             shards.push(SubspaceShard::from_model(model, links, stats)?);
         }
         let capacity = stream.window_capacity.max(training.rows());

@@ -250,17 +250,17 @@ fn truncated_state_roundtrips_with_identical_threshold() {
     let restored = netanom_core::method::MethodState::from_bytes(&bytes).unwrap();
     assert_eq!(restored, state);
 
-    // Import into a fresh full-fit backend: scoring and threshold must
-    // become bitwise the exporter's.
-    let (training, tail, _) = abilene_split();
-    let mut other = SubspaceBackend::fit(
-        &training,
+    // Restore a backend from the state alone: scoring and threshold must
+    // be bitwise the exporter's.
+    let (_, tail, _) = abilene_split();
+    let other = SubspaceBackend::from_state(
+        &restored,
         rm,
         DiagnoserConfig::default(),
         RefitStrategy::FullSvd,
+        None,
     )
     .unwrap();
-    other.import_state(&restored).unwrap();
     assert_eq!(other.threshold(), backend.threshold());
     for t in 0..10 {
         let a = backend.score_vector(tail.row(t)).unwrap();
@@ -368,15 +368,15 @@ fn truncated_state_with_k_eigenvalues_still_imports() {
         model.q_threshold(confidence).unwrap().delta_sq.to_bits()
     );
 
-    let (training, _, network) = abilene_split();
-    let mut other = SubspaceBackend::fit(
-        &training,
+    let (_, _, network) = abilene_split();
+    let other = SubspaceBackend::from_state(
+        &old,
         &network.routing_matrix,
         DiagnoserConfig::default(),
         RefitStrategy::FullSvd,
+        None,
     )
     .unwrap();
-    other.import_state(&old).unwrap();
     assert_eq!(other.threshold(), engine.backend().threshold());
 }
 

@@ -7,7 +7,9 @@
 //! [`ShardedEngine`](netanom_core::ShardedEngine) runs, over one
 //! full-width [`RingWindow`] slid by the same
 //! [`RingWindow::evictions`] — one code path, so distributed detections
-//! are bitwise identical by construction.
+//! are bitwise identical by construction. A fresh start seeds its
+//! statistics rows with [`CovarianceShard::from_matrix`], every engine's
+//! seeding pass.
 //!
 //! What a tracker or a checkpoint hands the worker is checked before it
 //! is used: a model state not `dim` links wide, a zero window capacity,
@@ -365,15 +367,10 @@ pub fn run_worker<R: BufRead>(
     let (stats, retained, cache) = match resumed {
         None => {
             let training = training.expect("fresh start read the training prefix");
-            let stats = if strategy.maintains_statistics() {
-                let mut acc = CovarianceShard::new(dim, links)?;
-                for t in 0..training.rows() {
-                    acc.add(training.row(t))?;
-                }
-                Some(acc)
-            } else {
-                None
-            };
+            let stats = strategy
+                .maintains_statistics()
+                .then(|| CovarianceShard::from_matrix(&training, links))
+                .transpose()?;
             (stats, training, None)
         }
         Some((ckpt, stats)) => {

@@ -6,6 +6,7 @@ use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
+use netanom_core::MethodState;
 use netanom_serve::{
     serve_lines, serve_tcp, ErrorCode, Service, SessionCheckpoint, TcpServeOptions,
 };
@@ -439,6 +440,44 @@ fn a_checkpoint_whose_statistics_miscount_its_window_is_refused() {
     assert!(r.starts_with("err checkpoint "), "{r}");
     assert!(r.contains("statistics cover 97 rows"), "{r}");
     assert_eq!(reply(&mut service, "ping"), "ok pong");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A temporal checkpoint whose threshold is NaN would restore into a
+/// session that never alarms again, and say nothing: the restore is
+/// refused, and the session keeps the state it had.
+#[test]
+fn a_temporal_checkpoint_with_a_nan_threshold_is_refused() {
+    let dir = std::env::temp_dir().join("netanom-serve-nan-threshold");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp = dir.join("session.bin");
+    let cp_arg = cp.to_str().unwrap();
+
+    let mut service = Service::new();
+    reply(&mut service, "open a dim=3 train-bins=24 method=ewma");
+    for t in 0..40usize {
+        let value = 1e6 + 3e4 * (t as f64 / 5.0).sin() + (t * 37 % 11) as f64;
+        let r = reply(&mut service, &format!("obs a {}", row_csv(3, value)));
+        assert!(r.starts_with("ok obs a "), "{r}");
+    }
+    let r = reply(&mut service, &format!("checkpoint a {cp_arg}"));
+    assert!(r.starts_with("ok checkpoint a bytes="), "{r}");
+    let before = timeless(&ask(&mut service, "stats a"));
+
+    let mut patched = SessionCheckpoint::from_bytes(&std::fs::read(&cp).unwrap()).unwrap();
+    let mut state = MethodState::from_bytes(patched.state.as_ref().unwrap()).unwrap();
+    assert_eq!(state.method, "ewma");
+    assert!(state.scalars[0].is_finite(), "the threshold is scalar 0");
+    state.scalars[0] = f64::NAN;
+    patched.state = Some(state.to_bytes());
+    std::fs::write(&cp, patched.to_bytes()).unwrap();
+
+    let r = reply(&mut service, &format!("restore a {cp_arg}"));
+    assert!(r.starts_with("err checkpoint "), "{r}");
+    assert_eq!(timeless(&ask(&mut service, "stats a")), before);
+    let r = reply(&mut service, &format!("obs a {}", row_csv(3, 1e6)));
+    assert!(r.starts_with("ok obs a "), "{r}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
