@@ -10,11 +10,11 @@
 //! demand: one dense symmetric eigen-solve for every eigenvalue and only
 //! the `r` eigenvectors the model keeps, about 1.1–1.3 ms at `m = 121`
 //! (the solve for all `m` vectors takes 1.8–2.0 ms).
-//! The first fit takes the same solver with every vector — two-pass Gram
-//! matrix ([`PcaMethod::Covariance`](crate::PcaMethod::Covariance), about
-//! 4.5 ms over a 1008-bin week at `m = 121`) — so what the statistics
-//! save a refit is the `O(w·m²)` pass over the window and the
-//! eigenvectors it discards, not a different decomposition.
+//! The first fit takes the same solve
+//! ([`SubspaceModel::from_covariance`]) on a two-pass Gram matrix
+//! ([`PcaMethod::Covariance`](crate::PcaMethod::Covariance)), so what the
+//! statistics save a refit is the `O(w·m²)` pass over the window, not a
+//! different decomposition.
 //!
 //! A sliding one-week window over 10-minute bins therefore costs `O(m²)`
 //! per arrival plus one small eigen-solve per refit, independent of the
@@ -27,7 +27,7 @@
 //! their links and [`IncrementalCovariance`] wraps one over every link, so
 //! [`IncrementalCovariance::merge`] of the shards is bitwise the global one.
 
-use netanom_linalg::decomposition::{self, SymmetricEigen, TruncatedEigen};
+use netanom_linalg::decomposition::{self, TruncatedEigen};
 use netanom_linalg::{vector, BlockPlacement, Matrix};
 
 use crate::codec::{self, Reader};
@@ -154,7 +154,8 @@ impl IncrementalCovariance {
     }
 
     /// Rebuild a [`SubspaceModel`] from the current window under the
-    /// given separation policy.
+    /// given separation policy: [`SubspaceModel::from_covariance`] on the
+    /// window's mean and covariance, the route every model takes.
     ///
     /// The 3σ policy needs the temporal projections, which sufficient
     /// statistics cannot provide; use [`SeparationPolicy::FixedCount`] or
@@ -162,68 +163,9 @@ impl IncrementalCovariance {
     /// `r` the 3σ rule chose at the last full fit — the subspace is
     /// stable week over week, which is the paper's whole argument for
     /// fitting occasionally).
-    ///
-    /// The solve computes every eigenvalue but only the `r` eigenvectors
-    /// the model keeps ([`SymmetricEigen::of_covariance_leading`]): the
-    /// spectrum and threshold are bitwise those of a full
-    /// [`SymmetricEigen::of_covariance`], the basis equal to its leading
-    /// columns to roundoff.
     pub fn to_model(&self, policy: SeparationPolicy) -> Result<SubspaceModel> {
-        let cov = self.refit_covariance(policy)?;
-        let mut r = 0;
-        let eig = SymmetricEigen::of_covariance_leading(&cov, |spectrum| {
-            let total = spectrum.iter().sum();
-            r = self
-                .normal_dim(policy, spectrum, total)
-                .unwrap_or(spectrum.len());
-            // A degenerate split is refused below: replay nothing for it.
-            if r < self.dim() {
-                r
-            } else {
-                0
-            }
-        })?;
-        if r >= self.dim() {
-            return Err(CoreError::DegenerateResidual { r });
-        }
-        SubspaceModel::from_parts(self.mean()?, eig.eigenvectors, eig.eigenvalues, r)
-    }
-
-    /// The window covariance for a refit under `policy`, refusing the 3σ
-    /// policy first: it needs temporal projections that sufficient
-    /// statistics cannot provide.
-    fn refit_covariance(&self, policy: SeparationPolicy) -> Result<Matrix> {
-        if let SeparationPolicy::ThreeSigma { .. } = policy {
-            return Err(CoreError::DegenerateResidual { r: usize::MAX });
-        }
-        self.covariance()
-    }
-
-    /// The normal dimension `policy` picks on a (leading block of a)
-    /// descending spectrum whose full sum is `total`. `None` means the
-    /// variance target lies beyond the supplied eigenvalues.
-    fn normal_dim(
-        &self,
-        policy: SeparationPolicy,
-        eigenvalues: &[f64],
-        total: f64,
-    ) -> Option<usize> {
-        match policy {
-            SeparationPolicy::FixedCount(r) => Some(r.min(self.dim())),
-            SeparationPolicy::VarianceFraction(_) if total <= 0.0 => Some(0),
-            SeparationPolicy::VarianceFraction(f) => {
-                let target = f.clamp(0.0, 1.0) * total;
-                let mut acc = 0.0;
-                eigenvalues
-                    .iter()
-                    .position(|&l| {
-                        acc += l;
-                        acc >= target
-                    })
-                    .map(|i| i + 1)
-            }
-            SeparationPolicy::ThreeSigma { .. } => unreachable!("refused by refit_covariance"),
-        }
+        policy.refuse_without_projections()?;
+        SubspaceModel::from_covariance(self.mean()?, &self.covariance()?, policy, None)
     }
 
     /// Rebuild a [`SubspaceModel`] from the current window with a
@@ -255,7 +197,8 @@ impl IncrementalCovariance {
         k: usize,
         tol: f64,
     ) -> Result<SubspaceModel> {
-        let cov = self.refit_covariance(policy)?;
+        policy.refuse_without_projections()?;
+        let cov = self.covariance()?;
         let k_eff = match policy {
             SeparationPolicy::FixedCount(r) => k.max(r.min(self.dim().saturating_sub(1))),
             _ => k,
@@ -270,7 +213,7 @@ impl IncrementalCovariance {
         };
         let eig = TruncatedEigen::covariance_pairs(&cov, k_eff, pairs, tol)?;
         let traces = decomposition::power_traces(&cov)?;
-        let r = match self.normal_dim(policy, &eig.eigenvalues, traces.0.max(0.0)) {
+        let r = match policy.spectral_dim(&eig.eigenvalues, traces.0.max(0.0), self.dim()) {
             Some(r) => r,
             // The variance target lies beyond the computed block:
             // silently shrinking the subspace would diverge from
@@ -754,7 +697,13 @@ mod tests {
         let inc = IncrementalCovariance::from_matrix(&y);
         let model_inc = inc.to_model(SeparationPolicy::FixedCount(2)).unwrap();
         let pca = Pca::fit(&y).unwrap();
-        let model_batch = SubspaceModel::from_pca(&pca, 2).unwrap();
+        let model_batch = SubspaceModel::from_eigen(
+            pca.mean().to_vec(),
+            pca.components(),
+            pca.eigenvalues().to_vec(),
+            2,
+        )
+        .unwrap();
 
         // Same SPE on arbitrary probes (sign flips in eigenvectors cancel
         // inside the projector).
@@ -792,6 +741,12 @@ mod tests {
         let y = data(100, 4, 4);
         let inc = IncrementalCovariance::from_matrix(&y);
         assert!(inc.to_model(SeparationPolicy::default()).is_err());
+        // The refusal comes before any statistic is read, so an empty
+        // window gets it too.
+        assert!(matches!(
+            IncrementalCovariance::new(4).to_model(SeparationPolicy::default()),
+            Err(CoreError::DegenerateResidual { r: usize::MAX })
+        ));
     }
 
     #[test]

@@ -60,6 +60,12 @@ impl MultiFlowAnomaly {
     }
 }
 
+/// Largest `sin²` of the angle between a flow's residual footprint and
+/// the span of the footprints before it that still counts as dependent:
+/// a pivot this small is roundoff, and an estimate through it would be
+/// noise amplified by `1/√RTOL`.
+const DEPENDENCE_RTOL: f64 = 1e-12;
+
 /// The `m × k` matrix whose columns are `θ_f` for the listed flows.
 fn theta_columns(rm: &RoutingMatrix, flows: &[usize]) -> Matrix {
     let cols: Vec<Vec<f64>> = flows.iter().map(|&f| rm.theta(f)).collect();
@@ -93,6 +99,13 @@ fn estimate_from_residual(
         .matvec_t(residual)
         .expect("dims consistent by construction");
     let chol = Cholesky::new(&gram).map_err(|_| CoreError::DependentCandidates)?;
+    // Dependent footprints leave a pivot of roundoff, which cancellation
+    // can leave just above zero: judge each pivot against its column's
+    // energy instead of against zero.
+    let l = chol.l();
+    if (0..flows.len()).any(|i| l[(i, i)] * l[(i, i)] <= DEPENDENCE_RTOL * gram[(i, i)]) {
+        return Err(CoreError::DependentCandidates);
+    }
     let f_hat = chol.solve(&rhs).expect("rhs length matches gram dim");
 
     // Remaining energy after removing the joint hypothesis.

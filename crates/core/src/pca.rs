@@ -3,17 +3,21 @@
 use netanom_linalg::decomposition::SymmetricEigen;
 use netanom_linalg::{vector, Matrix};
 
+use crate::separation::SeparationPolicy;
 use crate::{CoreError, Result};
 
 /// How to compute the principal components: one route, the paper's
 /// ("solving the symmetric eigenvalue problem for the covariance matrix,
 /// YᵀY").
 ///
-/// It is what every statistics-based refit already does, so a model does
-/// not change numerical route at its first refit: two-pass centring, one
-/// [`Matrix::gram`] on the dispatched kernel, one tridiagonal-QL solve —
-/// `O(t·m²)` at GEMM speed (over a 1008-bin week: 4.5 ms at `m = 121`,
-/// 25 ms at `m = 256`).
+/// Every model the product builds takes it through
+/// [`SubspaceModel::from_covariance`](crate::SubspaceModel::from_covariance):
+/// two-pass centring and one [`Matrix::gram`] on the dispatched kernel
+/// for a fit ([`SubspaceModel::fit`](crate::SubspaceModel::fit)), the
+/// running sufficient statistics for a refit, then one tridiagonal-QL
+/// solve that builds every eigenvalue and only the eigenvectors the
+/// model keeps. A model therefore does not change numerical route at its
+/// first refit.
 ///
 /// Forming `YᵀY` squares the condition number: an eigenvalue is known
 /// only to about `m·ε·λ₁`, so a zero eigenvalue comes back as roundoff
@@ -36,7 +40,36 @@ pub enum PcaMethod {
     Covariance,
 }
 
-/// The PCA of a `t × m` link measurement matrix.
+/// The centred data, the per-link means and the sample covariance
+/// `YᵀY/(t−1)` of a `t × m` measurement matrix: two-pass centring and
+/// one [`Matrix::gram`]. Requires `t ≥ 2`.
+pub(crate) fn sample_covariance(links: &Matrix) -> Result<(Matrix, Vec<f64>, Matrix)> {
+    let t = links.rows();
+    if t < 2 {
+        return Err(CoreError::TooFewSamples { got: t, need: 2 });
+    }
+    let (centered, mean) = links.mean_centered_columns();
+    let mut cov = centered.gram();
+    cov.scale_in_place(1.0 / (t - 1) as f64);
+    Ok((centered, mean, cov))
+}
+
+/// The normalized temporal projection `Yv / ‖Yv‖` of axis `v` through
+/// the centred data `Y` (the zero vector when `Yv` is).
+pub(crate) fn temporal_projection(centered: &Matrix, v: &[f64]) -> Vec<f64> {
+    let mut u = centered
+        .matvec(v)
+        .expect("axis length matches column count");
+    vector::normalize(&mut u);
+    u
+}
+
+/// The full PCA of a `t × m` link measurement matrix: every principal
+/// axis, for the evaluation figures that plot them (the scree of
+/// Figure 3, the temporal projections of Figure 4) and as the reference
+/// the tests hold models to. Models are built by
+/// [`SubspaceModel::from_covariance`](crate::SubspaceModel::from_covariance),
+/// which never forms the axes it does not keep.
 ///
 /// * `components` — the principal axes `vᵢ` as columns (`m × m`),
 ///   ordered by decreasing captured variance;
@@ -59,20 +92,17 @@ impl Pca {
     /// Fit a PCA to the raw (uncentered) measurement matrix.
     ///
     /// Requires at least two timesteps and `t ≥ m` (one week of 10-minute
-    /// bins against ≤ 49 links leaves a huge margin).
+    /// bins against ≤ 49 links leaves a huge margin). The models the
+    /// product builds need only `t ≥ 2`
+    /// ([`SubspaceModel::fit`](crate::SubspaceModel::fit)).
     pub fn fit(links: &Matrix) -> Result<Self> {
         let (t, m) = links.shape();
-        if t < 2 {
-            return Err(CoreError::TooFewSamples { got: t, need: 2 });
-        }
-        if t < m {
+        if t >= 2 && t < m {
             return Err(CoreError::TooFewSamples { got: t, need: m });
         }
-        let (centered, mean) = links.mean_centered_columns();
-        let mut cov = centered.gram();
-        cov.scale_in_place(1.0 / (t - 1) as f64);
+        let (centered, mean, cov) = sample_covariance(links)?;
         // Clamps tiny negative values from roundoff, exactly as the
-        // statistics-based refits do.
+        // models' solve does.
         let eig = SymmetricEigen::of_covariance(&cov)?;
 
         Ok(Pca {
@@ -82,11 +112,6 @@ impl Pca {
             num_samples: t,
             centered,
         })
-    }
-
-    /// Number of links `m`.
-    pub fn dim(&self) -> usize {
-        self.components.rows()
     }
 
     /// Number of timesteps the model was fit on.
@@ -120,17 +145,9 @@ impl Pca {
     }
 
     /// Smallest number of leading axes capturing at least `fraction` of
-    /// the total variance.
+    /// the total variance ([`SeparationPolicy::VarianceFraction`]'s rule).
     pub fn effective_dimension(&self, fraction: f64) -> usize {
-        let fracs = self.variance_fractions();
-        let mut acc = 0.0;
-        for (i, f) in fracs.iter().enumerate() {
-            acc += f;
-            if acc >= fraction {
-                return i + 1;
-            }
-        }
-        fracs.len()
+        SeparationPolicy::VarianceFraction(fraction).normal_dim(self)
     }
 
     /// The normalized temporal projection `uᵢ = Yvᵢ / ‖Yvᵢ‖` (length `t`).
@@ -144,13 +161,7 @@ impl Pca {
     /// # Panics
     /// Panics if `i ≥ m`.
     pub fn temporal_projection(&self, i: usize) -> Vec<f64> {
-        let v = self.components.col(i);
-        let mut u = self
-            .centered
-            .matvec(&v)
-            .expect("component length matches column count");
-        vector::normalize(&mut u);
-        u
+        temporal_projection(&self.centered, &self.components.col(i))
     }
 }
 

@@ -3,6 +3,7 @@
 use netanom_linalg::stats;
 
 use crate::pca::Pca;
+use crate::{CoreError, Result};
 
 /// Policy deciding the dimension `r` of the normal subspace.
 ///
@@ -41,37 +42,87 @@ impl Default for SeparationPolicy {
 }
 
 impl SeparationPolicy {
-    /// Select the normal-subspace dimension `r ∈ [0, m]` for a fitted PCA.
+    /// Select the normal-subspace dimension `r ∈ [0, m]` for a fitted PCA
+    /// ([`normal_dim_of`](Self::normal_dim_of) on its spectrum and
+    /// temporal projections).
     ///
     /// `r = 0` means everything is anomalous (no axis passed the test);
     /// `r = m` means no residual remains (callers building a detector
     /// treat that as an error).
     pub fn normal_dim(&self, pca: &Pca) -> usize {
-        let m = pca.dim();
-        match *self {
-            SeparationPolicy::FixedCount(r) => r.min(m),
-            SeparationPolicy::VarianceFraction(f) => pca.effective_dimension(f.clamp(0.0, 1.0)),
-            SeparationPolicy::ThreeSigma { sigma } => {
-                for i in 0..m {
-                    // Skip axes with no variance: their projections are
-                    // zero vectors and carry no information either way;
-                    // they belong to the residual.
-                    if pca.eigenvalues()[i] <= 0.0 {
-                        return i;
-                    }
-                    let u = pca.temporal_projection(i);
-                    let mean = stats::mean(&u);
-                    let sd = stats::std_dev(&u);
-                    if sd == 0.0 {
-                        return i;
-                    }
-                    let spiky = u.iter().any(|&x| (x - mean).abs() > sigma * sd);
-                    if spiky {
-                        return i;
-                    }
-                }
-                m
+        self.normal_dim_of(pca.eigenvalues(), |i| pca.temporal_projection(i))
+    }
+
+    /// The one rank rule: the normal dimension `r ∈ [0, m]` on a
+    /// descending spectrum of all `m` eigenvalues.
+    ///
+    /// `projection(i)` is axis `i`'s normalized temporal projection
+    /// `uᵢ = Yvᵢ/‖Yvᵢ‖`. Only the 3σ walk asks for it, in axis order,
+    /// and it stops at the first spike, so it asks at most `r + 1` times.
+    /// The walk also stops at an axis with no variance: its projection
+    /// carries no information and it belongs to the residual.
+    pub fn normal_dim_of(
+        &self,
+        eigenvalues: &[f64],
+        mut projection: impl FnMut(usize) -> Vec<f64>,
+    ) -> usize {
+        let m = eigenvalues.len();
+        let SeparationPolicy::ThreeSigma { sigma } = *self else {
+            return self
+                .spectral_dim(eigenvalues, eigenvalues.iter().sum(), m)
+                .unwrap_or(m);
+        };
+        for (i, &l) in eigenvalues.iter().enumerate() {
+            if l <= 0.0 {
+                return i;
             }
+            let u = projection(i);
+            let mean = stats::mean(&u);
+            let sd = stats::std_dev(&u);
+            if sd == 0.0 || u.iter().any(|&x| (x - mean).abs() > sigma * sd) {
+                return i;
+            }
+        }
+        m
+    }
+
+    /// The normal dimension [`FixedCount`](Self::FixedCount) and
+    /// [`VarianceFraction`](Self::VarianceFraction) pick from `leading`,
+    /// the leading block of a descending spectrum of `dim` eigenvalues
+    /// summing to `total`: the smallest `r` whose running sum `Σλᵢ`
+    /// reaches `f·total`, and `0` when `total ≤ 0`.
+    ///
+    /// `None` means the variance target lies beyond the block — and, for
+    /// the 3σ policy, that the rule needs the projections of
+    /// [`normal_dim_of`](Self::normal_dim_of).
+    pub(crate) fn spectral_dim(&self, leading: &[f64], total: f64, dim: usize) -> Option<usize> {
+        match *self {
+            SeparationPolicy::FixedCount(r) => Some(r.min(dim)),
+            SeparationPolicy::VarianceFraction(_) if total <= 0.0 => Some(0),
+            SeparationPolicy::VarianceFraction(f) => {
+                let target = f.clamp(0.0, 1.0) * total;
+                let mut acc = 0.0;
+                leading
+                    .iter()
+                    .position(|&l| {
+                        acc += l;
+                        acc >= target
+                    })
+                    .map(|i| i + 1)
+            }
+            SeparationPolicy::ThreeSigma { .. } => None,
+        }
+    }
+
+    /// Refuse the 3σ policy where no temporal projection exists (a model
+    /// built from sufficient statistics alone), with
+    /// `DegenerateResidual { r: usize::MAX }`.
+    pub(crate) fn refuse_without_projections(&self) -> Result<()> {
+        match self {
+            SeparationPolicy::ThreeSigma { .. } => {
+                Err(CoreError::DegenerateResidual { r: usize::MAX })
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -151,6 +202,58 @@ mod tests {
         let r = SeparationPolicy::default().normal_dim(&pca);
         // Uniform noise has max/σ ≈ √3 < 3, so every axis passes.
         assert_eq!(r, 4);
+    }
+
+    /// A spectrum on which summing fractions `λᵢ/total` and comparing
+    /// `Σλᵢ` with `f·total` disagree at `f = 18/Σλ`: the rule is the
+    /// second, for a fit and a refit alike.
+    #[test]
+    fn variance_fraction_compares_running_sums_with_the_target() {
+        let spectrum = [
+            8.0,
+            6.0,
+            3.0,
+            1.0,
+            0.703382088603836,
+            7.705231398308005e-4,
+            5.18678283523002e-4,
+            3.836896328900399e-4,
+            3.6712383142708805e-4,
+            2.3217612806301457e-4,
+            8.646758972824831e-5,
+        ];
+        let total: f64 = spectrum.iter().sum();
+        let policy = SeparationPolicy::VarianceFraction(18.0 / total);
+        let mut acc = 0.0;
+        let by_fractions = 1 + spectrum
+            .iter()
+            .position(|&l| {
+                acc += l / total;
+                acc >= 18.0 / total
+            })
+            .unwrap();
+        assert_eq!(by_fractions, 5, "the fractions rule this replaces");
+        assert_eq!(policy.normal_dim_of(&spectrum, |_| unreachable!()), 4);
+        assert_eq!(policy.spectral_dim(&spectrum, total, 11), Some(4));
+    }
+
+    #[test]
+    fn variance_fraction_of_no_variance_is_zero() {
+        let policy = SeparationPolicy::VarianceFraction(0.9);
+        assert_eq!(policy.normal_dim_of(&[0.0; 4], |_| unreachable!()), 0);
+        assert_eq!(policy.spectral_dim(&[], -1e-300, 4), Some(0));
+    }
+
+    #[test]
+    fn variance_target_past_the_block_is_none() {
+        let policy = SeparationPolicy::VarianceFraction(0.9);
+        // The block [5, 3] of a spectrum summing to 10 reaches 80 %.
+        assert_eq!(policy.spectral_dim(&[5.0, 3.0], 10.0, 6), None);
+        assert_eq!(policy.spectral_dim(&[5.0, 3.0, 1.0], 10.0, 6), Some(3));
+        assert_eq!(
+            SeparationPolicy::FixedCount(9).spectral_dim(&[5.0], 10.0, 6),
+            Some(6)
+        );
     }
 
     #[test]

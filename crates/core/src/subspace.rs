@@ -1,8 +1,9 @@
 //! The fitted subspace model and the detection step.
 
+use netanom_linalg::decomposition::LeadingEigen;
 use netanom_linalg::{kernel, vector, Matrix};
 
-use crate::pca::{Pca, PcaMethod};
+use crate::pca::{sample_covariance, temporal_projection, PcaMethod};
 use crate::qstat::{
     dense_residual, ensure_residual, q_threshold, q_threshold_from_moments, QStatistic,
 };
@@ -40,25 +41,82 @@ fn leading(eigenvalues: &[f64]) -> f64 {
 }
 
 impl SubspaceModel {
-    /// Fit a model to a `t × m` measurement matrix: PCA (by the one
-    /// [`PcaMethod`]), then subspace separation under `policy`.
+    /// Fit a model to a `t × m` measurement matrix: the sample covariance
+    /// by the one [`PcaMethod`] (two-pass centring and one
+    /// [`Matrix::gram`]), then [`from_covariance`](Self::from_covariance)
+    /// with the centred data for the 3σ walk's temporal projections.
+    ///
+    /// Needs `t ≥ 2` rows; fewer rows than links is fine (the covariance
+    /// then has rank at most `t − 1`, and a split that leaves only its
+    /// roundoff in the residual is refused like any other).
     ///
     /// Returns [`CoreError::DegenerateResidual`] if the policy assigns
     /// every axis to the normal subspace or the residual carries no
     /// variance (in either case there is nothing to detect with).
     pub fn fit(links: &Matrix, policy: SeparationPolicy, _method: PcaMethod) -> Result<Self> {
-        let pca = Pca::fit(links)?;
-        let r = policy.normal_dim(&pca);
-        Self::from_pca(&pca, r)
+        let (centered, mean, cov) = sample_covariance(links)?;
+        Self::from_covariance(mean, &cov, policy, Some(&centered))
+    }
+
+    /// Build a model from a mean and a covariance: the route every model
+    /// the product builds takes — the first fit, `--refit full`, and the
+    /// dense statistics refits
+    /// ([`IncrementalCovariance::to_model`](crate::incremental::IncrementalCovariance::to_model)).
+    ///
+    /// One leading solve ([`LeadingEigen`]) gives every eigenvalue, and
+    /// `policy`'s rank rule ([`SeparationPolicy::normal_dim_of`]) picks
+    /// `r`. The 3σ walk asks for one eigenvector at a time and projects
+    /// it through `centered`, the `t × m` centred data whose covariance
+    /// `cov` is; it stops at the first spike, so at most `r + 1` vectors
+    /// are built. The spectral policies build exactly `r`. Without
+    /// `centered`, the 3σ policy is refused with
+    /// `DegenerateResidual { r: usize::MAX }`: a covariance holds no
+    /// temporal projection. A `mean` or `centered` whose link count is not
+    /// `cov`'s is refused with [`CoreError::DimensionMismatch`] before the
+    /// solve.
+    ///
+    /// The spectrum and threshold are bitwise those of a full
+    /// [`SymmetricEigen::of_covariance`] solve, and the basis equals its
+    /// leading columns to roundoff.
+    ///
+    /// [`SymmetricEigen::of_covariance`]:
+    /// netanom_linalg::decomposition::SymmetricEigen::of_covariance
+    pub fn from_covariance(
+        mean: Vec<f64>,
+        cov: &Matrix,
+        policy: SeparationPolicy,
+        centered: Option<&Matrix>,
+    ) -> Result<Self> {
+        let m = cov.rows();
+        for got in [mean.len(), centered.map_or(m, Matrix::cols)] {
+            if got != m {
+                return Err(CoreError::DimensionMismatch { expected: m, got });
+            }
+        }
+        if centered.is_none() {
+            policy.refuse_without_projections()?;
+        }
+        let mut solve = LeadingEigen::of_covariance(cov)?;
+        let spectrum = solve.eigenvalues().to_vec();
+        let r = policy.normal_dim_of(&spectrum, |i| {
+            let centered = centered.expect("the 3σ walk is refused without centred data");
+            temporal_projection(centered, solve.vector(i))
+        });
+        // A split with no residual is refused before its vectors are built.
+        if r >= m {
+            return Err(CoreError::DegenerateResidual { r });
+        }
+        let eig = solve.into_leading(r);
+        Self::from_parts(mean, eig.eigenvectors, eig.eigenvalues, r)
     }
 
     /// Build a model directly from a mean vector and a covariance
     /// eigendecomposition (components as columns, eigenvalues decreasing,
     /// covariance scale).
     ///
-    /// For a decomposition made outside the [`Pca`] path, where no
-    /// centered data matrix exists — e.g. a
-    /// [`SymmetricEigen::of_covariance`] solve on a covariance.
+    /// For a decomposition made elsewhere — e.g. the full
+    /// [`SymmetricEigen::of_covariance`] solve of a [`Pca`](crate::Pca)
+    /// that evaluation or a test holds a model to.
     ///
     /// [`SymmetricEigen::of_covariance`]:
     /// netanom_linalg::decomposition::SymmetricEigen::of_covariance
@@ -108,21 +166,6 @@ impl SubspaceModel {
             mean,
             p,
             eigenvalues,
-            r,
-            residual_moments: None,
-        })
-    }
-
-    /// Build a model from an existing PCA with an explicit normal
-    /// dimension `r`.
-    pub fn from_pca(pca: &Pca, r: usize) -> Result<Self> {
-        dense_residual(pca.eigenvalues(), r)?;
-        let indices: Vec<usize> = (0..r).collect();
-        let p = pca.components().select_columns(&indices);
-        Ok(SubspaceModel {
-            mean: pca.mean().to_vec(),
-            p,
-            eigenvalues: pca.eigenvalues().to_vec(),
             r,
             residual_moments: None,
         })
@@ -525,6 +568,32 @@ mod tests {
             PcaMethod::Covariance,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn from_covariance_refuses_mismatched_inputs() {
+        let (centered, mean, cov) = sample_covariance(&training_data()).unwrap();
+        let policy = SeparationPolicy::default();
+        let short = centered.select_columns(&[0, 1, 2, 3, 4]);
+        for (mean, centered) in [(mean[..5].to_vec(), Some(&centered)), (mean, Some(&short))] {
+            assert!(matches!(
+                SubspaceModel::from_covariance(mean, &cov, policy, centered),
+                Err(CoreError::DimensionMismatch {
+                    expected: 6,
+                    got: 5
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn from_covariance_refuses_a_split_with_no_residual() {
+        let (_, mean, cov) = sample_covariance(&training_data()).unwrap();
+        let policy = SeparationPolicy::FixedCount(6);
+        assert!(matches!(
+            SubspaceModel::from_covariance(mean, &cov, policy, None),
+            Err(CoreError::DegenerateResidual { r: 6 })
+        ));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use netanom_linalg::Matrix;
 use netanom_topology::RoutingMatrix;
 
 use crate::diagnose::{Diagnoser, DiagnoserConfig, DiagnosisReport};
-use crate::Result;
+use crate::{CoreError, Result};
 
 /// A detection at one pyramid level, mapped back to bin coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +64,7 @@ impl MultiscaleDiagnoser {
     ///
     /// Each level needs enough blocks to fit a model (`blocks ≥ m`);
     /// levels that run out of data are rejected with
-    /// [`CoreError::TooFewSamples`](crate::CoreError::TooFewSamples) — a
+    /// [`CoreError::TooFewSamples`] — a
     /// week of 10-minute bins supports
     /// `max_level = 4` (63 blocks of ~2.7 h) on the paper's networks.
     pub fn fit(
@@ -76,6 +76,12 @@ impl MultiscaleDiagnoser {
         let mut levels = Vec::with_capacity(max_level + 1);
         for level in 0..=max_level {
             let averaged = block_average(links, level);
+            if averaged.rows() < links.cols() {
+                return Err(CoreError::TooFewSamples {
+                    got: averaged.rows(),
+                    need: links.cols(),
+                });
+            }
             levels.push(Diagnoser::fit(&averaged, rm, config)?);
         }
         Ok(MultiscaleDiagnoser { levels })

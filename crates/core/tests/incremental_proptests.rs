@@ -9,7 +9,7 @@
 
 use netanom_core::incremental::{CovarianceShard, IncrementalCovariance};
 use netanom_core::stream::RingWindow;
-use netanom_core::{CoreError, SeparationPolicy, SubspaceModel};
+use netanom_core::{CoreError, PcaMethod, SeparationPolicy, SubspaceModel};
 use netanom_linalg::{vector, Matrix};
 use proptest::prelude::*;
 
@@ -233,7 +233,8 @@ proptest! {
 
 /// The model a refit should produce, computed without the incremental
 /// statistics or the tridiagonal solver: the two-pass SVD route
-/// (`support/svd_route.rs`) where it applies, and — `Pca::fit` refuses `t < m` — the Jacobi
+/// (`support/svd_route.rs`) where it applies, and — the SVD route's
+/// `Pca::fit` refuses `t < m` — the Jacobi
 /// oracle on the file's `two_pass_covariance` otherwise, with `r` the
 /// smallest count whose eigenvalues reach `fraction` of the total.
 fn reference_model(y: &Matrix, fraction: f64) -> netanom_core::Result<SubspaceModel> {
@@ -291,33 +292,76 @@ proptest! {
         };
         let policy = SeparationPolicy::VarianceFraction(fraction);
         let refit = IncrementalCovariance::from_matrix(&y).to_model(policy);
-        match (refit, reference_model(&y, fraction)) {
-            (Err(CoreError::DegenerateResidual { .. }), _)
-            | (_, Err(CoreError::DegenerateResidual { .. })) => {}
-            (Ok(got), Ok(want)) => {
-                prop_assert_eq!(got.normal_dim(), want.normal_dim());
-                let lambda1 = want.eigenvalues()[0];
-                match (got.q_threshold(0.999), want.q_threshold(0.999)) {
-                    (Err(CoreError::DegenerateResidual { .. }), _)
-                    | (_, Err(CoreError::DegenerateResidual { .. })) => {}
-                    (Ok(a), Ok(b)) => prop_assert!(
-                        (a.delta_sq - b.delta_sq).abs() <= 1e-9 * b.delta_sq + 1e-13 * lambda1,
-                        "threshold {} vs reference {}", a.delta_sq, b.delta_sq
-                    ),
-                    other => panic!("untyped threshold failure: {other:?}"),
-                }
-                let r = want.normal_dim();
-                if r > 0 && want.eigenvalues()[r - 1] - want.eigenvalues()[r] > 1e-6 * lambda1 {
-                    let projector = |model: &SubspaceModel| {
-                        let p = model.normal_basis();
-                        p.matmul_nt(p).unwrap()
-                    };
-                    let diff = projector(&got).sub(&projector(&want)).unwrap().max_abs();
-                    prop_assert!(diff <= 1e-8, "normal projectors differ by {diff:e}");
-                }
+        assert_matches_reference(refit, reference_model(&y, fraction));
+    }
+
+    /// `SubspaceModel::fit` on fewer rows than links — a covariance of
+    /// rank at most `t − 1 < m` — against [`reference_model`]'s Jacobi
+    /// branch, under the contract of
+    /// `to_model_matches_two_pass_reference_on_hard_windows`: plain
+    /// windows, and a rank-two signal over noise `10^-decade` of its size.
+    #[test]
+    fn fit_matches_jacobi_reference_below_m_rows(
+        pool in matrix(40, 12),
+        m in 3usize..=12,
+        t in 2usize..=11,
+        kind in 0usize..2,
+        decade in 0u32..10,
+        fraction in 0.5..0.95f64,
+    ) {
+        let t = 2 + (t - 2) % (m - 2);
+        let y = Matrix::from_fn(t, m, |i, j| {
+            if kind == 1 {
+                pool[(i, 0)] * pool[(0, j)]
+                    + pool[(i, 1)] * pool[(1, j)]
+                    + 0.1f64.powi(decade as i32) * pool[(i, j)]
+            } else {
+                pool[(i, j)]
             }
-            other => panic!("untyped refit failure: {other:?}"),
+        });
+        prop_assert!(y.rows() < y.cols());
+        let policy = SeparationPolicy::VarianceFraction(fraction);
+        let fit = SubspaceModel::fit(&y, policy, PcaMethod::Covariance);
+        assert_matches_reference(fit, reference_model(&y, fraction));
+    }
+}
+
+/// Hold a model to [`reference_model`]'s: either may find the residual
+/// empty and say so with `DegenerateResidual`; otherwise the same `r`,
+/// the threshold to 1e-9 relative plus `1e-13·λ₁`, and, where `λ_r` is
+/// set apart from `λ_{r+1}`, the normal projector `PPᵀ` to 1e-8.
+fn assert_matches_reference(
+    got: netanom_core::Result<SubspaceModel>,
+    want: netanom_core::Result<SubspaceModel>,
+) {
+    match (got, want) {
+        (Err(CoreError::DegenerateResidual { .. }), _)
+        | (_, Err(CoreError::DegenerateResidual { .. })) => {}
+        (Ok(got), Ok(want)) => {
+            prop_assert_eq!(got.normal_dim(), want.normal_dim());
+            let lambda1 = want.eigenvalues()[0];
+            match (got.q_threshold(0.999), want.q_threshold(0.999)) {
+                (Err(CoreError::DegenerateResidual { .. }), _)
+                | (_, Err(CoreError::DegenerateResidual { .. })) => {}
+                (Ok(a), Ok(b)) => prop_assert!(
+                    (a.delta_sq - b.delta_sq).abs() <= 1e-9 * b.delta_sq + 1e-13 * lambda1,
+                    "threshold {} vs reference {}",
+                    a.delta_sq,
+                    b.delta_sq
+                ),
+                other => panic!("untyped threshold failure: {other:?}"),
+            }
+            let r = want.normal_dim();
+            if r > 0 && want.eigenvalues()[r - 1] - want.eigenvalues()[r] > 1e-6 * lambda1 {
+                let projector = |model: &SubspaceModel| {
+                    let p = model.normal_basis();
+                    p.matmul_nt(p).unwrap()
+                };
+                let diff = projector(&got).sub(&projector(&want)).unwrap().max_abs();
+                prop_assert!(diff <= 1e-8, "normal projectors differ by {diff:e}");
+            }
         }
+        other => panic!("untyped model failure: {other:?}"),
     }
 }
 

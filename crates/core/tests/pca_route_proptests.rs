@@ -20,7 +20,6 @@
 use netanom_core::{
     CoreError, Detector, Diagnoser, Pca, PcaMethod, SeparationPolicy, SubspaceModel,
 };
-use netanom_linalg::decomposition::SymmetricEigen;
 use netanom_linalg::kernel::{active_backend, gram_with, KernelBackend};
 use netanom_linalg::{vector, Matrix};
 use netanom_traffic::datasets;
@@ -111,14 +110,13 @@ fn projector(model: &SubspaceModel) -> Matrix {
 }
 
 /// Hold the two fitted routes to the contract in the module docs under
-/// one separation policy.
-fn assert_routes_agree(svd: &SvdPca, covariance: &Pca, policy: SeparationPolicy, label: &str) {
+/// one separation policy: the product's fit of `y` against the oracle's.
+fn assert_routes_agree(y: &Matrix, svd: &SvdPca, policy: SeparationPolicy, label: &str) {
     let spectrum = svd.eigenvalues();
     let (m, lambda1) = (spectrum.len(), spectrum[0]);
     let r = svd.normal_dim(policy);
-    let r_covariance = policy.normal_dim(covariance);
     let fitted = (
-        SubspaceModel::from_pca(covariance, r_covariance),
+        SubspaceModel::fit(y, policy, PcaMethod::Covariance),
         svd.model(r),
     );
     match fitted {
@@ -127,7 +125,7 @@ fn assert_routes_agree(svd: &SvdPca, covariance: &Pca, policy: SeparationPolicy,
         // other, and wherever it stops there is no residual left.
         (Err(CoreError::DegenerateResidual { .. }), Err(CoreError::DegenerateResidual { .. })) => {}
         (Ok(got), Ok(want)) => {
-            assert_eq!(r_covariance, r, "{label}: normal dimension");
+            assert_eq!(got.normal_dim(), r, "{label}: normal dimension");
             let (got_q, want_q) = (
                 got.q_threshold(0.999).unwrap(),
                 want.q_threshold(0.999).unwrap(),
@@ -202,7 +200,7 @@ proptest! {
         // single residual axis — roundoff in the rank-deficient families.
         policies.extend([0, smooth, smooth + 1, m / 2, m - 1].map(SeparationPolicy::FixedCount));
         for policy in policies {
-            assert_routes_agree(&svd, &covariance, policy, &format!("{label} {policy:?}"));
+            assert_routes_agree(&y, &svd, policy, &format!("{label} {policy:?}"));
         }
     }
 }
@@ -246,8 +244,8 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
             ds.name
         );
 
-        // `Diagnoser::fit` is `Pca::fit` + 3σ + `from_model`; the two
-        // confidence levels share one decomposition per route.
+        // `Diagnoser::fit` is `SubspaceModel::fit` + `from_model`; the
+        // two confidence levels share one decomposition per route.
         let rm = &ds.network.routing_matrix;
         for confidence in [0.999, 0.995] {
             let diagnose = |model: SubspaceModel| {
@@ -261,8 +259,14 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
                 (diagnoser.detector().threshold().delta_sq, alarms)
             };
             let (threshold_svd, alarms_svd) = diagnose(svd.model(r).unwrap());
-            let (threshold_cov, alarms_cov) =
-                diagnose(SubspaceModel::from_pca(&covariance, r).unwrap());
+            let (threshold_cov, alarms_cov) = diagnose(
+                SubspaceModel::fit(
+                    links,
+                    SeparationPolicy::FixedCount(r),
+                    PcaMethod::Covariance,
+                )
+                .unwrap(),
+            );
             assert!(
                 (threshold_cov - threshold_svd).abs() <= 1e-9 * threshold_svd,
                 "{} at {confidence}: δ² {threshold_cov:e} vs {threshold_svd:e}",
@@ -283,8 +287,8 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
 }
 
 /// The same fit on each kernel tier the host can run. A process
-/// dispatches one tier for life, so the Covariance arm of `Pca::fit` is
-/// spelled out here over [`gram_with`] — and checked to be the real
+/// dispatches one tier for life, so the covariance of `SubspaceModel::fit`
+/// is spelled out here over [`gram_with`] — and checked to be the real
 /// route, bit for bit, on the tier this process dispatched. The two
 /// fused tiers share one numeric contract and must produce the same
 /// model bits; the portable tier rounds differently (mul-then-add) and
@@ -302,9 +306,9 @@ fn default_route_fit_across_kernel_tiers() {
         let (centered, mean) = links.mean_centered_columns();
         let mut cov = gram_with(tier, &centered);
         cov.scale_in_place(1.0 / (links.rows() - 1) as f64);
-        let eig = SymmetricEigen::of_covariance(&cov).unwrap();
         let model =
-            SubspaceModel::from_eigen(mean, &eig.eigenvectors, eig.eigenvalues.clone(), r).unwrap();
+            SubspaceModel::from_covariance(mean, &cov, SeparationPolicy::FixedCount(r), None)
+                .unwrap();
         let detector = Detector::new(model, 0.999).unwrap();
         let decisions: Vec<bool> = detector
             .detect_matrix(links)
@@ -330,7 +334,7 @@ fn default_route_fit_across_kernel_tiers() {
     assert_eq!(
         bits(&active),
         bits(&dispatched),
-        "the spelled-out route is not `Pca::fit`'s"
+        "the spelled-out route is not `SubspaceModel::fit`'s"
     );
 
     let (portable, portable_decisions) = fit_on(KernelBackend::Portable);

@@ -9,9 +9,15 @@
 //! This is the acceptance contract of the truncated eigensolver:
 //! truncation changes the refit *cost*, never what is detected. The two
 //! Sprint weeks hold the same decision identity, which makes the suite
-//! the oracle for the dense solver too: `FullSvd` never calls it, so a
-//! symmetric eigen-solver that moved a decision on any canned week would
-//! split `Incremental` from `FullSvd` here.
+//! an oracle for the statistics refits too: `FullSvd` solves the
+//! two-pass covariance of the window's rows and `Incremental` the one
+//! its running sums give, so a refit that moved a decision on any
+//! canned week would split `Incremental` from `FullSvd` here. The first
+//! fit is held to the full PCA's solve, with the rank rule of the SVD
+//! oracle (`support/svd_route.rs`).
+
+#[path = "support/svd_route.rs"]
+mod svd_route;
 
 use netanom_core::method::{DetectionBackend, SubspaceBackend};
 use netanom_core::shard::ShardedEngine;
@@ -464,6 +470,79 @@ fn dense_refit_keeps_the_full_solves_spectrum_and_threshold_bits() {
                 let drift = gp.sub(wp).unwrap().max_abs();
                 assert!(drift <= 1e-12, "{at}: basis drift {drift:e}");
             }
+        }
+    }
+}
+
+/// The first fit builds only the eigenvectors its model keeps, yet its
+/// normal dimension, spectrum and thresholds are bitwise those of the
+/// full PCA's model (`Pca::fit`, the oracle's rank rule on it, and
+/// `SubspaceModel::from_eigen`), and its basis the full solve's leading
+/// columns to roundoff — on each canned week and on ledger-shaped
+/// synthetic weeks at m = 121 and 256, under the 3σ walk, fixed counts
+/// and variance fractions.
+#[test]
+fn first_fit_keeps_the_full_routes_bits() {
+    use netanom_core::{Pca, PcaMethod, SubspaceModel};
+    use netanom_traffic::synth::{self, ScaleConfig};
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let policies = [
+        SeparationPolicy::default(),
+        SeparationPolicy::FixedCount(1),
+        SeparationPolicy::FixedCount(4),
+        SeparationPolicy::FixedCount(5),
+        SeparationPolicy::FixedCount(8),
+        SeparationPolicy::VarianceFraction(0.9),
+        SeparationPolicy::VarianceFraction(0.99),
+    ];
+    let mut weeks: Vec<(String, Matrix)> =
+        [datasets::abilene, datasets::sprint1, datasets::sprint2]
+            .into_iter()
+            .map(|dataset| {
+                let ds = dataset();
+                (ds.name.to_string(), ds.links.matrix().clone())
+            })
+            .collect();
+    for m in [121, 256] {
+        let (_, series) = synth::workload(&ScaleConfig::new(m, 1008, 7)).unwrap();
+        weeks.push((format!("synthetic m = {m}"), series.matrix().clone()));
+    }
+    for (name, links) in &weeks {
+        let pca = Pca::fit(links).unwrap();
+        for policy in policies {
+            let at = format!("{name} {policy:?}");
+            let r =
+                svd_route::normal_dim_of(policy, pca.eigenvalues(), |i| pca.temporal_projection(i));
+            let got = SubspaceModel::fit(links, policy, PcaMethod::Covariance).unwrap();
+            let want = SubspaceModel::from_eigen(
+                pca.mean().to_vec(),
+                pca.components(),
+                pca.eigenvalues().to_vec(),
+                r,
+            )
+            .unwrap();
+            assert_eq!(got.normal_dim(), r, "{at}");
+            assert_eq!(
+                bits(got.eigenvalues()),
+                bits(want.eigenvalues()),
+                "{at}: eigenvalues"
+            );
+            for confidence in [0.999, 0.995] {
+                let (g, w) = (
+                    got.q_threshold(confidence).unwrap(),
+                    want.q_threshold(confidence).unwrap(),
+                );
+                assert_eq!(
+                    bits(&[g.delta_sq, g.phi1, g.phi2, g.phi3, g.h0]),
+                    bits(&[w.delta_sq, w.phi1, w.phi2, w.phi3, w.h0]),
+                    "{at}: threshold at {confidence}"
+                );
+            }
+            let (gp, wp) = (got.normal_basis(), want.normal_basis());
+            assert_eq!(gp.shape(), wp.shape(), "{at}");
+            let drift = gp.sub(wp).unwrap().max_abs();
+            assert!(drift <= 1e-12, "{at}: basis drift {drift:e}");
         }
     }
 }

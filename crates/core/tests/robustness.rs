@@ -2,7 +2,7 @@
 
 use netanom_core::incremental::IncrementalCovariance;
 use netanom_core::{
-    CoreError, Diagnoser, DiagnoserConfig, Pca, PcaMethod, SeparationPolicy, SubspaceModel,
+    CoreError, Diagnoser, DiagnoserConfig, PcaMethod, SeparationPolicy, SubspaceModel,
 };
 use netanom_linalg::{vector, LinalgError, Matrix};
 use netanom_topology::builtin;
@@ -258,10 +258,9 @@ fn rank_five_week(scale: f64) -> Matrix {
 fn roundoff_residual_is_degenerate_on_every_route() {
     for scale in [1e-6, 1.0, 1e6] {
         let y = rank_five_week(scale);
-        // `SubspaceModel::fit` is `Pca::fit` + `from_pca`; the two splits
-        // below share one decomposition per route.
         let svd = SvdPca::fit(&y).unwrap();
-        let covariance = Pca::fit(&y).unwrap();
+        let fit =
+            |r| SubspaceModel::fit(&y, SeparationPolicy::FixedCount(r), PcaMethod::Covariance);
         let stats = IncrementalCovariance::from_matrix(&y);
         let threshold = |model: SubspaceModel| model.q_threshold(0.999).unwrap().delta_sq;
 
@@ -272,7 +271,7 @@ fn roundoff_residual_is_degenerate_on_every_route() {
 
         let refused = [
             ("fit/svd", svd.model(5)),
-            ("fit/covariance", SubspaceModel::from_pca(&covariance, 5)),
+            ("fit/covariance", fit(5)),
             ("to_model", stats.to_model(SeparationPolicy::FixedCount(5))),
             (
                 "to_model_truncated",
@@ -292,7 +291,7 @@ fn roundoff_residual_is_degenerate_on_every_route() {
         // covariance route knows λ₅ only to ≈ m·ε·λ₁/λ₅ ≈ 1e-5.)
         let want = threshold(svd.model(4).unwrap());
         let dense = [
-            ("fit/covariance", SubspaceModel::from_pca(&covariance, 4)),
+            ("fit/covariance", fit(4)),
             ("to_model", stats.to_model(SeparationPolicy::FixedCount(4))),
         ];
         for (route, got) in dense {

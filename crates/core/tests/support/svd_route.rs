@@ -6,9 +6,9 @@
 //!
 //! [`SvdPca`] is `Pca::fit` with the SVD of the centred data in place of
 //! the covariance eigen-solve — `σₖ²/(t−1)` for the spectrum, `V` for the
-//! axes — and [`SvdPca::normal_dim`] is `SeparationPolicy::normal_dim`
-//! on it, so the oracle's `r`, spectrum and model are the ones the seed
-//! loop's route produced, bit for bit.
+//! axes. Its rank rule ([`normal_dim_of`]) is written here apart from
+//! the library's, so the suites compare two implementations of the rule
+//! as well as two decompositions.
 
 // Each including suite uses only part of it.
 #![allow(dead_code)]
@@ -73,15 +73,7 @@ impl SvdPca {
     /// Smallest number of leading axes capturing at least `fraction` of
     /// the total variance.
     pub fn effective_dimension(&self, fraction: f64) -> usize {
-        let fracs = self.variance_fractions();
-        let mut acc = 0.0;
-        for (i, f) in fracs.iter().enumerate() {
-            acc += f;
-            if acc >= fraction {
-                return i + 1;
-            }
-        }
-        fracs.len()
+        variance_rank(&self.eigenvalues, fraction)
     }
 
     /// The normalized temporal projection `uᵢ = Yvᵢ / ‖Yvᵢ‖`.
@@ -97,28 +89,7 @@ impl SvdPca {
 
     /// The normal dimension `policy` selects on this spectrum.
     pub fn normal_dim(&self, policy: SeparationPolicy) -> usize {
-        let m = self.eigenvalues.len();
-        match policy {
-            SeparationPolicy::FixedCount(r) => r.min(m),
-            SeparationPolicy::VarianceFraction(f) => self.effective_dimension(f.clamp(0.0, 1.0)),
-            SeparationPolicy::ThreeSigma { sigma } => {
-                for i in 0..m {
-                    if self.eigenvalues[i] <= 0.0 {
-                        return i;
-                    }
-                    let u = self.temporal_projection(i);
-                    let mean = stats::mean(&u);
-                    let sd = stats::std_dev(&u);
-                    if sd == 0.0 {
-                        return i;
-                    }
-                    if u.iter().any(|&x| (x - mean).abs() > sigma * sd) {
-                        return i;
-                    }
-                }
-                m
-            }
-        }
+        normal_dim_of(policy, &self.eigenvalues, |i| self.temporal_projection(i))
     }
 
     /// The subspace model with the leading `r` axes normal.
@@ -130,6 +101,57 @@ impl SvdPca {
             r,
         )
     }
+}
+
+/// The normal dimension `policy` selects on a descending spectrum, where
+/// `projection(i)` is axis `i`'s normalized temporal projection: the 3σ
+/// walk (stopping at the first axis with no variance or a spike), a
+/// clamped fixed count, or [`variance_rank`].
+pub fn normal_dim_of(
+    policy: SeparationPolicy,
+    eigenvalues: &[f64],
+    projection: impl Fn(usize) -> Vec<f64>,
+) -> usize {
+    let m = eigenvalues.len();
+    match policy {
+        SeparationPolicy::FixedCount(r) => r.min(m),
+        SeparationPolicy::VarianceFraction(f) => variance_rank(eigenvalues, f.clamp(0.0, 1.0)),
+        SeparationPolicy::ThreeSigma { sigma } => {
+            for (i, &l) in eigenvalues.iter().enumerate() {
+                if l <= 0.0 {
+                    return i;
+                }
+                let u = projection(i);
+                let mean = stats::mean(&u);
+                let sd = stats::std_dev(&u);
+                if sd == 0.0 {
+                    return i;
+                }
+                if u.iter().any(|&x| (x - mean).abs() > sigma * sd) {
+                    return i;
+                }
+            }
+            m
+        }
+    }
+}
+
+/// The smallest `r` whose running sum `Σλᵢ` reaches `fraction·Σλ`
+/// (all `m` if roundoff keeps it short), and 0 when `Σλ ≤ 0`.
+pub fn variance_rank(eigenvalues: &[f64], fraction: f64) -> usize {
+    let total: f64 = eigenvalues.iter().sum();
+    if total <= 0.0 {
+        return 0;
+    }
+    let target = fraction * total;
+    let mut acc = 0.0;
+    for (i, l) in eigenvalues.iter().enumerate() {
+        acc += l;
+        if acc >= target {
+            return i + 1;
+        }
+    }
+    eigenvalues.len()
 }
 
 /// `SubspaceModel::fit` on the SVD route.

@@ -18,7 +18,7 @@ const SYMMETRY_RTOL: f64 = 1e-8;
 /// convention where the first principal component captures the most
 /// variance. `eigenvectors` holds the corresponding unit eigenvectors as
 /// **columns**: all `n` of them, or only the leading `r` from
-/// [`SymmetricEigen::of_covariance_leading`].
+/// [`LeadingEigen::into_leading`].
 ///
 /// # Algorithm
 ///
@@ -170,36 +170,9 @@ impl SymmetricEigen {
         Ok(eig)
     }
 
-    /// [`of_covariance`](Self::of_covariance) for a caller that keeps only
-    /// the leading eigenvectors: all `n` eigenvalues, bitwise
-    /// `of_covariance`'s (clamped, decreasing), and the first `r` of its
-    /// eigenvectors (`n × r`), equal to its columns to roundoff with the
-    /// same signs. `r_of` picks `r` from the finished spectrum; a
-    /// value above `n` means `n`.
-    ///
-    /// The QL rotations are logged instead of applied, then replayed
-    /// backwards on `r` unit vectors, followed by the Householder
-    /// reflections: `O(r·n²)` where the full solve spends `≈ 3n³` on the
-    /// accumulator, which is never allocated. Same input contract and
-    /// errors as `of_covariance`.
-    pub fn of_covariance_leading(cov: &Matrix, r_of: impl FnOnce(&[f64]) -> usize) -> Result<Self> {
-        let mut t = reduced(cov)?;
-        let mut log = RotationLog::default();
-        tridiagonal::implicit_ql(&mut t.d, &mut t.e, |i, c, s| log.push(i, c, s))?;
-        let order = descending(&t.d)?;
-        let mut eigenvalues: Vec<f64> = order.iter().map(|&i| t.d[i]).collect();
-        clamp_negative(&mut eigenvalues);
-        let r = r_of(&eigenvalues).min(order.len());
-        let eigenvectors = t.leading_vectors(&log, &order[..r]);
-        Ok(SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
-        })
-    }
-
     /// Reconstruct `V Λ Vᵀ`; useful for accuracy checks. After
-    /// [`of_covariance_leading`](Self::of_covariance_leading) this is the
-    /// rank-`r` part over the vectors it kept.
+    /// [`LeadingEigen::into_leading`] this is the rank-`r` part over the
+    /// vectors it kept.
     pub fn reconstruct(&self) -> Matrix {
         let lambda = Matrix::from_diag(&self.eigenvalues[..self.eigenvectors.cols()]);
         // `(VΛ)·Vᵀ` via the N·T kernel: no transposed copy, and entry
@@ -209,6 +182,95 @@ impl SymmetricEigen {
             .matmul(&lambda)
             .and_then(|vl| vl.matmul_nt(&self.eigenvectors))
             .expect("shapes are consistent by construction")
+    }
+}
+
+/// A covariance eigen-solve whose eigenvectors are built on request:
+/// every eigenvalue up front, bitwise
+/// [`SymmetricEigen::of_covariance`]'s (clamped, decreasing), and
+/// eigenvector `k` only when [`vector`](Self::vector) asks for it.
+///
+/// The QL rotations are logged instead of applied; a request replays
+/// the log backwards on the unit vectors not built yet, followed by the
+/// Householder reflections — `O(n²)` per vector where the full solve
+/// spends `≈ 3n³` on an accumulator that is never allocated. Rotations
+/// and reflections act on each vector alone, so a vector is the same
+/// bits whether it is built alone or beside others, and equal to the
+/// full solve's column to roundoff with the same sign. The vectors
+/// built are kept, so a caller that walks the axes in order until some
+/// test stops it (the subspace method's 3σ rule) builds exactly the
+/// vectors it looked at.
+#[derive(Debug)]
+pub struct LeadingEigen {
+    eigenvalues: Vec<f64>,
+    reduced: Tridiagonal,
+    log: RotationLog,
+    /// `order[k]`: the diagonal entry of `T` that holds `eigenvalues[k]`.
+    order: Vec<usize>,
+    /// The vectors built so far, vector `k` as row `k` of `n` entries.
+    built: Vec<f64>,
+}
+
+impl LeadingEigen {
+    /// Reduce, diagonalize and log: every eigenvalue, no vector yet. Same
+    /// input contract and errors as [`SymmetricEigen::of_covariance`].
+    pub fn of_covariance(cov: &Matrix) -> Result<Self> {
+        let mut reduced = reduced(cov)?;
+        let mut log = RotationLog::default();
+        tridiagonal::implicit_ql(&mut reduced.d, &mut reduced.e, |i, c, s| log.push(i, c, s))?;
+        let order = descending(&reduced.d)?;
+        let mut eigenvalues: Vec<f64> = order.iter().map(|&i| reduced.d[i]).collect();
+        clamp_negative(&mut eigenvalues);
+        Ok(LeadingEigen {
+            eigenvalues,
+            reduced,
+            log,
+            order,
+            built: Vec::new(),
+        })
+    }
+
+    /// Every eigenvalue, decreasing.
+    pub fn eigenvalues(&self) -> &[f64] {
+        &self.eigenvalues
+    }
+
+    /// The unit eigenvector for `eigenvalues()[k]`, building it and every
+    /// vector before it that is not built yet (in one replay).
+    ///
+    /// # Panics
+    /// Panics if `k ≥ n`.
+    pub fn vector(&mut self, k: usize) -> &[f64] {
+        self.build(k + 1);
+        let n = self.order.len();
+        &self.built[k * n..(k + 1) * n]
+    }
+
+    /// Build the first `count` vectors.
+    fn build(&mut self, count: usize) {
+        let n = self.order.len();
+        let have = self.built.len() / n;
+        if count > have {
+            let rows = self
+                .reduced
+                .leading_rows(&self.log, &self.order[have..count]);
+            self.built.extend_from_slice(rows.as_slice());
+        }
+    }
+
+    /// The spectrum and the first `r` eigenvectors as columns (`n × r`;
+    /// a value above `n` means `n`), building those not built yet in one
+    /// replay: [`SymmetricEigen::of_covariance`]'s eigenvalue bits and
+    /// its leading columns to roundoff, with the same signs.
+    pub fn into_leading(mut self, r: usize) -> SymmetricEigen {
+        let n = self.order.len();
+        let r = r.min(n);
+        self.build(r);
+        let built = &self.built;
+        SymmetricEigen {
+            eigenvectors: Matrix::from_fn(n, r, |i, k| built[k * n + i]),
+            eigenvalues: self.eigenvalues,
+        }
     }
 }
 
@@ -334,7 +396,7 @@ mod tests {
     fn leading_one_by_one_is_the_full_solve() {
         let a = Matrix::from_rows(&[vec![-4.0]]);
         let full = SymmetricEigen::of_covariance(&a).unwrap();
-        let lead = SymmetricEigen::of_covariance_leading(&a, |_| 1).unwrap();
+        let lead = LeadingEigen::of_covariance(&a).unwrap().into_leading(1);
         assert_eq!(lead.eigenvalues, vec![0.0]);
         assert_eq!(lead.eigenvalues, full.eigenvalues);
         assert_eq!(lead.eigenvectors, full.eigenvectors);
@@ -344,12 +406,12 @@ mod tests {
     fn leading_zero_vectors_keeps_the_whole_spectrum() {
         let a = Matrix::from_fn(6, 6, |i, j| 1.0 / (1 + i + j) as f64);
         let full = SymmetricEigen::of_covariance(&a).unwrap();
-        let lead = SymmetricEigen::of_covariance_leading(&a, |_| 0).unwrap();
+        let lead = LeadingEigen::of_covariance(&a).unwrap().into_leading(0);
         assert_eq!(lead.eigenvalues, full.eigenvalues);
         assert_eq!(lead.eigenvectors.shape(), (6, 0));
         assert!(lead.reconstruct().approx_eq(&Matrix::zeros(6, 6), 0.0));
         // A count past `n` means `n`.
-        let all = SymmetricEigen::of_covariance_leading(&a, |_| 99).unwrap();
+        let all = LeadingEigen::of_covariance(&a).unwrap().into_leading(99);
         assert_eq!(all.eigenvectors.shape(), (6, 6));
         assert!(all.reconstruct().approx_eq(&a, 1e-12));
     }
@@ -368,10 +430,7 @@ mod tests {
             Matrix::from_fn(6, 6, |i, j| f64::MAX / (1 + i + j) as f64),
         ] {
             let want = SymmetricEigen::new(&bad).unwrap_err();
-            let got = SymmetricEigen::of_covariance_leading(&bad, |_| {
-                panic!("r_of called on a refused input")
-            })
-            .unwrap_err();
+            let got = LeadingEigen::of_covariance(&bad).unwrap_err();
             // NaN payloads defeat `==`; the debug text names them.
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }

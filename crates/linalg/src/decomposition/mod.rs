@@ -33,6 +33,6 @@ mod truncated;
 mod svd;
 
 pub use cholesky::Cholesky;
-pub use jacobi::SymmetricEigen;
+pub use jacobi::{LeadingEigen, SymmetricEigen};
 pub use qr::Qr;
 pub use truncated::{power_traces, TruncatedEigen};

@@ -14,7 +14,7 @@
 //! The QL loop hands its rotations to a sink. The full solve applies
 //! each to `zt` as it comes; the leading-vectors solve logs them
 //! ([`RotationLog`]) and replays the log backwards on only the unit
-//! vectors it needs ([`Tridiagonal::leading_vectors`]), never forming
+//! vectors it needs ([`Tridiagonal::leading_rows`]), never forming
 //! `zt`. The eigenvalues are the same bits either way.
 //!
 //! Everything here is serial scalar code over [`vector::dot`],
@@ -35,7 +35,8 @@ const MAX_QL_ITERATIONS: usize = 60;
 /// A symmetric matrix reduced to tridiagonal form `T = Qᵀ A Q` by
 /// `n − 2` Householder reflections, with the reflections kept so that
 /// `Q` can be applied afterwards — in full ([`Self::q_transposed`]) or to
-/// a few vectors only ([`Self::leading_vectors`]).
+/// a few vectors only ([`Self::leading_rows`]).
+#[derive(Debug)]
 pub(super) struct Tridiagonal {
     /// Row `i` holds reflection `i`'s vector `u` in its first `i`
     /// entries (the rest of the lower triangle is spent).
@@ -128,23 +129,26 @@ impl Tridiagonal {
         zt
     }
 
-    /// The eigenvectors for the diagonalized `T`'s entries `rows` (in
-    /// that order, as columns), without ever forming `Qᵀ`.
+    /// The eigenvectors for the diagonalized `T`'s entries `rows`, in
+    /// that order, as the **rows** of a `rows.len() × n` matrix, without
+    /// ever forming `Qᵀ`.
     ///
     /// The full route's row `k` ends as `e_kᵀ·G_N⋯G_1·H₁⋯H_{n−1}`, with
     /// `G_j` the QL rotations in generation order. Here each `e_kᵀ` takes
     /// the logged rotations backwards, `O(1)` per rotation, then the
     /// reflections, `O(n²)`: the same orthogonal product associated the
     /// other way, so the vectors equal the full route's to roundoff —
-    /// signs included, and inside eigenvalue clusters too.
-    pub(super) fn leading_vectors(&self, log: &RotationLog, rows: &[usize]) -> Matrix {
+    /// signs included, and inside eigenvalue clusters too. Every
+    /// operation acts on each vector alone, so a vector comes out as the
+    /// same bits whichever other `rows` are built beside it.
+    pub(super) fn leading_rows(&self, log: &RotationLog, rows: &[usize]) -> Matrix {
         let n = self.d.len();
+        if rows.is_empty() {
+            return Matrix::zeros(0, n);
+        }
         // Column j is vector j while the rotations run: each then moves
         // two contiguous rows, one independent chain per vector.
         let mut x = Matrix::zeros(n, rows.len());
-        if rows.is_empty() {
-            return x;
-        }
         for (j, &k) in rows.iter().enumerate() {
             x[(k, j)] = 1.0;
         }
@@ -161,7 +165,7 @@ impl Tridiagonal {
                 reflect(u, h, xt.row_mut(j));
             }
         }
-        xt.transpose()
+        xt
     }
 }
 
@@ -174,7 +178,7 @@ fn reflect(u: &[f64], h: f64, z: &mut [f64]) {
 }
 
 /// The plane rotations of an [`implicit_ql`] run, in generation order,
-/// for [`Tridiagonal::leading_vectors`] to replay.
+/// for [`Tridiagonal::leading_rows`] to replay.
 ///
 /// A QL sweep rotates planes `m − 1, m − 2, …, l`, so the plane index is
 /// implicit in a run of consecutive descending planes: the log keeps

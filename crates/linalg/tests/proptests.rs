@@ -3,7 +3,9 @@
 //! Matrices are generated with bounded entries so that tolerance choices
 //! scale predictably; shapes are kept in the workspace's realistic range.
 
-use netanom_linalg::decomposition::{power_traces, Cholesky, Qr, SymmetricEigen, TruncatedEigen};
+use netanom_linalg::decomposition::{
+    power_traces, Cholesky, LeadingEigen, Qr, SymmetricEigen, TruncatedEigen,
+};
 use netanom_linalg::{stats, vector, Matrix};
 use proptest::prelude::*;
 
@@ -445,24 +447,21 @@ fn assert_matches_oracle(a: &Matrix) {
     assert_leading_matches_full(a, &eig, tol);
 }
 
-/// Hold `SymmetricEigen::of_covariance_leading(a, |_| r)` to the full
-/// solve for `r ∈ {0, 1, ⌈n/2⌉, n}`: `r_of` sees, and the result
-/// carries, exactly `of_covariance`'s eigenvalue bits; every vector entry
-/// is within `1e-12` of the full solve's column, signs not fixed; and
-/// the vectors keep the residual bound `tol` (against `full`'s unclamped
-/// eigenvalues) and orthonormality to `1e-10`.
+/// Hold [`LeadingEigen`] to the full solve for `r ∈ {0, 1, ⌈n/2⌉, n}`:
+/// its spectrum is exactly `of_covariance`'s eigenvalue bits; every
+/// vector entry of `into_leading(r)` is within `1e-12` of the full
+/// solve's column, signs not fixed; the vectors keep the residual bound
+/// `tol` (against `full`'s unclamped eigenvalues) and orthonormality to
+/// `1e-10`; and vectors asked for one at a time are the batch's columns
+/// bitwise.
 fn assert_leading_matches_full(a: &Matrix, full: &SymmetricEigen, tol: f64) {
     let n = a.rows();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let want = bits(&SymmetricEigen::of_covariance(a).unwrap().eigenvalues);
     for r in [0, 1, n.div_ceil(2), n] {
-        let mut seen = None;
-        let lead = SymmetricEigen::of_covariance_leading(a, |spectrum| {
-            seen = Some(bits(spectrum));
-            r
-        })
-        .unwrap();
-        assert_eq!(seen.as_ref(), Some(&want), "r_of's spectrum at r = {r}");
+        let solve = LeadingEigen::of_covariance(a).unwrap();
+        assert_eq!(bits(solve.eigenvalues()), want, "spectrum at r = {r}");
+        let lead = solve.into_leading(r);
         assert_eq!(bits(&lead.eigenvalues), want, "eigenvalue bits at r = {r}");
         assert_eq!(lead.eigenvectors.shape(), (n, r));
         let v = &lead.eigenvectors;
@@ -482,6 +481,18 @@ fn assert_leading_matches_full(a: &Matrix, full: &SymmetricEigen, tol: f64) {
         }
         let orth = v.gram().sub(&Matrix::identity(r)).unwrap().max_abs();
         assert!(orth <= 1e-10, "max|VᵀV − I| = {orth:e} at r = {r}");
+
+        // Built on request, one replay per vector, each is the batch's
+        // column bit for bit.
+        let mut on_demand = LeadingEigen::of_covariance(a).unwrap();
+        for k in 0..r {
+            assert_eq!(
+                bits(on_demand.vector(k)),
+                bits(&v.col(k)),
+                "on-demand vector {k} (r = {r})"
+            );
+        }
+        assert_eq!(on_demand.into_leading(r).eigenvectors, lead.eigenvectors);
     }
 }
 
