@@ -8,7 +8,6 @@ use std::path::{Path, PathBuf};
 
 use netanom_baselines::methods::{build_streaming, MethodName, METHOD_NAMES};
 use netanom_core::method::DetectionBackend;
-use netanom_core::service::PARTITION_KINDS;
 use netanom_core::stream::RefitStrategy;
 use netanom_core::{
     Diagnoser, DiagnoserConfig, DiagnosisReport, EngineConfig, PartitionSpec, ShardedEngine,
@@ -320,7 +319,8 @@ pub fn diagnose(args: &[String]) -> Result<(), String> {
 fn load_paths(paths_file: &str, num_links: usize) -> Result<RoutingMatrix, String> {
     let paths_content =
         fs::read_to_string(paths_file).map_err(|e| format!("reading {paths_file}: {e}"))?;
-    let paths = paths_csv::parse(&paths_content)?;
+    let paths =
+        paths_csv::parse(&paths_content, "flow").map_err(|e| format!("{paths_file}: {e}"))?;
     RoutingMatrix::try_from_paths(num_links, &paths)
         .map_err(|e| format!("{paths_file}: {e} in the links CSV"))
 }
@@ -398,12 +398,13 @@ fn partition_spec_of(
                 .get("partition-file")
                 .ok_or("--partition explicit needs --partition-file FILE")?;
             let text = fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            PartitionSpec::parse_explicit_csv(&text).map_err(|e| format!("{file}: {e}"))?
+            PartitionSpec::Groups(
+                paths_csv::parse(&text, "shard").map_err(|e| format!("{file}: {e}"))?,
+            )
         }
         other => {
             return Err(format!(
-                "unknown partition kind {other:?}; must be {}",
-                PARTITION_KINDS.join("|")
+                "unknown partition kind {other:?}; must be round-robin|per-pop|explicit"
             ))
         }
     };

@@ -1,9 +1,9 @@
 //! `netanom` — diagnose network-wide traffic anomalies from the shell.
 //!
 //! This library backs the `netanom` binary; it exists as a library so
-//! the subcommand implementations ([`commands`]) and the `paths.csv`
-//! routing format ([`paths_csv`]) are testable and documented like every
-//! other crate in the workspace.
+//! the subcommand implementations ([`commands`]) and the link-group
+//! list format of `paths.csv` and partition files ([`paths_csv`]) are
+//! testable and documented like every other crate in the workspace.
 //!
 //! ```text
 //! netanom simulate --dataset sprint1 --out-dir data/
@@ -44,9 +44,11 @@
 //!   `--partition round-robin|per-pop|explicit`: round-robin (the
 //!   default) splits links cyclically over the shard count, `per-pop`
 //!   groups links by the `--dataset` topology's PoPs, and `explicit`
-//!   reads a `shard,links` CSV (`--partition-file`). Every process of a
-//!   distributed deployment must name the same partition — a
-//!   disagreeing worker is rejected at the join handshake.
+//!   reads a `shard,links` CSV (`--partition-file`) through the parser
+//!   `paths.csv` uses ([`paths_csv::parse`]), whose errors name the
+//!   file line. Every process of a distributed deployment must name the
+//!   same partition — a disagreeing worker is rejected at the join
+//!   handshake.
 //! * `serve` is the persistent daemon: a newline-framed session
 //!   protocol over stdin/stdout or `--listen` TCP, with per-session
 //!   engine configurations, bounded ingest queues, `alarm` events,
@@ -62,7 +64,7 @@
 //! let paths = vec![vec![3], vec![0, 4, 7]];
 //! let csv = netanom_cli::paths_csv::serialize(&paths);
 //! assert!(csv.starts_with("flow,links\n"));
-//! assert_eq!(netanom_cli::paths_csv::parse(&csv).unwrap(), paths);
+//! assert_eq!(netanom_cli::paths_csv::parse(&csv, "flow").unwrap(), paths);
 //! ```
 
 #![deny(missing_docs)]

@@ -1,7 +1,9 @@
-//! The `paths.csv` format: routing information for identification.
+//! Link-group lists: `paths.csv` (routing information for
+//! identification) and `--partition explicit`'s partition file.
 //!
-//! Two columns, `flow` and `links`; `links` is a `;`-separated list of
-//! 0-based link indices (the columns of `links.csv`, in order):
+//! Two columns, an id (`flow`, or `shard` in a partition file) and
+//! `links`, a `;`-separated list of 0-based link indices (the columns of
+//! `links.csv`, in order):
 //!
 //! ```csv
 //! flow,links
@@ -9,55 +11,51 @@
 //! 1,0;4;7
 //! ```
 //!
-//! Flows must appear in order `0..n` so flow ids in reports match row
-//! numbers.
+//! Ids run `0..n` in order, so a flow id is its row number and every
+//! process reads a partition file alike. Blank lines are skipped.
 
-/// Parse `paths.csv` content into per-flow link index lists.
-pub fn parse(content: &str) -> Result<Vec<Vec<usize>>, String> {
-    let mut lines = content.lines().enumerate();
-    let (_, header) = lines.next().ok_or("paths csv is empty")?;
-    let header_fields: Vec<&str> = header.split(',').map(str::trim).collect();
-    if header_fields != ["flow", "links"] {
-        return Err(format!(
-            "paths csv header must be \"flow,links\", got {header:?}"
-        ));
+/// Parse a group list whose header is `<id>,links` (`id` is `flow` for
+/// `paths.csv`, `shard` for a partition file) into per-id link index
+/// lists. Errors name the 1-based file line.
+pub fn parse(content: &str, id: &str) -> Result<Vec<Vec<usize>>, String> {
+    let mut lines = content
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty());
+    let header = lines.next().map_or("", |(_, line)| line);
+    if !header.split(',').map(str::trim).eq([id, "links"]) {
+        return Err(format!("header must be \"{id},links\", got {header:?}"));
     }
-    let mut paths = Vec::new();
+    let mut groups = Vec::new();
     for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
         let line_no = idx + 1;
-        let (flow_s, links_s) = line
+        let (id_s, links_s) = line
             .split_once(',')
             .ok_or_else(|| format!("line {line_no}: expected two comma-separated fields"))?;
-        let flow: usize = flow_s
+        let got: usize = id_s
             .trim()
             .parse()
-            .map_err(|_| format!("line {line_no}: bad flow id {flow_s:?}"))?;
-        if flow != paths.len() {
+            .map_err(|_| format!("line {line_no}: bad {id} id {id_s:?}"))?;
+        if got != groups.len() {
             return Err(format!(
-                "line {line_no}: flow ids must be consecutive from 0 (expected {}, got {flow})",
-                paths.len()
+                "line {line_no}: {id} ids must be consecutive from 0 (expected {}, got {got})",
+                groups.len()
             ));
         }
-        let mut links = Vec::new();
-        for part in links_s.split(';') {
-            let l: usize = part
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {line_no}: bad link index {part:?}"))?;
-            links.push(l);
-        }
-        if links.is_empty() {
-            return Err(format!("line {line_no}: flow {flow} has no links"));
-        }
-        paths.push(links);
+        let links = links_s
+            .split(';')
+            .map(|part| {
+                part.trim()
+                    .parse()
+                    .map_err(|_| format!("line {line_no}: bad link index {part:?}"))
+            })
+            .collect::<Result<_, _>>()?;
+        groups.push(links);
     }
-    if paths.is_empty() {
-        return Err("paths csv has no flows".into());
+    if groups.is_empty() {
+        return Err(format!("no {id} follows the header"));
     }
-    Ok(paths)
+    Ok(groups)
 }
 
 /// Serialize per-flow link paths to the `paths.csv` format.
@@ -83,35 +81,52 @@ mod tests {
     fn roundtrip() {
         let paths = vec![vec![3], vec![0, 4, 7], vec![1, 2]];
         let csv = serialize(&paths);
-        assert_eq!(parse(&csv).unwrap(), paths);
+        assert_eq!(parse(&csv, "flow").unwrap(), paths);
     }
 
     #[test]
     fn header_validated() {
-        assert!(parse("a,b\n0,1\n").is_err());
-        assert!(parse("").is_err());
+        assert!(parse("a,b\n0,1\n", "flow").is_err());
+        assert!(parse("", "flow").is_err());
     }
 
     #[test]
     fn flow_ids_must_be_consecutive() {
-        assert!(parse("flow,links\n0,1\n2,3\n").is_err());
+        assert!(parse("flow,links\n0,1\n2,3\n", "flow").is_err());
     }
 
     #[test]
     fn bad_indices_reported_with_line() {
-        let err = parse("flow,links\n0,1\n1,x\n").unwrap_err();
+        let err = parse("flow,links\n0,1\n1,x\n", "flow").unwrap_err();
         assert!(err.contains("line 3"), "{err}");
     }
 
     #[test]
     fn empty_path_rejected() {
-        assert!(parse("flow,links\n0,\n").is_err());
+        assert!(parse("flow,links\n0,\n", "flow").is_err());
     }
 
     #[test]
     fn blank_lines_ok() {
-        let parsed = parse("flow,links\n0,1\n\n1,2;3\n").unwrap();
+        let parsed = parse("flow,links\n0,1\n\n1,2;3\n", "flow").unwrap();
         assert_eq!(parsed.len(), 2);
+    }
+
+    #[test]
+    fn partition_csv_roundtrip_and_errors() {
+        let groups = parse("\n shard , links\n0,0;2\n1, 1 ;3\n", "shard").unwrap();
+        assert_eq!(groups, vec![vec![0, 2], vec![1, 3]]);
+        let err = |text| parse(text, "shard").unwrap_err();
+        assert_eq!(
+            err("flow,links\n0,1"),
+            r#"header must be "shard,links", got "flow,links""#
+        );
+        assert_eq!(
+            err("shard,links\n\n1,0"),
+            "line 3: shard ids must be consecutive from 0 (expected 0, got 1)"
+        );
+        assert_eq!(err("shard,links\nx,0"), r#"line 2: bad shard id "x""#);
+        assert_eq!(err("shard,links\n"), "no shard follows the header");
     }
 
     /// Non-empty path lists of non-empty paths, link indices from small
@@ -131,7 +146,7 @@ mod tests {
 
         #[test]
         fn serialize_then_parse_is_the_identity(paths in path_lists()) {
-            prop_assert_eq!(parse(&serialize(&paths)), Ok(paths));
+            prop_assert_eq!(parse(&serialize(&paths), "flow"), Ok(paths));
         }
 
         /// Any one byte of a valid file replaced by any value: a parse
@@ -147,7 +162,7 @@ mod tests {
             let at = at % bytes.len();
             bytes[at] = byte;
             if let Ok(text) = String::from_utf8(bytes) {
-                let _ = parse(&text);
+                let _ = parse(&text, "flow");
             }
         }
     }

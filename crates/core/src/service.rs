@@ -28,16 +28,13 @@ use netanom_topology::LinkPartition;
 /// The valid `--refit` / `refit=` values, in display order.
 pub const REFIT_NAMES: [&str; 3] = ["full", "incremental", "truncated"];
 
-/// The valid `--partition` / partition spec kinds, in display order.
-pub const PARTITION_KINDS: [&str; 3] = ["round-robin", "per-pop", "explicit"];
-
 /// How the link set is split across shards, before the link count is
 /// known.
 ///
 /// `per-pop` and `explicit` partitions resolve to concrete link groups
-/// at the edge (a topology lookup or a partition CSV); both arrive here
-/// as [`PartitionSpec::Groups`], so [`PartitionSpec::resolve`] needs
-/// only the measurement dimension.
+/// at the edge (a topology lookup, or a partition CSV the CLI parses);
+/// both arrive here as [`PartitionSpec::Groups`], so
+/// [`PartitionSpec::resolve`] needs only the measurement dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionSpec {
     /// Round-robin link `l` to shard `l % shards`.
@@ -71,53 +68,6 @@ impl PartitionSpec {
             PartitionSpec::RoundRobin { shards } => *shards,
             PartitionSpec::Groups(groups) => groups.len(),
         }
-    }
-
-    /// Parse an explicit-partition CSV (`shard,links` header, one line
-    /// per shard with `;`-separated global link indices — the same
-    /// shape as `paths.csv`). Shard ids must be `0..K` in order, so a
-    /// partition file means the same thing to every process that reads
-    /// it.
-    pub fn parse_explicit_csv(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        match lines.next() {
-            Some(h) if h.trim() == "shard,links" => {}
-            other => {
-                return Err(format!(
-                    "partition CSV must start with a `shard,links` header, got {:?}",
-                    other.unwrap_or("")
-                ))
-            }
-        }
-        let mut groups = Vec::new();
-        for line in lines {
-            let (shard, links) = line
-                .split_once(',')
-                .ok_or_else(|| format!("partition CSV line {line:?} is not `shard,links`"))?;
-            let shard: usize = shard
-                .trim()
-                .parse()
-                .map_err(|_| format!("partition CSV shard id {shard:?} is not an integer"))?;
-            if shard != groups.len() {
-                return Err(format!(
-                    "partition CSV shard ids must be 0..K in order; expected {}, got {shard}",
-                    groups.len()
-                ));
-            }
-            let mut group = Vec::new();
-            for tok in links.split(';') {
-                let l: usize = tok
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("partition CSV link index {tok:?} is not an integer"))?;
-                group.push(l);
-            }
-            groups.push(group);
-        }
-        if groups.is_empty() {
-            return Err("partition CSV names no shards".to_string());
-        }
-        Ok(PartitionSpec::Groups(groups))
     }
 }
 
@@ -453,23 +403,6 @@ mod tests {
         let cfg = EngineConfig::new(77).unwrap();
         assert_eq!(cfg.window(), 77);
         assert_eq!(cfg.with_window(10).unwrap().window(), 10);
-    }
-
-    #[test]
-    fn explicit_csv_roundtrip_and_errors() {
-        let spec = PartitionSpec::parse_explicit_csv("shard,links\n0,0;2\n1,1;3\n").unwrap();
-        assert_eq!(spec, PartitionSpec::Groups(vec![vec![0, 2], vec![1, 3]]));
-        let part = spec.resolve(4).unwrap();
-        assert_eq!(part.num_shards(), 2);
-        assert_eq!(part.group(0), &[0, 2]);
-
-        assert!(PartitionSpec::parse_explicit_csv("flows,links\n0,1").is_err());
-        assert!(PartitionSpec::parse_explicit_csv("shard,links\n1,0;1").is_err());
-        assert!(PartitionSpec::parse_explicit_csv("shard,links\n0,a;b").is_err());
-        assert!(PartitionSpec::parse_explicit_csv("shard,links\n").is_err());
-        // Overlapping groups fail at resolve with the topology error.
-        let overlap = PartitionSpec::Groups(vec![vec![0, 1], vec![1, 2]]);
-        assert!(overlap.resolve(3).is_err());
     }
 
     #[test]

@@ -28,8 +28,10 @@ pub fn golden(crate_dir: &str, file: &str, encoded: &[u8]) -> Vec<u8> {
 /// Hold one `from_bytes` to the hostile-input contract, starting from a
 /// buffer it accepts: whatever the mutation, `decode` returns its typed
 /// error (`None` here) or a value — it never panics — and a value it
-/// does return re-encodes (`Some(bytes)`) to exactly the size of the
-/// input, so nothing it built was larger than what it was given.
+/// does return re-encodes (`Some(bytes)`) to exactly the input's bytes.
+/// So nothing it built was larger than what it was given, and the
+/// decoder accepts only canonical encodings: no field value is dropped
+/// or normalised on the way in.
 ///
 /// Mutations: truncation at every offset (always an error), one trailing
 /// byte (always an error), every single-bit flip in the first 64 bytes
@@ -60,10 +62,9 @@ pub fn assert_survives_hostile_input(
 
     let check = |mutant: &[u8], what: &str| {
         if let Some(encoded) = decode(mutant) {
-            assert_eq!(
-                encoded.len(),
-                mutant.len(),
-                "{name}: {what} decoded to a value of a different size"
+            assert!(
+                encoded == mutant,
+                "{name}: {what} decoded to a value that re-encodes to other bytes"
             );
         }
     };

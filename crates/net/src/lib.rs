@@ -113,3 +113,9 @@ pub use frame::{read_frame, write_frame, FramedConn, DEFAULT_MAX_FRAME};
 pub use tracker::{RejoinEvent, Tracker, TrackerConfig, TrackerSummary};
 pub use wire::Message;
 pub use worker::{run_worker, InjectedFault, WorkerConfig, WorkerSummary};
+
+/// The measurement-row conversion under the worker's `CsvChunks` feed,
+/// re-exported for the serve daemon's `obs` lines: `netanom-serve`
+/// depends on `netanom-traffic` only for its tests, since a direct
+/// dependency would change the ledger harness's `benchmark/Cargo.lock`.
+pub use netanom_traffic::io::convert_fields;

@@ -106,6 +106,15 @@ fn optional_bytes(out: &mut Vec<u8>, bytes: &Option<Vec<u8>>) {
     }
 }
 
+/// A one-byte flag: 0 or 1, and no other byte.
+fn flag(r: &mut Reader<'_>, field: &'static str) -> Result<bool, CodecError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(CodecError::BadTag { field, tag }),
+    }
+}
+
 impl SessionCheckpoint {
     /// Serialize to the `"NASC"` little-endian layout. Every `f64` bit
     /// pattern is preserved exactly.
@@ -145,7 +154,10 @@ impl SessionCheckpoint {
     }
 
     /// Decode a buffer produced by [`SessionCheckpoint::to_bytes`],
-    /// rejecting bad magic/version, truncation, and trailing bytes.
+    /// rejecting bad magic/version, truncation, trailing bytes, and any
+    /// byte [`SessionCheckpoint::to_bytes`] would not have written: a
+    /// flag other than 0 or 1, or truncation parameters under another
+    /// strategy's tag.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
         let mut r = Reader::new(bytes);
         r.expect_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
@@ -162,11 +174,17 @@ impl SessionCheckpoint {
         let train_bins = r.u64()? as usize;
         let confidence = r.f64()?;
         let (tag, k, tol) = (r.u8()?, r.u64()? as usize, r.f64()?);
-        let strategy = match tag {
-            0 => RefitStrategy::FullSvd,
-            1 => RefitStrategy::Incremental,
-            2 => RefitStrategy::Truncated { k, tol },
-            tag => {
+        let strategy = match (tag, k, tol.to_bits()) {
+            (0, 0, 0) => RefitStrategy::FullSvd,
+            (1, 0, 0) => RefitStrategy::Incremental,
+            (2, ..) => RefitStrategy::Truncated { k, tol },
+            (0 | 1, ..) => {
+                return Err(ServeError::new(
+                    ErrorCode::Checkpoint,
+                    format!("refit-strategy tag {tag} carries k={k} tol={tol:e}"),
+                ))
+            }
+            (tag, ..) => {
                 return Err(CodecError::BadTag {
                     field: "refit-strategy",
                     tag,
@@ -186,8 +204,8 @@ impl SessionCheckpoint {
             },
             window_capacity: r.u64()? as usize,
             queue_capacity: r.u64()? as usize,
-            autodrain: r.u8()? != 0,
-            streaming: r.u8()? != 0,
+            autodrain: flag(&mut r, "autodrain")?,
+            streaming: flag(&mut r, "streaming")?,
             arrivals_total: r.u64()? as usize,
             arrivals_since_fit: r.u64()? as usize,
             refits: r.u64()? as usize,
@@ -196,14 +214,8 @@ impl SessionCheckpoint {
             training_rows: rows(&mut r, dim)?,
             window_rows: rows(&mut r, dim)?,
             pending: rows(&mut r, dim)?,
-            state: match r.u8()? {
-                0 => None,
-                _ => Some(r.bytes()?),
-            },
-            stats: match r.u8()? {
-                0 => None,
-                _ => Some(r.bytes()?),
-            },
+            state: flag(&mut r, "state")?.then(|| r.bytes()).transpose()?,
+            stats: flag(&mut r, "stats")?.then(|| r.bytes()).transpose()?,
         };
         r.finish()?;
         Ok(cp)

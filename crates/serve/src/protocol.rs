@@ -20,6 +20,10 @@
 //! quit
 //! ```
 //!
+//! An `obs` row converts through the CSV reader's converter
+//! (`netanom_traffic::io::convert_fields`): a bad value draws the text a
+//! `links.csv` row does, less its line number.
+//!
 //! Errors are *typed*: every `err` line is `err <code> <message>` with a
 //! stable kebab-case code ([`ErrorCode`]), and no error kills the
 //! daemon — an out-of-order command (obs before open, double open,
@@ -27,6 +31,7 @@
 //! continues.
 
 use netanom_core::DiagnosisReport;
+use netanom_net::convert_fields;
 
 /// Stable error codes of the `err <code> <message>` reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,16 +198,10 @@ pub fn parse_line(line: &str) -> Result<Option<Request<'_>>, ServeError> {
                     "obs rows are comma-separated without spaces",
                 ));
             }
+            // The width is the session's to check, in `Session::push`.
             let mut row = Vec::new();
-            for tok in csv.split(',') {
-                let v: f64 = tok.parse().map_err(|_| {
-                    ServeError::new(
-                        ErrorCode::Parse,
-                        format!("obs value {tok:?} is not a number"),
-                    )
-                })?;
-                row.push(v);
-            }
+            convert_fields(csv, &mut row)
+                .map_err(|e| ServeError::new(ErrorCode::Parse, e.to_string()))?;
             Request::Obs { sid, row }
         }
         "drain" => {
@@ -332,7 +331,10 @@ mod tests {
         let e = parse_line("teleport s1").unwrap_err();
         assert_eq!(e.code, ErrorCode::UnknownCommand);
         let e = parse_line("obs s1 1,zebra,3").unwrap_err();
-        assert_eq!(e.code, ErrorCode::Parse);
+        assert_eq!(
+            e.to_line(),
+            r#"err parse column 1: "zebra" is not a finite number"#
+        );
         let e = parse_line("obs s1").unwrap_err();
         assert_eq!(e.code, ErrorCode::Parse);
         let e = parse_line("open s1 dim").unwrap_err();

@@ -1,7 +1,8 @@
 //! Property tests of the request-line parser, the one decoder every byte
 //! a client sends reaches: any line parses or draws a typed one-line
 //! refusal without panicking, and an `obs` row carries its values
-//! through bit for bit in either of Rust's float spellings.
+//! through bit for bit in either of Rust's float spellings, exactly as
+//! `str::parse` reads them.
 
 use netanom_serve::protocol::{parse_line, Request};
 use netanom_serve::ErrorCode;
@@ -129,6 +130,9 @@ proptest! {
             prop_assert_eq!(sid, "s");
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&parsed), bits(&row), "{}", text);
+            // The row converter reads each field as `str::parse` does.
+            let std: Vec<f64> = fields.iter().map(|f| f.parse().unwrap()).collect();
+            prop_assert_eq!(bits(&parsed), bits(&std), "{}", text);
         }
     }
 }

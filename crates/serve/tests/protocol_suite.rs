@@ -270,35 +270,68 @@ fn tcp_talk(addr: SocketAddr, bytes: Vec<u8>) -> Vec<String> {
     replies
 }
 
+/// How a measurement row goes bad: the defects of the CLI's bad-row
+/// table (`crates/cli/tests/bad_rows.rs`), as `obs` lines.
+#[derive(Clone, Copy)]
+enum Defect {
+    /// The last field dropped.
+    Ragged,
+    /// Field 1 replaced by this text.
+    Field(&'static str),
+    /// A byte that is not UTF-8 inserted.
+    NotUtf8,
+}
+
+impl Defect {
+    /// The `obs` line of the row `fields`, with this defect.
+    fn line(self, mut fields: Vec<String>) -> Vec<u8> {
+        match self {
+            Defect::Ragged => {
+                fields.pop();
+            }
+            Defect::Field(text) => fields[1] = text.to_string(),
+            Defect::NotUtf8 => {}
+        }
+        let mut line = format!("obs s {}", fields.join(",")).into_bytes();
+        if let Defect::NotUtf8 = self {
+            line.insert(8, 0xff);
+        }
+        line
+    }
+}
+
 /// A `drain=manual` conversation over the mini dataset (216 training
-/// bins, then streaming with a refit every 24): every reply line, with
-/// a `drain` every 12 rows. Before each row index in `poison`, the same
-/// row is first sent with one value replaced by `bad`; those refusals
-/// are returned separately.
-fn manual_drain_transcript(poison: &[(usize, &str)]) -> (Vec<String>, Vec<String>) {
+/// bins, then streaming with a refit every 24), through the stdio
+/// transport: every reply line, with a `drain` every 12 rows. Before
+/// each row index in `poison`, the same row is first sent with the
+/// defect; the `err` replies are returned separately.
+fn manual_drain_transcript(poison: &[(usize, Defect)]) -> (Vec<String>, Vec<String>) {
     let ds = netanom_traffic::datasets::mini(1);
     let links = ds.links.matrix();
-    let mut service = Service::new();
-    let open = format!(
-        "open s dim={} train-bins=216 refit=incremental refit-every=24 drain=manual",
+    let mut input = format!(
+        "open s dim={} train-bins=216 refit=incremental refit-every=24 drain=manual\n",
         links.cols()
-    );
-    let mut lines = ask(&mut service, &open);
-    let mut refusals = Vec::new();
+    )
+    .into_bytes();
     for t in 0..links.rows() {
-        let mut fields: Vec<String> = links.row(t).iter().map(|v| v.to_string()).collect();
-        let good = format!("obs s {}", fields.join(","));
-        if let Some((_, bad)) = poison.iter().find(|(at, _)| *at == t) {
-            fields[1] = bad.to_string();
-            refusals.extend(ask(&mut service, &format!("obs s {}", fields.join(","))));
+        let fields: Vec<String> = links.row(t).iter().map(|v| v.to_string()).collect();
+        if let Some((_, defect)) = poison.iter().find(|(at, _)| *at == t) {
+            input.extend(defect.line(fields.clone()));
+            input.push(b'\n');
         }
-        lines.extend(ask(&mut service, &good));
+        input.extend(format!("obs s {}\n", fields.join(",")).into_bytes());
         if (t + 1) % 12 == 0 {
-            lines.extend(ask(&mut service, "drain s"));
+            input.extend(b"drain s\n");
         }
     }
-    lines.extend(ask(&mut service, "stats s"));
-    (lines, refusals)
+    input.extend(b"stats s\n");
+    let mut out = Vec::new();
+    serve_lines(&mut Service::new(), Cursor::new(input), &mut out).unwrap();
+    String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .partition(|l| !l.starts_with("err "))
 }
 
 /// A non-finite row is refused where it arrives, once, in either phase,
@@ -312,14 +345,44 @@ fn a_non_finite_row_is_refused_once_and_the_session_carries_on() {
     assert!(clean.iter().any(|l| l.starts_with("alarm s ")));
 
     // One bad row while training (bin 100), one while streaming (250).
-    let (lines, refusals) = manual_drain_transcript(&[(100, "nan"), (250, "-inf")]);
+    let (lines, refusals) =
+        manual_drain_transcript(&[(100, Defect::Field("nan")), (250, Defect::Field("-inf"))]);
     assert_eq!(
         refusals,
-        vec!["err parse measurement for link 1 is not finite"; 2]
+        vec![
+            r#"err parse column 1: "nan" is not a finite number"#,
+            r#"err parse column 1: "-inf" is not a finite number"#,
+        ]
     );
     // Same fit, same alarms, same queue depths and counters; only the
     // `stat` line's two wall-clock fields may differ.
     assert_eq!(timeless(&lines), timeless(&clean));
+}
+
+/// The CLI's bad-row table through the daemon: each defect, in either
+/// phase, draws one typed refusal — a bad value the CSV reader's text,
+/// less its line — and the session carries on unchanged.
+#[test]
+fn every_bad_row_of_the_csv_table_is_refused_and_the_session_carries_on() {
+    let (clean, _) = manual_drain_transcript(&[]);
+    let dim = netanom_traffic::datasets::mini(1).links.matrix().cols();
+    for defect in [
+        Defect::Ragged,
+        Defect::Field(""),
+        Defect::Field("x"),
+        Defect::Field("nan"),
+        Defect::Field("1e999"),
+        Defect::NotUtf8,
+    ] {
+        let want = match defect {
+            Defect::Ragged => format!("err dim-mismatch expected {dim} links, got {}", dim - 1),
+            Defect::Field(text) => format!("err parse column 1: {text:?} is not a finite number"),
+            Defect::NotUtf8 => NOT_UTF8.to_string(),
+        };
+        let (lines, refusals) = manual_drain_transcript(&[(100, defect), (250, defect)]);
+        assert_eq!(refusals, [want.as_str(); 2]);
+        assert_eq!(timeless(&lines), timeless(&clean), "{want}");
+    }
 }
 
 /// Every reply to `open`, then one `obs` per sprint-1 bin, then `ping`.

@@ -191,13 +191,41 @@ fn convert_row(text: &str, line: usize, m: usize, out: &mut Vec<f64>) -> Result<
             expected: m,
         });
     }
+    convert_fields(text, out).map_err(|BadField { column, text }| CsvError::BadNumber {
+        line,
+        column,
+        text,
+    })
+}
+
+/// A field that is not a finite number: [`CsvError::BadNumber`] less its line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadField {
+    /// 0-based column index.
+    pub column: usize,
+    /// The offending text, trimmed.
+    pub text: String,
+}
+
+impl std::fmt::Display for BadField {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let BadField { column, text } = self;
+        write!(f, "column {column}: {text:?} is not a finite number")
+    }
+}
+
+/// Convert the fields of one comma-separated row, however many, onto
+/// `out`: the one text-to-measurement conversion, under every CSV read
+/// and the serve daemon's `obs` lines. Each field is trimmed of
+/// surrounding whitespace, and the first that is not a finite number
+/// (empty, a word, `nan`, infinite or overflowing) stops the row.
+pub fn convert_fields(text: &str, out: &mut Vec<f64>) -> Result<(), BadField> {
     for (column, field) in text.split(',').enumerate() {
         let field = trim_field(field);
         match field.parse::<f64>() {
             Ok(v) if v.is_finite() => out.push(v),
             _ => {
-                return Err(CsvError::BadNumber {
-                    line,
+                return Err(BadField {
                     column,
                     text: field.to_string(),
                 })
