@@ -43,9 +43,9 @@ fn main() -> ExitCode {
         "simulate" => commands::simulate(rest),
         "detect" => commands::detect(rest),
         "diagnose" => commands::diagnose(rest),
-        "stream" => commands::stream(rest),
-        "shard" => commands::shard(rest),
-        "tracker" => commands::tracker(rest),
+        "stream" => commands::stream(rest, &mut std::io::stdout()),
+        "shard" => commands::shard(rest, &mut std::io::stdout()),
+        "tracker" => commands::tracker(rest, &mut std::io::stdout()),
         "worker" => commands::worker(rest),
         "serve" => commands::serve(rest),
         "eval" => commands::eval(rest),

@@ -209,3 +209,62 @@ fn an_oversized_chunk_costs_only_the_rows_read() {
     assert_eq!(alarms("1000000000000"), want);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_the_run_with_an_error_not_a_panic() {
+    // `netanom stream … | head -1`: the reader of stdout goes away after
+    // the header, and the next alarm's write fails. The run must end with
+    // an error line and exit 1, not panic (exit 101).
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join("netanom-exit-closed-stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = netanom(&[
+        "simulate",
+        "--dataset",
+        "mini",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "simulate: {:?}", out.status);
+    let links = std::fs::read_to_string(dir.join("links.csv")).unwrap();
+    let lines: Vec<&str> = links.lines().collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_netanom"))
+        .args([
+            "stream",
+            "--links",
+            "-",
+            "--train-bins",
+            "216",
+            "--chunk",
+            "24",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // The header and the training rows; the header is printed once the
+    // model is trained.
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all((lines[..=216].join("\n") + "\n").as_bytes())
+        .unwrap();
+    stdin.flush().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut header = String::new();
+    stdout.read_line(&mut header).unwrap();
+    assert!(header.starts_with("bin,spe,threshold"), "{header}");
+    drop(stdout);
+    // The streamed rows hold the mini dataset's staged anomalies. The
+    // run may end before it has read them all.
+    let _ = stdin.write_all((lines[217..].join("\n") + "\n").as_bytes());
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: writing stdout: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
