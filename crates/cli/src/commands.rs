@@ -70,18 +70,9 @@ pub fn list_methods() {
     }
 }
 
-/// `netanom --version`: crate version plus the GEMM kernel backend the
-/// linear-algebra layer dispatched for this process — e.g.
-/// `fma (runtime-detected avx2+fma)` or
-/// `portable (NETANOM_KERNEL=portable override)`. The second line is
-/// the supported way to check which micro-kernel tier a deployment is
-/// actually running.
+/// `netanom --version`: the crate version.
 pub fn version() {
     println!("netanom {}", env!("CARGO_PKG_VERSION"));
-    println!(
-        "kernel backend: {}",
-        netanom_linalg::kernel::backend_diagnostics()
-    );
 }
 
 fn confidence_of(flags: &HashMap<&str, &str>) -> Result<f64, String> {

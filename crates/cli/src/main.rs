@@ -61,13 +61,19 @@ fn main() -> ExitCode {
             usage();
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => {
+            eprintln!("error: unknown command {other:?}");
+            usage();
+            return ExitCode::FAILURE;
+        }
     };
+    // A command's own error (a flag, a bad row, a closed pipe) is
+    // reported alone: the usage text answers only a missing or unknown
+    // command.
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            usage();
             ExitCode::FAILURE
         }
     }

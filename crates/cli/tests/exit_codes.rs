@@ -65,6 +65,72 @@ fn unknown_command_and_missing_args_exit_nonzero() {
     assert!(stderr.contains("--links"), "{stderr}");
 }
 
+/// The usage text answers a missing or unknown command only. A command's
+/// own error — a flag, a bad row — ends with its `error: …` line alone.
+#[test]
+fn usage_follows_only_a_missing_or_unknown_command() {
+    let stderr = |args: &[&str]| {
+        let out = netanom(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    for args in [&["frobnicate"][..], &[]] {
+        let err = stderr(args);
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+    assert!(stderr(&["frobnicate"]).starts_with("error: unknown command \"frobnicate\"\n"));
+
+    let err = stderr(&["stream", "--train-bins", "2"]);
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(!err.contains("usage:"), "a flag error printed usage: {err}");
+
+    let dir = std::env::temp_dir().join("netanom-exit-usage");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let links = dir.join("links.csv");
+    std::fs::write(&links, "a,b\n1,2\n3,4\n5,x\n").unwrap();
+    let err = stderr(&[
+        "stream",
+        "--links",
+        links.to_str().unwrap(),
+        "--train-bins",
+        "2",
+    ]);
+    assert!(err.contains("error: "), "{err}");
+    assert!(!err.contains("usage:"), "a bad row printed usage: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A window shorter than training is refused with a typed message; the
+/// engines would otherwise run the training length in its place.
+#[test]
+fn a_window_shorter_than_training_is_refused() {
+    let links = temp_links_csv("netanom-exit-short-window");
+    let run = |window: &str| {
+        netanom(&[
+            "stream",
+            "--links",
+            links.to_str().unwrap(),
+            "--train-bins",
+            "2",
+            "--window",
+            window,
+            "--method",
+            "ewma",
+        ])
+    };
+    let out = run("1");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        stderr,
+        "error: --window must be at least train-bins (2), got 1\n"
+    );
+    let out = run("2");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    std::fs::remove_dir_all(links.parent().unwrap()).ok();
+}
+
 #[test]
 fn help_exits_zero_and_mentions_method_selection() {
     let out = netanom(&["--help"]);

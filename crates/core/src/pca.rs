@@ -12,7 +12,7 @@ use crate::{CoreError, Result};
 ///
 /// Every model the product builds takes it through
 /// [`SubspaceModel::from_covariance`](crate::SubspaceModel::from_covariance):
-/// two-pass centring and one [`Matrix::gram`] on the dispatched kernel
+/// two-pass centring and one [`Matrix::gram`] on the fused product tile
 /// for a fit ([`SubspaceModel::fit`](crate::SubspaceModel::fit)), the
 /// running sufficient statistics for a refit, then one tridiagonal-QL
 /// solve that builds every eigenvalue and only the eigenvectors the

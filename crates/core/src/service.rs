@@ -174,10 +174,14 @@ impl EngineConfig {
     }
 
     /// Retain a sliding window of `window` rows (default: the training
-    /// length).
+    /// length). A window shorter than the training length is refused:
+    /// the engines would silently keep the training length instead.
     pub fn with_window(mut self, window: usize) -> Result<Self, String> {
-        if window == 0 {
-            return Err("window must be a positive integer".to_string());
+        if window < self.train_bins {
+            return Err(format!(
+                "window must be at least train-bins ({}), got {window}",
+                self.train_bins
+            ));
         }
         self.window = Some(window);
         Ok(self)
@@ -348,7 +352,7 @@ mod tests {
             ("method", "ewma"),
             ("refit", "truncated"),
             ("refit-every", "24"),
-            ("window", "60"),
+            ("window", "160"),
             ("confidence", "0.99"),
         ] {
             assert_eq!(cfg.set(key, value), Ok(true), "{key}");
@@ -362,7 +366,7 @@ mod tests {
             }
         ));
         assert_eq!(cfg.refit_every(), Some(24));
-        assert_eq!(cfg.window(), 60);
+        assert_eq!(cfg.window(), 160);
         assert_eq!(cfg.confidence(), 0.99);
         // Not engine options: the caller's own.
         for key in ["chunk", "queue", "dim", "train-bins", "links"] {
@@ -402,7 +406,10 @@ mod tests {
     fn window_defaults_to_train_bins() {
         let cfg = EngineConfig::new(77).unwrap();
         assert_eq!(cfg.window(), 77);
-        assert_eq!(cfg.with_window(10).unwrap().window(), 10);
+        assert_eq!(cfg.clone().with_window(200).unwrap().window(), 200);
+        assert_eq!(cfg.clone().with_window(77).unwrap().window(), 77);
+        let err = cfg.with_window(76).unwrap_err();
+        assert_eq!(err, "window must be at least train-bins (77), got 76");
     }
 
     #[test]

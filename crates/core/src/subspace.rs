@@ -429,11 +429,9 @@ impl SubspaceModel {
     ///
     /// Used to compute the `θ̃ᵢ = C̃θᵢ` of a multi-flow hypothesis at
     /// once (and by the dense identification oracle in the tests). An
-    /// identification kernel,
-    /// so — like the batched SPE and decompose paths — its products are
-    /// pinned to the portable kernel backend: per-vector equivalence is
-    /// plain mul-then-add arithmetic and must not depend on which
-    /// backend the process dispatches for model fitting.
+    /// identification kernel, so — like the batched SPE and decompose
+    /// paths — its products run the kernel's unfused scoring tile:
+    /// per-vector equivalence is plain mul-then-add arithmetic.
     pub fn residual_directions(&self, dirs: &Matrix) -> Result<Matrix> {
         if dirs.rows() != self.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -443,10 +441,8 @@ impl SubspaceModel {
         }
         // coeffs = Pᵀ·dirs accumulates over the link axis in the same
         // order as the per-vector matvec_t; modeled = P·coeffs likewise.
-        let coeffs = kernel::matmul_tn_with(kernel::KernelBackend::Portable, &self.p, dirs)
-            .expect("dims checked");
-        let modeled = kernel::matmul_with(kernel::KernelBackend::Portable, &self.p, &coeffs)
-            .expect("dims checked");
+        let coeffs = kernel::matmul_tn::<false>(&self.p, dirs).expect("dims checked");
+        let modeled = kernel::matmul::<false>(&self.p, &coeffs).expect("dims checked");
         dirs.sub(&modeled)
             .map_err(|_| CoreError::DimensionMismatch {
                 expected: self.dim(),

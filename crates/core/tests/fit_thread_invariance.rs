@@ -1,4 +1,4 @@
-//! The default route passes through the dispatched GEMM kernel
+//! The default route passes through the packed GEMM kernel
 //! ([`Matrix::gram`](netanom_linalg::Matrix::gram)), whose row and
 //! packing fan-outs follow the thread count while its per-entry
 //! operation order does not: a fitted backend — model, threshold and

@@ -6,8 +6,8 @@
 //! the fixed `m = 4` values built below; they are durable state (model
 //! broadcasts, worker and session checkpoints), so an encoder change
 //! that moves a single byte fails here. Every value is assembled from
-//! exactly-representable floats so the bytes do not depend on the
-//! host's kernel tier.
+//! exactly-representable floats so the bytes do not depend on how a
+//! kernel rounds.
 
 use netanom_core::incremental::{CovarianceShard, IncrementalCovariance};
 use netanom_core::MethodState;

@@ -20,7 +20,6 @@
 use netanom_core::{
     CoreError, Detector, Diagnoser, Pca, PcaMethod, SeparationPolicy, SubspaceModel,
 };
-use netanom_linalg::kernel::{active_backend, gram_with, KernelBackend};
 use netanom_linalg::{vector, Matrix};
 use netanom_traffic::datasets;
 use proptest::prelude::*;
@@ -286,38 +285,22 @@ fn canned_datasets_diagnose_identically_on_both_routes() {
     }
 }
 
-/// The same fit on each kernel tier the host can run. A process
-/// dispatches one tier for life, so the covariance of `SubspaceModel::fit`
-/// is spelled out here over [`gram_with`] — and checked to be the real
-/// route, bit for bit, on the tier this process dispatched. The two
-/// fused tiers share one numeric contract and must produce the same
-/// model bits; the portable tier rounds differently (mul-then-add) and
-/// must agree on `δ²` to 1e-9 and on every detection decision.
-/// (`cli/tests/backend_parity.rs` asserts the latter end to end.)
+/// The default route spelled out — centre, [`Matrix::gram`], scale,
+/// [`SubspaceModel::from_covariance`] at the fitted rank — is
+/// `SubspaceModel::fit`, bit for bit, model and threshold.
 #[test]
-fn default_route_fit_across_kernel_tiers() {
+fn default_route_fit_is_the_spelled_out_route() {
     let ds = datasets::sprint1();
     let links = ds.links.matrix();
     let real =
         SubspaceModel::fit(links, SeparationPolicy::default(), PcaMethod::Covariance).unwrap();
     let r = real.normal_dim();
 
-    let fit_on = |tier: KernelBackend| {
-        let (centered, mean) = links.mean_centered_columns();
-        let mut cov = gram_with(tier, &centered);
-        cov.scale_in_place(1.0 / (links.rows() - 1) as f64);
-        let model =
-            SubspaceModel::from_covariance(mean, &cov, SeparationPolicy::FixedCount(r), None)
-                .unwrap();
-        let detector = Detector::new(model, 0.999).unwrap();
-        let decisions: Vec<bool> = detector
-            .detect_matrix(links)
-            .unwrap()
-            .iter()
-            .map(|d| d.anomalous)
-            .collect();
-        (detector, decisions)
-    };
+    let (centered, mean) = links.mean_centered_columns();
+    let mut cov = centered.gram();
+    cov.scale_in_place(1.0 / (links.rows() - 1) as f64);
+    let spelled =
+        SubspaceModel::from_covariance(mean, &cov, SeparationPolicy::FixedCount(r), None).unwrap();
     let bits = |detector: &Detector| {
         let model = detector.model();
         let floats = model
@@ -328,38 +311,15 @@ fn default_route_fit_across_kernel_tiers() {
         bits.push(detector.threshold().delta_sq.to_bits());
         bits
     };
-
-    let (active, _) = fit_on(active_backend());
-    let dispatched = Detector::new(real, 0.999).unwrap();
+    let spelled = Detector::new(spelled, 0.999).unwrap();
+    let real = Detector::new(real, 0.999).unwrap();
     assert_eq!(
-        bits(&active),
-        bits(&dispatched),
+        bits(&spelled),
+        bits(&real),
         "the spelled-out route is not `SubspaceModel::fit`'s"
     );
-
-    let (portable, portable_decisions) = fit_on(KernelBackend::Portable);
-    assert!(portable_decisions.iter().any(|&d| d), "sprint-1 must alarm");
-    let fused: Vec<_> = [KernelBackend::Fma, KernelBackend::Avx512]
-        .into_iter()
-        .filter(|tier| tier.is_supported())
-        .map(|tier| (tier, fit_on(tier)))
-        .collect();
-    for (tier, (detector, decisions)) in &fused {
-        let (got, want) = (detector.threshold().delta_sq, portable.threshold().delta_sq);
-        assert!(
-            (got - want).abs() <= 1e-9 * want,
-            "{}: δ² {got:e} vs portable {want:e}",
-            tier.name()
-        );
-        assert_eq!(decisions, &portable_decisions, "{}: decisions", tier.name());
-    }
-    if let [(_, (fma, _)), (_, (avx512, _))] = &fused[..] {
-        assert_eq!(
-            bits(fma),
-            bits(avx512),
-            "the fused tiers share one contract"
-        );
-    }
+    let alarms = spelled.detect_matrix(links).unwrap();
+    assert!(alarms.iter().any(|d| d.anomalous), "sprint-1 must alarm");
 }
 
 /// Deterministic pseudo-random data matrix with two strong directions.

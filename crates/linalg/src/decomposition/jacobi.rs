@@ -30,9 +30,9 @@ const SYMMETRY_RTOL: f64 = 1e-8;
 /// solve logs them and replays them on `r` vectors only (`O(r·n²)`).
 /// Both are backward stable: eigenvalues are accurate to a few ulps of
 /// `‖A‖`, eigenvectors orthonormal to the same order however the
-/// spectrum clusters. They are serial and use no dispatched kernel, so
-/// the result is a pure function of the input bits — the same on every
-/// thread count and kernel tier.
+/// spectrum clusters. They are serial and use no GEMM kernel, so the
+/// result is a pure function of the input bits — the same on every
+/// thread count.
 ///
 /// # Example
 ///

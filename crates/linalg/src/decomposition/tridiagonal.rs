@@ -19,7 +19,7 @@
 //!
 //! Everything here is serial scalar code over [`vector::dot`],
 //! [`vector::axpy`] and [`vector::rotate_pair`] — no thread pool, no
-//! dispatched micro-kernel, no fused multiply-add — so the output is a
+//! GEMM micro-kernel, no fused multiply-add — so the output is a
 //! pure function of the input bits. The streaming, sharded, distributed
 //! and served engines all refit by calling this on a bitwise-equal
 //! covariance, and stay bitwise equal to each other because of it.

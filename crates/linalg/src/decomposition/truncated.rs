@@ -281,7 +281,7 @@ impl TruncatedEigen {
 /// without computing the spectrum.
 ///
 /// `tr A` is `O(m)`, `tr A² = ‖A‖²_F` is `O(m²)`, and `tr A³ = ⟨A², A⟩`
-/// costs one `m × m` GEMM (`O(m³)` multiply-adds, but a single
+/// costs one `m × m` Gram product (`m³/2` multiply-adds, but a single
 /// cache-friendly, row-parallel pass — nothing like an iterative
 /// eigensolve's constant). These are what lets a truncated refit keep
 /// the Jackson–Mudholkar Q-statistic *exact*: the residual moments are
@@ -317,8 +317,11 @@ pub fn power_traces(a: &Matrix) -> Result<(f64, f64, f64)> {
     for v in a.as_slice() {
         t2 += v * v;
     }
-    // A·Aᵀ = A² for symmetric A; ⟨A², A⟩_F = tr A³.
-    let a2 = a.matmul_nt(a).expect("square by construction");
+    // AᵀA = A² for symmetric A; ⟨A², A⟩_F = tr A³. The Gram product
+    // computes only the upper triangle, half the multiply-adds of A·Aᵀ,
+    // and on an exactly symmetric A each entry is the same terms in the
+    // same order, so the same bits.
+    let a2 = a.gram();
     let mut t3 = 0.0;
     for (x, y) in a2.as_slice().iter().zip(a.as_slice()) {
         t3 += x * y;

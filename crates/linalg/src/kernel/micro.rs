@@ -1,6 +1,6 @@
 //! The register-blocked micro-kernel: one `MR × NR` tile of `C`,
-//! accumulated entirely in registers — the one tile source every tier
-//! instantiates.
+//! accumulated entirely in registers — the one tile source both
+//! products and scoring instantiate.
 //!
 //! [`update`] is generic over the tile's shape and its rounding. Per
 //! `k` step the tile reads `MR` packed `A` lanes and `NR` packed `B`
@@ -14,52 +14,43 @@
 //! ascending-`k` order of the naive triple loop — the bitwise contract
 //! `kernel` documents.
 //!
-//! # The three instantiations
+//! # The two instantiations
 //!
-//! | tier | `MR × NR` | rounding | compiled for |
+//! | tile | `MR × NR` | rounding | used by |
 //! |---|---|---|---|
-//! | portable | [`MR`] × [`NR`] | mul, then add | the build target |
-//! | fma | [`FMA_MR`] × [`NR`] | fused | `avx2,fma` |
-//! | avx512 | [`AVX512_MR`] × [`NR`] | fused | `avx512f,avx512vl` |
+//! | product | [`FMA_MR`] × [`NR`] | fused | `matmul`, `matmul_nt`, `matmul_tn`, `gram` |
+//! | scoring | [`MR`] × [`NR`] | mul, then add | the SPE and projection kernels |
 //!
-//! The hardware tiers are this same source compiled inside a
-//! `#[target_feature]` function (`kernel::macro_kernel_on`), so the
-//! compiler's vectors are YMM or ZMM registers and each fused step is
-//! one `vfmadd` lane. The shapes only affect speed, never results:
+//! Both compile at the build target; on x86-64 `.cargo/config.toml`
+//! pins that to x86-64-v3 (AVX2 + FMA), so the compiler's vectors are
+//! YMM registers and each fused step is one `vfmadd` lane. The shapes
+//! only affect speed, never results:
 //!
-//! * portable: `NR = 8` puts two 4-lane (AVX) or four 2-lane (SSE2)
+//! * product: 6 rows × 2 YMM lanes = 12 of the 16 YMM registers,
+//!   leaving two for the `B` lanes and one for the `A` broadcast — the
+//!   classic 6×8 f64 AVX2 shape.
+//! * scoring: `NR = 8` puts two 4-lane (AVX) or four 2-lane (SSE2)
 //!   vectors in flight per `A` lane. `MR = 4` when wide registers are
 //!   available (the 4×8 accumulator block fills 8 of 16 YMM
 //!   registers, leaving room for the `B` lanes and broadcasts);
 //!   `MR = 2` on bare x86-64, where 16 XMM registers cannot hold a 4×8
 //!   block without spilling to the stack every iteration.
-//! * fma: 6 rows × 2 YMM lanes = 12 of the 16 YMM registers, leaving
-//!   two for the `B` lanes and one for the `A` broadcast — the classic
-//!   6×8 f64 AVX2 shape.
-//! * avx512: each of the 8 accumulator rows is exactly one 8-lane ZMM
-//!   register, so a `k` step is one ZMM `B` load plus eight
-//!   broadcast-FMAs. This tile alone unrolls its `k` loop ×4 (see
-//!   [`k_unroll`]); the unroll repeats whole `k` steps, so it cannot
-//!   reorder any per-element accumulation.
 
-/// Portable-tier tile rows (`A` panel height).
+/// Scoring (unfused) tile rows (`A` panel height).
 #[cfg(target_feature = "avx")]
 pub(crate) const MR: usize = 4;
-/// Portable-tier tile rows (`A` panel height).
+/// Scoring (unfused) tile rows (`A` panel height).
 #[cfg(not(target_feature = "avx"))]
 pub(crate) const MR: usize = 2;
 
-/// Tile columns (`B` panel width), shared by every tier.
+/// Tile columns (`B` panel width), shared by both tiles.
 pub(crate) const NR: usize = 8;
 
-/// FMA-tier tile rows.
+/// Product (fused) tile rows.
 pub(crate) const FMA_MR: usize = 6;
 
-/// AVX-512-tier tile rows.
-pub(crate) const AVX512_MR: usize = 8;
-
 /// One multiply-add step: `acc + a·b`, rounded twice, or with one
-/// rounding when `FUSED` ([`f64::mul_add`]). The only place a tier's
+/// rounding when `FUSED` ([`f64::mul_add`]). The only place a tile's
 /// rounding is spelled out; the tile and the reference loop nest both
 /// step through it.
 #[inline(always)]
@@ -68,18 +59,6 @@ pub(crate) fn madd<const FUSED: bool>(acc: f64, a: f64, b: f64) -> f64 {
         a.mul_add(b, acc)
     } else {
         acc + a * b
-    }
-}
-
-/// `k` steps per iteration of the tile's main loop. Fixed by the tile
-/// shape: only the 8-row tile, whose ZMM rows would otherwise pay one
-/// loop branch per eight FMAs, unrolls; the YMM tiles run faster
-/// without it.
-const fn k_unroll(mr: usize) -> usize {
-    if mr == AVX512_MR {
-        4
-    } else {
-        1
     }
 }
 
@@ -111,16 +90,9 @@ fn tile<const MR: usize, const NR: usize, const FUSED: bool>(
     bpanel: &[f64],
     acc: &mut [[f64; NR]; MR],
 ) {
-    let unroll = k_unroll(MR);
-    let asteps = apanel[..kc * MR].chunks_exact(unroll * MR);
-    let bsteps = bpanel[..kc * NR].chunks_exact(unroll * NR);
-    let (arest, brest) = (asteps.remainder(), bsteps.remainder());
+    let asteps = apanel[..kc * MR].chunks_exact(MR);
+    let bsteps = bpanel[..kc * NR].chunks_exact(NR);
     for (a, b) in asteps.zip(bsteps) {
-        for u in 0..unroll {
-            k_step::<MR, NR, FUSED>(&a[u * MR..(u + 1) * MR], &b[u * NR..(u + 1) * NR], acc);
-        }
-    }
-    for (a, b) in arest.chunks_exact(MR).zip(brest.chunks_exact(NR)) {
         k_step::<MR, NR, FUSED>(a, b, acc);
     }
 }
@@ -206,28 +178,36 @@ pub(crate) fn update<const MR: usize, const NR: usize, const FUSED: bool>(
     }
 }
 
-/// The tile checks. Those taking a [`KernelBackend`](crate::KernelBackend)
-/// run the tile through that tier's entry (`kernel::tile_update_on`):
-/// here the portable build at every shape, and in the `fma` and
-/// `avx512` test modules each hardware tier's own instantiation as its
-/// `#[target_feature]` function compiles it.
+/// The tile checks, run at both tile shapes under both roundings: the
+/// two instantiations the kernel builds plus the other rounding at each
+/// shape.
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
-    use crate::kernel::{tile_update_on, KernelBackend};
 
-    /// Run a generic check at every tier's tile shape, under both
-    /// roundings: each tier's own instantiation plus the other
-    /// rounding at the same shape.
+    /// Run a generic check at both tile shapes, under both roundings.
     macro_rules! at_every_shape {
-        ($check:ident $(, $arg:expr)?) => {
-            $check::<MR, NR, false>($($arg)?);
-            $check::<MR, NR, true>($($arg)?);
-            $check::<FMA_MR, NR, false>($($arg)?);
-            $check::<FMA_MR, NR, true>($($arg)?);
-            $check::<AVX512_MR, NR, false>($($arg)?);
-            $check::<AVX512_MR, NR, true>($($arg)?);
+        ($check:ident) => {
+            $check::<MR, NR, false>();
+            $check::<MR, NR, true>();
+            $check::<FMA_MR, NR, false>();
+            $check::<FMA_MR, NR, true>();
         };
+    }
+
+    /// One tile update at the origin of `c` (valid corner
+    /// `mr_eff × nr_eff`).
+    #[allow(clippy::too_many_arguments)]
+    fn update_at_origin<const MR: usize, const NR: usize, const FUSED: bool>(
+        kc: usize,
+        apanel: &[f64],
+        bpanel: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        update::<MR, NR, FUSED>(kc, apanel, bpanel, c, ldc, 0, 0, mr_eff, nr_eff);
     }
 
     /// The scalar ascending-`k` reference for element `(i, j)` of a
@@ -251,15 +231,12 @@ pub(super) mod tests {
         want
     }
 
-    pub(in crate::kernel) fn ascending_k<const MR: usize, const NR: usize, const FUSED: bool>(
-        backend: KernelBackend,
-    ) {
-        // 9 steps: the 8-row tile's ×4 unroll and its remainder.
+    fn ascending_k<const MR: usize, const NR: usize, const FUSED: bool>() {
         let kc = 9;
         let apanel: Vec<f64> = (0..kc * MR).map(|i| (i as f64).sin()).collect();
         let bpanel: Vec<f64> = (0..kc * NR).map(|i| (i as f64).cos()).collect();
         let mut c = vec![0.0; MR * NR];
-        tile_update_on::<MR, NR, FUSED>(backend, kc, &apanel, &bpanel, &mut c, NR, MR, NR);
+        update_at_origin::<MR, NR, FUSED>(kc, &apanel, &bpanel, &mut c, NR, MR, NR);
         for i in 0..MR {
             for j in 0..NR {
                 let want = naive::<MR, NR, FUSED>(kc, &apanel, &bpanel, i, j);
@@ -274,16 +251,10 @@ pub(super) mod tests {
 
     #[test]
     fn micro_tile_is_ascending_k_per_element() {
-        at_every_shape!(ascending_k, KernelBackend::Portable);
+        at_every_shape!(ascending_k);
     }
 
-    pub(in crate::kernel) fn extends_in_order<
-        const MR: usize,
-        const NR: usize,
-        const FUSED: bool,
-    >(
-        backend: KernelBackend,
-    ) {
+    fn extends_in_order<const MR: usize, const NR: usize, const FUSED: bool>() {
         // Two KC blocks back to back must equal one pass over the
         // concatenated k range, bitwise — the load/extend/store
         // contract that keeps multi-block products ascending in k.
@@ -293,7 +264,7 @@ pub(super) mod tests {
         let bpanel: Vec<f64> = (0..ka * NR).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
         let ldc = NR + 3;
         let kernel = |kc, a: &[f64], b: &[f64], c: &mut [f64]| {
-            tile_update_on::<MR, NR, FUSED>(backend, kc, a, b, c, ldc, MR, NR)
+            update_at_origin::<MR, NR, FUSED>(kc, a, b, c, ldc, MR, NR)
         };
         let mut split = vec![0.0; MR * ldc];
         kernel(k1, &apanel, &bpanel, &mut split);
@@ -305,7 +276,7 @@ pub(super) mod tests {
 
     #[test]
     fn kernel_update_extends_partial_sums_in_order() {
-        at_every_shape!(extends_in_order, KernelBackend::Portable);
+        at_every_shape!(extends_in_order);
     }
 
     #[test]
@@ -334,13 +305,7 @@ pub(super) mod tests {
         }
     }
 
-    pub(in crate::kernel) fn padding_untouched<
-        const MR: usize,
-        const NR: usize,
-        const FUSED: bool,
-    >(
-        backend: KernelBackend,
-    ) {
+    fn padding_untouched<const MR: usize, const NR: usize, const FUSED: bool>() {
         let kc = 3;
         let apanel = vec![1.0; kc * MR];
         let bpanel = vec![1.0; kc * NR];
@@ -349,7 +314,7 @@ pub(super) mod tests {
         // Valid corner 1×2 only; everything else must stay NaN.
         c[0] = 0.0;
         c[1] = 0.0;
-        tile_update_on::<MR, NR, FUSED>(backend, kc, &apanel, &bpanel, &mut c, ldc, 1, 2);
+        update_at_origin::<MR, NR, FUSED>(kc, &apanel, &bpanel, &mut c, ldc, 1, 2);
         assert_eq!(c[0], kc as f64);
         assert_eq!(c[1], kc as f64);
         for (i, v) in c.iter().enumerate().skip(2) {
@@ -359,7 +324,7 @@ pub(super) mod tests {
 
     #[test]
     fn kernel_update_never_touches_padding_lanes() {
-        at_every_shape!(padding_untouched, KernelBackend::Portable);
+        at_every_shape!(padding_untouched);
     }
 
     fn exact_inputs_agree<const MR: usize, const NR: usize, const FUSED: bool>() {
@@ -400,24 +365,36 @@ pub(super) mod tests {
 
     #[test]
     fn fused_tiles_agree_bitwise_across_shapes() {
-        // Same fused ascending-k contract ⇒ the 8-row and 6-row tiles
-        // must agree bitwise on a shared logical tile (and so must the
-        // mul-then-add tiles among themselves). The panels are packed
-        // per shape; the logical rows are identical.
+        // Same ascending-k contract ⇒ the 6-row and 4-row tiles must
+        // agree bitwise on a shared logical tile, under either
+        // rounding: the tile height is invisible to a per-element
+        // chain. The panels are packed per shape; the logical rows are
+        // identical.
         let kc = 13;
         let a = |i: usize, k: usize| ((i * 31 + k * 7) % 17) as f64 / 8.0 - 1.0;
         let b = |k: usize, j: usize| ((k * 13 + j * 5) % 19) as f64 / 8.0 - 1.0;
-        let wide = logical_tile::<AVX512_MR, NR, true>(kc, a, b);
-        let narrow = logical_tile::<FMA_MR, NR, true>(kc, a, b);
-        let wide_plain = logical_tile::<AVX512_MR, NR, false>(kc, a, b);
-        let portable = logical_tile::<MR, NR, false>(kc, a, b);
+        let tall = logical_tile::<FMA_MR, NR, true>(kc, a, b);
+        let short = logical_tile::<MR, NR, true>(kc, a, b);
+        let tall_plain = logical_tile::<FMA_MR, NR, false>(kc, a, b);
+        let short_plain = logical_tile::<MR, NR, false>(kc, a, b);
         for j in 0..NR {
-            for i in 0..FMA_MR {
-                assert_eq!(wide[i][j].to_bits(), narrow[i][j].to_bits(), "({i},{j})");
-            }
             for i in 0..MR {
-                assert_eq!(wide_plain[i][j].to_bits(), portable[i][j].to_bits());
+                assert_eq!(tall[i][j].to_bits(), short[i][j].to_bits(), "({i},{j})");
+                assert_eq!(tall_plain[i][j].to_bits(), short_plain[i][j].to_bits());
             }
         }
+    }
+
+    /// The fused tile is built for a target with FMA: without it,
+    /// `mul_add` compiles to a software routine that keeps the bits
+    /// and loses the speed, so a build that drops `.cargo/config.toml`'s
+    /// x86-64-v3 target fails here.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    // A failing test names the problem; a const assertion would stop
+    // the whole test build instead.
+    #[allow(clippy::assertions_on_constants)]
+    fn x86_64_builds_target_fma() {
+        assert!(cfg!(target_feature = "fma"));
     }
 }

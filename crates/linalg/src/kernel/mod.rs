@@ -21,46 +21,33 @@
 //!   registers, reading one `MR`-slice of packed `A` and one
 //!   `NR`-slice of packed `B` per `k` step. There is one tile source,
 //!   generic over its shape and its rounding (loops over fixed-size
-//!   arrays the compiler unrolls and vectorizes), and three
-//!   instantiations of it: the portable tile (4×8, or 2×8 without AVX,
-//!   mul-then-add), the AVX2+FMA tile (6×8, fused) and the AVX-512 tile
-//!   (8×8, fused, one ZMM register per accumulator row). The two
-//!   hardware tiers are the same source compiled inside a
-//!   `#[target_feature]` function; the two calls into those are the
-//!   only code the workspace lets past `unsafe_code`, each behind a
-//!   [`KernelBackend::is_supported`] assertion.
+//!   arrays the compiler unrolls and vectorizes), and two
+//!   instantiations of it, both compiled at the build target: the
+//!   fused 6×8 product tile and the mul-then-add scoring tile (4×8, or
+//!   2×8 without AVX).
 //!
-//! # Backend dispatch
+//! # Two roundings, chosen where each call is compiled
 //!
-//! Which tier runs is a process-wide choice made once by the dispatch
-//! module:
-//! runtime CPU feature detection (`is_x86_feature_detected!`) picks
-//! the widest supported tier — [`KernelBackend::Avx512`] when
-//! `avx512f`+`avx512vl` are present, else [`KernelBackend::Fma`] when
-//! `avx2`+`fma` are — and the `NETANOM_KERNEL=portable|fma|avx512`
-//! environment variable overrides it.
-//! [`Matrix`]'s product methods route through [`active_backend`]; the
-//! explicit `*_with` entry points ([`matmul_with`],
-//! [`matmul_nt_with`], [`matmul_tn_with`], [`gram_with`]) run a chosen
-//! backend for tests and the pinned-portable SPE path.
+//! Per output element, both tiles accumulate their `k`-terms in
+//! strictly ascending order into a single accumulator; they differ
+//! only in the rounding of each step, the `FUSED` parameter of the
+//! entry points ([`matmul`], [`matmul_nt`], [`matmul_tn`], [`gram`]):
 //!
-//! # Accumulation-order contract (three tiers, two roundings)
+//! * `FUSED = true` rounds each step once (`acc = a.mul_add(b, acc)`),
+//!   making the product **bitwise identical to the [`f64::mul_add`]
+//!   ascending-`k` triple loop**. [`Matrix`]'s product methods run it:
+//!   every covariance, Gram and subspace-iteration product. On x86-64
+//!   `.cargo/config.toml` builds for x86-64-v3, so each step is one
+//!   hardware `vfmadd` lane.
+//! * `FUSED = false` rounds the multiply and the add separately
+//!   (`acc += a·b`), making the product **bitwise identical to the
+//!   naive mul-then-add `i j k` triple loop**. The scoring kernels run
+//!   it (the fused SPE, the batched projections), so a batch score is
+//!   bitwise its per-vector route, which is plain mul-then-add
+//!   arithmetic.
 //!
-//! Per output element, **every** tier accumulates its `k`-terms in
-//! strictly ascending order into a single accumulator; the tiers
-//! differ only in the rounding of each step (the tile's `FUSED`
-//! parameter):
-//!
-//! * [`KernelBackend::Portable`] rounds the multiply and the add
-//!   separately (`acc += a·b`), making it **bitwise identical to the
-//!   naive mul-then-add `i j k` triple loop** — the original kernel
-//!   contract, unchanged.
-//! * [`KernelBackend::Fma`] and [`KernelBackend::Avx512`] fuse each
-//!   step into one rounding (`acc = a.mul_add(b, acc)`), making both
-//!   **bitwise identical to the [`f64::mul_add`] ascending-`k` triple
-//!   loop** — and therefore to each other, lane width being invisible
-//!   to a per-lane fused chain — and `≤ 1e-12` relative against the
-//!   portable tier (one rounding per term).
+//! The two agree to `≤ 1e-12` relative (one rounding per term). No
+//! rounding is chosen at run time: each call site names its own.
 //!
 //! Three design choices guarantee the shared ascending-`k` order:
 //!
@@ -75,39 +62,27 @@
 //!    differently-ordered scalar loop.
 //!
 //! The crate-private `gemm_reference::<FUSED>` loop nest realizes both
-//! orders, mul-then-add for the portable tier and fused for the two
-//! hardware tiers (it is the fallback [`use_packed`] routes small
-//! shapes to). Each packed tier is pinned bitwise against naive
-//! triple loops written independently in `crates/linalg/tests/`.
-//! Because the portable order also matches
-//! the pre-kernel row-axpy/dot implementations, every parity suite
-//! that pinned bitwise values across the old code remains valid under
-//! `NETANOM_KERNEL=portable` — with one deliberate exception: the old
-//! kernels skipped `a[i][k] == 0.0` terms, which made throughput
-//! data-dependent and silently dropped NaN/∞ propagation from the
-//! skipped `B` row. Neither tier ever skips; `0 × NaN` poisons the
-//! product on every path and every backend.
+//! orders (it is the fallback [`use_packed`] routes small shapes to).
+//! Each packed tile is pinned bitwise against naive triple loops
+//! written independently in `crates/linalg/tests/`. Because the
+//! mul-then-add order also matches the pre-kernel row-axpy/dot
+//! implementations, the scoring kernels keep the bits those had — with
+//! one deliberate exception: the old kernels skipped `a[i][k] == 0.0`
+//! terms, which made throughput data-dependent and silently dropped
+//! NaN/∞ propagation from the skipped `B` row. Neither tile ever skips;
+//! `0 × NaN` poisons the product on every path.
 //!
 //! # Shape routing
 //!
 //! [`use_packed`] routes a product to the packed path only when the
 //! operand shapes amortize the packing traffic (roughly one tile of
 //! useful work); tiny, skinny, or degenerate shapes fall through to
-//! the active backend's reference kernel, which follows the same
+//! the reference kernel at the same rounding, which follows the same
 //! per-element order, so routing is purely a performance decision and
 //! never observable in results.
 
-#[cfg(test)]
-mod avx512;
-pub(crate) mod dispatch;
-#[cfg(test)]
-mod fma;
 pub(crate) mod micro;
 pub(crate) mod pack;
-
-pub use dispatch::{
-    active_backend, backend_diagnostics, supported_backends, KernelBackend, ALL_BACKENDS,
-};
 
 use crate::{parallel, LinalgError, Matrix, Result};
 
@@ -241,19 +216,17 @@ impl<'a> Operand<'a> {
 }
 
 /// Compute `block += A[first_row..first_row+mb] · B` into a contiguous
-/// row block of the output (the unit of the row-parallel fan-out).
+/// row block of the output (the unit of the row-parallel fan-out), on
+/// the fused product tile or the unfused scoring tile.
 ///
 /// `block` holds `mb` whole rows of width `ldc = n`; `first_row` is the
-/// block's global row offset, which only matters for `upper_from`:
-/// when `Some(_)`, micro-tiles lying strictly below the main diagonal
-/// of the *global* output are skipped (the symmetric `gram` path
-/// computes the upper triangle and mirrors afterwards; tiles straddling
-/// the diagonal are computed in full — their below-diagonal lanes are
-/// bitwise the mirrored values anyway, multiplication being
-/// commutative).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_block(
-    backend: KernelBackend,
+/// block's global row offset, which only matters for `upper_only`:
+/// when set, micro-tiles lying strictly below the main diagonal of the
+/// *global* output are skipped (the symmetric `gram` path computes the
+/// upper triangle and mirrors afterwards; tiles straddling the diagonal
+/// are computed in full — their below-diagonal lanes are bitwise the
+/// mirrored values anyway, multiplication being commutative).
+pub(crate) fn gemm_block<const FUSED: bool>(
     a: &Operand,
     b: &Operand,
     first_row: usize,
@@ -262,27 +235,23 @@ pub(crate) fn gemm_block(
     kdim: usize,
     upper_only: bool,
 ) {
-    use micro::{AVX512_MR, FMA_MR, MR, NR};
+    use micro::{FMA_MR, MR, NR};
     let out = OutBlock {
         ldc: n,
         first_row,
         upper_only,
     };
-    match backend {
-        KernelBackend::Portable => gemm_tiled::<MR, NR, false>(backend, a, b, block, kdim, &out),
-        KernelBackend::Fma => gemm_tiled::<FMA_MR, NR, true>(backend, a, b, block, kdim, &out),
-        KernelBackend::Avx512 => {
-            gemm_tiled::<AVX512_MR, NR, true>(backend, a, b, block, kdim, &out)
-        }
+    if FUSED {
+        gemm_tiled::<FMA_MR, NR, true>(a, b, block, kdim, &out)
+    } else {
+        gemm_tiled::<MR, NR, false>(a, b, block, kdim, &out)
     }
 }
 
 /// The shared cache-blocked loop nest at one tile instantiation
 /// (`MR × NR`, `FUSED`): packs panels of exactly that shape and runs
-/// the macro kernel, compiled for `backend`'s CPU, on every packed
-/// block pair.
+/// the macro kernel on every packed block pair.
 fn gemm_tiled<const MR: usize, const NR: usize, const FUSED: bool>(
-    backend: KernelBackend,
     a: &Operand,
     b: &Operand,
     block: &mut [f64],
@@ -330,7 +299,7 @@ fn gemm_tiled<const MR: usize, const NR: usize, const FUSED: bool>(
                     jc,
                     ncb,
                 };
-                macro_kernel_on::<MR, NR, FUSED>(backend, &pair, block, out);
+                macro_kernel::<MR, NR, FUSED>(&pair, block, out);
                 ic += mcb;
             }
             pc += kc;
@@ -363,100 +332,6 @@ struct OutBlock {
     first_row: usize,
     /// Skip tiles strictly below the global diagonal.
     upper_only: bool,
-}
-
-/// [`macro_kernel`] compiled for `backend`'s CPU. The portable tier runs
-/// it as built; each hardware tier calls it through a
-/// `#[target_feature]` function, so the tile inside compiles to that
-/// tier's YMM or ZMM registers. Those two calls are the only code the
-/// workspace lets past `unsafe_code`, each right behind an assertion
-/// that the CPU has the features.
-#[allow(unsafe_code)]
-#[inline(always)]
-fn macro_kernel_on<const MR: usize, const NR: usize, const FUSED: bool>(
-    backend: KernelBackend,
-    pair: &BlockPair,
-    c: &mut [f64],
-    out: &OutBlock,
-) {
-    match backend {
-        KernelBackend::Portable => macro_kernel::<MR, NR, FUSED>(pair, c, out),
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Fma => {
-            #[target_feature(enable = "avx2,fma")]
-            fn fma<const MR: usize, const NR: usize, const FUSED: bool>(
-                pair: &BlockPair,
-                c: &mut [f64],
-                out: &OutBlock,
-            ) {
-                macro_kernel::<MR, NR, FUSED>(pair, c, out)
-            }
-            assert!(
-                backend.is_supported(),
-                "FMA micro-kernel invoked without runtime AVX2+FMA support"
-            );
-            // SAFETY: the assertion above proves `avx2` and `fma` are
-            // available on the executing CPU, the only precondition of
-            // the `#[target_feature]` function.
-            unsafe { fma::<MR, NR, FUSED>(pair, c, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => {
-            #[target_feature(enable = "avx512f,avx512vl")]
-            fn avx512<const MR: usize, const NR: usize, const FUSED: bool>(
-                pair: &BlockPair,
-                c: &mut [f64],
-                out: &OutBlock,
-            ) {
-                macro_kernel::<MR, NR, FUSED>(pair, c, out)
-            }
-            assert!(
-                backend.is_supported(),
-                "AVX-512 micro-kernel invoked without runtime avx512f+avx512vl support"
-            );
-            // SAFETY: the assertion above proves `avx512f` and
-            // `avx512vl` are available on the executing CPU, the only
-            // precondition of the `#[target_feature]` function.
-            unsafe { avx512::<MR, NR, FUSED>(pair, c, out) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Fma | KernelBackend::Avx512 => {
-            unreachable!("hardware tiers are never selected on non-x86_64 targets")
-        }
-    }
-}
-
-/// One `MR × NR` tile update at the origin of `c` (valid corner
-/// `mr_eff × nr_eff`), run the way `backend` runs it: through
-/// [`macro_kernel_on`], so a hardware tier's tile is the one compiled
-/// inside its `#[target_feature]` function. The tile tests' entry point.
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-fn tile_update_on<const MR: usize, const NR: usize, const FUSED: bool>(
-    backend: KernelBackend,
-    kc: usize,
-    apanel: &[f64],
-    bpanel: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-) {
-    let pair = BlockPair {
-        apack: apanel,
-        bpack: bpanel,
-        kc,
-        ic: 0,
-        mcb: mr_eff,
-        jc: 0,
-        ncb: nr_eff,
-    };
-    let out = OutBlock {
-        ldc,
-        first_row: 0,
-        upper_only: false,
-    };
-    macro_kernel_on::<MR, NR, FUSED>(backend, &pair, c, &out);
 }
 
 /// Run the micro-kernel over every `MR × NR` tile of one packed block
@@ -507,15 +382,14 @@ pub(crate) fn mirror_upper(out: &mut Matrix) {
     }
 }
 
-/// The shared routed-and-parallel product driver behind the `*_with`
+/// The shared routed-and-parallel product driver behind the public
 /// entry points: pick packed vs reference by shape, fan the `m` output
-/// rows across workers, and run the chosen backend inside each block.
+/// rows across workers, and run the `FUSED` tile inside each block.
 /// Results are independent of both decisions — each output row is
 /// computed identically whichever worker owns it and whichever side of
 /// the packing crossover the shape lands on.
 #[allow(clippy::too_many_arguments)]
-fn run_product(
-    backend: KernelBackend,
+fn run_product<const FUSED: bool>(
     a: &Operand,
     b: &Operand,
     out: &mut Matrix,
@@ -530,33 +404,21 @@ fn run_product(
     let workers = parallel::workers_for(flops, m);
     let boundaries = parallel::balanced_boundaries(m, workers, weight);
     parallel::for_row_blocks(out.data_mut(), n, &boundaries, |first_row, block| {
-        // Below the crossover, the reference loop nest with the
-        // backend's rounding keeps the routing unobservable per backend.
+        // Below the crossover, the reference loop nest at the same
+        // rounding keeps the routing unobservable.
         if packed {
-            gemm_block(backend, a, b, first_row, block, n, kdim, upper_only);
-        } else if backend.is_fused() {
-            gemm_reference::<true>(a, b, first_row, block, n, kdim, upper_only);
+            gemm_block::<FUSED>(a, b, first_row, block, n, kdim, upper_only);
         } else {
-            gemm_reference::<false>(a, b, first_row, block, n, kdim, upper_only);
+            gemm_reference::<FUSED>(a, b, first_row, block, n, kdim, upper_only);
         }
     });
 }
 
-/// `a · b` on an explicitly chosen backend — the entry point behind
-/// [`Matrix::matmul`] (which passes [`active_backend`]), used directly
-/// by tests that must pin a tier regardless of environment.
+/// `a · b`, each step rounded once when `FUSED` (what
+/// [`Matrix::matmul`] runs) or twice when not (the scoring kernels).
 ///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this CPU (see
-/// [`KernelBackend::is_supported`]). Returns an error if
-/// `a.cols() != b.rows()`.
-pub fn matmul_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
+/// Returns an error if `a.cols() != b.rows()`.
+pub fn matmul<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if a.cols() != b.rows() {
         return Err(LinalgError::DimensionMismatch {
             op: "matmul",
@@ -570,8 +432,7 @@ pub fn matmul_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Mat
     }
     let (m, n, kdim) = (a.rows(), b.cols(), a.cols());
     let (lhs_op, rhs_op) = (Operand::normal(a), Operand::normal(b));
-    run_product(
-        backend,
+    run_product::<FUSED>(
         &lhs_op,
         &rhs_op,
         &mut out,
@@ -585,15 +446,9 @@ pub fn matmul_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Mat
     Ok(out)
 }
 
-/// `a · bᵀ` (`b` stored `n × k`) on an explicitly chosen backend; see
-/// [`matmul_with`] for the dispatch and panic rules. Returns an error
-/// if `a.cols() != b.cols()`.
-pub fn matmul_nt_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
+/// `a · bᵀ` (`b` stored `n × k`) at the `FUSED` rounding; see
+/// [`matmul`]. Returns an error if `a.cols() != b.cols()`.
+pub fn matmul_nt<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if a.cols() != b.cols() {
         return Err(LinalgError::DimensionMismatch {
             op: "matmul_nt",
@@ -607,8 +462,7 @@ pub fn matmul_nt_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<
     }
     let (m, n, kdim) = (a.rows(), b.rows(), a.cols());
     let (lhs_op, rhs_op) = (Operand::normal(a), Operand::transposed(b));
-    run_product(
-        backend,
+    run_product::<FUSED>(
         &lhs_op,
         &rhs_op,
         &mut out,
@@ -622,15 +476,10 @@ pub fn matmul_nt_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<
     Ok(out)
 }
 
-/// `aᵀ · b` (`a` stored `k × m`, `b` stored `k × n`) on an explicitly
-/// chosen backend; see [`matmul_with`] for the dispatch and panic
-/// rules. Returns an error if `a.rows() != b.rows()`.
-pub fn matmul_tn_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
+/// `aᵀ · b` (`a` stored `k × m`, `b` stored `k × n`) at the `FUSED`
+/// rounding; see [`matmul`]. Returns an error if
+/// `a.rows() != b.rows()`.
+pub fn matmul_tn<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if a.rows() != b.rows() {
         return Err(LinalgError::DimensionMismatch {
             op: "matmul_tn",
@@ -644,8 +493,7 @@ pub fn matmul_tn_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<
     }
     let (m, n, kdim) = (a.cols(), b.cols(), a.rows());
     let (lhs_op, rhs_op) = (Operand::transposed(a), Operand::normal(b));
-    run_product(
-        backend,
+    run_product::<FUSED>(
         &lhs_op,
         &rhs_op,
         &mut out,
@@ -659,24 +507,17 @@ pub fn matmul_tn_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<
     Ok(out)
 }
 
-/// Gram product `aᵀ · a` on an explicitly chosen backend: upper
-/// triangle computed (row blocks weighted by their share of it),
-/// mirrored to the lower triangle afterwards. See [`matmul_with`] for
-/// the dispatch and panic rules.
-pub fn gram_with(backend: KernelBackend, a: &Matrix) -> Matrix {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
+/// Gram product `aᵀ · a` at the `FUSED` rounding: upper triangle
+/// computed (row blocks weighted by their share of it), mirrored to the
+/// lower triangle afterwards.
+pub fn gram<const FUSED: bool>(a: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.cols(), a.cols());
     if a.cols() == 0 {
         return out;
     }
     let (n, kdim) = (a.cols(), a.rows());
     let (lhs_op, rhs_op) = (Operand::transposed(a), Operand::normal(a));
-    run_product(
-        backend,
+    run_product::<FUSED>(
         &lhs_op,
         &rhs_op,
         &mut out,
@@ -693,9 +534,9 @@ pub fn gram_with(backend: KernelBackend, a: &Matrix) -> Matrix {
 
 /// Scalar reference GEMM over a row block: per output element, terms
 /// accumulate in strictly ascending `k` — the order every kernel in
-/// this crate honors — each step rounded as the tile's `FUSED` says
-/// (mul-then-add for the portable tier, [`f64::mul_add`] for both
-/// hardware tiers). Used directly for shapes too small to amortize
+/// this crate honors — each step rounded as `FUSED` says
+/// ([`f64::mul_add`] for the product tile, mul-then-add for the
+/// scoring tile). Used directly for shapes too small to amortize
 /// packing. The loop nest adapts to the operand
 /// orientations so both sides are walked contiguously where possible,
 /// which changes nothing about the per-element order.

@@ -4,8 +4,8 @@
 //! Packed `A` blocks are stored panel-major: `⌈mc/mr⌉` panels, each a
 //! `kc × mr` slab laid out k-major (`buf[panel][k*mr + i]` holds
 //! `A[row0 + panel*mr + i][k0 + k]`), where `mr`/`nr` are the
-//! micro-tile dimensions of the backend being packed for (the three
-//! tiers use different tile heights). Packed `B` blocks mirror
+//! micro-tile dimensions being packed for (the fused product tile and
+//! the unfused scoring tile differ in height). Packed `B` blocks mirror
 //! that with `nr`-wide panels (`buf[panel][k*nr + j]` holds
 //! `B[k0 + k][col0 + panel*nr + j]`). Rows/columns past the operand's
 //! edge are padded with `0.0`, which contributes only to output lanes
@@ -80,8 +80,8 @@ fn for_panel_ranges(
 }
 
 /// Pack `mc` logical rows of `a` starting at `row0`, depth `k0..k0+kc`,
-/// into `mr`-row panels (`mr` is the micro-tile height of the active
-/// backend). `buf` must hold at least `⌈mc/mr⌉·mr·kc` elements; only
+/// into `mr`-row panels (`mr` is the micro-tile height being packed
+/// for). `buf` must hold at least `⌈mc/mr⌉·mr·kc` elements; only
 /// that prefix is written. Large blocks fan the panel range across
 /// rayon workers (see the module docs); the packed bytes are bitwise
 /// identical either way.
@@ -157,8 +157,8 @@ fn pack_a_range(
 }
 
 /// Pack `nc` logical columns of `b` starting at `col0`, depth
-/// `k0..k0+kc`, into `nr`-column panels (`nr` is the micro-tile width
-/// of the active backend). `buf` must hold at least `⌈nc/nr⌉·nr·kc`
+/// `k0..k0+kc`, into `nr`-column panels (`nr` is the micro-tile
+/// width). `buf` must hold at least `⌈nc/nr⌉·nr·kc`
 /// elements; only that prefix is written. Large blocks fan the panel
 /// range across rayon workers (see the module docs); the packed bytes
 /// are bitwise identical either way.

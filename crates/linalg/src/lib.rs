@@ -55,10 +55,7 @@
 // Indexed loops in numerical kernels mirror the published algorithms;
 // iterator chains would obscure the math without changing the codegen.
 #![allow(clippy::needless_range_loop)]
-// Denied everywhere except `kernel::macro_kernel_on`, whose two calls
-// into the `#[target_feature]` tiers each sit behind a runtime
-// CPU-support assertion.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 // The test oracles under `tests/support/` name this crate by its package
 // name, also when this crate's own unit tests compile them.

@@ -229,18 +229,16 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Routed through the packed [`crate::kernel`] layer on the
-    /// process-wide [`kernel::active_backend`] (runtime-detected
-    /// AVX2+FMA tier or the portable autovectorized tier, overridable
-    /// via `NETANOM_KERNEL`); row-parallel on top, so results are
-    /// independent of thread count and shape routing alike — within
-    /// one process every product follows one backend's per-element
-    /// contract. No term is ever skipped: `0 × NaN` columns poison the
-    /// product exactly as IEEE arithmetic dictates, on every backend.
+    /// Routed through the packed [`crate::kernel`] layer on its fused
+    /// product tile: each element is bitwise the [`f64::mul_add`]
+    /// ascending-`k` loop. Row-parallel on top, so results are
+    /// independent of thread count and shape routing alike. No term is
+    /// ever skipped: `0 × NaN` columns poison the product exactly as
+    /// IEEE arithmetic dictates.
     ///
     /// Returns an error if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        kernel::matmul_with(kernel::active_backend(), self, rhs)
+        kernel::matmul::<true>(self, rhs)
     }
 
     /// Matrix product with a transposed right-hand side: `self * rhsᵀ`
@@ -249,14 +247,12 @@ impl Matrix {
     /// No transposed copy is materialized: the kernel layer's packing
     /// (or, below the packing crossover, a contiguous per-element dot)
     /// absorbs the orientation. Entry `(i, j)` accumulates
-    /// `self[i][k] · rhs[j][k]` over ascending `k` — on the portable
-    /// backend exactly like [`vector::dot`] of the two rows, on the
-    /// FMA backend with one fused rounding per term. Dispatched and
-    /// row-parallel like [`Matrix::matmul`].
+    /// `self[i][k] · rhs[j][k]` over ascending `k` with one fused
+    /// rounding per term. Row-parallel like [`Matrix::matmul`].
     ///
     /// Returns an error if `self.cols != rhs.cols`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
-        kernel::matmul_nt_with(kernel::active_backend(), self, rhs)
+        kernel::matmul_nt::<true>(self, rhs)
     }
 
     /// Matrix product with a transposed left-hand side: `selfᵀ * rhs`
@@ -265,13 +261,12 @@ impl Matrix {
     /// The subspace-iteration projections (`QᵀZ`, `PᵀD`) are exactly
     /// this shape; computing them here avoids materializing the
     /// transpose while accumulating each element over ascending `k` —
-    /// bitwise what `self.transpose().matmul(rhs)` produces on the
-    /// same backend. Dispatched and row-parallel over the `m` output
-    /// rows like [`Matrix::matmul`].
+    /// bitwise what `self.transpose().matmul(rhs)` produces.
+    /// Row-parallel over the `m` output rows like [`Matrix::matmul`].
     ///
     /// Returns an error if `self.rows != rhs.rows`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
-        kernel::matmul_tn_with(kernel::active_backend(), self, rhs)
+        kernel::matmul_tn::<true>(self, rhs)
     }
 
     /// Squared residual norm of every row after subtracting `mean` and
@@ -288,11 +283,10 @@ impl Matrix {
     /// per-vector operation order, so values are **bitwise identical**
     /// to the exact route ([`Matrix::matvec_t`] → [`Matrix::matvec`] →
     /// subtract → norm per row), the bitwise contract the `netanom-core`
-    /// batch API documents. To keep that equivalence on
-    /// every host, the internal coefficient GEMM is pinned to
-    /// [`kernel::KernelBackend::Portable`] regardless of the dispatched
-    /// backend: the per-vector route is plain mul-then-add arithmetic,
-    /// and detection scores must not move when the refit path speeds up.
+    /// batch API documents. To keep that equivalence, the internal
+    /// coefficient GEMM runs the kernel's unfused (mul-then-add)
+    /// scoring tile, not the fused product tile: the per-vector route
+    /// is plain mul-then-add arithmetic.
     ///
     /// Returns an error if `mean.len() != cols` or
     /// `basis.rows() != cols`.
@@ -338,16 +332,7 @@ impl Matrix {
                     if kernel::use_packed(take, m, r) {
                         let z_op =
                             kernel::Operand::N(kernel::View::new(&zbuf[..take * m], take, m));
-                        kernel::gemm_block(
-                            kernel::KernelBackend::Portable,
-                            &z_op,
-                            &basis_op,
-                            0,
-                            cblock,
-                            r,
-                            m,
-                            false,
-                        );
+                        kernel::gemm_block::<false>(&z_op, &basis_op, 0, cblock, r, m, false);
                     } else if r <= 8 {
                         // Below the packed crossover a const-width
                         // coefficient pass beats the reference GEMM's
@@ -447,10 +432,8 @@ impl Matrix {
     /// `c_k·P[l][k]` over ascending `k`), so results are bitwise
     /// identical to [`Matrix::matvec_t`] + [`Matrix::matvec`] per row,
     /// at a fraction of the cost. Like the fused SPE kernel, both GEMMs
-    /// are pinned to [`kernel::KernelBackend::Portable`]: this is a
-    /// *scoring* kernel, and the per-vector equivalence (plain
-    /// mul-then-add arithmetic) must hold on every host regardless of
-    /// which backend the process dispatches for model fitting.
+    /// run the unfused scoring tile: this is a *scoring* kernel, and
+    /// the per-vector equivalence is plain mul-then-add arithmetic.
     ///
     /// Returns an error if `basis.rows() != self.cols`.
     pub fn project_rows_split(&self, basis: &Matrix) -> Result<(Matrix, Matrix)> {
@@ -461,14 +444,13 @@ impl Matrix {
                 rhs: basis.shape(),
             });
         }
-        let coeffs = kernel::matmul_with(kernel::KernelBackend::Portable, self, basis)?;
+        let coeffs = kernel::matmul::<false>(self, basis)?;
         // `coeffs · Pᵀ` via the row-major N·N kernel on the materialized
         // transpose: the shared dimension r is typically tiny (< one
         // k-tile), and the N·N reference walks long contiguous rows
         // where the N·T per-element dot would grind through r-length
         // strides. Same ascending-k order either way.
-        let modeled =
-            kernel::matmul_with(kernel::KernelBackend::Portable, &coeffs, &basis.transpose())?;
+        let modeled = kernel::matmul::<false>(&coeffs, &basis.transpose())?;
         let residual = self.sub(&modeled)?;
         Ok((modeled, residual))
     }
@@ -516,9 +498,9 @@ impl Matrix {
         // Only the upper triangle is computed (micro-tiles strictly
         // below the global diagonal are skipped inside the kernel), then
         // mirrored — the per-entry operation sequence matches a serial
-        // (i, a, b) loop nest on the active backend, so the result is
-        // thread-count independent. Dispatched like [`Matrix::matmul`].
-        kernel::gram_with(kernel::active_backend(), self)
+        // fused (i, a, b) loop nest, so the result is thread-count
+        // independent. The fused product tile, like [`Matrix::matmul`].
+        kernel::gram::<true>(self)
     }
 
     /// Elementwise sum `self + rhs`.

@@ -629,10 +629,10 @@ fn restructured_sweep_is_bitwise_original() {
     }
 }
 
-/// The solve is serial scalar arithmetic with no dispatched kernel, so
-/// its output bits are one fixed function of the input: pinned here, and
-/// rerun by CI under `RAYON_NUM_THREADS` 1 and 8 and under each
-/// `NETANOM_KERNEL` tier, where any dependence would move the digest.
+/// The solve is serial scalar arithmetic with no GEMM kernel, so its
+/// output bits are one fixed function of the input: pinned here, and
+/// rerun by CI under `RAYON_NUM_THREADS` 1 and 8, where any dependence
+/// would move the digest.
 #[test]
 fn eigen_bits_are_independent_of_threads_and_kernel_tier() {
     let eig = SymmetricEigen::new(&hashed_symmetric(48, 5)).unwrap();
@@ -676,26 +676,18 @@ fn knee_spectrum(m: usize) -> Vec<f64> {
 /// The truncated solver's output bits at `k = 8` on the refit widths,
 /// pinned: a rewrite of the sweep (the Gram–Schmidt layout, the lock
 /// count) must leave every bit where it was. The `A·Q` products run on
-/// the dispatched kernel, so there is one digest per rounding family;
-/// CI reruns this under `RAYON_NUM_THREADS` 1 and 8 and under each
-/// `NETANOM_KERNEL` tier.
+/// the fused product tile; CI reruns this under `RAYON_NUM_THREADS` 1
+/// and 8.
 #[test]
 fn truncated_bits_are_pinned() {
-    let fused = netanom_linalg::kernel::active_backend().is_fused();
-    for (m, seed, want_fused, want_portable) in [
-        (
-            121usize,
-            11u64,
-            0x0f14_503c_6819_2112u64,
-            0xd3b4_5c57_a9ce_730fu64,
-        ),
-        (256, 12, 0x3380_747d_59a7_dcae, 0x2c5b_3a2e_ddfb_cbd5),
+    for (m, seed, want) in [
+        (121usize, 11u64, 0x0f14_503c_6819_2112u64),
+        (256, 12, 0x3380_747d_59a7_dcae),
     ] {
         let a = spectral_matrix(&knee_spectrum(m), seed);
         let top = TruncatedEigen::top_k(&a, 8, 1e-10).unwrap();
         assert!(top.sweeps > 0, "m = {m}: expected the iterative path");
         let digest = eigen_digest(&top.eigenvalues, &top.eigenvectors);
-        let want = if fused { want_fused } else { want_portable };
         assert_eq!(digest, want, "m = {m}: FNV-1a of the top-8 eigenpairs");
     }
 }

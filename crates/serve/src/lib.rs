@@ -45,6 +45,13 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// A long-lived daemon answers bad input with a typed `err` line; it does
+// not panic on it. What may still panic is an invariant, allowed where
+// it stands with the invariant named.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod checkpoint;
 pub mod protocol;

@@ -167,6 +167,7 @@ pub fn parse_line(line: &str) -> Result<Option<Request<'_>>, ServeError> {
         return Ok(None);
     }
     let mut toks = line.split_whitespace();
+    #[allow(clippy::expect_used)] // `trim` and `split_whitespace` share one whitespace set
     let verb = toks.next().expect("non-empty after trim");
     let mut need_sid = |verb: &str| {
         toks.next()

@@ -306,6 +306,7 @@ impl Session {
         while processed < budget {
             match &mut self.phase {
                 Phase::Training { rows } => {
+                    #[allow(clippy::expect_used)] // `budget` is at most the queue's length
                     let row = self.queue.pop_front().expect("budget <= queue length");
                     rows.push(row);
                     processed += 1;
@@ -429,7 +430,10 @@ impl Session {
             .map_err(|e| ServeError::new(ErrorCode::Checkpoint, e))?
             .with_method(&cp.method)
             .with_refit(cp.strategy)
-            .with_window(cp.window_capacity)
+            // A checkpoint written before windows shorter than training
+            // were refused may carry one; its engine ran the training
+            // length, which is what restoring it here runs too.
+            .with_window(cp.window_capacity.max(cp.train_bins))
             .map_err(|e| ServeError::new(ErrorCode::Checkpoint, e))?
             .with_confidence(cp.confidence)
             .map_err(|e| ServeError::new(ErrorCode::Checkpoint, e))?;

@@ -423,6 +423,23 @@ fn an_oversized_window_costs_only_the_rows_it_keeps() {
     assert_eq!(alarms, events(&plain));
 }
 
+/// A window shorter than training would be run at the training length,
+/// so `open` refuses it with the engine option's own message and opens
+/// nothing; a window of exactly the training length opens.
+#[test]
+fn a_window_shorter_than_training_is_refused_at_open() {
+    let mut service = Service::new();
+    let r = reply(&mut service, "open s dim=3 train-bins=10 window=9");
+    assert_eq!(
+        r,
+        "err bad-config window must be at least train-bins (10), got 9"
+    );
+    let r = reply(&mut service, &format!("obs s {}", row_csv(3, 1.0)));
+    assert!(r.starts_with("err no-session "), "{r}");
+    let r = reply(&mut service, "open s dim=3 train-bins=10 window=10");
+    assert_eq!(r, "ok open s phase=training queue=4096");
+}
+
 /// The same for a checkpoint: a decoded `window_capacity` of 2⁵⁰ rows is
 /// a bound, not an allocation, so the restored session keeps serving.
 #[test]
