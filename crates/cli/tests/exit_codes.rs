@@ -74,11 +74,12 @@ fn usage_follows_only_a_missing_or_unknown_command() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
         String::from_utf8(out.stderr).unwrap()
     };
-    for args in [&["frobnicate"][..], &[]] {
-        let err = stderr(args);
-        assert!(err.contains("usage:"), "{args:?}: {err}");
-    }
-    assert!(stderr(&["frobnicate"]).starts_with("error: unknown command \"frobnicate\"\n"));
+    let err = stderr(&["frobnicate"]);
+    assert!(
+        err.starts_with("error: unknown command \"frobnicate\"\nusage:"),
+        "{err}"
+    );
+    assert!(stderr(&[]).starts_with("usage:"));
 
     let err = stderr(&["stream", "--train-bins", "2"]);
     assert!(err.starts_with("error: "), "{err}");
