@@ -182,7 +182,7 @@ pub(crate) fn update<const MR: usize, const NR: usize, const FUSED: bool>(
 /// two instantiations the kernel builds plus the other rounding at each
 /// shape.
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     /// Run a generic check at both tile shapes, under both roundings.
@@ -231,7 +231,7 @@ mod tests {
         want
     }
 
-    fn ascending_k<const MR: usize, const NR: usize, const FUSED: bool>() {
+    pub(in crate::kernel) fn ascending_k<const MR: usize, const NR: usize, const FUSED: bool>() {
         let kc = 9;
         let apanel: Vec<f64> = (0..kc * MR).map(|i| (i as f64).sin()).collect();
         let bpanel: Vec<f64> = (0..kc * NR).map(|i| (i as f64).cos()).collect();
@@ -254,7 +254,11 @@ mod tests {
         at_every_shape!(ascending_k);
     }
 
-    fn extends_in_order<const MR: usize, const NR: usize, const FUSED: bool>() {
+    pub(in crate::kernel) fn extends_in_order<
+        const MR: usize,
+        const NR: usize,
+        const FUSED: bool,
+    >() {
         // Two KC blocks back to back must equal one pass over the
         // concatenated k range, bitwise — the load/extend/store
         // contract that keeps multi-block products ascending in k.
@@ -305,7 +309,11 @@ mod tests {
         }
     }
 
-    fn padding_untouched<const MR: usize, const NR: usize, const FUSED: bool>() {
+    pub(in crate::kernel) fn padding_untouched<
+        const MR: usize,
+        const NR: usize,
+        const FUSED: bool,
+    >() {
         let kc = 3;
         let apanel = vec![1.0; kc * MR];
         let bpanel = vec![1.0; kc * NR];

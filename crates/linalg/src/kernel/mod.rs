@@ -81,6 +81,8 @@
 //! per-element order, so routing is purely a performance decision and
 //! never observable in results.
 
+#[cfg(test)]
+mod fma;
 pub(crate) mod micro;
 pub(crate) mod pack;
 

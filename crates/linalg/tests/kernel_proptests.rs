@@ -1,5 +1,5 @@
-//! Property tests pinning the packed GEMM kernel layer against an
-//! independent naive triple-loop reference, at both of its roundings.
+//! Property tests pinning the products callers run against an
+//! independent naive triple-loop reference.
 //!
 //! The kernel layer's contract (see `netanom_linalg::kernel`) is that
 //! every product — packed or not, parallel or not — accumulates each
@@ -7,23 +7,21 @@
 //! single accumulator, with the per-step rounding fixed where the call
 //! is compiled: one fused rounding per term on the product tile that
 //! [`Matrix`]'s products run, separate multiply and add on the scoring
-//! tile (`kernel::matmul::<false>` and friends, under the SPE and
-//! projection kernels). That makes each product **bitwise** equal to
-//! the textbook `i j k` loop written out below with the matching
-//! per-step op, which is what these tests assert (strictly stronger
-//! than the `≤ 1e-12` relative agreement between the two roundings,
-//! also checked). Shapes cover both routing regimes: large operands
-//! that take the packed path — deliberately not multiples of the
-//! micro-tile, some deeper than one `KC` block or wider than one `NC`
-//! block — and ragged/degenerate ones (`1 × n`, `n × 1`, empty) that
-//! fall through to the reference kernels.
+//! tile under the SPE and projection kernels. That makes each product
+//! **bitwise** equal to the textbook `i j k` loop written out below with
+//! the matching per-step op, which is what these tests assert. Shapes
+//! cover both routing regimes: large operands that take the packed
+//! path — deliberately not multiples of the micro-tile — and
+//! ragged/degenerate ones (`1 × n`, `n × 1`, empty) that fall through
+//! to the reference kernels. `kernel_tier_proptests.rs` requests each
+//! tile by its rounding and pins both against their own naive loops.
 //!
 //! The CI determinism job reruns this file under `RAYON_NUM_THREADS`
 //! 1 and 8; `packed_products_are_thread_count_invariant` additionally
 //! sits past the parallel-packing crossover, so both fan-outs (output
 //! rows and packed panels) are exercised against the serial loops.
 
-use netanom_linalg::{kernel, Matrix};
+use netanom_linalg::Matrix;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random value in `[-1, 1)`.
@@ -61,83 +59,6 @@ fn naive_matmul<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// The four products at one rounding: the fused ones are [`Matrix`]'s
-/// own methods, the unfused ones the kernel's scoring entry points.
-fn matmul<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Matrix {
-    if FUSED {
-        a.matmul(b)
-    } else {
-        kernel::matmul::<false>(a, b)
-    }
-    .unwrap()
-}
-
-fn matmul_nt<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Matrix {
-    if FUSED {
-        a.matmul_nt(b)
-    } else {
-        kernel::matmul_nt::<false>(a, b)
-    }
-    .unwrap()
-}
-
-fn matmul_tn<const FUSED: bool>(a: &Matrix, b: &Matrix) -> Matrix {
-    if FUSED {
-        a.matmul_tn(b)
-    } else {
-        kernel::matmul_tn::<false>(a, b)
-    }
-    .unwrap()
-}
-
-fn gram<const FUSED: bool>(a: &Matrix) -> Matrix {
-    if FUSED {
-        a.gram()
-    } else {
-        kernel::gram::<false>(a)
-    }
-}
-
-/// Each orientation at one rounding is bitwise its naive loop.
-fn assert_family<const FUSED: bool>(a: &Matrix, b: &Matrix, bt: &Matrix, at: &Matrix) {
-    let want = naive_matmul::<FUSED>(a, b);
-    assert_eq!(
-        bits(&matmul::<FUSED>(a, b)),
-        bits(&want),
-        "matmul fused={FUSED}"
-    );
-    let want = naive_matmul::<FUSED>(a, &bt.transpose());
-    assert_eq!(
-        bits(&matmul_nt::<FUSED>(a, bt)),
-        bits(&want),
-        "matmul_nt fused={FUSED}"
-    );
-    let want = naive_matmul::<FUSED>(&at.transpose(), b);
-    assert_eq!(
-        bits(&matmul_tn::<FUSED>(at, b)),
-        bits(&want),
-        "matmul_tn fused={FUSED}"
-    );
-}
-
-/// The Gram product at one rounding is bitwise the naive `AᵀA`: on the
-/// upper triangle by construction, on the mirrored lower triangle
-/// because multiplication commutes term by term.
-fn assert_gram<const FUSED: bool>(a: &Matrix) {
-    let want = naive_matmul::<FUSED>(&a.transpose(), a);
-    assert_eq!(bits(&gram::<FUSED>(a)), bits(&want), "gram fused={FUSED}");
-}
-
-/// Largest relative elementwise difference between two same-shape
-/// matrices, with a unit floor on the denominator.
-fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
-        .fold(0.0_f64, f64::max)
-}
-
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -146,9 +67,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Packed-path shapes (≥ one micro-tile in every dimension, past the
-    /// flop crossover, never tile-multiples) match the naive loops
-    /// bitwise, for all three orientations at both roundings, and the
-    /// two roundings agree to 1e-12 relative.
+    /// flop crossover, never tile-multiples) match the fused naive loops
+    /// bitwise, for all three orientations.
     #[test]
     fn packed_matmul_family_matches_naive(
         m in 33usize..70,
@@ -158,16 +78,21 @@ proptest! {
     ) {
         let a = hashed(m, k, seed);
         let b = hashed(k, n, seed + 1_000_000);
+        let nn = a.matmul(&b).unwrap();
+        prop_assert_eq!(bits(&nn), bits(&naive_matmul::<true>(&a, &b)));
+
         let bt = hashed(n, k, seed + 2_000_000);
+        let nt = a.matmul_nt(&bt).unwrap();
+        prop_assert_eq!(bits(&nt), bits(&naive_matmul::<true>(&a, &bt.transpose())));
+
         let at = hashed(k, m, seed + 3_000_000);
-        assert_family::<true>(&a, &b, &bt, &at);
-        assert_family::<false>(&a, &b, &bt, &at);
-        let (fused, unfused) = (matmul::<true>(&a, &b), matmul::<false>(&a, &b));
-        prop_assert!(max_rel_diff(&fused, &unfused) <= 1e-12);
+        let tn = at.matmul_tn(&b).unwrap();
+        prop_assert_eq!(bits(&tn), bits(&naive_matmul::<true>(&at.transpose(), &b)));
     }
 
-    /// Packed gram (upper triangle + mirror) matches naive `AᵀA` at both
-    /// roundings, and the two roundings agree to 1e-12 relative.
+    /// Packed gram (upper triangle + mirror) matches the fused naive
+    /// `AᵀA`. Bitwise on the upper triangle; the mirrored lower triangle
+    /// agrees because multiplication commutes term by term.
     #[test]
     fn packed_gram_matches_naive(
         rows in 40usize..90,
@@ -175,14 +100,14 @@ proptest! {
         seed in 0usize..1000,
     ) {
         let a = hashed(rows, cols, seed);
-        assert_gram::<true>(&a);
-        assert_gram::<false>(&a);
-        prop_assert!(max_rel_diff(&gram::<true>(&a), &gram::<false>(&a)) <= 1e-12);
+        let g = a.gram();
+        let naive = naive_matmul::<true>(&a.transpose(), &a);
+        prop_assert_eq!(bits(&g), bits(&naive));
     }
 
     /// Ragged and degenerate shapes — below one tile, `1 × n`, `n × 1`,
-    /// empty dimensions — route through the reference kernels and still
-    /// match the naive loops bitwise at both roundings.
+    /// empty dimensions — route through the reference kernel and still
+    /// match the fused naive loops bitwise.
     #[test]
     fn ragged_shapes_match_naive(
         m in 0usize..12,
@@ -192,12 +117,15 @@ proptest! {
     ) {
         let a = hashed(m, k, seed);
         let b = hashed(k, n, seed + 1_000_000);
+        let nn = a.matmul(&b).unwrap();
+        prop_assert_eq!(bits(&nn), bits(&naive_matmul::<true>(&a, &b)));
+
         let bt = hashed(n, k, seed + 2_000_000);
-        let at = hashed(k, m, seed + 3_000_000);
-        assert_family::<true>(&a, &b, &bt, &at);
-        assert_family::<false>(&a, &b, &bt, &at);
-        assert_gram::<true>(&a);
-        assert_gram::<false>(&a);
+        let nt = a.matmul_nt(&bt).unwrap();
+        prop_assert_eq!(bits(&nt), bits(&naive_matmul::<true>(&a, &bt.transpose())));
+
+        let g = a.gram();
+        prop_assert_eq!(bits(&g), bits(&naive_matmul::<true>(&a.transpose(), &a)));
     }
 
     /// The batched projection splits rows exactly as the naive
@@ -275,91 +203,42 @@ fn packed_products_are_thread_count_invariant() {
     let a = hashed(257, 300, 7);
     let b = hashed(300, 600, 99);
     assert_eq!(
-        bits(&matmul::<true>(&a, &b)),
+        bits(&a.matmul(&b).unwrap()),
         bits(&naive_matmul::<true>(&a, &b))
     );
     assert_eq!(
-        bits(&matmul::<false>(&a, &b)),
-        bits(&naive_matmul::<false>(&a, &b))
+        bits(&a.gram()),
+        bits(&naive_matmul::<true>(&a.transpose(), &a))
     );
-    assert_gram::<true>(&a);
-    assert_gram::<false>(&a);
-}
-
-/// `k` far beyond `KC = 256` forces the KC loop to spill each tile's
-/// accumulators to C and extend them on the next panel; the chain must
-/// still be bitwise the single ascending-`k` naive loop. The odd shape
-/// also leaves partial tiles on both edges of both tile geometries.
-#[test]
-fn kc_crossing_accumulation_is_bitwise() {
-    let a = hashed(37, 531, 17);
-    let b = hashed(531, 29, 23);
-    assert_eq!(
-        bits(&matmul::<true>(&a, &b)),
-        bits(&naive_matmul::<true>(&a, &b))
-    );
-    assert_eq!(
-        bits(&matmul::<false>(&a, &b)),
-        bits(&naive_matmul::<false>(&a, &b))
-    );
-}
-
-/// An output wider than `NC = 1024` sends the outermost `jc` loop round
-/// a second time: `B` is repacked from column 1024 on, every row block
-/// is revisited, and the last column block is ragged (76 columns). For
-/// `gram` the output is also taller than `NC`, so the upper-triangle
-/// mode skips the whole row block that lies below the first column
-/// block's diagonal. Every orientation at both roundings, each bitwise
-/// its naive loop.
-#[test]
-fn nc_crossing_is_bitwise() {
-    let a = hashed(5, 300, 51);
-    let b = hashed(300, 1100, 53);
-    let bt = hashed(1100, 300, 57);
-    let at = hashed(300, 5, 59);
-    let wide = hashed(9, 1100, 61);
-    assert_family::<true>(&a, &b, &bt, &at);
-    assert_family::<false>(&a, &b, &bt, &at);
-    assert_gram::<true>(&wide);
-    assert_gram::<false>(&wide);
 }
 
 /// Regression for the removed `aik == 0.0` skip: a `0 × NaN` pairing
-/// must poison the product identically on the packed and naive paths,
-/// at both roundings — the old kernels silently dropped the NaN.
+/// must poison the product identically on the packed and naive paths —
+/// the old kernels silently dropped the NaN.
 #[test]
 fn zero_times_nan_propagates_identically() {
-    fn check<const FUSED: bool>() {
-        // Large enough that matmul takes the packed path.
-        let m = 48;
-        let mut a = hashed(m, m, 11);
-        let mut b = hashed(m, m, 13);
-        for i in 0..m {
-            a[(i, 3)] = 0.0; // zero column of A …
-        }
-        for j in 0..m {
-            b[(3, j)] = f64::NAN; // … against a NaN row of B.
-        }
-        let packed = matmul::<FUSED>(&a, &b);
-        assert!(
-            packed.as_slice().iter().all(|v| v.is_nan()),
-            "fused={FUSED}"
-        );
-        assert_eq!(bits(&packed), bits(&naive_matmul::<FUSED>(&a, &b)));
-
-        // Below the packing crossover, the reference kernel must do the same.
-        let a_small = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 3.0]]);
-        let b_small = Matrix::from_rows(&[vec![f64::NAN, 4.0], vec![5.0, 6.0]]);
-        let small = matmul::<FUSED>(&a_small, &b_small);
-        assert!(
-            small[(0, 0)].is_nan(),
-            "fused={FUSED}: 0 × NaN must poison the entry"
-        );
-        assert_eq!(
-            bits(&small),
-            bits(&naive_matmul::<FUSED>(&a_small, &b_small))
-        );
+    // Large enough that matmul takes the packed path.
+    let m = 48;
+    let mut a = hashed(m, m, 11);
+    let mut b = hashed(m, m, 13);
+    for i in 0..m {
+        a[(i, 3)] = 0.0; // zero column of A …
     }
-    check::<true>();
-    check::<false>();
+    for j in 0..m {
+        b[(3, j)] = f64::NAN; // … against a NaN row of B.
+    }
+    let packed = a.matmul(&b).unwrap();
+    let naive = naive_matmul::<true>(&a, &b);
+    assert!(packed.as_slice().iter().all(|v| v.is_nan()));
+    assert_eq!(bits(&packed), bits(&naive));
+
+    // Below the packing crossover, the reference kernel must do the same.
+    let a_small = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 3.0]]);
+    let b_small = Matrix::from_rows(&[vec![f64::NAN, 4.0], vec![5.0, 6.0]]);
+    let small = a_small.matmul(&b_small).unwrap();
+    assert!(small[(0, 0)].is_nan(), "0 × NaN must poison the entry");
+    assert_eq!(
+        bits(&small),
+        bits(&naive_matmul::<true>(&a_small, &b_small))
+    );
 }
