@@ -902,6 +902,13 @@ impl DetectionBackend for MethodBackend {
         }
     }
 
+    fn observe_block(&mut self, evicted: &[Option<&[f64]>], block: &Matrix) -> Result<()> {
+        match self {
+            MethodBackend::Subspace(b) => b.observe_block(evicted, block),
+            MethodBackend::Temporal(b) => b.observe_block(evicted, block),
+        }
+    }
+
     fn refit(&mut self, window: &RingWindow) -> Result<()> {
         match self {
             MethodBackend::Subspace(b) => b.refit(window),
@@ -914,5 +921,42 @@ impl DetectionBackend for MethodBackend {
             MethodBackend::Subspace(b) => b.export_state(),
             MethodBackend::Temporal(b) => b.export_state(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netanom_core::stream::RefitStrategy;
+    use netanom_core::SeparationPolicy;
+    use netanom_topology::builtin;
+
+    /// `MethodBackend::Subspace` hands a block to the subspace backend's
+    /// own `observe_block`, not the trait's per-row default. The two
+    /// leave the same statistics on good input, so the test tells them
+    /// apart by a refused block: the subspace backend checks the whole
+    /// block before touching its statistics, while the default would
+    /// have observed the first push before meeting the short row.
+    #[test]
+    fn subspace_forwards_observe_block() {
+        let net = builtin::ring(5);
+        let rm = &net.routing_matrix;
+        let m = rm.num_links();
+        let train = Matrix::from_fn(40, m, |i, l| ((i * m + l) % 13) as f64 + 1.0);
+        let config = DiagnoserConfig {
+            separation: SeparationPolicy::FixedCount(2),
+            ..DiagnoserConfig::default()
+        };
+        let fitted = SubspaceBackend::fit(&train, rm, config, RefitStrategy::Incremental).unwrap();
+        let mut backend = MethodBackend::Subspace(fitted);
+        let before = backend.statistics().unwrap().to_bytes();
+        let block = train.row_block(0, 2).unwrap();
+        let short = vec![1.0; m - 1];
+        assert!(backend
+            .observe_block(&[None, Some(&short)], &block)
+            .is_err());
+        assert_eq!(backend.statistics().unwrap().to_bytes(), before);
+        backend.observe_block(&[None, None], &block).unwrap();
+        assert_eq!(backend.statistics().unwrap().count(), 42);
     }
 }

@@ -20,15 +20,22 @@
 //! per arrival plus one small eigen-solve per refit, independent of the
 //! window length.
 //!
-//! One accumulator, [`CovarianceShard`], holds the update order of every
-//! entry, the slide-or-add choice ([`observe`](CovarianceShard::observe))
-//! and the four-row seeding pass ([`from_matrix`](CovarianceShard::from_matrix))
-//! for an ascending link set. Engine shards and TCP workers hold one over
-//! their links and [`IncrementalCovariance`] wraps one over every link, so
-//! [`IncrementalCovariance::merge`] of the shards is bitwise the global one.
+//! One accumulator, [`CovarianceShard`], holds the update of every entry
+//! for an ascending link set. Engines hand it whole blocks of window
+//! pushes ([`observe_block`](CovarianceShard::observe_block)): the block's
+//! slides fold into the statistics in one pass of the unfused packed
+//! tile, which gives each entry exactly the `± yᵢ·yⱼ` steps of the row
+//! loop ([`add`](CovarianceShard::add), [`remove`](CovarianceShard::remove))
+//! in the same order and rounding. Short blocks, rows with a zero
+//! multiplier and blocks holding a NaN keep the row loop, and seeding
+//! ([`from_matrix`](CovarianceShard::from_matrix)) is the same call with
+//! no evictions. Engine shards and TCP workers hold one over their links
+//! and [`IncrementalCovariance`] wraps one over every link, so
+//! [`IncrementalCovariance::merge`] of the shards is bitwise the global
+//! one.
 
 use netanom_linalg::decomposition::{self, TruncatedEigen};
-use netanom_linalg::{vector, BlockPlacement, Matrix};
+use netanom_linalg::{kernel, vector, BlockPlacement, Matrix};
 
 use crate::codec::{self, Reader};
 use crate::separation::SeparationPolicy;
@@ -98,6 +105,12 @@ impl IncrementalCovariance {
     /// Follow one window push ([`CovarianceShard::observe`]).
     pub fn observe(&mut self, evicted: Option<&[f64]>, y: &[f64]) -> Result<()> {
         self.stats.observe(evicted, y)
+    }
+
+    /// Follow a block of window pushes
+    /// ([`CovarianceShard::observe_block`]).
+    pub fn observe_block(&mut self, evicted: &[Option<&[f64]>], block: &Matrix) -> Result<()> {
+        self.stats.observe_block(evicted, block)
     }
 
     /// Current mean vector.
@@ -354,17 +367,9 @@ impl CovarianceShard {
     }
 
     /// Statistics of every row of a `t × m` matrix for the shard owning
-    /// `links` — how every engine seeds its statistics.
-    ///
-    /// Bitwise what [`add`](Self::add), row after row, leaves behind, in
-    /// about half the time: four rows go through the triangle in one
-    /// pass. Owned rows pair up, `(i, j)` with `j` the next owned link;
-    /// the pair walks the columns `j..m` together and the top row takes
-    /// `i..j` alone. Each entry still takes its four `+= yᵢ·yⱼ` steps in
-    /// row order, each rounded on its own. A row with a zero among its
-    /// four multipliers (or whose partner has one), and an unpaired last
-    /// row, take `add`'s skipping update, so that holds for signed zeros
-    /// and non-finite data too.
+    /// `links` — how every engine seeds its statistics: one
+    /// [`observe_block`](Self::observe_block) with no evictions, so
+    /// bitwise what [`add`](Self::add), row after row, leaves behind.
     pub fn from_matrix(data: &Matrix, links: &[usize]) -> Result<Self> {
         let mut acc = Self::new(data.cols(), links)?;
         acc.seed(data);
@@ -373,59 +378,9 @@ impl CovarianceShard {
 
     /// Add every row of `data` as [`from_matrix`](Self::from_matrix) does.
     fn seed(&mut self, data: &Matrix) {
-        let quads = data.rows() / 4;
-        for q in 0..quads {
-            self.add_four(std::array::from_fn(|r| data.row(4 * q + r)));
-        }
-        for t in 4 * quads..data.rows() {
-            self.add(data.row(t))
-                .expect("row width is the dimension by construction");
-        }
-    }
-
-    /// Four [`add`](Self::add)s in one pass over the owned rows.
-    fn add_four(&mut self, ys: [&[f64]; 4]) {
-        fn steps(c: f64, a: [f64; 4], b: [f64; 4]) -> f64 {
-            (((c + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3]
-        }
-        // `Σ y` takes a row's four entries in order, as four adds would.
-        fn total(s: f64, a: [f64; 4]) -> f64 {
-            a.into_iter().fold(s, |s, v| s + v)
-        }
-        let [y0, y1, y2, y3] = ys;
-        let column = |j: usize| [y0[j], y1[j], y2[j], y3[j]];
-        self.count += 4;
-        let mut k = 0;
-        while k < self.links.len() {
-            let i = self.links[k];
-            let a = column(i);
-            self.sum[k] = total(self.sum[k], a);
-            let partner = self.links.get(k + 1).copied();
-            let Some(j) = partner.filter(|&j| !a.contains(&0.0) && !column(j).contains(&0.0))
-            else {
-                let row = self.cross.row_mut(k);
-                for y in ys {
-                    accumulate(row, i, y, false);
-                }
-                k += 1;
-                continue;
-            };
-            let d = column(j);
-            self.sum[k + 1] = total(self.sum[k + 1], d);
-            let (top, bottom) = self.cross.row_pair_mut(k, k + 1);
-            top[i] = steps(top[i], a, a);
-            for c in i + 1..j {
-                top[c] = steps(top[c], a, column(c));
-            }
-            let tails = y0[j..].iter().zip(&y1[j..]).zip(&y2[j..]).zip(&y3[j..]);
-            let pairs = top[j..].iter_mut().zip(&mut bottom[j..]);
-            for ((c, e), (((b0, b1), b2), b3)) in pairs.zip(tails) {
-                let b = [*b0, *b1, *b2, *b3];
-                *c = steps(*c, a, b);
-                *e = steps(*e, d, b);
-            }
-            k += 2;
-        }
+        let fills = vec![None; data.rows()];
+        self.observe_block(&fills, data)
+            .expect("row width is the dimension by construction");
     }
 
     /// Number of accumulated measurements.
@@ -457,7 +412,7 @@ impl CovarianceShard {
     pub fn add(&mut self, y: &[f64]) -> Result<()> {
         self.check(y)?;
         self.count += 1;
-        self.update::<false>(y);
+        self.fold(false, y);
         Ok(())
     }
 
@@ -473,7 +428,7 @@ impl CovarianceShard {
             return Err(CoreError::TooFewSamples { got: 0, need: 1 });
         }
         self.count -= 1;
-        self.update::<true>(y);
+        self.fold(true, y);
         Ok(())
     }
 
@@ -492,18 +447,129 @@ impl CovarianceShard {
         }
     }
 
-    /// Add (or, with `NEGATE`, subtract) `y` into `Σ y` and every owned
-    /// row of `Σ y yᵀ`; a constant `NEGATE` keeps the sign choice out of
-    /// the per-row loop of the hot observe path.
-    fn update<const NEGATE: bool>(&mut self, y: &[f64]) {
-        for (k, &i) in self.links.iter().enumerate() {
-            if NEGATE {
-                self.sum[k] -= y[i];
-            } else {
-                self.sum[k] += y[i];
-            }
-            accumulate(self.cross.row_mut(k), i, y, NEGATE);
+    /// Follow a block of window pushes at once: push `t` adds
+    /// `block.row(t)` after sliding out `evicted[t]` (`None` while the
+    /// window fills; [`RingWindow::evictions`] lists them, the block's
+    /// own earlier rows included when it outruns the window). Bitwise
+    /// what [`observe`](Self::observe) leaves behind push after push.
+    ///
+    /// The block's terms stack in push order, `[old₀, new₀, old₁, …]`,
+    /// and every owned row takes them in one in-place pass of the
+    /// unfused packed tile ([`kernel::rank_update`]), so each entry
+    /// takes exactly the row loop's `± yᵢ·yⱼ` steps in the same order
+    /// and rounding. Three cases keep the row loop:
+    ///
+    /// * a block with fewer terms than the tile's packing crossover
+    ///   ([`kernel::use_packed`]), with no stacking;
+    /// * within a block, an owned row `i` whose multiplier `yᵢ` is a
+    ///   zero of either sign in any term — the row loop skips those
+    ///   terms, and skipping is not adding `0·y` (signed zeros, `0·∞`);
+    /// * a block holding a NaN: where an input NaN meets a NaN the
+    ///   arithmetic made, which payload survives depends on the operand
+    ///   order each loop was compiled with.
+    ///
+    /// Errors, before touching any state, unless every row is `m` wide,
+    /// `evicted` lists one entry per block row, and an eviction has a
+    /// measurement to remove.
+    ///
+    /// [`RingWindow::evictions`]: crate::stream::RingWindow::evictions
+    pub fn observe_block(&mut self, evicted: &[Option<&[f64]>], block: &Matrix) -> Result<()> {
+        if block.rows() != evicted.len() {
+            return Err(CoreError::DimensionMismatch {
+                expected: block.rows(),
+                got: evicted.len(),
+            });
         }
+        if block.rows() > 0 {
+            self.check(block.row(0))?;
+        }
+        for old in evicted.iter().flatten() {
+            self.check(old)?;
+        }
+        if self.count == 0 && matches!(evicted.first(), Some(Some(_))) {
+            return Err(CoreError::TooFewSamples { got: 0, need: 1 });
+        }
+        let fills = evicted.iter().filter(|e| e.is_none()).count();
+        let terms = 2 * evicted.len() - fills;
+        let folded = kernel::use_packed(self.links.len(), terms, self.dim) && {
+            let mut rows = Vec::with_capacity(terms);
+            let mut negate = Vec::with_capacity(terms);
+            for (t, old) in evicted.iter().enumerate() {
+                if let Some(old) = old {
+                    rows.push(*old);
+                    negate.push(true);
+                }
+                rows.push(block.row(t));
+                negate.push(false);
+            }
+            self.fold_terms(&rows, &negate)?
+        };
+        if !folded {
+            for (t, old) in evicted.iter().enumerate() {
+                if let Some(old) = old {
+                    self.fold(true, old);
+                }
+                self.fold(false, block.row(t));
+            }
+        }
+        self.count += fills;
+        Ok(())
+    }
+
+    /// Add (or, negated, subtract) `y` into `Σ y` and every owned row of
+    /// `Σ y yᵀ`: the row loop.
+    fn fold(&mut self, negate: bool, y: &[f64]) {
+        self.fold_sum(negate, y);
+        for (k, &i) in self.links.iter().enumerate() {
+            accumulate(self.cross.row_mut(k), i, y, negate);
+        }
+    }
+
+    /// Take `y`'s owned entries into (or, negated, out of) `Σ y`.
+    fn fold_sum(&mut self, negate: bool, y: &[f64]) {
+        for (s, &i) in self.sum.iter_mut().zip(&self.links) {
+            if negate {
+                *s -= y[i];
+            } else {
+                *s += y[i];
+            }
+        }
+    }
+
+    /// [`fold`](Self::fold) every term in order, term `t` negated where
+    /// `negate[t]`, in one pass of the packed tile; an owned row with a
+    /// zero multiplier in any term takes the row loop instead. Answers
+    /// `false`, touching nothing, when a term holds a NaN.
+    fn fold_terms(&mut self, terms: &[&[f64]], negate: &[bool]) -> Result<bool> {
+        let mut zero = vec![false; self.dim];
+        let mut nan = false;
+        for y in terms {
+            for (z, &v) in zero.iter_mut().zip(*y) {
+                *z |= v == 0.0;
+                nan |= v.is_nan();
+            }
+        }
+        if nan {
+            return Ok(false);
+        }
+        for (&y, &neg) in terms.iter().zip(negate) {
+            self.fold_sum(neg, y);
+        }
+        // The tile leaves a row alone whose first column is past the
+        // last.
+        let mut cols = self.links.clone();
+        for (k, col) in cols.iter_mut().enumerate() {
+            let i = *col;
+            if zero[i] {
+                let row = self.cross.row_mut(k);
+                for (&y, &neg) in terms.iter().zip(negate) {
+                    accumulate(row, i, y, neg);
+                }
+                *col = self.dim;
+            }
+        }
+        kernel::rank_update(terms, negate, &cols, &mut self.cross)?;
+        Ok(true)
     }
 
     /// Header, `dim`, `count`, the link list when `with_links`, `Σ y`,

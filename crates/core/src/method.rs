@@ -92,6 +92,19 @@ pub trait DetectionBackend: fmt::Debug {
     /// the window is still filling).
     fn observe(&mut self, evicted: Option<&[f64]>, y: &[f64]) -> Result<()>;
 
+    /// Advance the streaming state over a block of window pushes:
+    /// push `t` adds `block.row(t)` and evicts `evicted[t]`
+    /// ([`RingWindow::evictions`]). Equivalent to calling
+    /// [`observe`](Self::observe) push after push — what this default
+    /// does; the subspace backend folds the block into its statistics
+    /// in one pass ([`CovarianceShard::observe_block`]).
+    fn observe_block(&mut self, evicted: &[Option<&[f64]>], block: &Matrix) -> Result<()> {
+        for (t, &old) in evicted.iter().enumerate() {
+            self.observe(old, block.row(t))?;
+        }
+        Ok(())
+    }
+
     /// Cadenced refit from the engine's retained window: rebuild the
     /// model (and threshold) the scoring methods are frozen against.
     fn refit(&mut self, window: &RingWindow) -> Result<()>;
@@ -464,6 +477,13 @@ impl DetectionBackend for SubspaceBackend {
         }
     }
 
+    fn observe_block(&mut self, evicted: &[Option<&[f64]>], block: &Matrix) -> Result<()> {
+        match &mut self.stats {
+            Some(stats) => stats.observe_block(evicted, block),
+            None => Ok(()),
+        }
+    }
+
     fn refit(&mut self, window: &RingWindow) -> Result<()> {
         if self.strategy == RefitStrategy::FullSvd {
             return self.refit_from_window(&window.to_matrix());
@@ -609,9 +629,7 @@ impl SubspaceShard {
         let residual = partial.centered.sub(&merged.matmul_nt(&self.basis)?)?;
         let norms = residual.row_norms_sq();
         if let Some(stats) = &mut self.stats {
-            for t in 0..block.rows() {
-                stats.observe(evicted[t], block.row(t))?;
-            }
+            stats.observe_block(evicted, block)?;
         }
         Ok(ShardScores {
             scores: norms,

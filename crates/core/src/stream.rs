@@ -436,14 +436,6 @@ impl<B: DetectionBackend> StreamingEngine<B> {
         &self.window
     }
 
-    /// Slide the window and the backend's streaming state by one
-    /// arrival.
-    fn ingest_row(&mut self, y: &[f64]) -> Result<()> {
-        self.backend.observe(self.window.oldest(), y)?;
-        self.window.push(y);
-        Ok(())
-    }
-
     /// Process one arriving measurement vector: score it against the
     /// frozen model, slide the window, and refit if due.
     ///
@@ -451,7 +443,8 @@ impl<B: DetectionBackend> StreamingEngine<B> {
     pub fn process(&mut self, y: &[f64]) -> Result<DiagnosisReport> {
         let mut report = self.backend.score_vector(y)?;
         let refit_due = self.cadence.stamp(std::slice::from_mut(&mut report));
-        self.ingest_row(y)?;
+        self.backend.observe(self.window.oldest(), y)?;
+        self.window.push(y);
         if refit_due {
             self.refit()?;
         }
@@ -477,8 +470,10 @@ impl<B: DetectionBackend> StreamingEngine<B> {
             let mut reports = self.backend.score_matrix(&block)?;
             let refit_due = self.cadence.stamp(&mut reports);
             out.append(&mut reports);
+            let evicted = self.window.evictions(&block);
+            self.backend.observe_block(&evicted, &block)?;
             for t in 0..take {
-                self.ingest_row(block.row(t))?;
+                self.window.push(block.row(t));
             }
             next += take;
             if refit_due {

@@ -186,6 +186,82 @@ proptest! {
     }
 }
 
+/// A `rows × m` stream in [-50, 50], hashed from `seed`, with special
+/// values injected at `(row, column, kind)` (both taken modulo the
+/// shape): `±0.0`, `NaN`, `±∞`, or a zero with an infinity right of it.
+fn special_stream(rows: usize, m: usize, seed: u64, specials: &[(usize, usize, u8)]) -> Matrix {
+    let mut y = Matrix::from_fn(rows, m, |i, j| {
+        let h = (seed ^ (i * m + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+        h as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
+    });
+    for &(r, c, kind) in specials {
+        let (r, c) = (r % rows, c % m);
+        match kind % 6 {
+            5 => {
+                y[(r, c)] = 0.0;
+                y[(r, (c + 1) % m)] = f64::INFINITY;
+            }
+            k => y[(r, c)] = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][k as usize],
+        }
+    }
+    y
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `observe_block` leaves the bytes the per-row `observe` loop
+    /// leaves, whatever the block lengths (one row, past the window,
+    /// past the tile's `KC` depth), over all links and round-robin link
+    /// sets, with signed zeros and non-finite values among the rows.
+    #[test]
+    fn observe_block_is_bitwise_the_row_loop(
+        m in 2usize..72,
+        window in 1usize..48,
+        blocks in proptest::collection::vec(1usize..160, 1..5),
+        shards in 1usize..4,
+        seed in 0u64..u64::MAX,
+        specials in proptest::collection::vec((0usize..1000, 0usize..72, 0u8..6), 0..5),
+    ) {
+        let rows: usize = blocks.iter().sum();
+        let y = special_stream(rows, m, seed, &specials);
+        let k = shards.min(m);
+        let groups: Vec<Vec<usize>> = (0..k).map(|s| (s..m).step_by(k).collect()).collect();
+        let fresh = || -> Vec<CovarianceShard> {
+            groups.iter().map(|g| CovarianceShard::new(m, g).unwrap()).collect()
+        };
+        let (mut by_row, mut by_block) = (fresh(), fresh());
+        let mut global = IncrementalCovariance::new(m);
+        let mut window_rows = RingWindow::new(window, m);
+        let mut window_blocks = RingWindow::new(window, m);
+        let mut next = 0;
+        for len in blocks {
+            for t in next..next + len {
+                let evicted = window_rows.oldest();
+                for s in &mut by_row {
+                    s.observe(evicted, y.row(t)).unwrap();
+                }
+                window_rows.push(y.row(t));
+            }
+            let block = y.row_block(next, len).unwrap();
+            let evicted = window_blocks.evictions(&block);
+            for s in &mut by_block {
+                s.observe_block(&evicted, &block).unwrap();
+            }
+            global.observe_block(&evicted, &block).unwrap();
+            for t in 0..len {
+                window_blocks.push(block.row(t));
+            }
+            next += len;
+            for (got, want) in by_block.iter().zip(&by_row) {
+                prop_assert_eq!(got.to_bytes(), want.to_bytes(), "links {:?}, {} rows", got.links(), next);
+            }
+            let merged = IncrementalCovariance::merge(&by_row).unwrap();
+            prop_assert_eq!(global.to_bytes(), merged.to_bytes(), "all links, {} rows", next);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -173,6 +173,7 @@ impl SymmetricEigen {
     /// Reconstruct `V Λ Vᵀ`; useful for accuracy checks. After
     /// [`LeadingEigen::into_leading`] this is the rank-`r` part over the
     /// vectors it kept.
+    #[allow(clippy::expect_used)] // `V` is m × r and `Λ` r × r by construction
     pub fn reconstruct(&self) -> Matrix {
         let lambda = Matrix::from_diag(&self.eigenvalues[..self.eigenvectors.cols()]);
         // `(VΛ)·Vᵀ` via the N·T kernel: no transposed copy, and entry

@@ -169,18 +169,18 @@ impl TruncatedEigen {
         while sweeps < MAX_SWEEPS {
             sweeps += 1;
             // One GEMM: Z = A·Q, the O(m²·b) step.
-            let z = a.matmul(&q).expect("shapes fixed by construction");
+            let z = a.matmul(&q)?;
             // Rayleigh–Ritz on the active block: S = QᵀAQ (symmetrized
             // against roundoff), small dense solve, rotate onto the
             // Ritz basis. `matmul_tn` skips the transposed copy of Q.
-            let s_raw = q.matmul_tn(&z).expect("b × b");
+            let s_raw = q.matmul_tn(&z)?;
             let b_active = q.cols();
             let s = Matrix::from_fn(b_active, b_active, |i, j| {
                 0.5 * (s_raw[(i, j)] + s_raw[(j, i)])
             });
             let small = SymmetricEigen::new(&s)?;
-            let ritz_vecs = q.matmul(&small.eigenvectors).expect("m × b");
-            let az = z.matmul(&small.eigenvectors).expect("m × b");
+            let ritz_vecs = q.matmul(&small.eigenvectors)?;
+            let az = z.matmul(&small.eigenvectors)?;
 
             // Residual check on the leading active pairs: lock the
             // converged prefix (deflation).

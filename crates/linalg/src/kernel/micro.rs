@@ -64,6 +64,7 @@ pub(crate) fn madd<const FUSED: bool>(acc: f64, a: f64, b: f64) -> f64 {
 
 /// One rank-1 update of the tile: `acc[i][j] ⊕= a[i]·b[j]`.
 #[inline(always)]
+#[allow(clippy::expect_used)] // `tile` cuts the panels into MR- and NR-long steps
 fn k_step<const MR: usize, const NR: usize, const FUSED: bool>(
     a: &[f64],
     b: &[f64],
@@ -175,6 +176,32 @@ pub(crate) fn update<const MR: usize, const NR: usize, const FUSED: bool>(
         let mut acc = load_edge_tile::<MR, NR>(c, ldc, tile_row, tile_col, mr_eff, nr_eff);
         tile::<MR, NR, FUSED>(kc, apanel, bpanel, &mut acc);
         store_edge_tile(&acc, c, ldc, tile_row, tile_col, mr_eff, nr_eff);
+    }
+}
+
+/// [`update`] for a tile a row mask cuts: tile row `i` stores only its
+/// lanes from `from[i]` on (`from[i] ≥ nr_eff` stores none), so every
+/// `C` entry left of a row's first column keeps its bits. `from` has
+/// one entry per valid tile row.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn update_masked<const MR: usize, const NR: usize, const FUSED: bool>(
+    kc: usize,
+    apanel: &[f64],
+    bpanel: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    tile_row: usize,
+    tile_col: usize,
+    nr_eff: usize,
+    from: &[usize],
+) {
+    let mut acc = load_edge_tile::<MR, NR>(c, ldc, tile_row, tile_col, from.len(), nr_eff);
+    tile::<MR, NR, FUSED>(kc, apanel, bpanel, &mut acc);
+    for (i, (trow, &lo)) in acc.iter().zip(from).enumerate() {
+        let lo = lo.min(nr_eff);
+        let off = (tile_row + i) * ldc + tile_col;
+        c[off + lo..off + nr_eff].copy_from_slice(&trow[lo..nr_eff]);
     }
 }
 

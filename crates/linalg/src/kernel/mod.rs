@@ -194,6 +194,21 @@ pub(crate) enum Operand<'a> {
     N(View<'a>),
     /// Use the transpose of the stored view.
     T(View<'a>),
+    /// A `k × n` operand stored as `k` borrowed rows of `n` (row `i`
+    /// is `rows[i]`): the terms of [`rank_update`], left where they lie.
+    Rows(&'a [&'a [f64]]),
+    /// Logical row `r` is column `cols[r]` of the borrowed rows read
+    /// down them, negated at every depth `k` where `negate[k]`; a
+    /// column past the rows' width reads zeros. The multipliers of
+    /// [`rank_update`].
+    Cols {
+        /// The terms, one borrowed row per depth.
+        rows: &'a [&'a [f64]],
+        /// Each logical row's column of the terms.
+        cols: &'a [usize],
+        /// Which terms enter negated.
+        negate: &'a [bool],
+    },
 }
 
 impl<'a> Operand<'a> {
@@ -213,6 +228,15 @@ impl<'a> Operand<'a> {
         match self {
             Operand::N(v) => v.at(i, j),
             Operand::T(v) => v.at(j, i),
+            Operand::Rows(rows) => rows[i][j],
+            Operand::Cols { rows, cols, negate } => {
+                let v = rows[j].get(cols[i]).copied().unwrap_or(0.0);
+                if negate[j] {
+                    -v
+                } else {
+                    v
+                }
+            }
         }
     }
 }
@@ -241,13 +265,75 @@ pub(crate) fn gemm_block<const FUSED: bool>(
     let out = OutBlock {
         ldc: n,
         first_row,
-        upper_only,
+        mask: if upper_only { Mask::Upper } else { Mask::None },
     };
     if FUSED {
         gemm_tiled::<FMA_MR, NR, true>(a, b, block, kdim, &out)
     } else {
         gemm_tiled::<MR, NR, false>(a, b, block, kdim, &out)
     }
+}
+
+/// Fold `k` terms, each a borrowed row of `n` values, into selected
+/// rows of a cross-product matrix, in place, on the unfused scoring
+/// tile: `C += Aᵀ·Y`, with `Y` the terms stacked in order and `A` the
+/// same stack with term `p` negated where `negate[p]`, restricted to
+/// the columns each `C` row holds.
+///
+/// Row `r` of `c` is the cross-product row of link `cols[r]`: it takes
+/// `± y[p][cols[r]]·y[p][j]` for every `j ≥ cols[r]`, one mul-then-add
+/// step per `p` in ascending order, and keeps every entry left of
+/// `cols[r]` bit for bit (a row with `cols[r] ≥ n` is not touched).
+/// Each entry therefore takes exactly the steps of the loop
+/// `for p { c[r][j] += (±y[p][cols[r]])·y[p][j] }` in the same order
+/// and rounding — with no term skipped, so a caller wanting zero
+/// multipliers skipped routes those rows elsewhere. `cols` need not
+/// be ascending; micro-tiles wholly left of their rows' first columns
+/// are skipped. Rows fan out across workers as the products do, with
+/// bits independent of the split.
+///
+/// Errors unless `negate` has one flag per term, every term is as
+/// wide as `c`, and `cols` names one column per row of `c`.
+pub fn rank_update(
+    terms: &[&[f64]],
+    negate: &[bool],
+    cols: &[usize],
+    c: &mut Matrix,
+) -> Result<()> {
+    let (kdim, n) = (terms.len(), c.cols());
+    let mismatch = |rhs| LinalgError::DimensionMismatch {
+        op: "rank_update",
+        lhs: c.shape(),
+        rhs,
+    };
+    if let Some(bad) = terms.iter().find(|y| y.len() != n) {
+        return Err(mismatch((kdim, bad.len())));
+    }
+    if negate.len() != kdim || cols.len() != c.rows() {
+        return Err(mismatch((negate.len(), cols.len())));
+    }
+    if kdim == 0 || c.as_slice().is_empty() {
+        return Ok(());
+    }
+    let width = |r: usize| n - cols[r].min(n);
+    let flops = kdim * (0..cols.len()).map(width).sum::<usize>();
+    let a = Operand::Cols {
+        rows: terms,
+        cols,
+        negate,
+    };
+    let b = Operand::Rows(terms);
+    let workers = parallel::workers_for(flops, cols.len());
+    let boundaries = parallel::balanced_boundaries(cols.len(), workers, |r| width(r) as f64);
+    parallel::for_row_blocks(c.data_mut(), n, &boundaries, |first_row, block| {
+        let out = OutBlock {
+            ldc: n,
+            first_row,
+            mask: Mask::From(cols),
+        };
+        gemm_tiled::<{ micro::MR }, { micro::NR }, false>(&a, &b, block, kdim, &out);
+    });
+    Ok(())
 }
 
 /// The shared cache-blocked loop nest at one tile instantiation
@@ -258,12 +344,12 @@ fn gemm_tiled<const MR: usize, const NR: usize, const FUSED: bool>(
     b: &Operand,
     block: &mut [f64],
     kdim: usize,
-    out: &OutBlock,
+    out: &OutBlock<'_>,
 ) {
     let OutBlock {
         ldc: n,
         first_row,
-        upper_only,
+        mask,
     } = *out;
     debug_assert_eq!(block.len() % n.max(1), 0);
     let Some(mb) = block.len().checked_div(n) else {
@@ -281,17 +367,17 @@ fn gemm_tiled<const MR: usize, const NR: usize, const FUSED: bool>(
         let mut pc = 0;
         while pc < kdim {
             let kc = t.kc.min(kdim - pc);
-            pack::pack_b(b, pc, kc, jc, ncb, NR, &mut bpack);
+            pack::pack_b::<NR>(b, pc, kc, jc, ncb, &mut bpack);
             let mut ic = 0;
             while ic < mb {
                 let mcb = t.mc.min(mb - ic);
                 // Whole A block strictly below the diagonal: nothing to
                 // compute in the upper-triangle mode.
-                if upper_only && jc + ncb <= first_row + ic {
+                if matches!(mask, Mask::Upper) && jc + ncb <= first_row + ic {
                     ic += mcb;
                     continue;
                 }
-                pack::pack_a(a, first_row + ic, mcb, pc, kc, MR, &mut apack);
+                pack::pack_a::<MR>(a, first_row + ic, mcb, pc, kc, &mut apack);
                 let pair = BlockPair {
                     apack: &apack,
                     bpack: &bpack,
@@ -327,13 +413,26 @@ struct BlockPair<'p> {
 
 /// The output row block a product accumulates into (see [`gemm_block`]).
 #[derive(Clone, Copy)]
-struct OutBlock {
+struct OutBlock<'m> {
     /// Row stride (`n`).
     ldc: usize,
     /// Global index of the block's first row.
     first_row: usize,
-    /// Skip tiles strictly below the global diagonal.
-    upper_only: bool,
+    /// Which entries the product may write.
+    mask: Mask<'m>,
+}
+
+/// The entries of `C` a product writes.
+#[derive(Clone, Copy)]
+enum Mask<'m> {
+    /// Every entry.
+    None,
+    /// Skip tiles strictly below the global diagonal (`gram`, which
+    /// mirrors afterwards; tiles straddling it are computed whole).
+    Upper,
+    /// Global row `r` writes columns `first[r]..` only and keeps every
+    /// entry left of `first[r]` as it was ([`rank_update`]).
+    From(&'m [usize]),
 }
 
 /// Run the micro-kernel over every `MR × NR` tile of one packed block
@@ -342,7 +441,7 @@ struct OutBlock {
 fn macro_kernel<const MR: usize, const NR: usize, const FUSED: bool>(
     pair: &BlockPair,
     c: &mut [f64],
-    out: &OutBlock,
+    out: &OutBlock<'_>,
 ) {
     let BlockPair {
         apack,
@@ -361,13 +460,46 @@ fn macro_kernel<const MR: usize, const NR: usize, const FUSED: bool>(
         for ip in 0..a_panels {
             let tile_row = ic + ip * MR;
             let tile_col = jc + jp * NR;
-            // Upper-triangle mode: skip tiles whose every column lies
-            // strictly left of (below) the diagonal.
-            if out.upper_only && tile_col + nr_eff <= out.first_row + tile_row {
-                continue;
-            }
             let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
             let mr_eff = MR.min(mcb - ip * MR);
+            match out.mask {
+                Mask::None => {}
+                // Upper-triangle mode: skip tiles whose every column lies
+                // strictly left of (below) the diagonal.
+                Mask::Upper => {
+                    if tile_col + nr_eff <= out.first_row + tile_row {
+                        continue;
+                    }
+                }
+                Mask::From(first) => {
+                    let rows = &first[out.first_row + tile_row..][..mr_eff];
+                    let (lo, hi) = rows
+                        .iter()
+                        .fold((usize::MAX, 0), |(lo, hi), &f| (lo.min(f), hi.max(f)));
+                    // Wholly left of every row's first column: skipped.
+                    if lo >= tile_col + nr_eff {
+                        continue;
+                    }
+                    // Cut by some row's first column: a masked store.
+                    if hi > tile_col {
+                        let from: [usize; MR] = std::array::from_fn(|i| {
+                            rows.get(i).map_or(0, |f| f.saturating_sub(tile_col))
+                        });
+                        micro::update_masked::<MR, NR, FUSED>(
+                            kc,
+                            apanel,
+                            bpanel,
+                            c,
+                            out.ldc,
+                            tile_row,
+                            tile_col,
+                            nr_eff,
+                            &from[..mr_eff],
+                        );
+                        continue;
+                    }
+                }
+            }
             micro::update::<MR, NR, FUSED>(
                 kc, apanel, bpanel, c, out.ldc, tile_row, tile_col, mr_eff, nr_eff,
             );
@@ -581,17 +713,65 @@ pub(crate) fn gemm_reference<const FUSED: bool>(
                     *o = acc;
                 }
             }
-            // Doubly transposed: strided fallback (unused by the crate's
+            // Any other pairing: strided fallback (unused by the crate's
             // products, kept for completeness).
-            (Operand::T(_), Operand::T(bm)) => {
+            _ => {
                 for (j, o) in row.iter_mut().enumerate().skip(j0) {
                     let mut acc = *o;
                     for k in 0..kdim {
-                        acc = micro::madd::<FUSED>(acc, a.at(i, k), bm.at(j, k));
+                        acc = micro::madd::<FUSED>(acc, a.at(i, k), b.at(k, j));
                     }
                     *o = acc;
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The masked in-place update against the loop it stands for: each
+    /// entry right of its row's first column takes
+    /// `c += (±y[p][col])·y[p][j]` in ascending `p`, rounded twice, and
+    /// every entry left of it keeps its bits. `k` crosses the `KC`
+    /// depth, the widths leave ragged edge tiles, and the columns are
+    /// round-robin, out of order, and past the last (a skipped row).
+    #[test]
+    fn rank_update_is_the_masked_mul_then_add_loop() {
+        for (k, n, rows) in [(9, 13, 4), (2 * KC + 37, 37, 9), (KC + 3, 150, 50)] {
+            let y = Matrix::from_fn(k, n, |p, j| {
+                let h = ((p * n + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+                h as f64 / (1u64 << 53) as f64 * 8.0 - 4.0
+            });
+            let negate: Vec<bool> = (0..k).map(|p| p % 3 == 1).collect();
+            let mut cols: Vec<usize> = (0..rows).map(|r| (3 * r) % n).collect();
+            cols[1] = n;
+            cols.swap(2, rows - 1);
+            let before = Matrix::from_fn(rows, n, |r, j| (r * n + j) as f64 * 0.5 - 3.0);
+            let mut got = before.clone();
+            let terms: Vec<&[f64]> = (0..k).map(|p| y.row(p)).collect();
+            rank_update(&terms, &negate, &cols, &mut got).unwrap();
+            for (r, &col) in cols.iter().enumerate() {
+                for j in 0..n {
+                    let mut want = before[(r, j)];
+                    if j >= col {
+                        for p in 0..k {
+                            let a = if negate[p] { -y[(p, col)] } else { y[(p, col)] };
+                            want += a * y[(p, j)];
+                        }
+                    }
+                    assert_eq!(got[(r, j)].to_bits(), want.to_bits(), "k {k}, ({r}, {j})");
+                }
+            }
+        }
+        let mut c = Matrix::zeros(2, 4);
+        let (wide, narrow) = ([0.0; 4], [0.0; 3]);
+        let terms: [&[f64]; 3] = [&wide, &wide, &wide];
+        assert!(rank_update(&terms, &[false; 2], &[0, 1], &mut c).is_err());
+        assert!(rank_update(&terms, &[false; 3], &[0], &mut c).is_err());
+        assert!(rank_update(&[&wide, &narrow], &[false; 2], &[0, 1], &mut c).is_err());
+        assert!(rank_update(&terms, &[false; 3], &[0, 1], &mut c).is_ok());
     }
 }

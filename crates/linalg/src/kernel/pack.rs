@@ -15,7 +15,8 @@
 //! Each orientation gets its own loop nest so the *source* is always
 //! walked along contiguous rows; the strided side of the copy lands in
 //! the packed buffer, which is small enough to stay cache-resident
-//! while being filled.
+//! while being filled. The tile's shape is a constant of each packing
+//! function, so a whole panel slice copies without a call.
 //!
 //! # Parallel packing
 //!
@@ -80,23 +81,22 @@ fn for_panel_ranges(
 }
 
 /// Pack `mc` logical rows of `a` starting at `row0`, depth `k0..k0+kc`,
-/// into `mr`-row panels (`mr` is the micro-tile height being packed
-/// for). `buf` must hold at least `⌈mc/mr⌉·mr·kc` elements; only
-/// that prefix is written. Large blocks fan the panel range across
-/// rayon workers (see the module docs); the packed bytes are bitwise
-/// identical either way.
-pub(crate) fn pack_a(
+/// into `MR`-row panels (`MR` is the micro-tile height being packed
+/// for, a constant so whole panel slices copy without a call). `buf`
+/// must hold at least `⌈mc/MR⌉·MR·kc` elements; only that prefix is
+/// written. Large blocks fan the panel range across rayon workers (see
+/// the module docs); the packed bytes are bitwise identical either way.
+pub(crate) fn pack_a<const MR: usize>(
     a: &Operand,
     row0: usize,
     mc: usize,
     k0: usize,
     kc: usize,
-    mr: usize,
     buf: &mut [f64],
 ) {
-    let panels = mc.div_ceil(mr);
-    for_panel_ranges(buf, kc * mr, panels, |p0, p1, chunk| {
-        pack_a_range(a, row0, mc, k0, kc, mr, p0, p1, chunk);
+    let panels = mc.div_ceil(MR);
+    for_panel_ranges(buf, kc * MR, panels, |p0, p1, chunk| {
+        pack_a_range::<MR>(a, row0, mc, k0, kc, p0, p1, chunk);
     });
 }
 
@@ -104,17 +104,17 @@ pub(crate) fn pack_a(
 /// (`chunk` holds exactly those panels). Each orientation walks its
 /// *source* along contiguous rows within the range.
 #[allow(clippy::too_many_arguments)]
-fn pack_a_range(
+fn pack_a_range<const MR: usize>(
     a: &Operand,
     row0: usize,
     mc: usize,
     k0: usize,
     kc: usize,
-    mr: usize,
     p0: usize,
     p1: usize,
     chunk: &mut [f64],
 ) {
+    let mr = MR;
     match a {
         // Rows of `a` are logical rows: walk each source row once,
         // scattering into its panel's k-major slots.
@@ -148,64 +148,136 @@ fn pack_a_range(
                     let dst = &mut chunk[base + k * mr..base + (k + 1) * mr];
                     let c0 = row0 + p * mr;
                     let take = mr.min(mc - p * mr);
-                    dst[..take].copy_from_slice(&src[c0..c0 + take]);
-                    dst[take..].fill(0.0);
+                    copy_padded(dst, &src[c0..c0 + take]);
+                }
+            }
+        }
+        // Logical row `r` is column `cols[r]` of `y`, signed per depth:
+        // each source row of `y` is one depth, gathered into every
+        // panel's k-slice — copied whole where a panel's columns are
+        // consecutive (every panel of an all-links update).
+        Operand::Cols { rows, cols, negate } => {
+            let width = rows.get(k0).map_or(0, |r| r.len());
+            let panels: Vec<(&[usize], bool)> = (p0..p1)
+                .map(|p| {
+                    let picked = &cols[row0 + p * mr..row0 + p * mr + mr.min(mc - p * mr)];
+                    let run = picked.windows(2).all(|w| w[1] == w[0] + 1);
+                    (picked, run && picked[picked.len() - 1] < width)
+                })
+                .collect();
+            for (k, srow) in (k0..k0 + kc).enumerate() {
+                let src = rows[srow];
+                let flip = negate[srow];
+                for (slot, &(picked, run)) in panels.iter().enumerate() {
+                    let at = slot * kc * mr + k * mr;
+                    let dst = &mut chunk[at..at + mr];
+                    if run {
+                        copy_padded(dst, &src[picked[0]..picked[0] + picked.len()]);
+                    } else {
+                        for (i, d) in dst.iter_mut().enumerate() {
+                            let v = picked.get(i).and_then(|&c| src.get(c));
+                            *d = v.copied().unwrap_or(0.0);
+                        }
+                    }
+                    if flip {
+                        dst.iter_mut().for_each(|d| *d = -*d);
+                    }
+                }
+            }
+        }
+        // Any other operand: element by element.
+        other => {
+            for p in p0..p1 {
+                let panel = &mut chunk[(p - p0) * kc * mr..(p - p0 + 1) * kc * mr];
+                for k in 0..kc {
+                    for i in 0..mr {
+                        let r = p * mr + i;
+                        panel[k * mr + i] = if r < mc {
+                            other.at(row0 + r, k0 + k)
+                        } else {
+                            0.0
+                        };
+                    }
                 }
             }
         }
     }
 }
 
+/// [`pack_b_range`] for a row-major `b` whose depth `k` is `row(k)`:
+/// each source row yields contiguous nr-slices for every panel.
+#[allow(clippy::too_many_arguments)]
+fn pack_b_rows<'r, const NR: usize>(
+    row: impl Fn(usize) -> &'r [f64],
+    k0: usize,
+    kc: usize,
+    col0: usize,
+    nc: usize,
+    p0: usize,
+    p1: usize,
+    chunk: &mut [f64],
+) {
+    for (k, srow) in (k0..k0 + kc).enumerate() {
+        let src = row(srow);
+        for p in p0..p1 {
+            let base = (p - p0) * kc * NR;
+            let dst = &mut chunk[base + k * NR..base + (k + 1) * NR];
+            let c0 = col0 + p * NR;
+            let take = NR.min(nc - p * NR);
+            copy_padded(dst, &src[c0..c0 + take]);
+        }
+    }
+}
+
+/// Copy `src` into the front of one panel slice and zero the rest. A
+/// whole slice copies at its constant width — no call per slice, which
+/// a narrow panel's many slices would otherwise pay.
+#[inline(always)]
+fn copy_padded(dst: &mut [f64], src: &[f64]) {
+    if src.len() == dst.len() {
+        dst.copy_from_slice(src);
+    } else {
+        dst[..src.len()].copy_from_slice(src);
+        dst[src.len()..].fill(0.0);
+    }
+}
+
 /// Pack `nc` logical columns of `b` starting at `col0`, depth
-/// `k0..k0+kc`, into `nr`-column panels (`nr` is the micro-tile
-/// width). `buf` must hold at least `⌈nc/nr⌉·nr·kc`
+/// `k0..k0+kc`, into `NR`-column panels (`NR` is the micro-tile
+/// width). `buf` must hold at least `⌈nc/NR⌉·NR·kc`
 /// elements; only that prefix is written. Large blocks fan the panel
 /// range across rayon workers (see the module docs); the packed bytes
 /// are bitwise identical either way.
-pub(crate) fn pack_b(
+pub(crate) fn pack_b<const NR: usize>(
     b: &Operand,
     k0: usize,
     kc: usize,
     col0: usize,
     nc: usize,
-    nr: usize,
     buf: &mut [f64],
 ) {
-    let panels = nc.div_ceil(nr);
-    for_panel_ranges(buf, kc * nr, panels, |p0, p1, chunk| {
-        pack_b_range(b, k0, kc, col0, nc, nr, p0, p1, chunk);
+    let panels = nc.div_ceil(NR);
+    for_panel_ranges(buf, kc * NR, panels, |p0, p1, chunk| {
+        pack_b_range::<NR>(b, k0, kc, col0, nc, p0, p1, chunk);
     });
 }
 
 /// The serial `B`-packing loop nests, restricted to panels `p0..p1`.
 #[allow(clippy::too_many_arguments)]
-fn pack_b_range(
+fn pack_b_range<const NR: usize>(
     b: &Operand,
     k0: usize,
     kc: usize,
     col0: usize,
     nc: usize,
-    nr: usize,
     p0: usize,
     p1: usize,
     chunk: &mut [f64],
 ) {
+    let nr = NR;
     match b {
-        // Row-major `b`: each source row k yields contiguous nr-slices
-        // for every panel.
-        Operand::N(m) => {
-            for (k, srow) in (k0..k0 + kc).enumerate() {
-                let src = m.row(srow);
-                for p in p0..p1 {
-                    let base = (p - p0) * kc * nr;
-                    let dst = &mut chunk[base + k * nr..base + (k + 1) * nr];
-                    let c0 = col0 + p * nr;
-                    let take = nr.min(nc - p * nr);
-                    dst[..take].copy_from_slice(&src[c0..c0 + take]);
-                    dst[take..].fill(0.0);
-                }
-            }
-        }
+        Operand::N(m) => pack_b_rows::<NR>(|k| m.row(k), k0, kc, col0, nc, p0, p1, chunk),
+        Operand::Rows(rows) => pack_b_rows::<NR>(|k| rows[k], k0, kc, col0, nc, p0, p1, chunk),
         // `b` is the transpose of `m` (matmul_nt): logical column `j`
         // is `m`'s row `j`, walked contiguously along k.
         Operand::T(m) => {
@@ -222,6 +294,22 @@ fn pack_b_range(
                         for k in 0..kc {
                             panel[k * nr + j] = 0.0;
                         }
+                    }
+                }
+            }
+        }
+        // Any other operand: element by element.
+        other => {
+            for p in p0..p1 {
+                let panel = &mut chunk[(p - p0) * kc * nr..(p - p0 + 1) * kc * nr];
+                for k in 0..kc {
+                    for j in 0..nr {
+                        let c = p * nr + j;
+                        panel[k * nr + j] = if c < nc {
+                            other.at(k0 + k, col0 + c)
+                        } else {
+                            0.0
+                        };
                     }
                 }
             }
@@ -245,7 +333,7 @@ mod tests {
         let kc = 3;
         let mc = MR + 2; // one full panel + one padded panel
         let mut buf = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
-        pack_a(&Operand::normal(&m), 0, mc, 1, kc, MR, &mut buf);
+        pack_a::<MR>(&Operand::normal(&m), 0, mc, 1, kc, &mut buf);
         // Panel 0, k-slice 0 holds column 1 of rows 0..MR.
         for i in 0..MR {
             assert_eq!(buf[i], m[(i, 1)]);
@@ -266,8 +354,8 @@ mod tests {
         let (mc, kc) = (MR * 2 + 1, 6);
         let mut from_t = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
         let mut from_n = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
-        pack_a(&Operand::transposed(&m), 0, mc, 1, kc, MR, &mut from_t);
-        pack_a(&Operand::normal(&t), 0, mc, 1, kc, MR, &mut from_n);
+        pack_a::<MR>(&Operand::transposed(&m), 0, mc, 1, kc, &mut from_t);
+        pack_a::<MR>(&Operand::normal(&t), 0, mc, 1, kc, &mut from_n);
         assert_eq!(from_t, from_n);
     }
 
@@ -278,8 +366,8 @@ mod tests {
         let (nc, kc) = (NR + 3, 7);
         let mut from_t = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
         let mut from_n = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
-        pack_b(&Operand::transposed(&m), 2, kc, 0, nc, NR, &mut from_t);
-        pack_b(&Operand::normal(&t), 2, kc, 0, nc, NR, &mut from_n);
+        pack_b::<NR>(&Operand::transposed(&m), 2, kc, 0, nc, &mut from_t);
+        pack_b::<NR>(&Operand::normal(&t), 2, kc, 0, nc, &mut from_n);
         assert_eq!(from_t, from_n);
     }
 
@@ -288,7 +376,7 @@ mod tests {
         let m = numbered(4, NR + 2);
         let (nc, kc) = (NR + 2, 4);
         let mut buf = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
-        pack_b(&Operand::normal(&m), 0, kc, 0, nc, NR, &mut buf);
+        pack_b::<NR>(&Operand::normal(&m), 0, kc, 0, nc, &mut buf);
         // First panel k-slice 0 is row 0's first NR entries.
         assert_eq!(&buf[..NR], &m.row(0)[..NR]);
         // Second panel: 2 real lanes then zeros, for every k.
@@ -319,21 +407,11 @@ mod tests {
             h as f64 / 4096.0 - 1.0
         });
         let mut fanned = vec![f64::NAN; panels * nr * kc];
-        pack_b(&Operand::normal(&m), 2, kc, 3, nc, nr, &mut fanned);
+        pack_b::<8>(&Operand::normal(&m), 2, kc, 3, nc, &mut fanned);
         assert!(pack_workers(fanned.len(), panels) >= 1);
         // Serial reference: the same loop nest over the full range.
         let mut serial = vec![f64::NAN; panels * nr * kc];
-        pack_b_range(
-            &Operand::normal(&m),
-            2,
-            kc,
-            3,
-            nc,
-            nr,
-            0,
-            panels,
-            &mut serial,
-        );
+        pack_b_range::<8>(&Operand::normal(&m), 2, kc, 3, nc, 0, panels, &mut serial);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fanned), bits(&serial));
 
@@ -342,15 +420,14 @@ mod tests {
         let mc = 999usize;
         let apanels = mc.div_ceil(mr);
         let mut a_fanned = vec![f64::NAN; apanels * mr * kc];
-        pack_a(&Operand::transposed(&m), 1, mc, 0, kc, mr, &mut a_fanned);
+        pack_a::<8>(&Operand::transposed(&m), 1, mc, 0, kc, &mut a_fanned);
         let mut a_serial = vec![f64::NAN; apanels * mr * kc];
-        pack_a_range(
+        pack_a_range::<8>(
             &Operand::transposed(&m),
             1,
             mc,
             0,
             kc,
-            mr,
             0,
             apanels,
             &mut a_serial,

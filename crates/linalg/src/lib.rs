@@ -56,6 +56,12 @@
 // iterator chains would obscure the math without changing the codegen.
 #![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
+// Library code answers a typed error instead of panicking; the few
+// `expect`s left each name the invariant that makes them unreachable.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 // The test oracles under `tests/support/` name this crate by its package
 // name, also when this crate's own unit tests compile them.

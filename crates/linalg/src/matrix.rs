@@ -795,6 +795,7 @@ pub struct BlockPlacement<'a> {
 /// packed kernel's) order, so the small-shape routing in
 /// [`Matrix::centered_residual_norms_sq`] stays unobservable.
 #[inline]
+#[allow(clippy::expect_used)] // the basis is m × R, so each row is R wide
 fn spe_coeffs<const R: usize>(zrow: &[f64], bdata: &[f64], crow: &mut [f64]) {
     let mut acc = [0.0_f64; R];
     for (k, &z) in zrow.iter().enumerate() {
@@ -816,6 +817,7 @@ fn spe_coeffs<const R: usize>(zrow: &[f64], bdata: &[f64], crow: &mut [f64]) {
 /// (exactly like [`vector::norm_sq`]), so the fused SPE stays bitwise
 /// equal to the exact per-vector route.
 #[inline]
+#[allow(clippy::expect_used)] // basis and coefficient rows are R wide
 fn spe_epilogue<const R: usize>(zrow: &[f64], bdata: &[f64], coeffs: &[f64]) -> f64 {
     let c: &[f64; R] = coeffs.try_into().expect("coefficient row is R wide");
     let mut acc = 0.0_f64;
@@ -841,6 +843,7 @@ fn spe_epilogue<const R: usize>(zrow: &[f64], bdata: &[f64], coeffs: &[f64]) -> 
 /// accumulator chains to overlap, so the results are bitwise the
 /// one-row function's.
 #[inline]
+#[allow(clippy::expect_used)] // basis rows are R wide, `cpair` two R-wide rows
 fn spe_epilogue_pair<const R: usize>(zpair: &[f64], bdata: &[f64], cpair: &[f64]) -> (f64, f64) {
     let m = zpair.len() / 2;
     let (z0, z1) = zpair.split_at(m);

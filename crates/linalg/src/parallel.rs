@@ -11,11 +11,16 @@
 //! element in the same ascending-`k` order on all paths, so the
 //! fan-out composes with packing without weakening the guarantee.
 
-/// Minimum number of fused multiply-add operations before spawning
-/// threads pays for itself. Below this the kernels stay serial; the
-/// crossover was measured on the Abilene-week shapes (1008 × 121) the
-/// workspace cares about.
-pub(crate) const MIN_PARALLEL_FLOPS: usize = 400_000;
+/// Multiply-adds each worker must have before a kernel fans out: the
+/// share a spawned worker runs has to pay for its spawn. The `rayon`
+/// stub starts a fresh OS thread per `spawn`, and scope + spawn + join
+/// measured 33–47 µs on a 2-vCPU Xeon, where 1.5 M multiply-adds take
+/// about 170 µs on one core — so a spawn costs at most a quarter of the
+/// share it runs. (At 400 k, a truncated sweep's `A·Q` at `m = 256`,
+/// 1 M multiply-adds, fanned out to two workers and took 144 µs
+/// against 117 µs on one; a block's statistics update at `m = 256`,
+/// 2.4 M, now stays on one core beside the engine's read-ahead thread.)
+pub(crate) const MIN_PARALLEL_FLOPS: usize = 1_500_000;
 
 /// Worker count for a kernel performing `flops` multiply-adds over
 /// `rows` independent output rows: 1 (serial) when the work is small,
@@ -54,7 +59,7 @@ pub(crate) fn balanced_boundaries(
         let per_chunk = total / chunks as f64;
         let mut acc = 0.0;
         for (row, w) in (0..rows).map(|r| (r, weight(r))) {
-            if acc >= per_chunk && boundaries.len() < chunks && *boundaries.last().unwrap() < row {
+            if acc >= per_chunk && boundaries.len() < chunks && boundaries.last() < Some(&row) {
                 boundaries.push(row);
                 acc = 0.0;
             }

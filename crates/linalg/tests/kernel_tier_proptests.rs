@@ -23,11 +23,11 @@
 //!   exactly as it does the matching naive loop.
 //!
 //! The CI determinism job reruns this file under `RAYON_NUM_THREADS` 1
-//! and 8: the packed shapes here sit past the parallel fan-out
-//! crossover (and the large deterministic shapes past the parallel
-//! *packing* crossover), so bitwise-vs-serial-naive also proves
-//! thread-count invariance of both tiles, micro-kernels and panel
-//! packing both.
+//! and 8: the large deterministic shapes sit past both the row fan-out
+//! crossover and the parallel *packing* crossover (the proptest shapes,
+//! at most 70³ multiply-adds, stay serial), so bitwise-vs-serial-naive
+//! also proves thread-count invariance of both tiles, micro-kernels and
+//! panel packing both.
 
 use netanom_linalg::{kernel, Matrix};
 use proptest::prelude::*;
