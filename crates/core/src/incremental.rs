@@ -23,11 +23,12 @@
 //! One accumulator, [`CovarianceShard`], holds the update of every entry
 //! for an ascending link set. Engines hand it whole blocks of window
 //! pushes ([`observe_block`](CovarianceShard::observe_block)): the block's
-//! slides fold into the statistics in one pass of the unfused packed
-//! tile, which gives each entry exactly the `± yᵢ·yⱼ` steps of the row
-//! loop ([`add`](CovarianceShard::add), [`remove`](CovarianceShard::remove))
-//! in the same order and rounding. Short blocks, rows with a zero
-//! multiplier and blocks holding a NaN keep the row loop, and seeding
+//! slides fold into the statistics in one pass of
+//! [`kernel::rank_update`], which gives each entry exactly the `± yᵢ·yⱼ`
+//! steps of the row loop ([`add`](CovarianceShard::add),
+//! [`remove`](CovarianceShard::remove)) in the same order and rounding.
+//! Short blocks, rows with a zero multiplier and blocks holding a NaN or
+//! an infinity keep the row loop, and seeding
 //! ([`from_matrix`](CovarianceShard::from_matrix)) is the same call with
 //! no evictions. Engine shards and TCP workers hold one over their links
 //! and [`IncrementalCovariance`] wraps one over every link, so
@@ -454,8 +455,9 @@ impl CovarianceShard {
     /// what [`observe`](Self::observe) leaves behind push after push.
     ///
     /// The block's terms stack in push order, `[old₀, new₀, old₁, …]`,
-    /// and every owned row takes them in one in-place pass of the
-    /// unfused packed tile ([`kernel::rank_update`]), so each entry
+    /// and every owned row takes them in one in-place pass of
+    /// [`kernel::rank_update`] (the unfused packed tile, or for a deep
+    /// update of a narrow triangle its direct loop), so each entry
     /// takes exactly the row loop's `± yᵢ·yⱼ` steps in the same order
     /// and rounding. Three cases keep the row loop:
     ///
@@ -464,9 +466,12 @@ impl CovarianceShard {
     /// * within a block, an owned row `i` whose multiplier `yᵢ` is a
     ///   zero of either sign in any term — the row loop skips those
     ///   terms, and skipping is not adding `0·y` (signed zeros, `0·∞`);
-    /// * a block holding a NaN: where an input NaN meets a NaN the
-    ///   arithmetic made, which payload survives depends on the operand
-    ///   order each loop was compiled with.
+    /// * a block holding a NaN or an infinity: where a NaN product
+    ///   (an input NaN, or `∞·0`) meets a NaN already in `Σ y yᵀ` —
+    ///   this block's or one an earlier block left there — which
+    ///   payload survives depends on the operand order each loop was
+    ///   compiled with. No product of finite terms is a NaN, so past
+    ///   this rule no two NaNs meet.
     ///
     /// Errors, before touching any state, unless every row is `m` wide,
     /// `evicted` lists one entry per block row, and an eviction has a
@@ -537,30 +542,20 @@ impl CovarianceShard {
     }
 
     /// [`fold`](Self::fold) every term in order, term `t` negated where
-    /// `negate[t]`, in one pass of the packed tile; an owned row with a
-    /// zero multiplier in any term takes the row loop instead. Answers
-    /// `false`, touching nothing, when a term holds a NaN.
+    /// `negate[t]`, in one pass of [`kernel::rank_update`]; an owned row
+    /// with a zero multiplier in any term takes the row loop instead.
+    /// Answers `false`, touching nothing, when a term holds a NaN or an
+    /// infinity.
     fn fold_terms(&mut self, terms: &[&[f64]], negate: &[bool]) -> Result<bool> {
-        let mut zero = vec![false; self.dim];
-        let mut nan = false;
-        for y in terms {
-            for (z, &v) in zero.iter_mut().zip(*y) {
-                *z |= v == 0.0;
-                nan |= v.is_nan();
-            }
-        }
-        if nan {
+        let Some(zero) = self.fold_sums(terms, negate) else {
             return Ok(false);
-        }
-        for (&y, &neg) in terms.iter().zip(negate) {
-            self.fold_sum(neg, y);
-        }
-        // The tile leaves a row alone whose first column is past the
-        // last.
+        };
+        // `rank_update` leaves a row alone whose first column is past
+        // the last.
         let mut cols = self.links.clone();
         for (k, col) in cols.iter_mut().enumerate() {
             let i = *col;
-            if zero[i] {
+            if zero[k] {
                 let row = self.cross.row_mut(k);
                 for (&y, &neg) in terms.iter().zip(negate) {
                     accumulate(row, i, y, neg);
@@ -570,6 +565,58 @@ impl CovarianceShard {
         }
         kernel::rank_update(terms, negate, &cols, &mut self.cross)?;
         Ok(true)
+    }
+
+    /// Take every term into `Σ y` and flag each owned row with a zero
+    /// multiplier in some term; `None`, touching nothing, when a term
+    /// holds a NaN or an infinity.
+    fn fold_sums(&mut self, terms: &[&[f64]], negate: &[bool]) -> Option<Vec<bool>> {
+        let from = self.links.first().map_or(self.dim, |&l| l);
+        if self.links.len() == self.dim - from {
+            // Links run unbroken to the last column (every link, say), so
+            // every column a product meets is owned: one pass takes `Σ y`
+            // and each link's smallest magnitude, and `Σ y` stays finite
+            // only if every value is. (An overflow, or a `Σ y` already
+            // not finite, sends the block to the row loop, which is
+            // always right.)
+            let before = self.sum.clone();
+            let mut low = vec![f64::INFINITY; self.links.len()];
+            for (&y, &neg) in terms.iter().zip(negate) {
+                let lanes = self.sum.iter_mut().zip(&mut low).zip(&y[from..]);
+                let least = |z: f64, v: f64| if v.abs() < z { v.abs() } else { z };
+                if neg {
+                    lanes.for_each(|((s, z), &v)| {
+                        *s -= v;
+                        *z = least(*z, v);
+                    });
+                } else {
+                    lanes.for_each(|((s, z), &v)| {
+                        *s += v;
+                        *z = least(*z, v);
+                    });
+                }
+            }
+            if self.sum.iter().all(|s| s.is_finite()) {
+                return Some(low.iter().map(|&z| z == 0.0).collect());
+            }
+            self.sum = before;
+            return None;
+        }
+        let mut zero = vec![false; self.dim];
+        let mut finite = true;
+        for y in terms {
+            for (z, &v) in zero.iter_mut().zip(*y) {
+                *z |= v == 0.0;
+                finite &= v.is_finite();
+            }
+        }
+        if !finite {
+            return None;
+        }
+        for (&y, &neg) in terms.iter().zip(negate) {
+            self.fold_sum(neg, y);
+        }
+        Some(self.links.iter().map(|&i| zero[i]).collect())
     }
 
     /// Header, `dim`, `count`, the link list when `with_links`, `Σ y`,

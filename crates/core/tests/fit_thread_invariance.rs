@@ -5,6 +5,12 @@
 //! bootstrapped statistics — must be the same bits at one worker and at
 //! eight.
 //!
+//! The fit runs on three weeks of the Sprint-1 network (3,024 bins ×
+//! 49 links), so that its Gram product (3,024 · 49² / 2 ≈ 3.6 M
+//! multiply-adds) and the seeding of its statistics (3,024 · 1,225 ≈
+//! 3.7 M) each pass twice the kernels' per-worker floor of 1.5 M and
+//! fan out at eight threads; one week would stay on one worker.
+//!
 //! The one test here changes `RAYON_NUM_THREADS`, which the `rayon` stub
 //! reads at call time, so it has a test binary to itself: nothing else
 //! runs in the process while the variable is not what the caller (CI's
@@ -19,7 +25,7 @@ const THREADS: &str = "RAYON_NUM_THREADS";
 
 #[test]
 fn default_route_fit_is_bitwise_thread_count_invariant() {
-    let ds = datasets::sprint1();
+    let ds = datasets::sprint1_extended(3 * 1008);
     let given = std::env::var_os(THREADS);
     let fit = |threads: &str| {
         std::env::set_var(THREADS, threads);

@@ -207,6 +207,61 @@ fn special_stream(rows: usize, m: usize, seed: u64, specials: &[(usize, usize, u
     y
 }
 
+/// Feed `y` through a `window`-row window in `blocks` of rows, once
+/// block by block ([`CovarianceShard::observe_block`]) and once row by
+/// row ([`CovarianceShard::observe`]), over `shards` round-robin link
+/// sets and over all links; the first place the bytes differ, if any.
+fn block_vs_row_mismatch(
+    y: &Matrix,
+    window: usize,
+    blocks: &[usize],
+    shards: usize,
+) -> Option<String> {
+    let m = y.cols();
+    let k = shards.min(m);
+    let groups: Vec<Vec<usize>> = (0..k).map(|s| (s..m).step_by(k).collect()).collect();
+    let fresh = || -> Vec<CovarianceShard> {
+        groups
+            .iter()
+            .map(|g| CovarianceShard::new(m, g).unwrap())
+            .collect()
+    };
+    let (mut by_row, mut by_block) = (fresh(), fresh());
+    let mut global = IncrementalCovariance::new(m);
+    let mut window_rows = RingWindow::new(window, m);
+    let mut window_blocks = RingWindow::new(window, m);
+    let mut next = 0;
+    for &len in blocks {
+        for t in next..next + len {
+            let evicted = window_rows.oldest();
+            for s in &mut by_row {
+                s.observe(evicted, y.row(t)).unwrap();
+            }
+            window_rows.push(y.row(t));
+        }
+        let block = y.row_block(next, len).unwrap();
+        let evicted = window_blocks.evictions(&block);
+        for s in &mut by_block {
+            s.observe_block(&evicted, &block).unwrap();
+        }
+        global.observe_block(&evicted, &block).unwrap();
+        for t in 0..len {
+            window_blocks.push(block.row(t));
+        }
+        next += len;
+        for (got, want) in by_block.iter().zip(&by_row) {
+            if got.to_bytes() != want.to_bytes() {
+                return Some(format!("links {:?}, {next} rows", got.links()));
+            }
+        }
+        let merged = IncrementalCovariance::merge(&by_row).unwrap();
+        if global.to_bytes() != merged.to_bytes() {
+            return Some(format!("all links, {next} rows"));
+        }
+    }
+    None
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -225,39 +280,43 @@ proptest! {
     ) {
         let rows: usize = blocks.iter().sum();
         let y = special_stream(rows, m, seed, &specials);
-        let k = shards.min(m);
-        let groups: Vec<Vec<usize>> = (0..k).map(|s| (s..m).step_by(k).collect()).collect();
-        let fresh = || -> Vec<CovarianceShard> {
-            groups.iter().map(|g| CovarianceShard::new(m, g).unwrap()).collect()
-        };
-        let (mut by_row, mut by_block) = (fresh(), fresh());
-        let mut global = IncrementalCovariance::new(m);
-        let mut window_rows = RingWindow::new(window, m);
-        let mut window_blocks = RingWindow::new(window, m);
-        let mut next = 0;
-        for len in blocks {
-            for t in next..next + len {
-                let evicted = window_rows.oldest();
-                for s in &mut by_row {
-                    s.observe(evicted, y.row(t)).unwrap();
-                }
-                window_rows.push(y.row(t));
-            }
-            let block = y.row_block(next, len).unwrap();
-            let evicted = window_blocks.evictions(&block);
-            for s in &mut by_block {
-                s.observe_block(&evicted, &block).unwrap();
-            }
-            global.observe_block(&evicted, &block).unwrap();
-            for t in 0..len {
-                window_blocks.push(block.row(t));
-            }
-            next += len;
-            for (got, want) in by_block.iter().zip(&by_row) {
-                prop_assert_eq!(got.to_bytes(), want.to_bytes(), "links {:?}, {} rows", got.links(), next);
-            }
-            let merged = IncrementalCovariance::merge(&by_row).unwrap();
-            prop_assert_eq!(global.to_bytes(), merged.to_bytes(), "all links, {} rows", next);
+        prop_assert_eq!(block_vs_row_mismatch(&y, window, &blocks, shards), None);
+    }
+}
+
+/// A NaN one block leaves in `Σ y yᵀ`, met in a later block by the NaN
+/// `∞·0` makes: row 3 of the first block holds a NaN at link 5, which
+/// every row's entry at column 5 keeps; row 2 of the second block holds
+/// an infinity at link 1 and a zero at link 5, so entry (1, 5) takes
+/// `NaN + ∞·0`. At 64 links, 40-row blocks are past the packing
+/// crossover for all links and for each of two round-robin shards, and
+/// the window outlasts both, so the second block holds no NaN.
+#[test]
+fn observe_block_keeps_a_stored_nan_from_meeting_a_made_one() {
+    let mut y = special_stream(80, 64, 11, &[]);
+    y[(3, 5)] = f64::NAN;
+    y[(40 + 2, 1)] = f64::INFINITY;
+    y[(40 + 2, 5)] = 0.0;
+    for shards in 1..3 {
+        assert_eq!(block_vs_row_mismatch(&y, 128, &[40, 40], shards), None);
+    }
+}
+
+/// Blocks whose update fans out across workers (more than twice the
+/// kernel's per-worker floor of multiply-adds), at a width the block
+/// update packs and at one it runs unpacked, over all links and
+/// round-robin link sets: the bytes are the row loop's whatever the
+/// worker count, which CI runs at one and at eight threads.
+#[test]
+fn observe_block_fanned_out_is_bitwise_the_row_loop() {
+    for (m, window, blocks) in [(200, 300, [400, 40]), (100, 600, [1000, 40])] {
+        let y = special_stream(1440, m, 5, &[]);
+        for shards in [1, 2] {
+            assert_eq!(
+                block_vs_row_mismatch(&y, window, &blocks, shards),
+                None,
+                "m = {m}"
+            );
         }
     }
 }

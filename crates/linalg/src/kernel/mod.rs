@@ -194,21 +194,6 @@ pub(crate) enum Operand<'a> {
     N(View<'a>),
     /// Use the transpose of the stored view.
     T(View<'a>),
-    /// A `k × n` operand stored as `k` borrowed rows of `n` (row `i`
-    /// is `rows[i]`): the terms of [`rank_update`], left where they lie.
-    Rows(&'a [&'a [f64]]),
-    /// Logical row `r` is column `cols[r]` of the borrowed rows read
-    /// down them, negated at every depth `k` where `negate[k]`; a
-    /// column past the rows' width reads zeros. The multipliers of
-    /// [`rank_update`].
-    Cols {
-        /// The terms, one borrowed row per depth.
-        rows: &'a [&'a [f64]],
-        /// Each logical row's column of the terms.
-        cols: &'a [usize],
-        /// Which terms enter negated.
-        negate: &'a [bool],
-    },
 }
 
 impl<'a> Operand<'a> {
@@ -228,15 +213,6 @@ impl<'a> Operand<'a> {
         match self {
             Operand::N(v) => v.at(i, j),
             Operand::T(v) => v.at(j, i),
-            Operand::Rows(rows) => rows[i][j],
-            Operand::Cols { rows, cols, negate } => {
-                let v = rows[j].get(cols[i]).copied().unwrap_or(0.0);
-                if negate[j] {
-                    -v
-                } else {
-                    v
-                }
-            }
         }
     }
 }
@@ -275,10 +251,10 @@ pub(crate) fn gemm_block<const FUSED: bool>(
 }
 
 /// Fold `k` terms, each a borrowed row of `n` values, into selected
-/// rows of a cross-product matrix, in place, on the unfused scoring
-/// tile: `C += Aᵀ·Y`, with `Y` the terms stacked in order and `A` the
-/// same stack with term `p` negated where `negate[p]`, restricted to
-/// the columns each `C` row holds.
+/// rows of a cross-product matrix, in place, at the scoring tile's
+/// rounding (mul, then add): `C += Aᵀ·Y`, with `Y` the terms stacked in
+/// order and `A` the same stack with term `p` negated where
+/// `negate[p]`, restricted to the columns each `C` row holds.
 ///
 /// Row `r` of `c` is the cross-product row of link `cols[r]`: it takes
 /// `± y[p][cols[r]]·y[p][j]` for every `j ≥ cols[r]`, one mul-then-add
@@ -288,9 +264,11 @@ pub(crate) fn gemm_block<const FUSED: bool>(
 /// `for p { c[r][j] += (±y[p][cols[r]])·y[p][j] }` in the same order
 /// and rounding — with no term skipped, so a caller wanting zero
 /// multipliers skipped routes those rows elsewhere. `cols` need not
-/// be ascending; micro-tiles wholly left of their rows' first columns
-/// are skipped. Rows fan out across workers as the products do, with
-/// bits independent of the split.
+/// be ascending. The packed tile runs the update, skipping micro-tiles
+/// wholly left of their rows' first columns, except where
+/// [`rank_packed`] sends it to the direct loop [`rank_rows`]; rows fan
+/// out across workers as the products do. Neither choice shows in the
+/// bits.
 ///
 /// Errors unless `negate` has one flag per term, every term is as
 /// wide as `c`, and `cols` names one column per row of `c`.
@@ -317,31 +295,126 @@ pub fn rank_update(
     }
     let width = |r: usize| n - cols[r].min(n);
     let flops = kdim * (0..cols.len()).map(width).sum::<usize>();
-    let a = Operand::Cols {
-        rows: terms,
+    let a = pack::Multipliers {
+        terms,
         cols,
         negate,
     };
-    let b = Operand::Rows(terms);
+    let b = pack::Terms(terms);
+    let packed = rank_packed(cols.len(), kdim, n);
     let workers = parallel::workers_for(flops, cols.len());
     let boundaries = parallel::balanced_boundaries(cols.len(), workers, |r| width(r) as f64);
     parallel::for_row_blocks(c.data_mut(), n, &boundaries, |first_row, block| {
-        let out = OutBlock {
-            ldc: n,
-            first_row,
-            mask: Mask::From(cols),
-        };
-        gemm_tiled::<{ micro::MR }, { micro::NR }, false>(&a, &b, block, kdim, &out);
+        if packed {
+            let out = OutBlock {
+                ldc: n,
+                first_row,
+                mask: Mask::From(cols),
+            };
+            gemm_tiled::<{ micro::MR }, { micro::NR }, false>(&a, &b, block, kdim, &out);
+        } else {
+            rank_rows(terms, negate, &cols[first_row..], block, n);
+        }
     });
     Ok(())
+}
+
+/// Narrowest `C` for which a [`rank_update`] deeper than one `KC`
+/// slice takes the packed tile.
+const MIN_PACKED_RANK_WIDTH: usize = 160;
+
+/// `true` when a [`rank_update`] of `k` terms into `rows × n` takes the
+/// packed tile rather than [`rank_rows`]: past one `KC` slice the pack
+/// buffers reach their full depth (256 KiB at `n = 61`), fresh memory
+/// for every call, which a narrow `C` does not win back. Seeding 1,008
+/// rows took 0.40 ms packed against 0.33 direct at `n = 61` and 0.89
+/// against 0.76 at `n = 121`, and 2.2 against 2.7 ms at `n = 256`
+/// (best of 10 processes, 2-vCPU Xeon); 72-term blocks stay packed,
+/// 6 % faster than direct at `n = 121`.
+fn rank_packed(rows: usize, k: usize, n: usize) -> bool {
+    use_packed(rows, k, n) && (k <= KC || n >= MIN_PACKED_RANK_WIDTH)
+}
+
+/// [`rank_update`] over one block of `C` rows without packing: the
+/// terms four at a time, read where they lie, and the rows two at a
+/// time so both share each term's loads; a last one to three terms go
+/// one at a time. Each entry still takes its steps one term at a time
+/// in ascending order, rounded as the tile rounds them.
+fn rank_rows(terms: &[&[f64]], negate: &[bool], cols: &[usize], block: &mut [f64], n: usize) {
+    let signed = |v: f64, flip: bool| if flip { -v } else { v };
+    let quads = terms.chunks_exact(4).zip(negate.chunks_exact(4));
+    for (ys, flips) in quads {
+        let ys: [&[f64]; 4] = std::array::from_fn(|s| ys[s]);
+        let mult = |i: usize| std::array::from_fn(|s| signed(ys[s][i], flips[s]));
+        let mut rows = block.chunks_exact_mut(n).zip(cols);
+        while let Some((top, &i)) = rows.next() {
+            let Some((bottom, &j)) = rows.next() else {
+                if i < n {
+                    steps_row(&mut top[i..], mult(i), ys.map(|y| &y[i..]));
+                }
+                break;
+            };
+            // The row starting further left covers the columns up to its
+            // partner's start alone.
+            let ((lead, l), (late, e)) = if i <= j {
+                ((top, i), (bottom, j))
+            } else {
+                ((bottom, j), (top, i))
+            };
+            if l >= n {
+                continue;
+            }
+            let a = mult(l);
+            let e = e.min(n);
+            steps_row(&mut lead[l..e], a, ys.map(|y| &y[l..e]));
+            if e < n {
+                let ys = ys.map(|y| &y[e..]);
+                steps_pair(&mut lead[e..], &mut late[e..], a, mult(e), ys);
+            }
+        }
+    }
+    let rest = terms.len() - terms.len() % 4;
+    for (&y, &flip) in terms[rest..].iter().zip(&negate[rest..]) {
+        for (row, &i) in block.chunks_exact_mut(n).zip(cols) {
+            if i < n {
+                steps_row(&mut row[i..], [signed(y[i], flip)], [&y[i..]]);
+            }
+        }
+    }
+}
+
+/// `c[j] += a[s]·ys[s][j]`, `s` ascending, each step rounded twice.
+#[inline(always)]
+fn steps_row<const Q: usize>(c: &mut [f64], a: [f64; Q], ys: [&[f64]; Q]) {
+    let ys = ys.map(|y| &y[..c.len()]);
+    for (j, e) in c.iter_mut().enumerate() {
+        *e = (0..Q).fold(*e, |acc, s| acc + a[s] * ys[s][j]);
+    }
+}
+
+/// [`steps_row`] over four terms on two rows at once, sharing the
+/// terms' loads. Zipped rather than indexed, the loop compiles without
+/// the scalar tail of up to four columns the indexed form kept (seeding
+/// 1,008 rows at `n = 61`: 0.27 against 0.29 ms).
+#[inline(always)]
+fn steps_pair(c0: &mut [f64], c1: &mut [f64], a0: [f64; 4], a1: [f64; 4], ys: [&[f64]; 4]) {
+    fn steps(c: f64, a: [f64; 4], b: [f64; 4]) -> f64 {
+        (((c + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3]
+    }
+    let columns = ys[0].iter().zip(ys[1]).zip(ys[2]).zip(ys[3]);
+    for ((e0, e1), (((b0, b1), b2), b3)) in c0.iter_mut().zip(c1).zip(columns) {
+        let b = [*b0, *b1, *b2, *b3];
+        *e0 = steps(*e0, a0, b);
+        *e1 = steps(*e1, a1, b);
+    }
 }
 
 /// The shared cache-blocked loop nest at one tile instantiation
 /// (`MR × NR`, `FUSED`): packs panels of exactly that shape and runs
 /// the macro kernel on every packed block pair.
 fn gemm_tiled<const MR: usize, const NR: usize, const FUSED: bool>(
-    a: &Operand,
-    b: &Operand,
+    a: &impl pack::PackA,
+    b: &impl pack::PackB,
     block: &mut [f64],
     kdim: usize,
     out: &OutBlock<'_>,
@@ -713,13 +786,13 @@ pub(crate) fn gemm_reference<const FUSED: bool>(
                     *o = acc;
                 }
             }
-            // Any other pairing: strided fallback (unused by the crate's
+            // Doubly transposed: strided fallback (unused by the crate's
             // products, kept for completeness).
-            _ => {
+            (Operand::T(_), Operand::T(bm)) => {
                 for (j, o) in row.iter_mut().enumerate().skip(j0) {
                     let mut acc = *o;
                     for k in 0..kdim {
-                        acc = micro::madd::<FUSED>(acc, a.at(i, k), b.at(k, j));
+                        acc = micro::madd::<FUSED>(acc, a.at(i, k), bm.at(j, k));
                     }
                     *o = acc;
                 }
@@ -735,23 +808,45 @@ mod tests {
     /// The masked in-place update against the loop it stands for: each
     /// entry right of its row's first column takes
     /// `c += (±y[p][col])·y[p][j]` in ascending `p`, rounded twice, and
-    /// every entry left of it keeps its bits. `k` crosses the `KC`
-    /// depth, the widths leave ragged edge tiles, and the columns are
+    /// every entry left of it keeps its bits. Each route runs: the
+    /// packed tile with `k` inside one `KC` slice and across two `KC`
+    /// crossings, the direct loop for deep narrow updates and tiny
+    /// ones. The widths leave ragged edge tiles; the columns are
     /// round-robin, out of order, and past the last (a skipped row).
+    /// The last case of each route has more than twice the per-worker
+    /// floor of multiply-adds, so it fans out wherever more than one
+    /// thread runs (CI runs this at one and at eight).
     #[test]
     fn rank_update_is_the_masked_mul_then_add_loop() {
-        for (k, n, rows) in [(9, 13, 4), (2 * KC + 37, 37, 9), (KC + 3, 150, 50)] {
+        let cases = [
+            // (k, n, rows, column step, packed, fans out)
+            (9, 13, 4, 3, false, false),
+            (2 * KC + 37, 37, 9, 3, false, false),
+            (KC + 3, 150, 50, 3, false, false),
+            (200, 61, 30, 2, true, false),
+            (2 * KC + 37, 170, 60, 3, true, false),
+            (600, 200, 100, 2, true, true),
+            (1008, 120, 60, 2, false, true),
+        ];
+        for (k, n, rows, step, packed, fans_out) in cases {
+            assert_eq!(rank_packed(rows, k, n), packed, "k {k}, n {n}");
             let y = Matrix::from_fn(k, n, |p, j| {
                 let h = ((p * n + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
                 h as f64 / (1u64 << 53) as f64 * 8.0 - 4.0
             });
             let negate: Vec<bool> = (0..k).map(|p| p % 3 == 1).collect();
-            let mut cols: Vec<usize> = (0..rows).map(|r| (3 * r) % n).collect();
+            let mut cols: Vec<usize> = (0..rows).map(|r| (step * r) % n).collect();
             cols[1] = n;
             cols.swap(2, rows - 1);
             let before = Matrix::from_fn(rows, n, |r, j| (r * n + j) as f64 * 0.5 - 3.0);
             let mut got = before.clone();
             let terms: Vec<&[f64]> = (0..k).map(|p| y.row(p)).collect();
+            let madds = k * cols.iter().map(|&c| n - c.min(n)).sum::<usize>();
+            assert_eq!(
+                madds > 2 * parallel::MIN_PARALLEL_FLOPS,
+                fans_out,
+                "k {k}, n {n}"
+            );
             rank_update(&terms, &negate, &cols, &mut got).unwrap();
             for (r, &col) in cols.iter().enumerate() {
                 for j in 0..n {
@@ -762,7 +857,11 @@ mod tests {
                             want += a * y[(p, j)];
                         }
                     }
-                    assert_eq!(got[(r, j)].to_bits(), want.to_bits(), "k {k}, ({r}, {j})");
+                    assert_eq!(
+                        got[(r, j)].to_bits(),
+                        want.to_bits(),
+                        "k {k}, n {n}, ({r}, {j})"
+                    );
                 }
             }
         }

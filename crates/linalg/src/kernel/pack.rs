@@ -15,8 +15,9 @@
 //! Each orientation gets its own loop nest so the *source* is always
 //! walked along contiguous rows; the strided side of the copy lands in
 //! the packed buffer, which is small enough to stay cache-resident
-//! while being filled. The tile's shape is a constant of each packing
-//! function, so a whole panel slice copies without a call.
+//! while being filled. [`rank_update`](super::rank_update) packs two
+//! sources of its own that fit only their side: [`Multipliers`] as `A`,
+//! [`Terms`] as `B`.
 //!
 //! # Parallel packing
 //!
@@ -34,6 +35,157 @@
 
 use super::Operand;
 use crate::parallel;
+
+/// A source the packers lay out as a product's `A` side.
+pub(crate) trait PackA: Sync {
+    /// Pack panels `p0..p1` of [`pack_a`]'s block into `chunk`, which
+    /// holds exactly those panels.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_a_range<const MR: usize>(
+        &self,
+        row0: usize,
+        mc: usize,
+        k0: usize,
+        kc: usize,
+        p0: usize,
+        p1: usize,
+        chunk: &mut [f64],
+    );
+}
+
+/// A source the packers lay out as a product's `B` side.
+pub(crate) trait PackB: Sync {
+    /// Pack panels `p0..p1` of [`pack_b`]'s block into `chunk`, which
+    /// holds exactly those panels.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_b_range<const NR: usize>(
+        &self,
+        k0: usize,
+        kc: usize,
+        col0: usize,
+        nc: usize,
+        p0: usize,
+        p1: usize,
+        chunk: &mut [f64],
+    );
+}
+
+impl PackA for Operand<'_> {
+    fn pack_a_range<const MR: usize>(
+        &self,
+        row0: usize,
+        mc: usize,
+        k0: usize,
+        kc: usize,
+        p0: usize,
+        p1: usize,
+        chunk: &mut [f64],
+    ) {
+        pack_a_range(self, row0, mc, k0, kc, MR, p0, p1, chunk);
+    }
+}
+
+impl PackB for Operand<'_> {
+    fn pack_b_range<const NR: usize>(
+        &self,
+        k0: usize,
+        kc: usize,
+        col0: usize,
+        nc: usize,
+        p0: usize,
+        p1: usize,
+        chunk: &mut [f64],
+    ) {
+        pack_b_range(self, k0, kc, col0, nc, NR, p0, p1, chunk);
+    }
+}
+
+/// The terms of a rank update as its `B` side: depth `k` is the
+/// borrowed row `self.0[k]`, read where it lies.
+pub(crate) struct Terms<'a>(pub(crate) &'a [&'a [f64]]);
+
+impl PackB for Terms<'_> {
+    fn pack_b_range<const NR: usize>(
+        &self,
+        k0: usize,
+        kc: usize,
+        col0: usize,
+        nc: usize,
+        p0: usize,
+        p1: usize,
+        chunk: &mut [f64],
+    ) {
+        for (k, src) in self.0[k0..k0 + kc].iter().enumerate() {
+            for p in p0..p1 {
+                let base = (p - p0) * kc * NR;
+                let dst = &mut chunk[base + k * NR..base + (k + 1) * NR];
+                let c0 = col0 + p * NR;
+                let take = NR.min(nc - p * NR);
+                if take == NR {
+                    // A whole slice: a copy of constant width, no call.
+                    dst.copy_from_slice(&src[c0..c0 + NR]);
+                } else {
+                    dst[..take].copy_from_slice(&src[c0..c0 + take]);
+                    dst[take..].fill(0.0);
+                }
+            }
+        }
+    }
+}
+
+/// The multipliers of a rank update as its `A` side: logical row `r`
+/// at depth `k` is `terms[k][cols[r]]`, negated where `negate[k]`; a
+/// column past the terms' width reads zero.
+pub(crate) struct Multipliers<'a> {
+    /// The terms, one borrowed row per depth.
+    pub(crate) terms: &'a [&'a [f64]],
+    /// Each logical row's column of the terms.
+    pub(crate) cols: &'a [usize],
+    /// Which terms enter negated.
+    pub(crate) negate: &'a [bool],
+}
+
+impl PackA for Multipliers<'_> {
+    fn pack_a_range<const MR: usize>(
+        &self,
+        row0: usize,
+        mc: usize,
+        k0: usize,
+        kc: usize,
+        p0: usize,
+        p1: usize,
+        chunk: &mut [f64],
+    ) {
+        let depths = self.terms[k0..k0 + kc]
+            .iter()
+            .zip(&self.negate[k0..k0 + kc]);
+        for (k, (src, &flip)) in depths.enumerate() {
+            for p in p0..p1 {
+                let base = (p - p0) * kc * MR;
+                let dst = &mut chunk[base + k * MR..base + (k + 1) * MR];
+                let r0 = row0 + p * MR;
+                let picked = &self.cols[r0..r0 + MR.min(mc - p * MR)];
+                let first = picked[0];
+                let run = picked.len() == MR
+                    && first + MR <= src.len()
+                    && picked.windows(2).all(|w| w[1] == w[0] + 1);
+                if run {
+                    // Consecutive columns (every panel of an all-links
+                    // update): a copy of constant width, no gather.
+                    dst.copy_from_slice(&src[first..first + MR]);
+                } else {
+                    for (i, d) in dst.iter_mut().enumerate() {
+                        let v = picked.get(i).and_then(|&c| src.get(c));
+                        *d = v.copied().unwrap_or(0.0);
+                    }
+                }
+                if flip {
+                    dst.iter_mut().for_each(|d| *d = -*d);
+                }
+            }
+        }
+    }
+}
 
 /// Elements of packed output per additional packing worker. Packing
 /// moves ~2 passes of memory per element (read + packed write), so a
@@ -82,12 +234,12 @@ fn for_panel_ranges(
 
 /// Pack `mc` logical rows of `a` starting at `row0`, depth `k0..k0+kc`,
 /// into `MR`-row panels (`MR` is the micro-tile height being packed
-/// for, a constant so whole panel slices copy without a call). `buf`
-/// must hold at least `⌈mc/MR⌉·MR·kc` elements; only that prefix is
-/// written. Large blocks fan the panel range across rayon workers (see
-/// the module docs); the packed bytes are bitwise identical either way.
+/// for). `buf` must hold at least `⌈mc/MR⌉·MR·kc` elements; only
+/// that prefix is written. Large blocks fan the panel range across
+/// rayon workers (see the module docs); the packed bytes are bitwise
+/// identical either way.
 pub(crate) fn pack_a<const MR: usize>(
-    a: &Operand,
+    a: &impl PackA,
     row0: usize,
     mc: usize,
     k0: usize,
@@ -96,7 +248,7 @@ pub(crate) fn pack_a<const MR: usize>(
 ) {
     let panels = mc.div_ceil(MR);
     for_panel_ranges(buf, kc * MR, panels, |p0, p1, chunk| {
-        pack_a_range::<MR>(a, row0, mc, k0, kc, p0, p1, chunk);
+        a.pack_a_range::<MR>(row0, mc, k0, kc, p0, p1, chunk);
     });
 }
 
@@ -104,17 +256,17 @@ pub(crate) fn pack_a<const MR: usize>(
 /// (`chunk` holds exactly those panels). Each orientation walks its
 /// *source* along contiguous rows within the range.
 #[allow(clippy::too_many_arguments)]
-fn pack_a_range<const MR: usize>(
+fn pack_a_range(
     a: &Operand,
     row0: usize,
     mc: usize,
     k0: usize,
     kc: usize,
+    mr: usize,
     p0: usize,
     p1: usize,
     chunk: &mut [f64],
 ) {
-    let mr = MR;
     match a {
         // Rows of `a` are logical rows: walk each source row once,
         // scattering into its panel's k-major slots.
@@ -148,97 +300,11 @@ fn pack_a_range<const MR: usize>(
                     let dst = &mut chunk[base + k * mr..base + (k + 1) * mr];
                     let c0 = row0 + p * mr;
                     let take = mr.min(mc - p * mr);
-                    copy_padded(dst, &src[c0..c0 + take]);
+                    dst[..take].copy_from_slice(&src[c0..c0 + take]);
+                    dst[take..].fill(0.0);
                 }
             }
         }
-        // Logical row `r` is column `cols[r]` of `y`, signed per depth:
-        // each source row of `y` is one depth, gathered into every
-        // panel's k-slice — copied whole where a panel's columns are
-        // consecutive (every panel of an all-links update).
-        Operand::Cols { rows, cols, negate } => {
-            let width = rows.get(k0).map_or(0, |r| r.len());
-            let panels: Vec<(&[usize], bool)> = (p0..p1)
-                .map(|p| {
-                    let picked = &cols[row0 + p * mr..row0 + p * mr + mr.min(mc - p * mr)];
-                    let run = picked.windows(2).all(|w| w[1] == w[0] + 1);
-                    (picked, run && picked[picked.len() - 1] < width)
-                })
-                .collect();
-            for (k, srow) in (k0..k0 + kc).enumerate() {
-                let src = rows[srow];
-                let flip = negate[srow];
-                for (slot, &(picked, run)) in panels.iter().enumerate() {
-                    let at = slot * kc * mr + k * mr;
-                    let dst = &mut chunk[at..at + mr];
-                    if run {
-                        copy_padded(dst, &src[picked[0]..picked[0] + picked.len()]);
-                    } else {
-                        for (i, d) in dst.iter_mut().enumerate() {
-                            let v = picked.get(i).and_then(|&c| src.get(c));
-                            *d = v.copied().unwrap_or(0.0);
-                        }
-                    }
-                    if flip {
-                        dst.iter_mut().for_each(|d| *d = -*d);
-                    }
-                }
-            }
-        }
-        // Any other operand: element by element.
-        other => {
-            for p in p0..p1 {
-                let panel = &mut chunk[(p - p0) * kc * mr..(p - p0 + 1) * kc * mr];
-                for k in 0..kc {
-                    for i in 0..mr {
-                        let r = p * mr + i;
-                        panel[k * mr + i] = if r < mc {
-                            other.at(row0 + r, k0 + k)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`pack_b_range`] for a row-major `b` whose depth `k` is `row(k)`:
-/// each source row yields contiguous nr-slices for every panel.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_rows<'r, const NR: usize>(
-    row: impl Fn(usize) -> &'r [f64],
-    k0: usize,
-    kc: usize,
-    col0: usize,
-    nc: usize,
-    p0: usize,
-    p1: usize,
-    chunk: &mut [f64],
-) {
-    for (k, srow) in (k0..k0 + kc).enumerate() {
-        let src = row(srow);
-        for p in p0..p1 {
-            let base = (p - p0) * kc * NR;
-            let dst = &mut chunk[base + k * NR..base + (k + 1) * NR];
-            let c0 = col0 + p * NR;
-            let take = NR.min(nc - p * NR);
-            copy_padded(dst, &src[c0..c0 + take]);
-        }
-    }
-}
-
-/// Copy `src` into the front of one panel slice and zero the rest. A
-/// whole slice copies at its constant width — no call per slice, which
-/// a narrow panel's many slices would otherwise pay.
-#[inline(always)]
-fn copy_padded(dst: &mut [f64], src: &[f64]) {
-    if src.len() == dst.len() {
-        dst.copy_from_slice(src);
-    } else {
-        dst[..src.len()].copy_from_slice(src);
-        dst[src.len()..].fill(0.0);
     }
 }
 
@@ -249,7 +315,7 @@ fn copy_padded(dst: &mut [f64], src: &[f64]) {
 /// range across rayon workers (see the module docs); the packed bytes
 /// are bitwise identical either way.
 pub(crate) fn pack_b<const NR: usize>(
-    b: &Operand,
+    b: &impl PackB,
     k0: usize,
     kc: usize,
     col0: usize,
@@ -258,26 +324,39 @@ pub(crate) fn pack_b<const NR: usize>(
 ) {
     let panels = nc.div_ceil(NR);
     for_panel_ranges(buf, kc * NR, panels, |p0, p1, chunk| {
-        pack_b_range::<NR>(b, k0, kc, col0, nc, p0, p1, chunk);
+        b.pack_b_range::<NR>(k0, kc, col0, nc, p0, p1, chunk);
     });
 }
 
 /// The serial `B`-packing loop nests, restricted to panels `p0..p1`.
 #[allow(clippy::too_many_arguments)]
-fn pack_b_range<const NR: usize>(
+fn pack_b_range(
     b: &Operand,
     k0: usize,
     kc: usize,
     col0: usize,
     nc: usize,
+    nr: usize,
     p0: usize,
     p1: usize,
     chunk: &mut [f64],
 ) {
-    let nr = NR;
     match b {
-        Operand::N(m) => pack_b_rows::<NR>(|k| m.row(k), k0, kc, col0, nc, p0, p1, chunk),
-        Operand::Rows(rows) => pack_b_rows::<NR>(|k| rows[k], k0, kc, col0, nc, p0, p1, chunk),
+        // Row-major `b`: each source row k yields contiguous nr-slices
+        // for every panel.
+        Operand::N(m) => {
+            for (k, srow) in (k0..k0 + kc).enumerate() {
+                let src = m.row(srow);
+                for p in p0..p1 {
+                    let base = (p - p0) * kc * nr;
+                    let dst = &mut chunk[base + k * nr..base + (k + 1) * nr];
+                    let c0 = col0 + p * nr;
+                    let take = nr.min(nc - p * nr);
+                    dst[..take].copy_from_slice(&src[c0..c0 + take]);
+                    dst[take..].fill(0.0);
+                }
+            }
+        }
         // `b` is the transpose of `m` (matmul_nt): logical column `j`
         // is `m`'s row `j`, walked contiguously along k.
         Operand::T(m) => {
@@ -294,22 +373,6 @@ fn pack_b_range<const NR: usize>(
                         for k in 0..kc {
                             panel[k * nr + j] = 0.0;
                         }
-                    }
-                }
-            }
-        }
-        // Any other operand: element by element.
-        other => {
-            for p in p0..p1 {
-                let panel = &mut chunk[(p - p0) * kc * nr..(p - p0 + 1) * kc * nr];
-                for k in 0..kc {
-                    for j in 0..nr {
-                        let c = p * nr + j;
-                        panel[k * nr + j] = if c < nc {
-                            other.at(k0 + k, col0 + c)
-                        } else {
-                            0.0
-                        };
                     }
                 }
             }
@@ -411,7 +474,17 @@ mod tests {
         assert!(pack_workers(fanned.len(), panels) >= 1);
         // Serial reference: the same loop nest over the full range.
         let mut serial = vec![f64::NAN; panels * nr * kc];
-        pack_b_range::<8>(&Operand::normal(&m), 2, kc, 3, nc, 0, panels, &mut serial);
+        pack_b_range(
+            &Operand::normal(&m),
+            2,
+            kc,
+            3,
+            nc,
+            nr,
+            0,
+            panels,
+            &mut serial,
+        );
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fanned), bits(&serial));
 
@@ -422,12 +495,13 @@ mod tests {
         let mut a_fanned = vec![f64::NAN; apanels * mr * kc];
         pack_a::<8>(&Operand::transposed(&m), 1, mc, 0, kc, &mut a_fanned);
         let mut a_serial = vec![f64::NAN; apanels * mr * kc];
-        pack_a_range::<8>(
+        pack_a_range(
             &Operand::transposed(&m),
             1,
             mc,
             0,
             kc,
+            mr,
             0,
             apanels,
             &mut a_serial,
